@@ -1,50 +1,38 @@
-"""Batch amortisation — throughput vs. concurrent flow count (1 → 10k).
+"""Batch datapath throughput vs. concurrent flow count (1 → 70k).
 
 Not a paper figure: this bench qualifies the batch-native datapath that
 lets the reproduction approach the traffic scale the paper's testbed
-reaches natively (§3.2 drives the router at 610 kpps line rate; a
-per-packet Python datapath with a fresh eBPF context per invocation is
-orders of magnitude below that).  The router under test is R from
-setup 1 running the End.BPF baseline function, driven with the §3.2
-trafgen workload spread over N concurrent flows — each flow has its own
-source port *and* its own final segment, so per-flow state (the node
-flow table, the SRH-advance memo) is genuinely stressed rather than
-replaying one 5-tuple.
+reaches natively (§3.2 drives the router at 610 kpps line rate).  The
+router under test is R from setup 1 running the End.BPF baseline
+function, driven with the §3.2 trafgen workload spread over N concurrent
+flows — each flow has its own source port *and* its own final segment,
+so per-flow state (the node flow table) is genuinely stressed rather
+than replaying one 5-tuple.
 
-For every flow count the same packet stream is pushed through
+For every flow count the same packet stream is first pushed through one
+``Node.receive()`` per packet and through one ``Node.receive_batch()``,
+and the outputs are compared byte for byte (partition invariance at
+sizes 1 and N — the contract `tests/test_batch_partition.py` pins in
+full).  Then the batch path is timed, best of ROUNDS.
 
-* the **baseline** — the seed's scalar datapath, reconstructed: one
-  ``Node.receive()`` per packet with every amortisation cache (flow
-  table, SRH-advance memo, compiled-handler cache) reset between
-  packets, so each packet pays a full LPM walk, SRH parse and eBPF
-  guest-address-space assembly, as the pre-batch pipeline did.  The
-  reconstruction also pays cache teardown/rebuild work the historical
-  scalar path never had, so it runs somewhat *slower* than the true
-  seed path and the reported speed-up overstates the historical ratio
-  accordingly — read the gate as "≥3x against a per-packet,
-  fresh-context pipeline", not as an exact archaeology number;
-* the **batch** path — one ``Node.receive_batch()``, with
-  compiled-handler reuse, flow-table route memoisation and batched
-  egress.
-
-Before timing, batch output is checked byte-for-byte against per-packet
-output (partition invariance at sizes 1 and N — the contract
-`tests/test_batch_partition.py` pins in full).  Acceptance: batch ≥ 6.5x
-the baseline at 1k flows (the re-landed JIT v2 + batch-resident
-datapath; the first landing archived 7.01x in ``BENCH_pr4.json``).
-Expected shape: the ratio is roughly flat from 1 to 10k flows because
-every amortised structure is per-flow-keyed and sized for 10k+ entries;
-a collapse at high flow counts would indicate cache thrash.
+Acceptance is "no collapse", stated between two real paths instead of
+against a reconstructed scalar strawman: batch pps at 10k flows is at
+least 0.8x batch pps at 1 flow, and the 70 000-flow point — more flows
+than the 32 768-entry flow table holds, so nearly every lookup misses,
+inserts and evicts — keeps at least 0.4x (O(1) FIFO eviction and the
+header-only End prologue measure ≈ 0.5–0.75x; the dict-scan eviction
+they replaced read ≈ 0.17x).  The perf ledger's ``flow_churn`` workload
+(``benchmarks/ledger``) tracks the same path with per-layer attribution.
 
 Set ``REPRO_BENCH_FLOWS`` (comma-separated flow counts, e.g. ``1,1000``)
 to shrink the sweep for CI smoke runs; each acceptance assertion applies
-whenever its flow point ran.  The 1k-flow point additionally runs with a
-live 10 ms telemetry sampler attached (simulated line-rate cadence) and
-asserts the export costs under 5% of batch throughput while still
-clearing the speed-up floor.  Results — pps, speed-ups, the v2
-resident-path counters and the telemetry run's drop accounting — are
-written to ``BENCH_burst_scaling.json`` (override with
-``REPRO_BENCH_JSON``).
+whenever its flow points ran.  The 1k-flow point additionally runs with
+a live 10 ms telemetry sampler attached (simulated line-rate cadence)
+and asserts the export costs under 5% of batch throughput, and A/B's
+``repro.trace`` overhead against the untraced batch path.  Results —
+pps, the ratios to the 1-flow point, the v2 resident-path counters and
+the telemetry run's drop accounting — are written to
+``BENCH_burst_scaling.json`` (override with ``REPRO_BENCH_JSON``).
 """
 
 from __future__ import annotations
@@ -56,23 +44,23 @@ import time
 import pytest
 
 from repro.bench import copy_batch, make_router_net
-from repro.ebpf.jit import clear_handler_cache, handler_cache_stats
-from repro.net import EndBPF, clear_advance_memo
+from repro.ebpf.jit import handler_cache_stats
+from repro.net import EndBPF
 from repro.progs import end_prog
 from repro.sim.trafgen import batch_srv6_udp_flows
 
-_DEFAULT_FLOWS = (1, 10, 100, 1_000, 10_000)
+CHURN_FLOWS = 70_000  # more flows than the flow table holds: the miss path
+_DEFAULT_FLOWS = (1, 10, 100, 1_000, 10_000, CHURN_FLOWS)
 _ENV_FLOWS = tuple(
     int(f) for f in os.environ.get("REPRO_BENCH_FLOWS", "").replace(" ", "").split(",") if f
 )
 FLOW_COUNTS = _ENV_FLOWS or _DEFAULT_FLOWS
-# Acceptance floor for the 1k-flow speed-up.  Defaults to the re-landing
-# target; CI smoke lowers it slightly (REPRO_BURST_MIN_SPEEDUP=6.0) to
-# absorb shared-runner noise without letting a real regression through.
-MIN_SPEEDUP_1K = float(os.environ.get("REPRO_BURST_MIN_SPEEDUP", "6.5"))
+# "No collapse": batch pps at these flow counts, as a fraction of batch pps
+# at 1 flow (every cache hitting), may not fall below the floor.
+MIN_PPS_VS_1_FLOW = {10_000: 0.8, CHURN_FLOWS: 0.4}
 BATCH = 2048
 ROUNDS = 5
-RESULTS: dict[tuple[int, str], float] = {}  # (flows, mode) -> pps
+RESULTS: dict[tuple[int, str], float] = {}  # (flows, "batch" | "batch+telemetry") -> pps
 V2_COUNTERS: dict[int, dict] = {}  # flows -> resident-path stats of the batch rounds
 TELEMETRY_INFO: dict = {}  # the 1k-flow telemetry-enabled run's export accounting
 # Telemetry overhead gate: a 10 ms streaming sampler may not cost the
@@ -94,40 +82,6 @@ def make_templates(flows: int):
     return batch_srv6_udp_flows(
         "fc00:1::1", FUNC_SEGMENT, "fc00:2", flows, max(BATCH, flows)
     )
-
-
-def reset_amortisation_caches(node) -> None:
-    """Forget everything the datapath amortises across packets.
-
-    Between-packet resets make the next packet pay the full
-    longest-prefix match, SRH parse and eBPF context assembly, like the
-    seed's scalar pipeline did (plus the reset/rebuild work itself —
-    see the module docstring for how to read the resulting ratio).
-    """
-    node.flow_table.clear()
-    clear_advance_memo()
-    clear_handler_cache()
-
-
-def measure_baseline(node, templates) -> float:
-    """Best-of-ROUNDS pps of the reconstructed per-packet seed datapath."""
-    count = len(templates)
-    dev = node.devices["eth0"]
-    out = node.devices["eth1"].tx_buffer
-    best = float("inf")
-    for _ in range(ROUNDS):
-        pkts = copy_batch(templates)
-        receive = node.receive
-        reset = reset_amortisation_caches
-        start = time.perf_counter()
-        for pkt in pkts:
-            reset(node)
-            receive(pkt, dev)
-        elapsed = time.perf_counter() - start
-        assert len(out) == count, "packets were dropped"
-        out.clear()
-        best = min(best, elapsed)
-    return count / best
 
 
 def measure_batch(node, templates) -> float:
@@ -315,15 +269,13 @@ def test_batch_scaling_point(flows):
     packet_node.devices["eth1"].tx_buffer.clear()
     batch_node.devices["eth1"].tx_buffer.clear()
 
-    RESULTS[(flows, "baseline")] = measure_baseline(packet_node, templates)
-    # The baseline's per-packet cache resets also zero the global v2
-    # counters, so the stats snapshot after the batch rounds isolates
-    # exactly this point's resident-path behaviour.
+    before = handler_cache_stats()
     RESULTS[(flows, "batch")] = measure_batch(batch_node, templates)
+    stats = handler_cache_stats()
     if flows == TELEMETRY_FLOWS:
         # The same datapath with a live export stream attached: the
-        # telemetry acceptance (speed-up floor still cleared, overhead
-        # bounded) is asserted in the report test.
+        # telemetry acceptance (overhead bounded) is asserted in the
+        # report test.
         pps, overhead, session = measure_batch_telemetry(
             batch_net, batch_node, templates
         )
@@ -341,9 +293,8 @@ def test_batch_scaling_point(flows):
         )
     if flows == TRACING_FLOWS:
         TRACING_INFO.update(measure_batch_tracing(batch_node, templates))
-    stats = handler_cache_stats()
     V2_COUNTERS[flows] = {
-        k: stats[k]
+        k: stats[k] - before[k]
         for k in (
             "handler_hits",
             "bpf_groups",
@@ -357,31 +308,25 @@ def test_batch_scaling_point(flows):
 
 
 def test_batch_scaling_report():
-    if len(RESULTS) < 2 * len(FLOW_COUNTS):
+    if len(V2_COUNTERS) < len(FLOW_COUNTS):
         pytest.skip("batch scaling points did not run")
-    print("\n=== Batch amortisation scaling (packets/sec of wall-clock) ===")
-    print(f"  {'flows':>7} {'baseline kpps':>14} {'batch kpps':>11} {'speed-up':>9}")
+    anchor = RESULTS.get((1, "batch"))
+    vs_1_flow = (
+        {flows: RESULTS[(flows, "batch")] / anchor for flows in FLOW_COUNTS} if anchor else {}
+    )
+    print("\n=== Batch datapath scaling (packets/sec of wall-clock) ===")
+    print(f"  {'flows':>7} {'batch kpps':>11} {'vs 1 flow':>10}")
     for flows in FLOW_COUNTS:
-        baseline = RESULTS[(flows, "baseline")]
-        batch = RESULTS[(flows, "batch")]
-        print(
-            f"  {flows:>7} {baseline / 1e3:>14.1f} {batch / 1e3:>11.1f}"
-            f" {batch / baseline:>8.2f}x"
-        )
+        ratio = f"{vs_1_flow[flows]:>9.2f}x" if anchor else f"{'-':>10}"
+        print(f"  {flows:>7} {RESULTS[(flows, 'batch')] / 1e3:>11.1f} {ratio}")
 
     telemetry = None
     if (TELEMETRY_FLOWS, "batch+telemetry") in RESULTS:
         sampled = RESULTS[(TELEMETRY_FLOWS, "batch+telemetry")]
-        telemetry = {
-            "flows": TELEMETRY_FLOWS,
-            "pps": round(sampled, 1),
-            "speedup": round(sampled / RESULTS[(TELEMETRY_FLOWS, "baseline")], 2),
-            **TELEMETRY_INFO,
-        }
+        telemetry = {"flows": TELEMETRY_FLOWS, "pps": round(sampled, 1), **TELEMETRY_INFO}
         print(
             f"  telemetry-enabled batch at {TELEMETRY_FLOWS} flows: "
-            f"{sampled / 1e3:.1f} kpps ({telemetry['speedup']}x, "
-            f"overhead {telemetry['overhead_pct']}%, "
+            f"{sampled / 1e3:.1f} kpps (overhead {telemetry['overhead_pct']}%, "
             f"{telemetry['samples']} samples exported)"
         )
 
@@ -400,12 +345,7 @@ def test_batch_scaling_report():
                 f"{flows}/{mode}": round(pps, 1)
                 for (flows, mode), pps in sorted(RESULTS.items())
             },
-            "speedup": {
-                str(flows): round(
-                    RESULTS[(flows, "batch")] / RESULTS[(flows, "baseline")], 2
-                )
-                for flows in FLOW_COUNTS
-            },
+            "vs_1_flow": {str(flows): round(r, 3) for flows, r in vs_1_flow.items()},
             "v2_counters": {str(f): c for f, c in sorted(V2_COUNTERS.items())},
             "telemetry": telemetry,
             "tracing": tracing,
@@ -416,33 +356,19 @@ def test_batch_scaling_report():
         json.dump(out, fh, indent=2)
     print(f"  written to {out_path}")
 
-    # Acceptance: >= 6.5x over the seed scalar baseline at 1k concurrent
-    # flows (the re-landed fast path; PR 4 archived 7.01x).  Applies
-    # whenever the 1k point ran, including smoke sweeps.
-    if (1_000, "batch") in RESULTS:
-        ratio_1k = RESULTS[(1_000, "batch")] / RESULTS[(1_000, "baseline")]
-        assert ratio_1k >= MIN_SPEEDUP_1K, (
-            f"batch speed-up at 1k flows is only {ratio_1k:.2f}x "
-            f"(floor {MIN_SPEEDUP_1K}x)"
-        )
-        # The amortisation must not collapse at 10k flows (cache-thrash
-        # guard): it keeps a clear majority of its 1k-flow advantage.
-        if (10_000, "batch") in RESULTS:
-            ratio_10k = RESULTS[(10_000, "batch")] / RESULTS[(10_000, "baseline")]
-            assert ratio_10k >= 0.6 * ratio_1k, (
-                f"batch speed-up collapsed at 10k flows: {ratio_10k:.2f}x vs "
-                f"{ratio_1k:.2f}x at 1k"
+    # Acceptance: throughput does not collapse as flows outgrow the
+    # per-flow state — neither at 10k flows (everything still cached)
+    # nor past the flow table's capacity (the miss/insert/evict path).
+    for flows, floor in MIN_PPS_VS_1_FLOW.items():
+        if flows in vs_1_flow:
+            assert vs_1_flow[flows] >= floor, (
+                f"batch pps at {flows} flows is {vs_1_flow[flows]:.2f}x the "
+                f"1-flow figure (floor {floor}x)"
             )
 
-    # Telemetry acceptance: a live 10 ms export stream must not cost the
-    # datapath its amortisation win — the sampled run still clears the
-    # same speed-up floor, and sheds under MAX_TELEMETRY_OVERHEAD of the
-    # plain batch throughput.
+    # Telemetry acceptance: a live 10 ms export stream sheds under
+    # MAX_TELEMETRY_OVERHEAD of the plain batch throughput.
     if telemetry is not None:
-        assert telemetry["speedup"] >= MIN_SPEEDUP_1K, (
-            f"telemetry-enabled speed-up at {TELEMETRY_FLOWS} flows is only "
-            f"{telemetry['speedup']}x (floor {MIN_SPEEDUP_1K}x)"
-        )
         assert telemetry["overhead_pct"] < MAX_TELEMETRY_OVERHEAD * 100, (
             f"telemetry sampler costs {telemetry['overhead_pct']}% of batch "
             f"throughput (budget {MAX_TELEMETRY_OVERHEAD * 100:.0f}%)"

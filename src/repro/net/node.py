@@ -23,16 +23,17 @@ Each packet is carried through an explicit staged pipeline —
 — by a per-packet :class:`DispatchContext`.  Packets whose headers were
 rewritten by a tunnel re-enter the routing decision (re-circulation),
 with a budget against misconfiguration loops.  Route lookups are
-memoised in a per-node :class:`FlowTable`, SRH advances in a memo keyed
-on the raw SRH bytes, and eBPF invocations reuse cached
-:class:`~repro.ebpf.jit.CompiledHandler` address spaces — so the cost of
-per-packet setup is paid once per flow, not once per packet.
+memoised in a per-node :class:`FlowTable` (O(1) on hit and on miss),
+SRH advances read only the fixed SRH header, and eBPF invocations reuse
+cached :class:`~repro.ebpf.jit.CompiledHandler` address spaces — so the
+cost of per-packet setup is paid once per flow, not once per packet.
 """
 
 from __future__ import annotations
 
 import random
 import zlib
+from collections import deque
 from dataclasses import dataclass
 from typing import Callable
 
@@ -135,15 +136,21 @@ class FlowTable:
     route's encap, the seg6local action resolution); subsequent packets
     hit here.  Entries pin the owning :class:`~repro.net.fib.FibTable`
     generation at resolution time, so any route add/remove invalidates
-    them on the next access.  Eviction is oldest-insertion-first (FIFO):
-    on the hot path that costs one plain-dict probe per lookup, where
-    strict LRU would pay a reordering write per hit — and at flow-cache
-    capacities (32k) the hit rates are indistinguishable.
+    them on the next access.  Eviction is oldest-insertion-first (FIFO)
+    and O(1): ``order`` holds the keys of ``entries`` in insertion
+    order, so a hit costs one plain-dict probe (strict LRU would pay a
+    reordering write per hit) and a miss one append plus, when over
+    ``capacity``, one ``popleft`` — never a walk over the dict, whose
+    deleted slots would make "first key" cost grow with every eviction.
+    A stale-generation entry is re-resolved in place and keeps its
+    position.  ``capacity`` may be lowered on a live table; the next
+    insert evicts down to it.
     """
 
     def __init__(self, capacity: int = 32768):
         self.capacity = capacity
         self.entries: "dict[tuple[int, bytes], tuple]" = {}
+        self.order: "deque[tuple[int, bytes]]" = deque()
         self.hits = 0
         self.misses = 0
 
@@ -153,6 +160,7 @@ class FlowTable:
     def clear(self) -> None:
         """Drop every memoised resolution."""
         self.entries.clear()
+        self.order.clear()
 
 
 class Node:
@@ -523,10 +531,13 @@ class Node:
         flow_table.misses += 1
         route = table.lookup(dst)
         entries[key] = (route, table.generation)
-        if len(entries) > flow_table.capacity:
-            # FIFO eviction: dicts iterate in insertion order, so the
-            # first key is the oldest resolution.
-            del entries[next(iter(entries))]
+        if hit is None:
+            # A stale-generation overwrite keeps its queue position; only
+            # a new key joins the FIFO, so order and entries stay in step.
+            order = flow_table.order
+            order.append(key)
+            while len(order) > flow_table.capacity:
+                del entries[order.popleft()]
         return route
 
     # -- the staged pipeline -----------------------------------------------------

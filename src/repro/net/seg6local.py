@@ -22,11 +22,11 @@ re-validated before the packet continues; an inconsistent SRH is dropped
 (§3.1).
 
 Processing is batch-native: every advancing action's ``process`` runs
-the shared memoised End prologue (the SRH-advance verdict is keyed on
-the raw SRH bytes), and ``End.BPF`` invokes its program through the
-cached per-(program, attach point)
-:class:`~repro.ebpf.jit.CompiledHandler` — so a batch of packets from
-the same flow pays SRH parsing and eBPF context assembly once.
+the shared End prologue (a read of the fixed SRH header and one
+segment, no SRH object), and ``End.BPF`` invokes its program through
+the cached per-(program, attach point)
+:class:`~repro.ebpf.jit.CompiledHandler` — so a batch of packets pays
+eBPF context assembly once and SRH parsing never.
 """
 
 from __future__ import annotations
@@ -41,7 +41,18 @@ from .addr import as_addr
 from .ipv6 import IPV6_HEADER_LEN, PROTO_ROUTING
 from .packet import Packet
 from .seg6 import decap_outer, push_outer_encap, push_srh_inline
-from .srh import SRH, SRH_FIXED_LEN, make_srh, srh_wire_span, validate_srh_bytes
+from .srh import (
+    OFF_HDR_EXT_LEN,
+    OFF_LAST_ENTRY,
+    OFF_ROUTING_TYPE,
+    OFF_SEGMENTS_LEFT,
+    ROUTING_TYPE_SRH,
+    SEGMENT_LEN,
+    SRH_FIXED_LEN,
+    make_srh,
+    srh_wire_span,
+    validate_srh_bytes,
+)
 
 # Action numbers from include/uapi/linux/seg6_local.h; these are also the
 # values bpf_lwt_seg6_action() accepts.
@@ -91,56 +102,61 @@ class Disposition:
 _FORWARD = Disposition("forward")
 
 
-# --- memoised SRv6 "End" prologue ---------------------------------------------
+# --- SRv6 "End" prologue ----------------------------------------------------------
 #
-# Every advancing endpoint action starts with the same prologue: parse the
+# Every advancing endpoint action starts with the same prologue: check the
 # SRH, check segments_left, decrement it and rewrite the IPv6 destination to
-# the new active segment.  Across a batch the SRH bytes repeat per flow, so
-# the *verdict* of that prologue — a failure sentinel, or (new
-# segments_left, new active segment) — is memoised on the raw SRH slice.
-# Keying on the exact bytes makes the memo trivially faithful: two packets
-# with identical SRH bytes get identical verdicts from SRH.parse by
-# definition.  The sentinels let each action class keep its own drop reason
-# ("no SRH" vs "End.BPF: no SRH").
+# the new active segment.  The *verdict* of that prologue — a drop reason, or
+# (new segments_left, new active segment) — needs only the fixed SRH header
+# and one segment, so it is read straight off the packet: no SRH object, no
+# per-segment copies, and nothing cached per flow that a large flow
+# population could thrash.  :meth:`SRH.parse` stays the reference the tests
+# compare this against.
 
-_V_NO_SRH = ("no_srh",)
-_V_SL_ZERO = ("sl_zero",)
+_V_NO_SRH = "no SRH"
+_V_SL_ZERO = "segments_left == 0"
 
-_ADVANCE_MEMO: dict[bytes, tuple] = {}
-_ADVANCE_MEMO_CAP = 32768  # ~72 B/key for a 2-segment SRH: a few MB at worst
+# Where the prologue's SRH fields sit in the packet (the SRH directly
+# follows the IPv6 header), folded here so the per-packet path adds nothing.
+_AT_HDR_EXT_LEN = IPV6_HEADER_LEN + OFF_HDR_EXT_LEN
+_AT_ROUTING_TYPE = IPV6_HEADER_LEN + OFF_ROUTING_TYPE
+_AT_SEGMENTS_LEFT = IPV6_HEADER_LEN + OFF_SEGMENTS_LEFT
+_AT_LAST_ENTRY = IPV6_HEADER_LEN + OFF_LAST_ENTRY
+_AT_SEGMENTS = IPV6_HEADER_LEN + SRH_FIXED_LEN
 
-_DROP_NO_SRH = "End.BPF: no SRH"
-_DROP_SL_ZERO = "End.BPF: segments_left == 0"
 
+def _advance_verdict(data: bytearray) -> str | tuple[int, bytearray]:
+    """The End prologue: a drop reason or (new_sl, new_active_segment).
 
-def _advance_verdict(data: bytearray) -> tuple:
-    """Memoised End prologue: a sentinel or (new_sl, new_active_segment)."""
-    if data[6] != PROTO_ROUTING or len(data) < IPV6_HEADER_LEN + SRH_FIXED_LEN:
+    ``_V_NO_SRH`` exactly when ``SRH.parse(data, IPV6_HEADER_LEN)`` would
+    raise: :func:`~repro.net.srh.srh_wire_span`'s checks plus
+    ``segments_left > last_entry``.  The segment is a slice of ``data``.
+    """
+    size = len(data)
+    if (
+        size < _AT_SEGMENTS
+        or data[6] != PROTO_ROUTING
+        or data[_AT_ROUTING_TYPE] != ROUTING_TYPE_SRH
+    ):
         return _V_NO_SRH
-    total = (data[IPV6_HEADER_LEN + 1] + 1) * 8
-    key = bytes(data[IPV6_HEADER_LEN : IPV6_HEADER_LEN + total])
-    verdict = _ADVANCE_MEMO.get(key)
-    if verdict is None:
-        if len(key) < total:
-            verdict = _V_NO_SRH  # SRH length exceeds the packet
-        else:
-            try:
-                srh = SRH.parse(key, 0)
-            except ValueError:
-                verdict = _V_NO_SRH
-            else:
-                if srh.segments_left == 0:
-                    verdict = _V_SL_ZERO
-                else:
-                    new_sl = srh.segments_left - 1
-                    verdict = (new_sl, srh.segments[new_sl])
-        if len(_ADVANCE_MEMO) >= _ADVANCE_MEMO_CAP:
-            _ADVANCE_MEMO.clear()
-        _ADVANCE_MEMO[key] = verdict
-    return verdict
+    total = (data[_AT_HDR_EXT_LEN] + 1) * 8
+    last_entry = data[_AT_LAST_ENTRY]
+    segments_left = data[_AT_SEGMENTS_LEFT]
+    if (
+        size - IPV6_HEADER_LEN < total
+        or SRH_FIXED_LEN + SEGMENT_LEN * (last_entry + 1) > total
+        or segments_left > last_entry
+    ):
+        return _V_NO_SRH
+    if segments_left == 0:
+        return _V_SL_ZERO
+    new_sl = segments_left - 1
+    start = _AT_SEGMENTS + SEGMENT_LEN * new_sl
+    return new_sl, data[start : start + SEGMENT_LEN]
 
 
 _VALIDATE_MEMO: dict[bytes, str | None] = {}
+_VALIDATE_MEMO_CAP = 32768
 _MISSING = object()
 
 
@@ -159,15 +175,14 @@ def _validate_verdict(key: bytes) -> str | None:
             verdict = str(exc)
         else:
             verdict = None
-        if len(_VALIDATE_MEMO) >= _ADVANCE_MEMO_CAP:
+        if len(_VALIDATE_MEMO) >= _VALIDATE_MEMO_CAP:
             _VALIDATE_MEMO.clear()
         _VALIDATE_MEMO[key] = verdict
     return verdict
 
 
 def clear_advance_memo() -> None:
-    """Drop the SRH memos (benchmark baselines, memory pressure)."""
-    _ADVANCE_MEMO.clear()
+    """Drop the post-run SRH validation memo (the End prologue keeps no state)."""
     _VALIDATE_MEMO.clear()
 
 
@@ -185,18 +200,15 @@ class Seg6LocalAction:
     def process(self, pkt: Packet, node) -> Disposition:
         """Validate the SRH, advance to the next segment, forward (plain End, §2).
 
-        The advance verdict is memoised on the raw SRH bytes (see
+        The advance verdict is read off the fixed SRH header (see
         :func:`_advance_verdict`); the destination rewrite happens in
         place on the packet buffer.
         """
-        verdict = _advance_verdict(pkt.data)
-        if verdict is _V_NO_SRH:
-            return Disposition.drop("no SRH")
-        if verdict is _V_SL_ZERO:
-            return Disposition.drop("segments_left == 0")
-        new_sl, new_active = verdict
-        pkt.data[IPV6_HEADER_LEN + 3] = new_sl
-        pkt.data[24:40] = new_active
+        data = pkt.data
+        verdict = _advance_verdict(data)
+        if verdict is _V_NO_SRH or verdict is _V_SL_ZERO:
+            return Disposition.drop(verdict)
+        data[_AT_SEGMENTS_LEFT], data[24:40] = verdict
         return _FORWARD
 
     def process_batch(self, pkts: list[Packet], node) -> list[Disposition]:
@@ -351,38 +363,23 @@ class EndBPF(Seg6LocalAction):
     def process(self, pkt: Packet, node) -> Disposition:
         """Advance the SRH, then run the attached program (§3.1 semantics).
 
-        The advance verdict is memoised on the SRH bytes and the program
+        The advance verdict is read off the fixed SRH header and the program
         runs in the cached per-(program, attach point)
-        :class:`~repro.ebpf.jit.CompiledHandler` instead of a freshly
-        assembled guest address space.  The handler is pinned on the
-        action instance; the cache generation check makes
-        :func:`~repro.ebpf.jit.clear_handler_cache` still reach it.
+        :class:`~repro.ebpf.jit.CompiledHandler` (see :meth:`group_handler`)
+        instead of a freshly assembled guest address space.
         """
-        verdict = _advance_verdict(pkt.data)
-        if verdict is _V_NO_SRH:
-            return Disposition.drop(_DROP_NO_SRH)
-        if verdict is _V_SL_ZERO:
-            return Disposition.drop(_DROP_SL_ZERO)
-        new_sl, new_active = verdict
-        pkt.data[IPV6_HEADER_LEN + 3] = new_sl
-        pkt.data[24:40] = new_active
+        data = pkt.data
+        verdict = _advance_verdict(data)
+        if verdict is _V_NO_SRH or verdict is _V_SL_ZERO:
+            return Disposition.drop("End.BPF: " + verdict)
+        data[_AT_SEGMENTS_LEFT], data[24:40] = verdict
         tctx = pkt.tctx
         if tctx is not None:
             t = node.clock_ns()
             tctx.append((t, t, "ebpf", node.name, f"seg6local/{self.program.name}"))
 
-        handler = self._handler
-        if (
-            handler is None
-            or handler.program is not self.program
-            or handler.cache_generation != _jit._HANDLER_CACHE_GENERATION
-        ):
-            handler = compiled_handler(self.program, "seg6local")
-            self._handler = handler
-        else:
-            _HANDLER_CACHE_STATS["handler_hits"] += 1  # pinned-handler reuse
-        hctx = handler.arm(
-            pkt.data, clock_ns=node.clock_ns, rng=node.rng, mark=pkt.mark
+        hctx = self.group_handler().arm(
+            data, clock_ns=node.clock_ns, rng=node.rng, mark=pkt.mark
         )
         return self._run_and_finish(pkt, node, hctx)
 
@@ -390,12 +387,15 @@ class EndBPF(Seg6LocalAction):
     def group_handler(self):
         """The pinned handler, marked un-armed for a new batch-resident group.
 
-        Same pin/generation dance as :meth:`process`; the ``group_armed``
-        flag makes the first *arming* packet of the group do a full
+        The handler is pinned on the action instance; the cache
+        generation check makes :func:`~repro.ebpf.jit.clear_handler_cache`
+        still reach it.  The ``group_armed`` flag makes the first
+        *arming* packet of the group do a full
         :meth:`~repro.ebpf.jit.CompiledHandler.arm` (rebinding clock/rng —
         the handler may last have run on another node) while subsequent
         packets take the light
-        :meth:`~repro.ebpf.jit.CompiledHandler.arm_resident` path.
+        :meth:`~repro.ebpf.jit.CompiledHandler.arm_resident` path.  Scalar
+        :meth:`process` fetches its handler here too and always arms in full.
         """
         handler = self._handler
         if (
@@ -423,13 +423,9 @@ class EndBPF(Seg6LocalAction):
         """
         data = pkt.data
         verdict = _advance_verdict(data)
-        if verdict is _V_NO_SRH:
-            return Disposition.drop(_DROP_NO_SRH)
-        if verdict is _V_SL_ZERO:
-            return Disposition.drop(_DROP_SL_ZERO)
-        new_sl, new_active = verdict
-        data[IPV6_HEADER_LEN + 3] = new_sl
-        data[24:40] = new_active
+        if verdict is _V_NO_SRH or verdict is _V_SL_ZERO:
+            return Disposition.drop("End.BPF: " + verdict)
+        data[_AT_SEGMENTS_LEFT], data[24:40] = verdict
         tctx = pkt.tctx
         if tctx is not None:
             t = node.clock_ns()
@@ -478,21 +474,9 @@ class EndBPF(Seg6LocalAction):
         pkt.mark = skb.mark
 
         if hctx.metadata.get("srh_modified") and ret != BPF_DROP:
-            data = pkt.data
-            if len(data) >= IPV6_HEADER_LEN and data[6] == PROTO_ROUTING:
-                try:
-                    srh_len, _ = srh_wire_span(data, IPV6_HEADER_LEN)
-                except ValueError:
-                    srh_len = 0  # no parseable SRH; nothing to revalidate
-                if srh_len:
-                    reason = _validate_verdict(
-                        bytes(data[IPV6_HEADER_LEN : IPV6_HEADER_LEN + srh_len])
-                    )
-                    if reason is not None:
-                        self.stats["drop"] += 1
-                        return Disposition.drop(
-                            f"invalid SRH after BPF: {reason}", bpf=True
-                        )
+            invalid = self._revalidate(pkt.data)
+            if invalid is not None:
+                return invalid
 
         if ret == BPF_OK:
             self.stats["ok"] += 1
@@ -509,6 +493,20 @@ class EndBPF(Seg6LocalAction):
         # A malformed verdict is a datapath policy drop, not the program
         # explicitly asking for one — it does not count as bpf_dropped.
         return Disposition.drop(f"unknown BPF return {ret}")
+
+    def _revalidate(self, data: bytearray) -> Disposition | None:
+        """§3.1: the drop for an SRH the program left inconsistent, else None."""
+        if len(data) < IPV6_HEADER_LEN or data[6] != PROTO_ROUTING:
+            return None
+        try:
+            srh_len, _ = srh_wire_span(data, IPV6_HEADER_LEN)
+        except ValueError:
+            return None  # no parseable SRH; nothing to revalidate
+        reason = _validate_verdict(bytes(data[IPV6_HEADER_LEN : IPV6_HEADER_LEN + srh_len]))
+        if reason is None:
+            return None
+        self.stats["drop"] += 1
+        return Disposition.drop(f"invalid SRH after BPF: {reason}", bpf=True)
 
     def _run_and_finish(self, pkt: Packet, node, hctx) -> Disposition:
         """Run the program and apply §3.1 return-code semantics."""
@@ -531,21 +529,9 @@ class EndBPF(Seg6LocalAction):
         pkt.mark = hctx.skb.mark
 
         if hctx.metadata.get("srh_modified") and ret != BPF_DROP:
-            data = pkt.data
-            if len(data) >= IPV6_HEADER_LEN and data[6] == PROTO_ROUTING:
-                try:
-                    srh_len, _ = srh_wire_span(data, IPV6_HEADER_LEN)
-                except ValueError:
-                    srh_len = 0  # no parseable SRH; nothing to revalidate
-                if srh_len:
-                    reason = _validate_verdict(
-                        bytes(data[IPV6_HEADER_LEN : IPV6_HEADER_LEN + srh_len])
-                    )
-                    if reason is not None:
-                        self.stats["drop"] += 1
-                        return Disposition.drop(
-                            f"invalid SRH after BPF: {reason}", bpf=True
-                        )
+            invalid = self._revalidate(pkt.data)
+            if invalid is not None:
+                return invalid
 
         if ret == BPF_OK:
             self.stats["ok"] += 1

@@ -200,7 +200,7 @@ def batch_srv6_udp_flows(
 
     Each flow gets its own source port *and* its own final segment inside
     ``sink_prefix_hextets`` (e.g. ``"fc00:2"``), so flow-diversity sweeps
-    exercise per-destination state (FIB memos, SRH caches) rather than
+    exercise per-destination state (the node flow table) rather than
     replaying one 5-tuple.  Used by ``benchmarks/bench_burst_scaling.py``.
     """
     templates = [

@@ -20,7 +20,7 @@ import pytest
 
 from repro.bench.harness import copy_batch, make_fig2_router, make_router
 from repro.ebpf import ArrayMap, PerfEventArrayMap
-from repro.net import BpfLwt, EndBPF, Node, Packet
+from repro.net import MAIN_TABLE, BpfLwt, EndBPF, FlowTable, Node, Packet, as_addr
 from repro.progs import (
     dm_config_value,
     dm_encap_prog,
@@ -330,17 +330,152 @@ def test_flow_table_invalidation_on_route_change():
     assert len(node.devices["eth0"].tx_buffer) == 8
 
 
-def test_flow_table_lru_eviction():
-    """The flow table stays bounded under more flows than its capacity."""
+def fifo_model(keys, capacity: int) -> tuple[int, int, list]:
+    """Reference FIFO cache: (hits, misses, surviving keys oldest first)."""
+    order: list = []
+    hits = 0
+    for key in keys:
+        if key in order:
+            hits += 1
+        else:
+            order.append(key)
+            if len(order) > capacity:
+                order.pop(0)
+    return hits, len(keys) - hits, order
+
+
+def assert_flow_table_consistent(flow_table) -> None:
+    """The order queue and the dict hold the same keys in the same order."""
+    assert list(flow_table.order) == list(flow_table.entries)
+    assert len(flow_table) <= flow_table.capacity
+
+
+def flow_dst(index: int) -> bytes:
+    """A distinct destination inside make_router's fc00:2::/64 sink route."""
+    return as_addr("fc00:2::")[:8] + index.to_bytes(8, "big")
+
+
+def test_flow_table_fifo_eviction():
+    """Bounded, oldest-insertion-first: the survivors are the newest keys."""
+    from repro.net import End
+
     node = make_router()
     node.flow_table.capacity = 16
     pkts = batch_srv6_udp_flows("fc00:1::1", "fc00:e::100", "fc00:2", 64, 64)
-    from repro.net import End
+    # Each packet looks up the local segment, then its own final segment.
+    looked_up = []
+    for pkt in pkts:
+        looked_up += [(MAIN_TABLE, pkt.dst), (MAIN_TABLE, pkt.srh()[0].segments[0])]
 
     node.add_route("fc00:e::100/128", encap=End())
     node.receive_batch(pkts, node.devices["eth0"])
-    assert len(node.flow_table) <= 16
     assert len(node.devices["eth1"].tx_buffer) == 64
+    flow_table = node.flow_table
+    hits, misses, survivors = fifo_model(looked_up, 16)
+    assert list(flow_table.entries) == survivors
+    assert (flow_table.hits, flow_table.misses) == (hits, misses) == (60, 68)
+    assert_flow_table_consistent(flow_table)
+
+
+def test_flow_table_cyclic_stream_counts_match_fifo():
+    """Three laps over 3x-capacity flows: every per-flow lookup misses."""
+    from repro.net import End
+
+    node = make_router()
+    node.flow_table.capacity = 16
+    node.add_route("fc00:e::100/128", encap=End())
+    looked_up = []
+    for _ in range(3):
+        pkts = batch_srv6_udp_flows("fc00:1::1", "fc00:e::100", "fc00:2", 48, 48)
+        for pkt in pkts:
+            looked_up += [(MAIN_TABLE, pkt.dst), (MAIN_TABLE, pkt.srh()[0].segments[0])]
+        node.receive_batch(pkts, node.devices["eth0"])
+    flow_table = node.flow_table
+    hits, misses, survivors = fifo_model(looked_up, 16)
+    assert list(flow_table.entries) == survivors
+    # The literals are what the pre-deque FIFO (dict-order eviction) counted.
+    assert (flow_table.hits, flow_table.misses) == (hits, misses) == (135, 153)
+    assert_flow_table_consistent(flow_table)
+
+
+def test_flow_table_stale_generation_reresolves_in_place():
+    """A route change re-resolves a cached key without moving or doubling it."""
+    node = make_router()
+    flow_table = node.flow_table
+    flow_table.capacity = 4
+    keys = [(MAIN_TABLE, flow_dst(i)) for i in range(4)]
+    for key in keys:
+        node._lookup_route(*key)
+    node.add_route("fc00:3::/64", via="fc00:2::2", dev="eth1")  # generation bump
+    node._lookup_route(*keys[1])
+    assert list(flow_table.entries) == keys
+    assert flow_table.entries[keys[1]][1] == node.main_table().generation
+    assert (flow_table.hits, flow_table.misses) == (0, 5)
+    assert_flow_table_consistent(flow_table)
+    # The re-resolved key is still second-oldest: evicted second, not last.
+    node._lookup_route(MAIN_TABLE, flow_dst(4))
+    node._lookup_route(MAIN_TABLE, flow_dst(5))
+    assert list(flow_table.entries) == keys[2:] + [
+        (MAIN_TABLE, flow_dst(4)),
+        (MAIN_TABLE, flow_dst(5)),
+    ]
+    assert_flow_table_consistent(flow_table)
+
+    flow_table.clear()
+    assert len(flow_table) == len(flow_table.order) == 0
+
+
+def test_flow_table_shrinks_to_lowered_capacity():
+    """Lowering capacity on a full table takes effect at the next insert."""
+    node = make_router()
+    flow_table = node.flow_table
+    flow_table.capacity = 16
+    for i in range(16):
+        node._lookup_route(MAIN_TABLE, flow_dst(i))
+    flow_table.capacity = 4
+    node._lookup_route(MAIN_TABLE, flow_dst(16))
+    assert list(flow_table.entries) == [(MAIN_TABLE, flow_dst(i)) for i in (13, 14, 15, 16)]
+    assert_flow_table_consistent(flow_table)
+
+
+def test_flow_table_churn_has_no_eviction_cliff():
+    """Insert cost stays flat across one churn period at 2x capacity.
+
+    Evicting by "first key of the dict" walks every slot deleted since
+    the dict's last resize, so the last tenth of a period cost several
+    times the first (>= 4x measured); O(1) eviction keeps them level.
+    Interference only adds time, so each tenth takes its minimum over
+    the repeats, and the bound is a coarse 2x.
+    """
+    import gc
+    from time import perf_counter_ns
+
+    capacity = FlowTable().capacity
+    tenth = 5_530
+    period = 10 * tenth  # about the inserts between two dict resizes at this capacity
+    keys = [flow_dst(i) for i in range(capacity + period)]
+    first = last = float("inf")
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(3):
+            node = make_router()
+            lookup = node._lookup_route
+            for dst in keys[:capacity]:
+                lookup(MAIN_TABLE, dst)
+            marks = []
+            for start in range(capacity, capacity + period, tenth):
+                begin = perf_counter_ns()
+                for dst in keys[start : start + tenth]:
+                    lookup(MAIN_TABLE, dst)
+                marks.append(perf_counter_ns() - begin)
+            first = min(first, marks[0])
+            last = min(last, marks[9])
+            assert node.flow_table.misses == capacity + period
+            assert_flow_table_consistent(node.flow_table)
+    finally:
+        gc.enable()
+    assert last <= 2 * first, f"last tenth {last / tenth:.0f} ns/insert vs first {first / tenth:.0f}"
 
 
 # --- trafgen batch conservation ----------------------------------------------
