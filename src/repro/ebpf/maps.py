@@ -78,9 +78,7 @@ class Map:
     def register_value_region(self, mem: Memory, slot: int, data: bytearray) -> int:
         """Expose one entry's storage in the invocation's address space."""
         addr = self.value_addr(slot)
-        try:
-            mem.find(addr, 1)
-        except Exception:
+        if not mem.mapped(addr):
             mem.add_region(
                 Region(addr, data, PROT_READ | PROT_WRITE, "map_value", self)
             )

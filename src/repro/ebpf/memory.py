@@ -78,6 +78,11 @@ class Memory:
                 return region
         raise MemoryFault(f"access to unmapped guest address {addr:#x} (+{size})")
 
+    def mapped(self, addr: int) -> bool:
+        """Whether ``addr`` lies in a region — :meth:`find` without the fault."""
+        idx = bisect.bisect_right(self._bases, addr) - 1
+        return idx >= 0 and self._regions[idx].contains(addr, 1)
+
     def region_by_kind(self, kind: str) -> Region | None:
         for region in self._regions:
             if region.kind == kind:

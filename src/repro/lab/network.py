@@ -449,6 +449,9 @@ class Network:
                 self.scheduler, source, src, dst, rate_bps, payload_size, **kwargs
             )
         self.flows.append(flow)
+        # Per-network ids: sampled-trace admission is a function of (seed,
+        # topology), not of how many flows the process built before.
+        flow.flow_id = len(self.flows)
         if self._tracer is not None and self._tracer.admits_flow(flow.flow_id):
             flow.tracer = self._tracer
         return flow

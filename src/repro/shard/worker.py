@@ -106,7 +106,7 @@ def localise(net, assignment: dict, shard_id: int, outbox: list) -> dict:
         if dev.qdisc is not None
     }
     if remote_qdiscs:
-        for event in net.scheduler._heap:
+        for *_key, event in net.scheduler._heap:
             held_by = getattr(event.callback, "__self__", None)
             if held_by is not None and id(held_by) in remote_qdiscs:
                 event.cancel()

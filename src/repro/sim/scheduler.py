@@ -29,6 +29,12 @@ NS_PER_US = 1_000
 class Event:
     """One scheduled callback, ordered by ``(time_ns, stream, phase, seq)``.
 
+    Events define no comparison: the heap holds ``(time_ns, stream,
+    phase, seq, event)`` tuples, so ``heapq`` orders them in C and that
+    tuple is the one definition of order.  Keys are unique by
+    construction; a duplicate would fall through to comparing the
+    events and raise ``TypeError`` rather than order arbitrarily.
+
     ``__slots__`` matters here: a busy run allocates millions of events,
     and slots cut per-event memory roughly in half versus a dataclass
     with ``__dict__`` (measured in ``BENCH_shard_scaling.json``).
@@ -71,14 +77,6 @@ class Event:
         # can be accounted without a scan; detached (None) once popped, so a
         # late cancel() of an already-executed event is a no-op.
         self.owner = owner
-
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time_ns, self.stream, self.phase, self.seq) < (
-            other.time_ns,
-            other.stream,
-            other.phase,
-            other.seq,
-        )
 
     def __repr__(self) -> str:
         return (
@@ -136,7 +134,7 @@ class Scheduler:
 
     def __init__(self):
         self.now_ns = 0
-        self._heap: list[Event] = []
+        self._heap: list[tuple[int, int, int, int, Event]] = []
         self.events_run = 0
         self.events_coalesced = 0  # heap events saved by schedule_batch
         self._cancelled = 0  # cancelled events still sitting in the heap
@@ -193,7 +191,7 @@ class Scheduler:
             raise ValueError(f"cannot schedule in the past ({time_ns} < {self.now_ns})")
         event = Event(time_ns, stream, phase, seq, callback, args, owner=self)
         self._work += 1
-        heapq.heappush(self._heap, event)
+        heapq.heappush(self._heap, (time_ns, stream, phase, seq, event))
         return event
 
     def _schedule_timer(self, delay_ns: int, callback: Callable) -> Event:
@@ -258,10 +256,9 @@ class Scheduler:
                 break
             if until_ns is None and self._work == 0:
                 break  # only daemon timers (and corpses) remain
-            event = self._heap[0]
-            if until_ns is not None and event.time_ns > until_ns:
+            if until_ns is not None and self._heap[0][0] > until_ns:
                 break
-            heapq.heappop(self._heap)
+            event = heapq.heappop(self._heap)[4]
             if event.cancelled:
                 self._cancelled -= 1
                 continue
@@ -294,10 +291,9 @@ class Scheduler:
         """
         executed = 0
         while self._heap:
-            event = self._heap[0]
-            if event.time_ns >= horizon_ns:
+            if self._heap[0][0] >= horizon_ns:
                 break
-            heapq.heappop(self._heap)
+            event = heapq.heappop(self._heap)[4]
             if event.cancelled:
                 self._cancelled -= 1
                 continue

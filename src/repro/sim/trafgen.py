@@ -8,12 +8,14 @@ iperf3-style constant-rate UDP flows of varying payload size.
 from __future__ import annotations
 
 import random
+import struct
 from dataclasses import dataclass, field
-from typing import Callable
 
 from ..net.node import Node
 from ..net.packet import Packet, make_srv6_udp_packet, make_udp_packet
 from .scheduler import NS_PER_SEC, Scheduler
+
+_U16 = struct.Struct(">H")
 
 
 @dataclass
@@ -25,8 +27,15 @@ class GeneratorStats:
 class UdpFlow:
     """A constant-rate UDP flow (iperf3 -u equivalent).
 
-    ``rate_bps`` is the *payload* goodput target when ``count_header`` is
-    False, or the on-wire IPv6 rate otherwise.
+    ``rate_bps`` is the on-wire rate of a plain IPv6/UDP datagram: one
+    packet is paced every ``interval_ns = (payload_size + 48) * 8 /
+    rate_bps`` seconds, 48 being the IPv6 + UDP headers.  An SRH is not
+    counted, so an SRv6 flood puts slightly more than ``rate_bps`` on
+    the wire.
+
+    The wire image is built once, on the first tick, by the checked
+    builder (:meth:`_build_template`); each packet is a copy of it with
+    the source port and UDP checksum — all that varies — stamped in.
     """
 
     _flow_ids = iter(range(1, 1 << 30))
@@ -42,7 +51,6 @@ class UdpFlow:
         src_port: int = 40000,
         dst_port: int = 5201,
         flow_label: int = 0,
-        packet_factory: Callable[..., Packet] | None = None,
         burst: int = 1,
         seed: int | None = None,
         rng: random.Random | None = None,
@@ -73,7 +81,6 @@ class UdpFlow:
         self.src_port = src_port
         self.dst_port = dst_port
         self.flow_label = flow_label
-        self.packet_factory = packet_factory or make_udp_packet
         self.burst = max(1, int(burst))
         self.rng = rng if rng is not None else random.Random(seed)
         self.src_port_spread = max(1, int(src_port_spread))
@@ -92,6 +99,7 @@ class UdpFlow:
         wire_size = payload_size + 48  # IPv6 + UDP headers
         self.interval_ns = max(1, int(wire_size * 8 * NS_PER_SEC / rate_bps))
         self._event = None
+        self._template: bytes | None = None
 
     def start(self, at_ns: int | None = None, duration_ns: int | None = None) -> None:
         start_ns = self.scheduler.now_ns if at_ns is None else at_ns
@@ -102,18 +110,35 @@ class UdpFlow:
     def stop(self) -> None:
         self._stop_ns = self.scheduler.now_ns
 
-    def _make_packet(self, now: int) -> Packet:
-        src_port = self.src_port
-        if self.src_port_spread > 1:
-            src_port += self.rng.randrange(self.src_port_spread)
-        pkt = self.packet_factory(
+    def _build_template(self) -> Packet:
+        """This flow's packet at the base source port (IPv6[/SRH]/UDP)."""
+        return make_udp_packet(
             self.src,
             self.dst,
-            src_port,
+            self.src_port,
             self.dst_port,
             bytes(self.payload_size),
             flow_label=self.flow_label,
         )
+
+    def _compile(self) -> None:
+        template = self._build_template()
+        self._template = bytes(template.data)
+        self._l4 = l4 = template._l4_offset()[1]
+        # RFC 1624 eqn 3, HC' = ~(~HC + ~m + m'): everything but the new
+        # port m' is a per-flow constant.
+        (csum,) = _U16.unpack_from(self._template, l4 + 6)
+        self._csum_rest = (0xFFFF - csum) + (0xFFFF - self.src_port)
+
+    def _make_packet(self, now: int) -> Packet:
+        pkt = Packet(self._template)
+        if self.src_port_spread > 1:
+            src_port = self.src_port + self.rng.randrange(self.src_port_spread)
+            _U16.pack_into(pkt.data, self._l4, src_port)
+            # x % 0xFFFF is the one's-complement fold; a checksum of 0 is
+            # sent as 0xFFFF (RFC 8200), exactly as build_udp does.
+            csum = 0xFFFF - (self._csum_rest + src_port) % 0xFFFF
+            _U16.pack_into(pkt.data, self._l4 + 6, csum)
         self._seq += 1
         pkt.seq = self._seq
         pkt.flow_id = self.flow_id
@@ -130,6 +155,8 @@ class UdpFlow:
         now = self.scheduler.now_ns
         if self._stop_ns is not None and now >= self._stop_ns:
             return
+        if self._template is None:
+            self._compile()
         self.node.send_batch([self._make_packet(now) for _ in range(self.burst)])
         self._event = self.scheduler.schedule_at(
             now + self.interval_ns * self.burst, self._tick
@@ -149,20 +176,19 @@ class Srv6UdpFlood(UdpFlow):
         payload_size: int = 64,
         **kwargs,
     ):
-        def factory(src_addr, _dst, sport, dport, payload, flow_label=0):
-            return make_srv6_udp_packet(
-                src_addr, path, sport, dport, payload, flow_label=flow_label
-            )
-
         super().__init__(
-            scheduler,
-            node,
-            src,
-            path[-1],
-            rate_bps,
-            payload_size,
-            packet_factory=factory,
-            **kwargs,
+            scheduler, node, src, path[-1], rate_bps, payload_size, **kwargs
+        )
+        self.path = path
+
+    def _build_template(self) -> Packet:
+        return make_srv6_udp_packet(
+            self.src,
+            self.path,
+            self.src_port,
+            self.dst_port,
+            bytes(self.payload_size),
+            flow_label=self.flow_label,
         )
 
 

@@ -10,6 +10,7 @@ from repro.ebpf import (
     HashMap,
     LpmTrieMap,
     MapError,
+    Memory,
     PerCpuArrayMap,
     PerfEventArrayMap,
 )
@@ -85,6 +86,17 @@ def test_stable_value_addresses():
     m = ArrayMap("a", value_size=8, max_entries=4)
     assert m.value_addr(0) == m.value_addr(0)
     assert m.value_addr(1) - m.value_addr(0) == 8
+
+
+def test_value_region_is_registered_once_per_address_space():
+    m = ArrayMap("a", value_size=8, max_entries=4)
+    mem = Memory()
+    slot, storage = m.lookup_slot(key32(2))
+    addr = m.register_value_region(mem, slot, storage)
+    assert m.register_value_region(mem, slot, storage) == addr == m.value_addr(2)
+    assert [r.base for r in mem.snapshot()[1]] == [addr]
+    mem.store(addr, 8, 0x0102030405060708)  # guest stores land in the map
+    assert m.lookup(key32(2)) == bytes(range(8, 0, -1))
 
 
 def test_distinct_maps_use_distinct_address_space():

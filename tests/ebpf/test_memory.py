@@ -57,6 +57,20 @@ def test_access_just_before_region_faults():
         mem.load(0xFFF, 1)
 
 
+def test_mapped_answers_like_find_without_faulting():
+    mem = Memory()
+    assert not mem.mapped(0x1000)
+    mem.add_region(Region(0x1000, bytearray(8)))
+    mem.add_region(Region(0x3000, bytearray(8)))
+    for addr in (0xFFF, 0x1000, 0x1007, 0x1008, 0x2FFF, 0x3000, 0x3007, 0x3008):
+        try:
+            mem.find(addr, 1)
+            found = True
+        except MemoryFault:
+            found = False
+        assert mem.mapped(addr) == found, hex(addr)
+
+
 def test_readonly_region_rejects_writes():
     mem = Memory()
     mem.add_region(Region(0x1000, bytearray(8), PROT_READ))

@@ -51,9 +51,8 @@ def build_square(seed: int = 7) -> Network:
 def build_square_traced(seed: int = 7) -> Network:
     """The FRR square with causal tracing armed on every flow.
 
-    The flow id is pinned (ids come from a process-global counter) so the
-    trace streams of separately built reference/candidate networks are
-    comparable byte for byte.
+    Flow ids are per network, so the trace streams of separately built
+    reference/candidate networks are comparable byte for byte.
     """
     net = Network(seed=seed)
     for name in ("A", "B", "C", "D"):
@@ -69,7 +68,6 @@ def build_square_traced(seed: int = 7) -> Network:
     )
     net.trace(sample=1)
     flow = net.trafgen("A", dst="fc00:d::1", rate_bps=20e6, payload_size=400)
-    flow.flow_id = 5001
     net.sink("D")
     flow.start(at_ns=0)
     net.fail_link("A", "B", at_ns=60 * NS_PER_MS)

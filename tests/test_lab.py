@@ -262,6 +262,22 @@ def test_run_returns_event_count_and_supports_with():
     assert net.now_ns == NS_PER_SEC // 10
 
 
+def test_flow_ids_are_per_network_so_sampled_admission_repeats():
+    def admitted():
+        net = Network(seed=9)
+        net.add_node("A", addr="fc00:a::1")
+        net.trace(sample=3)
+        flows = [net.trafgen("A", dst="fc00:b::1") for _ in range(12)]
+        assert [flow.flow_id for flow in flows] == list(range(1, 13))
+        return [flow.flow_id for flow in flows if flow.tracer is not None]
+
+    first = admitted()
+    assert 0 < len(first) < 12
+    # Flows built in between — with or without a Network — shift nothing.
+    UdpFlow(Scheduler(), Node("X"), "fc00::1", "fc00::2", rate_bps=1e6)
+    assert admitted() == first
+
+
 def test_topo_subclass_params_flow_into_build():
     class Line(Topo):
         def build(self, hops: int = 2):

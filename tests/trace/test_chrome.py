@@ -58,7 +58,7 @@ def test_chrome_trace_schema(tmp_path):
 def test_chrome_trace_is_deterministic():
     dumps = []
     for _ in range(2):
-        net, tracer, _flow, _meter = build_chain(flow_id=7002)
+        net, tracer, _flow, _meter = build_chain()
         net.run(until_ns=20 * NS_PER_MS)
         dumps.append(json.dumps(tracer.chrome_trace(), sort_keys=True))
     assert dumps[0] == dumps[1]

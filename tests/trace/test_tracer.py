@@ -11,7 +11,7 @@ from repro.telemetry.sink import RingSink
 from repro.trace import Tracer, trace_id_of
 
 
-def build_chain(seed: int = 5, *, sample: int = 1, flow_id: int | None = None):
+def build_chain(seed: int = 5, *, sample: int = 1):
     """A—B—C with a shaped egress at A and a CPU cost model at B.
 
     All three time-consuming components (netem qdisc, link endpoints,
@@ -30,10 +30,6 @@ def build_chain(seed: int = 5, *, sample: int = 1, flow_id: int | None = None):
     net.cpu("B", CostModel(forward_ns=2_000))
     tracer = net.trace(sample=sample)
     flow = net.trafgen("A", dst="fc00:c::1", rate_bps=20e6, payload_size=600)
-    if flow_id is not None:
-        # Flow ids come from a process-global counter; pin it so two
-        # builds in one process export byte-identical streams.
-        flow.flow_id = flow_id
     meter = net.sink("C")
     flow.start(at_ns=0)
     return net, tracer, flow, meter
@@ -165,7 +161,7 @@ def test_packet_copy_does_not_inherit_trace_context():
 def test_jsonl_export_is_byte_stable_across_identical_runs(tmp_path):
     lines = []
     for _ in range(2):
-        net, tracer, flow, _meter = build_chain(flow_id=7001)
+        net, tracer, flow, _meter = build_chain()
         net.run(until_ns=20 * NS_PER_MS)
         lines.append(tracer.jsonl_lines())
     assert lines[0] == lines[1]
@@ -174,7 +170,7 @@ def test_jsonl_export_is_byte_stable_across_identical_runs(tmp_path):
         assert rec["type"] == "trace"
         assert rec["id"] == f"{rec['flow']}:{rec['seq']}"
 
-    net, tracer, flow, _meter = build_chain(flow_id=7001)
+    net, tracer, flow, _meter = build_chain()
     net.run(until_ns=20 * NS_PER_MS)
     path = tmp_path / "trace.jsonl"
     written = tracer.export(path)
