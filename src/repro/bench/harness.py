@@ -75,7 +75,7 @@ def make_fig2_router(variant: str) -> tuple[Node, list[Packet]]:
     elif variant == "end_t_static":
         node.add_route(f"{FUNC_SEGMENT}/128", encap=EndT(table_id=254))
     elif variant == "end_t_bpf":
-        node.add_route(f"{FUNC_SEGMENT}/128", encap=EndBPF(end_t_prog(254)))
+        node.add_route(f"{FUNC_SEGMENT}/128", encap=EndBPF(end_t_prog()))
     elif variant == "tag_increment_bpf":
         node.add_route(f"{FUNC_SEGMENT}/128", encap=EndBPF(tag_increment_prog()))
     elif variant == "add_tlv_bpf":

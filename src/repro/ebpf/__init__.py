@@ -28,7 +28,6 @@ eBPF:
 """
 
 from .asm import assemble
-from .builder import BpfBuilder
 from .context import SkbContext
 from .disasm import disassemble
 from .errors import (
@@ -77,7 +76,6 @@ __all__ = [
     "BPF_DROP",
     "BPF_OK",
     "BPF_REDIRECT",
-    "BpfBuilder",
     "BpfError",
     "CompiledHandler",
     "EncodingError",

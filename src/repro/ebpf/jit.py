@@ -20,10 +20,8 @@ which
   access below a runtime-checked ``data_end`` — exactly how the kernel
   JIT trusts verifier proofs instead of re-checking at runtime.
 
-This is the "v2" translator.  The original PR-2-era translator — block
-dispatch through a ``while``/``elif`` loop, every access through
-``Memory.load``/``Memory.store`` — is kept as :class:`JitProgramV1` so
-the ablation benchmarks can measure interp → v1 → v2 as separate rows.
+There is one translator; "v2" in the counter names and in the archived
+``BENCH_pr4.json`` rows refers to it.
 
 The translated function is exactly semantics-preserving with respect to
 :class:`repro.ebpf.vm.Interpreter`; the test suite runs differential
@@ -112,7 +110,7 @@ def _compile(source: str):
 
 
 class JitProgram:
-    """A compiled program (v2 translator); call :meth:`run` like the interpreter.
+    """A compiled program; call :meth:`run` like the interpreter.
 
     ``regions`` is the verifier's slot-pc → region-tag annotation map
     (see :attr:`repro.ebpf.verifier.Verifier.region_hints`).  Accesses
@@ -146,23 +144,6 @@ class JitProgram:
                 source, _loads, _stores = _translate(self._insns, self.helpers, None)
                 fn = self._generic_fn = _compile(source)
         return fn(hctx, hctx.mem, self.helpers, ctx_addr, stack_top)
-
-
-class JitProgramV1:
-    """The PR-2-era translator: dispatch-loop blocks, generic memory only.
-
-    Semantically identical to :class:`JitProgram`; kept so the JIT
-    ablation benchmark can report interp / jit_v1 / jit_v2 as separate
-    engine rows against the archived ``BENCH_pr4.json`` trajectory.
-    """
-
-    def __init__(self, insns: list[Instruction], helpers=None):
-        self.helpers = helpers if helpers is not None else HELPERS_BY_ID
-        self.source = _translate_v1(insns, self.helpers)
-        self._fn = _compile(self.source)
-
-    def run(self, hctx: HelperContext, ctx_addr: int, stack_top: int) -> int:
-        return self._fn(hctx, hctx.mem, self.helpers, ctx_addr, stack_top)
 
 
 class CompiledHandler:
@@ -357,7 +338,7 @@ def _used_registers(slots) -> set[int]:
 
 
 def _translate(insns: list[Instruction], helpers, regions=None):
-    """The v2 translator: threaded blocks + region-specialised memory.
+    """The translator: threaded blocks + region-specialised memory.
 
     Returns ``(source, specialised_loads, specialised_stores)``.
     """
@@ -557,115 +538,6 @@ def _emit_block(slots, start, leaders, block_id, spec) -> list[str]:
     # Fallthrough into the next block.
     if pc < len(slots):
         out.append(f"_b = {block_id[pc]}")
-    else:
-        out.append("raise VmFault('fell off the end of the program')")
-    return out
-
-
-def _translate_v1(insns: list[Instruction], helpers) -> str:
-    """The original translator: a while-loop dispatcher over elif'd blocks."""
-    slots = flatten(insns)
-    leaders = _block_starts(slots)
-    block_id = {pc: i for i, pc in enumerate(leaders)}
-
-    used_helpers = sorted(
-        {insn.imm for insn in insns if insn.opcode == (isa.BPF_JMP | isa.BPF_CALL)}
-    )
-
-    lines = [
-        "def _ebpf_jitted(hctx, mem, helpers, ctx_addr, stack_top):",
-        "    _load = mem.load",
-        "    _store = mem.store",
-    ]
-    for hid in used_helpers:
-        if hid not in helpers:
-            raise VmFault(f"JIT: unknown helper id {hid}")
-        lines.append(f"    _h{hid} = helpers[{hid}]")
-    lines.append(
-        "    r0 = r1 = r2 = r3 = r4 = r5 = r6 = r7 = r8 = r9 = 0"
-    )
-    lines.append("    r1 = ctx_addr")
-    lines.append("    r10 = stack_top")
-    lines.append("    _b = 0")
-    lines.append("    while True:")
-
-    for index, leader in enumerate(leaders):
-        cond = "if" if index == 0 else "elif"
-        lines.append(f"        {cond} _b == {index}:")
-        body = _emit_block_v1(slots, leader, leaders, block_id)
-        lines.extend("            " + stmt for stmt in body)
-
-    lines.append("        else:")
-    lines.append("            raise VmFault('jit dispatch to unknown block %d' % _b)")
-    return "\n".join(lines) + "\n"
-
-
-def _emit_block_v1(slots, start, leaders, block_id) -> list[str]:
-    out: list[str] = []
-    pc = start
-    next_leader_idx = leaders.index(start) + 1
-    block_end = leaders[next_leader_idx] if next_leader_idx < len(leaders) else len(slots)
-
-    while pc < block_end:
-        insn = slots[pc]
-        if insn is None:
-            pc += 1
-            continue
-        klass = insn.klass
-        if klass in (isa.BPF_ALU, isa.BPF_ALU64):
-            out.append(_emit_alu(insn))
-            pc += 1
-        elif klass == isa.BPF_LD:
-            out.append(f"r{insn.dst_reg} = {(insn.imm64 or 0) & isa.U64:#x}")
-            pc += 2
-        elif klass == isa.BPF_LDX:
-            size = isa.SIZE_BYTES[insn.opcode & isa.SIZE_MASK]
-            out.append(
-                f"r{insn.dst_reg} = _load((r{insn.src_reg} + {insn.off}) & {_M64}, {size})"
-            )
-            pc += 1
-        elif klass == isa.BPF_STX:
-            size = isa.SIZE_BYTES[insn.opcode & isa.SIZE_MASK]
-            out.append(
-                f"_store((r{insn.dst_reg} + {insn.off}) & {_M64}, {size}, r{insn.src_reg})"
-            )
-            pc += 1
-        elif klass == isa.BPF_ST:
-            size = isa.SIZE_BYTES[insn.opcode & isa.SIZE_MASK]
-            out.append(
-                f"_store((r{insn.dst_reg} + {insn.off}) & {_M64}, {size}, "
-                f"{insn.imm & isa.U64:#x})"
-            )
-            pc += 1
-        elif klass in (isa.BPF_JMP, isa.BPF_JMP32):
-            op = insn.opcode & isa.OP_MASK
-            if op == isa.BPF_EXIT:
-                out.append("return r0")
-                return out
-            if op == isa.BPF_CALL:
-                out.append(
-                    f"r0 = int(_h{insn.imm}(hctx, r1, r2, r3, r4, r5)) & {_M64}"
-                )
-                pc += 1
-                continue
-            if op == isa.BPF_JA:
-                out.append(f"_b = {block_id[pc + 1 + insn.off]}")
-                out.append("continue")
-                return out
-            cond = _emit_cond(insn)
-            out.append(f"if {cond}:")
-            out.append(f"    _b = {block_id[pc + 1 + insn.off]}")
-            out.append("    continue")
-            out.append(f"_b = {block_id[pc + 1]}")
-            out.append("continue")
-            return out
-        else:
-            raise VmFault(f"JIT: unknown class {klass:#x} at {pc}")
-
-    # Fallthrough into the next block.
-    if pc < len(slots):
-        out.append(f"_b = {block_id[pc]}")
-        out.append("continue")
     else:
         out.append("raise VmFault('fell off the end of the program')")
     return out

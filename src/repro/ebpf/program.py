@@ -1,4 +1,5 @@
-"""Program loading: assemble → relocate maps → verify → pick an engine.
+"""Program loading: assemble (or take linked instructions) → relocate
+maps → verify → pick an engine.
 
 A :class:`Program` is the equivalent of a loaded-and-verified kernel BPF
 program: creating one runs the full pipeline and raises
@@ -16,7 +17,7 @@ from .asm import assemble
 from .errors import BpfError
 from .helpers import HelperContext, install_map_regions, map_handle_addr
 from .insn import Instruction, flatten
-from .jit import JitProgram, JitProgramV1
+from .jit import JitProgram
 from .maps import Map
 from .memory import Memory
 from .verifier import Verifier
@@ -28,7 +29,6 @@ class ProgramStats:
     """Counters a loaded program accumulates across invocations."""
 
     invocations: int = 0
-    total_ns: int = 0
     last_return: int | None = None
 
 
@@ -46,10 +46,9 @@ class Program:
         Human-readable name for logs and stats.
     jit:
         Select the execution engine; mirrors
-        ``/proc/sys/net/core/bpf_jit_enable``.  ``True`` compiles with
-        the v2 translator (region-specialised memory, threaded
-        dispatch), ``"v1"`` with the original translator (kept for
-        ablation benchmarks), ``False`` interprets.
+        ``/proc/sys/net/core/bpf_jit_enable``.  ``True`` compiles the
+        program (region-specialised memory, threaded dispatch),
+        ``False`` interprets.
     allowed_helpers:
         Optional whitelist of helper ids (hooks restrict their helper
         sets); ``None`` allows every registered helper.
@@ -89,12 +88,9 @@ class Program:
             insn.opcode == (isa.BPF_JMP | isa.BPF_CALL) for insn in self.insns
         )
         self._interp = Interpreter(self.insns)
-        if jit == "v1":
-            self._jit = JitProgramV1(self.insns)
-        elif jit:
-            self._jit = JitProgram(self.insns, regions=self.region_hints)
-        else:
-            self._jit = None
+        self._jit = (
+            JitProgram(self.insns, regions=self.region_hints) if jit else None
+        )
         self.stats = ProgramStats()
 
     # -- loading -------------------------------------------------------------

@@ -1,6 +1,6 @@
 ; "Add TLV" (§3.2): grow the SRH TLV area by 8 bytes with
 ; bpf_lwt_seg6_adjust_srh, then fill it with a valid opaque TLV via
-; bpf_lwt_seg6_store_bytes.  Byte-identical to progs.library.ADD_TLV_ASM.
+; bpf_lwt_seg6_store_bytes (~60 SLOC in C).
 .hook seg6local
     r6 = r1
     r7 = *(u64 *)(r6 + 16)

@@ -1,6 +1,6 @@
 ; BPF counterpart of End.T (§3.2): delegate to the native behaviour
-; through bpf_lwt_seg6_action (table 254) and skip the default lookup.
-; Byte-identical to progs.library.END_T_PROG_ASM at its default table.
+; through bpf_lwt_seg6_action (table 254, the main table) and skip the
+; default lookup (4 SLOC in C).
 .hook seg6local
     r6 = r1
     *(u32 *)(r10 - 4) = 254        ; u32 table id parameter

@@ -1,5 +1,6 @@
-; "Tag++" (§3.2): fetch the SRH tag, increment it, write it back via the
-; indirect-write helper.  Byte-identical to progs.library.TAG_INCREMENT_ASM.
+; "Tag++" (§3.2, ~50 SLOC in C): fetch the SRH tag, increment it, write
+; it back via the indirect-write helper (the SRH fixed fields are read
+; through verified packet pointers; the store goes through the helper).
 .hook seg6local
     r6 = r1
     r7 = *(u64 *)(r6 + 16)         ; data

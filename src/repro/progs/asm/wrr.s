@@ -1,7 +1,7 @@
-; §4.2 per-packet Weighted Round-Robin scheduler.  State (credits +
-; per-link packet counts) lives in a map; the chosen link's segment is
-; pushed as an outer SRH, and the peer's native End.DT6 decapsulates.
-; Byte-identical to progs.library.WRR_ASM.
+; §4.2 per-packet Weighted Round-Robin scheduler (120 SLOC in the
+; paper's C).  State (credits + per-link packet counts) lives in a map;
+; the chosen link's segment is pushed as an outer SRH (24 bytes: fixed 8
+; + one segment), and the peer's native End.DT6 decapsulates.
 .hook lwt
 .map wrr_config, array, key=4, value=40, entries=1
 .map wrr_state, array, key=4, value=16, entries=1
@@ -53,7 +53,7 @@ use0:
     *(u64 *)(r10 - 16) = r3
 build:
     *(u8 *)(r10 - 32) = 41         ; next header: IPv6
-    *(u8 *)(r10 - 31) = 2
+    *(u8 *)(r10 - 31) = 2          ; hdr_ext_len: 24 / 8 - 1
     *(u8 *)(r10 - 30) = 4          ; routing type
     *(u8 *)(r10 - 29) = 0          ; segments_left = 0 (direct to decap)
     *(u8 *)(r10 - 28) = 0          ; last_entry

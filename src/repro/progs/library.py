@@ -4,18 +4,24 @@ Every program in the evaluation (§3.2) and the use cases (§4) is written
 here as genuine eBPF bytecode — assembled, verified and executed by
 :mod:`repro.ebpf` — never as shortcut Python:
 
-========================  =======  ===========================================
-Program                   Paper §  Purpose
-========================  =======  ===========================================
-``end_prog``              3.2      BPF counterpart of End (1 SLOC body)
-``end_t_prog``            3.2      BPF counterpart of End.T (seg6 action)
-``tag_increment_prog``    3.2      "Tag++": read SRH tag, increment, store
-``add_tlv_prog``          3.2      grow TLV area, write an 8-byte TLV
-``dm_encap_prog``         4.1      transit sampler: encap probes with DM TLV
-``end_dm_prog``           4.1      End.DM: timestamps → perf event, decap
-``wrr_prog``              4.2      per-packet WRR over two links, push encap
-``end_oamp_prog``         4.3      End.OAMP: ECMP nexthops → perf event
-========================  =======  ===========================================
+========================  ===  =======================  ==============================
+Program                   §    Source                   Purpose
+========================  ===  =======================  ==============================
+``end_prog``              3.2  ``asm/end.s``            BPF counterpart of End
+``end_t_prog``            3.2  ``asm/end_t.s``          BPF counterpart of End.T
+``tag_increment_prog``    3.2  ``asm/tag_increment.s``  "Tag++": increment the SRH tag
+``add_tlv_prog``          3.2  ``asm/add_tlv.s``        grow TLV area, write a TLV
+``dm_encap_prog``         4.1  ``DM_ENCAP_ASM``         transit sampler: DM TLV encap
+``end_dm_prog``           4.1  ``END_DM_ASM``           End.DM: perf event, decap
+``wrr_prog``              4.2  ``asm/wrr.s``            per-packet WRR, push encap
+``end_oamp_prog``         4.3  ``END_OAMP_ASM``         End.OAMP: ECMP nexthops event
+========================  ===  =======================  ==============================
+
+The five programs with no Python-side parameters are ``.s`` files in the
+kernel-style syntax of :mod:`repro.ebpf.text`, each naming its hook in a
+``.hook`` directive (from which its helper whitelist derives).  The
+three §4.1/§4.3 programs interpolate the probe layout constants below
+and stay classic-syntax strings here.
 
 Probe packet geometry is fixed (as real eBPF programs fix their parse
 offsets — the 2018 verifier had no loops): see the layout constants
@@ -29,146 +35,55 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from ..ebpf import ArrayMap, PerfEventArrayMap, Program
-from ..ebpf.text import load_text
+from ..ebpf.text import link, parse_asm
 from ..net.addr import as_addr
 from ..net.seg6_helpers import LWT_HELPERS, SEG6LOCAL_HELPERS
 
 # ---------------------------------------------------------------------------
-# §3.2 microbenchmark programs
+# The ``.s`` programs: sources, objects, §3.2 loaders
 # ---------------------------------------------------------------------------
 
-#: BPF counterpart of End: do nothing, let the default lookup forward the
-#: packet along the next segment.  One source line in its body, as in the
-#: paper.
-END_PROG_ASM = """
-    mov r0, 0                      ; BPF_OK
-    exit
-"""
+ASM_DIR = Path(__file__).parent / "asm"
+
+
+def asm_text(name: str) -> str:
+    """Return the ``.s`` source of a library program (e.g. ``"wrr"``)."""
+    path = ASM_DIR / f"{name}.s"
+    if not path.exists():
+        available = ", ".join(sorted(p.stem for p in ASM_DIR.glob("*.s")))
+        raise KeyError(f"no library asm program {name!r} (have: {available})")
+    return path.read_text()
+
+
+# Assembled once at import, as an object file would be: the text path
+# costs ~100 µs more per program than a loader call can absorb (the perf
+# ledger's setup_s).  ``link`` does not mutate a ``TextObject`` and its
+# ``Instruction``s are frozen, so the objects are shared; map binding and
+# shape check, relocation, verification and JIT run on every loader call.
+_OBJECTS = {
+    stem: parse_asm(asm_text(stem))
+    for stem in ("end", "end_t", "tag_increment", "add_tlv", "wrr")
+}
 
 
 def end_prog(jit: bool = True) -> Program:
     """The paper's baseline End.BPF program (§3.2, "End BPF")."""
-    return Program(
-        END_PROG_ASM, name="end_bpf", jit=jit, allowed_helpers=SEG6LOCAL_HELPERS
-    )
+    return link(_OBJECTS["end"]).load(name="end_bpf", jit=jit)
 
 
-END_T_PROG_ASM = """
-    ; BPF counterpart of End.T: delegate to the native behaviour through
-    ; bpf_lwt_seg6_action and skip the default lookup (4 SLOC in C).
-    mov r6, r1
-    stw [r10-4], {table}           ; u32 table id parameter
-    mov r1, r6
-    mov r2, 3                      ; SEG6_LOCAL_ACTION_END_T
-    mov r3, r10
-    add r3, -4
-    mov r4, 4
-    call lwt_seg6_action
-    jne r0, 0, err
-    mov r0, 7                      ; BPF_REDIRECT: lookup already done
-    exit
-err:
-    mov r0, 2                      ; BPF_DROP
-    exit
-"""
-
-
-def end_t_prog(table_id: int = 254, jit: bool = True) -> Program:
+def end_t_prog(jit: bool = True) -> Program:
     """BPF counterpart of End.T (§3.2)."""
-    return Program(
-        END_T_PROG_ASM.format(table=table_id),
-        name="end_t_bpf",
-        jit=jit,
-        allowed_helpers=SEG6LOCAL_HELPERS,
-    )
-
-
-TAG_INCREMENT_ASM = """
-    ; "Tag++" (§3.2): fetch the SRH tag, increment it, write it back via
-    ; the indirect-write helper (the SRH fixed fields are read through
-    ; verified packet pointers; the store goes through the helper).
-    mov r6, r1
-    ldxdw r7, [r6+16]              ; data
-    ldxdw r8, [r6+24]              ; data_end
-    mov r2, r7
-    add r2, 48                     ; IPv6 header + SRH fixed part
-    jgt r2, r8, out
-    ldxb r3, [r7+6]
-    jne r3, 43, out                ; no routing header
-    ldxb r3, [r7+42]
-    jne r3, 4, out                 ; not an SRH
-    ldxh r4, [r7+46]               ; tag (wire big-endian)
-    be16 r4                        ; to host order
-    add r4, 1
-    and r4, 0xffff
-    be16 r4                        ; back to wire order
-    stxh [r10-8], r4
-    mov r1, r6
-    mov r2, 46                     ; byte offset of the tag in the packet
-    mov r3, r10
-    add r3, -8
-    mov r4, 2
-    call lwt_seg6_store_bytes
-out:
-    mov r0, 0
-    exit
-"""
+    return link(_OBJECTS["end_t"]).load(name="end_t_bpf", jit=jit)
 
 
 def tag_increment_prog(jit: bool = True) -> Program:
     """The paper's Tag++ program (§3.2, ~50 SLOC in C)."""
-    return Program(
-        TAG_INCREMENT_ASM,
-        name="tag_increment",
-        jit=jit,
-        allowed_helpers=SEG6LOCAL_HELPERS,
-    )
-
-
-ADD_TLV_ASM = """
-    ; "Add TLV" (§3.2): grow the SRH TLV area by 8 bytes with
-    ; bpf_lwt_seg6_adjust_srh, then fill it with a valid opaque TLV via
-    ; bpf_lwt_seg6_store_bytes (~60 SLOC in C).
-    mov r6, r1
-    ldxdw r7, [r6+16]
-    ldxdw r8, [r6+24]
-    mov r2, r7
-    add r2, 48
-    jgt r2, r8, out
-    ldxb r3, [r7+6]
-    jne r3, 43, out
-    ldxb r3, [r7+42]
-    jne r3, 4, out
-    ldxb r9, [r7+41]               ; hdr_ext_len
-    add r9, 1
-    lsh r9, 3
-    add r9, 40                     ; r9 = end of SRH = end of TLV area
-    mov r1, r6
-    mov r2, r9
-    mov r3, 8
-    call lwt_seg6_adjust_srh
-    jne r0, 0, out
-    stb [r10-8], 10                ; TLV type: opaque container
-    stb [r10-7], 6                 ; TLV length
-    stw [r10-6], 0x6f727065        ; value bytes
-    sth [r10-2], 0
-    mov r1, r6
-    mov r2, r9
-    mov r3, r10
-    add r3, -8
-    mov r4, 8
-    call lwt_seg6_store_bytes
-out:
-    mov r0, 0
-    exit
-"""
+    return link(_OBJECTS["tag_increment"]).load(name="tag_increment", jit=jit)
 
 
 def add_tlv_prog(jit: bool = True) -> Program:
     """The paper's Add TLV program (§3.2)."""
-    return Program(
-        ADD_TLV_ASM, name="add_tlv", jit=jit, allowed_helpers=SEG6LOCAL_HELPERS
-    )
+    return link(_OBJECTS["add_tlv"]).load(name="add_tlv", jit=jit)
 
 
 # ---------------------------------------------------------------------------
@@ -405,7 +320,6 @@ def end_dm_prog(dm_events: PerfEventArrayMap, jit: bool = True) -> Program:
 
 WRR_CONFIG_SIZE = 40  # seg0 (16) | seg1 (16) | w0 u32 | w1 u32
 WRR_STATE_SIZE = 16  # c0 u32 | c1 u32 | pkts0 u32 | pkts1 u32
-WRR_SRH_LEN = 24  # fixed 8 + one segment
 
 
 def wrr_config_value(
@@ -431,86 +345,11 @@ def wrr_state_counters(state_map: ArrayMap) -> tuple[int, int, int, int]:
     return struct.unpack("<IIII", raw)
 
 
-WRR_ASM = f"""
-    ; §4.2 per-packet Weighted Round-Robin scheduler (120 SLOC in the
-    ; paper's C).  State (credits + per-link packet counts) lives in a
-    ; map; the chosen link's segment is pushed as an outer SRH, and the
-    ; peer's native End.DT6 decapsulates.
-    mov r6, r1
-    stw [r10-4], 0
-    lddw r1, map:wrr_config
-    mov r2, r10
-    add r2, -4
-    call map_lookup_elem
-    jeq r0, 0, out
-    mov r7, r0                     ; config
-    stw [r10-4], 0
-    lddw r1, map:wrr_state
-    mov r2, r10
-    add r2, -4
-    call map_lookup_elem
-    jeq r0, 0, out
-    mov r8, r0                     ; state
-    ldxw r1, [r8+0]                ; credits link0
-    ldxw r2, [r8+4]                ; credits link1
-    mov r3, r1
-    or r3, r2
-    jne r3, 0, pick
-    ldxw r1, [r7+32]               ; refill from weights
-    ldxw r2, [r7+36]
-pick:
-    jge r1, r2, use0
-    sub r2, 1                      ; send on link1
-    stxw [r8+0], r1
-    stxw [r8+4], r2
-    ldxw r4, [r8+12]
-    add r4, 1
-    stxw [r8+12], r4
-    ldxdw r3, [r7+16]              ; segment of link1
-    stxdw [r10-24], r3
-    ldxdw r3, [r7+24]
-    stxdw [r10-16], r3
-    ja build
-use0:
-    sub r1, 1                      ; send on link0
-    stxw [r8+0], r1
-    stxw [r8+4], r2
-    ldxw r4, [r8+8]
-    add r4, 1
-    stxw [r8+8], r4
-    ldxdw r3, [r7+0]               ; segment of link0
-    stxdw [r10-24], r3
-    ldxdw r3, [r7+8]
-    stxdw [r10-16], r3
-build:
-    stb [r10-32], 41               ; next header: IPv6
-    stb [r10-31], {WRR_SRH_LEN // 8 - 1}
-    stb [r10-30], 4                ; routing type
-    stb [r10-29], 0                ; segments_left = 0 (direct to decap)
-    stb [r10-28], 0                ; last_entry
-    stb [r10-27], 0                ; flags
-    sth [r10-26], 0                ; tag
-    mov r1, r6
-    mov r2, 0                      ; BPF_LWT_ENCAP_SEG6
-    mov r3, r10
-    add r3, -32
-    mov r4, {WRR_SRH_LEN}
-    call lwt_push_encap
-out:
-    mov r0, 0
-    exit
-"""
-
-
 def wrr_prog(config_map: ArrayMap, state_map: ArrayMap, jit: bool = True) -> Program:
     """The §4.2 WRR link-aggregation scheduler (BPF LWT)."""
-    return Program(
-        WRR_ASM,
-        maps={"wrr_config": config_map, "wrr_state": state_map},
-        name="wrr_scheduler",
-        jit=jit,
-        allowed_helpers=LWT_HELPERS,
-    )
+    return link(
+        _OBJECTS["wrr"], maps={"wrr_config": config_map, "wrr_state": state_map}
+    ).load(name="wrr_scheduler", jit=jit)
 
 
 # ---------------------------------------------------------------------------
@@ -626,34 +465,3 @@ def end_oamp_prog(oamp_events: PerfEventArrayMap, jit: bool = True) -> Program:
         jit=jit,
         allowed_helpers=SEG6LOCAL_HELPERS,
     )
-
-
-# ---------------------------------------------------------------------------
-# Textual (.s) editions of the library programs
-# ---------------------------------------------------------------------------
-
-#: ``.s`` sources for the programs above, in the kernel-style syntax of
-#: :mod:`repro.ebpf.text`.  Each assembles byte-identical to its classic
-#: counterpart (tests/ebpf/test_easm.py pins this), so either frontend
-#: may be used interchangeably — and each ``.s`` file carries its hook in
-#: a ``.hook`` directive, from which ``asm_prog`` derives the helper set.
-ASM_DIR = Path(__file__).parent / "asm"
-
-
-def asm_text(name: str) -> str:
-    """Return the ``.s`` source of a library program (e.g. ``"wrr"``)."""
-    path = ASM_DIR / f"{name}.s"
-    if not path.exists():
-        available = ", ".join(sorted(p.stem for p in ASM_DIR.glob("*.s")))
-        raise KeyError(f"no library asm program {name!r} (have: {available})")
-    return path.read_text()
-
-
-def asm_prog(name: str, maps=None, jit: bool = True) -> Program:
-    """Load a library program from its ``.s`` edition.
-
-    ``maps`` supplies pre-created map instances by symbol name (e.g. the
-    WRR scheduler's ``wrr_config``/``wrr_state``); maps declared in the
-    source but not provided are instantiated from their declarations.
-    """
-    return load_text(asm_text(name), maps=maps, name=name, jit=jit)

@@ -19,6 +19,7 @@ import struct
 from dataclasses import dataclass, field
 
 from ..ebpf import ArrayMap, PerfEventArrayMap
+from ..lab import Setup2
 from ..net.addr import as_addr
 from ..net.iproute import IpRoute
 from ..net.ipv6 import PROTO_UDP
@@ -42,7 +43,6 @@ from ..progs import (
 )
 from ..sim.netem import NetemQdisc
 from ..sim.scheduler import NS_PER_MS, Scheduler
-from ..sim.topology import Setup2
 from .delay import install_end_dm
 
 TWD_PORT = 8890

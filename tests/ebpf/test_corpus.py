@@ -17,6 +17,12 @@ On top of the goldens, every accepted program is:
   packets, comparing the return value, the full helper-call trace, the
   final map contents and the mutable context fields.
 
+The five ``src/repro/progs/asm/*.s`` library programs ride the golden
+and round-trip checks too: they are the only definition of End, End.T,
+Tag++, Add TLV and the WRR scheduler, so their bytes are pinned here,
+with the goldens kept in ``tests/ebpf/library_golden/`` (not beside the
+sources, and not in ``corpus/``, which the perf ledger globs).
+
 Regenerate goldens after an intentional toolchain change with::
 
     PYTHONPATH=src python -m pytest tests/ebpf/test_corpus.py --regen-golden
@@ -46,10 +52,16 @@ from repro.ebpf import (
     parse_asm,
 )
 from repro.ebpf.context import CTX_SIZE
+from repro.progs.library import ASM_DIR
 
 CORPUS_DIR = Path(__file__).parent / "corpus"
 CORPUS = sorted(CORPUS_DIR.glob("*.s"))
 IDS = [path.stem for path in CORPUS]
+
+LIBRARY = sorted(ASM_DIR.glob("*.s"))
+LIBRARY_GOLDEN_DIR = Path(__file__).parent / "library_golden"
+PINNED = CORPUS + LIBRARY
+PINNED_IDS = IDS + [f"library_{path.stem}" for path in LIBRARY]
 
 DIFFERENTIAL_INPUTS = 64
 
@@ -114,9 +126,10 @@ def test_verdict_matches_naming(path):
 # --- golden files -------------------------------------------------------------
 
 
-@pytest.mark.parametrize("path", CORPUS, ids=IDS)
+@pytest.mark.parametrize("path", PINNED, ids=PINNED_IDS)
 def test_golden(path, request):
-    expected_path = path.with_suffix(".expected")
+    golden_dir = LIBRARY_GOLDEN_DIR if path.parent == ASM_DIR else CORPUS_DIR
+    expected_path = golden_dir / f"{path.stem}.expected"
     text = _golden_text(path)
     if request.config.getoption("--regen-golden"):
         expected_path.write_text(text)
@@ -133,7 +146,7 @@ def test_golden(path, request):
 # --- round-trip property ------------------------------------------------------
 
 
-@pytest.mark.parametrize("path", CORPUS, ids=IDS)
+@pytest.mark.parametrize("path", PINNED, ids=PINNED_IDS)
 def test_roundtrip_reassembles_byte_identical(path):
     """assemble(s) -> disasm -> re-assemble is byte-identical, every program."""
     linked, _prog, _verdict, _error = _build(path)

@@ -1,8 +1,8 @@
 """Unit tests for the kernel-style text assembler (repro.ebpf.text.easm).
 
-The load-bearing property is the last test class: the library programs
-re-expressed in ``.s`` syntax assemble byte-identical to their classic
-``bpf_asm``-style originals, so the two frontends are interchangeable.
+Every easm instruction form is held to its classic ``bpf_asm``-style
+twin.  The library's ``.s`` programs are pinned byte-for-byte by the
+goldens in ``tests/ebpf/library_golden/`` (see ``test_corpus.py``).
 """
 
 import pytest
@@ -227,29 +227,11 @@ def test_errors_carry_line_numbers():
         parse_asm("    r0 = 0\n    r1 = 1\n    bogus!\n    exit")
 
 
-# --- the library programs: .s editions are byte-identical --------------------
-
-
-LIBRARY_PAIRS = [
-    ("end", library.END_PROG_ASM),
-    ("end_t", library.END_T_PROG_ASM.format(table=254)),
-    ("tag_increment", library.TAG_INCREMENT_ASM),
-    ("add_tlv", library.ADD_TLV_ASM),
-    ("wrr", library.WRR_ASM),
-]
-
-
-@pytest.mark.parametrize(
-    ("name", "classic"), LIBRARY_PAIRS, ids=[p[0] for p in LIBRARY_PAIRS]
-)
-def test_library_asm_editions_byte_identical(name, classic):
-    textual = link(parse_asm(library.asm_text(name))).insns
-    builder = assemble(classic)
-    assert encode_program(textual) == encode_program(builder)
+# --- the library programs -----------------------------------------------------
 
 
 def test_asm_prog_loads_and_runs():
-    prog = library.asm_prog("end")
+    prog = library.end_prog()
     ret, _hctx = prog.run_on_packet(b"\x60" + b"\x00" * 39)
     assert ret == 0
 

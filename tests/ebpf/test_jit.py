@@ -15,12 +15,7 @@ from repro.ebpf import (
     isa,
 )
 from repro.ebpf.vm import Interpreter
-from repro.progs import (
-    ADD_TLV_ASM,
-    END_PROG_ASM,
-    END_T_PROG_ASM,
-    TAG_INCREMENT_ASM,
-)
+from repro.progs import add_tlv_prog, end_prog, tag_increment_prog
 
 PKT = bytes.fromhex("60") + b"\x00" * 63
 
@@ -111,8 +106,7 @@ def test_differential_comparisons(a, b, op, is32):
     assert interp == jit
 
 
-def _run_paper_prog(source: str, maps: dict, jit: bool, packet: bytes) -> tuple[int, bytes]:
-    prog = Program(source, maps=maps, jit=jit)
+def _run_paper_prog(prog: Program, packet: bytes) -> tuple[int, bytes]:
     hctx = prog.make_context(packet)
     hctx.hook = "seg6local"
     ret = prog.run(hctx)
@@ -128,12 +122,12 @@ def test_paper_programs_identical_across_engines():
     )
     # Pre-advance the SRH as End.BPF would before the program runs.
     raw = bytes(pkt.data)
-    for source in (END_PROG_ASM, TAG_INCREMENT_ASM, ADD_TLV_ASM):
+    for loader in (end_prog, tag_increment_prog, add_tlv_prog):
         out = []
         for jit in (False, True):
-            ret, data = _run_paper_prog(source, {}, jit, raw)
+            ret, data = _run_paper_prog(loader(jit=jit), raw)
             out.append((ret, data))
-        assert out[0] == out[1], f"engines disagree on {source[:40]!r}"
+        assert out[0] == out[1], f"engines disagree on {loader.__name__}"
 
 
 def test_jit_source_is_valid_python():
@@ -169,16 +163,15 @@ def test_jit_is_faster_than_interpreter():
     """The central premise of the §3.2 JIT experiment."""
     import timeit
 
-    source = TAG_INCREMENT_ASM
-    from repro.net import SEG6LOCAL_HELPERS, make_srv6_udp_packet
+    from repro.net import make_srv6_udp_packet
 
     pkt = bytes(
         make_srv6_udp_packet(
             "fc00:1::1", ["fc00:e::100", "fc00:2::2"], 1, 2, b"x" * 64
         ).data
     )
-    jit_prog = Program(source, jit=True, allowed_helpers=SEG6LOCAL_HELPERS)
-    interp_prog = Program(source, jit=False, allowed_helpers=SEG6LOCAL_HELPERS)
+    jit_prog = tag_increment_prog(jit=True)
+    interp_prog = tag_increment_prog(jit=False)
 
     def run_once(prog):
         hctx = prog.make_context(pkt)

@@ -12,12 +12,12 @@ from repro.net import (
     pton,
 )
 from repro.progs import (
-    ADD_TLV_ASM,
-    END_PROG_ASM,
-    TAG_INCREMENT_ASM,
+    add_tlv_prog,
     dm_encap_prog,
     end_dm_prog,
     end_oamp_prog,
+    end_prog,
+    tag_increment_prog,
     wrr_prog,
 )
 
@@ -26,11 +26,11 @@ from repro.progs import (
 
 
 @pytest.mark.parametrize(
-    "source", [END_PROG_ASM, TAG_INCREMENT_ASM, ADD_TLV_ASM],
+    "loader", [end_prog, tag_increment_prog, add_tlv_prog],
     ids=["end", "tag", "add_tlv"],
 )
-def test_paper_source_disassembles_and_reassembles(source):
-    insns = assemble(source)
+def test_paper_source_disassembles_and_reassembles(loader):
+    insns = loader().insns
     text = disassemble(insns)
     again = assemble(text)
     assert [i.encode() for i in again] == [i.encode() for i in insns]

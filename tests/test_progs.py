@@ -4,7 +4,7 @@ import struct
 
 import pytest
 
-from repro.ebpf import ArrayMap, PerfEventArrayMap
+from repro.ebpf import ArrayMap, LinkError, PerfEventArrayMap
 from repro.net import (
     BpfLwt,
     EndBPF,
@@ -71,7 +71,7 @@ def test_end_prog_behaves_as_end(jit):
 def test_end_t_prog_redirects_via_table(jit):
     node = fresh_router()
     node.add_route("fc00:2::/64", via="fc00:2::1", dev="eth1", table_id=254)
-    node.add_route(f"{SEG}/128", encap=EndBPF(end_t_prog(table_id=254, jit=jit)))
+    node.add_route(f"{SEG}/128", encap=EndBPF(end_t_prog(jit=jit)))
     out = push(node, srv6_pkt())
     assert out is not None
     assert out.dst == pton("fc00:2::2")
@@ -235,6 +235,39 @@ def test_wrr_prog_round_robin_pattern():
     assert count0 == 6 and count1 == 3
     c0, c1, pkts0, pkts1 = wrr_state_counters(state)
     assert (pkts0, pkts1) == (6, 3)
+
+
+def test_wrr_progs_bind_their_own_maps():
+    """Loader calls share one assembled object; each links its own maps."""
+    routers = []
+    for tag, weights in (("a", (1, 1)), ("b", (3, 1))):
+        config = ArrayMap(f"wrr_c_{tag}", value_size=40, max_entries=1)
+        state = ArrayMap(f"wrr_s_{tag}", value_size=16, max_entries=1)
+        config.update(
+            b"\x00" * 4, wrr_config_value("fc00:7::d0", "fc00:7::d1", *weights)
+        )
+        prog = wrr_prog(config, state)
+        assert prog.maps == {"wrr_config": config, "wrr_state": state}
+        node = fresh_router()
+        node.add_route("fc00:7::/64", via="fc00:2::1", dev="eth1")
+        node.add_route("fc00:2::/64", encap=BpfLwt(prog_out=prog))
+        routers.append((node, state))
+    (first, first_state), (second, second_state) = routers
+    for _ in range(4):
+        push(first, make_udp_packet("fc00:1::1", "fc00:2::2", 1, 2, b"x"))
+    assert wrr_state_counters(first_state)[2:] == (2, 2)
+    assert wrr_state_counters(second_state) == (0, 0, 0, 0)
+    for _ in range(4):
+        push(second, make_udp_packet("fc00:1::1", "fc00:2::2", 1, 2, b"x"))
+    assert wrr_state_counters(second_state)[2:] == (3, 1)
+    assert wrr_state_counters(first_state)[2:] == (2, 2)
+
+
+def test_wrr_prog_rejects_wrong_shape_map():
+    config = ArrayMap("wrr_c_bad", value_size=32, max_entries=1)  # declared 40
+    state = ArrayMap("wrr_s_bad", value_size=16, max_entries=1)
+    with pytest.raises(LinkError, match="provided map 'wrr_config'"):
+        wrr_prog(config, state)
 
 
 def test_wrr_encapsulated_packet_structure():

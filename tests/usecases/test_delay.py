@@ -2,8 +2,9 @@
 
 import pytest
 
+from repro.lab import build_setup1
 from repro.net import Node, make_udp_packet, ntop, pton
-from repro.sim import FlowMeter, Link, Scheduler, UdpFlow, build_setup1
+from repro.sim import FlowMeter, Link, Scheduler, UdpFlow
 from repro.sim.scheduler import NS_PER_MS, NS_PER_SEC
 from repro.usecases import (
     DelayCollector,

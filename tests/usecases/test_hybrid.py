@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.sim import FlowMeter, UdpFlow, build_setup2, make_connection, mbps
+from repro.lab import HybridLinkSpec, Setup2, build_setup2
+from repro.sim import FlowMeter, UdpFlow, make_connection, mbps
 from repro.sim.scheduler import NS_PER_MS, NS_PER_SEC
-from repro.sim.topology import HybridLinkSpec, Setup2
 from repro.usecases import deploy_hybrid_access
 
 
