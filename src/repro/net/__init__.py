@@ -31,7 +31,7 @@ from .ipv6 import (
 )
 from .lwt_bpf import BpfLwt
 from .netdev import NetDev
-from .node import DispatchContext, FlowTable, Node
+from .node import FlowTable, Node
 from .packet import (
     Packet,
     make_icmpv6_packet,
@@ -88,7 +88,6 @@ __all__ = [
     "BpfLwt",
     "DM_KIND_OWD",
     "DM_KIND_TWD",
-    "DispatchContext",
     "Disposition",
     "End",
     "EndB6",

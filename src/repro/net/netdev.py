@@ -52,7 +52,7 @@ class NetDev:
         stats = self.stats
         for pkt in pkts:
             stats.tx_packets += 1
-            stats.tx_bytes += len(pkt)
+            stats.tx_bytes += len(pkt.data)
         if self.qdisc is not None:
             for pkt in pkts:
                 self.qdisc.enqueue(pkt, self)

@@ -15,18 +15,20 @@ its lwtunnel attachment points:
 
 The datapath is **batch-native**: the unit of work is a list of packets
 (the NAPI-poll analogue), and the scalar entry points are the N=1 case.
-Each packet is carried through an explicit staged pipeline —
+Each packet is carried through the staged pipeline —
 
     lookup → seg6local → lwt-in → local delivery → decrement →
     seg6 encap → lwt-out/xmit → transmit
 
-— by a per-packet :class:`DispatchContext`.  Packets whose headers were
-rewritten by a tunnel re-enter the routing decision (re-circulation),
-with a budget against misconfiguration loops.  Route lookups are
-memoised in a per-node :class:`FlowTable` (O(1) on hit and on miss),
-SRH advances read only the fixed SRH header, and eBPF invocations reuse
-cached :class:`~repro.ebpf.jit.CompiledHandler` address spaces — so the
-cost of per-packet setup is paid once per flow, not once per packet.
+— by one function, :meth:`Node._run_pipeline`, whose blocks are the
+stages in that order and whose locals are the packet's routing state.
+Packets whose headers were rewritten by a tunnel re-enter the routing
+decision (re-circulation), with a budget against misconfiguration
+loops.  Route lookups are memoised in a per-node :class:`FlowTable`
+(O(1) on hit and on miss), SRH advances read only the fixed SRH header,
+and eBPF invocations reuse cached
+:class:`~repro.ebpf.jit.CompiledHandler` address spaces — so the cost
+of per-packet setup is paid once per flow, not once per packet.
 """
 
 from __future__ import annotations
@@ -58,13 +60,6 @@ _RECIRCULATION_BUDGET = 8
 # stale-route hazard it closes.
 FIB_GENERATION_GUARD = True
 
-# Stage outcomes.  Each pipeline stage returns one of these: fall through
-# to the next stage, re-enter the routing decision (the packet's headers
-# or routing state changed), or stop (delivered, dropped, transmitted).
-_NEXT = object()
-_RECIRC = object()
-_CONSUMED = object()
-
 
 @dataclass
 class NodeCounters:
@@ -87,45 +82,6 @@ class Listener:
     callback: Callable[[Packet, "Node"], None]
     proto: int
     port: int | None = None
-
-
-@dataclass(slots=True)
-class DispatchContext:
-    """Per-packet pipeline state, threaded through the dispatch stages.
-
-    Replaces the positional ``(table_id, nh6, burst)`` threading of the
-    old dual-path dispatcher: every stage reads and writes one small
-    mutable record, so adding a stage (or a field a stage needs) touches
-    one place.  ``dev`` records the ingress
-    :class:`~repro.net.netdev.NetDev` (None for locally originated
-    packets) for stages that attribute behaviour per device; the
-    ``ip -s link`` rx accounting itself happens once at batch entry
-    (:meth:`Node.receive_batch`), not per stage.
-    """
-
-    pkt: Packet
-    decrement: bool
-    dev: NetDev | None = None
-    table_id: int | None = None
-    nh6: bytes | None = None
-    route: Route | None = None
-    lookup_dst: bytes | None = None
-    decremented: bool = False
-
-    def rebind(self, pkt: Packet) -> "DispatchContext":
-        """Reset to pristine per-packet state for the next packet.
-
-        Batch loops reuse one context object per batch instead of
-        allocating one per packet; a context never outlives its packet's
-        trip through the pipeline, so rebinding is safe.
-        """
-        self.pkt = pkt
-        self.table_id = None
-        self.nh6 = None
-        self.route = None
-        self.lookup_dst = None
-        self.decremented = False
-        return self
 
 
 class FlowTable:
@@ -202,19 +158,6 @@ class Node:
         # at batch end.  Nested dispatches (ICMP errors, echo replies)
         # append to the already-active batch, preserving per-device order.
         self._egress_batch: dict[str, list[Packet]] | None = None
-        # The staged pipeline walk, in order.  Stages are mutually
-        # exclusive on the route's encap type except decrement, which
-        # applies to every forwarded packet exactly once.  The seg6local
-        # stage is not walked: _run_pipeline dispatches it directly, since
-        # a seg6local route always consumes or recirculates the packet.
-        self._stages = (
-            self._stage_lwt_in,
-            self._stage_local,
-            self._stage_decrement,
-            self._stage_seg6_encap,
-            self._stage_lwt_out,
-            self._stage_transmit,
-        )
 
     # -- configuration ------------------------------------------------------
     def add_device(self, name: str) -> NetDev:
@@ -320,7 +263,7 @@ class Node:
             name = dev.name
             rx_bytes = 0
             for pkt in pkts:
-                rx_bytes += len(pkt)
+                rx_bytes += len(pkt.data)
                 pkt.input_dev = name
                 t = clock()
                 pkt.rx_tstamp_ns = t
@@ -337,43 +280,42 @@ class Node:
                     pkt.tctx.append((t, t, "rx", self.name, ""))
         counters.rx += len(pkts)
         if self.cpu is not None:
-            self.cpu.submit_batch(pkts, lambda batch: self._input_batch(batch, dev))
+            self.cpu.submit_batch(pkts, self._input_batch)
             return
-        self._input_batch(pkts, dev)
+        self._input_batch(pkts)
 
     def send_batch(self, pkts: list[Packet]) -> None:
         """Batch egress for locally originated packets (generators, daemons)."""
         outer = self._egress_batch
         if outer is None:
             self._egress_batch = {}
-        ctx = DispatchContext(None, decrement=False)
         run = self._run_pipeline
         try:
             for pkt in pkts:
-                run(ctx.rebind(pkt))
+                run(pkt, False)
         finally:
             if outer is None:
                 self._flush_egress()
 
     # -- internals --------------------------------------------------------------
-    def _input_batch(self, pkts: list[Packet], dev: NetDev | None = None) -> None:
+    def _input_batch(self, pkts: list[Packet]) -> None:
         outer = self._egress_batch
         if outer is None:
             self._egress_batch = {}
         counters = self.counters
         run = self._run_pipeline
         lookup = self._lookup_route
-        ctx = DispatchContext(None, decrement=True, dev=dev)
         n = len(pkts)
         i = 0
         try:
             while i < n:
                 pkt = pkts[i]
-                if len(pkt.data) < IPV6_HEADER_LEN:
+                data = pkt.data
+                if len(data) < IPV6_HEADER_LEN:
                     counters.dropped += 1
                     i += 1
                     continue
-                dst = pkt.dst
+                dst = bytes(data[24:40])
                 route = lookup(MAIN_TABLE, dst)
                 if route is None:
                     counters.no_route += 1
@@ -390,19 +332,15 @@ class Node:
                     while j < n and pkts[j].data[24:40] == dst:
                         j += 1
                     if j - i >= 2:
-                        i = self._run_group(pkts, i, j, route, ctx)
+                        i = self._run_group(pkts, i, j, route)
                         continue
-                ctx.rebind(pkt)
-                ctx.lookup_dst = dst
-                run(ctx, route=route)
+                run(pkt, True, route=route, lookup_dst=dst)
                 i += 1
         finally:
             if outer is None:
                 self._flush_egress()
 
-    def _run_group(
-        self, pkts: list[Packet], start: int, end: int, route: Route, ctx: DispatchContext
-    ) -> int:
+    def _run_group(self, pkts: list[Packet], start: int, end: int, route: Route) -> int:
         """Run ``pkts[start:end]`` — one End.BPF route — batch-resident.
 
         The group shares one armed :class:`~repro.ebpf.jit.CompiledHandler`
@@ -452,9 +390,10 @@ class Node:
             if disposition is _FORWARD:
                 # Inlined plain-forward continuation — the dominant case
                 # (BPF_OK, next segment resolves to an encap-less route);
-                # mirrors _run_pipeline's fast branch plus the decrement
-                # and transmit stages.
-                route2 = lookup(MAIN_TABLE, pkt.dst)
+                # mirrors _run_pipeline's lookup, decrement and transmit
+                # blocks.
+                dst = pkt.dst
+                route2 = lookup(MAIN_TABLE, dst)
                 if route2 is not None and route2.encap is None and not route2.local:
                     if tctx is not None:
                         t = self.clock_ns()
@@ -486,15 +425,11 @@ class Node:
                     counters.no_route += 1
                     counters.dropped += 1
                 else:
-                    ctx.rebind(pkt)
-                    ctx.lookup_dst = pkt.dst
-                    run(ctx, budget, route=route2)
+                    run(pkt, True, budget, route2, dst)
             else:
                 outcome = self._apply_disposition(disposition, pkt)
                 if outcome is not None:
-                    ctx.rebind(pkt)
-                    ctx.table_id, ctx.nh6 = outcome
-                    run(ctx, budget)
+                    run(pkt, True, budget, table_id=outcome[0], nh6=outcome[1])
             if guard and table.generation != generation:
                 _JIT_V2_STATS["bpf_group_flushes"] += 1
                 break
@@ -543,168 +478,140 @@ class Node:
     # -- the staged pipeline -----------------------------------------------------
     def _run_pipeline(
         self,
-        ctx: DispatchContext,
+        pkt: Packet,
+        decrement: bool,
         budget: int = _RECIRCULATION_BUDGET,
         route: "Route | None" = None,
+        lookup_dst: bytes | None = None,
+        table_id: int | None = None,
+        nh6: bytes | None = None,
     ) -> None:
         """Carry one packet through the stages until it leaves or dies.
 
-        ``route`` pre-resolves the first iteration's lookup (batch entry
-        points resolve it while probing for batch-resident groups);
-        ``budget`` is the remaining re-circulation allowance for callers
-        that already consumed a routing decision (the group path).
+        The blocks below are the stages, in order; a stage that rewrote
+        the headers or the routing state re-circulates the packet with
+        ``route = None; continue``.  ``decrement`` is False for locally
+        originated packets.  ``route`` pre-resolves the first lookup
+        (``lookup_dst`` is the destination it was resolved for: batch
+        entry points resolve it while probing for batch-resident groups);
+        ``table_id`` / ``nh6`` direct the first lookup instead (a
+        redirect the group path already applied); ``budget`` is the
+        remaining re-circulation allowance for callers that already
+        consumed a routing decision (the group path).
         """
-        lookup = self._lookup_route
         counters = self.counters
-        pkt = ctx.pkt
-        prefetched = route
+        decremented = False
         for _ in range(budget):
-            route = prefetched
-            prefetched = None
+            # -- lookup: in table_id (main unless redirected), by nh6 or
+            # the destination; both are consumed by the lookup.
             if route is None:
-                nh6 = ctx.nh6
-                ctx.lookup_dst = nh6 if nh6 is not None else pkt.dst
-                route = lookup(ctx.table_id or MAIN_TABLE, ctx.lookup_dst)
+                lookup_dst = nh6 if nh6 is not None else bytes(pkt.data[24:40])
+                route = self._lookup_route(table_id or MAIN_TABLE, lookup_dst)
                 if route is None:
                     counters.no_route += 1
                     counters.dropped += 1
                     return
-            ctx.route = route
             tctx = pkt.tctx
             if tctx is not None:
                 t = self.clock_ns()
                 tctx.append((t, t, "stage:lookup", self.name, ""))
-            if route.encap is None and not route.local:
-                # Plain forward — the dominant iteration.  Only the
-                # decrement and transmit stages apply, so call them
-                # directly instead of polling the encap stages with a
-                # None encap.
-                if self._stage_decrement(ctx) is _NEXT:
-                    self._stage_transmit(ctx)
+            encap = route.encap
+            if encap is not None:
+                # -- seg6local: a matched local segment consumes the
+                # packet with its action (§3) or re-circulates it.
+                if isinstance(encap, Seg6LocalAction):
+                    if tctx is not None:
+                        t = self.clock_ns()
+                        tctx.append((t, t, "stage:seg6local", self.name, encap.kind))
+                    counters.seg6local_processed += 1
+                    encap.processed += 1
+                    disposition = encap.process(pkt, self)
+                    if disposition is _FORWARD:
+                        table_id = nh6 = None
+                    else:
+                        outcome = self._apply_disposition(disposition, pkt)
+                        if outcome is None:
+                            return
+                        table_id, nh6 = outcome
+                    route = None
+                    continue
+                # -- lwt-in: input side only (§2.1), i.e. not once the
+                # hop limit has been decremented on this node.
+                if (
+                    not decremented
+                    and isinstance(encap, BpfLwt)
+                    and encap.prog_in is not None
+                ):
+                    if tctx is not None:
+                        t = self.clock_ns()
+                        tctx.append((t, t, "stage:lwt_in", self.name, ""))
+                    disposition = encap.run_hook("lwt_in", pkt, self)
+                    outcome = self._apply_disposition(disposition, pkt)
+                    if outcome is None:
+                        return
+                    table_id, nh6 = outcome
+                    if (
+                        table_id is not None
+                        or nh6 is not None
+                        or pkt.data[24:40] != lookup_dst
+                    ):
+                        route = None
+                        continue
+            # -- local delivery
+            if route.local:
+                self._deliver_local(pkt)
                 return
-            if isinstance(route.encap, Seg6LocalAction):
-                # seg6local consumes or recirculates, never falls through;
-                # the driver dispatches it directly (it is not part of the
-                # stage walk below).
-                if self._stage_seg6local(ctx) is _CONSUMED:
+            # -- decrement: once per forwarded packet; expiry → ICMPv6.
+            if decrement and not decremented:
+                decremented = True
+                data = pkt.data
+                hop_limit = data[7]
+                if hop_limit <= 1:
+                    data[7] = 0
+                    counters.hop_limit_exceeded += 1
+                    self._send_time_exceeded(pkt)
                     return
-                continue
-            outcome = _NEXT
-            for stage in self._stages:
-                outcome = stage(ctx)
-                if outcome is not _NEXT:
-                    break
-            if outcome is _CONSUMED:
-                return
-            # _RECIRC: a tunnel rewrote headers or routing state; the
-            # packet re-enters the routing decision.
+                data[7] = hop_limit - 1
+                counters.forwarded += 1
+            if encap is not None:
+                # -- seg6 encap: a transit route pushes an SRH / outer
+                # header (§2); the new destination is routed afresh.
+                if isinstance(encap, Seg6Encap):
+                    if tctx is not None:
+                        t = self.clock_ns()
+                        tctx.append((t, t, "stage:encap", self.name, ""))
+                    pkt.data = bytearray(
+                        encap.apply(bytes(pkt.data), self.primary_address())
+                    )
+                    table_id = nh6 = route = None
+                    continue
+                # -- lwt-out/xmit: route-attached output programs (§2.1)
+                if isinstance(encap, BpfLwt) and encap.has_output_stage():
+                    if tctx is not None:
+                        t = self.clock_ns()
+                        tctx.append((t, t, "stage:lwt_out", self.name, ""))
+                    old_dst = pkt.data[24:40]
+                    for hook in ("lwt_out", "lwt_xmit"):
+                        disposition = encap.run_hook(hook, pkt, self)
+                        outcome = self._apply_disposition(disposition, pkt)
+                        if outcome is None:
+                            return
+                        table_id, nh6 = outcome
+                    if (
+                        table_id is not None
+                        or nh6 is not None
+                        or pkt.data[24:40] != old_dst
+                    ):
+                        route = None
+                        continue
+            # -- transmit
+            self._transmit(pkt, route)
+            return
         self.log("re-circulation budget exceeded; dropping")
-        self.counters.dropped += 1
+        counters.dropped += 1
 
-    def _stage_seg6local(self, ctx: DispatchContext):
-        """A matched seg6local route consumes the packet with its action (§3)."""
-        encap = ctx.route.encap
-        if not isinstance(encap, Seg6LocalAction):
-            return _NEXT
-        tctx = ctx.pkt.tctx
-        if tctx is not None:
-            t = self.clock_ns()
-            tctx.append((t, t, "stage:seg6local", self.name, encap.kind))
-        self.counters.seg6local_processed += 1
-        encap.processed += 1
-        disposition = encap.process(ctx.pkt, self)
-        if disposition is _FORWARD:
-            ctx.table_id = ctx.nh6 = None
-            return _RECIRC
-        outcome = self._apply_disposition(disposition, ctx.pkt)
-        if outcome is None:
-            return _CONSUMED
-        ctx.table_id, ctx.nh6 = outcome
-        return _RECIRC
-
-    def _stage_lwt_in(self, ctx: DispatchContext):
-        """Run a route-attached ``lwt_in`` program on the input side (§2.1)."""
-        encap = ctx.route.encap
-        if (
-            not isinstance(encap, BpfLwt)
-            or encap.prog_in is None
-            or ctx.decremented
-        ):
-            return _NEXT
-        tctx = ctx.pkt.tctx
-        if tctx is not None:
-            t = self.clock_ns()
-            tctx.append((t, t, "stage:lwt_in", self.name, ""))
-        disposition = encap.run_hook("lwt_in", ctx.pkt, self)
-        outcome = self._apply_disposition(disposition, ctx.pkt)
-        if outcome is None:
-            return _CONSUMED
-        ctx.table_id, ctx.nh6 = outcome
-        if (
-            ctx.table_id is not None
-            or ctx.nh6 is not None
-            or ctx.pkt.dst != ctx.lookup_dst
-        ):
-            return _RECIRC
-        return _NEXT
-
-    def _stage_local(self, ctx: DispatchContext):
-        """Deliver packets matching a local route to bound listeners."""
-        if not ctx.route.local:
-            return _NEXT
-        self._deliver_local(ctx.pkt)
-        return _CONSUMED
-
-    def _stage_decrement(self, ctx: DispatchContext):
-        """Hop-limit decrement, once per forwarded packet; expiry → ICMPv6."""
-        if not ctx.decrement or ctx.decremented:
-            return _NEXT
-        ctx.decremented = True
-        if ctx.pkt.decrement_hop_limit() == 0:
-            self.counters.hop_limit_exceeded += 1
-            self._send_time_exceeded(ctx.pkt)
-            return _CONSUMED
-        self.counters.forwarded += 1
-        return _NEXT
-
-    def _stage_seg6_encap(self, ctx: DispatchContext):
-        """A transit seg6 route pushes an SRH / outer header (§2)."""
-        encap = ctx.route.encap
-        if not isinstance(encap, Seg6Encap):
-            return _NEXT
-        pkt = ctx.pkt
-        tctx = pkt.tctx
-        if tctx is not None:
-            t = self.clock_ns()
-            tctx.append((t, t, "stage:encap", self.name, ""))
-        pkt.data = bytearray(encap.apply(bytes(pkt.data), self.primary_address()))
-        ctx.table_id = ctx.nh6 = None
-        return _RECIRC
-
-    def _stage_lwt_out(self, ctx: DispatchContext):
-        """Run route-attached ``lwt_out``/``lwt_xmit`` programs (§2.1)."""
-        encap = ctx.route.encap
-        if not isinstance(encap, BpfLwt) or not encap.has_output_stage():
-            return _NEXT
-        pkt = ctx.pkt
-        tctx = pkt.tctx
-        if tctx is not None:
-            t = self.clock_ns()
-            tctx.append((t, t, "stage:lwt_out", self.name, ""))
-        old_dst = pkt.dst
-        for hook in ("lwt_out", "lwt_xmit"):
-            disposition = encap.run_hook(hook, pkt, self)
-            outcome = self._apply_disposition(disposition, pkt)
-            if outcome is None:
-                return _CONSUMED
-            ctx.table_id, ctx.nh6 = outcome
-        if ctx.table_id is not None or ctx.nh6 is not None or pkt.dst != old_dst:
-            return _RECIRC
-        return _NEXT
-
-    def _stage_transmit(self, ctx: DispatchContext):
+    def _transmit(self, pkt: Packet, route: Route) -> None:
         """Select a nexthop and park the packet on its device's egress batch."""
-        route, pkt = ctx.route, ctx.pkt
         nexthops = route.nexthops
         if len(nexthops) == 1:
             # ECMP selection is the 5-tuple hash's only consumer, so a
@@ -714,7 +621,7 @@ class Node:
             nexthop = route.select_nexthop(pkt.flow_hash() ^ self.ecmp_seed)
         if nexthop is None or nexthop.dev not in self.devices:
             self.counters.dropped += 1
-            return _CONSUMED
+            return
         pkt.trace.append(self.name)
         tctx = pkt.tctx
         if tctx is not None:
@@ -726,7 +633,6 @@ class Node:
         if out is None:
             batch[nexthop.dev] = out = []
         out.append(pkt)
-        return _CONSUMED
 
     def _apply_disposition(
         self, disposition: Disposition, pkt: Packet

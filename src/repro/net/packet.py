@@ -58,20 +58,32 @@ class Packet:
         "tctx",
     )
 
-    def __init__(self, data: bytes | bytearray, **kwargs):
+    def __init__(
+        self,
+        data: bytes | bytearray,
+        *,
+        rx_tstamp_ns: int = 0,
+        mark: int = 0,
+        input_dev: str | None = None,
+        nh6: bytes | None = None,
+        table_id: int | None = None,
+        flow_id: int = 0,
+        seq: int = 0,
+        tx_tstamp_ns: int = 0,
+        trace: list | None = None,
+        tctx: list | None = None,
+    ):
         self.data = bytearray(data)
-        self.rx_tstamp_ns = kwargs.pop("rx_tstamp_ns", 0)
-        self.mark = kwargs.pop("mark", 0)
-        self.input_dev = kwargs.pop("input_dev", None)
-        self.nh6 = kwargs.pop("nh6", None)
-        self.table_id = kwargs.pop("table_id", None)
-        self.flow_id = kwargs.pop("flow_id", 0)
-        self.seq = kwargs.pop("seq", 0)
-        self.tx_tstamp_ns = kwargs.pop("tx_tstamp_ns", 0)
-        self.trace = kwargs.pop("trace", [])
-        self.tctx = kwargs.pop("tctx", None)
-        if kwargs:
-            raise TypeError(f"unexpected Packet fields: {sorted(kwargs)}")
+        self.rx_tstamp_ns = rx_tstamp_ns
+        self.mark = mark
+        self.input_dev = input_dev
+        self.nh6 = nh6
+        self.table_id = table_id
+        self.flow_id = flow_id
+        self.seq = seq
+        self.tx_tstamp_ns = tx_tstamp_ns
+        self.trace = [] if trace is None else trace
+        self.tctx = tctx
 
     def __len__(self) -> int:
         return len(self.data)

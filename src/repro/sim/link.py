@@ -66,11 +66,6 @@ class LinkEndpoint:
         self.export = None
         self._remote_in_flight: dict[int, tuple] = {}
 
-    def tx_time_ns(self, size_bytes: int) -> int:
-        if self.rate_bps <= 0:
-            return 0
-        return int(size_bytes * 8 * NS_PER_SEC / self.rate_bps)
-
     def send(self, pkt: Packet) -> None:
         """Put one packet on the wire (batch of one)."""
         self.send_batch([pkt])
@@ -99,17 +94,20 @@ class LinkEndpoint:
             if self.queue_limit is not None and self._queued >= self.queue_limit:
                 stats.dropped += 1
                 continue
-            start = max(now, self._free_at_ns)
-            depart = start + self.tx_time_ns(len(pkt))
-            self._free_at_ns = depart
+            size = len(pkt.data)
+            start = depart if depart > now else now
+            depart = start
+            if self.rate_bps > 0:
+                depart += int(size * 8 * NS_PER_SEC / self.rate_bps)
             self._queued += 1
             stats.sent += 1
-            stats.bytes_sent += len(pkt)
+            stats.bytes_sent += size
             accepted.append(pkt)
             if pkt.tctx is not None:
                 if traced is None:
                     traced = []
                 traced.append((pkt, start, depart))
+        self._free_at_ns = depart
         if accepted:
             seq = self._send_seq
             self._send_seq += 1

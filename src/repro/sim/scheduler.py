@@ -231,7 +231,7 @@ class Scheduler:
         """
         self.events_coalesced += max(0, len(items) - 1)
         if key is not None:
-            return self.schedule_keyed(time_ns, key[0], key[1], callback, items, *args)
+            return self._push(int(time_ns), key[0], 0, key[1], callback, (items, *args))
         return self.schedule_at(time_ns, callback, items, *args)
 
     # -- execution -------------------------------------------------------------

@@ -146,7 +146,7 @@ class UdpFlow:
         if self.tracer is not None:
             self.tracer.admit(pkt, self.node.name, now)
         self.stats.sent += 1
-        self.stats.bytes_sent += len(pkt)
+        self.stats.bytes_sent += len(pkt.data)
         return pkt
 
     def _tick(self) -> None:

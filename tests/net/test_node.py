@@ -8,6 +8,7 @@ from repro.net import (
     End,
     EndBPF,
     EndDT6,
+    EndT,
     Icmpv6Message,
     LWT_HELPERS,
     Nexthop,
@@ -290,3 +291,125 @@ def test_runt_packet_dropped(router):
 
     router.receive(Packet(b"\x60\x00\x00"), router.devices["eth0"])
     assert router.counters.dropped == 1
+
+
+# -- the stage walk: order, gates and routing state across re-circulation ----
+#
+# Behaviours of the pipeline that every other test leaves free: a walk
+# that runs lwt-in on the wrong side, decrements twice, or carries a
+# redirect's table into the next lookup forwards all of the above.
+
+_DROP = "mov r0, 2\nexit"
+
+
+def _push_encap_prog(segment: str) -> Program:
+    """An LWT program pushing an outer header + one-segment SRH to ``segment``."""
+    seg = pton(segment)
+    lo, hi = (int.from_bytes(seg[i : i + 8], "little") for i in (0, 8))
+    return Program(
+        f"""
+        mov r6, r1
+        stb [r10-24], 41            ; next header: IPv6
+        stb [r10-23], 2             ; hdr_ext_len: one segment
+        stb [r10-22], 4             ; routing type: SRH
+        stb [r10-21], 0             ; segments_left
+        stw [r10-20], 0             ; last_entry, flags, tag
+        lddw r3, {lo:#x}
+        stxdw [r10-16], r3
+        lddw r3, {hi:#x}
+        stxdw [r10-8], r3
+        mov r1, r6
+        mov r2, 0                   ; BPF_LWT_ENCAP_SEG6 (outer)
+        mov r3, r10
+        add r3, -24
+        mov r4, 24
+        call lwt_push_encap
+        mov r0, 0
+        exit
+        """,
+        allowed_helpers=LWT_HELPERS,
+    )
+
+
+def _inner_hop_limit(pkt) -> int:
+    srh, offset = pkt.srh()
+    return pkt.data[offset + srh.wire_len + 7]
+
+
+def test_send_runs_lwt_in(router):
+    """A locally originated packet runs the route's ``lwt_in`` program.
+
+    Linux would not run ``lwt_in`` on output; the walk gates the stage on
+    "hop limit not yet decremented", which holds for every ``send()``.
+    Pinned as it is — changing it is its own issue.
+    """
+    prog = Program(_DROP, allowed_helpers=LWT_HELPERS)
+    router.add_route("fc00:3::/64", via="fc00:2::1", dev="eth1", encap=BpfLwt(prog_in=prog))
+    router.send(make_udp_packet("fc00:e::1", "fc00:3::3", 1, 2, b"x"))
+    assert not router.devices["eth1"].tx_buffer
+    assert router.counters.dropped == 1
+    assert router.counters.bpf_dropped == 1
+
+
+def test_lwt_in_is_skipped_after_the_decrement(router):
+    """lwt-in is input-side only: a packet re-circulated by a transit
+    encap lands on a ``prog_in`` route already decremented, and passes."""
+    prog = Program(_DROP, allowed_helpers=LWT_HELPERS)
+    router.add_route(
+        "fc00:9::/64", encap=Seg6Encap(segments=[pton("fc00:3::e1")], mode="encap")
+    )
+    router.add_route("fc00:3::/64", via="fc00:2::1", dev="eth1", encap=BpfLwt(prog_in=prog))
+    pkt = make_udp_packet("fc00:1::1", "fc00:9::9", 1, 2, b"x")
+    router.receive(pkt, router.devices["eth0"])
+    out = router.devices["eth1"].tx_buffer
+    assert len(out) == 1 and out[0].dst == pton("fc00:3::e1")
+    assert router.counters.dropped == 0
+    assert router.counters.bpf_dropped == 0
+
+
+def test_lwt_in_rewrite_without_redirect_leaves_by_the_new_route(router):
+    """``prog_in`` returns BPF_OK after changing the destination: the
+    packet re-enters the routing decision, it does not leave by the
+    nexthop of the route that carried the program."""
+    lwt = BpfLwt(prog_in=_push_encap_prog("fc00:2::e1"))
+    router.add_route("fc00:3::/64", via="fc00:1::1", dev="eth0", encap=lwt)
+    pkt = make_udp_packet("fc00:1::1", "fc00:3::3", 1, 2, b"x")
+    router.receive(pkt, router.devices["eth0"])
+    assert lwt.stats["ok"] == 1
+    assert not router.devices["eth0"].tx_buffer
+    out = router.devices["eth1"].tx_buffer
+    assert len(out) == 1 and out[0].dst == pton("fc00:2::e1")
+
+
+@pytest.mark.parametrize("kind", ["seg6_encap", "lwt_out_push_encap"])
+def test_hop_limit_decremented_once_across_recirculation(router, kind):
+    if kind == "seg6_encap":
+        encap = Seg6Encap(segments=[pton("fc00:2::e1")], mode="encap")
+        router.add_route("fc00:9::/64", encap=encap)
+    else:
+        encap = BpfLwt(prog_out=_push_encap_prog("fc00:2::e1"))
+        router.add_route("fc00:9::/64", via="fc00:1::1", dev="eth0", encap=encap)
+    pkt = make_udp_packet("fc00:1::1", "fc00:9::9", 1, 2, b"x", hop_limit=64)
+    router.receive(pkt, router.devices["eth0"])
+    out = router.devices["eth1"].tx_buffer
+    assert len(out) == 1 and out[0].dst == pton("fc00:2::e1")
+    assert router.counters.forwarded == 1
+    assert _inner_hop_limit(out[0]) == 63
+    assert out[0].hop_limit == 64  # as the encap built it
+
+
+def test_redirect_table_does_not_outlive_the_encap(router):
+    """End.T redirects into table 100, whose route pushes an SRH: the
+    pushed outer destination is looked up in the main table, not in 100."""
+    router.add_route("fc00:e::100/128", encap=EndT(table_id=100))
+    router.add_route(
+        "fc00:9::/64",
+        encap=Seg6Encap(segments=[pton("fc00:2::e1")], mode="encap"),
+        table_id=100,
+    )
+    router.add_route("fc00:2::/64", via="fc00:1::1", dev="eth0", table_id=100)  # decoy
+    pkt = make_srv6_udp_packet("fc00:1::1", ["fc00:e::100", "fc00:9::9"], 1, 2, b"x")
+    router.receive(pkt, router.devices["eth0"])
+    assert not router.devices["eth0"].tx_buffer
+    out = router.devices["eth1"].tx_buffer
+    assert len(out) == 1 and out[0].dst == pton("fc00:2::e1")

@@ -94,6 +94,10 @@ def test_unknown_packet_fields_rejected():
         Packet(b"\x60" + b"\x00" * 39, bogus=1)
 
 
+def test_default_trace_list_is_per_packet():
+    assert Packet(b"").trace is not Packet(b"").trace
+
+
 # --- FIB --------------------------------------------------------------------------
 
 
