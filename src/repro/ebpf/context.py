@@ -70,6 +70,10 @@ for _i in range(CB_SLOTS):
 class SkbContext:
     """Runtime context bound to one packet for one program invocation."""
 
+    # Addresses handed to the program in r1 and r10.
+    ctx_addr = CTX_BASE
+    stack_top = STACK_BASE + isa.STACK_SIZE
+
     def __init__(self, mem: Memory, packet_bytes: bytes, mark: int = 0):
         self.mem = mem
         self.packet_region = mem.add_region(
@@ -87,15 +91,6 @@ class SkbContext:
         self.stack_region = mem.add_region(
             Region(STACK_BASE, bytearray(isa.STACK_SIZE), PROT_READ | PROT_WRITE, "stack")
         )
-
-    # -- addresses handed to the program ------------------------------------
-    @property
-    def ctx_addr(self) -> int:
-        return CTX_BASE
-
-    @property
-    def stack_top(self) -> int:
-        return STACK_BASE + isa.STACK_SIZE
 
     # -- burst-mode reuse ------------------------------------------------------
     def rearm(self, packet_bytes: bytes, mark: int = 0, zero_stack: bool = True) -> None:

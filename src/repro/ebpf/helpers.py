@@ -188,13 +188,12 @@ def install_map_regions(mem: Memory, maps: dict[int, Map]) -> None:
 
 @register_helper(1, "map_lookup_elem", [("map_ptr",), ("map_key",)], "map_value_or_null")
 def _map_lookup_elem(hctx: HelperContext, map_addr: int, key_addr: int) -> int:
-    map_obj = hctx.resolve_map(map_addr)
-    key = hctx.mem.read_bytes(key_addr, map_obj.key_size)
-    found = map_obj.lookup_slot(key)
+    # The table read directly; resolve_map only raises for an unbound handle.
+    map_obj = hctx.maps_by_addr.get(map_addr) or hctx.resolve_map(map_addr)
+    found = map_obj.lookup_slot(hctx.mem.read_bytes(key_addr, map_obj.key_size))
     if found is None:
         return 0
-    slot, storage = found
-    return map_obj.register_value_region(hctx.mem, slot, storage)
+    return map_obj.register_value_region(hctx.mem, *found)
 
 
 @register_helper(

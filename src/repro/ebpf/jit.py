@@ -12,13 +12,15 @@ which
   program runs top to bottom without ever returning to a dispatcher
   (and a single-block program compiles to a plain function body);
 * memory accesses whose region the verifier already proved —
-  context, stack or packet — compile to direct byte-array indexing on
-  that region's backing buffer, skipping the generic
-  :meth:`repro.ebpf.memory.Memory.find` bounds/permission walk.  The
-  safety argument is the verifier's: a ctx access is within
+  context, stack, packet or a map value — compile to direct byte-array
+  indexing on that region's backing buffer, skipping the generic
+  :class:`repro.ebpf.memory.Memory` bisect and bounds/permission check.
+  The safety argument is the verifier's: a ctx access is within
   ``CTX_FIELDS``, a stack access within the 512-byte frame, a packet
-  access below a runtime-checked ``data_end`` — exactly how the kernel
-  JIT trusts verifier proofs instead of re-checking at runtime.
+  access below a runtime-checked ``data_end``, a map-value access at a
+  constant offset inside ``value_size`` of a value this invocation looked
+  up (so ``Memory.values`` holds its buffer) — exactly how the kernel JIT
+  trusts verifier proofs instead of re-checking at runtime.
 
 There is one translator; "v2" in the counter names and in the archived
 ``BENCH_pr4.json`` rows refers to it.
@@ -93,7 +95,7 @@ _REGION_BIND = {
 # (and from there into repro.bench.amortisation_stats / benchmark JSON).
 _JIT_V2_STATS = {
     # Translation-time: memory accesses compiled to direct region indexing
-    # instead of the generic Memory.find path.
+    # instead of the generic Memory path.
     "v2_region_loads": 0,
     "v2_region_stores": 0,
     # Runtime: batch-resident End.BPF invocation (see Node._run_group).
@@ -114,35 +116,33 @@ class JitProgram:
 
     ``regions`` is the verifier's slot-pc → region-tag annotation map
     (see :attr:`repro.ebpf.verifier.Verifier.region_hints`).  Accesses
-    tagged ``ctx``/``stack``/``pkt`` compile to direct byte-array access;
-    without annotations (or for ambiguous/map-value accesses) the generic
-    ``Memory`` path is emitted, so a :class:`JitProgram` built from raw
-    instructions still runs unverified test programs faithfully.
+    tagged ``ctx``/``stack``/``pkt``/``("map_value", offset)`` compile to
+    direct byte-array access; without annotations (or for ``mixed`` ones)
+    the generic ``Memory`` path is emitted, so a :class:`JitProgram` built
+    from raw instructions still runs unverified test programs faithfully.
 
-    A region-specialised function needs ``hctx.skb``; for the rare caller
-    running a bare :class:`~repro.ebpf.helpers.HelperContext` without one,
-    :meth:`run` lazily compiles and uses the generic variant.
+    A function specialised on ctx, stack or packet needs ``hctx.skb`` (map
+    values come from ``mem``); for the rare caller running a bare
+    :class:`~repro.ebpf.helpers.HelperContext` without one, :meth:`run`
+    lazily compiles and uses the generic variant.
     """
 
     def __init__(self, insns: list[Instruction], helpers=None, regions=None):
         self.helpers = helpers if helpers is not None else HELPERS_BY_ID
         self._insns = list(insns)
-        self.source, spec_loads, spec_stores = _translate(
-            self._insns, self.helpers, regions
-        )
+        self.source, spec = _translate(self._insns, self.helpers, regions)
         self._fn = _compile(self.source)
-        self._specialised = bool(spec_loads or spec_stores)
-        self._generic_fn = None if self._specialised else self._fn
-        _JIT_V2_STATS["v2_region_loads"] += spec_loads
-        _JIT_V2_STATS["v2_region_stores"] += spec_stores
+        self._needs_skb = bool(spec.buffers)
+        self._generic_fn = None if self._needs_skb else self._fn
+        _JIT_V2_STATS["v2_region_loads"] += spec.loads
+        _JIT_V2_STATS["v2_region_stores"] += spec.stores
 
     def run(self, hctx: HelperContext, ctx_addr: int, stack_top: int) -> int:
         fn = self._fn
-        if hctx.skb is None and self._specialised:
+        if hctx.skb is None and self._needs_skb:
             fn = self._generic_fn
             if fn is None:
-                source, _loads, _stores = _translate(self._insns, self.helpers, None)
-                fn = self._generic_fn = _compile(source)
+                fn = self._generic_fn = _compile(_translate(self._insns, self.helpers)[0])
         return fn(hctx, hctx.mem, self.helpers, ctx_addr, stack_top)
 
 
@@ -340,7 +340,7 @@ def _used_registers(slots) -> set[int]:
 def _translate(insns: list[Instruction], helpers, regions=None):
     """The translator: threaded blocks + region-specialised memory.
 
-    Returns ``(source, specialised_loads, specialised_stores)``.
+    Returns ``(source, spec)``; ``spec`` counts the specialised accesses.
     """
     slots = flatten(insns)
     leaders = _block_starts(slots)
@@ -368,6 +368,8 @@ def _translate(insns: list[Instruction], helpers, regions=None):
         for tag in ("ctx", "stack", "pkt"):
             if tag in spec.buffers:
                 lines.append("    " + _REGION_BIND[tag])
+    if spec.values:
+        lines.append("    _values = mem.values")
     for hid in used_helpers:
         lines.append(f"    _h{hid} = helpers[{hid}]")
 
@@ -385,7 +387,7 @@ def _translate(insns: list[Instruction], helpers, regions=None):
         # a straight-line function body.
         body = _emit_block(slots, 0, leaders, block_id, spec)
         lines.extend("    " + stmt for stmt in body)
-        return "\n".join(lines) + "\n", spec.loads, spec.stores
+        return "\n".join(lines) + "\n", spec
 
     # Threaded layout: blocks in program order, each guarded by one
     # integer compare.  A forward transfer assigns ``_b`` and falls
@@ -398,7 +400,7 @@ def _translate(insns: list[Instruction], helpers, regions=None):
         lines.append(f"        if _b == {index}:")
         body = _emit_block(slots, leader, leaders, block_id, spec)
         lines.extend("            " + stmt for stmt in body)
-    return "\n".join(lines) + "\n", spec.loads, spec.stores
+    return "\n".join(lines) + "\n", spec
 
 
 class _Spec:
@@ -406,29 +408,29 @@ class _Spec:
 
     def __init__(self, slots, regions):
         self.regions = regions
-        self.buffers: set[str] = set()
+        self.buffers: set[str] = set()  # of ctx/stack/pkt: bound from hctx.skb
+        self.values = False  # some access indexes mem.values
         self.generic_loads = False
         self.generic_stores = False
         self.loads = 0
         self.stores = 0
         for pc, insn in enumerate(slots):
-            if insn is None:
+            if insn is None or insn.klass not in (isa.BPF_LDX, isa.BPF_ST, isa.BPF_STX):
                 continue
-            klass = insn.klass
-            if klass == isa.BPF_LDX:
-                if regions.get(pc) in _REGION_BUF:
-                    self.buffers.add(regions[pc])
-                else:
-                    self.generic_loads = True
-            elif klass in (isa.BPF_ST, isa.BPF_STX):
-                if regions.get(pc) in _REGION_BUF:
-                    self.buffers.add(regions[pc])
-                else:
-                    self.generic_stores = True
+            tag = self.tag_for(pc)
+            if tag in _REGION_BUF:
+                self.buffers.add(tag)
+            elif tag is not None:
+                self.values = True
+            elif insn.klass == isa.BPF_LDX:
+                self.generic_loads = True
+            else:
+                self.generic_stores = True
 
     def tag_for(self, pc: int):
+        """``ctx``/``stack``/``pkt``, ``("map_value", offset)``, or None for the generic path."""
         tag = self.regions.get(pc)
-        return tag if tag in _REGION_BUF else None
+        return tag if tag in _REGION_BUF or type(tag) is tuple else None
 
 
 _LOAD_FN = {2: "_lu16", 4: "_lu32", 8: "_lu64"}
@@ -436,19 +438,26 @@ _STORE_FN = {2: "_su16", 4: "_su32", 8: "_su64"}
 _SIZE_MASKS = {1: "0xFF", 2: "0xFFFF", 4: "0xFFFFFFFF"}
 
 
+def _spec_site(reg: int, insn_off: int, tag) -> tuple[str, str]:
+    """(buffer, index) expressions of a specialised access through ``r<reg> + insn_off``."""
+    if type(tag) is tuple:
+        # ("map_value", offset): the access is at ``offset`` inside the value,
+        # so the value's base address is the register plus ``insn_off - offset``.
+        back = insn_off - tag[1]
+        return (f"_values[r{reg} + {back}]" if back else f"_values[r{reg}]"), str(tag[1])
+    off = insn_off - _REGION_BASE[tag]
+    return _REGION_BUF[tag], (f"r{reg} + {off}" if off else f"r{reg}")
+
+
 def _emit_spec_load(insn, tag, size) -> str:
-    buf = _REGION_BUF[tag]
-    off = insn.off - _REGION_BASE[tag]
-    idx = f"r{insn.src_reg} + {off}" if off else f"r{insn.src_reg}"
+    buf, idx = _spec_site(insn.src_reg, insn.off, tag)
     if size == 1:
         return f"r{insn.dst_reg} = {buf}[{idx}]"
     return f"r{insn.dst_reg} = {_LOAD_FN[size]}({buf}, {idx})[0]"
 
 
 def _emit_spec_store(insn, tag, size, value: str) -> str:
-    buf = _REGION_BUF[tag]
-    off = insn.off - _REGION_BASE[tag]
-    idx = f"r{insn.dst_reg} + {off}" if off else f"r{insn.dst_reg}"
+    buf, idx = _spec_site(insn.dst_reg, insn.off, tag)
     if size == 1:
         return f"{buf}[{idx}] = {value}"
     return f"{_STORE_FN[size]}({buf}, {idx}, {value})"

@@ -21,7 +21,7 @@ import threading
 from typing import Iterator
 
 from .errors import MapError
-from .memory import Memory, PROT_READ, PROT_WRITE, Region
+from .memory import Memory
 
 _fd_counter = itertools.count(3)  # fds 0-2 are taken, as in any self-respecting process
 _fd_lock = threading.Lock()
@@ -77,12 +77,7 @@ class Map:
 
     def register_value_region(self, mem: Memory, slot: int, data: bytearray) -> int:
         """Expose one entry's storage in the invocation's address space."""
-        addr = self.value_addr(slot)
-        if not mem.mapped(addr):
-            mem.add_region(
-                Region(addr, data, PROT_READ | PROT_WRITE, "map_value", self)
-            )
-        return addr
+        return mem.map_value(self._value_base + slot * self._stride, data, self)
 
     def _check_key(self, key: bytes) -> None:
         if len(key) != self.key_size:

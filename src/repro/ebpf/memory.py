@@ -9,11 +9,16 @@ permission-checked and raise :class:`MemoryFault` on violation.
 
 Region base addresses are stable across invocations for map values, which
 is what lets eBPF keep persistent state behind map-lookup pointers.
+
+Every access is one ``bisect_right`` over the region bases plus a bounds
+and a permission check: the interpreter's path and the JIT's generic one,
+the reference for the JIT's region-specialised accesses.  Those index a
+map value through :attr:`Memory.values`, not through its region.
 """
 
 from __future__ import annotations
 
-import bisect
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 from .errors import MemoryFault
@@ -55,10 +60,13 @@ class Memory:
     def __init__(self) -> None:
         self._bases: list[int] = []
         self._regions: list[Region] = []
+        # Value base address -> buffer of each "map_value" region mapped
+        # since the last restore().
+        self.values: dict[int, bytearray] = {}
 
     # -- region management -------------------------------------------------
     def add_region(self, region: Region) -> Region:
-        idx = bisect.bisect_left(self._bases, region.base)
+        idx = bisect_left(self._bases, region.base)
         prev_ok = idx == 0 or self._regions[idx - 1].end <= region.base
         next_ok = idx == len(self._bases) or region.end <= self._bases[idx]
         if not (prev_ok and next_ok):
@@ -69,9 +77,27 @@ class Memory:
         self._regions.insert(idx, region)
         return region
 
+    def map_value(self, addr: int, data: bytearray, tag: object = None) -> int:
+        """Map one map entry's storage at its stable address ``addr``; returns ``addr``."""
+        idx = bisect_right(self._bases, addr)
+        prev = self._regions[idx - 1] if idx else None
+        if prev is not None and prev.base == addr:
+            # Mapped already — to other storage if the slot was deleted and
+            # re-inserted since, so region and table move to ``data``.
+            prev.data = self.values[addr] = data
+            return addr
+        if (prev is not None and prev.base + len(prev.data) > addr) or (
+            idx < len(self._bases) and addr + len(data) > self._bases[idx]
+        ):
+            raise MemoryFault(f"region {addr:#x}+{len(data)} overlaps existing")
+        self._bases.insert(idx, addr)
+        self._regions.insert(idx, Region(addr, data, PROT_READ | PROT_WRITE, "map_value", tag))
+        self.values[addr] = data
+        return addr
+
     def find(self, addr: int, size: int = 1) -> Region:
         """Locate the region holding [addr, addr+size) or fault."""
-        idx = bisect.bisect_right(self._bases, addr) - 1
+        idx = bisect_right(self._bases, addr) - 1
         if idx >= 0:
             region = self._regions[idx]
             if region.contains(addr, size):
@@ -80,7 +106,7 @@ class Memory:
 
     def mapped(self, addr: int) -> bool:
         """Whether ``addr`` lies in a region — :meth:`find` without the fault."""
-        idx = bisect.bisect_right(self._bases, addr) - 1
+        idx = bisect_right(self._bases, addr) - 1
         return idx >= 0 and self._regions[idx].contains(addr, 1)
 
     def region_by_kind(self, kind: str) -> Region | None:
@@ -106,41 +132,41 @@ class Memory:
         Regions are only ever added (helpers map scratch buffers and map
         values lazily), so restoring the snapshot's table is exactly
         equivalent to assembling a fresh address space from the stable
-        regions.
+        regions; the map values among them leave :attr:`values` too.
         """
         bases, regions = snapshot
         if len(self._regions) != len(regions):
             self._bases[:] = bases
             self._regions[:] = regions
+            self.values.clear()
 
-    # -- scalar accessors ----------------------------------------------------
+    # -- accessors (scalar for the engines, bulk for the helpers) -------------
+    def _span(self, addr: int, size: int, prot: int) -> tuple[bytearray, int]:
+        """(buffer, offset) of [addr, addr+size): one bisect, bounds and permission checked."""
+        idx = bisect_right(self._bases, addr) - 1
+        if idx >= 0:
+            region = self._regions[idx]
+            off = addr - region.base
+            if off + size <= len(region.data):
+                if region.prot & prot:
+                    return region.data, off
+                if prot == PROT_READ:
+                    raise MemoryFault(f"read from non-readable region at {addr:#x}")
+                raise MemoryFault(f"write to read-only region at {addr:#x}")
+        raise MemoryFault(f"access to unmapped guest address {addr:#x} (+{size})")
+
     def load(self, addr: int, size: int) -> int:
-        region = self.find(addr, size)
-        if not region.prot & PROT_READ:
-            raise MemoryFault(f"read from non-readable region at {addr:#x}")
-        off = addr - region.base
-        return int.from_bytes(region.data[off : off + size], "little")
+        data, off = self._span(addr, size, PROT_READ)
+        return int.from_bytes(data[off : off + size], "little")
 
     def store(self, addr: int, size: int, value: int) -> None:
-        region = self.find(addr, size)
-        if not region.prot & PROT_WRITE:
-            raise MemoryFault(f"write to read-only region at {addr:#x}")
-        off = addr - region.base
-        region.data[off : off + size] = (value & ((1 << (8 * size)) - 1)).to_bytes(
-            size, "little"
-        )
+        data, off = self._span(addr, size, PROT_WRITE)
+        data[off : off + size] = (value & ((1 << (8 * size)) - 1)).to_bytes(size, "little")
 
-    # -- bulk accessors (helpers use these) -----------------------------------
     def read_bytes(self, addr: int, size: int) -> bytes:
-        region = self.find(addr, size)
-        if not region.prot & PROT_READ:
-            raise MemoryFault(f"read from non-readable region at {addr:#x}")
-        off = addr - region.base
-        return bytes(region.data[off : off + size])
+        data, off = self._span(addr, size, PROT_READ)
+        return bytes(data[off : off + size])
 
     def write_bytes(self, addr: int, data: bytes) -> None:
-        region = self.find(addr, len(data))
-        if not region.prot & PROT_WRITE:
-            raise MemoryFault(f"write to read-only region at {addr:#x}")
-        off = addr - region.base
-        region.data[off : off + len(data)] = data
+        buffer, off = self._span(addr, len(data), PROT_WRITE)
+        buffer[off : off + len(data)] = data

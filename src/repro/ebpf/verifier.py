@@ -162,17 +162,17 @@ class Verifier:
         self._null_counter = 0
         self._visits = 0
         # Region annotations for the JIT (slot pc -> "ctx"|"stack"|"pkt"|
-        # "map_value"|"mixed").  Every load/store this verifier proves safe
-        # records which memory region its base pointer addressed; an
-        # instruction reached with different provenances on different paths
-        # degrades to "mixed".  The JIT's region-specialised translation
-        # emits direct byte-array access for unambiguous ctx/stack/pkt
-        # accesses and falls back to the generic bounds-checked path for
-        # everything else — the proof that makes the direct access safe is
-        # exactly the check performed here.
-        self.region_hints: dict[int, str] = {}
+        # ("map_value", offset in the value)|"mixed").  Every load/store
+        # this verifier proves safe records which memory region its base
+        # pointer addressed; an instruction reached with different
+        # provenances (or value offsets) on different paths degrades to
+        # "mixed".  The JIT's region-specialised translation emits direct
+        # byte-array access for every unambiguous access and the generic
+        # bounds-checked path for "mixed" — the proof that makes the direct
+        # access safe is exactly the check performed here.
+        self.region_hints: dict[int, str | tuple[str, int]] = {}
 
-    def _note_region(self, pc: int, tag: str) -> None:
+    def _note_region(self, pc: int, tag: str | tuple[str, int]) -> None:
         prev = self.region_hints.get(pc)
         if prev is None:
             self.region_hints[pc] = tag
@@ -425,7 +425,7 @@ class Verifier:
                 raise VerifierError(
                     f"map value read at {off}+{size} out of bounds", pc
                 )
-            self._note_region(pc, "map_value")
+            self._note_region(pc, (MAP_VALUE, off))
             state.regs[insn.dst_reg] = _scalar()
         elif base.kind == MAP_VALUE_OR_NULL:
             raise VerifierError("map value accessed before NULL check", pc)
@@ -479,7 +479,7 @@ class Verifier:
                 raise VerifierError(f"map value write at {off}+{size} out of bounds", pc)
             if src.kind in _POINTER_KINDS:
                 raise VerifierError("cannot store a pointer into a map value", pc)
-            self._note_region(pc, "map_value")
+            self._note_region(pc, (MAP_VALUE, off))
         elif base.kind == PKT:
             raise VerifierError(
                 "packet is read-only on seg6local/LWT hooks; use the seg6 helpers",

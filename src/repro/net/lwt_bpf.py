@@ -16,12 +16,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..ebpf import BPF_DROP, BPF_OK, BPF_REDIRECT, Program
+from ..ebpf import Program
 from ..ebpf import jit as _jit
 from ..ebpf.jit import compiled_handler
-from ..ebpf.errors import BpfError, VmFault
 from .packet import Packet
-from .seg6local import _FORWARD, Disposition
+from .seg6local import _FORWARD, Disposition, run_attached
 
 
 @dataclass
@@ -86,33 +85,4 @@ class BpfLwt:
         hctx = self._handler_for(hook, program).arm(
             pkt.data, clock_ns=node.clock_ns, rng=node.rng, mark=pkt.mark
         )
-        hctx.packet = pkt
-        hctx.node = node
-        hctx.hook = hook
-        try:
-            ret = program.run(hctx)
-        except (VmFault, BpfError) as exc:
-            self.stats["errors"] += 1
-            node.log(f"BPF LWT program fault on {hook}: {exc}")
-            return Disposition.drop(f"program fault: {exc}", bpf=True)
-
-        region_data = hctx.skb.packet_region.data
-        if region_data != pkt.data:
-            pkt.data = bytearray(region_data)
-        pkt.mark = hctx.skb.mark
-
-        if ret == BPF_OK:
-            self.stats["ok"] += 1
-            return _FORWARD
-        if ret == BPF_REDIRECT:
-            self.stats["redirect"] += 1
-            return Disposition.forward(
-                table_id=hctx.metadata.get("redirect_table"),
-                nh6=hctx.metadata.get("redirect_nh6"),
-            )
-        self.stats["drop"] += 1
-        if ret == BPF_DROP:
-            return Disposition.drop("BPF_DROP", bpf=True)
-        # A malformed verdict is a datapath policy drop, not the program
-        # explicitly asking for one — it does not count as bpf_dropped.
-        return Disposition.drop(f"unknown BPF return {ret}")
+        return run_attached(program, hook, self.stats, pkt, node, hctx)

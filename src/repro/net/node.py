@@ -580,9 +580,12 @@ class Node:
                     if tctx is not None:
                         t = self.clock_ns()
                         tctx.append((t, t, "stage:encap", self.name, ""))
-                    pkt.data = bytearray(
-                        encap.apply(bytes(pkt.data), self.primary_address())
-                    )
+                    try:
+                        pkt.data = bytearray(encap.apply(pkt.data, self.primary_address()))
+                    except ValueError as exc:
+                        self.log(f"seg6 encap failed: {exc}")
+                        counters.dropped += 1
+                        return
                     table_id = nh6 = route = None
                     continue
                 # -- lwt-out/xmit: route-attached output programs (§2.1)

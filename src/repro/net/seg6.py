@@ -3,17 +3,23 @@
 The Linux ``seg6`` lwtunnel implements the two transit behaviours the
 paper describes (§2): inserting an SRH into an IPv6 packet (inline,
 ``T.Insert``) and encapsulating the packet in an outer IPv6 header that
-carries an SRH (``T.Encaps``).  Both are pure byte-level transforms here,
-shared by the static lwtunnel and by ``bpf_lwt_push_encap`` (§3.1).
+carries an SRH (``T.Encaps``).  Both, and their inverses, are transforms
+on *wire bytes*, shared by the static lwtunnel, the decapsulating
+seg6local actions and ``bpf_lwt_push_encap`` / ``bpf_lwt_seg6_action``
+(§3.1): the SRH goes in as its packed bytes with only the next-header
+byte rewritten, and no ``SRH`` or ``IPv6Header`` object is built.
+Callers that hold an ``SRH`` (daemons, tests) may pass it instead of its
+bytes; ``SRH.parse`` is the reference the tests hold all of this to.
 """
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 
 from .addr import as_addr
-from .ipv6 import IPV6_HEADER_LEN, IPv6Header, PROTO_IPV6, PROTO_ROUTING
-from .srh import SRH, make_srh
+from .ipv6 import IPV6_HEADER_LEN, PROTO_IPV6, PROTO_ROUTING
+from .srh import OFF_SEGMENTS_LEFT, SEGMENT_LEN, SRH, SRH_FIXED_LEN, make_srh, srh_wire_len
 
 SEG6_MODE_ENCAP = "encap"
 SEG6_MODE_INLINE = "inline"
@@ -22,64 +28,99 @@ SEG6_MODE_INLINE = "inline"
 BPF_LWT_ENCAP_SEG6 = 0
 BPF_LWT_ENCAP_SEG6_INLINE = 1
 
+_PACK_HEADER = struct.Struct(">IHBB16s16s").pack
+_NH_IPV6 = bytes([PROTO_IPV6])
 
-def push_srh_inline(data: bytes, srh: SRH) -> bytes:
-    """Insert ``srh`` right after the IPv6 header (T.Insert).
+
+def _check_ipv6(data) -> None:
+    """Raise what ``IPv6Header.parse`` raises: too short, or not version 6."""
+    if len(data) < IPV6_HEADER_LEN:
+        raise ValueError(f"short IPv6 header: {len(data)} bytes")
+    if data[0] >> 4 != 6:
+        raise ValueError(f"not an IPv6 packet (version {data[0] >> 4})")
+
+
+def _push(word0, payload_length, hop_limit, src, srh, next_header, payload) -> bytes:
+    """IPv6 header to ``srh``'s active segment + ``srh`` + ``payload``.
+
+    Wire bytes, checked by their producer with :func:`~repro.net.srh.srh_wire_len`,
+    go in as they are but for the next-header byte.
+    """
+    raw_srh = srh.pack() if isinstance(srh, SRH) else srh
+    payload_length += len(raw_srh)
+    if payload_length > 0xFFFF:
+        raise ValueError(f"payload length {payload_length} exceeds 65535")
+    at = SRH_FIXED_LEN + SEGMENT_LEN * raw_srh[OFF_SEGMENTS_LEFT]
+    header = _PACK_HEADER(
+        word0, payload_length, PROTO_ROUTING, hop_limit, src, raw_srh[at : at + SEGMENT_LEN]
+    )
+    return b"".join((header, next_header, raw_srh[1:], payload))
+
+
+def push_srh_inline(data, srh: SRH | bytes) -> bytes:
+    """Insert ``srh`` (object or wire bytes) right after the IPv6 header (T.Insert).
 
     The caller must have placed the original destination as the SRH's
     final segment (``segments[0]``); the IPv6 destination is rewritten to
     the SRH's active segment.
     """
-    header = IPv6Header.parse(data)
-    srh.next_header = header.next_header
-    raw_srh = srh.pack()
-    header.next_header = PROTO_ROUTING
-    header.dst = srh.current_segment
-    header.payload_length += len(raw_srh)
-    return header.pack() + raw_srh + data[IPV6_HEADER_LEN:]
+    _check_ipv6(data)
+    word0, length = int.from_bytes(data[:4], "big"), (data[4] << 8) | data[5]
+    return _push(word0, length, data[7], data[8:24], srh, data[6:7], data[IPV6_HEADER_LEN:])
 
 
-def push_outer_encap(data: bytes, outer_src: bytes, srh: SRH, hop_limit: int = 64) -> bytes:
-    """Encapsulate in an outer IPv6 header carrying ``srh`` (T.Encaps)."""
-    srh.next_header = PROTO_IPV6
-    raw_srh = srh.pack()
-    outer = IPv6Header(
-        src=outer_src,
-        dst=srh.current_segment,
-        next_header=PROTO_ROUTING,
-        payload_length=len(raw_srh) + len(data),
-        hop_limit=hop_limit,
-    )
-    return outer.pack() + raw_srh + data
+def push_outer_encap(data, outer_src: bytes, srh: SRH | bytes, hop_limit: int = 64) -> bytes:
+    """Encapsulate in an outer IPv6 header carrying ``srh``, object or wire bytes (T.Encaps)."""
+    return _push(0x60000000, len(data), hop_limit, as_addr(outer_src), srh, _NH_IPV6, data)
 
 
 def pop_srh(data: bytes) -> bytes:
     """Remove the SRH that directly follows the IPv6 header."""
-    header = IPv6Header.parse(data)
-    if header.next_header != PROTO_ROUTING:
+    _check_ipv6(data)
+    if data[6] != PROTO_ROUTING:
         raise ValueError("packet has no SRH to remove")
-    srh = SRH.parse(data, IPV6_HEADER_LEN)
-    header.next_header = srh.next_header
-    header.payload_length -= srh.wire_len
-    return header.pack() + data[IPV6_HEADER_LEN + srh.wire_len :]
+    total = srh_wire_len(data, IPV6_HEADER_LEN)
+    payload_length = ((data[4] << 8) | data[5]) - total
+    if payload_length < 0:
+        raise ValueError("payload length shorter than the SRH")
+    header = bytearray(data[:IPV6_HEADER_LEN])
+    header[4:7] = payload_length.to_bytes(2, "big") + data[IPV6_HEADER_LEN : IPV6_HEADER_LEN + 1]
+    return bytes(header + data[IPV6_HEADER_LEN + total :])
+
+
+def decap_in_place(data: bytearray) -> str | None:
+    """Strip the outer IPv6 header and its routing headers off ``data``.
+
+    The decapsulation part of End.DT6/End.DX6: the outer header's next
+    chain must lead to an inner IPv6 packet through SRHs ``SRH.parse``
+    accepts.  Returns None, or the reason with ``data`` untouched.
+    """
+    if len(data) < IPV6_HEADER_LEN:
+        return f"short IPv6 header: {len(data)} bytes"
+    if data[0] >> 4 != 6:
+        return f"not an IPv6 packet (version {data[0] >> 4})"
+    proto = data[6]
+    offset = IPV6_HEADER_LEN
+    try:
+        while proto == PROTO_ROUTING:
+            total = srh_wire_len(data, offset)
+            proto = data[offset]
+            offset += total
+    except ValueError as exc:
+        return str(exc)
+    if proto != PROTO_IPV6:
+        return "no inner IPv6 packet to decapsulate"
+    del data[:offset]
+    return None
 
 
 def decap_outer(data: bytes) -> bytes:
-    """Strip the outer IPv6 header (and its SRH) from encapsulated traffic.
-
-    Implements the decapsulation part of End.DT6/End.DX6: the outer
-    header's next chain must lead to an inner IPv6 packet.
-    """
-    header = IPv6Header.parse(data)
-    offset = IPV6_HEADER_LEN
-    proto = header.next_header
-    while proto == PROTO_ROUTING:
-        srh = SRH.parse(data, offset)
-        offset += srh.wire_len
-        proto = srh.next_header
-    if proto != PROTO_IPV6:
-        raise ValueError("no inner IPv6 packet to decapsulate")
-    return bytes(data[offset:])
+    """:func:`decap_in_place` on a copy; raises ValueError with its reason."""
+    inner = bytearray(data)
+    reason = decap_in_place(inner)
+    if reason is not None:
+        raise ValueError(reason)
+    return bytes(inner)
 
 
 @dataclass
@@ -99,13 +140,13 @@ class Seg6Encap:
             raise ValueError(f"unknown seg6 mode {self.mode!r}")
         if not self.segments:
             raise ValueError("seg6 encap needs at least one segment")
+        # Encap mode pushes the same SRH on every packet: packed once.
+        self._raw_srh = make_srh(list(self.segments), next_header=PROTO_IPV6).pack()
 
     def apply(self, data: bytes, node_src: bytes) -> bytes:
         """Encapsulate/insert per ``mode``; returns the new packet bytes (§2 transit behaviours)."""
-        header = IPv6Header.parse(data)
+        _check_ipv6(data)
         if self.mode == SEG6_MODE_INLINE:
-            path = list(self.segments) + [header.dst]
-            srh = make_srh(path, next_header=header.next_header)
+            srh = make_srh(self.segments + [data[24:IPV6_HEADER_LEN]], next_header=data[6])
             return push_srh_inline(data, srh)
-        srh = make_srh(list(self.segments), next_header=PROTO_IPV6)
-        return push_outer_encap(data, node_src, srh)
+        return push_outer_encap(data, node_src, self._raw_srh)

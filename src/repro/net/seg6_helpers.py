@@ -24,7 +24,7 @@ from .ipv6 import IPV6_HEADER_LEN, PROTO_ROUTING
 from .seg6 import (
     BPF_LWT_ENCAP_SEG6,
     BPF_LWT_ENCAP_SEG6_INLINE,
-    decap_outer,
+    decap_in_place,
     push_outer_encap,
     push_srh_inline,
 )
@@ -35,7 +35,7 @@ from .seg6local import (
     SEG6_LOCAL_ACTION_END_T,
     SEG6_LOCAL_ACTION_END_X,
 )
-from .srh import SRH, srh_wire_span
+from .srh import srh_wire_len, srh_wire_span
 
 _ERR = -22 & isa.U64  # -EINVAL
 _OK = 0
@@ -167,8 +167,6 @@ def _lwt_seg6_action(
     """
     _require_hook(hctx, ("seg6local",), "lwt_seg6_action")
     param = hctx.mem.read_bytes(param_addr, param_len)
-    node = hctx.node
-    packet = hctx.skb.packet_bytes()
 
     if action == SEG6_LOCAL_ACTION_END_X:
         if param_len != 16:
@@ -183,33 +181,43 @@ def _lwt_seg6_action(
         return _OK
 
     if action == SEG6_LOCAL_ACTION_END_DT6:
-        if param_len != 4:
-            return _ERR
-        try:
-            inner = decap_outer(packet)
-        except ValueError:
+        inner = bytearray(hctx.skb.packet_region.data)
+        if param_len != 4 or decap_in_place(inner) is not None:
             return _ERR
         hctx.skb.replace_packet(inner)
         hctx.metadata["redirect_table"] = int.from_bytes(param, "little")
         return _OK
 
-    if action in (SEG6_LOCAL_ACTION_END_B6, SEG6_LOCAL_ACTION_END_B6_ENCAP):
-        try:
-            srh = SRH.parse(param)
-        except ValueError:
-            return _ERR
-        try:
-            if action == SEG6_LOCAL_ACTION_END_B6:
-                new_packet = push_srh_inline(packet, srh)
-            else:
-                source = node.primary_address() if node else bytes(16)
-                new_packet = push_outer_encap(packet, source, srh)
-        except ValueError:
-            return _ERR
-        hctx.skb.replace_packet(new_packet)
-        return _OK
-
+    if action == SEG6_LOCAL_ACTION_END_B6:
+        return _push_srh(hctx, BPF_LWT_ENCAP_SEG6_INLINE, param)
+    if action == SEG6_LOCAL_ACTION_END_B6_ENCAP:
+        return _push_srh(hctx, BPF_LWT_ENCAP_SEG6, param)
     return _ERR
+
+
+def _push_srh(hctx: HelperContext, encap_type: int, raw, exact_len: bool = False) -> int:
+    """Splice the program's SRH into the packet as the wire bytes it is.
+
+    :func:`~repro.net.srh.srh_wire_len` accepts what ``SRH.parse`` accepts; ``raw`` is
+    cut to the length the header states (``exact_len``: it must be that long).
+    """
+    skb = hctx.skb
+    try:
+        total = srh_wire_len(raw)
+        if exact_len and total != len(raw):
+            return _ERR
+        if encap_type == BPF_LWT_ENCAP_SEG6:
+            node = hctx.node
+            source = node.primary_address() if node else bytes(16)
+            new_packet = push_outer_encap(skb.packet_region.data, source, raw[:total])
+        elif encap_type == BPF_LWT_ENCAP_SEG6_INLINE:
+            new_packet = push_srh_inline(skb.packet_region.data, raw[:total])
+        else:
+            return _ERR
+    except ValueError:
+        return _ERR
+    skb.replace_packet(new_packet)
+    return _OK
 
 
 @register_helper(
@@ -229,27 +237,7 @@ def _lwt_push_encap(
     (``BPF_LWT_ENCAP_SEG6_INLINE``).
     """
     _require_hook(hctx, ("lwt_in", "lwt_out", "lwt_xmit"), "lwt_push_encap")
-    raw = hctx.mem.read_bytes(hdr_addr, hdr_len)
-    try:
-        srh = SRH.parse(raw)
-    except ValueError:
-        return _ERR
-    if srh.wire_len != hdr_len:
-        return _ERR
-    packet = hctx.skb.packet_bytes()
-    node = hctx.node
-    try:
-        if encap_type == BPF_LWT_ENCAP_SEG6:
-            source = node.primary_address() if node else bytes(16)
-            new_packet = push_outer_encap(packet, source, srh)
-        elif encap_type == BPF_LWT_ENCAP_SEG6_INLINE:
-            new_packet = push_srh_inline(packet, srh)
-        else:
-            return _ERR
-    except ValueError:
-        return _ERR
-    hctx.skb.replace_packet(new_packet)
-    return _OK
+    return _push_srh(hctx, encap_type, hctx.mem.read_bytes(hdr_addr, hdr_len), exact_len=True)
 
 
 @register_helper(

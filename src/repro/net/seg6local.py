@@ -38,9 +38,9 @@ from ..ebpf.errors import BpfError, VmFault
 from ..ebpf import jit as _jit
 from ..ebpf.jit import _HANDLER_CACHE_STATS, compiled_handler
 from .addr import as_addr
-from .ipv6 import IPV6_HEADER_LEN, PROTO_ROUTING
+from .ipv6 import IPV6_HEADER_LEN, PROTO_IPV6, PROTO_ROUTING
 from .packet import Packet
-from .seg6 import decap_outer, push_outer_encap, push_srh_inline
+from .seg6 import decap_in_place, push_outer_encap, push_srh_inline
 from .srh import (
     OFF_HDR_EXT_LEN,
     OFF_LAST_ENTRY,
@@ -257,6 +257,26 @@ class EndT(Seg6LocalAction):
         return Disposition.forward(table_id=self.table_id)
 
 
+def _decap(pkt: Packet, kind: str) -> Disposition | None:
+    """End.DT6 / End.DX6 decapsulation, in place: a drop, or None once stripped.
+
+    Only a first routing header ``SRH.parse`` accepts can demand
+    ``segments_left == 0`` (a malformed one is a decap failure): the one
+    the End prologue would advance.
+    """
+    data = pkt.data
+    if (
+        len(data) > _AT_SEGMENTS_LEFT
+        and data[_AT_SEGMENTS_LEFT]
+        and type(_advance_verdict(data)) is tuple
+    ):
+        return Disposition.drop(f"{kind} requires segments_left == 0")
+    reason = decap_in_place(data)
+    if reason is not None:
+        return Disposition.drop(f"decap failed: {reason}")
+    return None
+
+
 @dataclass
 class EndDT6(Seg6LocalAction):
     """Decapsulate and look the inner packet up in a table (last segment)."""
@@ -266,14 +286,7 @@ class EndDT6(Seg6LocalAction):
 
     def process(self, pkt: Packet, node) -> Disposition:
         """Decapsulate at the last segment and route the inner packet in a table (§2)."""
-        srh_info = pkt.srh()
-        if srh_info is not None and srh_info[0].segments_left != 0:
-            return Disposition.drop("End.DT6 requires segments_left == 0")
-        try:
-            pkt.data = bytearray(decap_outer(bytes(pkt.data)))
-        except ValueError as exc:
-            return Disposition.drop(f"decap failed: {exc}")
-        return Disposition.forward(table_id=self.table_id)
+        return _decap(pkt, self.kind) or Disposition.forward(table_id=self.table_id)
 
 
 @dataclass
@@ -288,14 +301,7 @@ class EndDX6(Seg6LocalAction):
 
     def process(self, pkt: Packet, node) -> Disposition:
         """Decapsulate at the last segment and pin the inner packet's nexthop (§2)."""
-        srh_info = pkt.srh()
-        if srh_info is not None and srh_info[0].segments_left != 0:
-            return Disposition.drop("End.DX6 requires segments_left == 0")
-        try:
-            pkt.data = bytearray(decap_outer(bytes(pkt.data)))
-        except ValueError as exc:
-            return Disposition.drop(f"decap failed: {exc}")
-        return Disposition.forward(nh6=self.nh6)
+        return _decap(pkt, self.kind) or Disposition.forward(nh6=self.nh6)
 
 
 @dataclass
@@ -310,13 +316,12 @@ class EndB6(Seg6LocalAction):
 
     def process(self, pkt: Packet, node) -> Disposition:
         """Insert an additional SRH carrying the policy's segments (End.B6, §2)."""
-        header_dst = pkt.dst
-        path = list(self.segments) + [header_dst]
-        from .ipv6 import IPv6Header
-
-        inner_nh = IPv6Header.parse(bytes(pkt.data)).next_header
-        srh = make_srh(path, next_header=inner_nh)
-        pkt.data = bytearray(push_srh_inline(bytes(pkt.data), srh))
+        data = pkt.data
+        try:
+            srh = make_srh(self.segments + [data[24:IPV6_HEADER_LEN]], next_header=data[6])
+            pkt.data = bytearray(push_srh_inline(data, srh))
+        except ValueError as exc:
+            return Disposition.drop(f"End.B6: {exc}")
         return Disposition.forward()
 
 
@@ -338,11 +343,13 @@ class EndB6Encaps(Seg6LocalAction):
         base = super().process(pkt, node)
         if base.action != "forward":
             return base
-        outer_src = self.source or node.primary_address()
-        from .ipv6 import PROTO_IPV6
-
         srh = make_srh(list(self.segments), next_header=PROTO_IPV6)
-        pkt.data = bytearray(push_outer_encap(bytes(pkt.data), outer_src, srh))
+        try:
+            pkt.data = bytearray(
+                push_outer_encap(pkt.data, self.source or node.primary_address(), srh)
+            )
+        except ValueError as exc:
+            return Disposition.drop(f"End.B6.Encaps: {exc}")
         return Disposition.forward()
 
 
@@ -381,7 +388,7 @@ class EndBPF(Seg6LocalAction):
         hctx = self.group_handler().arm(
             data, clock_ns=node.clock_ns, rng=node.rng, mark=pkt.mark
         )
-        return self._run_and_finish(pkt, node, hctx)
+        return run_attached(self.program, "seg6local", self.stats, pkt, node, hctx)
 
     # -- batch-resident invocation (Node._run_group) --------------------------
     def group_handler(self):
@@ -419,7 +426,7 @@ class EndBPF(Seg6LocalAction):
         per-packet state reset), the translated function plus its
         invariant arguments are bound once per group on the arming
         packet (``_group_call``), and the §3.1 return-code handling is
-        inlined instead of dispatched through :meth:`_run_and_finish`.
+        inlined instead of dispatched through :func:`run_attached`.
         """
         data = pkt.data
         verdict = _advance_verdict(data)
@@ -474,7 +481,7 @@ class EndBPF(Seg6LocalAction):
         pkt.mark = skb.mark
 
         if hctx.metadata.get("srh_modified") and ret != BPF_DROP:
-            invalid = self._revalidate(pkt.data)
+            invalid = _revalidate(self.stats, pkt.data)
             if invalid is not None:
                 return invalid
 
@@ -494,57 +501,66 @@ class EndBPF(Seg6LocalAction):
         # explicitly asking for one — it does not count as bpf_dropped.
         return Disposition.drop(f"unknown BPF return {ret}")
 
-    def _revalidate(self, data: bytearray) -> Disposition | None:
-        """§3.1: the drop for an SRH the program left inconsistent, else None."""
-        if len(data) < IPV6_HEADER_LEN or data[6] != PROTO_ROUTING:
-            return None
-        try:
-            srh_len, _ = srh_wire_span(data, IPV6_HEADER_LEN)
-        except ValueError:
-            return None  # no parseable SRH; nothing to revalidate
-        reason = _validate_verdict(bytes(data[IPV6_HEADER_LEN : IPV6_HEADER_LEN + srh_len]))
-        if reason is None:
-            return None
-        self.stats["drop"] += 1
-        return Disposition.drop(f"invalid SRH after BPF: {reason}", bpf=True)
 
-    def _run_and_finish(self, pkt: Packet, node, hctx) -> Disposition:
-        """Run the program and apply §3.1 return-code semantics."""
-        hctx.packet = pkt
-        hctx.node = node
-        hctx.hook = "seg6local"
-        try:
-            ret = self.program.run(hctx)
-        except (VmFault, BpfError) as exc:
-            self.stats["errors"] += 1
+def _revalidate(stats: dict, data: bytearray) -> Disposition | None:
+    """§3.1: the drop for an SRH the program left inconsistent, else None."""
+    if len(data) < IPV6_HEADER_LEN or data[6] != PROTO_ROUTING:
+        return None
+    try:
+        srh_len, _ = srh_wire_span(data, IPV6_HEADER_LEN)
+    except ValueError:
+        return None  # no parseable SRH; nothing to revalidate
+    reason = _validate_verdict(bytes(data[IPV6_HEADER_LEN : IPV6_HEADER_LEN + srh_len]))
+    if reason is None:
+        return None
+    stats["drop"] += 1
+    return Disposition.drop(f"invalid SRH after BPF: {reason}", bpf=True)
+
+
+def run_attached(program: Program, hook: str, stats: dict, pkt: Packet, node, hctx) -> Disposition:
+    """Run ``program`` on ``hook`` and apply §3.1 return-code semantics.
+
+    End.BPF's scalar path and the BPF LWT hooks; ``stats`` is the owner's.
+    """
+    hctx.packet = pkt
+    hctx.node = node
+    hctx.hook = hook
+    try:
+        ret = program.run(hctx)
+    except (VmFault, BpfError) as exc:
+        stats["errors"] += 1
+        if hook == "seg6local":
             node.log(f"End.BPF program fault: {exc}")
-            return Disposition.drop(f"program fault: {exc}", bpf=True)
+        else:
+            node.log(f"BPF LWT program fault on {hook}: {exc}")
+        return Disposition.drop(f"program fault: {exc}", bpf=True)
 
-        # Propagate helper-made modifications back into the packet.  The
-        # guest packet region and pkt.data are both bytearrays, so the
-        # unchanged-packet check is a straight C-level compare, no copies.
-        region_data = hctx.skb.packet_region.data
-        if region_data != pkt.data:
-            pkt.data = bytearray(region_data)
-        pkt.mark = hctx.skb.mark
+    # Propagate helper-made modifications back into the packet.  The
+    # guest packet region and pkt.data are both bytearrays, so the
+    # unchanged-packet check is a straight C-level compare, no copies.
+    region_data = hctx.skb.packet_region.data
+    if region_data != pkt.data:
+        pkt.data = bytearray(region_data)
+    pkt.mark = hctx.skb.mark
 
-        if hctx.metadata.get("srh_modified") and ret != BPF_DROP:
-            invalid = self._revalidate(pkt.data)
-            if invalid is not None:
-                return invalid
+    # Only the seg6local helpers set this; an LWT program never does.
+    if hctx.metadata.get("srh_modified") and ret != BPF_DROP:
+        invalid = _revalidate(stats, pkt.data)
+        if invalid is not None:
+            return invalid
 
-        if ret == BPF_OK:
-            self.stats["ok"] += 1
-            return _FORWARD
-        if ret == BPF_REDIRECT:
-            self.stats["redirect"] += 1
-            return Disposition.forward(
-                table_id=hctx.metadata.get("redirect_table"),
-                nh6=hctx.metadata.get("redirect_nh6"),
-            )
-        self.stats["drop"] += 1
-        if ret == BPF_DROP:
-            return Disposition.drop("BPF_DROP", bpf=True)
-        # A malformed verdict is a datapath policy drop, not the program
-        # explicitly asking for one — it does not count as bpf_dropped.
-        return Disposition.drop(f"unknown BPF return {ret}")
+    if ret == BPF_OK:
+        stats["ok"] += 1
+        return _FORWARD
+    if ret == BPF_REDIRECT:
+        stats["redirect"] += 1
+        return Disposition.forward(
+            table_id=hctx.metadata.get("redirect_table"),
+            nh6=hctx.metadata.get("redirect_nh6"),
+        )
+    stats["drop"] += 1
+    if ret == BPF_DROP:
+        return Disposition.drop("BPF_DROP", bpf=True)
+    # A malformed verdict is a datapath policy drop, not the program
+    # explicitly asking for one — it does not count as bpf_dropped.
+    return Disposition.drop(f"unknown BPF return {ret}")

@@ -66,6 +66,19 @@ def srh_wire_span(data, offset: int = 0) -> tuple[int, int]:
         raise ValueError("segment list exceeds SRH length")
     return total, nsegs
 
+
+def srh_wire_len(data, offset: int = 0) -> int:
+    """Wire length of the SRH at ``offset``; ValueError exactly when :meth:`SRH.parse` raises.
+
+    Bytes this accepts can be spliced into a packet without a parse → pack round trip.
+    """
+    total, _ = srh_wire_span(data, offset)
+    segments_left, last_entry = data[offset + OFF_SEGMENTS_LEFT], data[offset + OFF_LAST_ENTRY]
+    if segments_left > last_entry:
+        raise ValueError(f"segments_left {segments_left} > last_entry {last_entry}")
+    return total
+
+
 # TLV types.  Pad1/PadN are from RFC 8200; HMAC from RFC 8754.  The DM and
 # controller TLVs are experimental-range types for the paper's §4.1
 # one-way-delay measurement (draft-ali-spring-srv6-pm).

@@ -159,6 +159,100 @@ def test_jit_map_program_state_shared_with_interpreter():
     assert int.from_bytes(counter.lookup(b"\x00" * 4), "little") == 2
 
 
+# --- map values: the fourth specialised region -------------------------------
+
+
+def _wrr():
+    from repro.net import Node
+    from repro.usecases import install_wrr
+
+    node = Node("A")
+    node.add_address("fc00:aa::1")
+    handle = install_wrr(node, "fc00:2::/64", "fc00:bb::d0", "fc00:bb::d1", 5, 3)
+    return node, handle
+
+
+def _accesses(prog: Program) -> tuple[list, list]:
+    """(load tags, store tags) the verifier recorded, one per access pc."""
+    from repro.ebpf import isa
+    from repro.ebpf.insn import flatten
+
+    loads, stores = [], []
+    for pc, insn in enumerate(flatten(prog.insns)):
+        if insn is not None and insn.klass in (isa.BPF_LDX, isa.BPF_ST, isa.BPF_STX):
+            (loads if insn.klass == isa.BPF_LDX else stores).append(prog.region_hints[pc])
+    return loads, stores
+
+
+def test_wrr_translation_makes_no_generic_memory_call():
+    """Ten map-value load pcs and six store pcs, every one of them specialised."""
+    from repro.ebpf.jit import clear_handler_cache, handler_cache_stats
+
+    clear_handler_cache()  # zeroes the translation counters
+    _node, handle = _wrr()
+    prog = handle.lwt.prog_out
+    loads, stores = _accesses(prog)
+    assert sum(type(tag) is tuple for tag in loads) == 10
+    assert sum(type(tag) is tuple for tag in stores) == 6
+    assert "mixed" not in loads + stores
+    stats = handler_cache_stats()
+    assert (stats["v2_region_loads"], stats["v2_region_stores"]) == (len(loads), len(stores))
+    source = prog._jit.source
+    for generic in ("_load(", "_store(", "mem.load", "mem.store"):
+        assert generic not in source
+    assert "_values = mem.values" in source
+
+
+def test_unverified_translation_of_the_same_program_runs_through_memory():
+    from repro.net import make_udp_packet
+
+    node, handle = _wrr()
+    prog = handle.lwt.prog_out
+    raw = JitProgram(prog.insns)  # no verifier proof: nothing to trust
+    assert "_load = mem.load" in raw.source and "_store = mem.store" in raw.source
+    assert "_values" not in raw.source
+
+    packet = bytes(make_udp_packet("fc00:1::1", "fc00:2::2", 40000, 5201, bytes(64)).data)
+    outcomes = []
+    for engine in (prog._jit, raw, prog._interp):
+        handle.state.update(bytes(4), bytes(16))
+        hctx = prog.make_context(packet)
+        hctx.node, hctx.hook = node, "lwt_out"
+        ret = engine.run(hctx, hctx.skb.ctx_addr, hctx.skb.stack_top)
+        outcomes.append((ret, hctx.skb.packet_bytes(), handle.state.lookup(bytes(4))))
+    assert outcomes[0] == outcomes[1] == outcomes[2]
+    assert len(outcomes[0][1]) == len(packet) + 64
+
+
+def test_load_reached_with_two_value_offsets_stays_generic():
+    """``map_value_paths.s``: one pc, offsets 0 and 4 — ``mixed``, one ``_load(``."""
+    from pathlib import Path
+
+    from repro.ebpf import link, parse_asm
+
+    path = Path(__file__).parent / "corpus" / "map_value_paths.s"
+    prog = link(parse_asm(path.read_text())).load(name=path.stem)
+    loads, stores = _accesses(prog)
+    assert loads.count("mixed") == 1 and "mixed" not in stores
+    assert {("map_value", 15), ("map_value", 14), ("map_value", 12), ("map_value", 8)} <= set(loads)
+    assert prog._jit.source.count("_load(") == 1
+    assert "_store" not in prog._jit.source
+
+
+def test_map_value_only_specialisation_needs_no_skb():
+    """Value buffers come from ``mem``: a bare context runs the specialised
+    function itself, with no generic variant compiled on the side."""
+    from repro.ebpf import Memory
+    from repro.ebpf.helpers import HelperContext
+
+    mem = Memory()
+    addr = mem.map_value(0x1000_0000, bytearray((7).to_bytes(8, "little")))
+    jitp = JitProgram(assemble("ldxdw r0, [r1+0]\nexit"), regions={0: ("map_value", 0)})
+    assert "_skb" not in jitp.source and "_load" not in jitp.source
+    assert jitp.run(HelperContext(mem), addr, 0) == 7
+    assert jitp._generic_fn is jitp._fn
+
+
 def test_jit_is_faster_than_interpreter():
     """The central premise of the §3.2 JIT experiment."""
     import timeit

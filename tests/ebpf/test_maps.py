@@ -14,6 +14,7 @@ from repro.ebpf import (
     PerCpuArrayMap,
     PerfEventArrayMap,
 )
+from repro.ebpf.text import load_text
 
 
 def key32(i: int) -> bytes:
@@ -145,6 +146,75 @@ def test_hash_slot_reuse_after_delete():
     m.delete(key32(1))
     m.update(key32(2), b"bbbb")
     assert m.lookup(key32(2)) == b"bbbb"
+
+
+@pytest.mark.parametrize("map_type", [HashMap, LpmTrieMap])
+def test_value_region_follows_a_reused_slot(map_type):
+    """delete(A) + update(B) re-uses A's slot with new storage: a second
+    lookup in the same address space must map B's bytes, not keep A's."""
+    m = map_type("h", key_size=8, value_size=8, max_entries=1)
+    key_a, key_b = key32(32) + b"AAAA", key32(32) + b"BBBB"  # LPM: a /32 each
+    mem = Memory()
+    m.update(key_a, b"AAAAAAAA")
+    addr = m.register_value_region(mem, *m.lookup_slot(key_a))
+    m.delete(key_a)
+    m.update(key_b, b"BBBBBBBB")
+    assert m.register_value_region(mem, *m.lookup_slot(key_b)) == addr
+    assert mem.mapped(addr)
+    assert mem.read_bytes(addr, 8) == b"BBBBBBBB"
+    mem.store(addr, 1, ord("b"))  # and guest stores land in the live entry
+    assert m.lookup(key_b) == b"bBBBBBBB"
+    assert mem.values[addr] is m.lookup_slot(key_b)[1]
+    assert [r.base for r in mem.snapshot()[1]] == [addr]  # swapped, not mapped twice
+
+
+DELETE_REINSERT_ASM = """
+.map m, hash, key=4, value=8, entries=1
+    *(u32 *)(r10 - 4) = 1              ; key A
+    r1 = m ll
+    r2 = r10
+    r2 += -4
+    call map_lookup_elem               ; maps A's storage
+    if r0 == 0 goto fail
+    r1 = m ll
+    r2 = r10
+    r2 += -4
+    call map_delete_elem
+    *(u32 *)(r10 - 8) = 2              ; key B takes A's slot
+    *(u64 *)(r10 - 16) = 11
+    r1 = m ll
+    r2 = r10
+    r2 += -8
+    r3 = r10
+    r3 += -16
+    r4 = 0
+    call map_update_elem
+    r1 = m ll
+    r2 = r10
+    r2 += -8
+    call map_lookup_elem
+    if r0 == 0 goto fail
+    r6 = *(u64 *)(r0 + 0)              ; B's 11, not A's 7
+    r1 = r6
+    r1 += 1
+    *(u64 *)(r0 + 0) = r1              ; and the store reaches B
+    r0 = r6
+    exit
+fail:
+    r0 = -1
+    exit
+"""
+
+
+@pytest.mark.parametrize("jit", [False, True], ids=["vm", "jit"])
+def test_program_reads_the_entry_it_reinserted(jit):
+    m = HashMap("m", key_size=4, value_size=8, max_entries=1)
+    m.update(key32(1), (7).to_bytes(8, "little"))
+    prog = load_text(DELETE_REINSERT_ASM, maps={"m": m}, jit=jit)
+    ret, _hctx = prog.run_on_packet(b"\x60" + bytes(39))
+    assert ret == 11
+    assert m.lookup(key32(1)) is None
+    assert m.lookup(key32(2)) == (12).to_bytes(8, "little")
 
 
 def test_hash_delete_missing_raises():

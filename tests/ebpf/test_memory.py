@@ -129,3 +129,53 @@ def test_region_data_shared_with_backing_bytearray():
     mem.add_region(Region(0x3000, backing))
     mem.store(0x3000, 4, 0xDEAD)
     assert int.from_bytes(backing[:4], "little") == 0xDEAD
+
+
+# --- the three faults, by message ---------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "access, writes",
+    [
+        (lambda mem, addr: mem.load(addr, 4), False),
+        (lambda mem, addr: mem.read_bytes(addr, 4), False),
+        (lambda mem, addr: mem.store(addr, 4, 1), True),
+        (lambda mem, addr: mem.write_bytes(addr, b"abcd"), True),
+    ],
+    ids=["load", "read_bytes", "store", "write_bytes"],
+)
+def test_fault_messages(access, writes):
+    mem = Memory()
+    mem.add_region(Region(0x1000, bytearray(8), PROT_READ))
+    mem.add_region(Region(0x2000, bytearray(8), PROT_WRITE))
+    with pytest.raises(MemoryFault) as fault:
+        access(mem, 0x1000 if writes else 0x2000)
+    assert str(fault.value) == (
+        "write to read-only region at 0x1000"
+        if writes
+        else "read from non-readable region at 0x2000"
+    )
+    for addr in (0xFFC, 0x1006, 0x3000):  # below, straddling the end, above
+        with pytest.raises(MemoryFault) as fault:
+            access(mem, addr)
+        assert str(fault.value) == f"access to unmapped guest address {addr:#x} (+4)"
+
+
+def test_map_handle_region_refuses_reads_and_writes():
+    """The opaque ``map_ptr`` handles are mapped with no permission at all."""
+    from repro.ebpf import ArrayMap
+    from repro.ebpf.helpers import install_map_regions, map_handle_addr
+
+    map_obj = ArrayMap("handle", value_size=8, max_entries=1)
+    addr = map_handle_addr(map_obj)
+    mem = Memory()
+    install_map_regions(mem, {addr: map_obj})
+    assert mem.find(addr, 16).kind == "map_ptr"
+    with pytest.raises(MemoryFault, match=f"read from non-readable region at {addr:#x}"):
+        mem.load(addr, 8)
+    with pytest.raises(MemoryFault, match=f"read from non-readable region at {addr:#x}"):
+        mem.read_bytes(addr, 16)
+    with pytest.raises(MemoryFault, match=f"write to read-only region at {addr:#x}"):
+        mem.store(addr, 8, 1)
+    with pytest.raises(MemoryFault, match=f"write to read-only region at {addr:#x}"):
+        mem.write_bytes(addr, bytes(16))

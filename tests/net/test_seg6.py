@@ -199,3 +199,67 @@ def test_end_b6_encaps_advances_then_wraps(node):
     assert outer.src == pton("fc00:e::1")
     inner = decap_outer(bytes(pkt.data))
     assert Packet(inner).dst == pton("fc00:2::2")  # advanced before encap
+
+
+# --- a payload length past 65 535 ----------------------------------------------------------------
+#
+# An encapsulation that would not fit the 16-bit payload length is a
+# ValueError from the transform and a drop in the datapath — not a
+# struct.error that escapes every handler and kills the run.
+
+
+def jumbo_packet(payload_length: int = 65535) -> bytes:
+    """A UDP packet whose IPv6 payload length is ``payload_length``."""
+    payload = bytes(payload_length - 8)
+    return bytes(make_udp_packet("fc00::1", "fc00:2::2", 1111, 2222, payload).data)
+
+
+def test_push_refuses_a_payload_length_past_65535():
+    one_segment = make_srh(["fc00::a"], next_header=41)  # 24 bytes on the wire
+    with pytest.raises(ValueError, match="payload length 65564 exceeds 65535"):
+        push_outer_encap(jumbo_packet(65500), pton("fc00::9"), one_segment)
+    with pytest.raises(ValueError, match="payload length 65559 exceeds 65535"):
+        push_srh_inline(jumbo_packet(), one_segment)
+    # The largest packets that still fit do.
+    fits = jumbo_packet(65535 - 24 - 40)
+    assert Packet(push_outer_encap(fits, pton("fc00::9"), one_segment)).ipv6().payload_length == 65535
+    fits = jumbo_packet(65535 - 24)
+    assert Packet(push_srh_inline(fits, one_segment)).ipv6().payload_length == 65535
+
+
+@pytest.mark.parametrize("mode", ["encap", "inline"])
+def test_seg6_encap_stage_drops_an_oversize_packet(mode):
+    router = Node("R")
+    router.add_device("eth0")
+    router.add_device("eth1")
+    router.add_address("fc00:e::1")
+    router.add_route("fc00:2::/64", encap=Seg6Encap(segments=[pton("fc00:3::e1")], mode=mode))
+    router.add_route("fc00:3::e1/128", via="fc00:3::1", dev="eth1")
+    router.receive(Packet(jumbo_packet()), router.devices["eth0"])
+    assert router.counters.dropped == 1
+    assert not router.devices["eth1"].tx_buffer
+    assert any("seg6 encap failed: payload length" in msg for msg in router.log_messages)
+    # The route still forwards what fits.
+    router.receive(Packet(plain_packet()), router.devices["eth0"])
+    assert len(router.devices["eth1"].tx_buffer) == 1
+
+
+def test_end_b6_actions_drop_an_oversize_packet(node):
+    def jumbo_srv6() -> Packet:  # two-segment SRH (40 bytes) + UDP: payload length 65 535
+        path = ["fc00:e::100", "fc00:2::2"]
+        return make_srv6_udp_packet("fc00::1", path, 1111, 2222, bytes(65535 - 40 - 8))
+
+    pkt = jumbo_srv6()
+    before = bytes(pkt.data)
+    disposition = EndB6(segments=["fc00::b1"]).process(pkt, node)
+    assert (disposition.action, disposition.reason) == (
+        "drop",
+        "End.B6: payload length 65575 exceeds 65535",
+    )
+    assert bytes(pkt.data) == before
+
+    disposition = EndB6Encaps(segments=["fc00::b1"], source="fc00:e::1").process(jumbo_srv6(), node)
+    assert (disposition.action, disposition.reason) == (
+        "drop",
+        "End.B6.Encaps: payload length 65599 exceeds 65535",
+    )

@@ -461,3 +461,76 @@ def test_srh_modification_flag_set(router):
     hctx.hook = "seg6local"
     prog.run(hctx)
     assert hctx.metadata.get("srh_modified") is True
+
+
+# --- a payload length past 65 535 ----------------------------------------------------------------
+
+EINVAL = -22 & 0xFFFFFFFFFFFFFFFF
+
+# A one-segment SRH (24 bytes) to fc00::a on the stack, then the call
+# under test; the helper's return code is the program's.
+ONE_SEGMENT_SRH = """
+    mov r6, r1
+    stb [r10-24], 41            ; next header
+    stb [r10-23], 2             ; hdr_ext_len
+    stb [r10-22], 4             ; routing type
+    stb [r10-21], 0             ; segments_left
+    stw [r10-20], 0             ; last_entry, flags, tag
+    stdw [r10-16], 0xfc
+    stdw [r10-8], 0
+    stb [r10-1], 0x0a
+    mov r1, r6
+    mov r2, {arg}
+    mov r3, r10
+    add r3, -24
+    mov r4, 24
+    call {helper}
+    exit
+"""
+
+
+def run_returning_helper_code(router, helper, arg, hook, allowed, pkt):
+    prog = Program(ONE_SEGMENT_SRH.format(helper=helper, arg=arg), allowed_helpers=allowed)
+    hctx = prog.make_context(bytes(pkt.data))
+    hctx.node, hctx.hook = router, hook
+    return prog.run(hctx), bytes(hctx.skb.packet_region.data)
+
+
+@pytest.mark.parametrize("encap_type, payload", [(0, 65492), (1, 65535 - 8)], ids=["encap", "inline"])
+def test_push_encap_oversize_is_einval(router, encap_type, payload):
+    from repro.net import LWT_HELPERS
+
+    pkt = make_udp_packet("fc00:1::1", "fc00:2::2", 1111, 2222, bytes(payload))
+    code, after = run_returning_helper_code(
+        router, "lwt_push_encap", encap_type, "lwt_out", LWT_HELPERS, pkt
+    )
+    assert code == EINVAL
+    assert after == bytes(pkt.data)
+    small = make_udp_packet("fc00:1::1", "fc00:2::2", 1111, 2222, b"fits")
+    code, after = run_returning_helper_code(
+        router, "lwt_push_encap", encap_type, "lwt_out", LWT_HELPERS, small
+    )
+    assert code == 0 and len(after) == len(small.data) + (24 if encap_type else 64)
+
+
+@pytest.mark.parametrize("action", [9, 10], ids=["End.B6", "End.B6.Encaps"])
+def test_action_b6_oversize_is_einval(router, action):
+    pkt = make_srv6_udp_packet("fc00:1::1", [SEG, "fc00:2::2"], 1111, 2222, bytes(65535 - 40 - 8))
+    code, after = run_returning_helper_code(
+        router, "lwt_seg6_action", action, "seg6local", SEG6LOCAL_HELPERS, pkt
+    )
+    assert code == EINVAL
+    assert after == bytes(pkt.data)
+
+
+def test_oversize_packet_through_the_wrr_hook_does_not_kill_the_run(router):
+    """65 492 bytes of UDP payload + the scheduler's one-segment SRH."""
+    from repro.usecases import install_wrr
+
+    handle = install_wrr(router, "fc00:2::/64", "fc00:bb::d0", "fc00:bb::d1", 5, 3)
+    router.add_route("fc00:bb::/64", via="fc00:2::1", dev="eth1")
+    big = make_udp_packet("fc00:1::1", "fc00:2::2", 1111, 2222, bytes(65492))
+    router.receive(big, router.devices["eth0"])
+    assert handle.lwt.stats == {"ok": 1, "drop": 0, "redirect": 0, "errors": 0}
+    router.receive(make_udp_packet("fc00:1::1", "fc00:2::2", 1111, 2222, b"fits"), router.devices["eth0"])
+    assert router.devices["eth1"].tx_buffer.pop().dst == pton("fc00:bb::d0")

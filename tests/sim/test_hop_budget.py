@@ -1,24 +1,54 @@
-"""Python-level calls per delivered Setup 1 packet, counted, not timed.
+"""Python-level calls per packet on the event path, counted, not timed.
 
 ``setup1_events`` pays the whole hop — trafgen tick, link, R's End.BPF,
 link, S2's local delivery — once per packet, so every layer someone
 adds to that path is a few more Python calls per packet.  The count
 under ``sys.setprofile`` is exact and the same on every host; the
 budget below sits just above what the fused dispatch function and the
-straight-line wire left (71.0); the per-packet context object, stage
-methods and ``Packet.__len__`` frames they replaced read 100.0.
+straight-line wire left (71.0, 69.0 since the context addresses are
+constants); the per-packet context object, stage methods and
+``Packet.__len__`` frames they replaced read 100.0.
+
+Setup 2's hybrid-access path has three budgets of the same kind: one
+WRR decision on the LWT hook (45 calls since the seg6 helpers splice
+wire bytes and the JIT indexes map values directly; the SRH / IPv6
+dataclass round trips and the generic ``Memory`` walk read 110), one
+``End.DT6`` on its encapsulation (7; 25 with two parses and two packet
+copies), and one delivered packet of the ledger-shaped Setup 2 (294.6;
+445.7).
 """
 
 from __future__ import annotations
 
 import sys
 
-from repro.lab import build_setup1
-from repro.net import EndBPF
+from repro.lab import build_setup1, build_setup2
+from repro.net import EndBPF, EndDT6, Node, Packet, make_udp_packet
 from repro.progs import end_prog
 from repro.sim import NS_PER_MS
+from repro.usecases import deploy_hybrid_access, install_wrr
 
 CALLS_PER_PACKET_BUDGET = 75
+CALLS_PER_WRR_DECISION_BUDGET = 48
+CALLS_PER_END_DT6_BUDGET = 8
+CALLS_PER_SETUP2_PACKET_BUDGET = 300
+
+
+def count_calls(fn, *args, **kwargs) -> int:
+    """Python-level ``call`` events while ``fn(...)`` runs, ``fn``'s own frame included."""
+    calls = 0
+
+    def count(_frame, event, _arg):
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    sys.setprofile(count)
+    try:
+        fn(*args, **kwargs)
+    finally:
+        sys.setprofile(None)
+    return calls
 
 
 def test_setup1_hop_stays_within_its_call_budget():
@@ -38,19 +68,8 @@ def test_setup1_hop_stays_within_its_call_budget():
     flow.start(at_ns=0)
     net.run(until_ns=NS_PER_MS // 5)  # first tick compiles the template
 
-    calls = 0
-
-    def count(_frame, event, _arg):
-        nonlocal calls
-        if event == "call":
-            calls += 1
-
     delivered = meter.packets
-    sys.setprofile(count)
-    try:
-        net.run(until_ns=3 * NS_PER_MS)
-    finally:
-        sys.setprofile(None)
+    calls = count_calls(net.run, until_ns=3 * NS_PER_MS)
     delivered = meter.packets - delivered
 
     assert delivered > 1000
@@ -58,4 +77,63 @@ def test_setup1_hop_stays_within_its_call_budget():
     assert per_packet <= CALLS_PER_PACKET_BUDGET, (
         f"{per_packet:.1f} Python-level calls per delivered Setup 1 packet "
         f"({calls} calls / {delivered} packets), budget {CALLS_PER_PACKET_BUDGET}"
+    )
+
+
+def test_wrr_decision_and_its_decap_stay_within_their_call_budgets():
+    node = Node("A")
+    node.add_address("fc00:aa::1")
+    handle = install_wrr(node, "fc00:2::/64", "fc00:bb::d0", "fc00:bb::d1", 5, 3)
+    template = make_udp_packet("fc00:1::1", "fc00:2::2", 40000, 5201, bytes(1000))
+
+    def decide() -> Packet:
+        pkt = Packet(template.data)
+        assert handle.lwt.run_hook("lwt_out", pkt, node).action == "forward"
+        return pkt
+
+    decide()  # builds the handler's guest address space
+    pkt = Packet(template.data)
+    calls = count_calls(handle.lwt.run_hook, "lwt_out", pkt, node)
+    assert len(pkt.data) == len(template.data) + 40 + 24  # outer header + one-segment SRH
+    assert calls <= CALLS_PER_WRR_DECISION_BUDGET, (
+        f"{calls} Python-level calls per WRR decision, budget {CALLS_PER_WRR_DECISION_BUDGET}"
+    )
+
+    action = EndDT6(table_id=254)
+    action.process(decide(), node)
+    encapsulated = decide()
+    calls = count_calls(action.process, encapsulated, node)
+    assert encapsulated.data == template.data
+    assert calls <= CALLS_PER_END_DT6_BUDGET, (
+        f"{calls} Python-level calls per End.DT6, budget {CALLS_PER_END_DT6_BUDGET}"
+    )
+
+
+def test_setup2_delivered_packet_stays_within_its_call_budget():
+    """The ledger's ``setup2_hybrid`` shape: WRR bond, TWD, two TCP + 10 Mb/s UDP."""
+    setup = build_setup2(seed=1)
+    deploy_hybrid_access(setup, weights=(5, 3), compensation=True)
+    net = setup.net
+    connections = [net.tcp("S1", "S2", port=5000 + i) for i in range(2)]
+    flow = net.trafgen("S1", dst=setup.S2_ADDR, rate_bps=10e6, payload_size=1000, seed=1)
+    meter = net.sink("S2")
+    start = 300 * NS_PER_MS
+    net.run(until_ns=start)  # only TWD probes fly: the compensation converges
+    for sender, _receiver in connections:
+        sender.start()
+    flow.start(at_ns=start)
+    net.run(until_ns=start + 50 * NS_PER_MS)
+
+    def delivered() -> int:
+        return meter.packets + sum(r.stats.segments_received for _s, r in connections)
+
+    before = delivered()
+    calls = count_calls(net.run, until_ns=start + 150 * NS_PER_MS)
+    packets = delivered() - before
+
+    assert packets > 300
+    per_packet = calls / packets
+    assert per_packet <= CALLS_PER_SETUP2_PACKET_BUDGET, (
+        f"{per_packet:.1f} Python-level calls per delivered Setup 2 packet "
+        f"({calls} calls / {packets} packets), budget {CALLS_PER_SETUP2_PACKET_BUDGET}"
     )
