@@ -106,8 +106,8 @@ def amortisation_stats(node: Node, scheduler=None, since: dict | None = None) ->
 
     Reports what the datapath amortises per batch: route-resolution
     memoisation (:class:`~repro.net.node.FlowTable` hits/misses),
-    compiled-handler reuse (the per-(program, attach point) eBPF
-    invocation cache), and — when a scheduler is involved — the heap
+    compiled-handler reuse (guest address spaces built vs re-armed, one
+    per attach site), and — when a scheduler is involved — the heap
     events saved by batch delivery.  The counters come from the same
     :mod:`repro.telemetry` collectors a streaming session samples
     (unlabelled, so the historical flat key names are unchanged); the

@@ -50,7 +50,7 @@ from .helpers import (
     register_helper,
 )
 from .insn import Instruction, decode_program, encode_program
-from .jit import CompiledHandler, JitProgram, compiled_handler
+from .jit import CompiledHandler, JitProgram
 from .maps import (
     ArrayMap,
     HashMap,
@@ -106,7 +106,6 @@ __all__ = [
     "VerifierError",
     "VmFault",
     "assemble",
-    "compiled_handler",
     "decode_program",
     "disassemble",
     "encode_program",

@@ -96,8 +96,8 @@ class SkbContext:
     def rearm(self, packet_bytes: bytes, mark: int = 0, zero_stack: bool = True) -> None:
         """Rebind this context to a new packet, as if freshly constructed.
 
-        The burst fast path reuses one guest address space per (program,
-        attach point); this rewrites the packet region, the context
+        :meth:`repro.ebpf.jit.CompiledHandler.arm` reuses one guest address
+        space per attach site; this rewrites the packet region, the context
         metadata block (length, mark, ``data_end``, zeroed ``cb``) and
         zeroes the stack, restoring the exact state ``__init__`` builds.
 

@@ -24,7 +24,7 @@ from typing import Callable
 from . import isa
 from .errors import HelperError
 from .maps import Map, PerfEventArrayMap
-from .memory import MAP_PTR_BASE, Memory, PROT_READ, Region, SCRATCH_BASE
+from .memory import MAP_PTR_BASE, Memory, Region
 
 # Argument-spec atoms (see verifier):
 #   ("ctx",)                      pointer to the program context
@@ -87,7 +87,9 @@ class HelperContext:
     """Per-invocation runtime state shared by all helpers.
 
     Networking hooks subclass-or-embed this with packet/node attributes;
-    the VM only requires what is defined here.
+    the VM only requires what is defined here.  A context is built fresh
+    by ``Program.make_context``; the one place that resets a reused one
+    is :meth:`repro.ebpf.jit.CompiledHandler.arm`.
     """
 
     def __init__(
@@ -112,53 +114,11 @@ class HelperContext:
         # differential corpus and fuzzer rely on this.  ``None`` (the
         # default) keeps the hot path to a single identity check.
         self.helper_trace: list[tuple] | None = None
-        self._scratch_cursor = SCRATCH_BASE
         # Networking hooks populate these:
         self.packet = None
         self.node = None
         self.hook = None
         self.metadata: dict = {}
-
-    # -- burst-mode reuse ------------------------------------------------------
-    def rearm(
-        self,
-        clock_ns: Callable[[], int],
-        rng: random.Random | None,
-        cpu: int = 0,
-    ) -> None:
-        """Reset per-invocation state so the context can be reused.
-
-        Mirrors ``__init__``: the scratch allocator rewinds (the memory
-        regions themselves are dropped by ``Memory.restore``), the trace
-        log and hook metadata are cleared, and the clock/rng/cpu bindings
-        are replaced for the new invocation.
-        """
-        self.clock_ns = clock_ns
-        self.rng = rng or random.Random(0)
-        self.cpu = cpu
-        self.trace_log.clear()
-        self.helper_trace = None
-        self._scratch_cursor = SCRATCH_BASE
-        self.packet = None
-        self.node = None
-        self.hook = None
-        self.metadata = {}
-
-    def rearm_resident(self) -> None:
-        """Per-packet reset for batch-resident reuse within one group.
-
-        Between packets of a batch-resident group the node, hook, clock
-        and rng bindings are invariant (the group runs on one node, one
-        attach point, within one batch), so only genuinely per-packet
-        state resets: traces, the scratch allocator cursor, the packet
-        binding and the hook metadata.  ``metadata`` is cleared in place
-        instead of reallocated.
-        """
-        self.trace_log.clear()
-        self.helper_trace = None
-        self._scratch_cursor = SCRATCH_BASE
-        self.packet = None
-        self.metadata.clear()
 
     # -- utilities for helper implementations -------------------------------
     def resolve_map(self, addr: int) -> Map:
@@ -166,13 +126,6 @@ class HelperContext:
         if map_obj is None:
             raise HelperError(f"no map bound at guest address {addr:#x}")
         return map_obj
-
-    def alloc_scratch(self, size: int, prot: int = PROT_READ) -> Region:
-        """Allocate a helper-owned guest buffer (e.g. ECMP nexthop list)."""
-        region = Region(self._scratch_cursor, bytearray(size), prot, "scratch")
-        self._scratch_cursor += (size + 0xF) & ~0xF
-        self.mem.add_region(region)
-        return region
 
 
 def install_map_regions(mem: Memory, maps: dict[int, Map]) -> None:

@@ -82,9 +82,6 @@ class Instruction:
             self.opcode, (self.src_reg << 4) | self.dst_reg, self.off, imm
         )
 
-    def with_imm(self, imm: int) -> "Instruction":
-        return Instruction(self.opcode, self.dst_reg, self.src_reg, self.off, imm)
-
 
 def encode_program(insns: list[Instruction]) -> bytes:
     """Serialise an instruction list to the kernel's on-disk format."""

@@ -35,8 +35,8 @@ the JIT disabled).
 
 from __future__ import annotations
 
+import random
 import struct
-import weakref
 
 from . import isa
 from .errors import VmFault
@@ -98,7 +98,7 @@ _JIT_V2_STATS = {
     # instead of the generic Memory path.
     "v2_region_loads": 0,
     "v2_region_stores": 0,
-    # Runtime: batch-resident End.BPF invocation (see Node._run_group).
+    # Runtime: End.BPF groups (see Node._run_group).
     "bpf_groups": 0,
     "bpf_grouped_packets": 0,
     "bpf_group_flushes": 0,
@@ -147,7 +147,7 @@ class JitProgram:
 
 
 class CompiledHandler:
-    """A reusable invocation harness for one (program, attach point).
+    """One attach site's reusable guest address space (§3.2's invocation cost).
 
     ``Program.make_context`` assembles a fresh guest address space —
     memory object, packet/context/stack regions, map-handle regions,
@@ -155,115 +155,84 @@ class CompiledHandler:
     running small programs, the way program fetch/setup dominates an
     eBPF invocation in the kernel before batching.
 
-    A handler builds the address space once and *re-arms* it per packet:
-    regions added during the previous run (helper scratch, map values)
-    are unmapped, the packet/context/stack regions are rewritten, and the
-    helper context is reset.  The result is observably identical to a
-    fresh context, so the burst fast path that uses handlers is
-    differentially testable against the scalar path.
-
-    :meth:`arm_resident` is the batch-resident variant: within one group
-    of packets sharing this handler (same route, program and attach
-    point), the clock/rng/node/hook bindings are left in place and only
-    per-packet state is reset — and, when the program provably never
-    touches its stack frame (``Program.touches_stack``), the 512-byte
-    stack wipe is skipped too, since the verifier guarantees every stack
-    read was preceded by a same-run write.
+    A handler belongs to the attach site that built it (an ``EndBPF``,
+    one hook of a ``BpfLwt``), builds the address space on its first
+    :meth:`arm` and *re-arms* it for every later packet.  There is one
+    arming and it has no precondition: every call restores the region
+    table, rewrites packet and context and rebinds clock, rng, packet
+    and node, so the result is observably identical to a fresh context
+    whichever node, batch or group the previous packet belonged to.
+    :attr:`call` is what the datapath invokes after arming:
+    ``(fn | None, mem, helpers)`` — the translated function (``None``:
+    interpret) and its invariant arguments, fixed by the program and the
+    address space.
     """
 
     def __init__(self, program, attach_point: str):
-        # Weak: the handler lives in a WeakKeyDictionary keyed by the
-        # program, so a strong back-reference would pin the key (and this
-        # handler's cached guest address space) for the process lifetime.
-        self._program_ref = weakref.ref(program)
+        self.program = program
         self.attach_point = attach_point
         self.cache_generation = _HANDLER_CACHE_GENERATION
+        self.call = None
         self._hctx: HelperContext | None = None
         self._snapshot = None
-        self._zero_stack = True
-        # Batch-resident group state: False at group start, True once the
-        # first packet of the group did a full arm() (see
-        # EndBPF.group_handler/process_resident).
-        self.group_armed = False
+        self._zero_stack = program.touches_stack
 
-    @property
-    def program(self):
-        return self._program_ref()
-
-    def arm(self, packet_bytes: bytes, clock_ns, rng, mark: int = 0) -> HelperContext:
-        """Return a context bound to ``packet_bytes``, reusing guest memory."""
+    def arm(
+        self, packet_bytes: bytes, clock_ns, rng, mark: int = 0, packet=None, node=None
+    ) -> HelperContext:
+        """Return the context bound to ``packet_bytes`` — the only reset of a reused one."""
         hctx = self._hctx
         if hctx is None:
-            hctx = self.program.make_context(
+            _HANDLER_CACHE_STATS["handler_misses"] += 1
+            program = self.program
+            hctx = self._hctx = program.make_context(
                 packet_bytes, clock_ns=clock_ns, rng=rng, mark=mark
             )
-            self._hctx = hctx
+            hctx.hook = self.attach_point
             self._snapshot = hctx.mem.snapshot()
-            self._zero_stack = getattr(self.program, "touches_stack", True)
-            return hctx
-        hctx.mem.restore(self._snapshot)
-        hctx.skb.rearm(packet_bytes, mark=mark)
-        hctx.rearm(clock_ns, rng)
+            jitp = program._jit if program.jit_enabled else None
+            self.call = (
+                (None, hctx.mem, None) if jitp is None else (jitp._fn, hctx.mem, jitp.helpers)
+            )
+        else:
+            _HANDLER_CACHE_STATS["handler_hits"] += 1
+            # Regions the last run mapped (map values) go; packet, ctx and cb
+            # are rewritten.  The stack wipe is skipped for a program the
+            # verifier proved never touches its frame: it cannot have
+            # dirtied it, and every verified stack read follows a same-run
+            # write.
+            hctx.mem.restore(self._snapshot)
+            hctx.skb.rearm(packet_bytes, mark, self._zero_stack)
+            hctx.clock_ns = clock_ns
+            hctx.rng = rng or random.Random(0)
+            hctx.cpu = 0
+            hctx.trace_log.clear()
+            hctx.helper_trace = None
+            hctx.metadata.clear()
+        hctx.packet = packet
+        hctx.node = node
         return hctx
 
-    def arm_resident(self, packet_bytes: bytes, mark: int = 0) -> HelperContext:
-        """Group-resident re-arm: per-packet state only.
 
-        Valid only after :meth:`arm` within the same batch-resident group
-        (same node, hook and program): clock, rng, node and hook bindings
-        are reused, the scratch allocator rewinds, trace state clears,
-        and the stack wipe is elided for stack-free programs.
-        """
-        hctx = self._hctx
-        hctx.mem.restore(self._snapshot)
-        hctx.skb.rearm(packet_bytes, mark=mark, zero_stack=self._zero_stack)
-        hctx.rearm_resident()
-        return hctx
-
-
-# One handler per (program, attach point); programs are weakly referenced so
-# short-lived benchmark programs do not pin their guest memory forever.
-_HANDLER_CACHE: "weakref.WeakKeyDictionary[object, dict[str, CompiledHandler]]" = (
-    weakref.WeakKeyDictionary()
-)
+# A miss is an address space built, a hit is one re-armed.
 _HANDLER_CACHE_STATS = {"handler_hits": 0, "handler_misses": 0}
-# Bumped by clear_handler_cache(); handlers carry the generation they were
-# built under, so hot-path users may pin a handler on an instance attribute
-# and still notice a cache clear with one integer compare.
+# Bumped by clear_handler_cache(); a handler carries the generation it was
+# built under, and the attach site that owns it drops it on a mismatch.
 _HANDLER_CACHE_GENERATION = 0
 
 
-def compiled_handler(program, attach_point: str) -> CompiledHandler:
-    """The datapath's handler cache, keyed by (program, attach point).
-
-    A batch of N packets through the same hook pays the context-assembly
-    cost once instead of N times; distinct attach points get distinct
-    handlers because a program may legitimately be attached to several
-    hooks (and even several nodes) at once.
-    """
-    per_program = _HANDLER_CACHE.get(program)
-    if per_program is None:
-        per_program = {}
-        _HANDLER_CACHE[program] = per_program
-    handler = per_program.get(attach_point)
-    if handler is None:
-        _HANDLER_CACHE_STATS["handler_misses"] += 1
-        handler = CompiledHandler(program, attach_point)
-        per_program[attach_point] = handler
-    else:
-        _HANDLER_CACHE_STATS["handler_hits"] += 1
-    return handler
-
-
 def handler_cache_stats() -> dict:
-    """Handler-cache hits/misses plus the JIT v2 counters.
+    """Handler hits/misses plus the JIT v2 counters.
 
-    The v2 entries cover both translation (``v2_region_loads``/
-    ``v2_region_stores``: accesses compiled to direct region indexing)
-    and the batch-resident datapath (``bpf_groups``,
+    ``handler_misses`` counts guest address spaces built (the first
+    :meth:`CompiledHandler.arm` of each attach site's handler),
+    ``handler_hits`` the invocations that re-armed one.  The v2 entries
+    cover both translation (``v2_region_loads``/``v2_region_stores``:
+    accesses compiled to direct region indexing) and the End.BPF groups
+    of :meth:`repro.net.node.Node._run_group` (``bpf_groups``,
     ``bpf_grouped_packets``, ``bpf_group_flushes`` — the last counts
-    groups cut short because a FIB-generation bump was observed at a
-    group boundary).
+    groups cut short because a FIB-generation bump was observed after
+    one of their packets).
     """
     stats = dict(_HANDLER_CACHE_STATS)
     stats.update(_JIT_V2_STATS)
@@ -271,16 +240,16 @@ def handler_cache_stats() -> dict:
 
 
 def clear_handler_cache() -> None:
-    """Drop every cached handler and reset the hit/miss + v2 counters.
+    """Make every attach site rebuild its handler; reset the hit/miss + v2 counters.
 
-    Bumps the cache generation so handlers pinned on instance attributes
-    (e.g. ``EndBPF``'s) are rebuilt too.  Benchmark baselines use this to
-    reconstruct the cost of assembling a fresh guest address space per
-    invocation.
+    Handlers live on their attach sites (``EndBPF``, ``BpfLwt``), which
+    compare :attr:`CompiledHandler.cache_generation` against the
+    generation bumped here before reusing one.  Benchmarks call this so
+    a run starts cold: the next packet through each site pays the
+    assembly of a fresh guest address space.
     """
     global _HANDLER_CACHE_GENERATION
     _HANDLER_CACHE_GENERATION += 1
-    _HANDLER_CACHE.clear()
     _HANDLER_CACHE_STATS["handler_hits"] = 0
     _HANDLER_CACHE_STATS["handler_misses"] = 0
     for key in _JIT_V2_STATS:

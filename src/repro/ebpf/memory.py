@@ -30,7 +30,6 @@ STACK_BASE = 0x0001_0000  # r10 (frame pointer) points at STACK_TOP
 PACKET_BASE = 0x0010_0000
 MAP_VALUE_BASE = 0x1000_0000
 MAP_PTR_BASE = 0x7F00_0000  # opaque map handles (never dereferenced)
-SCRATCH_BASE = 0x2000_0000  # helper-owned buffers (e.g. nexthop lists)
 
 PROT_READ = 0x1
 PROT_WRITE = 0x2
@@ -109,12 +108,6 @@ class Memory:
         idx = bisect_right(self._bases, addr) - 1
         return idx >= 0 and self._regions[idx].contains(addr, 1)
 
-    def region_by_kind(self, kind: str) -> Region | None:
-        for region in self._regions:
-            if region.kind == kind:
-                return region
-        return None
-
     # -- burst-mode reuse ----------------------------------------------------
     def snapshot(self) -> tuple[list[int], list[Region]]:
         """Capture the region table so :meth:`restore` can drop later additions.
@@ -129,10 +122,10 @@ class Memory:
     def restore(self, snapshot: tuple[list[int], list[Region]]) -> None:
         """Unmap every region added since ``snapshot`` was taken.
 
-        Regions are only ever added (helpers map scratch buffers and map
-        values lazily), so restoring the snapshot's table is exactly
-        equivalent to assembling a fresh address space from the stable
-        regions; the map values among them leave :attr:`values` too.
+        Regions are only ever added (map values, mapped lazily on
+        lookup), so restoring the snapshot's table is exactly equivalent
+        to assembling a fresh address space from the stable regions; the
+        map values among them leave :attr:`values` too.
         """
         bases, regions = snapshot
         if len(self._regions) != len(regions):

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 from ..ebpf import Program
 from ..ebpf import jit as _jit
-from ..ebpf.jit import compiled_handler
+from ..ebpf.jit import CompiledHandler
 from .packet import Packet
 from .seg6local import _FORWARD, Disposition, run_attached
 
@@ -36,35 +36,21 @@ class BpfLwt:
     # Program runs per hook name ("lwt_in"/"lwt_out"/"lwt_xmit") — the
     # telemetry hook axis; stats above stays the aggregate verdict view.
     hook_runs: dict = field(default_factory=dict)
-    # Pinned per-hook CompiledHandlers (same generation-checked pin as
-    # EndBPF): avoids rebuilding a dict literal and probing the global
-    # handler cache on every packet of a batch.
+    # This site's handlers, one per hook that has run (see run_hook).
     _handlers: dict = field(default_factory=dict, repr=False, compare=False)
-    _handlers_generation: int = field(default=-1, repr=False, compare=False)
 
     def has_output_stage(self) -> bool:
         """True when a program is attached to lwt_out or lwt_xmit."""
         return self.prog_out is not None or self.prog_xmit is not None
 
-    def _handler_for(self, hook: str, program: Program):
-        if self._handlers_generation != _jit._HANDLER_CACHE_GENERATION:
-            self._handlers.clear()
-            self._handlers_generation = _jit._HANDLER_CACHE_GENERATION
-        handler = self._handlers.get(hook)
-        if handler is None or handler.program is not program:
-            handler = compiled_handler(program, hook)
-            self._handlers[hook] = handler
-        else:
-            _jit._HANDLER_CACHE_STATS["handler_hits"] += 1  # pinned reuse
-        return handler
-
     def run_hook(self, hook: str, pkt: Packet, node) -> Disposition:
         """Execute the program bound to ``hook``; default is pass-through.
 
-        The invocation context comes from the per-(program, hook)
-        compiled-handler cache (:func:`repro.ebpf.jit.compiled_handler`),
-        pinned per hook on this instance, so a batch of packets through
-        the same hook pays the guest address-space assembly once.
+        Each hook owns its :class:`~repro.ebpf.jit.CompiledHandler` — built
+        on the hook's first packet, rebuilt when the hook's program is
+        replaced or :func:`~repro.ebpf.jit.clear_handler_cache` ran since —
+        and the program runs through
+        :func:`~repro.net.seg6local.run_attached`, as End.BPF's does.
         """
         if hook == "lwt_in":
             program = self.prog_in
@@ -82,7 +68,11 @@ class BpfLwt:
             t = node.clock_ns()
             tctx.append((t, t, "ebpf", node.name, f"{hook}/{program.name}"))
 
-        hctx = self._handler_for(hook, program).arm(
-            pkt.data, clock_ns=node.clock_ns, rng=node.rng, mark=pkt.mark
-        )
-        return run_attached(program, hook, self.stats, pkt, node, hctx)
+        handler = self._handlers.get(hook)
+        if (
+            handler is None
+            or handler.program is not program
+            or handler.cache_generation != _jit._HANDLER_CACHE_GENERATION
+        ):
+            handler = self._handlers[hook] = CompiledHandler(program, hook)
+        return run_attached(handler, self.stats, pkt, node)

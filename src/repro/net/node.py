@@ -26,8 +26,8 @@ Packets whose headers were rewritten by a tunnel re-enter the routing
 decision (re-circulation), with a budget against misconfiguration
 loops.  Route lookups are memoised in a per-node :class:`FlowTable`
 (O(1) on hit and on miss), SRH advances read only the fixed SRH header,
-and eBPF invocations reuse cached
-:class:`~repro.ebpf.jit.CompiledHandler` address spaces — so the cost
+and eBPF invocations re-arm their attach site's
+:class:`~repro.ebpf.jit.CompiledHandler` address space — so the cost
 of per-packet setup is paid once per flow, not once per packet.
 """
 
@@ -50,15 +50,6 @@ from .seg6 import Seg6Encap
 from .seg6local import _FORWARD, Disposition, EndBPF, Seg6LocalAction
 
 _RECIRCULATION_BUDGET = 8
-
-# Batch-resident grouping guard (the PR 4 revert fix): after every packet
-# of a batch-resident End.BPF group, the main table's generation is
-# compared against its value at group formation; a mismatch — an eBPF
-# continuation or listener mutated the FIB mid-group — flushes the group
-# so the remaining packets re-resolve their route before dispatch.
-# Module-level so the regression test can disable it and demonstrate the
-# stale-route hazard it closes.
-FIB_GENERATION_GUARD = True
 
 
 @dataclass
@@ -323,7 +314,7 @@ class Node:
                     i += 1
                     continue
                 if i + 1 < n and type(route.encap) is EndBPF:
-                    # Batch-resident End.BPF: scan the run of consecutive
+                    # End.BPF group: scan the run of consecutive
                     # packets with this same destination — the lookup is
                     # deterministic per (table generation, dst), and no
                     # program runs between the probes, so byte-equal
@@ -341,20 +332,23 @@ class Node:
                 self._flush_egress()
 
     def _run_group(self, pkts: list[Packet], start: int, end: int, route: Route) -> int:
-        """Run ``pkts[start:end]`` — one End.BPF route — batch-resident.
+        """Run ``pkts[start:end]`` — consecutive packets to one End.BPF route.
 
-        The group shares one armed :class:`~repro.ebpf.jit.CompiledHandler`
-        (per-packet re-arm is the light resident variant) but keeps exact
-        scalar semantics: each packet's disposition is applied — and its
+        What the group shares is one route resolution, one fetch of the
+        action's pinned :class:`~repro.ebpf.jit.CompiledHandler`, its
+        counters and the inlined plain-forward continuation; each packet
+        is invoked exactly as a lone one is (``encap.process``) and keeps
+        exact scalar semantics: its disposition is applied — and its
         pipeline continuation run — *before* the next packet executes, so
         side effects (map state, perf events, locally generated ICMP,
         listener callbacks) interleave in arrival order.
 
         After each packet, the main table's generation is compared to its
-        value at group formation (:data:`FIB_GENERATION_GUARD`): an eBPF
-        continuation that mutated the FIB flushes the group, and the
-        caller re-resolves the remaining packets against the new FIB.
-        Returns the index of the first unprocessed packet.
+        value at group formation: an eBPF program or continuation that
+        mutated the FIB flushes the group, and the caller re-resolves the
+        remaining packets against the new FIB (the stale-route hazard
+        ``tests/test_jit_v2_fib_guard.py`` pins).  Returns the index of
+        the first unprocessed packet.
         """
         from ..ebpf.jit import _JIT_V2_STATS
 
@@ -362,16 +356,15 @@ class Node:
         table = self.tables[MAIN_TABLE]
         generation = table.generation
         encap = route.encap
-        handler = encap.group_handler()
+        handler = encap.handler()
         run = self._run_pipeline
         lookup = self._lookup_route
-        process_resident = encap.process_resident
+        process = encap.process
         devices = self.devices
         egress = self._egress_batch
         name = self.name
         ecmp_seed = self.ecmp_seed
         budget = _RECIRCULATION_BUDGET - 1
-        guard = FIB_GENERATION_GUARD
         _JIT_V2_STATS["bpf_groups"] += 1
         processed = 0
         i = start
@@ -385,7 +378,7 @@ class Node:
                 t = self.clock_ns()
                 tctx.append((t, t, "stage:lookup", name, ""))
                 tctx.append((t, t, "stage:seg6local", name, encap.kind))
-            disposition = process_resident(pkt, self, handler)
+            disposition = process(pkt, self, handler)
             i += 1
             if disposition is _FORWARD:
                 # Inlined plain-forward continuation — the dominant case
@@ -430,7 +423,7 @@ class Node:
                 outcome = self._apply_disposition(disposition, pkt)
                 if outcome is not None:
                     run(pkt, True, budget, table_id=outcome[0], nh6=outcome[1])
-            if guard and table.generation != generation:
+            if table.generation != generation:
                 _JIT_V2_STATS["bpf_group_flushes"] += 1
                 break
         counters.seg6local_processed += processed
@@ -493,7 +486,7 @@ class Node:
         ``route = None; continue``.  ``decrement`` is False for locally
         originated packets.  ``route`` pre-resolves the first lookup
         (``lookup_dst`` is the destination it was resolved for: batch
-        entry points resolve it while probing for batch-resident groups);
+        entry points resolve it while probing for End.BPF groups);
         ``table_id`` / ``nh6`` direct the first lookup instead (a
         redirect the group path already applied); ``budget`` is the
         remaining re-circulation allowance for callers that already

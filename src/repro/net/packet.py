@@ -132,10 +132,6 @@ class Packet:
         """Rewrite the outer destination address in place."""
         self.data[24:40] = as_addr(addr)
 
-    def set_src(self, addr: bytes) -> None:
-        """Rewrite the outer source address in place."""
-        self.data[8:24] = as_addr(addr)
-
     def decrement_hop_limit(self) -> int:
         """Decrement the hop limit (floored at 0) and return the new value."""
         self.data[7] = max(0, self.data[7] - 1)
@@ -149,11 +145,6 @@ class Packet:
             return SRH.parse(bytes(self.data), IPV6_HEADER_LEN), IPV6_HEADER_LEN
         except ValueError:
             return None
-
-    def write_srh(self, srh: SRH, offset: int) -> None:
-        """Serialise ``srh`` back in place (it must keep its wire length)."""
-        raw = srh.pack()
-        self.data[offset : offset + len(raw)] = raw
 
     def l4(self) -> tuple[int, int, int] | None:
         """(protocol, src_port, dst_port) of the innermost transport header.

@@ -21,12 +21,15 @@ If the program altered the SRH through the helpers, the header is
 re-validated before the packet continues; an inconsistent SRH is dropped
 (§3.1).
 
-Processing is batch-native: every advancing action's ``process`` runs
-the shared End prologue (a read of the fixed SRH header and one
-segment, no SRH object), and ``End.BPF`` invokes its program through
-the cached per-(program, attach point)
-:class:`~repro.ebpf.jit.CompiledHandler` — so a batch of packets pays
-eBPF context assembly once and SRH parsing never.
+Every advancing action's ``process`` runs the shared End prologue (a
+read of the fixed SRH header and one segment, no SRH object).  An
+attached program — End.BPF's here, a BPF LWT hook's in
+:mod:`~repro.net.lwt_bpf` — is run in exactly one way,
+:func:`run_attached`: arm the attach site's own
+:class:`~repro.ebpf.jit.CompiledHandler`, call the translated function,
+write packet and mark back, re-validate, map the return code.  A site's
+first packet pays the guest address-space assembly; no packet pays an
+SRH parse.
 """
 
 from __future__ import annotations
@@ -34,9 +37,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..ebpf import BPF_DROP, BPF_OK, BPF_REDIRECT, Program
+from ..ebpf.context import SkbContext
 from ..ebpf.errors import BpfError, VmFault
 from ..ebpf import jit as _jit
-from ..ebpf.jit import _HANDLER_CACHE_STATS, compiled_handler
+from ..ebpf.jit import CompiledHandler
 from .addr import as_addr
 from .ipv6 import IPV6_HEADER_LEN, PROTO_IPV6, PROTO_ROUTING
 from .packet import Packet
@@ -211,11 +215,6 @@ class Seg6LocalAction:
         data[_AT_SEGMENTS_LEFT], data[24:40] = verdict
         return _FORWARD
 
-    def process_batch(self, pkts: list[Packet], node) -> list[Disposition]:
-        """Process a packet batch; one disposition per packet, in order."""
-        process = self.process
-        return [process(pkt, node) for pkt in pkts]
-
 
 @dataclass
 class End(Seg6LocalAction):
@@ -362,71 +361,25 @@ class EndBPF(Seg6LocalAction):
     stats: dict = field(default_factory=lambda: {"ok": 0, "drop": 0, "redirect": 0, "errors": 0})
 
     def __post_init__(self) -> None:
-        self._handler = None  # pinned CompiledHandler (invalidated by generation)
-        # (fn, mem, helpers, ctx_addr, stack_top) bound by the arming
-        # packet of each batch-resident group; see process_resident.
-        self._group_call = None
+        self._handler = None
 
-    def process(self, pkt: Packet, node) -> Disposition:
-        """Advance the SRH, then run the attached program (§3.1 semantics).
-
-        The advance verdict is read off the fixed SRH header and the program
-        runs in the cached per-(program, attach point)
-        :class:`~repro.ebpf.jit.CompiledHandler` (see :meth:`group_handler`)
-        instead of a freshly assembled guest address space.
-        """
-        data = pkt.data
-        verdict = _advance_verdict(data)
-        if verdict is _V_NO_SRH or verdict is _V_SL_ZERO:
-            return Disposition.drop("End.BPF: " + verdict)
-        data[_AT_SEGMENTS_LEFT], data[24:40] = verdict
-        tctx = pkt.tctx
-        if tctx is not None:
-            t = node.clock_ns()
-            tctx.append((t, t, "ebpf", node.name, f"seg6local/{self.program.name}"))
-
-        hctx = self.group_handler().arm(
-            data, clock_ns=node.clock_ns, rng=node.rng, mark=pkt.mark
-        )
-        return run_attached(self.program, "seg6local", self.stats, pkt, node, hctx)
-
-    # -- batch-resident invocation (Node._run_group) --------------------------
-    def group_handler(self):
-        """The pinned handler, marked un-armed for a new batch-resident group.
-
-        The handler is pinned on the action instance; the cache
-        generation check makes :func:`~repro.ebpf.jit.clear_handler_cache`
-        still reach it.  The ``group_armed`` flag makes the first
-        *arming* packet of the group do a full
-        :meth:`~repro.ebpf.jit.CompiledHandler.arm` (rebinding clock/rng —
-        the handler may last have run on another node) while subsequent
-        packets take the light
-        :meth:`~repro.ebpf.jit.CompiledHandler.arm_resident` path.  Scalar
-        :meth:`process` fetches its handler here too and always arms in full.
-        """
+    def handler(self) -> CompiledHandler:
+        """This site's handler: built on first use, rebuilt when ``program`` is
+        replaced or :func:`~repro.ebpf.jit.clear_handler_cache` ran since."""
         handler = self._handler
         if (
             handler is None
             or handler.program is not self.program
             or handler.cache_generation != _jit._HANDLER_CACHE_GENERATION
         ):
-            handler = compiled_handler(self.program, "seg6local")
-            self._handler = handler
-        else:
-            _HANDLER_CACHE_STATS["handler_hits"] += 1  # pinned-handler reuse
-        handler.group_armed = False
+            handler = self._handler = CompiledHandler(self.program, "seg6local")
         return handler
 
-    def process_resident(self, pkt: Packet, node, handler) -> Disposition:
-        """:meth:`process` for one packet of a batch-resident group.
+    def process(self, pkt: Packet, node, handler: CompiledHandler | None = None) -> Disposition:
+        """Advance the SRH, then run the attached program (§3.1 semantics).
 
-        Identical semantics to :meth:`process`, flattened for the hot
-        loop: the group's handler stays resident between packets (guest
-        address space, clock/rng/node/hook bindings reused, only
-        per-packet state reset), the translated function plus its
-        invariant arguments are bound once per group on the arming
-        packet (``_group_call``), and the §3.1 return-code handling is
-        inlined instead of dispatched through :func:`run_attached`.
+        ``handler`` is :meth:`handler`'s result when the caller already
+        fetched it — ``Node._run_group`` does, once for a whole group.
         """
         data = pkt.data
         verdict = _advance_verdict(data)
@@ -437,69 +390,9 @@ class EndBPF(Seg6LocalAction):
         if tctx is not None:
             t = node.clock_ns()
             tctx.append((t, t, "ebpf", node.name, f"seg6local/{self.program.name}"))
-
-        program = self.program
-        if handler.group_armed:
-            _HANDLER_CACHE_STATS["handler_hits"] += 1
-            hctx = handler.arm_resident(data, mark=pkt.mark)
-            hctx.packet = pkt  # node/hook bindings persist from the arming packet
-            fn, mem, helpers, ctx_addr, stack_top = self._group_call
-        else:
-            handler.group_armed = True
-            hctx = handler.arm(
-                data, clock_ns=node.clock_ns, rng=node.rng, mark=pkt.mark
-            )
-            hctx.packet = pkt
-            hctx.node = node
-            hctx.hook = "seg6local"
-            skb = hctx.skb
-            jitp = program._jit if program.jit_enabled else None
-            fn = jitp._fn if jitp is not None else None
-            mem = hctx.mem
-            helpers = jitp.helpers if jitp is not None else None
-            ctx_addr = skb.ctx_addr
-            stack_top = skb.stack_top
-            self._group_call = (fn, mem, helpers, ctx_addr, stack_top)
-
-        pstats = program.stats
-        try:
-            if fn is not None:
-                ret = fn(hctx, mem, helpers, ctx_addr, stack_top)
-            else:
-                ret = program._interp.run(hctx, ctx_addr, stack_top)
-        except (VmFault, BpfError) as exc:
-            self.stats["errors"] += 1
-            node.log(f"End.BPF program fault: {exc}")
-            return Disposition.drop(f"program fault: {exc}", bpf=True)
-        pstats.invocations += 1
-        pstats.last_return = ret
-
-        skb = hctx.skb
-        region_data = skb.packet_region.data
-        if region_data != data:
-            pkt.data = bytearray(region_data)
-        pkt.mark = skb.mark
-
-        if hctx.metadata.get("srh_modified") and ret != BPF_DROP:
-            invalid = _revalidate(self.stats, pkt.data)
-            if invalid is not None:
-                return invalid
-
-        if ret == BPF_OK:
-            self.stats["ok"] += 1
-            return _FORWARD
-        if ret == BPF_REDIRECT:
-            self.stats["redirect"] += 1
-            return Disposition.forward(
-                table_id=hctx.metadata.get("redirect_table"),
-                nh6=hctx.metadata.get("redirect_nh6"),
-            )
-        self.stats["drop"] += 1
-        if ret == BPF_DROP:
-            return Disposition.drop("BPF_DROP", bpf=True)
-        # A malformed verdict is a datapath policy drop, not the program
-        # explicitly asking for one — it does not count as bpf_dropped.
-        return Disposition.drop(f"unknown BPF return {ret}")
+        if handler is None:
+            handler = self.handler()
+        return run_attached(handler, self.stats, pkt, node)
 
 
 def _revalidate(stats: dict, data: bytearray) -> Disposition | None:
@@ -517,34 +410,49 @@ def _revalidate(stats: dict, data: bytearray) -> Disposition | None:
     return Disposition.drop(f"invalid SRH after BPF: {reason}", bpf=True)
 
 
-def run_attached(program: Program, hook: str, stats: dict, pkt: Packet, node, hctx) -> Disposition:
-    """Run ``program`` on ``hook`` and apply §3.1 return-code semantics.
+_CTX_ADDR = SkbContext.ctx_addr
+_STACK_TOP = SkbContext.stack_top
 
-    End.BPF's scalar path and the BPF LWT hooks; ``stats`` is the owner's.
+
+def run_attached(handler: CompiledHandler, stats: dict, pkt: Packet, node) -> Disposition:
+    """Run ``handler``'s program on ``pkt`` and apply §3.1 return-code semantics.
+
+    The one invocation of an attached program on the datapath — End.BPF,
+    alone or in a group, and the BPF LWT hooks; ``stats`` is the owner's.
     """
-    hctx.packet = pkt
-    hctx.node = node
-    hctx.hook = hook
+    data = pkt.data
+    hctx = handler.arm(data, node.clock_ns, node.rng, pkt.mark, pkt, node)
+    program = handler.program
+    fn, mem, helpers = handler.call
     try:
-        ret = program.run(hctx)
+        if fn is not None:
+            ret = fn(hctx, mem, helpers, _CTX_ADDR, _STACK_TOP)
+        else:
+            ret = program._interp.run(hctx, _CTX_ADDR, _STACK_TOP)
     except (VmFault, BpfError) as exc:
         stats["errors"] += 1
+        hook = handler.attach_point
         if hook == "seg6local":
             node.log(f"End.BPF program fault: {exc}")
         else:
             node.log(f"BPF LWT program fault on {hook}: {exc}")
         return Disposition.drop(f"program fault: {exc}", bpf=True)
+    pstats = program.stats
+    pstats.invocations += 1
+    pstats.last_return = ret
 
     # Propagate helper-made modifications back into the packet.  The
     # guest packet region and pkt.data are both bytearrays, so the
     # unchanged-packet check is a straight C-level compare, no copies.
-    region_data = hctx.skb.packet_region.data
-    if region_data != pkt.data:
+    skb = hctx.skb
+    region_data = skb.packet_region.data
+    if region_data != data:
         pkt.data = bytearray(region_data)
-    pkt.mark = hctx.skb.mark
+    pkt.mark = skb.mark
 
     # Only the seg6local helpers set this; an LWT program never does.
-    if hctx.metadata.get("srh_modified") and ret != BPF_DROP:
+    metadata = hctx.metadata
+    if metadata.get("srh_modified") and ret != BPF_DROP:
         invalid = _revalidate(stats, pkt.data)
         if invalid is not None:
             return invalid
@@ -555,8 +463,8 @@ def run_attached(program: Program, hook: str, stats: dict, pkt: Packet, node, hc
     if ret == BPF_REDIRECT:
         stats["redirect"] += 1
         return Disposition.forward(
-            table_id=hctx.metadata.get("redirect_table"),
-            nh6=hctx.metadata.get("redirect_nh6"),
+            table_id=metadata.get("redirect_table"),
+            nh6=metadata.get("redirect_nh6"),
         )
     stats["drop"] += 1
     if ret == BPF_DROP:

@@ -308,9 +308,6 @@ class Scheduler:
             self.now_ns = horizon_ns
         return executed
 
-    def run_for(self, duration_ns: int, max_events: int | None = None) -> int:
-        return self.run(self.now_ns + duration_ns, max_events)
-
     @property
     def pending(self) -> int:
         """Live (non-cancelled) events in the heap — O(1), not a scan."""

@@ -72,7 +72,7 @@ def node_cache_samples(node, labels: dict | None = None) -> Iterator[Sample]:
 
 
 def jit_samples(labels: dict | None = None) -> Iterator[Sample]:
-    """The global handler-cache + JIT v2 counters (process-wide)."""
+    """The handler hit/miss + JIT v2 counters (process-wide)."""
     from ..ebpf.jit import handler_cache_stats
 
     tags = _labels(labels) if labels else ()

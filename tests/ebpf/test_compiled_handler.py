@@ -1,16 +1,22 @@
 """CompiledHandler reuse must be observably identical to fresh contexts.
 
-The burst fast path re-arms one guest address space per (program, attach
-point).  These tests pin down the reset contract: scratch/map-value
-regions from the previous invocation are unmapped, per-invocation state
-(trace log, metadata, cb, stack) is cleared, and persistent map state
-keeps evolving exactly as it would across fresh ``make_context`` calls.
+The datapath re-arms one guest address space per attach site.  These
+tests pin down the reset contract: map-value regions from the previous
+invocation are unmapped, per-invocation state (trace log, metadata, cb,
+stack, clock, rng, packet, node) is rebound or cleared whichever node or
+group the previous packet belonged to, and persistent map state keeps
+evolving exactly as it would across fresh ``make_context`` calls.
 """
+
+import random
 
 import pytest
 
-from repro.ebpf import ArrayMap, HashMap, Program, compiled_handler
+from repro.ebpf import ArrayMap, HashMap, Program
+from repro.ebpf.errors import HelperError
+from repro.ebpf.helpers import HELPERS_BY_ID, register_helper
 from repro.ebpf.jit import CompiledHandler
+from repro.net import BpfLwt, EndBPF, Node, Packet, make_srv6_udp_packet
 
 PACKET = bytes([0x60]) + bytes(39)
 
@@ -51,15 +57,6 @@ out:
 
 def key(n: int) -> bytes:
     return n.to_bytes(4, "little")
-
-
-def test_handler_cache_keyed_by_program_and_attach_point():
-    counter = ArrayMap("ch_hits_a", value_size=8, max_entries=1)
-    prog = Program(COUNTER_ASM, maps={"hits": counter})
-    assert compiled_handler(prog, "seg6local") is compiled_handler(prog, "seg6local")
-    assert compiled_handler(prog, "seg6local") is not compiled_handler(prog, "lwt_out")
-    other = Program(COUNTER_ASM, maps={"hits": counter})
-    assert compiled_handler(prog, "seg6local") is not compiled_handler(other, "seg6local")
 
 
 def test_reused_context_matches_fresh_contexts():
@@ -150,3 +147,164 @@ def test_rearm_rebinds_packet_and_mark():
     assert prog.run(hctx) == len(bigger)
     assert hctx.skb.mark == 9
     assert hctx.skb.packet_bytes() == bigger
+
+
+# --- one attach site, several nodes: re-armed ≡ fresh under interleaving -------
+
+# mark += now + draw; seen = (count, order-sensitive digest of now + draw).
+STAMP_ASM = """
+    mov r6, r1
+    call ktime_get_ns
+    mov r7, r0
+    call get_prandom_u32
+    mov r8, r0
+    mov r1, 0
+    stxw [r10-4], r1
+    lddw r1, map:seen
+    mov r2, r10
+    add r2, -4
+    call map_lookup_elem
+    jeq r0, 0, out
+    ldxdw r1, [r0+0]
+    add r1, 1
+    stxdw [r0+0], r1
+    ldxdw r1, [r0+8]
+    mul r1, 31
+    add r1, r7
+    add r1, r8
+    stxdw [r0+8], r1
+out:
+    ldxw r1, [r6+8]
+    add r1, r7
+    add r1, r8
+    stxw [r6+8], r1
+    mov r0, 0
+    exit
+"""
+
+SID = "fc00:e::100"
+SINK = "fc00:2::2"
+
+
+def _stamp_prog(tag: str) -> tuple[Program, ArrayMap]:
+    seen = ArrayMap(f"ch_seen_{tag}", value_size=16, max_entries=1)
+    return Program(STAMP_ASM, maps={"seen": seen}, name=f"stamp_{tag}"), seen
+
+
+def test_one_site_on_two_nodes_interleaved_matches_fresh_contexts():
+    """One ``EndBPF`` and one ``BpfLwt`` shared by two nodes, batches interleaved.
+
+    Clock and rng belong to the node a packet is on, not to whichever
+    node armed the handler last: marks, map contents and invocation
+    counts equal a per-packet ``run_on_packet`` model fed the same clocks
+    and ``random.Random`` streams, and assigning ``node.rng`` /
+    ``node.clock_ns`` takes effect on the very next packet.
+    """
+    end_live, end_seen = _stamp_prog("end_live")
+    lwt_live, lwt_seen = _stamp_prog("lwt_live")
+    end_model, end_model_seen = _stamp_prog("end_model")
+    lwt_model, lwt_model_seen = _stamp_prog("lwt_model")
+    action, lwt = EndBPF(end_live), BpfLwt(prog_out=lwt_live)
+
+    now = {"A": 1_000, "B": 9_000_000}
+    clock_of = {name: (lambda name=name: now[name]) for name in now}
+    rng_of = {"A": random.Random(11), "B": random.Random(22)}  # the model's streams
+    nodes = {}
+    for name, seed in (("A", 11), ("B", 22)):
+        node = nodes[name] = Node(name, clock_ns=clock_of[name], seed=seed)
+        node.add_device("eth0")
+        node.add_device("eth1")
+        node.add_route(f"{SID}/128", encap=action)
+        node.add_route("fc00:2::/64", via=SINK, dev="eth1", encap=lwt)
+
+    raw = bytes(make_srv6_udp_packet("fc00:1::1", [SID, SINK], 40000, 5201, bytes(16)).data)
+    expected = {"A": [], "B": []}
+    script = [("A", 1), ("B", 3), ("A", 4), ("B", 1), ("B", 1), ("A", 2), ("B", 2), ("A", 3), ("B", 4)]
+    for step, (name, size) in enumerate(script):
+        node = nodes[name]
+        node.receive_batch([Packet(raw) for _ in range(size)], node.devices["eth0"])
+        for _ in range(size):
+            _, hctx = end_model.run_on_packet(raw, clock_ns=clock_of[name], rng=rng_of[name])
+            _, hctx = lwt_model.run_on_packet(
+                raw, clock_ns=clock_of[name], rng=rng_of[name], mark=hctx.skb.mark
+            )
+            expected[name].append(hctx.skb.mark)
+        now[name] += 1_000 * (step + 1)
+        if step == 3:
+            # Between two one-packet batches on B: a new stream, a new clock object.
+            nodes["B"].rng, rng_of["B"] = random.Random(5), random.Random(5)
+            nodes["B"].clock_ns = clock_of["B"] = lambda: now["B"] + 77
+
+    total = sum(size for _name, size in script)
+    for name, node in nodes.items():
+        assert [p.mark for p in node.devices["eth1"].tx_buffer] == expected[name], name
+    assert end_seen.lookup(key(0)) == end_model_seen.lookup(key(0))
+    assert lwt_seen.lookup(key(0)) == lwt_model_seen.lookup(key(0))
+    assert end_live.stats.invocations == lwt_live.stats.invocations == total
+    assert action.stats["ok"] == lwt.stats["ok"] == total
+    assert lwt.hook_runs == {"lwt_out": total}
+
+
+# --- a fault in packet k leaves packet k+1 a clean context ----------------------
+
+_SNAPSHOTS: list[tuple] = []
+
+if 2001 not in HELPERS_BY_ID:
+
+    @register_helper(2001, "test_ctx_probe", [("ctx",), ("scalar",)])
+    def _test_ctx_probe(hctx, ctx_addr: int, phase: int) -> int:
+        """Phase 0 records what the context holds on entry; phase 1 dirties the
+        helper-side state and faults on a packet whose last byte is set."""
+        skb = hctx.skb
+        if phase == 0:
+            _SNAPSHOTS.append(
+                (dict(hctx.metadata), list(hctx.trace_log), skb.cb(0), bytes(skb.stack_region.data))
+            )
+            return 0
+        hctx.metadata["left_over"] = True
+        hctx.trace_log.append("stale line")
+        if hctx.packet.data[-1]:
+            raise HelperError("test fault")
+        return 0
+
+
+PROBE_ASM = """
+    mov r6, r1
+    mov r2, 0
+    call test_ctx_probe            ; snapshot what the previous packet left behind
+    mov r1, 7
+    stxdw [r6+0x20], r1            ; cb[0] = 7
+    stxdw [r10-8], r1              ; dirty the stack
+    mov r1, r6
+    mov r2, 1
+    call test_ctx_probe            ; dirty metadata + trace log; faults on a marked packet
+    mov r0, 0
+    exit
+"""
+
+
+@pytest.mark.parametrize("sizes", [[4], [1, 1, 1, 1]], ids=["group", "one-at-a-time"])
+def test_fault_in_one_packet_leaves_the_next_a_clean_context(sizes):
+    _SNAPSHOTS.clear()
+    action = EndBPF(Program(PROBE_ASM, name="probe", allowed_helpers=None))
+    node = Node("R")
+    node.add_device("eth0")
+    node.add_device("eth1")
+    node.add_route(f"{SID}/128", encap=action)
+    node.add_route("fc00:2::/64", via=SINK, dev="eth1")
+    pkts = [
+        make_srv6_udp_packet("fc00:1::1", [SID, SINK], 40000, 5201, bytes(15) + bytes([i == 1]))
+        for i in range(4)
+    ]
+    offset = 0
+    for size in sizes:
+        node.receive_batch(pkts[offset : offset + size], node.devices["eth0"])
+        offset += size
+
+    clean = ({}, [], 0, bytes(512))
+    assert _SNAPSHOTS == [clean] * 4  # packet 1 faulted with all four dirtied
+    assert node.devices["eth1"].tx_buffer == [pkts[0], pkts[2], pkts[3]]
+    assert action.stats == {"ok": 3, "drop": 0, "redirect": 0, "errors": 1}
+    assert action.program.stats.invocations == 3
+    assert (node.counters.dropped, node.counters.bpf_dropped) == (1, 1)
+    assert node.log_messages == ["End.BPF program fault: test fault"]

@@ -116,13 +116,6 @@ def test_bulk_read_write():
     assert mem.read_bytes(0x2004, 11) == b"hello world"
 
 
-def test_region_by_kind():
-    mem = Memory()
-    mem.add_region(Region(0x1000, bytearray(4), kind="stack"))
-    assert mem.region_by_kind("stack").base == 0x1000
-    assert mem.region_by_kind("packet") is None
-
-
 def test_region_data_shared_with_backing_bytearray():
     backing = bytearray(8)
     mem = Memory()

@@ -144,7 +144,7 @@ def test_malformed_srh_drop_reasons(case, action, prefix):
     assert (disposition.action, disposition.reason, disposition.bpf) == ("drop", prefix + reason, False)
     assert pkt.data == data  # a dropped packet is not half-advanced
     if isinstance(action, EndBPF):
-        resident = action.process_resident(Packet(bytes(data)), node, action.group_handler())
+        resident = action.process(Packet(bytes(data)), node, action.handler())
         assert (resident.action, resident.reason) == ("drop", prefix + reason)
         assert action.program.stats.invocations == 0  # the program never saw it
 

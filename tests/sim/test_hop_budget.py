@@ -4,18 +4,25 @@
 link, S2's local delivery — once per packet, so every layer someone
 adds to that path is a few more Python calls per packet.  The count
 under ``sys.setprofile`` is exact and the same on every host; the
-budget below sits just above what the fused dispatch function and the
-straight-line wire left (71.0, 69.0 since the context addresses are
-constants); the per-packet context object, stage methods and
-``Packet.__len__`` frames they replaced read 100.0.
+budget below sits just above what the fused dispatch function, the
+straight-line wire and the single invocation path left (65.0; 69.0
+while a scalar End.BPF went through ``Program.run`` and
+``JitProgram.run``; the per-packet context object, stage methods and
+``Packet.__len__`` frames before that read 100.0).
+
+The invocation itself has its own budget: one scalar
+``EndBPF.process`` is 9 calls — the prologue, the pin, ``run_attached``,
+``arm`` and its two region resets, the translated function, the mark
+read-back (13 with the ``Program.run`` / ``JitProgram.run`` /
+``HelperContext.rearm`` frames) — so the next layer someone adds to it
+shows up as a number.
 
 Setup 2's hybrid-access path has three budgets of the same kind: one
-WRR decision on the LWT hook (45 calls since the seg6 helpers splice
-wire bytes and the JIT indexes map values directly; the SRH / IPv6
-dataclass round trips and the generic ``Memory`` walk read 110), one
-``End.DT6`` on its encapsulation (7; 25 with two parses and two packet
-copies), and one delivered packet of the ledger-shaped Setup 2 (294.6;
-445.7).
+WRR decision on the LWT hook (40 calls; 45 before the single invocation
+path; the SRH / IPv6 dataclass round trips and the generic ``Memory``
+walk read 110), one ``End.DT6`` on its encapsulation (7; 25 with two
+parses and two packet copies), and one delivered packet of the
+ledger-shaped Setup 2 (285.2; 294.6; 445.7).
 """
 
 from __future__ import annotations
@@ -23,15 +30,16 @@ from __future__ import annotations
 import sys
 
 from repro.lab import build_setup1, build_setup2
-from repro.net import EndBPF, EndDT6, Node, Packet, make_udp_packet
+from repro.net import EndBPF, EndDT6, Node, Packet, make_srv6_udp_packet, make_udp_packet, pton
 from repro.progs import end_prog
 from repro.sim import NS_PER_MS
 from repro.usecases import deploy_hybrid_access, install_wrr
 
-CALLS_PER_PACKET_BUDGET = 75
-CALLS_PER_WRR_DECISION_BUDGET = 48
+CALLS_PER_PACKET_BUDGET = 67
+CALLS_PER_SCALAR_END_BPF_BUDGET = 10
+CALLS_PER_WRR_DECISION_BUDGET = 41
 CALLS_PER_END_DT6_BUDGET = 8
-CALLS_PER_SETUP2_PACKET_BUDGET = 300
+CALLS_PER_SETUP2_PACKET_BUDGET = 288
 
 
 def count_calls(fn, *args, **kwargs) -> int:
@@ -106,6 +114,19 @@ def test_wrr_decision_and_its_decap_stay_within_their_call_budgets():
     assert encapsulated.data == template.data
     assert calls <= CALLS_PER_END_DT6_BUDGET, (
         f"{calls} Python-level calls per End.DT6, budget {CALLS_PER_END_DT6_BUDGET}"
+    )
+
+
+def test_scalar_end_bpf_stays_within_its_call_budget():
+    node = Node("R")
+    action = EndBPF(end_prog())
+    template = make_srv6_udp_packet("fc00:1::1", ["fc00:e::100", "fc00:2::2"], 40000, 5201, bytes(64))
+    action.process(Packet(template.data), node)  # builds the handler's guest address space
+    pkt = Packet(template.data)
+    calls = count_calls(action.process, pkt, node)
+    assert pkt.dst == pton("fc00:2::2") and action.stats["ok"] == 2
+    assert calls <= CALLS_PER_SCALAR_END_BPF_BUDGET, (
+        f"{calls} Python-level calls per scalar End.BPF, budget {CALLS_PER_SCALAR_END_BPF_BUDGET}"
     )
 
 

@@ -19,8 +19,17 @@ import random
 import pytest
 
 from repro.bench.harness import copy_batch, make_fig2_router, make_router
-from repro.ebpf import ArrayMap, PerfEventArrayMap
-from repro.net import MAIN_TABLE, BpfLwt, EndBPF, FlowTable, Node, Packet, as_addr
+from repro.ebpf import ArrayMap, PerfEventArrayMap, Program
+from repro.net import (
+    MAIN_TABLE,
+    BpfLwt,
+    EndBPF,
+    FlowTable,
+    Node,
+    Packet,
+    as_addr,
+    make_srv6_udp_packet,
+)
 from repro.progs import (
     dm_config_value,
     dm_encap_prog,
@@ -276,38 +285,77 @@ def test_icmp_interleaves_in_arrival_order_within_batch():
     assert out[1].next_header == 58
 
 
-# --- the seg6local process_batch entry point ----------------------------------
+# --- same-handler re-entry while a group is running ----------------------------
+
+# count += 1 in a map; mark = count — so the order of invocations is on the wire.
+COUNT_TO_MARK_ASM = """
+    mov r6, r1
+    mov r1, 0
+    stxw [r10-4], r1
+    lddw r1, map:hits
+    mov r2, r10
+    add r2, -4
+    call map_lookup_elem
+    jeq r0, 0, out
+    ldxdw r1, [r0+0]
+    add r1, 1
+    stxdw [r0+0], r1
+    stxw [r6+8], r1
+out:
+    mov r0, 0
+    exit
+"""
 
 
-def test_seg6local_process_batch_matches_single_process():
-    """``action.process_batch`` == N single ``process`` calls, per action kind."""
-    from repro.net import End, EndT, EndX
+def test_same_handler_reentry_mid_group_partition_invariance():
+    """A listener that ``send()``s through the SID its own packet arrived on.
 
-    factories = (
-        lambda: End(),
-        lambda: EndX(nh6="fc00:9::1"),
-        lambda: EndT(table_id=254),
-        lambda: EndBPF(end_prog()),
-    )
-    batch = batch_srv6_udp_flows("fc00:1::1", "fc00:e::100", "fc00:2", 4, 12)
-    batch[5].data[43] = 0  # one exhausted SRH in the middle
+    Every other packet of the stream ends at the router itself; its
+    listener answers with a new packet through the same End.BPF segment
+    while the rest of the group is still queued behind the same pinned
+    handler.  The nested invocation must neither see nor leave anything
+    of the group's: forwarded bytes, marks, counters and map state match
+    the packets fed one at a time.
+    """
+    boxes = []
 
-    for factory in factories:
-        single_action, batch_action = factory(), factory()
-        node_s, node_b = make_router(), make_router()
-        single_pkts = [Packet(bytes(p.data)) for p in batch]
-        batch_pkts = [Packet(bytes(p.data)) for p in batch]
+    def build():
+        node = make_router()
+        hits = ArrayMap(f"reentry_hits_{id(object())}", value_size=8, max_entries=1)
+        action = EndBPF(Program(COUNT_TO_MARK_ASM, maps={"hits": hits}, name="count_to_mark"))
+        node.add_route("fc00:e::100/128", encap=action)
 
-        single_disps = [single_action.process(p, node_s) for p in single_pkts]
-        batch_disps = batch_action.process_batch(batch_pkts, node_b)
+        def answer(pkt, n):
+            n.send(
+                make_srv6_udp_packet(
+                    "fc00:e::1", ["fc00:e::100", "fc00:2::2"], 7, 5201, pkt.udp_payload()
+                )
+            )
 
-        for s, b in zip(single_disps, batch_disps):
-            assert (s.action, s.table_id, s.nh6, s.reason, s.bpf) == (
-                b.action, b.table_id, b.nh6, b.reason, b.bpf
-            ), type(single_action).__name__
-        assert [bytes(p.data) for p in single_pkts] == [
-            bytes(p.data) for p in batch_pkts
-        ], type(single_action).__name__
+        node.bind(answer, port=5201)
+        boxes.append((action, hits))
+        return node
+
+    def side_effects(node):
+        action, hits = boxes[-1]
+        return dict(action.stats), action.program.stats.invocations, hits.lookup(b"\x00" * 4)
+
+    templates = [
+        make_srv6_udp_packet(
+            "fc00:1::1",
+            ["fc00:e::100", "fc00:e::1" if i % 2 else "fc00:2::2"],
+            40000 + i,
+            5201,
+            bytes([i]) * 8,
+        )
+        for i in range(12)
+    ]
+    assert_partition_invariant(build, templates, extra_observe=side_effects)
+
+    node = build()
+    out = drive_partition(node, copy_batch(templates), [len(templates)])
+    assert [p.mark for p in out] == [1, 3, 4, 6, 7, 9, 10, 12, 13, 15, 16, 18]
+    assert boxes[-1][0].stats["ok"] == 18 and node.counters.delivered_local == 6
 
 
 # --- flow-table invalidation --------------------------------------------------

@@ -1,30 +1,25 @@
-"""Batch-resident eBPF vs concurrent FIB updates — the re-landing guard.
+"""End.BPF groups vs concurrent FIB updates — the re-landing guard.
 
-The batch-resident fast path groups consecutive same-destination packets
-behind one armed handler and one route resolution.  That resolution can
-go stale *mid-group*: an eBPF program (through a helper) or its
-continuation may mutate the FIB, and the packets still queued behind the
-group's route must then see the new table — exactly as they would had
-each been resolved individually.
+The datapath groups consecutive same-destination packets behind one
+route resolution.  That resolution can go stale *mid-group*: an eBPF
+program (through a helper) or its continuation may mutate the FIB, and
+the packets still queued behind the group's route must then see the new
+table — exactly as they would had each been resolved individually.
 
-The datapath defends this with a generation check at every group
-boundary (``repro.net.node.FIB_GENERATION_GUARD``): after each packet
-the main table's generation is compared against its value at group
-formation, and a mismatch flushes the group so the caller re-resolves
-the remainder.  These tests pin both sides of the property:
-
-* guard **on** (the default) — a helper-made route replacement takes
-  effect from the very next packet, matching the scalar datapath;
-* guard **off** — the group demonstrably keeps executing the stale
-  handler, which is the hazard that reverted the first landing of the
-  batch-resident path.
+``Node._run_group`` defends this with a generation check after every
+packet: the main table's generation is compared against its value at
+group formation, and a mismatch flushes the group so the caller
+re-resolves the remainder.  Without the check the group keeps executing
+the replaced route's program (every mark stays 1) — the hazard that
+reverted the first landing of the group path — and the first test below
+fails: a helper-made route replacement must take effect from the very
+next packet, as it does in the second test's one-packet batches.
 """
 
 from __future__ import annotations
 
 import pytest
 
-import repro.net.node as node_mod
 from repro.bench.harness import FUNC_SEGMENT, copy_batch, make_router
 from repro.ebpf import Program
 from repro.ebpf.helpers import HELPERS_BY_ID, register_helper
@@ -121,14 +116,3 @@ def test_guard_on_matches_batch_of_one():
         node.receive_batch([pkt], dev)
     marks = [p.mark for p in node.devices["eth1"].tx_buffer]
     assert marks == [1] + [2] * (BATCH - 1)
-
-
-def test_guard_off_runs_stale_route(monkeypatch):
-    """Disabling the guard reproduces the PR-4 hazard: stale execution."""
-    monkeypatch.setattr(node_mod, "FIB_GENERATION_GUARD", False)
-    marks = _drive(_build())
-    # The group never notices the replacement: every packet of the batch
-    # still runs the old program.  This divergence from the scalar result
-    # is exactly what the generation guard exists to prevent.
-    assert marks == [1] * BATCH
-    assert handler_cache_stats()["bpf_group_flushes"] == 0
