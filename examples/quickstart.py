@@ -24,28 +24,28 @@ from repro.net import (
 # check against data_end), use it as an index into an array map, and
 # increment the per-tag packet counter.
 COUNT_BY_TAG = """
-    mov r6, r1                 ; save ctx
-    ldxdw r7, [r6+16]          ; data
-    ldxdw r8, [r6+24]          ; data_end
-    mov r2, r7
-    add r2, 48                 ; IPv6 header + SRH fixed part
-    jgt r2, r8, out            ; too short: pass through
-    ldxb r3, [r7+6]
-    jne r3, 43, out            ; no routing header
-    ldxh r4, [r7+46]           ; SRH tag (wire big-endian)
-    be16 r4
-    and r4, 7                  ; clamp to the map size
-    stxw [r10-4], r4           ; key on the stack
-    lddw r1, map:tag_counters
-    mov r2, r10
-    add r2, -4
+    r6 = r1                    ; save ctx
+    r7 = *(u64 *)(r6 + 16)     ; data
+    r8 = *(u64 *)(r6 + 24)     ; data_end
+    r2 = r7
+    r2 += 48                   ; IPv6 header + SRH fixed part
+    if r2 > r8 goto out        ; too short: pass through
+    r3 = *(u8 *)(r7 + 6)
+    if r3 != 43 goto out       ; no routing header
+    r4 = *(u16 *)(r7 + 46)     ; SRH tag (wire big-endian)
+    r4 = be16 r4
+    r4 &= 7                    ; clamp to the map size
+    *(u32 *)(r10 - 4) = r4     ; key on the stack
+    r1 = tag_counters ll
+    r2 = r10
+    r2 += -4
     call map_lookup_elem
-    jeq r0, 0, out
-    ldxdw r1, [r0+0]
-    add r1, 1
-    stxdw [r0+0], r1           ; *counter += 1 through the value pointer
+    if r0 == 0 goto out
+    r1 = *(u64 *)(r0 + 0)
+    r1 += 1
+    *(u64 *)(r0 + 0) = r1      ; *counter += 1 through the value pointer
 out:
-    mov r0, 0                  ; BPF_OK: forward along the next segment
+    r0 = 0                     ; BPF_OK: forward along the next segment
     exit
 """
 

@@ -33,54 +33,54 @@ DECAP_SEG = "fc00:f2::dddd"  # End.DT6 at the chain egress (co-located with ctr)
 # + SRH + inner IPv6 at fixed probe-free offsets), look it up in a hash
 # map, drop on hit.  Geometry: outer IPv6 (40) + 3-segment SRH (56) +
 # inner IPv6 (40) + UDP -> dst port at byte 138.
-FIREWALL_ASM = """
-    mov r6, r1
-    ldxdw r7, [r6+16]
-    ldxdw r8, [r6+24]
-    mov r2, r7
-    add r2, 144
-    jgt r2, r8, pass           ; too short: not our traffic shape
-    ldxb r3, [r7+6]
-    jne r3, 43, pass
-    ldxh r4, [r7+138]          ; inner UDP destination port (wire order)
-    stxh [r10-2], r4
-    lddw r1, map:blocklist
-    mov r2, r10
-    add r2, -2
+FIREWALL_SOURCE = """
+    r6 = r1
+    r7 = *(u64 *)(r6 + 16)
+    r8 = *(u64 *)(r6 + 24)
+    r2 = r7
+    r2 += 144
+    if r2 > r8 goto pass       ; too short: not our traffic shape
+    r3 = *(u8 *)(r7 + 6)
+    if r3 != 43 goto pass
+    r4 = *(u16 *)(r7 + 138)    ; inner UDP destination port (wire order)
+    *(u16 *)(r10 - 2) = r4
+    r1 = blocklist ll
+    r2 = r10
+    r2 += -2
     call map_lookup_elem
-    jeq r0, 0, pass
-    mov r0, 2                  ; port is blocked -> BPF_DROP
+    if r0 == 0 goto pass
+    r0 = 2                     ; port is blocked -> BPF_DROP
     exit
 pass:
-    mov r0, 0
+    r0 = 0
     exit
 """
 
 # Counter: bump a per-inner-flow-label counter in an array map.  The
 # outer (encap) header always carries label 0, so the program reads the
 # *inner* IPv6 header at offset 96 (outer 40 + 3-segment SRH 56).
-COUNTER_ASM = """
-    mov r6, r1
-    ldxdw r7, [r6+16]
-    ldxdw r8, [r6+24]
-    mov r2, r7
-    add r2, 100
-    jgt r2, r8, out
-    ldxw r3, [r7+96]           ; first word of the inner IPv6 header
-    be32 r3
-    and r3, 0xff               ; low bits of the flow label as the key
-    and r3, 7
-    stxw [r10-4], r3
-    lddw r1, map:flow_counts
-    mov r2, r10
-    add r2, -4
+COUNTER_SOURCE = """
+    r6 = r1
+    r7 = *(u64 *)(r6 + 16)
+    r8 = *(u64 *)(r6 + 24)
+    r2 = r7
+    r2 += 100
+    if r2 > r8 goto out
+    r3 = *(u32 *)(r7 + 96)     ; first word of the inner IPv6 header
+    r3 = be32 r3
+    r3 &= 0xff                 ; low bits of the flow label as the key
+    r3 &= 7
+    *(u32 *)(r10 - 4) = r3
+    r1 = flow_counts ll
+    r2 = r10
+    r2 += -4
     call map_lookup_elem
-    jeq r0, 0, out
-    ldxdw r1, [r0+0]
-    add r1, 1
-    stxdw [r0+0], r1
+    if r0 == 0 goto out
+    r1 = *(u64 *)(r0 + 0)
+    r1 += 1
+    *(u64 *)(r0 + 0) = r1
 out:
-    mov r0, 0
+    r0 = 0
     exit
 """
 
@@ -101,7 +101,7 @@ def build():
 
     blocklist = HashMap("blocklist", key_size=2, value_size=1, max_entries=64)
     net.load("sfc_firewall", Program(
-        FIREWALL_ASM, maps={"blocklist": blocklist},
+        FIREWALL_SOURCE, maps={"blocklist": blocklist},
         name="sfc_firewall", allowed_helpers=SEG6LOCAL_HELPERS,
     ))
     net.config(
@@ -112,7 +112,7 @@ def build():
 
     flow_counts = ArrayMap("flow_counts", value_size=8, max_entries=8)
     ctr_prog = Program(
-        COUNTER_ASM, maps={"flow_counts": flow_counts},
+        COUNTER_SOURCE, maps={"flow_counts": flow_counts},
         name="sfc_counter", allowed_helpers=SEG6LOCAL_HELPERS,
     )
     net.attach("ctr", CTR_SEG, ctr_prog)  # programmatic twin of the config form

@@ -7,19 +7,19 @@ eBPF:
 >>> from repro.ebpf import Program, ArrayMap
 >>> counter = ArrayMap("hits", value_size=8, max_entries=1)
 >>> prog = Program('''
-...     mov r6, r1            ; save ctx
-...     mov r1, 0
-...     stxw [r10-4], r1      ; key = 0
-...     lddw r1, map:hits
-...     mov r2, r10
-...     add r2, -4
+...     r6 = r1                   ; save ctx
+...     r1 = 0
+...     *(u32 *)(r10 - 4) = r1    ; key = 0
+...     r1 = hits ll
+...     r2 = r10
+...     r2 += -4
 ...     call map_lookup_elem
-...     jeq r0, 0, out
-...     ldxdw r1, [r0+0]
-...     add r1, 1
-...     stxdw [r0+0], r1      ; *value += 1
+...     if r0 == 0 goto out
+...     r1 = *(u64 *)(r0 + 0)
+...     r1 += 1
+...     *(u64 *)(r0 + 0) = r1     ; *value += 1
 ... out:
-...     mov r0, 0
+...     r0 = 0
 ...     exit
 ... ''', maps={"hits": counter})
 >>> ret, _ = prog.run_on_packet(b"\\x60" + b"\\x00" * 39)
@@ -27,7 +27,6 @@ eBPF:
 1
 """
 
-from .asm import assemble
 from .context import SkbContext
 from .disasm import disassemble
 from .errors import (
@@ -105,7 +104,6 @@ __all__ = [
     "Verifier",
     "VerifierError",
     "VmFault",
-    "assemble",
     "decode_program",
     "disassemble",
     "encode_program",

@@ -1,10 +1,21 @@
-"""eBPF disassembler producing text that re-assembles to identical bytecode."""
+"""eBPF disassembler: prints the kernel syntax :func:`parse_asm` reads."""
 
 from __future__ import annotations
 
 from . import isa
 from .errors import EncodingError
 from .insn import Instruction, flatten
+from .text.easm import ALU_OPS, JMP_OPS
+
+# The assembler's operator tables, read backwards.
+_ALU_SPELLING = {op: text for text, op in ALU_OPS.items()}
+_JMP_SPELLING = {op: text for text, op in JMP_OPS.items()}
+
+
+def _mem(insn: Instruction, base: int) -> str:
+    bits = isa.SIZE_BYTES[insn.opcode & isa.SIZE_MASK] * 8
+    sign = "-" if insn.off < 0 else "+"
+    return f"*(u{bits} *)(r{base} {sign} {abs(insn.off)})"
 
 
 def disassemble_insn(insn: Instruction, slot: int = 0) -> str:
@@ -14,42 +25,40 @@ def disassemble_insn(insn: Instruction, slot: int = 0) -> str:
     if insn.is_lddw:
         if insn.src_reg == isa.BPF_PSEUDO_MAP_FD:
             target = insn.map_ref if insn.map_ref else f"fd{insn.imm64}"
-            return f"lddw r{insn.dst_reg}, map:{target}"
+            return f"r{insn.dst_reg} = {target} ll"
         # Hand-built lddws may carry a plain 32-bit imm with imm64 unset.
         value = insn.imm64 if insn.imm64 is not None else insn.imm & isa.U64
-        return f"lddw r{insn.dst_reg}, {value:#x}"
+        return f"r{insn.dst_reg} = {value:#x} ll"
 
     if klass in (isa.BPF_ALU, isa.BPF_ALU64):
         op = insn.opcode & isa.OP_MASK
-        suffix = "" if klass == isa.BPF_ALU64 else "32"
+        reg = "r" if klass == isa.BPF_ALU64 else "w"
+        dst = f"{reg}{insn.dst_reg}"
         if op == isa.BPF_END:
             direction = "be" if insn.opcode & isa.BPF_TO_BE else "le"
-            return f"{direction}{insn.imm} r{insn.dst_reg}"
-        name = isa.ALU_OP_NAMES.get(op)
-        if name is None:
-            raise EncodingError(f"bad alu op {insn.opcode:#x}")
+            return f"r{insn.dst_reg} = {direction}{insn.imm} r{insn.dst_reg}"
         if op == isa.BPF_NEG:
-            return f"neg{suffix} r{insn.dst_reg}"
+            return f"{dst} = -{dst}"
         operand = (
-            f"r{insn.src_reg}" if insn.opcode & isa.BPF_X else str(insn.imm)
+            f"{reg}{insn.src_reg}" if insn.opcode & isa.BPF_X else str(insn.imm)
         )
-        return f"{name}{suffix} r{insn.dst_reg}, {operand}"
+        if op == isa.BPF_MOV:
+            return f"{dst} = {operand}"
+        if op not in _ALU_SPELLING:
+            raise EncodingError(f"bad alu op {insn.opcode:#x}")
+        return f"{dst} {_ALU_SPELLING[op]}= {operand}"
 
     if klass == isa.BPF_LDX:
-        size = isa.SIZE_SUFFIX[insn.opcode & isa.SIZE_MASK]
-        return f"ldx{size} r{insn.dst_reg}, [r{insn.src_reg}{insn.off:+d}]"
+        return f"r{insn.dst_reg} = {_mem(insn, insn.src_reg)}"
 
     if klass == isa.BPF_STX:
-        size = isa.SIZE_SUFFIX[insn.opcode & isa.SIZE_MASK]
-        return f"stx{size} [r{insn.dst_reg}{insn.off:+d}], r{insn.src_reg}"
+        return f"{_mem(insn, insn.dst_reg)} = r{insn.src_reg}"
 
     if klass == isa.BPF_ST:
-        size = isa.SIZE_SUFFIX[insn.opcode & isa.SIZE_MASK]
-        return f"st{size} [r{insn.dst_reg}{insn.off:+d}], {insn.imm}"
+        return f"{_mem(insn, insn.dst_reg)} = {insn.imm}"
 
     if klass in (isa.BPF_JMP, isa.BPF_JMP32):
         op = insn.opcode & isa.OP_MASK
-        suffix = "" if klass == isa.BPF_JMP else "32"
         if op == isa.BPF_CALL:
             from .helpers import HELPER_NAMES_BY_ID
 
@@ -59,14 +68,16 @@ def disassemble_insn(insn: Instruction, slot: int = 0) -> str:
             return "exit"
         target = f"L{slot + 1 + insn.off}"
         if op == isa.BPF_JA:
-            return f"ja {target}"
-        name = isa.JMP_OP_NAMES.get(op)
-        if name is None:
+            return f"goto {target}"
+        if op not in _JMP_SPELLING:
             raise EncodingError(f"bad jmp op {insn.opcode:#x}")
+        reg = "r" if klass == isa.BPF_JMP else "w"
         operand = (
-            f"r{insn.src_reg}" if insn.opcode & isa.BPF_X else str(insn.imm)
+            f"{reg}{insn.src_reg}" if insn.opcode & isa.BPF_X else str(insn.imm)
         )
-        return f"{name}{suffix} r{insn.dst_reg}, {operand}, {target}"
+        return (
+            f"if {reg}{insn.dst_reg} {_JMP_SPELLING[op]} {operand} goto {target}"
+        )
 
     raise EncodingError(f"cannot disassemble opcode {insn.opcode:#x}")
 
@@ -74,7 +85,7 @@ def disassemble_insn(insn: Instruction, slot: int = 0) -> str:
 def disassemble(insns: list[Instruction]) -> str:
     """Disassemble a full program with slot labels on jump targets.
 
-    The output is a closed loop with :func:`repro.ebpf.asm.assemble`:
+    The output is a closed loop with :func:`~repro.ebpf.text.parse_asm`:
     every emitted label is defined (a branch to the slot one past the
     last instruction gets a trailing label line, which the assembler
     accepts), and branches that point outside the program raise

@@ -171,22 +171,3 @@ ALU_OP_NAMES = {
     BPF_ARSH: "arsh",
     BPF_END: "end",
 }
-
-JMP_OP_NAMES = {
-    BPF_JA: "ja",
-    BPF_JEQ: "jeq",
-    BPF_JGT: "jgt",
-    BPF_JGE: "jge",
-    BPF_JSET: "jset",
-    BPF_JNE: "jne",
-    BPF_JSGT: "jsgt",
-    BPF_JSGE: "jsge",
-    BPF_CALL: "call",
-    BPF_EXIT: "exit",
-    BPF_JLT: "jlt",
-    BPF_JLE: "jle",
-    BPF_JSLT: "jslt",
-    BPF_JSLE: "jsle",
-}
-
-SIZE_SUFFIX = {BPF_B: "b", BPF_H: "h", BPF_W: "w", BPF_DW: "dw"}

@@ -1,5 +1,5 @@
-"""Program loading: assemble (or take linked instructions) → relocate
-maps → verify → pick an engine.
+"""Program loading: link a ``.s`` source (or take linked instructions) →
+relocate maps → verify → pick an engine.
 
 A :class:`Program` is the equivalent of a loaded-and-verified kernel BPF
 program: creating one runs the full pipeline and raises
@@ -13,7 +13,6 @@ import random
 from dataclasses import dataclass, field
 
 from . import isa
-from .asm import assemble
 from .errors import BpfError
 from .helpers import HelperContext, install_map_regions, map_handle_addr
 from .insn import Instruction, flatten
@@ -22,6 +21,11 @@ from .maps import Map
 from .memory import Memory
 from .verifier import Verifier
 from .vm import Interpreter
+
+
+#: ``allowed_helpers`` default: the set the source's ``.hook`` directive
+#: names (every registered helper when there is no hook).
+AUTO_HELPERS = object()
 
 
 @dataclass
@@ -38,10 +42,12 @@ class Program:
     Parameters
     ----------
     source:
-        Assembly text (see :mod:`repro.ebpf.asm`) or a pre-built
+        A ``.s`` source in the kernel syntax (see :mod:`repro.ebpf.text`;
+        assembled and linked exactly as ``load_text`` does) or a pre-built
         instruction list.
     maps:
-        Maps referenced by ``lddw rX, map:<name>`` pseudo-instructions.
+        Maps referenced by ``rX = <name> ll`` pseudo-instructions; a
+        text's ``.map`` declarations supply the ones not given here.
     name:
         Human-readable name for logs and stats.
     jit:
@@ -50,8 +56,9 @@ class Program:
         program (region-specialised memory, threaded dispatch),
         ``False`` interprets.
     allowed_helpers:
-        Optional whitelist of helper ids (hooks restrict their helper
-        sets); ``None`` allows every registered helper.
+        Whitelist of helper ids (hooks restrict their helper sets);
+        ``None`` allows every registered helper.  Left out, a text's
+        ``.hook`` directive picks the set.
     """
 
     def __init__(
@@ -60,13 +67,18 @@ class Program:
         maps: dict[str, Map] | None = None,
         name: str = "prog",
         jit: bool = True,
-        allowed_helpers=None,
+        allowed_helpers=AUTO_HELPERS,
     ):
+        if isinstance(source, str):
+            from .text.eld import link_text  # lazy: the linker imports Program
+
+            source, maps, allowed_helpers = link_text(source, maps, allowed_helpers)
+        elif allowed_helpers is AUTO_HELPERS:
+            allowed_helpers = None
         self.name = name
         self.maps = dict(maps or {})
         self.jit_enabled = jit
-        insns = assemble(source) if isinstance(source, str) else list(source)
-        self.insns, self.slot_maps = self._relocate(insns)
+        self.insns, self.slot_maps = self._relocate(list(source))
         self.maps_by_addr = {
             map_handle_addr(m): m for m in self.slot_maps.values()
         }

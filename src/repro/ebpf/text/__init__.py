@@ -1,11 +1,10 @@
 """``repro.ebpf.text`` — the textual eBPF toolchain.
 
-Where :mod:`repro.ebpf.asm` mirrors the classic ``bpf_asm`` mnemonics
-(``mov r6, r1``), this package is the kernel/LLVM-style *text frontend*:
-``.s`` sources written in the assignment syntax the kernel documentation
-and ``llvm-objdump -d`` use (``r6 = r1``, ``if r2 > r8 goto out``,
-``*(u64 *)(r10 - 8) = r3``), organised into sections, with first-class
-map declarations and symbolic relocations.
+The one assembler: ``.s`` sources written in the assignment syntax the
+kernel documentation and ``llvm-objdump -d`` use (``r6 = r1``,
+``if r2 > r8 goto out``, ``*(u64 *)(r10 - 8) = r3``), organised into
+sections, with first-class map declarations and symbolic relocations.
+:func:`repro.ebpf.disassemble` prints the same syntax back.
 
 Three layers:
 
@@ -18,8 +17,9 @@ Three layers:
   instantiates declared maps and returns a
   :class:`~repro.ebpf.text.eld.LinkedProgram` whose ``.load()`` runs the
   ordinary verify-and-load pipeline.
-* ``load_text(source)`` — the one-call path ``net.load`` and
-  :mod:`repro.progs` use: assemble, link, load.
+* ``load_text(source)`` — assemble, link, load in one call.  It is what
+  ``Program(source)`` does with a ``str`` and what ``net.load(name,
+  source)`` calls: every door reads this one language.
 
 >>> from repro.ebpf.text import load_text
 >>> prog = load_text('''

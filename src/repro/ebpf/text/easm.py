@@ -63,7 +63,7 @@ _END_RE = re.compile(r"^(be|le)(16|32|64)\s+([rw]\d+)$")
 _NEG_RE = re.compile(r"^-\s*([rw]\d+)$")
 _LL_RE = re.compile(r"^(\S+)\s+ll$")
 
-_ALU_OPS = {
+ALU_OPS = {
     "+": isa.BPF_ADD,
     "-": isa.BPF_SUB,
     "*": isa.BPF_MUL,
@@ -77,7 +77,7 @@ _ALU_OPS = {
     "s>>": isa.BPF_ARSH,
 }
 
-_JMP_OPS = {
+JMP_OPS = {
     "==": isa.BPF_JEQ,
     "!=": isa.BPF_JNE,
     ">": isa.BPF_JGT,
@@ -174,6 +174,21 @@ def _parse_int(token: str, line_no: int) -> int:
     if not _INT_RE.match(token):
         raise AsmError(f"expected integer, got {token!r}", line_no)
     return int(token, 0)
+
+
+def _parse_imm32(token: str, line_no: int) -> int:
+    """An ALU / jump / store immediate, as the signed 32-bit field holds it.
+
+    ``0x80000000 … 0xffffffff`` name the field's bit pattern and are
+    stored sign-wrapped, so a program runs the same from text as from
+    its own bytes; anything wider would be truncated by the encoding.
+    """
+    value = _parse_int(token, line_no)
+    if not -(1 << 31) <= value <= isa.U32:
+        raise AsmError(
+            f"immediate {token} does not fit in 32 bits; use `ll`", line_no
+        )
+    return isa.to_signed32(value)
 
 
 def _parse_reg(token: str, line_no: int) -> tuple[int, bool]:
@@ -342,7 +357,7 @@ class _Parser:
             lhs, cmp_op, rhs, target = match.groups()
             dst, is64 = _parse_reg(lhs, line_no)
             klass = isa.BPF_JMP if is64 else isa.BPF_JMP32
-            op = _JMP_OPS[cmp_op]
+            op = JMP_OPS[cmp_op]
             reg_match = _REG_RE.match(rhs)
             if reg_match:
                 src, src64 = _parse_reg(rhs, line_no)
@@ -353,7 +368,7 @@ class _Parser:
                 return self._branch(
                     klass | isa.BPF_X | op, dst, src, 0, target, line_no
                 )
-            imm = _parse_int(rhs, line_no)
+            imm = _parse_imm32(rhs, line_no)
             return self._branch(klass | isa.BPF_K | op, dst, 0, imm, target, line_no)
         if line.startswith("if "):
             raise AsmError(
@@ -378,14 +393,14 @@ class _Parser:
                 if not src64:
                     raise AsmError("stores take an r register or an immediate", line_no)
                 return Instruction(isa.BPF_STX | isa.BPF_MEM | size, base, src, off)
-            imm = _parse_int(rhs, line_no)
+            imm = _parse_imm32(rhs, line_no)
             return Instruction(isa.BPF_ST | isa.BPF_MEM | size, base, off=off, imm=imm)
 
         dst, is64 = _parse_reg(lhs, line_no)
 
         if alu_op is not None:  # compound assignment
             klass = isa.BPF_ALU64 if is64 else isa.BPF_ALU
-            op = _ALU_OPS[alu_op]
+            op = ALU_OPS[alu_op]
             if _REG_RE.match(rhs):
                 src, src64 = _parse_reg(rhs, line_no)
                 if src64 != is64:
@@ -393,7 +408,7 @@ class _Parser:
                         "cannot mix r and w registers in one operation", line_no
                     )
                 return Instruction(klass | isa.BPF_X | op, dst, src)
-            imm = _parse_int(rhs, line_no)
+            imm = _parse_imm32(rhs, line_no)
             return Instruction(klass | isa.BPF_K | op, dst, imm=imm)
 
         # plain '=' forms --------------------------------------------------
@@ -446,7 +461,7 @@ class _Parser:
             if src64 != is64:
                 raise AsmError("cannot mix r and w registers in one move", line_no)
             return Instruction(klass | isa.BPF_X | isa.BPF_MOV, dst, src)
-        imm = _parse_int(rhs, line_no)  # immediate move
+        imm = _parse_imm32(rhs, line_no)  # immediate move
         return Instruction(klass | isa.BPF_K | isa.BPF_MOV, dst, imm=imm)
 
 

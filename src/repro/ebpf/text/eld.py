@@ -26,11 +26,8 @@ from dataclasses import dataclass, field
 from ..errors import LinkError
 from ..insn import Instruction
 from ..maps import MAP_TYPES, Map
-from ..program import Program
+from ..program import AUTO_HELPERS, Program
 from .easm import MapDecl, PendingBranch, TextObject, parse_asm
-
-#: Sentinel for "derive the helper whitelist from the ``.hook`` directive".
-AUTO_HELPERS = object()
 
 _HOOK_HELPER_SETS = {
     "seg6local": "SEG6LOCAL_HELPERS",
@@ -50,8 +47,10 @@ def instantiate_map(decl: MapDecl) -> Map:
     return cls(decl.name, decl.key_size, decl.value_size, decl.max_entries)
 
 
-def _helpers_for_hook(hook: str | None):
-    """Translate a ``.hook`` directive into a helper whitelist."""
+def _helpers_for_hook(hook: str | None, allowed_helpers):
+    """``allowed_helpers`` as passed; left out, the ``.hook`` directive's set."""
+    if allowed_helpers is not AUTO_HELPERS:
+        return allowed_helpers
     if hook is None or hook == "none":
         return None
     from repro.net import seg6_helpers
@@ -82,14 +81,12 @@ class LinkedProgram:
         allowed_helpers=AUTO_HELPERS,
     ) -> Program:
         """Verify and load; ``allowed_helpers`` defaults to the hook's set."""
-        if allowed_helpers is AUTO_HELPERS:
-            allowed_helpers = _helpers_for_hook(self.hook)
         return Program(
             self.insns,
             maps=self.maps,
             name=name,
             jit=jit,
-            allowed_helpers=allowed_helpers,
+            allowed_helpers=_helpers_for_hook(self.hook, allowed_helpers),
         )
 
 
@@ -223,7 +220,17 @@ def load_text(
     jit: bool = True,
     allowed_helpers=AUTO_HELPERS,
 ) -> Program:
-    """Assemble, link and load one ``.s`` source in a single call."""
-    return link(parse_asm(source), maps=maps).load(
-        name=name, jit=jit, allowed_helpers=allowed_helpers
+    """Assemble, link and load one ``.s`` source: ``Program(source, ...)``."""
+    return Program(
+        source, maps=maps, name=name, jit=jit, allowed_helpers=allowed_helpers
+    )
+
+
+def link_text(source: str, maps: dict[str, Map] | None, allowed_helpers):
+    """What ``Program`` loads for a ``str``: (insns, maps, helper whitelist)."""
+    linked = link(parse_asm(source), maps=maps)
+    return (
+        linked.insns,
+        linked.maps,
+        _helpers_for_hook(linked.hook, allowed_helpers),
     )

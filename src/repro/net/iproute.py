@@ -12,7 +12,7 @@ Linux operators deploy the paper's system with ``ip -6 route`` commands::
 real system and this reproduction nearly verbatim.  eBPF objects are
 referenced by name out of a registry of loaded
 :class:`~repro.ebpf.program.Program` objects (there is no ELF loader —
-programs come from :mod:`repro.ebpf.asm`).
+programs are ``.s`` sources assembled by :mod:`repro.ebpf.text`).
 """
 
 from __future__ import annotations

@@ -420,7 +420,7 @@ class Node:
                 else:
                     run(pkt, True, budget, route2, dst)
             else:
-                outcome = self._apply_disposition(disposition, pkt)
+                outcome = self._apply_disposition(disposition)
                 if outcome is not None:
                     run(pkt, True, budget, table_id=outcome[0], nh6=outcome[1])
             if table.generation != generation:
@@ -522,7 +522,7 @@ class Node:
                     if disposition is _FORWARD:
                         table_id = nh6 = None
                     else:
-                        outcome = self._apply_disposition(disposition, pkt)
+                        outcome = self._apply_disposition(disposition)
                         if outcome is None:
                             return
                         table_id, nh6 = outcome
@@ -539,7 +539,7 @@ class Node:
                         t = self.clock_ns()
                         tctx.append((t, t, "stage:lwt_in", self.name, ""))
                     disposition = encap.run_hook("lwt_in", pkt, self)
-                    outcome = self._apply_disposition(disposition, pkt)
+                    outcome = self._apply_disposition(disposition)
                     if outcome is None:
                         return
                     table_id, nh6 = outcome
@@ -589,7 +589,7 @@ class Node:
                     old_dst = pkt.data[24:40]
                     for hook in ("lwt_out", "lwt_xmit"):
                         disposition = encap.run_hook(hook, pkt, self)
-                        outcome = self._apply_disposition(disposition, pkt)
+                        outcome = self._apply_disposition(disposition)
                         if outcome is None:
                             return
                         table_id, nh6 = outcome
@@ -631,15 +631,12 @@ class Node:
         out.append(pkt)
 
     def _apply_disposition(
-        self, disposition: Disposition, pkt: Packet
+        self, disposition: Disposition
     ) -> tuple[int | None, bytes | None] | None:
         """None = packet consumed; otherwise (table_id, nh6) to re-route."""
         if disposition.action == "drop":
             self.counters.dropped += 1
             self.counters.bpf_dropped += disposition.bpf
-            return None
-        if disposition.action == "local":
-            self._deliver_local(pkt)
             return None
         return disposition.table_id, disposition.nh6
 

@@ -79,7 +79,7 @@ class Disposition:
     exactly these, independent of the human-readable ``reason`` text.
     """
 
-    action: str  # "forward" | "drop" | "local"
+    action: str  # "forward" | "drop"
     table_id: int | None = None
     nh6: bytes | None = None
     reason: str = ""

@@ -11,9 +11,10 @@ Two eBPF programs sit at the tips of the monitored path:
   decapsulates the inner packet (one-way mode) or bounces the probe back
   to the querier (two-way mode).
 
-A 100-SLOC-class Python daemon (:class:`DmDaemon`, built on the bcc-like
-front-end) forwards each event to the controller in a single UDP
-datagram; :class:`DelayCollector` is that controller.
+A 100-SLOC-class Python daemon (:class:`DmDaemon`, polling the End.DM
+program's ``dm_events`` perf ring directly) forwards each event to the
+controller in a single UDP datagram; :class:`DelayCollector` is that
+controller.
 """
 
 from __future__ import annotations

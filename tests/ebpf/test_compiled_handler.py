@@ -21,36 +21,36 @@ from repro.net import BpfLwt, EndBPF, Node, Packet, make_srv6_udp_packet
 PACKET = bytes([0x60]) + bytes(39)
 
 COUNTER_ASM = """
-    mov r6, r1
-    mov r1, 0
-    stxw [r10-4], r1
-    lddw r1, map:hits
-    mov r2, r10
-    add r2, -4
+    r6 = r1
+    r1 = 0
+    *(u32 *)(r10 - 4) = r1
+    r1 = hits ll
+    r2 = r10
+    r2 += -4
     call map_lookup_elem
-    jeq r0, 0, out
-    ldxdw r1, [r0+0]
-    add r1, 1
-    stxdw [r0+0], r1
+    if r0 == 0 goto out
+    r1 = *(u64 *)(r0 + 0)
+    r1 += 1
+    *(u64 *)(r0 + 0) = r1
 out:
-    mov r0, 0
+    r0 = 0
     exit
 """
 
 MARK_KEYED_ASM = """
-    mov r6, r1
-    ldxw r2, [r6+8]
-    stxw [r10-4], r2
-    lddw r1, map:m
-    mov r2, r10
-    add r2, -4
+    r6 = r1
+    r2 = *(u32 *)(r6 + 8)
+    *(u32 *)(r10 - 4) = r2
+    r1 = m ll
+    r2 = r10
+    r2 += -4
     call map_lookup_elem
-    jeq r0, 0, out
-    ldxdw r1, [r0+0]
-    add r1, 1
-    stxdw [r0+0], r1
+    if r0 == 0 goto out
+    r1 = *(u64 *)(r0 + 0)
+    r1 += 1
+    *(u64 *)(r0 + 0) = r1
 out:
-    mov r0, 0
+    r0 = 0
     exit
 """
 
@@ -106,13 +106,13 @@ def test_per_invocation_state_is_reset():
     """trace log, metadata, cb slots and the stack are fresh per arm()."""
     prog = Program(
         """
-        mov r6, r1
-        mov r1, 7
-        stxdw [r6+0x20], r1        ; cb[0] = 7
-        ldxdw r7, [r6+0x20]
-        mov r1, 1
-        stxdw [r10-8], r1          ; dirty the stack
-        mov r0, r7
+        r6 = r1
+        r1 = 7
+        *(u64 *)(r6 + 0x20) = r1   ; cb[0] = 7
+        r7 = *(u64 *)(r6 + 0x20)
+        r1 = 1
+        *(u64 *)(r10 - 8) = r1     ; dirty the stack
+        r0 = r7
         exit
         """
     )
@@ -134,7 +134,7 @@ def test_per_invocation_state_is_reset():
 def test_rearm_rebinds_packet_and_mark():
     prog = Program(
         """
-        ldxw r0, [r1+0]            ; skb->len
+        r0 = *(u32 *)(r1 + 0)      ; skb->len
         exit
         """
     )
@@ -153,32 +153,32 @@ def test_rearm_rebinds_packet_and_mark():
 
 # mark += now + draw; seen = (count, order-sensitive digest of now + draw).
 STAMP_ASM = """
-    mov r6, r1
+    r6 = r1
     call ktime_get_ns
-    mov r7, r0
+    r7 = r0
     call get_prandom_u32
-    mov r8, r0
-    mov r1, 0
-    stxw [r10-4], r1
-    lddw r1, map:seen
-    mov r2, r10
-    add r2, -4
+    r8 = r0
+    r1 = 0
+    *(u32 *)(r10 - 4) = r1
+    r1 = seen ll
+    r2 = r10
+    r2 += -4
     call map_lookup_elem
-    jeq r0, 0, out
-    ldxdw r1, [r0+0]
-    add r1, 1
-    stxdw [r0+0], r1
-    ldxdw r1, [r0+8]
-    mul r1, 31
-    add r1, r7
-    add r1, r8
-    stxdw [r0+8], r1
+    if r0 == 0 goto out
+    r1 = *(u64 *)(r0 + 0)
+    r1 += 1
+    *(u64 *)(r0 + 0) = r1
+    r1 = *(u64 *)(r0 + 8)
+    r1 *= 31
+    r1 += r7
+    r1 += r8
+    *(u64 *)(r0 + 8) = r1
 out:
-    ldxw r1, [r6+8]
-    add r1, r7
-    add r1, r8
-    stxw [r6+8], r1
-    mov r0, 0
+    r1 = *(u32 *)(r6 + 8)
+    r1 += r7
+    r1 += r8
+    *(u32 *)(r6 + 8) = r1
+    r0 = 0
     exit
 """
 
@@ -269,16 +269,16 @@ if 2001 not in HELPERS_BY_ID:
 
 
 PROBE_ASM = """
-    mov r6, r1
-    mov r2, 0
+    r6 = r1
+    r2 = 0
     call test_ctx_probe            ; snapshot what the previous packet left behind
-    mov r1, 7
-    stxdw [r6+0x20], r1            ; cb[0] = 7
-    stxdw [r10-8], r1              ; dirty the stack
-    mov r1, r6
-    mov r2, 1
+    r1 = 7
+    *(u64 *)(r6 + 0x20) = r1       ; cb[0] = 7
+    *(u64 *)(r10 - 8) = r1         ; dirty the stack
+    r1 = r6
+    r2 = 1
     call test_ctx_probe            ; dirty metadata + trace log; faults on a marked packet
-    mov r0, 0
+    r0 = 0
     exit
 """
 

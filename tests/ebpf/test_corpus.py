@@ -11,15 +11,18 @@ pinning three things:
 
 On top of the goldens, every accepted program is:
 
-* round-tripped ``assemble → disasm → re-assemble`` byte-identically
-  (the property :mod:`repro.ebpf.disasm` promises), and
+* round-tripped ``parse_asm(disassemble(insns))`` byte-identically — the
+  disassembler prints what the one assembler reads (the property
+  :mod:`repro.ebpf.disasm` promises; no ``link``, so an unresolved map
+  symbol is fine), and
 * executed differentially — interpreter vs JIT — on seeded random
   packets, comparing the return value, the full helper-call trace, the
   final map contents and the mutable context fields.
 
-The five ``src/repro/progs/asm/*.s`` library programs ride the golden
+The eight ``src/repro/progs/asm/*.s`` library programs ride the golden
 and round-trip checks too: they are the only definition of End, End.T,
-Tag++, Add TLV and the WRR scheduler, so their bytes are pinned here,
+Tag++, Add TLV, the §4.1 sampler and End.DM, the WRR scheduler and
+End.OAMP, so their bytes are pinned here,
 with the goldens kept in ``tests/ebpf/library_golden/`` (not beside the
 sources, and not in ``corpus/``, which the perf ledger globs).
 
@@ -44,14 +47,17 @@ from repro.ebpf import (
     HashMap,
     LpmTrieMap,
     PerfEventArrayMap,
+    Program,
     VerifierError,
-    assemble,
+    decode_program,
     disassemble,
     encode_program,
     link,
+    load_text,
     parse_asm,
 )
 from repro.ebpf.context import CTX_SIZE
+from repro.lab import Network
 from repro.progs.library import ASM_DIR
 
 CORPUS_DIR = Path(__file__).parent / "corpus"
@@ -73,6 +79,12 @@ _HEADER = (
 
 
 # --- building ----------------------------------------------------------------
+
+
+def reassembled(insns) -> bytes:
+    """Bytes of ``parse_asm(disassemble(insns))``: one section, local labels."""
+    (section,) = parse_asm(disassemble(insns)).sections.values()
+    return encode_program(section.items)
 
 
 @lru_cache(maxsize=None)
@@ -148,11 +160,37 @@ def test_golden(path, request):
 
 @pytest.mark.parametrize("path", PINNED, ids=PINNED_IDS)
 def test_roundtrip_reassembles_byte_identical(path):
-    """assemble(s) -> disasm -> re-assemble is byte-identical, every program."""
+    """parse_asm(disassemble(insns)) is byte-identical, every program —
+    and the bytes decode back to the very instructions the text gave."""
     linked, _prog, _verdict, _error = _build(path)
-    text = disassemble(linked.insns)
-    again = assemble(text)
-    assert encode_program(again) == encode_program(linked.insns)
+    blob = encode_program(linked.insns)
+    assert reassembled(linked.insns) == blob
+    assert decode_program(blob) == linked.insns
+
+
+# --- one text door ------------------------------------------------------------
+
+
+def _load_outcome(door, text):
+    try:
+        prog = door(text)
+    except VerifierError as exc:
+        return str(exc)
+    # Map handles differ per instance; the symbol they relocate is the same.
+    return sorted(prog.maps), [
+        (i.opcode, i.dst_reg, i.src_reg, i.off, i.imm, i.map_ref or i.imm64)
+        for i in prog.insns
+    ]
+
+
+def test_every_text_door_reads_the_same_language():
+    """``Program(str)``, ``load_text`` and ``net.load`` are one door: the same
+    texts load, to the same program, or fail with the same diagnostic."""
+    doors = (Program, load_text, lambda text: Network().load("prog", text))
+    for path in CORPUS:
+        text = path.read_text()
+        first, *others = (_load_outcome(door, text) for door in doors)
+        assert all(other == first for other in others), path.stem
 
 
 # --- differential execution ---------------------------------------------------

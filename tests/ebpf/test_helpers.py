@@ -64,14 +64,14 @@ def test_smp_processor_id():
 def test_map_update_and_delete_from_program():
     m = ArrayMap("m", value_size=8, max_entries=2)
     source = """
-    stw [r10-4], 1
-    stdw [r10-16], 777
-    lddw r1, map:m
-    mov r2, r10
-    add r2, -4
-    mov r3, r10
-    add r3, -16
-    mov r4, 0
+    *(u32 *)(r10 - 4) = 1
+    *(u64 *)(r10 - 16) = 777
+    r1 = m ll
+    r2 = r10
+    r2 += -4
+    r3 = r10
+    r3 += -16
+    r4 = 0
     call map_update_elem
     exit
     """
@@ -83,10 +83,10 @@ def test_map_update_and_delete_from_program():
 def test_map_delete_returns_error_for_array():
     m = ArrayMap("m", value_size=8, max_entries=2)
     source = """
-    stw [r10-4], 0
-    lddw r1, map:m
-    mov r2, r10
-    add r2, -4
+    *(u32 *)(r10 - 4) = 0
+    r1 = m ll
+    r2 = r10
+    r2 += -4
     call map_delete_elem
     exit
     """
@@ -96,16 +96,16 @@ def test_map_delete_returns_error_for_array():
 
 def test_trace_printk_formats_into_log():
     source = """
-    mov r1, 0x000a7525          ; "%u\\n\\0" little-endian
-    stxw [r10-8], r1
-    mov r1, r10
-    add r1, -8
-    mov r2, 4
-    mov r3, 42
-    mov r4, 0
-    mov r5, 0
+    r1 = 0x000a7525             ; "%u\\n\\0" little-endian
+    *(u32 *)(r10 - 8) = r1
+    r1 = r10
+    r1 += -8
+    r2 = 4
+    r3 = 42
+    r4 = 0
+    r5 = 0
     call trace_printk
-    mov r0, 0
+    r0 = 0
     exit
     """
     _ret, hctx = Program(source).run_on_packet(PKT)
@@ -115,16 +115,16 @@ def test_trace_printk_formats_into_log():
 def test_perf_event_output_from_program():
     events = PerfEventArrayMap("ev")
     source = """
-    mov r6, r1
-    stdw [r10-8], 0x11
-    mov r1, r6
-    lddw r2, map:ev
-    mov32 r3, -1
-    mov r4, r10
-    add r4, -8
-    mov r5, 8
+    r6 = r1
+    *(u64 *)(r10 - 8) = 0x11
+    r1 = r6
+    r2 = ev ll
+    w3 = -1
+    r4 = r10
+    r4 += -8
+    r5 = 8
     call perf_event_output
-    mov r0, 0
+    r0 = 0
     exit
     """
     Program(source, maps={"ev": events}).run_on_packet(PKT)
@@ -135,16 +135,16 @@ def test_perf_event_output_from_program():
 def test_perf_event_output_requires_perf_map():
     not_perf = ArrayMap("np", value_size=8, max_entries=1)
     source = """
-    mov r6, r1
-    stdw [r10-8], 0
-    mov r1, r6
-    lddw r2, map:np
-    mov32 r3, -1
-    mov r4, r10
-    add r4, -8
-    mov r5, 8
+    r6 = r1
+    *(u64 *)(r10 - 8) = 0
+    r1 = r6
+    r2 = np ll
+    w3 = -1
+    r4 = r10
+    r4 += -8
+    r5 = 8
     call perf_event_output
-    mov r0, 0
+    r0 = 0
     exit
     """
     with pytest.raises(HelperError, match="perf event array"):

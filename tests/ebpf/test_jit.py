@@ -11,8 +11,9 @@ from repro.ebpf import (
     Memory,
     Program,
     SkbContext,
-    assemble,
     isa,
+    link,
+    parse_asm,
 )
 from repro.ebpf.vm import Interpreter
 from repro.progs import add_tlv_prog, end_prog, tag_increment_prog
@@ -22,7 +23,7 @@ PKT = bytes.fromhex("60") + b"\x00" * 63
 
 def run_both(source: str) -> tuple[int, int]:
     """Execute the same bytecode in both engines on fresh contexts."""
-    insns = assemble(source)
+    insns = link(parse_asm(source)).insns
     results = []
     for engine in (Interpreter(insns), JitProgram(insns)):
         mem = Memory()
@@ -32,28 +33,44 @@ def run_both(source: str) -> tuple[int, int]:
     return tuple(results)
 
 
-@pytest.mark.parametrize(
-    "source",
-    [
-        "mov r0, 123\nexit",
-        "mov r0, -1\nadd r0, 1\nexit",
-        "mov r0, 42\ndiv r0, 5\nmod r0, 3\nexit",
-        "mov r0, 0x1234\nbe16 r0\nexit",
+# (case name — the program in bpf_asm mnemonics, as the suite has always
+# printed it and the floor list names it —, source)
+FIXED_CASES = [
+    ("mov r0, 123\nexit", "r0 = 123\nexit"),
+    ("mov r0, -1\nadd r0, 1\nexit", "r0 = -1\nr0 += 1\nexit"),
+    ("mov r0, 42\ndiv r0, 5\nmod r0, 3\nexit", "r0 = 42\nr0 /= 5\nr0 %= 3\nexit"),
+    ("mov r0, 0x1234\nbe16 r0\nexit", "r0 = 0x1234\nr0 = be16 r0\nexit"),
+    (
         "lddw r0, 0x0102030405060708\nbe64 r0\nexit",
-        "mov r0, -16\narsh r0, 2\nexit",
-        "mov32 r0, -1\nexit",
+        "r0 = 0x0102030405060708 ll\nr0 = be64 r0\nexit",
+    ),
+    ("mov r0, -16\narsh r0, 2\nexit", "r0 = -16\nr0 s>>= 2\nexit"),
+    ("mov32 r0, -1\nexit", "w0 = -1\nexit"),
+    (
         "mov r1, 5\nstxdw [r10-8], r1\nldxdw r0, [r10-8]\nexit",
+        "r1 = 5\n*(u64 *)(r10 - 8) = r1\nr0 = *(u64 *)(r10 - 8)\nexit",
+    ),
+    (
         "mov r1, 3\njeq r1, 3, y\nmov r0, 0\nexit\ny:\nmov r0, 1\nexit",
+        "r1 = 3\nif r1 == 3 goto y\nr0 = 0\nexit\ny:\nr0 = 1\nexit",
+    ),
+    (
         "mov r1, -1\nmov r2, 1\njsgt r1, r2, y\nmov r0, 0\nexit\ny:\nmov r0, 9\nexit",
-        "ldxw r0, [r1+0]\nexit",  # ctx len
-    ],
+        "r1 = -1\nr2 = 1\nif r1 s> r2 goto y\nr0 = 0\nexit\ny:\nr0 = 9\nexit",
+    ),
+    ("ldxw r0, [r1+0]\nexit", "r0 = *(u32 *)(r1 + 0)\nexit"),  # ctx len
+]
+
+
+@pytest.mark.parametrize(
+    "source", [pytest.param(source, id=name) for name, source in FIXED_CASES]
 )
 def test_differential_fixed_cases(source):
     interp, jit = run_both(source)
     assert interp == jit
 
 
-_ALU_OPS = ["add", "sub", "mul", "div", "or", "and", "lsh", "rsh", "mod", "xor", "arsh"]
+_ALU_OPS = ["+", "-", "*", "/", "|", "&", "<<", ">>", "%", "^", "s>>"]
 
 
 @settings(max_examples=200, deadline=None)
@@ -72,13 +89,12 @@ _ALU_OPS = ["add", "sub", "mul", "div", "or", "and", "lsh", "rsh", "mod", "xor",
 )
 def test_differential_random_alu_programs(ops, seeds):
     """Random straight-line ALU programs behave identically in both engines."""
-    lines = [f"mov r{i}, {seed}" for i, seed in enumerate(seeds)]
+    lines = [f"r{i} = {seed}" for i, seed in enumerate(seeds)]
     for op, is32, dst, imm in ops:
-        if op in ("div", "mod") and imm == 0:
+        if op in ("/", "%") and imm == 0:
             imm = 1
-        suffix = "32" if is32 else ""
-        lines.append(f"{op}{suffix} r{dst}, {imm}")
-    lines += ["mov r0, r0", "exit"]
+        lines.append(f"{'w' if is32 else 'r'}{dst} {op}= {imm}")
+    lines += ["r0 = r0", "exit"]
     interp, jit = run_both("\n".join(lines))
     assert interp == jit
 
@@ -87,19 +103,19 @@ def test_differential_random_alu_programs(ops, seeds):
 @given(
     a=st.integers(0, isa.U64),
     b=st.integers(0, isa.U64),
-    op=st.sampled_from(["jeq", "jne", "jgt", "jge", "jlt", "jle", "jsgt", "jsge", "jslt", "jsle", "jset"]),
+    op=st.sampled_from(["==", "!=", ">", ">=", "<", "<=", "s>", "s>=", "s<", "s<=", "&"]),
     is32=st.booleans(),
 )
 def test_differential_comparisons(a, b, op, is32):
-    suffix = "32" if is32 else ""
+    reg = "w" if is32 else "r"
     source = f"""
-    lddw r1, {a:#x}
-    lddw r2, {b:#x}
-    {op}{suffix} r1, r2, y
-    mov r0, 0
+    r1 = {a:#x} ll
+    r2 = {b:#x} ll
+    if {reg}1 {op} {reg}2 goto y
+    r0 = 0
     exit
     y:
-    mov r0, 1
+    r0 = 1
     exit
     """
     interp, jit = run_both(source)
@@ -131,7 +147,7 @@ def test_paper_programs_identical_across_engines():
 
 
 def test_jit_source_is_valid_python():
-    jit = JitProgram(assemble("mov r0, 0\nexit"))
+    jit = JitProgram(link(parse_asm("r0 = 0\nexit")).insns)
     assert "def _ebpf_jitted" in jit.source
     compile(jit.source, "<check>", "exec")
 
@@ -139,17 +155,17 @@ def test_jit_source_is_valid_python():
 def test_jit_map_program_state_shared_with_interpreter():
     counter = ArrayMap("c", value_size=8, max_entries=1)
     source = """
-    stw [r10-4], 0
-    lddw r1, map:c
-    mov r2, r10
-    add r2, -4
+    *(u32 *)(r10 - 4) = 0
+    r1 = c ll
+    r2 = r10
+    r2 += -4
     call map_lookup_elem
-    jeq r0, 0, out
-    ldxdw r1, [r0+0]
-    add r1, 1
-    stxdw [r0+0], r1
+    if r0 == 0 goto out
+    r1 = *(u64 *)(r0 + 0)
+    r1 += 1
+    *(u64 *)(r0 + 0) = r1
     out:
-    mov r0, 0
+    r0 = 0
     exit
     """
     jit_prog = Program(source, maps={"c": counter}, jit=True)
@@ -247,7 +263,8 @@ def test_map_value_only_specialisation_needs_no_skb():
 
     mem = Memory()
     addr = mem.map_value(0x1000_0000, bytearray((7).to_bytes(8, "little")))
-    jitp = JitProgram(assemble("ldxdw r0, [r1+0]\nexit"), regions={0: ("map_value", 0)})
+    insns = link(parse_asm("r0 = *(u64 *)(r1 + 0)\nexit")).insns
+    jitp = JitProgram(insns, regions={0: ("map_value", 0)})
     assert "_skb" not in jitp.source and "_load" not in jitp.source
     assert jitp.run(HelperContext(mem), addr, 0) == 7
     assert jitp._generic_fn is jitp._fn

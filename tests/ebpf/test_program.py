@@ -2,23 +2,23 @@
 
 import pytest
 
-from repro.ebpf import ArrayMap, BpfError, Program, VerifierError
+from repro.ebpf import ArrayMap, LinkError, Program, VerifierError
 from repro.ebpf.helpers import map_handle_addr
 
 PKT = b"\x60" + b"\x00" * 39
 
 COUNTER_PROG = """
-    stw [r10-4], 0
-    lddw r1, map:m
-    mov r2, r10
-    add r2, -4
+    *(u32 *)(r10 - 4) = 0
+    r1 = m ll
+    r2 = r10
+    r2 += -4
     call map_lookup_elem
-    jeq r0, 0, out
-    ldxdw r1, [r0+0]
-    add r1, 1
-    stxdw [r0+0], r1
+    if r0 == 0 goto out
+    r1 = *(u64 *)(r0 + 0)
+    r1 += 1
+    *(u64 *)(r0 + 0) = r1
     out:
-    mov r0, 0
+    r0 = 0
     exit
 """
 
@@ -32,25 +32,25 @@ def test_relocation_sets_map_handle():
 
 
 def test_unknown_map_reference_raises():
-    with pytest.raises(BpfError, match="unknown map"):
+    with pytest.raises(LinkError, match="undefined map symbol 'm'"):
         Program(COUNTER_PROG)  # no maps supplied
 
 
 def test_load_runs_verifier():
     with pytest.raises(VerifierError):
-        Program("mov r0, r7\nexit")
+        Program("r0 = r7\nexit")
 
 
 def test_program_accepts_prebuilt_instructions():
-    from repro.ebpf import assemble
+    from repro.ebpf import link, parse_asm
 
-    insns = assemble("mov r0, 4\nexit")
+    insns = link(parse_asm("r0 = 4\nexit")).insns
     prog = Program(insns)
     assert prog.run_on_packet(PKT)[0] == 4
 
 
 def test_stats_accumulate():
-    prog = Program("mov r0, 0\nexit")
+    prog = Program("r0 = 0\nexit")
     for _ in range(3):
         prog.run_on_packet(PKT)
     assert prog.stats.invocations == 3
@@ -58,15 +58,15 @@ def test_stats_accumulate():
 
 
 def test_jit_flag_selects_engine():
-    jit = Program("mov r0, 1\nexit", jit=True)
-    interp = Program("mov r0, 1\nexit", jit=False)
+    jit = Program("r0 = 1\nexit", jit=True)
+    interp = Program("r0 = 1\nexit", jit=False)
     assert jit._jit is not None
     assert interp._jit is None
     assert jit.run_on_packet(PKT)[0] == interp.run_on_packet(PKT)[0] == 1
 
 
 def test_num_insns_counts_slots():
-    prog = Program("lddw r0, 5\nexit")
+    prog = Program("r0 = 5 ll\nexit")
     assert prog.num_insns == 3  # lddw takes two slots
 
 
@@ -79,9 +79,9 @@ def test_context_isolated_between_runs():
     # A fresh context per invocation: stack garbage cannot leak.
     prog = Program(
         """
-        ldxw r0, [r1+8]
-        mov r2, 1
-        stxw [r1+8], r2
+        r0 = *(u32 *)(r1 + 8)
+        r2 = 1
+        *(u32 *)(r1 + 8) = r2
         exit
         """
     )

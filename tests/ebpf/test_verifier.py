@@ -3,7 +3,7 @@
 import pytest
 
 import repro.net  # noqa: F401  — helper registration
-from repro.ebpf import ArrayMap, Program, VerifierError, assemble, verify_program
+from repro.ebpf import ArrayMap, Program, VerifierError, verify_program
 from repro.net.seg6_helpers import LWT_HELPERS, SEG6LOCAL_HELPERS
 
 
@@ -25,11 +25,11 @@ def test_empty_program_rejected():
 
 
 def test_must_end_with_exit():
-    reject("mov r0, 0", "does not end with exit")
+    reject("r0 = 0", "does not end with exit")
 
 
 def test_backward_jump_rejected():
-    reject("l:\nmov r0, 0\nja l", "back-edge|does not end")
+    reject("l:\nr0 = 0\ngoto l", "back-edge|does not end")
 
 
 def test_jump_out_of_range_rejected():
@@ -58,7 +58,7 @@ def test_jump_into_lddw_rejected():
 
 
 def test_oversized_program_rejected():
-    body = "mov r0, 0\n" * 5000
+    body = "r0 = 0\n" * 5000
     reject(body + "exit", "too large")
 
 
@@ -70,79 +70,79 @@ def test_r0_must_be_set_before_exit():
 
 
 def test_read_of_uninitialised_register():
-    reject("mov r0, r5\nexit", "uninitialised R5")
+    reject("r0 = r5\nexit", "uninitialised R5")
 
 
 def test_branch_on_uninitialised_register():
-    reject("jeq r3, 0, l\nl:\nmov r0, 0\nexit", "uninitialised R3")
+    reject("if r3 == 0 goto l\nl:\nr0 = 0\nexit", "uninitialised R3")
 
 
 def test_uninit_only_on_taken_path_still_rejected():
     source = """
-    ldxw r2, [r1+0]
-    jeq r2, 0, bad
-    mov r0, 0
+    r2 = *(u32 *)(r1 + 0)
+    if r2 == 0 goto bad
+    r0 = 0
     exit
     bad:
-    mov r0, r9
+    r0 = r9
     exit
     """
     reject(source, "uninitialised R9")
 
 
 def test_r1_is_initialised_as_context():
-    accept("mov r0, 0\nldxw r2, [r1+0]\nexit")
+    accept("r0 = 0\nr2 = *(u32 *)(r1 + 0)\nexit")
 
 
 def test_helper_call_clobbers_r1_to_r5():
     source = """
-    mov r3, 7
+    r3 = 7
     call ktime_get_ns
-    mov r0, r3
+    r0 = r3
     exit
     """
     reject(source, "uninitialised R3")
 
 
 def test_callee_saved_registers_survive_calls():
-    accept("mov r6, 7\ncall ktime_get_ns\nmov r0, r6\nexit")
+    accept("r6 = 7\ncall ktime_get_ns\nr0 = r6\nexit")
 
 
 def test_cannot_write_frame_pointer():
-    reject("mov r10, 5\nmov r0, 0\nexit", "frame pointer")
+    reject("r10 = 5\nr0 = 0\nexit", "frame pointer")
 
 
 # --- stack ------------------------------------------------------------------------
 
 
 def test_stack_write_read():
-    accept("mov r2, 1\nstxdw [r10-8], r2\nldxdw r0, [r10-8]\nexit")
+    accept("r2 = 1\n*(u64 *)(r10 - 8) = r2\nr0 = *(u64 *)(r10 - 8)\nexit")
 
 
 def test_stack_out_of_bounds_low():
-    reject("mov r2, 1\nstxdw [r10-520], r2\nmov r0, 0\nexit", "out of bounds")
+    reject("r2 = 1\n*(u64 *)(r10 - 520) = r2\nr0 = 0\nexit", "out of bounds")
 
 
 def test_stack_out_of_bounds_high():
-    reject("ldxdw r0, [r10+0]\nexit", "out of bounds")
+    reject("r0 = *(u64 *)(r10 + 0)\nexit", "out of bounds")
 
 
 def test_read_uninitialised_stack():
-    reject("ldxdw r0, [r10-8]\nexit", "uninitialised stack")
+    reject("r0 = *(u64 *)(r10 - 8)\nexit", "uninitialised stack")
 
 
 def test_partially_initialised_stack_read_rejected():
-    reject("stw [r10-8], 1\nldxdw r0, [r10-8]\nexit", "uninitialised stack")
+    reject("*(u32 *)(r10 - 8) = 1\nr0 = *(u64 *)(r10 - 8)\nexit", "uninitialised stack")
 
 
 def test_stack_pointer_arithmetic():
     accept(
         """
-        mov r2, r10
-        add r2, -16
-        mov r3, 5
-        stxdw [r2+0], r3
-        ldxdw r0, [r2+0]
+        r2 = r10
+        r2 += -16
+        r3 = 5
+        *(u64 *)(r2 + 0) = r3
+        r0 = *(u64 *)(r2 + 0)
         exit
         """
     )
@@ -151,25 +151,25 @@ def test_stack_pointer_arithmetic():
 def test_pointer_spill_and_fill():
     accept(
         """
-        stxdw [r10-8], r1
-        ldxdw r2, [r10-8]
-        ldxw r0, [r2+0]
+        *(u64 *)(r10 - 8) = r1
+        r2 = *(u64 *)(r10 - 8)
+        r0 = *(u32 *)(r2 + 0)
         exit
         """
     )
 
 
 def test_misaligned_pointer_spill_rejected():
-    reject("stxdw [r10-9], r1\nmov r0, 0\nexit", "8-byte aligned")
+    reject("*(u64 *)(r10 - 9) = r1\nr0 = 0\nexit", "8-byte aligned")
 
 
 def test_partial_overwrite_destroys_spill():
     source = """
-    stxdw [r10-8], r1
-    mov r3, 0
-    stxb [r10-8], r3
-    ldxdw r2, [r10-8]
-    ldxw r0, [r2+0]
+    *(u64 *)(r10 - 8) = r1
+    r3 = 0
+    *(u8 *)(r10 - 8) = r3
+    r2 = *(u64 *)(r10 - 8)
+    r0 = *(u32 *)(r2 + 0)
     exit
     """
     reject(source, "cannot load through|load")
@@ -179,33 +179,33 @@ def test_partial_overwrite_destroys_spill():
 
 
 def test_ctx_whitelisted_reads():
-    accept("ldxw r0, [r1+0]\nexit")  # len
-    accept("ldxw r0, [r1+4]\nexit")  # protocol
-    accept("ldxdw r2, [r1+16]\nmov r0, 0\nexit")  # data
+    accept("r0 = *(u32 *)(r1 + 0)\nexit")  # len
+    accept("r0 = *(u32 *)(r1 + 4)\nexit")  # protocol
+    accept("r2 = *(u64 *)(r1 + 16)\nr0 = 0\nexit")  # data
 
 
 def test_ctx_read_with_wrong_size():
-    reject("ldxb r0, [r1+0]\nexit", "size")
+    reject("r0 = *(u8 *)(r1 + 0)\nexit", "size")
 
 
 def test_ctx_read_at_invalid_offset():
-    reject("ldxw r0, [r1+2]\nexit", "invalid ctx read")
+    reject("r0 = *(u32 *)(r1 + 2)\nexit", "invalid ctx read")
 
 
 def test_ctx_write_to_mark_allowed():
-    accept("mov r2, 1\nstxw [r1+8], r2\nmov r0, 0\nexit")
+    accept("r2 = 1\n*(u32 *)(r1 + 8) = r2\nr0 = 0\nexit")
 
 
 def test_ctx_write_to_readonly_field_rejected():
-    reject("mov r2, 1\nstxw [r1+0], r2\nmov r0, 0\nexit", "invalid ctx write")
+    reject("r2 = 1\n*(u32 *)(r1 + 0) = r2\nr0 = 0\nexit", "invalid ctx write")
 
 
 def test_ctx_write_of_pointer_rejected():
-    reject("stxdw [r1+32], r10\nmov r0, 0\nexit", "pointer into the context")
+    reject("*(u64 *)(r1 + 32) = r10\nr0 = 0\nexit", "pointer into the context")
 
 
 def test_cb_slots_read_write():
-    accept("mov r2, 9\nstxdw [r1+32], r2\nldxdw r0, [r1+32]\nexit")
+    accept("r2 = 9\n*(u64 *)(r1 + 32) = r2\nr0 = *(u64 *)(r1 + 32)\nexit")
 
 
 # --- packet access -------------------------------------------------------------------
@@ -213,8 +213,8 @@ def test_cb_slots_read_write():
 
 def test_packet_read_requires_bounds_check():
     source = """
-    ldxdw r2, [r1+16]
-    ldxb r0, [r2+0]
+    r2 = *(u64 *)(r1 + 16)
+    r0 = *(u8 *)(r2 + 0)
     exit
     """
     reject(source, "exceeds verified bounds")
@@ -223,15 +223,15 @@ def test_packet_read_requires_bounds_check():
 def test_packet_read_after_bounds_check():
     accept(
         """
-        ldxdw r2, [r1+16]
-        ldxdw r3, [r1+24]
-        mov r4, r2
-        add r4, 14
-        jgt r4, r3, out
-        ldxb r0, [r2+13]
+        r2 = *(u64 *)(r1 + 16)
+        r3 = *(u64 *)(r1 + 24)
+        r4 = r2
+        r4 += 14
+        if r4 > r3 goto out
+        r0 = *(u8 *)(r2 + 13)
         exit
         out:
-        mov r0, 0
+        r0 = 0
         exit
         """
     )
@@ -239,15 +239,15 @@ def test_packet_read_after_bounds_check():
 
 def test_packet_read_beyond_checked_length():
     source = """
-    ldxdw r2, [r1+16]
-    ldxdw r3, [r1+24]
-    mov r4, r2
-    add r4, 14
-    jgt r4, r3, out
-    ldxb r0, [r2+14]
+    r2 = *(u64 *)(r1 + 16)
+    r3 = *(u64 *)(r1 + 24)
+    r4 = r2
+    r4 += 14
+    if r4 > r3 goto out
+    r0 = *(u8 *)(r2 + 14)
     exit
     out:
-    mov r0, 0
+    r0 = 0
     exit
     """
     reject(source, "exceeds verified bounds")
@@ -256,15 +256,15 @@ def test_packet_read_beyond_checked_length():
 def test_packet_bounds_check_jle_variant():
     accept(
         """
-        ldxdw r2, [r1+16]
-        ldxdw r3, [r1+24]
-        mov r4, r2
-        add r4, 8
-        jle r4, r3, ok
-        mov r0, 0
+        r2 = *(u64 *)(r1 + 16)
+        r3 = *(u64 *)(r1 + 24)
+        r4 = r2
+        r4 += 8
+        if r4 <= r3 goto ok
+        r0 = 0
         exit
         ok:
-        ldxdw r0, [r2+0]
+        r0 = *(u64 *)(r2 + 0)
         exit
         """
     )
@@ -272,15 +272,15 @@ def test_packet_bounds_check_jle_variant():
 
 def test_packet_write_rejected():
     source = """
-    ldxdw r2, [r1+16]
-    ldxdw r3, [r1+24]
-    mov r4, r2
-    add r4, 8
-    jgt r4, r3, out
-    mov r5, 0
-    stxb [r2+0], r5
+    r2 = *(u64 *)(r1 + 16)
+    r3 = *(u64 *)(r1 + 24)
+    r4 = r2
+    r4 += 8
+    if r4 > r3 goto out
+    r5 = 0
+    *(u8 *)(r2 + 0) = r5
     out:
-    mov r0, 0
+    r0 = 0
     exit
     """
     reject(source, "read-only")
@@ -289,20 +289,20 @@ def test_packet_write_rejected():
 def test_packet_pointers_invalidated_by_modifying_helper():
     """After lwt_seg6_adjust_srh the old packet pointer must be unusable."""
     source = """
-    mov r6, r1
-    ldxdw r7, [r6+16]
-    ldxdw r8, [r6+24]
-    mov r2, r7
-    add r2, 48
-    jgt r2, r8, out
-    mov r1, r6
-    mov r2, 48
-    mov r3, 8
+    r6 = r1
+    r7 = *(u64 *)(r6 + 16)
+    r8 = *(u64 *)(r6 + 24)
+    r2 = r7
+    r2 += 48
+    if r2 > r8 goto out
+    r1 = r6
+    r2 = 48
+    r3 = 8
     call lwt_seg6_adjust_srh
-    ldxb r0, [r7+0]
+    r0 = *(u8 *)(r7 + 0)
     exit
     out:
-    mov r0, 0
+    r0 = 0
     exit
     """
     reject(source, "uninitialised R7", allowed=SEG6LOCAL_HELPERS)
@@ -311,17 +311,17 @@ def test_packet_pointers_invalidated_by_modifying_helper():
 def test_non_modifying_helper_keeps_packet_pointers():
     accept(
         """
-        mov r6, r1
-        ldxdw r7, [r6+16]
-        ldxdw r8, [r6+24]
-        mov r2, r7
-        add r2, 40
-        jgt r2, r8, out
+        r6 = r1
+        r7 = *(u64 *)(r6 + 16)
+        r8 = *(u64 *)(r6 + 24)
+        r2 = r7
+        r2 += 40
+        if r2 > r8 goto out
         call ktime_get_ns
-        ldxb r0, [r7+6]
+        r0 = *(u8 *)(r7 + 6)
         exit
         out:
-        mov r0, 0
+        r0 = 0
         exit
         """
     )
@@ -332,49 +332,49 @@ def test_non_modifying_helper_keeps_packet_pointers():
 
 def test_pointer_plus_unknown_scalar_rejected():
     source = """
-    ldxw r2, [r1+0]
-    mov r3, r10
-    add r3, r2
-    mov r0, 0
+    r2 = *(u32 *)(r1 + 0)
+    r3 = r10
+    r3 += r2
+    r0 = 0
     exit
     """
     reject(source, "unknown scalar")
 
 
 def test_pointer_minus_pointer_rejected():
-    reject("mov r2, r10\nsub r2, r1\nmov r0, 0\nexit", "pointer")
+    reject("r2 = r10\nr2 -= r1\nr0 = 0\nexit", "pointer")
 
 
 def test_pointer_multiplication_rejected():
-    reject("mov r2, r10\nmul r2, 2\nmov r0, 0\nexit", "on pointer")
+    reject("r2 = r10\nr2 *= 2\nr0 = 0\nexit", "on pointer")
 
 
 def test_32bit_arithmetic_on_pointer_rejected():
-    reject("mov r2, r10\nadd32 r2, 4\nmov r0, 0\nexit", "32-bit arithmetic on pointer")
+    reject("r2 = r10\nw2 += 4\nr0 = 0\nexit", "32-bit arithmetic on pointer")
 
 
 def test_pointer_comparison_with_scalar_rejected():
-    reject("jgt r10, 5, l\nl:\nmov r0, 0\nexit", "pointer and scalar")
+    reject("if r10 > 5 goto l\nl:\nr0 = 0\nexit", "pointer and scalar")
 
 
 def test_scalar_op_with_pointer_operand_rejected():
-    reject("mov r2, 5\nadd r2, r10\nmov r0, 0\nexit", "pointer operand")
+    reject("r2 = 5\nr2 += r10\nr0 = 0\nexit", "pointer operand")
 
 
 # --- division / immediates ----------------------------------------------------------------
 
 
 def test_division_by_zero_immediate_rejected():
-    reject("mov r0, 5\ndiv r0, 0\nexit", "division by zero")
+    reject("r0 = 5\nr0 /= 0\nexit", "division by zero")
 
 
 def test_modulo_by_zero_immediate_rejected():
-    reject("mov r0, 5\nmod r0, 0\nexit", "division by zero")
+    reject("r0 = 5\nr0 %= 0\nexit", "division by zero")
 
 
 def test_division_by_zero_register_allowed():
     # Runtime semantics handle it (result 0), as the kernel's patching does.
-    accept("mov r0, 5\nmov r2, 0\ndiv r0, r2\nexit")
+    accept("r0 = 5\nr2 = 0\nr0 /= r2\nexit")
 
 
 # --- maps and helpers --------------------------------------------------------------------
@@ -382,28 +382,28 @@ def test_division_by_zero_register_allowed():
 
 def map_prog(body: str) -> str:
     return f"""
-    stw [r10-4], 0
-    lddw r1, map:m
-    mov r2, r10
-    add r2, -4
+    *(u32 *)(r10 - 4) = 0
+    r1 = m ll
+    r2 = r10
+    r2 += -4
     call map_lookup_elem
     {body}
     """
 
 
 def test_map_lookup_null_check_required():
-    source = map_prog("ldxdw r0, [r0+0]\nexit")
+    source = map_prog("r0 = *(u64 *)(r0 + 0)\nexit")
     reject(source, "NULL check", maps={"m": ArrayMap("m", 8, 4)})
 
 
 def test_map_lookup_with_null_check():
     source = map_prog(
         """
-        jeq r0, 0, out
-        ldxdw r0, [r0+0]
+        if r0 == 0 goto out
+        r0 = *(u64 *)(r0 + 0)
         exit
         out:
-        mov r0, 0
+        r0 = 0
         exit
         """
     )
@@ -413,11 +413,11 @@ def test_map_lookup_with_null_check():
 def test_map_value_bounds_checked():
     source = map_prog(
         """
-        jeq r0, 0, out
-        ldxdw r0, [r0+8]
+        if r0 == 0 goto out
+        r0 = *(u64 *)(r0 + 8)
         exit
         out:
-        mov r0, 0
+        r0 = 0
         exit
         """
     )
@@ -427,11 +427,11 @@ def test_map_value_bounds_checked():
 def test_map_value_write_within_bounds():
     source = map_prog(
         """
-        jeq r0, 0, out
-        mov r2, 1
-        stxw [r0+4], r2
+        if r0 == 0 goto out
+        r2 = 1
+        *(u32 *)(r0 + 4) = r2
         out:
-        mov r0, 0
+        r0 = 0
         exit
         """
     )
@@ -440,29 +440,29 @@ def test_map_value_write_within_bounds():
 
 def test_map_key_must_be_initialised():
     source = """
-    lddw r1, map:m
-    mov r2, r10
-    add r2, -4
+    r1 = m ll
+    r2 = r10
+    r2 += -4
     call map_lookup_elem
-    mov r0, 0
+    r0 = 0
     exit
     """
     reject(source, "uninitialised stack", maps={"m": ArrayMap("m", 8, 4)})
 
 
 def test_unknown_helper_rejected():
-    reject("call 9999\nmov r0, 0\nexit", "unknown helper")
+    reject("call 9999\nr0 = 0\nexit", "unknown helper")
 
 
 def test_helper_not_in_hook_whitelist_rejected():
     source = """
-    mov r2, 0
-    mov r3, r10
-    add r3, -8
-    stdw [r10-8], 0
-    mov r4, 8
+    r2 = 0
+    r3 = r10
+    r3 += -8
+    *(u64 *)(r10 - 8) = 0
+    r4 = 8
     call lwt_push_encap
-    mov r0, 0
+    r0 = 0
     exit
     """
     reject(source, "not available", allowed=SEG6LOCAL_HELPERS)
@@ -472,7 +472,7 @@ def test_helper_not_in_hook_whitelist_rejected():
 
 def test_helper_ctx_arg_must_be_context():
     source = """
-    mov r1, 5
+    r1 = 5
     call skb_rx_timestamp
     exit
     """
@@ -481,15 +481,15 @@ def test_helper_ctx_arg_must_be_context():
 
 def test_helper_size_must_be_known_constant():
     source = """
-    mov r6, r1
-    ldxw r4, [r6+0]
-    mov r1, r6
-    mov r2, 46
-    mov r3, r10
-    add r3, -8
-    stdw [r10-8], 0
+    r6 = r1
+    r4 = *(u32 *)(r6 + 0)
+    r1 = r6
+    r2 = 46
+    r3 = r10
+    r3 += -8
+    *(u64 *)(r10 - 8) = 0
     call lwt_seg6_store_bytes
-    mov r0, 0
+    r0 = 0
     exit
     """
     reject(source, "known constant", allowed=SEG6LOCAL_HELPERS)
@@ -497,12 +497,12 @@ def test_helper_size_must_be_known_constant():
 
 def test_helper_size_zero_rejected():
     source = """
-    mov r1, r10
-    add r1, -8
-    stdw [r10-8], 0
-    mov r2, 0
+    r1 = r10
+    r1 += -8
+    *(u64 *)(r10 - 8) = 0
+    r2 = 0
     call trace_printk
-    mov r0, 0
+    r0 = 0
     exit
     """
     reject(source, "out of range")
@@ -510,12 +510,12 @@ def test_helper_size_zero_rejected():
 
 def test_helper_buffer_must_fit_stack():
     source = """
-    mov r1, r10
-    add r1, -4
-    stw [r10-4], 0
-    mov r2, 16
+    r1 = r10
+    r1 += -4
+    *(u32 *)(r10 - 4) = 0
+    r2 = 16
     call trace_printk
-    mov r0, 0
+    r0 = 0
     exit
     """
     reject(source, "out of bounds")
@@ -523,25 +523,25 @@ def test_helper_buffer_must_fit_stack():
 
 def test_helper_write_buffer_initialises_stack():
     source = """
-    mov r6, r1
-    ldxdw r7, [r6+16]
-    ldxdw r8, [r6+24]
-    mov r2, r7
-    add r2, 40
-    jgt r2, r8, out
-    stdw [r10-16], 0
-    stdw [r10-8], 0
-    mov r1, r6
-    mov r2, r10
-    add r2, -16
-    mov r3, r10
-    add r3, -80
-    mov r4, 64
+    r6 = r1
+    r7 = *(u64 *)(r6 + 16)
+    r8 = *(u64 *)(r6 + 24)
+    r2 = r7
+    r2 += 40
+    if r2 > r8 goto out
+    *(u64 *)(r10 - 16) = 0
+    *(u64 *)(r10 - 8) = 0
+    r1 = r6
+    r2 = r10
+    r2 += -16
+    r3 = r10
+    r3 += -80
+    r4 = 64
     call get_ecmp_nexthops
-    ldxdw r0, [r10-80]
+    r0 = *(u64 *)(r10 - 80)
     exit
     out:
-    mov r0, 0
+    r0 = 0
     exit
     """
     accept(source, allowed=SEG6LOCAL_HELPERS)
@@ -549,22 +549,22 @@ def test_helper_write_buffer_initialises_stack():
 
 def test_map_arg_must_be_map_pointer():
     source = """
-    mov r1, 5
-    mov r2, r10
-    add r2, -4
-    stw [r10-4], 0
+    r1 = 5
+    r2 = r10
+    r2 += -4
+    *(u32 *)(r10 - 4) = 0
     call map_lookup_elem
-    mov r0, 0
+    r0 = 0
     exit
     """
     reject(source, "must be a map pointer")
 
 
 def test_unresolved_map_reference_fails_at_load():
-    from repro.ebpf.errors import BpfError
+    from repro.ebpf.errors import LinkError
 
-    with pytest.raises(BpfError, match="unknown map"):
-        Program("lddw r1, map:nope\nmov r0, 0\nexit")
+    with pytest.raises(LinkError, match="undefined map symbol 'nope'"):
+        Program("r1 = nope ll\nr0 = 0\nexit")
 
 
 # --- misc --------------------------------------------------------------------------------
@@ -623,12 +623,12 @@ def test_constant_branch_pruning_avoids_false_positive():
     # The dead branch reads an uninitialised register but can never run.
     accept(
         """
-        mov r2, 1
-        jeq r2, 0, dead
-        mov r0, 0
+        r2 = 1
+        if r2 == 0 goto dead
+        r0 = 0
         exit
         dead:
-        mov r0, r9
+        r0 = r9
         exit
         """
     )

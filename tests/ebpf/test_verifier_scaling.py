@@ -10,15 +10,15 @@ from repro.ebpf import Program, VerifierError
 def test_branch_chain_verifies_in_linear_time():
     """25 sequential data-dependent branches: 2^25 paths naively, but
     states converge after each diamond, so pruning keeps it linear."""
-    lines = ["ldxw r2, [r1+0]"]
+    lines = ["r2 = *(u32 *)(r1 + 0)"]
     for i in range(25):
         lines += [
-            f"jeq r2, {i}, l{i}",
-            "mov r3, 1",
+            f"if r2 == {i} goto l{i}",
+            "r3 = 1",
             f"l{i}:",
-            "mov r3, 2",  # both paths converge to the same state
+            "r3 = 2",  # both paths converge to the same state
         ]
-    lines += ["mov r0, 0", "exit"]
+    lines += ["r0 = 0", "exit"]
     start = time.perf_counter()
     Program("\n".join(lines), jit=False)
     elapsed = time.perf_counter() - start
@@ -28,15 +28,15 @@ def test_branch_chain_verifies_in_linear_time():
 def test_divergent_states_hit_budget_not_hang():
     """Branches that keep states distinct must trip the state budget
     rather than hang: each diamond doubles the live constant sets."""
-    lines = ["ldxw r2, [r1+0]", "mov r4, 0"]
+    lines = ["r2 = *(u32 *)(r1 + 0)", "r4 = 0"]
     for i in range(40):
         lines += [
-            f"jeq r2, {i}, l{i}",
-            f"add r4, {1 << min(i, 20)}",
+            f"if r2 == {i} goto l{i}",
+            f"r4 += {1 << min(i, 20)}",
             f"l{i}:",
-            "mov r5, 0",
+            "r5 = 0",
         ]
-    lines += ["mov r0, 0", "exit"]
+    lines += ["r0 = 0", "exit"]
     start = time.perf_counter()
     try:
         Program("\n".join(lines), jit=False)
@@ -47,8 +47,8 @@ def test_divergent_states_hit_budget_not_hang():
 
 
 def test_deep_straightline_program_fast():
-    lines = [f"mov r{1 + (i % 5)}, {i}" for i in range(2000)]
-    lines += ["mov r0, 0", "exit"]
+    lines = [f"r{1 + (i % 5)} = {i}" for i in range(2000)]
+    lines += ["r0 = 0", "exit"]
     start = time.perf_counter()
     Program("\n".join(lines), jit=True)
     assert time.perf_counter() - start < 5.0

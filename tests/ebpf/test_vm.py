@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.ebpf import HelperContext, Memory, Program, SkbContext, assemble, isa
+from repro.ebpf import HelperContext, Memory, Program, SkbContext, isa, link, parse_asm
 from repro.ebpf.errors import VmFault
+from repro.ebpf.text.easm import JMP_OPS
 from repro.ebpf.vm import Interpreter
 
 PKT = b"\x60" + b"\x00" * 47
@@ -17,7 +18,7 @@ def run(source: str, jit: bool = False) -> int:
 
 def run_raw(source: str) -> int:
     """Run without the verifier (for semantics the verifier would reject)."""
-    insns = assemble(source)
+    insns = link(parse_asm(source)).insns
     mem = Memory()
     skb = SkbContext(mem, PKT)
     hctx = HelperContext(mem, skb)
@@ -27,23 +28,31 @@ def run_raw(source: str) -> int:
 # --- ALU64 -----------------------------------------------------------------
 
 
+# (case name — the op's bpf_asm mnemonic, as the suite has always printed
+# it and the floor list names it —, source, r0)
+ALU64_CASES = [
+    ("mov r0, 7\nexit", "r0 = 7\nexit", 7),
+    ("mov r0, -1\nexit", "r0 = -1\nexit", isa.U64),
+    ("mov r0, 5\nadd r0, 3\nexit", "r0 = 5\nr0 += 3\nexit", 8),
+    ("mov r0, 5\nsub r0, 8\nexit", "r0 = 5\nr0 -= 8\nexit", (5 - 8) & isa.U64),
+    ("mov r0, 7\nmul r0, 6\nexit", "r0 = 7\nr0 *= 6\nexit", 42),
+    ("mov r0, 42\ndiv r0, 5\nexit", "r0 = 42\nr0 /= 5\nexit", 8),
+    ("mov r0, 42\nmod r0, 5\nexit", "r0 = 42\nr0 %= 5\nexit", 2),
+    ("mov r0, 12\nor r0, 3\nexit", "r0 = 12\nr0 |= 3\nexit", 15),
+    ("mov r0, 12\nand r0, 10\nexit", "r0 = 12\nr0 &= 10\nexit", 8),
+    ("mov r0, 12\nxor r0, 10\nexit", "r0 = 12\nr0 ^= 10\nexit", 6),
+    ("mov r0, 1\nlsh r0, 63\nexit", "r0 = 1\nr0 <<= 63\nexit", 1 << 63),
+    ("mov r0, -1\nrsh r0, 60\nexit", "r0 = -1\nr0 >>= 60\nexit", 0xF),
+    ("mov r0, -16\narsh r0, 2\nexit", "r0 = -16\nr0 s>>= 2\nexit", (-4) & isa.U64),
+    ("mov r0, 5\nneg r0\nexit", "r0 = 5\nr0 = -r0\nexit", (-5) & isa.U64),
+]
+
+
 @pytest.mark.parametrize(
     "source,expected",
     [
-        ("mov r0, 7\nexit", 7),
-        ("mov r0, -1\nexit", isa.U64),
-        ("mov r0, 5\nadd r0, 3\nexit", 8),
-        ("mov r0, 5\nsub r0, 8\nexit", (5 - 8) & isa.U64),
-        ("mov r0, 7\nmul r0, 6\nexit", 42),
-        ("mov r0, 42\ndiv r0, 5\nexit", 8),
-        ("mov r0, 42\nmod r0, 5\nexit", 2),
-        ("mov r0, 12\nor r0, 3\nexit", 15),
-        ("mov r0, 12\nand r0, 10\nexit", 8),
-        ("mov r0, 12\nxor r0, 10\nexit", 6),
-        ("mov r0, 1\nlsh r0, 63\nexit", 1 << 63),
-        ("mov r0, -1\nrsh r0, 60\nexit", 0xF),
-        ("mov r0, -16\narsh r0, 2\nexit", (-4) & isa.U64),
-        ("mov r0, 5\nneg r0\nexit", (-5) & isa.U64),
+        pytest.param(source, expected, id=f"{name}-{expected}")
+        for name, source, expected in ALU64_CASES
     ],
 )
 def test_alu64(source, expected):
@@ -51,51 +60,51 @@ def test_alu64(source, expected):
 
 
 def test_add_wraps_at_64_bits():
-    assert run("mov r0, -1\nadd r0, 1\nexit") == 0
+    assert run("r0 = -1\nr0 += 1\nexit") == 0
 
 
 def test_mul_wraps_at_64_bits():
-    source = "lddw r0, 0x8000000000000000\nmul r0, 2\nexit"
+    source = "r0 = 0x8000000000000000 ll\nr0 *= 2\nexit"
     assert run(source) == 0
 
 
 def test_shift_amount_masked_to_63():
     # Shifting by 64 is shifting by 0 (kernel masks the amount).
-    assert run_raw("mov r0, 3\nmov r1, 64\nlsh r0, r1\nexit") == 3
+    assert run_raw("r0 = 3\nr1 = 64\nr0 <<= r1\nexit") == 3
 
 
 def test_div_by_zero_register_yields_zero():
-    assert run_raw("mov r0, 42\nmov r1, 0\ndiv r0, r1\nexit") == 0
+    assert run_raw("r0 = 42\nr1 = 0\nr0 /= r1\nexit") == 0
 
 
 def test_mod_by_zero_register_leaves_dst():
-    assert run_raw("mov r0, 42\nmov r1, 0\nmod r0, r1\nexit") == 42
+    assert run_raw("r0 = 42\nr1 = 0\nr0 %= r1\nexit") == 42
 
 
 # --- ALU32 --------------------------------------------------------------------
 
 
 def test_alu32_truncates_result():
-    assert run("mov r0, -1\nadd32 r0, 1\nexit") == 0
+    assert run("r0 = -1\nw0 += 1\nexit") == 0
 
 
 def test_mov32_zero_extends():
-    assert run("mov r0, -1\nmov32 r0, -1\nexit") == 0xFFFFFFFF
+    assert run("r0 = -1\nw0 = -1\nexit") == 0xFFFFFFFF
 
 
 def test_sub32_wraps():
-    assert run("mov r0, 0\nsub32 r0, 1\nexit") == 0xFFFFFFFF
+    assert run("r0 = 0\nw0 -= 1\nexit") == 0xFFFFFFFF
 
 
 def test_arsh32_sign_extends_within_32():
-    assert run("mov32 r0, -16\narsh32 r0, 2\nexit") == 0xFFFFFFFC
+    assert run("w0 = -16\nw0 s>>= 2\nexit") == 0xFFFFFFFC
 
 
 def test_alu32_ignores_high_bits_of_src():
     source = """
-    lddw r1, 0x1200000003
-    mov r0, 4
-    add32 r0, r1
+    r1 = 0x1200000003 ll
+    r0 = 4
+    w0 += w1
     exit
     """
     assert run(source) == 7
@@ -105,24 +114,24 @@ def test_alu32_ignores_high_bits_of_src():
 
 
 def test_be16():
-    assert run("mov r0, 0x1234\nbe16 r0\nexit") == 0x3412
+    assert run("r0 = 0x1234\nr0 = be16 r0\nexit") == 0x3412
 
 
 def test_be32():
-    assert run("mov r0, 0x12345678\nbe32 r0\nexit") == 0x78563412
+    assert run("r0 = 0x12345678\nr0 = be32 r0\nexit") == 0x78563412
 
 
 def test_be64():
-    source = "lddw r0, 0x0102030405060708\nbe64 r0\nexit"
+    source = "r0 = 0x0102030405060708 ll\nr0 = be64 r0\nexit"
     assert run(source) == 0x0807060504030201
 
 
 def test_le16_truncates_on_little_endian_host():
-    assert run("mov r0, 0x12345678\nle16 r0\nexit") == 0x5678
+    assert run("r0 = 0x12345678\nr0 = le16 r0\nexit") == 0x5678
 
 
 def test_be16_clears_high_bits():
-    assert run("lddw r0, 0xffffffffffff1234\nbe16 r0\nexit") == 0x3412
+    assert run("r0 = 0xffffffffffff1234 ll\nr0 = be16 r0\nexit") == 0x3412
 
 
 # --- jumps ---------------------------------------------------------------------
@@ -149,14 +158,17 @@ def test_be16_clears_high_bits():
     ],
 )
 def test_conditional_jumps(cond, a, b, taken):
+    # ``cond`` is the opcode's ISA name; the assembler's table spells it.
+    opcode = getattr(isa, f"BPF_{cond.upper()}")
+    (operator,) = (text for text, op in JMP_OPS.items() if op == opcode)
     source = f"""
-    mov r1, {a}
-    mov r2, {b}
-    {cond} r1, r2, yes
-    mov r0, 0
+    r1 = {a}
+    r2 = {b}
+    if r1 {operator} r2 goto yes
+    r0 = 0
     exit
     yes:
-    mov r0, 1
+    r0 = 1
     exit
     """
     assert run(source) == (1 if taken else 0)
@@ -164,17 +176,17 @@ def test_conditional_jumps(cond, a, b, taken):
 
 def test_unsigned_comparison_of_negative_values():
     # -1 is the largest unsigned 64-bit value.
-    assert run("mov r1, -1\nmov r2, 1\njgt r1, r2, y\nmov r0, 0\nexit\ny:\nmov r0, 1\nexit") == 1
+    assert run("r1 = -1\nr2 = 1\nif r1 > r2 goto y\nr0 = 0\nexit\ny:\nr0 = 1\nexit") == 1
 
 
 def test_jmp32_compares_low_words_only():
     source = """
-    lddw r1, 0xff00000005
-    jeq32 r1, 5, y
-    mov r0, 0
+    r1 = 0xff00000005 ll
+    if w1 == 5 goto y
+    r0 = 0
     exit
     y:
-    mov r0, 1
+    r0 = 1
     exit
     """
     assert run(source) == 1
@@ -185,9 +197,9 @@ def test_jmp32_compares_low_words_only():
 
 def test_stack_store_load_roundtrip():
     source = """
-    lddw r1, 0x1122334455667788
-    stxdw [r10-8], r1
-    ldxdw r0, [r10-8]
+    r1 = 0x1122334455667788 ll
+    *(u64 *)(r10 - 8) = r1
+    r0 = *(u64 *)(r10 - 8)
     exit
     """
     assert run(source) == 0x1122334455667788
@@ -195,66 +207,66 @@ def test_stack_store_load_roundtrip():
 
 def test_byte_store_is_little_endian():
     source = """
-    mov r1, 0x1234
-    stxh [r10-8], r1
-    ldxb r0, [r10-8]
+    r1 = 0x1234
+    *(u16 *)(r10 - 8) = r1
+    r0 = *(u8 *)(r10 - 8)
     exit
     """
     assert run(source) == 0x34
 
 
 def test_store_immediate():
-    assert run("stw [r10-4], 99\nldxw r0, [r10-4]\nexit") == 99
+    assert run("*(u32 *)(r10 - 4) = 99\nr0 = *(u32 *)(r10 - 4)\nexit") == 99
 
 
 def test_packet_read_through_ctx_pointers():
     source = """
-    mov r6, r1
-    ldxdw r7, [r6+16]
-    ldxdw r8, [r6+24]
-    mov r2, r7
-    add r2, 1
-    jgt r2, r8, out
-    ldxb r0, [r7+0]
+    r6 = r1
+    r7 = *(u64 *)(r6 + 16)
+    r8 = *(u64 *)(r6 + 24)
+    r2 = r7
+    r2 += 1
+    if r2 > r8 goto out
+    r0 = *(u8 *)(r7 + 0)
     exit
     out:
-    mov r0, 0
+    r0 = 0
     exit
     """
     assert run(source) == 0x60  # IPv6 version nibble
 
 
 def test_ctx_len_field():
-    source = "ldxw r0, [r1+0]\nexit"
+    source = "r0 = *(u32 *)(r1 + 0)\nexit"
     assert run(source) == len(PKT)
 
 
 def test_ctx_mark_write_visible_after_run():
-    prog = Program("mov r2, 77\nstxw [r1+8], r2\nmov r0, 0\nexit")
+    prog = Program("r2 = 77\n*(u32 *)(r1 + 8) = r2\nr0 = 0\nexit")
     _ret, hctx = prog.run_on_packet(PKT)
     assert hctx.skb.mark == 77
 
 
 def test_unmapped_access_faults():
     with pytest.raises(VmFault):
-        run_raw("mov r1, 0x99999999\nldxdw r0, [r1+0]\nexit")
+        run_raw("r1 = 0x99999999\nr0 = *(u64 *)(r1 + 0)\nexit")
 
 
 def test_write_to_readonly_packet_faults():
     with pytest.raises(VmFault):
         run_raw(
             """
-            ldxdw r7, [r1+16]
-            mov r2, 1
-            stxb [r7+0], r2
-            mov r0, 0
+            r7 = *(u64 *)(r1 + 16)
+            r2 = 1
+            *(u8 *)(r7 + 0) = r2
+            r0 = 0
             exit
             """
         )
 
 
 def test_runaway_program_hits_instruction_budget():
-    insns = assemble("ja loop\nloop: ja back\nback: ja loop\nexit")
+    insns = link(parse_asm("goto loop\nloop: goto back\nback: goto loop\nexit")).insns
     # Hand-craft a loop (verifier would reject): jump back to slot 0.
     from repro.ebpf.insn import Instruction
 
@@ -270,4 +282,4 @@ def test_runaway_program_hits_instruction_budget():
 
 
 def test_lddw_loads_full_64_bits():
-    assert run("lddw r0, 0xffffffffffffffff\nexit") == isa.U64
+    assert run("r0 = 0xffffffffffffffff ll\nexit") == isa.U64

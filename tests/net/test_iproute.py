@@ -25,7 +25,7 @@ def ip():
     node = Node("R")
     node.add_device("eth0")
     node.add_device("eth1")
-    prog = Program("mov r0, 0\nexit", allowed_helpers=SEG6LOCAL_HELPERS)
+    prog = Program("r0 = 0\nexit", allowed_helpers=SEG6LOCAL_HELPERS)
     return IpRoute(node, objects={"prog.o": prog})
 
 
@@ -236,7 +236,7 @@ def test_shared_object_registry_sees_late_loads():
         ip.route_add(
             "fc00::100/128 encap seg6local action End.BPF endpoint obj late.o dev eth0"
         )
-    objects["late.o"] = Program("mov r0, 0\nexit", allowed_helpers=SEG6LOCAL_HELPERS)
+    objects["late.o"] = Program("r0 = 0\nexit", allowed_helpers=SEG6LOCAL_HELPERS)
     route = ip.route_add(
         "fc00::100/128 encap seg6local action End.BPF endpoint obj late.o dev eth0"
     )
@@ -316,7 +316,7 @@ def test_route_del_accepts_metric_selector(ip):
 def test_route_show_registers_programmatic_programs_for_replay(ip):
     # Installed around the plane (node.add_route with an encap object),
     # as usecases' install_wrr does — the dump must still resolve.
-    prog = Program("mov r0, 0\nexit", allowed_helpers=SEG6LOCAL_HELPERS, name="wrr")
+    prog = Program("r0 = 0\nexit", allowed_helpers=SEG6LOCAL_HELPERS, name="wrr")
     ip.node.add_route("fc00:7::/64", encap=BpfLwt(prog_out=prog), via="fc00::1", dev="eth0")
     shown = [line for line in ip.route_show() if "encap bpf" in line]
     assert shown == ["fc00:7::/64 encap bpf out obj wrr via fc00::1 dev eth0"]

@@ -3,7 +3,7 @@ hook, multiple routing tables, packet traces, netdev stats."""
 
 import pytest
 
-from repro.ebpf import ArrayMap, PerfEventArrayMap, Program, assemble, disassemble
+from repro.ebpf import ArrayMap, PerfEventArrayMap, Program, disassemble, parse_asm
 from repro.net import (
     BpfLwt,
     LWT_HELPERS,
@@ -31,16 +31,15 @@ from repro.progs import (
 )
 def test_paper_source_disassembles_and_reassembles(loader):
     insns = loader().insns
-    text = disassemble(insns)
-    again = assemble(text)
-    assert [i.encode() for i in again] == [i.encode() for i in insns]
+    (again,) = parse_asm(disassemble(insns)).sections.values()
+    assert [i.encode() for i in again.items] == [i.encode() for i in insns]
 
 
 def test_loaded_programs_disassemble_with_map_names():
     config = ArrayMap("dm_config", value_size=40, max_entries=1)
     prog = dm_encap_prog(config)
     text = disassemble(prog.insns)
-    assert "lddw r1, map:" in text  # map reference preserved for readers
+    assert "r1 = dm_config ll" in text  # map reference preserved for readers
     assert "call lwt_push_encap" in text
     assert "call ktime_get_ns" in text
 
@@ -75,7 +74,7 @@ def test_lwt_xmit_hook_runs_after_out():
     def make_marker(value):
         # Programs that stamp the packet mark so the order is observable.
         return Program(
-            f"mov r2, {value}\nstxw [r1+8], r2\nmov r0, 0\nexit",
+            f"r2 = {value}\n*(u32 *)(r1 + 8) = r2\nr0 = 0\nexit",
             allowed_helpers=LWT_HELPERS,
         )
 

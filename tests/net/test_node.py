@@ -168,7 +168,7 @@ def test_end_then_dt6_chain():
 
 
 def test_bpf_drop_counted(router):
-    prog = Program("mov r0, 2\nexit", allowed_helpers=SEG6LOCAL_HELPERS)
+    prog = Program("r0 = 2\nexit", allowed_helpers=SEG6LOCAL_HELPERS)
     router.add_route("fc00:e::100/128", encap=EndBPF(prog))
     pkt = make_srv6_udp_packet("fc00:1::1", ["fc00:e::100", "fc00:2::2"], 1, 2, b"x")
     router.receive(pkt, router.devices["eth0"])
@@ -178,7 +178,7 @@ def test_bpf_drop_counted(router):
 
 
 def test_unknown_bpf_return_drops(router):
-    prog = Program("mov r0, 99\nexit", allowed_helpers=SEG6LOCAL_HELPERS)
+    prog = Program("r0 = 99\nexit", allowed_helpers=SEG6LOCAL_HELPERS)
     action = EndBPF(prog)
     router.add_route("fc00:e::100/128", encap=action)
     pkt = make_srv6_udp_packet("fc00:1::1", ["fc00:e::100", "fc00:2::2"], 1, 2, b"x")
@@ -192,7 +192,7 @@ def test_unknown_bpf_return_drops(router):
 
 def test_endbpf_srh_validation_drop_is_not_bpf_dropped(router):
     """Pre-program SRH validation failures never count as BPF drops."""
-    prog = Program("mov r0, 0\nexit", allowed_helpers=SEG6LOCAL_HELPERS)
+    prog = Program("r0 = 0\nexit", allowed_helpers=SEG6LOCAL_HELPERS)
     router.add_route("fc00:e::100/128", encap=EndBPF(prog))
     pkt = make_udp_packet("fc00:1::1", "fc00:e::100", 1, 2, b"x")  # no SRH
     router.receive(pkt, router.devices["eth0"])
@@ -202,7 +202,7 @@ def test_endbpf_srh_validation_drop_is_not_bpf_dropped(router):
 
 def test_bpf_lwt_drop_counted_as_bpf_dropped(router):
     """BPF_DROP from an lwt hook sets Disposition.bpf, counted per verdict."""
-    prog = Program("mov r0, 2\nexit", allowed_helpers=LWT_HELPERS)
+    prog = Program("r0 = 2\nexit", allowed_helpers=LWT_HELPERS)
     router.add_route(
         "fc00:3::/64", via="fc00:2::1", dev="eth1", encap=BpfLwt(prog_in=prog)
     )
@@ -228,7 +228,7 @@ def test_receive_accounts_ingress_device_stats(router):
 
 
 def test_bpf_lwt_in_can_drop(router):
-    prog = Program("mov r0, 2\nexit", allowed_helpers=LWT_HELPERS)
+    prog = Program("r0 = 2\nexit", allowed_helpers=LWT_HELPERS)
     router.add_route("fc00:3::/64", via="fc00:2::1", dev="eth1", encap=BpfLwt(prog_in=prog))
     pkt = make_udp_packet("fc00:1::1", "fc00:3::3", 1, 2, b"x")
     router.receive(pkt, router.devices["eth0"])
@@ -236,7 +236,7 @@ def test_bpf_lwt_in_can_drop(router):
 
 
 def test_bpf_lwt_out_pass_through(router):
-    prog = Program("mov r0, 0\nexit", allowed_helpers=LWT_HELPERS)
+    prog = Program("r0 = 0\nexit", allowed_helpers=LWT_HELPERS)
     lwt = BpfLwt(prog_out=prog)
     router.add_route("fc00:3::/64", via="fc00:2::1", dev="eth1", encap=lwt)
     pkt = make_udp_packet("fc00:1::1", "fc00:3::3", 1, 2, b"x")
@@ -299,7 +299,7 @@ def test_runt_packet_dropped(router):
 # that runs lwt-in on the wrong side, decrements twice, or carries a
 # redirect's table into the next lookup forwards all of the above.
 
-_DROP = "mov r0, 2\nexit"
+_DROP = "r0 = 2\nexit"
 
 
 def _push_encap_prog(segment: str) -> Program:
@@ -308,23 +308,23 @@ def _push_encap_prog(segment: str) -> Program:
     lo, hi = (int.from_bytes(seg[i : i + 8], "little") for i in (0, 8))
     return Program(
         f"""
-        mov r6, r1
-        stb [r10-24], 41            ; next header: IPv6
-        stb [r10-23], 2             ; hdr_ext_len: one segment
-        stb [r10-22], 4             ; routing type: SRH
-        stb [r10-21], 0             ; segments_left
-        stw [r10-20], 0             ; last_entry, flags, tag
-        lddw r3, {lo:#x}
-        stxdw [r10-16], r3
-        lddw r3, {hi:#x}
-        stxdw [r10-8], r3
-        mov r1, r6
-        mov r2, 0                   ; BPF_LWT_ENCAP_SEG6 (outer)
-        mov r3, r10
-        add r3, -24
-        mov r4, 24
+        r6 = r1
+        *(u8 *)(r10 - 24) = 41      ; next header: IPv6
+        *(u8 *)(r10 - 23) = 2       ; hdr_ext_len: one segment
+        *(u8 *)(r10 - 22) = 4       ; routing type: SRH
+        *(u8 *)(r10 - 21) = 0       ; segments_left
+        *(u32 *)(r10 - 20) = 0      ; last_entry, flags, tag
+        r3 = {lo:#x} ll
+        *(u64 *)(r10 - 16) = r3
+        r3 = {hi:#x} ll
+        *(u64 *)(r10 - 8) = r3
+        r1 = r6
+        r2 = 0                      ; BPF_LWT_ENCAP_SEG6 (outer)
+        r3 = r10
+        r3 += -24
+        r4 = 24
         call lwt_push_encap
-        mov r0, 0
+        r0 = 0
         exit
         """,
         allowed_helpers=LWT_HELPERS,

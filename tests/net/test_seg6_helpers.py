@@ -44,16 +44,16 @@ def srv6_pkt(**kwargs):
 
 
 STORE_FLAGS = """
-    mov r6, r1
-    mov r2, 0xab
-    stxb [r10-1], r2
-    mov r1, r6
-    mov r2, 45                 ; flags byte (40 + 5)
-    mov r3, r10
-    add r3, -1
-    mov r4, 1
+    r6 = r1
+    r2 = 0xab
+    *(u8 *)(r10 - 1) = r2
+    r1 = r6
+    r2 = 45                    ; flags byte (40 + 5)
+    r3 = r10
+    r3 += -1
+    r4 = 1
     call lwt_seg6_store_bytes
-    mov r0, 0
+    r0 = 0
     exit
 """
 
@@ -67,20 +67,20 @@ def test_store_bytes_flags_field(router):
 def run_store_at(router, offset, length=1):
     """Return the helper's return code for a write at (offset, length)."""
     asm = f"""
-    mov r6, r1
-    mov r2, 0
-    stxdw [r10-8], r2
-    mov r1, r6
-    mov r2, {offset}
-    mov r3, r10
-    add r3, -8
-    mov r4, {length}
+    r6 = r1
+    r2 = 0
+    *(u64 *)(r10 - 8) = r2
+    r1 = r6
+    r2 = {offset}
+    r3 = r10
+    r3 += -8
+    r4 = {length}
     call lwt_seg6_store_bytes
-    jeq r0, 0, ok
-    mov r0, 2
+    if r0 == 0 goto ok
+    r0 = 2
     exit
     ok:
-    mov r0, 0
+    r0 = 0
     exit
     """
     out = run_end_bpf(router, asm, srv6_pkt())
@@ -116,27 +116,27 @@ def test_store_bytes_rejects_past_srh_end(router):
 
 
 GROW_AND_FILL = """
-    mov r6, r1
-    mov r1, r6
-    mov r2, 80                 ; end of the 2-segment SRH (40 + 8 + 32)
-    mov r3, 8
+    r6 = r1
+    r1 = r6
+    r2 = 80                    ; end of the 2-segment SRH (40 + 8 + 32)
+    r3 = 8
     call lwt_seg6_adjust_srh
-    jne r0, 0, fail
-    stb [r10-8], 10
-    stb [r10-7], 6
-    stw [r10-6], 0
-    sth [r10-2], 0
-    mov r1, r6
-    mov r2, 80
-    mov r3, r10
-    add r3, -8
-    mov r4, 8
+    if r0 != 0 goto fail
+    *(u8 *)(r10 - 8) = 10
+    *(u8 *)(r10 - 7) = 6
+    *(u32 *)(r10 - 6) = 0
+    *(u16 *)(r10 - 2) = 0
+    r1 = r6
+    r2 = 80
+    r3 = r10
+    r3 += -8
+    r4 = 8
     call lwt_seg6_store_bytes
-    jne r0, 0, fail
-    mov r0, 0
+    if r0 != 0 goto fail
+    r0 = 0
     exit
     fail:
-    mov r0, 2
+    r0 = 2
     exit
 """
 
@@ -159,12 +159,12 @@ def test_adjust_srh_without_fill_drops_packet(router):
     # Grown space left as zero bytes is an invalid TLV area -> the packet
     # fails the post-run SRH validation and must be dropped.
     asm = """
-    mov r6, r1
-    mov r1, r6
-    mov r2, 80
-    mov r3, 8
+    r6 = r1
+    r1 = r6
+    r2 = 80
+    r3 = 8
     call lwt_seg6_adjust_srh
-    mov r0, 0
+    r0 = 0
     exit
     """
     out = run_end_bpf(router, asm, srv6_pkt())
@@ -177,16 +177,16 @@ def test_adjust_srh_without_fill_drops_packet(router):
 
 def adjust(router, offset, delta):
     asm = f"""
-    mov r6, r1
-    mov r1, r6
-    mov r2, {offset}
-    mov r3, {delta}
+    r6 = r1
+    r1 = r6
+    r2 = {offset}
+    r3 = {delta}
     call lwt_seg6_adjust_srh
-    jeq r0, 0, ok
-    mov r0, 2
+    if r0 == 0 goto ok
+    r0 = 2
     exit
     ok:
-    mov r0, 0
+    r0 = 0
     exit
     """
     return run_end_bpf(router, asm, srv6_pkt()) is not None
@@ -212,16 +212,16 @@ def test_adjust_srh_shrink_removes_tlvs(router):
         tlvs=[Tlv(10, b"abcdef")],
     )
     asm = """
-    mov r6, r1
-    mov r1, r6
-    mov r2, 80
-    mov r3, -8
+    r6 = r1
+    r1 = r6
+    r2 = 80
+    r3 = -8
     call lwt_seg6_adjust_srh
-    jeq r0, 0, ok
-    mov r0, 2
+    if r0 == 0 goto ok
+    r0 = 2
     exit
     ok:
-    mov r0, 0
+    r0 = 0
     exit
     """
     out = run_end_bpf(router, asm, pkt)
@@ -234,25 +234,25 @@ def test_adjust_srh_shrink_removes_tlvs(router):
 
 
 END_X_ACTION = """
-    mov r6, r1
-    stb [r10-16], 0xfc
-    stb [r10-15], 0
-    stw [r10-14], 0
-    stw [r10-10], 0
-    stw [r10-6], 0
-    sth [r10-2], 0
-    stb [r10-1], 0x77
-    mov r1, r6
-    mov r2, 2                  ; SEG6_LOCAL_ACTION_END_X
-    mov r3, r10
-    add r3, -16
-    mov r4, 16
+    r6 = r1
+    *(u8 *)(r10 - 16) = 0xfc
+    *(u8 *)(r10 - 15) = 0
+    *(u32 *)(r10 - 14) = 0
+    *(u32 *)(r10 - 10) = 0
+    *(u32 *)(r10 - 6) = 0
+    *(u16 *)(r10 - 2) = 0
+    *(u8 *)(r10 - 1) = 0x77
+    r1 = r6
+    r2 = 2                     ; SEG6_LOCAL_ACTION_END_X
+    r3 = r10
+    r3 += -16
+    r4 = 16
     call lwt_seg6_action
-    jne r0, 0, fail
-    mov r0, 7                  ; BPF_REDIRECT
+    if r0 != 0 goto fail
+    r0 = 7                     ; BPF_REDIRECT
     exit
     fail:
-    mov r0, 2
+    r0 = 2
     exit
 """
 
@@ -269,19 +269,19 @@ def test_action_end_x_redirects(router):
 def test_action_end_t_uses_table(router):
     router.add_route("fc00:2::/64", via="fc00:2::1", dev="eth1", table_id=77)
     asm = """
-    mov r6, r1
-    stw [r10-4], 77
-    mov r1, r6
-    mov r2, 3                  ; SEG6_LOCAL_ACTION_END_T
-    mov r3, r10
-    add r3, -4
-    mov r4, 4
+    r6 = r1
+    *(u32 *)(r10 - 4) = 77
+    r1 = r6
+    r2 = 3                     ; SEG6_LOCAL_ACTION_END_T
+    r3 = r10
+    r3 += -4
+    r4 = 4
     call lwt_seg6_action
-    jne r0, 0, fail
-    mov r0, 7
+    if r0 != 0 goto fail
+    r0 = 7
     exit
     fail:
-    mov r0, 2
+    r0 = 2
     exit
     """
     # Remove the main-table route: only table 77 can forward this.
@@ -299,19 +299,19 @@ def test_action_end_dt6_decapsulates(router):
     outer = push_outer_encap(inner, pton("fc00::9"), srh)
     pkt = Packet(outer)
     asm = """
-    mov r6, r1
-    stw [r10-4], 254
-    mov r1, r6
-    mov r2, 7                  ; SEG6_LOCAL_ACTION_END_DT6
-    mov r3, r10
-    add r3, -4
-    mov r4, 4
+    r6 = r1
+    *(u32 *)(r10 - 4) = 254
+    r1 = r6
+    r2 = 7                     ; SEG6_LOCAL_ACTION_END_DT6
+    r3 = r10
+    r3 += -4
+    r4 = 4
     call lwt_seg6_action
-    jne r0, 0, fail
-    mov r0, 7
+    if r0 != 0 goto fail
+    r0 = 7
     exit
     fail:
-    mov r0, 2
+    r0 = 2
     exit
     """
     out = run_end_bpf(router, asm, pkt)
@@ -322,19 +322,19 @@ def test_action_end_dt6_decapsulates(router):
 
 def test_action_bad_param_size_fails(router):
     asm = """
-    mov r6, r1
-    stw [r10-4], 0
-    mov r1, r6
-    mov r2, 2                  ; END_X wants 16 bytes, give 4
-    mov r3, r10
-    add r3, -4
-    mov r4, 4
+    r6 = r1
+    *(u32 *)(r10 - 4) = 0
+    r1 = r6
+    r2 = 2                     ; END_X wants 16 bytes, give 4
+    r3 = r10
+    r3 += -4
+    r4 = 4
     call lwt_seg6_action
-    jeq r0, 0, ok
-    mov r0, 2
+    if r0 == 0 goto ok
+    r0 = 2
     exit
     ok:
-    mov r0, 0
+    r0 = 0
     exit
     """
     assert run_end_bpf(router, asm, srv6_pkt()) is None
@@ -342,19 +342,19 @@ def test_action_bad_param_size_fails(router):
 
 def test_action_unknown_action_fails(router):
     asm = """
-    mov r6, r1
-    stw [r10-4], 0
-    mov r1, r6
-    mov r2, 99
-    mov r3, r10
-    add r3, -4
-    mov r4, 4
+    r6 = r1
+    *(u32 *)(r10 - 4) = 0
+    r1 = r6
+    r2 = 99
+    r3 = r10
+    r3 += -4
+    r4 = 4
     call lwt_seg6_action
-    jeq r0, 0, ok
-    mov r0, 2
+    if r0 == 0 goto ok
+    r0 = 2
     exit
     ok:
-    mov r0, 0
+    r0 = 0
     exit
     """
     assert run_end_bpf(router, asm, srv6_pkt()) is None
@@ -371,23 +371,23 @@ def test_ecmp_helper_counts_and_addresses(router):
         nexthops=[Nexthop(via="fc00::a", dev="eth1"), Nexthop(via="fc00::b", dev="eth1")],
     )
     asm = """
-    mov r6, r1
+    r6 = r1
     ; query address fc00:9::1 on the stack
-    stb [r10-16], 0xfc
-    stb [r10-15], 0
-    stb [r10-14], 0
-    stb [r10-13], 9
-    stw [r10-12], 0
-    stw [r10-8], 0
-    sth [r10-4], 0
-    stb [r10-2], 0
-    stb [r10-1], 1
-    mov r1, r6
-    mov r2, r10
-    add r2, -16
-    mov r3, r10
-    add r3, -80
-    mov r4, 64
+    *(u8 *)(r10 - 16) = 0xfc
+    *(u8 *)(r10 - 15) = 0
+    *(u8 *)(r10 - 14) = 0
+    *(u8 *)(r10 - 13) = 9
+    *(u32 *)(r10 - 12) = 0
+    *(u32 *)(r10 - 8) = 0
+    *(u16 *)(r10 - 4) = 0
+    *(u8 *)(r10 - 2) = 0
+    *(u8 *)(r10 - 1) = 1
+    r1 = r6
+    r2 = r10
+    r2 += -16
+    r3 = r10
+    r3 += -80
+    r4 = 64
     call get_ecmp_nexthops
     exit
     """
@@ -410,20 +410,20 @@ def test_ecmp_helper_respects_buffer_size(router):
         ],
     )
     asm = """
-    mov r6, r1
-    stb [r10-16], 0xfc
-    stb [r10-15], 0
-    stb [r10-14], 0
-    stb [r10-13], 9
-    stw [r10-12], 0
-    stw [r10-8], 0
-    stw [r10-4], 0
-    mov r1, r6
-    mov r2, r10
-    add r2, -16
-    mov r3, r10
-    add r3, -48
-    mov r4, 32
+    r6 = r1
+    *(u8 *)(r10 - 16) = 0xfc
+    *(u8 *)(r10 - 15) = 0
+    *(u8 *)(r10 - 14) = 0
+    *(u8 *)(r10 - 13) = 9
+    *(u32 *)(r10 - 12) = 0
+    *(u32 *)(r10 - 8) = 0
+    *(u32 *)(r10 - 4) = 0
+    r1 = r6
+    r2 = r10
+    r2 += -16
+    r3 = r10
+    r3 += -48
+    r4 = 32
     call get_ecmp_nexthops
     exit
     """
@@ -441,14 +441,14 @@ def test_push_encap_not_on_seg6local_hook(router):
     from repro.ebpf import VerifierError
 
     asm = """
-    mov r1, r1
-    stdw [r10-8], 0
-    mov r2, 0
-    mov r3, r10
-    add r3, -8
-    mov r4, 8
+    r1 = r1
+    *(u64 *)(r10 - 8) = 0
+    r2 = 0
+    r3 = r10
+    r3 += -8
+    r4 = 8
     call lwt_push_encap
-    mov r0, 0
+    r0 = 0
     exit
     """
     with pytest.raises(VerifierError, match="not available"):
@@ -470,20 +470,20 @@ EINVAL = -22 & 0xFFFFFFFFFFFFFFFF
 # A one-segment SRH (24 bytes) to fc00::a on the stack, then the call
 # under test; the helper's return code is the program's.
 ONE_SEGMENT_SRH = """
-    mov r6, r1
-    stb [r10-24], 41            ; next header
-    stb [r10-23], 2             ; hdr_ext_len
-    stb [r10-22], 4             ; routing type
-    stb [r10-21], 0             ; segments_left
-    stw [r10-20], 0             ; last_entry, flags, tag
-    stdw [r10-16], 0xfc
-    stdw [r10-8], 0
-    stb [r10-1], 0x0a
-    mov r1, r6
-    mov r2, {arg}
-    mov r3, r10
-    add r3, -24
-    mov r4, 24
+    r6 = r1
+    *(u8 *)(r10 - 24) = 41      ; next header
+    *(u8 *)(r10 - 23) = 2       ; hdr_ext_len
+    *(u8 *)(r10 - 22) = 4       ; routing type
+    *(u8 *)(r10 - 21) = 0       ; segments_left
+    *(u32 *)(r10 - 20) = 0      ; last_entry, flags, tag
+    *(u64 *)(r10 - 16) = 0xfc
+    *(u64 *)(r10 - 8) = 0
+    *(u8 *)(r10 - 1) = 0x0a
+    r1 = r6
+    r2 = {arg}
+    r3 = r10
+    r3 += -24
+    r4 = 24
     call {helper}
     exit
 """

@@ -46,7 +46,7 @@ from repro.net.srh import (
 )
 
 SOURCE = pton("fc00:e::1")
-_PROGRAM = Program("mov r0, 0\nexit")  # only its guest address space is used
+_PROGRAM = Program("r0 = 0\nexit")  # only its guest address space is used
 
 addresses = st.binary(min_size=16, max_size=16)
 # Either "leave the field alone" or a replacement byte, biased to the

@@ -289,20 +289,20 @@ def test_icmp_interleaves_in_arrival_order_within_batch():
 
 # count += 1 in a map; mark = count — so the order of invocations is on the wire.
 COUNT_TO_MARK_ASM = """
-    mov r6, r1
-    mov r1, 0
-    stxw [r10-4], r1
-    lddw r1, map:hits
-    mov r2, r10
-    add r2, -4
+    r6 = r1
+    r1 = 0
+    *(u32 *)(r10 - 4) = r1
+    r1 = hits ll
+    r2 = r10
+    r2 += -4
     call map_lookup_elem
-    jeq r0, 0, out
-    ldxdw r1, [r0+0]
-    add r1, 1
-    stxdw [r0+0], r1
-    stxw [r6+8], r1
+    if r0 == 0 goto out
+    r1 = *(u64 *)(r0 + 0)
+    r1 += 1
+    *(u64 *)(r0 + 0) = r1
+    *(u32 *)(r6 + 8) = r1
 out:
-    mov r0, 0
+    r0 = 0
     exit
 """
 

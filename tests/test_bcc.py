@@ -7,26 +7,26 @@ from repro.net import Node, make_srv6_udp_packet, pton
 from repro.userspace.bcc import BPF
 
 COUNT_AND_REPORT = """
-    mov r6, r1
-    stw [r10-4], 0
-    lddw r1, map:hits
-    mov r2, r10
-    add r2, -4
+    r6 = r1
+    *(u32 *)(r10 - 4) = 0
+    r1 = hits ll
+    r2 = r10
+    r2 += -4
     call map_lookup_elem
-    jeq r0, 0, out
-    ldxdw r1, [r0+0]
-    add r1, 1
-    stxdw [r0+0], r1
-    stxdw [r10-16], r1
-    mov r1, r6
-    lddw r2, map:events
-    mov32 r3, -1
-    mov r4, r10
-    add r4, -16
-    mov r5, 8
+    if r0 == 0 goto out
+    r1 = *(u64 *)(r0 + 0)
+    r1 += 1
+    *(u64 *)(r0 + 0) = r1
+    *(u64 *)(r10 - 16) = r1
+    r1 = r6
+    r2 = events ll
+    w3 = -1
+    r4 = r10
+    r4 += -16
+    r5 = 8
     call perf_event_output
 out:
-    mov r0, 0
+    r0 = 0
     exit
 """
 
@@ -84,12 +84,12 @@ def test_perf_buffer_poll_dispatches(loaded):
 
 def test_lwt_program_type_restriction():
     with pytest.raises(ValueError, match="seg6local"):
-        b = BPF(text="mov r0, 0\nexit", prog_type=BPF.LWT)
+        b = BPF(text="r0 = 0\nexit", prog_type=BPF.LWT)
         b.attach_seg6local(router(), "fc00:e::100/128")
 
 
 def test_attach_lwt_out():
-    b = BPF(text="mov r0, 0\nexit", prog_type=BPF.LWT)
+    b = BPF(text="r0 = 0\nexit", prog_type=BPF.LWT)
     node = router()
     lwt = b.attach_lwt_out(node, "fc00:3::/64", via="fc00:2::1", dev="eth1")
     from repro.net import make_udp_packet
@@ -102,13 +102,13 @@ def test_seg6local_program_cannot_use_lwt_helpers():
     from repro.ebpf import VerifierError
 
     asm = """
-    stdw [r10-8], 0
-    mov r2, 0
-    mov r3, r10
-    add r3, -8
-    mov r4, 8
+    *(u64 *)(r10 - 8) = 0
+    r2 = 0
+    r3 = r10
+    r3 += -8
+    r4 = 8
     call lwt_push_encap
-    mov r0, 0
+    r0 = 0
     exit
     """
     with pytest.raises(VerifierError):

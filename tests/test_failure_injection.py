@@ -46,24 +46,24 @@ def run_through(node, asm, pkt):
 
 
 CORRUPT_TLV = """
-    mov r6, r1
-    mov r1, r6
-    mov r2, 80
-    mov r3, 8
+    r6 = r1
+    r1 = r6
+    r2 = 80
+    r3 = 8
     call lwt_seg6_adjust_srh
-    jne r0, 0, out
-    stb [r10-8], 10
-    stb [r10-7], 200           ; TLV claims 200 bytes in an 8-byte area
-    stw [r10-6], 0
-    sth [r10-2], 0
-    mov r1, r6
-    mov r2, 80
-    mov r3, r10
-    add r3, -8
-    mov r4, 8
+    if r0 != 0 goto out
+    *(u8 *)(r10 - 8) = 10
+    *(u8 *)(r10 - 7) = 200     ; TLV claims 200 bytes in an 8-byte area
+    *(u32 *)(r10 - 6) = 0
+    *(u16 *)(r10 - 2) = 0
+    r1 = r6
+    r2 = 80
+    r3 = r10
+    r3 += -8
+    r4 = 8
     call lwt_seg6_store_bytes
 out:
-    mov r0, 0
+    r0 = 0
     exit
 """
 
@@ -80,19 +80,19 @@ def test_helper_runtime_error_drops_packet_not_process():
     # lwt_seg6_action needs a node-side routing context; a program that
     # triggers a helper fault must only cost the packet.
     asm = """
-    mov r6, r1
-    stw [r10-4], 254
-    mov r1, r6
-    mov r2, 7                  ; END_DT6 on a packet with no inner IPv6
-    mov r3, r10
-    add r3, -4
-    mov r4, 4
+    r6 = r1
+    *(u32 *)(r10 - 4) = 254
+    r1 = r6
+    r2 = 7                     ; END_DT6 on a packet with no inner IPv6
+    r3 = r10
+    r3 += -4
+    r4 = 4
     call lwt_seg6_action
-    jne r0, 0, drop
-    mov r0, 7
+    if r0 != 0 goto drop
+    r0 = 7
     exit
     drop:
-    mov r0, 2
+    r0 = 2
     exit
     """
     node = fresh_router()
@@ -112,16 +112,16 @@ def test_perf_ring_overflow_counts_drops_and_keeps_datapath_alive():
     ring.capacity = 4
     asm_maps = {"ev": events}
     asm = """
-    mov r6, r1
-    stdw [r10-8], 7
-    mov r1, r6
-    lddw r2, map:ev
-    mov32 r3, -1
-    mov r4, r10
-    add r4, -8
-    mov r5, 8
+    r6 = r1
+    *(u64 *)(r10 - 8) = 7
+    r1 = r6
+    r2 = ev ll
+    w3 = -1
+    r4 = r10
+    r4 += -8
+    r5 = 8
     call perf_event_output
-    mov r0, 0
+    r0 = 0
     exit
     """
     node = fresh_router()
@@ -139,23 +139,23 @@ def test_hash_map_exhaustion_visible_to_program():
     # Program inserts a per-packet-mark key; returns the helper's error code
     # in the packet mark via the context.
     asm = """
-    mov r6, r1
-    ldxw r2, [r6+0]            ; use packet length as a pseudo-unique key
-    ldxw r3, [r6+8]            ; mark = attempt number (set by the test)
-    stxw [r10-4], r3
-    stw [r10-12], 1
-    lddw r1, map:small
-    mov r2, r10
-    add r2, -4
-    mov r3, r10
-    add r3, -12
-    mov r4, 0
+    r6 = r1
+    r2 = *(u32 *)(r6 + 0)      ; use packet length as a pseudo-unique key
+    r3 = *(u32 *)(r6 + 8)      ; mark = attempt number (set by the test)
+    *(u32 *)(r10 - 4) = r3
+    *(u32 *)(r10 - 12) = 1
+    r1 = small ll
+    r2 = r10
+    r2 += -4
+    r3 = r10
+    r3 += -12
+    r4 = 0
     call map_update_elem
-    jeq r0, 0, ok
-    mov r2, 99
-    stxw [r6+8], r2            ; flag the failure in the mark
+    if r0 == 0 goto ok
+    r2 = 99
+    *(u32 *)(r6 + 8) = r2      ; flag the failure in the mark
     ok:
-    mov r0, 0
+    r0 = 0
     exit
     """
     node = fresh_router()
@@ -174,7 +174,7 @@ def test_hash_map_exhaustion_visible_to_program():
 
 def test_truncated_srh_dropped_before_program_runs():
     node = fresh_router()
-    prog = Program("mov r0, 0\nexit", allowed_helpers=SEG6LOCAL_HELPERS)
+    prog = Program("r0 = 0\nexit", allowed_helpers=SEG6LOCAL_HELPERS)
     action = EndBPF(prog)
     node.add_route(f"{SEG}/128", encap=action)
     pkt = srv6_pkt()
@@ -186,7 +186,7 @@ def test_truncated_srh_dropped_before_program_runs():
 
 def test_seg6local_route_with_exhausted_segments_drops():
     node = fresh_router()
-    prog = Program("mov r0, 0\nexit", allowed_helpers=SEG6LOCAL_HELPERS)
+    prog = Program("r0 = 0\nexit", allowed_helpers=SEG6LOCAL_HELPERS)
     node.add_route(f"{SEG}/128", encap=EndBPF(prog))
     pkt = make_srv6_udp_packet("fc00:1::1", ["fc00:9::9", SEG], 1, 2, b"x")
     # Force segments_left to 0 while keeping DA = SEG.

@@ -77,18 +77,18 @@ def test_map_state_shared_between_datapath_and_userspace_live():
     decision = ArrayMap("decision", value_size=4, max_entries=1)
     prog = Program(
         """
-        stw [r10-4], 0
-        lddw r1, map:decision
-        mov r2, r10
-        add r2, -4
+        *(u32 *)(r10 - 4) = 0
+        r1 = decision ll
+        r2 = r10
+        r2 += -4
         call map_lookup_elem
-        jeq r0, 0, fwd
-        ldxw r1, [r0+0]
-        jeq r1, 0, fwd
-        mov r0, 2                  ; configured to drop
+        if r0 == 0 goto fwd
+        r1 = *(u32 *)(r0 + 0)
+        if r1 == 0 goto fwd
+        r0 = 2                     ; configured to drop
         exit
         fwd:
-        mov r0, 0
+        r0 = 0
         exit
         """,
         maps={"decision": decision},

@@ -49,18 +49,18 @@ if 2000 not in HELPERS_BY_ID:
 # Stamps mark=1, then gives the host a chance to mutate the FIB while
 # the batch is mid-flight.
 MARK1_AND_FLIP_ASM = """
-    mov r2, 1
-    stxw [r1+8], r2                ; ctx->mark = 1
+    r2 = 1
+    *(u32 *)(r1 + 8) = r2          ; ctx->mark = 1
     call test_fib_flip
-    mov r0, 0                      ; BPF_OK
+    r0 = 0                         ; BPF_OK
     exit
 """
 
 # The replacement route's program: stamps mark=2.
 MARK2_ASM = """
-    mov r2, 2
-    stxw [r1+8], r2                ; ctx->mark = 2
-    mov r0, 0                      ; BPF_OK
+    r2 = 2
+    *(u32 *)(r1 + 8) = r2          ; ctx->mark = 2
+    r0 = 0                         ; BPF_OK
     exit
 """
 

@@ -4,7 +4,7 @@ import struct
 
 import pytest
 
-from repro.ebpf import ArrayMap, LinkError, PerfEventArrayMap
+from repro.ebpf import ArrayMap, LinkError, PerfEventArrayMap, isa
 from repro.net import (
     BpfLwt,
     EndBPF,
@@ -14,6 +14,7 @@ from repro.net import (
     make_udp_packet,
     pton,
 )
+from repro.progs import library as lib
 from repro.progs import (
     DM_EVENT_SIZE,
     DmEvent,
@@ -329,6 +330,75 @@ def test_end_oamp_passes_non_probe():
     out = push(node, srv6_pkt())
     assert out is not None
     assert events.ring(0).pushed == 0
+
+
+# --- the .s literals are the Python layout constants -------------------------------
+
+
+def _packet_loads(prog) -> set[int]:
+    """Offsets the program reads through r7, its packet-data pointer."""
+    return {
+        insn.off
+        for insn in prog.insns
+        if insn.klass == isa.BPF_LDX and insn.src_reg == 7
+    }
+
+
+def _imms(prog, opcode: int, dst: int) -> list[int]:
+    return [
+        insn.imm
+        for insn in prog.insns
+        if insn.opcode == opcode and insn.dst_reg == dst
+    ]
+
+
+_MOV = isa.BPF_ALU64 | isa.BPF_K | isa.BPF_MOV
+_ADD = isa.BPF_ALU64 | isa.BPF_K | isa.BPF_ADD
+
+
+def test_asm_literals_match_the_layout_constants():
+    """The user-space builders and the ``.s`` sources agree on probe geometry."""
+    end_dm = end_dm_prog(PerfEventArrayMap("lit_dm"))
+    assert _packet_loads(end_dm) == {
+        6,  # IPv6 next header
+        lib.DM_TLV_OFF,
+        lib.DM_TS_OFF,
+        lib.DM_CTRL_ADDR_OFF,
+        lib.DM_CTRL_ADDR_OFF + 8,
+        lib.DM_CTRL_PORT_OFF,
+        lib.DM_KIND_OFF,
+    }
+    assert _imms(end_dm, _ADD, 2) == [lib.DM_PROBE_MIN_LEN]  # the bounds check
+    assert _imms(end_dm, _MOV, 5) == [lib.DM_EVENT_SIZE]  # perf_event_output size
+
+    dm_encap = dm_encap_prog(ArrayMap("lit_cfg", lib.DM_CONFIG_SIZE, 1))
+    hdr_ext_len = [
+        insn.imm
+        for insn in dm_encap.insns
+        if insn.opcode == isa.BPF_ST | isa.BPF_MEM | isa.BPF_B and insn.off == -79
+    ]
+    assert hdr_ext_len == [lib.DM_SRH_LEN // 8 - 1]  # SRH byte 1, built at r10-80
+    assert _imms(dm_encap, _MOV, 4) == [lib.DM_SRH_LEN]  # lwt_push_encap length
+
+    end_oamp = end_oamp_prog(PerfEventArrayMap("lit_oamp"))
+    assert _packet_loads(end_oamp) == {
+        6,
+        24,  # IPv6 destination = the probe target
+        32,
+        lib.OAMP_CTRL_TLV_OFF,
+        lib.OAMP_CTRL_ADDR_OFF,
+        lib.OAMP_CTRL_ADDR_OFF + 8,
+        lib.OAMP_CTRL_PORT_OFF,
+    }
+    assert _imms(end_oamp, _ADD, 2)[0] == lib.OAMP_PROBE_MIN_LEN
+    assert _imms(end_oamp, _MOV, 4) == [16 * lib.OAMP_MAX_NEXTHOPS]
+    assert _imms(end_oamp, _MOV, 5) == [lib.OAMP_EVENT_SIZE]
+
+
+def test_dm_encap_rejects_wrong_shape_config():
+    config = ArrayMap("dm_c_bad", value_size=32, max_entries=1)  # declared 40
+    with pytest.raises(LinkError, match="provided map 'dm_config'"):
+        dm_encap_prog(config)
 
 
 # --- SLOC sanity (the paper's size claims, §3.2/§4) -------------------------------
