@@ -13,8 +13,7 @@ The package provides, in pure Python:
   traffic generators, a reordering-sensitive TCP);
 * :mod:`repro.lab` — the declarative network builder (topology, config
   plane, experiment runs) every scenario is constructed through;
-* :mod:`repro.userspace` — perf-event consumption and a bcc-like
-  front-end;
+* :mod:`repro.userspace` — the perf-event rings the daemons poll;
 * :mod:`repro.usecases` — the paper's three applications: passive delay
   monitoring, hybrid access link aggregation, and ECMP-aware traceroute;
 * :mod:`repro.progs` — the eBPF programs used throughout the evaluation.

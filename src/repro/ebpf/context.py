@@ -3,7 +3,8 @@
 The paper's design (§3) gives programs *full read access* to the packet
 from the outermost IPv6 header, but **no direct write access**: all
 mutation goes through the seg6 helpers, which validate every change.  The
-context therefore maps the packet read-only into guest memory and exposes
+context therefore maps the packet buffer it is bound to — ``pkt.data`` on
+the datapath, not a copy of it — read-only into guest memory and exposes
 a small metadata block, with writes permitted only to ``mark`` and the
 ``cb`` scratch area (as for kernel LWT programs).
 
@@ -52,6 +53,8 @@ CB_SLOTS = 5
 
 _STACK_ZERO = bytes(isa.STACK_SIZE)
 _CB_ZERO = bytes(CTX_SIZE - OFF_CB)
+# len, protocol, mark, priority, data, data_end: the fields before cb.
+_PACK_FIELDS = struct.Struct("<IIIIQQ").pack_into
 
 # Static access rules consumed by the verifier: offset -> (size, writable, kind)
 # kind: "scalar", "pkt_ptr", "pkt_end_ptr"
@@ -75,31 +78,24 @@ class SkbContext:
     stack_top = STACK_BASE + isa.STACK_SIZE
 
     def __init__(self, mem: Memory, packet_bytes: bytes, mark: int = 0):
-        self.mem = mem
-        self.packet_region = mem.add_region(
-            Region(PACKET_BASE, bytearray(packet_bytes), PROT_READ, "packet")
-        )
-        raw = bytearray(CTX_SIZE)
-        struct.pack_into("<I", raw, OFF_LEN, len(packet_bytes) & isa.U32)
-        struct.pack_into("<I", raw, OFF_PROTOCOL, ETH_P_IPV6)
-        struct.pack_into("<I", raw, OFF_MARK, mark & isa.U32)
-        struct.pack_into("<Q", raw, OFF_DATA, PACKET_BASE)
-        struct.pack_into("<Q", raw, OFF_DATA_END, PACKET_BASE + len(packet_bytes))
+        """Map the three regions and bind a private copy of ``packet_bytes``."""
+        self.packet_region = mem.add_region(Region(PACKET_BASE, bytearray(), PROT_READ, "packet"))
         self.ctx_region = mem.add_region(
-            Region(CTX_BASE, raw, PROT_READ | PROT_WRITE, "ctx")
+            Region(CTX_BASE, bytearray(CTX_SIZE), PROT_READ | PROT_WRITE, "ctx")
         )
         self.stack_region = mem.add_region(
             Region(STACK_BASE, bytearray(isa.STACK_SIZE), PROT_READ | PROT_WRITE, "stack")
         )
+        self.rearm(bytearray(packet_bytes), mark)
 
-    # -- burst-mode reuse ------------------------------------------------------
-    def rearm(self, packet_bytes: bytes, mark: int = 0, zero_stack: bool = True) -> None:
-        """Rebind this context to a new packet, as if freshly constructed.
+    def rearm(self, packet: bytearray, mark: int = 0, zero_stack: bool = True) -> None:
+        """Bind this context to ``packet`` — the buffer itself, not a copy.
 
-        :meth:`repro.ebpf.jit.CompiledHandler.arm` reuses one guest address
-        space per attach site; this rewrites the packet region, the context
-        metadata block (length, mark, ``data_end``, zeroed ``cb``) and
-        zeroes the stack, restoring the exact state ``__init__`` builds.
+        The one place the context layout is written (``__init__`` ends
+        here; :meth:`repro.ebpf.jit.CompiledHandler.arm` reuses one guest
+        address space per attach site through it): ``packet`` becomes the
+        packet region's backing store, so the helpers edit the caller's
+        buffer; the fields are rewritten, ``cb`` and the stack zeroed.
 
         ``zero_stack=False`` skips the 512-byte stack wipe; callers may
         only pass it for programs the verifier proved never touch their
@@ -107,33 +103,28 @@ class SkbContext:
         case stale stack contents are unobservable — every verified stack
         read is preceded by a same-run write.
         """
-        self.packet_region.data[:] = packet_bytes
+        self.packet_region.data = packet
+        size = len(packet)
         raw = self.ctx_region.data
-        struct.pack_into("<I", raw, OFF_LEN, len(packet_bytes) & isa.U32)
-        struct.pack_into("<I", raw, OFF_MARK, mark & isa.U32)
-        struct.pack_into("<Q", raw, OFF_DATA_END, PACKET_BASE + len(packet_bytes))
+        _PACK_FIELDS(
+            raw, 0, size & isa.U32, ETH_P_IPV6, mark & isa.U32, 0, PACKET_BASE, PACKET_BASE + size
+        )
         raw[OFF_CB:] = _CB_ZERO
         if zero_stack:
             self.stack_region.data[:] = _STACK_ZERO
 
-    # -- packet mutation by helpers ------------------------------------------
-    def packet_bytes(self) -> bytes:
-        return bytes(self.packet_region.data)
+    def packet_resized(self) -> None:
+        """A helper grew or shrank the packet where it lies: refresh ``len`` and ``data_end``.
 
-    def replace_packet(self, new_bytes: bytes) -> None:
-        """Swap the packet contents (helper-mediated growth/shrink).
-
-        The packet region is re-created so ``data``/``data_end`` in the
-        context stay accurate; any packet pointer the program still holds
-        is re-checked against the new bounds on its next use, as in the
-        kernel (where helpers invalidate packet pointers).
+        During a run the buffer is resized in place, never rebound (the
+        translated function holds it in a local); a packet pointer the
+        program still holds is re-checked against the new bounds on its
+        next use, as in the kernel (where helpers invalidate them).
         """
-        region = self.packet_region
-        region.data[:] = new_bytes
-        struct.pack_into("<I", self.ctx_region.data, OFF_LEN, len(new_bytes) & isa.U32)
-        struct.pack_into(
-            "<Q", self.ctx_region.data, OFF_DATA_END, PACKET_BASE + len(new_bytes)
-        )
+        size = len(self.packet_region.data)
+        raw = self.ctx_region.data
+        struct.pack_into("<I", raw, OFF_LEN, size & isa.U32)
+        struct.pack_into("<Q", raw, OFF_DATA_END, PACKET_BASE + size)
 
     # -- metadata read-back after the run --------------------------------------
     @property

@@ -158,10 +158,11 @@ class CompiledHandler:
     A handler belongs to the attach site that built it (an ``EndBPF``,
     one hook of a ``BpfLwt``), builds the address space on its first
     :meth:`arm` and *re-arms* it for every later packet.  There is one
-    arming and it has no precondition: every call restores the region
-    table, rewrites packet and context and rebinds clock, rng, packet
-    and node, so the result is observably identical to a fresh context
-    whichever node, batch or group the previous packet belonged to.
+    arming and it has no precondition: every call, the first included,
+    restores the region table, binds the packet buffer, rewrites the
+    context and rebinds clock, rng, packet and node, so the result is
+    observably identical to a fresh context whichever node, batch or
+    group the previous packet belonged to.
     :attr:`call` is what the datapath invokes after arming:
     ``(fn | None, mem, helpers)`` — the translated function (``None``:
     interpret) and its invariant arguments, fixed by the program and the
@@ -178,16 +179,18 @@ class CompiledHandler:
         self._zero_stack = program.touches_stack
 
     def arm(
-        self, packet_bytes: bytes, clock_ns, rng, mark: int = 0, packet=None, node=None
+        self, data: bytearray, clock_ns, rng, mark: int = 0, packet=None, node=None
     ) -> HelperContext:
-        """Return the context bound to ``packet_bytes`` — the only reset of a reused one."""
+        """Return the context bound to ``data`` itself — the only reset of a reused one.
+
+        ``data`` (``pkt.data`` on the datapath) becomes the guest packet
+        region's buffer: nothing is copied in or back out.
+        """
         hctx = self._hctx
         if hctx is None:
             _HANDLER_CACHE_STATS["handler_misses"] += 1
             program = self.program
-            hctx = self._hctx = program.make_context(
-                packet_bytes, clock_ns=clock_ns, rng=rng, mark=mark
-            )
+            hctx = self._hctx = program.make_context(b"")
             hctx.hook = self.attach_point
             self._snapshot = hctx.mem.snapshot()
             jitp = program._jit if program.jit_enabled else None
@@ -196,19 +199,19 @@ class CompiledHandler:
             )
         else:
             _HANDLER_CACHE_STATS["handler_hits"] += 1
-            # Regions the last run mapped (map values) go; packet, ctx and cb
-            # are rewritten.  The stack wipe is skipped for a program the
-            # verifier proved never touches its frame: it cannot have
-            # dirtied it, and every verified stack read follows a same-run
-            # write.
-            hctx.mem.restore(self._snapshot)
-            hctx.skb.rearm(packet_bytes, mark, self._zero_stack)
-            hctx.clock_ns = clock_ns
-            hctx.rng = rng or random.Random(0)
-            hctx.cpu = 0
-            hctx.trace_log.clear()
-            hctx.helper_trace = None
-            hctx.metadata.clear()
+        # Regions the last run mapped (map values) go; the packet region is
+        # bound to ``data``, ctx and cb are rewritten.  The stack wipe is
+        # skipped for a program the verifier proved never touches its
+        # frame: it cannot have dirtied it, and every verified stack read
+        # follows a same-run write.
+        hctx.mem.restore(self._snapshot)
+        hctx.skb.rearm(data, mark, self._zero_stack)
+        hctx.clock_ns = clock_ns
+        hctx.rng = rng or random.Random(0)
+        hctx.cpu = 0
+        hctx.trace_log.clear()
+        hctx.helper_trace = None
+        hctx.metadata.clear()
         hctx.packet = packet
         hctx.node = node
         return hctx

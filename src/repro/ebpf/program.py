@@ -147,14 +147,13 @@ class Program:
         rng: random.Random | None = None,
         mark: int = 0,
     ) -> HelperContext:
-        """Build a fresh invocation context for ``packet_bytes``."""
+        """Build a fresh invocation context owning a private copy of ``packet_bytes``."""
         from .context import SkbContext
 
         mem = Memory()
         skb = SkbContext(mem, packet_bytes, mark=mark)
         install_map_regions(mem, self.maps_by_addr)
-        hctx = HelperContext(mem, skb, self.maps_by_addr, clock_ns, rng)
-        return hctx
+        return HelperContext(mem, skb, self.maps_by_addr, clock_ns, rng)
 
     def run(self, hctx: HelperContext) -> int:
         """Execute with the configured engine; returns R0."""

@@ -40,6 +40,7 @@ from .context import CTX_FIELDS
 from .errors import VerifierError
 from .helpers import HELPERS_BY_ID, Helper
 from .insn import Instruction, flatten
+from .vm import _alu, _jump_taken
 
 # Register-state kinds.
 UNINIT = "uninit"
@@ -296,9 +297,7 @@ class Verifier:
         if op == isa.BPF_NEG:
             if dst.kind != SCALAR:
                 raise VerifierError("negation of non-scalar", pc)
-            const = None
-            if dst.const is not None:
-                const = -dst.const
+            const = None if dst.const is None else _alu(op, dst.const, 0, is64, pc)
             state.regs[insn.dst_reg] = _scalar(const)
             return
 
@@ -362,7 +361,9 @@ class Verifier:
 
         const = None
         if dst.const is not None and src_const is not None:
-            const = _const_alu(op, dst.const, src_const, is64, pc)
+            # The interpreter's own arithmetic (as for NEG above): a fold that
+            # differed from it would prune a branch the program can take.
+            const = _alu(op, dst.const, src_const, is64, pc)
         state.regs[insn.dst_reg] = _scalar(const)
 
     # -- lddw -------------------------------------------------------------------
@@ -670,8 +671,7 @@ class Verifier:
             and src.kind == SCALAR
             and src.const is not None
         ):
-            taken = _eval_cond(op, dst.const, src.const, is32)
-            if taken:
+            if _jump_taken(op, dst.const, src.const, is32, pc):  # as for ALU: what the VM decides
                 worklist.append((target, state.clone()))
                 return None
             return fallthrough
@@ -727,60 +727,6 @@ def _pkt_bounds_refinement(op, dst: Reg, src: Reg, is32: bool):
             return (True, length)
         if op == isa.BPF_JLE:
             return (False, length)
-    return None
-
-
-def _eval_cond(op: int, a: int, b: int, is32: bool) -> bool:
-    if is32:
-        ua, ub = a & isa.U32, b & isa.U32
-        sa, sb = isa.to_signed32(ua), isa.to_signed32(ub)
-    else:
-        ua, ub = a & isa.U64, b & isa.U64
-        sa, sb = isa.to_signed64(ua), isa.to_signed64(ub)
-    table = {
-        isa.BPF_JEQ: ua == ub,
-        isa.BPF_JNE: ua != ub,
-        isa.BPF_JGT: ua > ub,
-        isa.BPF_JGE: ua >= ub,
-        isa.BPF_JLT: ua < ub,
-        isa.BPF_JLE: ua <= ub,
-        isa.BPF_JSET: (ua & ub) != 0,
-        isa.BPF_JSGT: sa > sb,
-        isa.BPF_JSGE: sa >= sb,
-        isa.BPF_JSLT: sa < sb,
-        isa.BPF_JSLE: sa <= sb,
-    }
-    return table[op]
-
-
-def _const_alu(op: int, a: int, b: int, is64: bool, pc: int) -> int | None:
-    mask = isa.U64 if is64 else isa.U32
-    shift_mask = 63 if is64 else 31
-    a &= mask
-    b &= mask
-    if op == isa.BPF_ADD:
-        return (a + b) & mask
-    if op == isa.BPF_SUB:
-        return (a - b) & mask
-    if op == isa.BPF_MUL:
-        return (a * b) & mask
-    if op == isa.BPF_DIV:
-        return (a // b) & mask if b else 0
-    if op == isa.BPF_MOD:
-        return (a % b) & mask if b else a
-    if op == isa.BPF_OR:
-        return a | b
-    if op == isa.BPF_AND:
-        return a & b
-    if op == isa.BPF_XOR:
-        return a ^ b
-    if op == isa.BPF_LSH:
-        return (a << (b & shift_mask)) & mask
-    if op == isa.BPF_RSH:
-        return (a >> (b & shift_mask)) & mask
-    if op == isa.BPF_ARSH:
-        signed = isa.to_signed64(a) if is64 else isa.to_signed32(a)
-        return (signed >> (b & shift_mask)) & mask
     return None
 
 

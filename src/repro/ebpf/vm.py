@@ -72,11 +72,6 @@ class Interpreter:
                         regs[dst] = regs[dst] & ((1 << insn.imm) - 1)
                     pc += 1
                     continue
-                if op == isa.BPF_NEG:
-                    mask = _U64 if is64 else _U32
-                    regs[dst] = (-regs[dst]) & mask
-                    pc += 1
-                    continue
                 if opcode & isa.BPF_X:
                     src_val = regs[insn.src_reg]
                 else:
@@ -131,13 +126,7 @@ class Interpreter:
                     b = regs[insn.src_reg]
                 else:
                     b = insn.imm & _U64
-                if klass == isa.BPF_JMP32:
-                    a &= _U32
-                    b &= _U32
-                    sa, sb = isa.to_signed32(a), isa.to_signed32(b)
-                else:
-                    sa, sb = isa.to_signed64(a), isa.to_signed64(b)
-                taken = _jump_taken(op, a, b, sa, sb, pc)
+                taken = _jump_taken(op, a, b, klass == isa.BPF_JMP32, pc)
                 pc += 1 + (insn.off if taken else 0)
                 continue
 
@@ -174,10 +163,16 @@ def _alu(op: int, a: int, b: int, is64: bool, pc: int) -> int:
     if op == isa.BPF_ARSH:
         signed = isa.to_signed64(a) if is64 else isa.to_signed32(a)
         return (signed >> (b & shift_mask)) & mask
+    if op == isa.BPF_NEG:  # one operand: ``b`` is ignored
+        return -a & mask
     raise VmFault(f"unknown ALU op {op:#x}", pc)
 
 
-def _jump_taken(op: int, a: int, b: int, sa: int, sb: int, pc: int) -> bool:
+def _jump_taken(op: int, a: int, b: int, is32: bool, pc: int) -> bool:
+    mask = _U32 if is32 else _U64
+    to_signed = isa.to_signed32 if is32 else isa.to_signed64
+    a &= mask
+    b &= mask
     if op == isa.BPF_JEQ:
         return a == b
     if op == isa.BPF_JNE:
@@ -193,11 +188,11 @@ def _jump_taken(op: int, a: int, b: int, sa: int, sb: int, pc: int) -> bool:
     if op == isa.BPF_JSET:
         return (a & b) != 0
     if op == isa.BPF_JSGT:
-        return sa > sb
+        return to_signed(a) > to_signed(b)
     if op == isa.BPF_JSGE:
-        return sa >= sb
+        return to_signed(a) >= to_signed(b)
     if op == isa.BPF_JSLT:
-        return sa < sb
+        return to_signed(a) < to_signed(b)
     if op == isa.BPF_JSLE:
-        return sa <= sb
+        return to_signed(a) <= to_signed(b)
     raise VmFault(f"unknown jump op {op:#x}", pc)

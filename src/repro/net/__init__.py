@@ -8,7 +8,6 @@ paper) in the global helper registry, so programs using
 from . import seg6_helpers  # noqa: F401  (registers helpers on import)
 from .addr import as_addr, ntop, parse_prefix, pton
 from .fib import MAIN_TABLE, FibTable, Nexthop, Route
-from .hmac_tlv import HmacKeyStore, compute_hmac, make_hmac_tlv, verify_hmac
 from .iproute import IpRoute, IpRouteError
 from .icmpv6 import (
     ICMPV6_DEST_UNREACH,
@@ -98,7 +97,6 @@ __all__ = [
     "EndT",
     "EndX",
     "FibTable",
-    "HmacKeyStore",
     "ICMPV6_DEST_UNREACH",
     "IpRoute",
     "IpRouteError",
@@ -139,13 +137,11 @@ __all__ = [
     "as_addr",
     "build_tcp",
     "build_udp",
-    "compute_hmac",
     "decap_outer",
     "echo_reply",
     "echo_request",
     "make_controller_tlv",
     "make_dm_tlv",
-    "make_hmac_tlv",
     "make_icmpv6_packet",
     "make_srh",
     "make_srv6_udp_packet",
@@ -159,5 +155,4 @@ __all__ = [
     "push_srh_inline",
     "time_exceeded",
     "validate_srh_bytes",
-    "verify_hmac",
 ]

@@ -528,10 +528,12 @@ class Node:
                         table_id, nh6 = outcome
                     route = None
                     continue
-                # -- lwt-in: input side only (§2.1), i.e. not once the
-                # hop limit has been decremented on this node.
+                # -- lwt-in: input side only (§2.1), i.e. for a packet that
+                # arrived from the wire (``decrement``) and whose hop limit
+                # this node has not decremented yet; never on send().
                 if (
-                    not decremented
+                    decrement
+                    and not decremented
                     and isinstance(encap, BpfLwt)
                     and encap.prog_in is not None
                 ):

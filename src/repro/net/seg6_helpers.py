@@ -5,7 +5,11 @@ plane.  Design principle (i) of §3 — *"eBPF code cannot compromise the
 stability of the kernel"* — is implemented by giving programs **no**
 direct write access to packets; every mutation flows through these
 helpers, which validate offsets against the SRH's immutable fields and
-keep the header internally consistent.
+keep the header internally consistent.  They edit the one packet buffer
+of the invocation — ``hctx.skb.packet_region.data``, which *is*
+``pkt.data`` on the datapath — where it lies: a helper may resize that
+bytearray (and then calls ``skb.packet_resized()``) but never rebinds
+it, because the translated program holds it in a local.
 
 Helper ids 73–76 follow Linux 4.18's uapi ordering for the LWT/seg6
 family; ``get_ecmp_nexthops`` is the paper's custom addition ("our custom
@@ -81,10 +85,10 @@ def _lwt_seg6_store_bytes(
     ``offset`` is relative to the start of the packet.  Only the flags
     byte, the tag, and the TLV area may be written; the fixed header
     fields and the segment list are immutable, exactly as in the kernel
-    implementation.
+    implementation.  The bytes land in the packet buffer itself.
     """
     _require_hook(hctx, ("seg6local",), "lwt_seg6_store_bytes")
-    packet = hctx.skb.packet_region.data  # bounds checks only; no copy
+    packet = hctx.skb.packet_region.data
     srh_off, srh_len, nsegs = _srh_span(packet)
     offset = isa.to_signed64(offset)
 
@@ -98,8 +102,7 @@ def _lwt_seg6_store_bytes(
     if length <= 0 or not (in_flags or in_tlvs):
         return _ERR
 
-    data = hctx.mem.read_bytes(from_addr, length)
-    hctx.skb.packet_region.data[offset : offset + length] = data
+    packet[offset : offset + length] = hctx.mem.read_bytes(from_addr, length)
     hctx.metadata["srh_modified"] = True
     return _OK
 
@@ -111,41 +114,43 @@ def _lwt_seg6_adjust_srh(
     """Grow or shrink the SRH's TLV area by ``delta`` bytes (§3.1).
 
     ``offset`` must point inside (or at the end of) the TLV area; the new
-    SRH length must stay a multiple of 8 octets.  Grown space is
-    zero-filled — the program must then fill it with valid TLVs or the
-    post-run validation drops the packet.
+    SRH length must stay a multiple of 8 octets.  The packet buffer is
+    resized where it lies — one insert or delete plus the two length
+    fields, the kernel's ``memmove`` — and only after every check passed.
+    Grown space is zero-filled — the program must then fill it with valid
+    TLVs or the post-run validation drops the packet.
     """
     _require_hook(hctx, ("seg6local",), "lwt_seg6_adjust_srh")
-    packet = bytearray(hctx.skb.packet_region.data)
+    skb = hctx.skb
+    packet = skb.packet_region.data  # pkt.data itself: edited where it lies
     srh_off, srh_len, nsegs = _srh_span(packet)
     offset = isa.to_signed64(offset)
     delta = isa.to_signed64(delta)
-
-    tlv_start = srh_off + 8 + 16 * nsegs
-    tlv_end = srh_off + srh_len
     if delta == 0:
         return _OK
-    if delta % 8:
+
+    # Every check before the first write, so an -EINVAL leaves the packet
+    # and the context exactly as they were.
+    tlv_start = srh_off + 8 + 16 * nsegs
+    tlv_end = srh_off + srh_len
+    new_ext_len = (srh_len + delta) // 8 - 1
+    payload_len = struct.unpack_from(">H", packet, 4)[0] + delta
+    if (
+        delta % 8
+        or not tlv_start <= offset <= tlv_end
+        or offset - delta > tlv_end  # a shrink past the end of the TLV area
+        or not 2 * nsegs <= new_ext_len <= 255  # the segment list alone is 2 units a segment
+        or not 0 <= payload_len <= 0xFFFF
+    ):
         return _ERR
-    if not tlv_start <= offset <= tlv_end:
-        return _ERR
+
     if delta > 0:
         packet[offset:offset] = bytes(delta)
     else:
-        if offset - delta > tlv_end:
-            return _ERR
         del packet[offset : offset - delta]
-
-    new_ext_len = srh_len // 8 - 1 + delta // 8
-    if new_ext_len < (8 + 16 * nsegs) // 8 - 1 or new_ext_len > 255:
-        return _ERR
     packet[srh_off + 1] = new_ext_len
-    payload_len = struct.unpack_from(">H", packet, 4)[0] + delta
-    if payload_len < 0 or payload_len > 0xFFFF:
-        return _ERR
     struct.pack_into(">H", packet, 4, payload_len)
-
-    hctx.skb.replace_packet(bytes(packet))
+    skb.packet_resized()
     hctx.metadata["srh_modified"] = True
     return _OK
 
@@ -163,7 +168,9 @@ def _lwt_seg6_action(
     Supported actions mirror the paper: End.X, End.T, End.B6,
     End.B6.Encaps and End.DT6.  Actions that resolve a destination store
     it in the packet metadata; the program should then return
-    ``BPF_REDIRECT`` so the default lookup does not overwrite it.
+    ``BPF_REDIRECT`` so the default lookup does not overwrite it.  End.DT6
+    strips the outer headers off the packet buffer in place; a failed
+    action leaves it untouched.
     """
     _require_hook(hctx, ("seg6local",), "lwt_seg6_action")
     param = hctx.mem.read_bytes(param_addr, param_len)
@@ -181,10 +188,10 @@ def _lwt_seg6_action(
         return _OK
 
     if action == SEG6_LOCAL_ACTION_END_DT6:
-        inner = bytearray(hctx.skb.packet_region.data)
-        if param_len != 4 or decap_in_place(inner) is not None:
+        skb = hctx.skb
+        if param_len != 4 or decap_in_place(skb.packet_region.data) is not None:
             return _ERR
-        hctx.skb.replace_packet(inner)
+        skb.packet_resized()
         hctx.metadata["redirect_table"] = int.from_bytes(param, "little")
         return _OK
 
@@ -200,6 +207,7 @@ def _push_srh(hctx: HelperContext, encap_type: int, raw, exact_len: bool = False
 
     :func:`~repro.net.srh.srh_wire_len` accepts what ``SRH.parse`` accepts; ``raw`` is
     cut to the length the header states (``exact_len``: it must be that long).
+    The new packet replaces the buffer's contents; the buffer object stays.
     """
     skb = hctx.skb
     try:
@@ -216,7 +224,8 @@ def _push_srh(hctx: HelperContext, encap_type: int, raw, exact_len: bool = False
             return _ERR
     except ValueError:
         return _ERR
-    skb.replace_packet(new_packet)
+    skb.packet_region.data[:] = new_packet
+    skb.packet_resized()
     return _OK
 
 

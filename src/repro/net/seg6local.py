@@ -26,10 +26,13 @@ read of the fixed SRH header and one segment, no SRH object).  An
 attached program — End.BPF's here, a BPF LWT hook's in
 :mod:`~repro.net.lwt_bpf` — is run in exactly one way,
 :func:`run_attached`: arm the attach site's own
-:class:`~repro.ebpf.jit.CompiledHandler`, call the translated function,
-write packet and mark back, re-validate, map the return code.  A site's
-first packet pays the guest address-space assembly; no packet pays an
-SRH parse.
+:class:`~repro.ebpf.jit.CompiledHandler` on ``pkt.data`` itself, call the
+translated function, read the mark back, re-validate the SRH where it
+lies, map the return code.  There is one packet buffer per invocation:
+the helpers edit ``pkt.data`` in place, so nothing is copied in or out
+and a packet the program edited and then dropped keeps the edits, as
+the kernel's skb does.  A site's first packet pays the guest
+address-space assembly; no packet pays an SRH parse.
 """
 
 from __future__ import annotations
@@ -55,7 +58,7 @@ from .srh import (
     SRH_FIXED_LEN,
     make_srh,
     srh_wire_span,
-    validate_srh_bytes,
+    validate_srh_wire,
 )
 
 # Action numbers from include/uapi/linux/seg6_local.h; these are also the
@@ -159,35 +162,9 @@ def _advance_verdict(data: bytearray) -> str | tuple[int, bytearray]:
     return new_sl, data[start : start + SEGMENT_LEN]
 
 
-_VALIDATE_MEMO: dict[bytes, str | None] = {}
-_VALIDATE_MEMO_CAP = 32768
-_MISSING = object()
-
-
-def _validate_verdict(key: bytes) -> str | None:
-    """Memoised §3.1 post-run SRH validation: None, or the drop reason.
-
-    Validation is a pure function of the raw SRH bytes, so across a
-    batch the (typically per-flow-identical) modified SRH pays the full
-    parse-and-TLV-walk once.
-    """
-    verdict = _VALIDATE_MEMO.get(key, _MISSING)
-    if verdict is _MISSING:
-        try:
-            validate_srh_bytes(key)
-        except ValueError as exc:
-            verdict = str(exc)
-        else:
-            verdict = None
-        if len(_VALIDATE_MEMO) >= _VALIDATE_MEMO_CAP:
-            _VALIDATE_MEMO.clear()
-        _VALIDATE_MEMO[key] = verdict
-    return verdict
-
-
 def clear_advance_memo() -> None:
-    """Drop the post-run SRH validation memo (the End prologue keeps no state)."""
-    _VALIDATE_MEMO.clear()
+    """Nothing left to clear — the End prologue and §3.1 re-validation keep no state;
+    ``benchmarks/ledger`` still imports and calls this name."""
 
 
 class Seg6LocalAction:
@@ -400,10 +377,10 @@ def _revalidate(stats: dict, data: bytearray) -> Disposition | None:
     if len(data) < IPV6_HEADER_LEN or data[6] != PROTO_ROUTING:
         return None
     try:
-        srh_len, _ = srh_wire_span(data, IPV6_HEADER_LEN)
+        srh_wire_span(data, IPV6_HEADER_LEN)
     except ValueError:
         return None  # no parseable SRH; nothing to revalidate
-    reason = _validate_verdict(bytes(data[IPV6_HEADER_LEN : IPV6_HEADER_LEN + srh_len]))
+    reason = validate_srh_wire(data, IPV6_HEADER_LEN)
     if reason is None:
         return None
     stats["drop"] += 1
@@ -441,19 +418,14 @@ def run_attached(handler: CompiledHandler, stats: dict, pkt: Packet, node) -> Di
     pstats.invocations += 1
     pstats.last_return = ret
 
-    # Propagate helper-made modifications back into the packet.  The
-    # guest packet region and pkt.data are both bytearrays, so the
-    # unchanged-packet check is a straight C-level compare, no copies.
-    skb = hctx.skb
-    region_data = skb.packet_region.data
-    if region_data != data:
-        pkt.data = bytearray(region_data)
-    pkt.mark = skb.mark
+    # The program ran on ``data`` itself: there is no packet to write back,
+    # and one dropped below keeps its edits, as the kernel's skb does.
+    pkt.mark = hctx.skb.mark
 
     # Only the seg6local helpers set this; an LWT program never does.
     metadata = hctx.metadata
     if metadata.get("srh_modified") and ret != BPF_DROP:
-        invalid = _revalidate(stats, pkt.data)
+        invalid = _revalidate(stats, data)
         if invalid is not None:
             return invalid
 

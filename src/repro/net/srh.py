@@ -125,24 +125,35 @@ def pad_tlvs(tlvs: list[Tlv], occupied: int) -> list[Tlv]:
     return out
 
 
-def parse_tlvs(data: bytes) -> list[Tlv]:
-    """Parse a TLV area; raises ValueError on malformed contents."""
-    tlvs: list[Tlv] = []
-    i = 0
-    while i < len(data):
+def _walk_tlvs(data, start: int, end: int):
+    """Yield ``(type, offset, value length)`` per TLV of ``data[start:end]``.
+
+    The one definition of TLV framing (RFC 8754 §2.1: Pad1 is a lone
+    byte, anything else type/len/value); raises ValueError where the
+    area is malformed.  No :class:`Tlv` is built.
+    """
+    i = start
+    while i < end:
         tlv_type = data[i]
         if tlv_type == TLV_PAD1:
-            tlvs.append(Tlv(TLV_PAD1))
+            yield TLV_PAD1, i, 0
             i += 1
             continue
-        if i + 2 > len(data):
+        if i + 2 > end:
             raise ValueError("truncated TLV header")
         length = data[i + 1]
-        if i + 2 + length > len(data):
+        if i + 2 + length > end:
             raise ValueError("TLV value exceeds TLV area")
-        tlvs.append(Tlv(tlv_type, bytes(data[i + 2 : i + 2 + length])))
+        yield tlv_type, i, length
         i += 2 + length
-    return tlvs
+
+
+def parse_tlvs(data: bytes) -> list[Tlv]:
+    """Parse a TLV area; raises ValueError on malformed contents."""
+    return [
+        Tlv(tlv_type, bytes(data[at + 2 : at + 2 + length]))
+        for tlv_type, at, length in _walk_tlvs(data, 0, len(data))
+    ]
 
 
 @dataclass
@@ -271,18 +282,9 @@ class SRH:
 
     def tlv_offset(self, tlv_type: int) -> int | None:
         """Byte offset (from SRH start) of the first TLV of ``tlv_type``."""
-        base = SRH_FIXED_LEN + SEGMENT_LEN * len(self.segments)
-        i = 0
-        data = self.tlv_bytes
-        while i < len(data):
-            if data[i] == TLV_PAD1:
-                if tlv_type == TLV_PAD1:
-                    return base + i
-                i += 1
-                continue
-            if data[i] == tlv_type:
-                return base + i
-            i += 2 + data[i + 1]
+        for found, at, _length in _walk_tlvs(self.tlv_bytes, 0, len(self.tlv_bytes)):
+            if found == tlv_type:
+                return SRH_FIXED_LEN + SEGMENT_LEN * len(self.segments) + at
         return None
 
     def __str__(self) -> str:
@@ -327,11 +329,23 @@ def make_controller_tlv(addr: bytes | str, port: int) -> Tlv:
 
 
 def validate_srh_bytes(data: bytes) -> SRH:
-    """Parse-and-check used after an eBPF program altered the SRH (§3.1).
-
-    Raises ValueError when the header is inconsistent; the caller drops
-    the packet, as the kernel does.
-    """
+    """§3.1 validation on objects: the reference :func:`validate_srh_wire` is tested against."""
     srh = SRH.parse(data)
     parse_tlvs(srh.tlv_bytes)  # malformed TLV areas raise
     return srh
+
+
+def validate_srh_wire(data, offset: int = 0) -> str | None:
+    """§3.1 re-validation of the SRH at ``offset``, read where it lies.
+
+    None for a consistent header, else the reason — the text
+    :func:`validate_srh_bytes` raises for the same bytes.
+    """
+    try:
+        end = offset + srh_wire_len(data, offset)
+        start = offset + SRH_FIXED_LEN + SEGMENT_LEN * (data[offset + OFF_LAST_ENTRY] + 1)
+        for _tlv in _walk_tlvs(data, start, end):
+            pass
+    except ValueError as exc:
+        return str(exc)
+    return None

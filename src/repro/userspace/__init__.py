@@ -1,5 +1,5 @@
-"""User-space substrate: perf-event consumption and a bcc-like front-end."""
+"""User-space substrate: the perf-event rings the §4 daemons poll."""
 
-from .perf import PerfPoller, PerfRing
+from .perf import PerfRing
 
-__all__ = ["PerfPoller", "PerfRing"]
+__all__ = ["PerfRing"]

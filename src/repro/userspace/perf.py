@@ -6,7 +6,8 @@ buffer can then be retrieved in user space."*  End.DM (§4.1) uses exactly
 this to hand timestamp pairs to its Python daemon.
 
 :class:`PerfRing` models one per-CPU ring: bounded, lossy under pressure
-(it counts drops, as the kernel does), drained by :class:`PerfPoller`.
+(it counts drops, as the kernel does), drained by whoever polls it — the
+§4 daemons on their tick, the telemetry bridge on its sample.
 Records carry the simulated push timestamp, so a telemetry bridge can
 merge several rings into one time-ordered export stream.
 """
@@ -14,7 +15,7 @@ merge several rings into one time-ordered export stream.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Iterable, NamedTuple
+from typing import NamedTuple
 
 DEFAULT_RING_CAPACITY = 4096
 
@@ -64,23 +65,3 @@ class PerfRing:
 
     def __len__(self) -> int:
         return len(self._queue)
-
-
-class PerfPoller:
-    """Dispatches ring records to callbacks, like bcc's ``perf_buffer_poll``."""
-
-    def __init__(self):
-        self._subscriptions: list[tuple[Iterable[PerfRing], Callable[[int, bytes], None]]] = []
-
-    def subscribe(self, rings: Iterable[PerfRing], callback: Callable[[int, bytes], None]):
-        self._subscriptions.append((list(rings), callback))
-
-    def poll(self, max_records: int | None = None) -> int:
-        """Drain all subscribed rings; returns the number of records seen."""
-        count = 0
-        for rings, callback in self._subscriptions:
-            for cpu, ring in enumerate(rings):
-                for record in ring.drain(max_records):
-                    callback(cpu, record)
-                    count += 1
-        return count

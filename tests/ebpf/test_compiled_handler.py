@@ -68,7 +68,7 @@ def test_reused_context_matches_fresh_contexts():
     handler = CompiledHandler(prog_handler, "test")
 
     for _ in range(5):
-        hctx = handler.arm(PACKET, clock_ns=lambda: 0, rng=None)
+        hctx = handler.arm(bytearray(PACKET), clock_ns=lambda: 0, rng=None)
         assert prog_handler.run(hctx) == 0
         ret, _ = prog_fresh.run_on_packet(PACKET)
         assert ret == 0
@@ -89,7 +89,7 @@ def test_no_stale_map_value_regions_after_slot_reuse():
     handler = CompiledHandler(prog, "test")
 
     m.update(key(1), (0).to_bytes(8, "little"))
-    hctx = handler.arm(PACKET, clock_ns=lambda: 0, rng=None, mark=1)
+    hctx = handler.arm(bytearray(PACKET), clock_ns=lambda: 0, rng=None, mark=1)
     prog.run(hctx)
     assert int.from_bytes(m.lookup(key(1)), "little") == 1
 
@@ -97,7 +97,7 @@ def test_no_stale_map_value_regions_after_slot_reuse():
     m.delete(key(1))
     m.update(key(2), (10).to_bytes(8, "little"))
 
-    hctx = handler.arm(PACKET, clock_ns=lambda: 0, rng=None, mark=2)
+    hctx = handler.arm(bytearray(PACKET), clock_ns=lambda: 0, rng=None, mark=2)
     prog.run(hctx)
     assert int.from_bytes(m.lookup(key(2)), "little") == 11
 
@@ -118,12 +118,12 @@ def test_per_invocation_state_is_reset():
     )
     handler = CompiledHandler(prog, "test")
 
-    hctx = handler.arm(PACKET, clock_ns=lambda: 0, rng=None)
+    hctx = handler.arm(bytearray(PACKET), clock_ns=lambda: 0, rng=None)
     hctx.metadata["left_over"] = True
     hctx.trace_log.append("stale line")
     assert prog.run(hctx) == 7
 
-    hctx2 = handler.arm(PACKET, clock_ns=lambda: 0, rng=None)
+    hctx2 = handler.arm(bytearray(PACKET), clock_ns=lambda: 0, rng=None)
     assert hctx2 is hctx  # same reused context object...
     assert hctx2.metadata == {}  # ...with per-invocation state reset
     assert hctx2.trace_log == []
@@ -139,14 +139,14 @@ def test_rearm_rebinds_packet_and_mark():
         """
     )
     handler = CompiledHandler(prog, "test")
-    hctx = handler.arm(PACKET, clock_ns=lambda: 0, rng=None)
+    hctx = handler.arm(bytearray(PACKET), clock_ns=lambda: 0, rng=None)
     assert prog.run(hctx) == len(PACKET)
 
     bigger = PACKET + bytes(24)
-    hctx = handler.arm(bigger, clock_ns=lambda: 0, rng=None, mark=9)
+    hctx = handler.arm(bytearray(bigger), clock_ns=lambda: 0, rng=None, mark=9)
     assert prog.run(hctx) == len(bigger)
     assert hctx.skb.mark == 9
-    assert hctx.skb.packet_bytes() == bigger
+    assert hctx.skb.packet_region.data == bigger
 
 
 # --- one attach site, several nodes: re-armed ≡ fresh under interleaving -------

@@ -126,7 +126,7 @@ def _run_paper_prog(prog: Program, packet: bytes) -> tuple[int, bytes]:
     hctx = prog.make_context(packet)
     hctx.hook = "seg6local"
     ret = prog.run(hctx)
-    return ret, hctx.skb.packet_bytes()
+    return ret, bytes(hctx.skb.packet_region.data)
 
 
 def test_paper_programs_identical_across_engines():
@@ -235,7 +235,7 @@ def test_unverified_translation_of_the_same_program_runs_through_memory():
         hctx = prog.make_context(packet)
         hctx.node, hctx.hook = node, "lwt_out"
         ret = engine.run(hctx, hctx.skb.ctx_addr, hctx.skb.stack_top)
-        outcomes.append((ret, hctx.skb.packet_bytes(), handle.state.lookup(bytes(4))))
+        outcomes.append((ret, bytes(hctx.skb.packet_region.data), handle.state.lookup(bytes(4))))
     assert outcomes[0] == outcomes[1] == outcomes[2]
     assert len(outcomes[0][1]) == len(packet) + 64
 

@@ -113,3 +113,25 @@ def action_end_dt6(packet: bytes) -> tuple[int, bytes]:
         return OK, decap_outer(packet)
     except ValueError:
         return ERR, packet
+
+
+def adjust_srh(packet: bytes, offset: int, delta: int) -> tuple[int, bytes]:
+    """``bpf_lwt_seg6_adjust_srh`` on a packet with a well-formed SRH: (code, packet after)."""
+    header = IPv6Header.parse(packet)
+    srh = SRH.parse(packet, IPV6_HEADER_LEN)
+    tlv_start = IPV6_HEADER_LEN + 8 + 16 * len(srh.segments)
+    tlv_end = IPV6_HEADER_LEN + srh.wire_len
+    if delta == 0:
+        return OK, packet
+    at = offset - tlv_start
+    # 2048: more than hdr_ext_len can express, whatever the SRH held.
+    if delta % 8 or delta > 2048 or not 0 <= at <= len(srh.tlv_bytes) or at - delta > len(srh.tlv_bytes):
+        return ERR, packet
+    if delta > 0:
+        srh.tlv_bytes = srh.tlv_bytes[:at] + bytes(delta) + srh.tlv_bytes[at:]
+    else:
+        srh.tlv_bytes = srh.tlv_bytes[:at] + srh.tlv_bytes[at - delta :]
+    header.payload_length += delta
+    if srh.hdr_ext_len > 255 or not 0 <= header.payload_length <= 0xFFFF:
+        return ERR, packet
+    return OK, header.pack() + srh.pack() + packet[tlv_end:]

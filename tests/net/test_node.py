@@ -336,19 +336,14 @@ def _inner_hop_limit(pkt) -> int:
     return pkt.data[offset + srh.wire_len + 7]
 
 
-def test_send_runs_lwt_in(router):
-    """A locally originated packet runs the route's ``lwt_in`` program.
-
-    Linux would not run ``lwt_in`` on output; the walk gates the stage on
-    "hop limit not yet decremented", which holds for every ``send()``.
-    Pinned as it is — changing it is its own issue.
-    """
+def test_send_skips_lwt_in(router):
+    """A locally originated packet does not run the route's ``lwt_in`` program."""
     prog = Program(_DROP, allowed_helpers=LWT_HELPERS)
     router.add_route("fc00:3::/64", via="fc00:2::1", dev="eth1", encap=BpfLwt(prog_in=prog))
     router.send(make_udp_packet("fc00:e::1", "fc00:3::3", 1, 2, b"x"))
-    assert not router.devices["eth1"].tx_buffer
-    assert router.counters.dropped == 1
-    assert router.counters.bpf_dropped == 1
+    assert len(router.devices["eth1"].tx_buffer) == 1
+    assert router.counters.dropped == 0
+    assert router.counters.bpf_dropped == 0
 
 
 def test_lwt_in_is_skipped_after_the_decrement(router):

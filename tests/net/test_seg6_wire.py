@@ -43,6 +43,8 @@ from repro.net.srh import (
     OFF_ROUTING_TYPE,
     OFF_SEGMENTS_LEFT,
     Tlv,
+    validate_srh_bytes,
+    validate_srh_wire,
 )
 
 SOURCE = pton("fc00:e::1")
@@ -192,6 +194,116 @@ def test_lwt_seg6_action_b6_matches_reference(raw, packet, action):
     code, hctx = call_helper(76, packet, "seg6local", action, raw)
     assert (code, packet_state(hctx)[0]) == expected
     assert packet_state(hctx)[1:] == (len(expected[1]), len(expected[1]))
+
+
+# --- bpf_lwt_seg6_adjust_srh ------------------------------------------------------------
+
+
+def srv6_packet(nsegs: int, tlv_len: int, payload_length: int | None = None) -> bytes:
+    """IPv6 + ``nsegs``-segment SRH with ``tlv_len`` bytes of PadN TLVs + 16 B payload."""
+    sizes = [min(tlv_len - at, 256) for at in range(0, tlv_len, 256)]  # a PadN holds at most 2 + 254
+    tlvs = b"".join(bytes([4, size - 2]) + bytes(size - 2) for size in sizes)
+    srh = SRH(segments=[bytes([0xFC, i]) + bytes(14) for i in range(nsegs)], segments_left=nsegs - 1, tlv_bytes=tlvs)
+    data = bytearray(push_srh_inline(make_udp_packet("fc00:1::1", "fc00:2::2", 1, 2, bytes(8)).data, srh))
+    if payload_length is not None:
+        data[4:6] = payload_length.to_bytes(2, "big")
+    return bytes(data)
+
+
+def check_adjust_srh(packet: bytes, offset: int, delta: int) -> int:
+    """Run the helper; packet bytes, ctx ``len`` and ``data_end`` must be the reference's."""
+    expected_code, expected_packet = ref.adjust_srh(packet, offset, delta)
+    hctx = helper_context(packet, "seg6local")
+    buffer = hctx.skb.packet_region.data
+    code = HELPERS_BY_ID[75](hctx, hctx.skb.ctx_addr, offset & (2**64 - 1), delta & (2**64 - 1))
+    assert code == expected_code
+    assert packet_state(hctx) == (expected_packet, len(expected_packet), len(expected_packet))
+    assert hctx.skb.packet_region.data is buffer  # resized where it lies, never rebound
+    assert bool(hctx.metadata.get("srh_modified")) is (code == ref.OK and delta != 0)
+    return code
+
+
+# nsegs=2, 16 B of TLVs: TLV area [80, 96).  One case per -EINVAL class.
+@pytest.mark.parametrize(
+    "packet, offset, delta",
+    [
+        (srv6_packet(2, 16), 80, 4),
+        (srv6_packet(2, 16), 80, -12),
+        (srv6_packet(2, 16), 79, 8),
+        (srv6_packet(2, 16), 97, 8),
+        (srv6_packet(2, 16), -8, 8),
+        (srv6_packet(2, 16), 88, -16),
+        (srv6_packet(2, 16), 80, -24),
+        (srv6_packet(2, 0), 80, -8),
+        (srv6_packet(1, 2016), 64, 16),
+        (srv6_packet(1, 2016), 2080, 1 << 40),
+        (srv6_packet(2, 16, payload_length=0xFFFC), 96, 8),
+        (srv6_packet(2, 16, payload_length=4), 80, -8),
+    ],
+    ids=[
+        "delta % 8", "negative delta % 8", "offset before the TLV area", "offset past the SRH",
+        "negative offset", "shrink past tlv_end", "shrink below the segment list",
+        "shrink with no TLV area", "hdr_ext_len > 255", "huge delta", "payload length > 65535",
+        "payload length < 0",
+    ],
+)  # fmt: skip
+def test_adjust_srh_einval_leaves_packet_and_ctx_untouched(packet, offset, delta):
+    assert check_adjust_srh(packet, offset, delta) == ref.ERR
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    shape=st.sampled_from([(1, 0), (2, 8), (2, 24), (3, 16), (1, 2008), (1, 2016)]),
+    payload_length=st.one_of(st.none(), st.none(), st.sampled_from([0, 4, 8, 0xFFF0, 0xFFF8, 0xFFFF])),
+    data=st.data(),
+    eighths=st.integers(-5, 5).filter(bool),
+    delta=st.one_of(st.none(), st.none(), st.integers(-40, 40), st.sampled_from([2048, -2048])),
+)
+def test_adjust_srh_matches_reference(shape, payload_length, data, eighths, delta):
+    nsegs, tlv_len = shape
+    packet = srv6_packet(nsegs, tlv_len, payload_length)
+    # Mostly inside the TLV area with a multiple of 8, so successes are as common as refusals.
+    at = data.draw(st.one_of(st.integers(0, tlv_len), st.integers(0, tlv_len), st.integers(-17, tlv_len + 17)))
+    check_adjust_srh(packet, 40 + 8 + 16 * nsegs + at, 8 * eighths if delta is None else delta)
+
+
+# --- §3.1 re-validation on wire bytes ---------------------------------------------------------
+
+
+def validation_verdicts(raw: bytes) -> tuple[str | None, str | None]:
+    """(object-level, wire-level) reason for ``raw``, None where it validates."""
+    try:
+        validate_srh_bytes(raw)
+        expected = None
+    except ValueError as exc:
+        expected = str(exc)
+    # The wire validator reads the header where it lies in a packet.
+    return expected, validate_srh_wire(bytes(40) + raw, 40)
+
+
+@st.composite
+def raw_headers_with_tlvs(draw):
+    """:func:`raw_headers` with a real TLV tail whose type / length bytes get hit too."""
+    raw = bytearray(draw(raw_headers()))
+    tail = b"".join(
+        draw(st.sampled_from([b"\x00", b"\x04\x00", b"\x04\x02\x00\x00", b"\x0a\x06abcdef", b"\x80\x09" + bytes(9)]))
+        for _ in range(draw(st.integers(0, 4)))
+    )
+    tail += bytes(-len(tail) % 8)
+    if tail and len(raw) >= 8 and draw(st.booleans()):
+        raw += tail
+        raw[OFF_HDR_EXT_LEN] = min(255, raw[OFF_HDR_EXT_LEN] + len(tail) // 8)
+    for _ in range(draw(st.integers(0, 2))):
+        if len(raw) > 8:
+            raw[draw(st.integers(8, len(raw) - 1))] = draw(st.one_of(st.integers(0, 12), st.integers(0, 255)))
+    return bytes(raw)
+
+
+@settings(max_examples=1500, deadline=None)
+@given(raw=raw_headers_with_tlvs())
+def test_validate_srh_wire_matches_object_validation(raw):
+    expected, got = validation_verdicts(raw)
+    assert got == expected
 
 
 # --- decapsulation ----------------------------------------------------------------------------

@@ -2,16 +2,16 @@
 
 The §4.1 kernel→user channel is bounded and lossy — under pressure the
 kernel counts what it sheds rather than blocking the datapath.  These
-tests pin that contract on :class:`~repro.userspace.perf.PerfRing`, the
-poller on top of it, and the telemetry bridge that merges several rings
-into one time-ordered export stream.
+tests pin that contract on :class:`~repro.userspace.perf.PerfRing`, a
+consumer polling a set of per-CPU rings, and the telemetry bridge that
+merges several rings into one time-ordered export stream.
 """
 
 import json
 
 from repro.ebpf import PerfEventArrayMap
 from repro.lab import Network
-from repro.userspace.perf import PerfPoller, PerfRecord, PerfRing
+from repro.userspace.perf import PerfRecord, PerfRing
 
 
 def test_ring_drops_when_full_and_counts():
@@ -50,11 +50,9 @@ def test_poller_dispatches_per_cpu_under_pressure():
     for i in range(5):
         rings[0].push(bytes([i]))
         rings[1].push(bytes([0x10 + i]))
-    seen = []
-    poller = PerfPoller()
-    poller.subscribe(rings, lambda cpu, data: seen.append((cpu, data)))
-    count = poller.poll()
-    assert count == 4  # capacity 2 per ring survived the burst
+    # What DmDaemon / OampDaemon do on their tick: drain each CPU's ring in turn.
+    seen = [(cpu, data) for cpu, ring in enumerate(rings) for data in ring.drain()]
+    assert len(seen) == 4  # capacity 2 per ring survived the burst
     assert seen == [(0, b"\x00"), (0, b"\x01"), (1, b"\x10"), (1, b"\x11")]
     assert rings[0].dropped == 3 and rings[1].dropped == 3
 
