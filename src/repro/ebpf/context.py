@@ -51,7 +51,6 @@ OFF_DATA_END = 0x18
 OFF_CB = 0x20
 CB_SLOTS = 5
 
-_STACK_ZERO = bytes(isa.STACK_SIZE)
 _CB_ZERO = bytes(CTX_SIZE - OFF_CB)
 # len, protocol, mark, priority, data, data_end: the fields before cb.
 _PACK_FIELDS = struct.Struct("<IIIIQQ").pack_into
@@ -78,40 +77,29 @@ class SkbContext:
     stack_top = STACK_BASE + isa.STACK_SIZE
 
     def __init__(self, mem: Memory, packet_bytes: bytes, mark: int = 0):
-        """Map the three regions and bind a private copy of ``packet_bytes``."""
-        self.packet_region = mem.add_region(Region(PACKET_BASE, bytearray(), PROT_READ, "packet"))
+        """Map the three regions around a private copy of ``packet_bytes``."""
+        self.packet_region = mem.add_region(
+            Region(PACKET_BASE, bytearray(packet_bytes), PROT_READ, "packet")
+        )
         self.ctx_region = mem.add_region(
             Region(CTX_BASE, bytearray(CTX_SIZE), PROT_READ | PROT_WRITE, "ctx")
         )
         self.stack_region = mem.add_region(
             Region(STACK_BASE, bytearray(isa.STACK_SIZE), PROT_READ | PROT_WRITE, "stack")
         )
-        self.rearm(bytearray(packet_bytes), mark)
+        self.rearm(mark)
 
-    def rearm(self, packet: bytearray, mark: int = 0, zero_stack: bool = True) -> None:
-        """Bind this context to ``packet`` — the buffer itself, not a copy.
-
-        The one place the context layout is written (``__init__`` ends
-        here; :meth:`repro.ebpf.jit.CompiledHandler.arm` reuses one guest
-        address space per attach site through it): ``packet`` becomes the
-        packet region's backing store, so the helpers edit the caller's
-        buffer; the fields are rewritten, ``cb`` and the stack zeroed.
-
-        ``zero_stack=False`` skips the 512-byte stack wipe; callers may
-        only pass it for programs the verifier proved never touch their
-        stack frame (``Program.touches_stack`` is ``False``), in which
-        case stale stack contents are unobservable — every verified stack
-        read is preceded by a same-run write.
-        """
-        self.packet_region.data = packet
-        size = len(packet)
+    def rearm(self, mark: int = 0) -> None:
+        """Write the fields for the bound packet buffer and zero ``cb`` — the one
+        place the context layout is written: ``__init__`` ends here, and
+        :meth:`repro.ebpf.jit.CompiledHandler.arm` calls it, after binding
+        ``pkt.data``, for a program that touches a ctx field or calls a helper."""
+        size = len(self.packet_region.data)
         raw = self.ctx_region.data
         _PACK_FIELDS(
             raw, 0, size & isa.U32, ETH_P_IPV6, mark & isa.U32, 0, PACKET_BASE, PACKET_BASE + size
         )
         raw[OFF_CB:] = _CB_ZERO
-        if zero_stack:
-            self.stack_region.data[:] = _STACK_ZERO
 
     def packet_resized(self) -> None:
         """A helper grew or shrank the packet where it lies: refresh ``len`` and ``data_end``.

@@ -39,6 +39,7 @@ import random
 import struct
 
 from . import isa
+from .context import OFF_MARK
 from .errors import VmFault
 from .helpers import HELPERS_BY_ID, HelperContext
 from .insn import Instruction, flatten
@@ -46,6 +47,7 @@ from .memory import CTX_BASE, PACKET_BASE, STACK_BASE
 
 _M64 = "0xFFFFFFFFFFFFFFFF"
 _M32 = "0xFFFFFFFF"
+_STACK_ZERO = bytes(isa.STACK_SIZE)
 
 _STRUCT_U16 = struct.Struct("<H")
 _STRUCT_U32 = struct.Struct("<I")
@@ -159,10 +161,12 @@ class CompiledHandler:
     one hook of a ``BpfLwt``), builds the address space on its first
     :meth:`arm` and *re-arms* it for every later packet.  There is one
     arming and it has no precondition: every call, the first included,
-    restores the region table, binds the packet buffer, rewrites the
-    context and rebinds clock, rng, packet and node, so the result is
-    observably identical to a fresh context whichever node, batch or
-    group the previous packet belonged to.
+    binds the packet buffer and resets only what the program can observe
+    — the verifier's :class:`~repro.ebpf.verifier.ProgramFacts`, read
+    once here — so the result is observably identical to a fresh context
+    whichever node, batch or group the previous packet belonged to.
+    :attr:`calls_helpers` and :attr:`writes_mark` also tell
+    :func:`repro.net.seg6local.run_attached` what to read back.
     :attr:`call` is what the datapath invokes after arming:
     ``(fn | None, mem, helpers)`` — the translated function (``None``:
     interpret) and its invariant arguments, fixed by the program and the
@@ -176,7 +180,11 @@ class CompiledHandler:
         self.call = None
         self._hctx: HelperContext | None = None
         self._snapshot = None
-        self._zero_stack = program.touches_stack
+        facts = program.facts
+        self.calls_helpers = bool(facts.helpers)
+        self.writes_mark = OFF_MARK in facts.ctx_writes
+        self._sees_ctx = self.calls_helpers or bool(facts.ctx_reads or facts.ctx_writes)
+        self._zero_stack = facts.touches_stack
 
     def arm(
         self, data: bytearray, clock_ns, rng, mark: int = 0, packet=None, node=None
@@ -184,7 +192,10 @@ class CompiledHandler:
         """Return the context bound to ``data`` itself — the only reset of a reused one.
 
         ``data`` (``pkt.data`` on the datapath) becomes the guest packet
-        region's buffer: nothing is copied in or back out.
+        region's buffer: nothing is copied in or back out.  A ctx access or
+        helper call rewrites fields and ``cb`` and clears the trace log and
+        metadata; a touched frame is wiped; a helper call restores the
+        region table and rebinds clock, rng, packet and node.
         """
         hctx = self._hctx
         if hctx is None:
@@ -199,21 +210,21 @@ class CompiledHandler:
             )
         else:
             _HANDLER_CACHE_STATS["handler_hits"] += 1
-        # Regions the last run mapped (map values) go; the packet region is
-        # bound to ``data``, ctx and cb are rewritten.  The stack wipe is
-        # skipped for a program the verifier proved never touches its
-        # frame: it cannot have dirtied it, and every verified stack read
-        # follows a same-run write.
-        hctx.mem.restore(self._snapshot)
-        hctx.skb.rearm(data, mark, self._zero_stack)
-        hctx.clock_ns = clock_ns
-        hctx.rng = rng or random.Random(0)
-        hctx.cpu = 0
-        hctx.trace_log.clear()
-        hctx.helper_trace = None
-        hctx.metadata.clear()
-        hctx.packet = packet
-        hctx.node = node
+        skb = hctx.skb
+        skb.packet_region.data = data
+        if self._sees_ctx:
+            skb.rearm(mark)
+            hctx.trace_log.clear()
+            hctx.metadata.clear()
+        if self._zero_stack:
+            skb.stack_region.data[:] = _STACK_ZERO
+        if self.calls_helpers:  # only map_lookup_elem maps regions
+            hctx.mem.restore(self._snapshot)
+            hctx.clock_ns = clock_ns
+            hctx.rng = rng or random.Random(0)
+            hctx.helper_trace = None
+            hctx.packet = packet
+            hctx.node = node
         return hctx
 
 

@@ -86,19 +86,12 @@ class Program:
             self.insns, self.slot_maps, allowed_helpers=allowed_helpers
         )
         verifier.verify()
-        # Verifier by-products the JIT and the batch-resident datapath
-        # consume: per-slot region provenance for specialised memory
-        # access, and whether the program ever touches its stack frame
-        # (a stack-free program's re-arm can skip the stack wipe).
-        # Helper calls count as stack-touching: a helper may read or
-        # write the frame through a pointer argument without the program
-        # issuing any direct stack load/store.
+        # Verifier by-products: per-slot region provenance the JIT
+        # specialises memory access on, and the facts (helpers called, ctx
+        # fields read / written, stack touched) that gate what an attach
+        # site's invocation resets and reads back.
         self.region_hints = dict(verifier.region_hints)
-        self.touches_stack = any(
-            tag in ("stack", "mixed") for tag in self.region_hints.values()
-        ) or any(
-            insn.opcode == (isa.BPF_JMP | isa.BPF_CALL) for insn in self.insns
-        )
+        self.facts = verifier.facts
         self._interp = Interpreter(self.insns)
         self._jit = (
             JitProgram(self.insns, regions=self.region_hints) if jit else None

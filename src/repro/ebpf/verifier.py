@@ -72,6 +72,20 @@ PKT_MODIFYING_HELPERS = frozenset(
 
 
 @dataclass(frozen=True)
+class ProgramFacts:
+    """What a verified program can observe on its explored paths: helper ids
+    called, ctx field offsets loaded / stored, and whether it touches its
+    frame (any helper call counts: a pointer argument reaches it).  The
+    attach site's invocation skips what these rule out, as the kernel's
+    ``cb_access`` / ``dst_needed`` bits do (``jit.CompiledHandler``)."""
+
+    helpers: frozenset[int]
+    ctx_reads: frozenset[int]
+    ctx_writes: frozenset[int]
+    touches_stack: bool
+
+
+@dataclass(frozen=True)
 class Reg:
     """Abstract value of one register on one path."""
 
@@ -172,6 +186,11 @@ class Verifier:
         # bounds-checked path for "mixed" — the proof that makes the direct
         # access safe is exactly the check performed here.
         self.region_hints: dict[int, str | tuple[str, int]] = {}
+        # ProgramFacts, gathered where each access or call is proved safe.
+        self._helpers: set[int] = set()
+        self._ctx_reads: set[int] = set()
+        self._ctx_writes: set[int] = set()
+        self._stack = False
 
     def _note_region(self, pc: int, tag: str | tuple[str, int]) -> None:
         prev = self.region_hints.get(pc)
@@ -188,6 +207,8 @@ class Verifier:
         while worklist:
             pc, state = worklist.pop()
             self._explore(pc, state, worklist, visited)
+        helpers, reads, writes = map(frozenset, (self._helpers, self._ctx_reads, self._ctx_writes))
+        self.facts = ProgramFacts(helpers, reads, writes, self._stack or bool(helpers))
 
     # -- structural checks ----------------------------------------------------
     def _structural_checks(self) -> None:
@@ -396,6 +417,7 @@ class Verifier:
                     f"ctx field at {off:#x} must be read with size {fsize}", pc
                 )
             self._note_region(pc, "ctx")
+            self._ctx_reads.add(off)
             if kind == "pkt_ptr":
                 state.regs[insn.dst_reg] = Reg(PKT, 0)
             elif kind == "pkt_end_ptr":
@@ -406,6 +428,7 @@ class Verifier:
             if not _stack_bounds_ok(off, size):
                 raise VerifierError(f"stack read out of bounds at {off}", pc)
             self._note_region(pc, "stack")
+            self._stack = True
             if size == 8 and off % 8 == 0 and off in state.spills:
                 state.regs[insn.dst_reg] = state.spills[off]
             elif state.stack_is_init(off, size):
@@ -455,6 +478,7 @@ class Verifier:
             if not _stack_bounds_ok(off, size):
                 raise VerifierError(f"stack write out of bounds at {off}", pc)
             self._note_region(pc, "stack")
+            self._stack = True
             if src.kind in _POINTER_KINDS:
                 if size != 8 or off % 8:
                     raise VerifierError(
@@ -475,6 +499,7 @@ class Verifier:
             if src.kind in _POINTER_KINDS:
                 raise VerifierError("cannot store a pointer into the context", pc)
             self._note_region(pc, "ctx")
+            self._ctx_writes.add(off)
         elif base.kind == MAP_VALUE:
             if off < 0 or off + size > base.map.value_size:
                 raise VerifierError(f"map value write at {off}+{size} out of bounds", pc)
@@ -502,6 +527,7 @@ class Verifier:
             raise VerifierError(
                 f"helper {helper.name!r} not available on this hook", pc
             )
+        self._helpers.add(insn.imm)
 
         current_map = None
         for arg_idx, spec in enumerate(helper.args):

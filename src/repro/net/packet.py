@@ -33,7 +33,8 @@ class Packet:
     Metadata fields:
 
     * ``rx_tstamp_ns`` — software RX timestamp set on reception;
-    * ``mark`` — firewall mark (writable from eBPF via the context);
+    * ``mark`` — firewall mark, a u32 as ``skb->mark`` (writable from
+      eBPF via the context; the constructor refuses any other value);
     * ``nh6`` / ``table_id`` — routing decision installed by the seg6
       action helper, honoured on ``BPF_REDIRECT``;
     * ``flow_id`` / ``seq`` / ``tx_tstamp_ns`` — generator bookkeeping;
@@ -73,6 +74,8 @@ class Packet:
         trace: list | None = None,
         tctx: list | None = None,
     ):
+        if not 0 <= mark <= 0xFFFFFFFF:
+            raise ValueError(f"mark {mark} is not a u32 (skb->mark)")
         self.data = bytearray(data)
         self.rx_tstamp_ns = rx_tstamp_ns
         self.mark = mark

@@ -27,12 +27,15 @@ attached program — End.BPF's here, a BPF LWT hook's in
 :mod:`~repro.net.lwt_bpf` — is run in exactly one way,
 :func:`run_attached`: arm the attach site's own
 :class:`~repro.ebpf.jit.CompiledHandler` on ``pkt.data`` itself, call the
-translated function, read the mark back, re-validate the SRH where it
-lies, map the return code.  There is one packet buffer per invocation:
-the helpers edit ``pkt.data`` in place, so nothing is copied in or out
-and a packet the program edited and then dropped keeps the edits, as
-the kernel's skb does.  A site's first packet pays the guest
-address-space assembly; no packet pays an SRH parse.
+translated function, read back what the verifier's facts say it could
+change (the mark if it stores ``skb->mark``; after a helper call, an SRH
+to re-validate where it lies), map the return code — the paper's
+``End`` pays for the packet bind and the call.  There is one packet
+buffer per invocation: the helpers edit ``pkt.data`` in place, so
+nothing is copied in or out and a packet the program edited and then
+dropped keeps the edits, as the kernel's skb does.  A site's first
+packet pays the guest address-space assembly; no packet pays an SRH
+parse.
 """
 
 from __future__ import annotations
@@ -420,11 +423,11 @@ def run_attached(handler: CompiledHandler, stats: dict, pkt: Packet, node) -> Di
 
     # The program ran on ``data`` itself: there is no packet to write back,
     # and one dropped below keeps its edits, as the kernel's skb does.
-    pkt.mark = hctx.skb.mark
-
-    # Only the seg6local helpers set this; an LWT program never does.
+    # No helper writes the mark; only a seg6local one sets srh_modified.
+    if handler.writes_mark:
+        pkt.mark = hctx.skb.mark
     metadata = hctx.metadata
-    if metadata.get("srh_modified") and ret != BPF_DROP:
+    if handler.calls_helpers and ret != BPF_DROP and metadata.get("srh_modified"):
         invalid = _revalidate(stats, data)
         if invalid is not None:
             return invalid

@@ -7,7 +7,10 @@ pinning three things:
   processes — map lddws encode ``imm64=0`` until load time),
 * the disassembly text, and
 * the verifier verdict — ``accept``, or ``reject`` with the *exact*
-  diagnostic, so verifier refactors cannot silently degrade messages.
+  diagnostic, so verifier refactors cannot silently degrade messages —
+  and, for an accepted program, the ``ProgramFacts`` the verifier
+  exports (helpers called, ctx fields read / written, stack touched),
+  which gate what an attach site's invocation resets and reads back.
 
 On top of the goldens, every accepted program is:
 
@@ -56,7 +59,18 @@ from repro.ebpf import (
     load_text,
     parse_asm,
 )
-from repro.ebpf.context import CTX_SIZE
+from repro.ebpf.context import (
+    CB_SLOTS,
+    CTX_SIZE,
+    OFF_CB,
+    OFF_DATA,
+    OFF_DATA_END,
+    OFF_LEN,
+    OFF_MARK,
+    OFF_PRIORITY,
+    OFF_PROTOCOL,
+)
+from repro.ebpf.helpers import HELPER_NAMES_BY_ID
 from repro.lab import Network
 from repro.progs.library import ASM_DIR
 
@@ -98,12 +112,39 @@ def _build(path: Path):
     return linked, prog, "accept", None
 
 
+_CTX_FIELD_NAMES = {
+    OFF_LEN: "len",
+    OFF_PROTOCOL: "protocol",
+    OFF_MARK: "mark",
+    OFF_PRIORITY: "priority",
+    OFF_DATA: "data",
+    OFF_DATA_END: "data_end",
+    **{OFF_CB + 8 * i: f"cb[{i}]" for i in range(CB_SLOTS)},
+}
+
+
+def describe_facts(facts) -> str:
+    """One line of the verifier's ProgramFacts, e.g. ``no helpers, no ctx, no stack``."""
+    helpers = sorted(HELPER_NAMES_BY_ID[h] for h in facts.helpers)
+    parts = [f"helpers [{' '.join(helpers)}]" if helpers else "no helpers"]
+    ctx = [
+        f"{verb} [{' '.join(_CTX_FIELD_NAMES[off] for off in sorted(offsets))}]"
+        for verb, offsets in (("reads", facts.ctx_reads), ("writes", facts.ctx_writes))
+        if offsets
+    ]
+    parts.append(f"ctx {' '.join(ctx)}" if ctx else "no ctx")
+    parts.append("stack" if facts.touches_stack else "no stack")
+    return ", ".join(parts)
+
+
 def _golden_text(path: Path) -> str:
-    linked, _prog, verdict, error = _build(path)
+    linked, prog, verdict, error = _build(path)
     lines = [_HEADER.format(name=path.stem)]
     lines.append(f"verdict: {verdict}")
     if error is not None:
         lines.append(f"error: {error}")
+    else:
+        lines.append(f"facts: {describe_facts(prog.facts)}")
     lines.append("-- bytes --")
     blob = encode_program(linked.insns)
     for i in range(0, len(blob), 8):

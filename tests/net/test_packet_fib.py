@@ -4,8 +4,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.net import (
+    EndBPF,
     FibTable,
     Nexthop,
+    Node,
     Packet,
     Route,
     make_srv6_udp_packet,
@@ -15,6 +17,8 @@ from repro.net import (
     pton,
 )
 from repro.net.tcp import TcpHeader
+from repro.progs import end_prog
+from repro.shard.wire import pack_batch, unpack_batch
 
 
 # --- packet ---------------------------------------------------------------------
@@ -96,6 +100,39 @@ def test_unknown_packet_fields_rejected():
 
 def test_default_trace_list_is_per_packet():
     assert Packet(b"").trace is not Packet(b"").trace
+
+
+# skb->mark is a u32: a mark outside it is refused where the packet is made,
+# not truncated by an End.BPF ctx round trip or a struct.error at a shard cut.
+
+_SRV6 = make_srv6_udp_packet("fc00:1::1", ["fc00:e::100", "fc00:2::2"], 1, 2, b"").data
+
+
+def _through_end_bpf(pkt: Packet) -> int:
+    EndBPF(end_prog()).process(pkt, Node("R"))
+    return pkt.mark
+
+
+def _through_the_wire(pkt: Packet) -> int:
+    (back,) = unpack_batch(pack_batch([pkt]))
+    return back.mark
+
+
+MARK_DOORS = {
+    "constructor": lambda pkt: pkt.mark,
+    "end_bpf": _through_end_bpf,
+    "pack_batch": _through_the_wire,
+}
+
+
+@pytest.mark.parametrize("door", MARK_DOORS)
+def test_mark_is_a_u32_at_every_door(door):
+    through = MARK_DOORS[door]
+    for mark in (0, 5, 2**32 - 1):
+        assert through(Packet(_SRV6, mark=mark)) == mark
+    for mark in (-1, 2**32, 2**32 + 5):
+        with pytest.raises(ValueError, match="mark"):
+            through(Packet(_SRV6, mark=mark))
 
 
 # --- FIB --------------------------------------------------------------------------

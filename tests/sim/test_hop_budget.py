@@ -5,24 +5,28 @@ link, S2's local delivery — once per packet, so every layer someone
 adds to that path is a few more Python calls per packet.  The count
 under ``sys.setprofile`` is exact and the same on every host; the
 budget below sits just above what the fused dispatch function, the
-straight-line wire and the single invocation path left (65.0; 69.0
+straight-line wire, the single invocation path and the fact-gated arm
+left (62.0; 65.0 while every program's arm reset everything; 69.0
 while a scalar End.BPF went through ``Program.run`` and
 ``JitProgram.run``; the per-packet context object, stage methods and
 ``Packet.__len__`` frames before that read 100.0).
 
 The invocation itself has its own budget: one scalar
-``EndBPF.process`` is 9 calls — the prologue, the pin, ``run_attached``,
-``arm`` and its two region resets, the translated function, the mark
-read-back (13 with the ``Program.run`` / ``JitProgram.run`` /
-``HelperContext.rearm`` frames) — so the next layer someone adds to it
-shows up as a number.
+``EndBPF.process`` is 6 calls — ``process``, the prologue, the pin,
+``run_attached``, ``arm``, the translated function.  ``end.s`` calls no
+helper and touches no context field, so the verifier's facts leave
+``arm`` no region reset and ``run_attached`` no mark read-back (9 when
+both ran for every program; 13 with the ``Program.run`` /
+``JitProgram.run`` / ``HelperContext.rearm`` frames) — so the next
+layer someone adds to it shows up as a number.
 
 Setup 2's hybrid-access path has three budgets of the same kind: one
-WRR decision on the LWT hook (40 calls; 45 before the single invocation
-path; the SRH / IPv6 dataclass round trips and the generic ``Memory``
-walk read 110), one ``End.DT6`` on its encapsulation (7; 25 with two
-parses and two packet copies), and one delivered packet of the
-ledger-shaped Setup 2 (285.2; 294.6; 445.7).
+WRR decision on the LWT hook (39 calls; 40 with the mark read-back of a
+program that never writes it; 45 before the single invocation path;
+the SRH / IPv6 dataclass round trips and the generic ``Memory`` walk
+read 110), one ``End.DT6`` on its encapsulation (7; 25 with two parses
+and two packet copies), and one delivered packet of the ledger-shaped
+Setup 2 (283.3; 285.2; 294.6; 445.7).
 """
 
 from __future__ import annotations
@@ -35,8 +39,8 @@ from repro.progs import end_prog
 from repro.sim import NS_PER_MS
 from repro.usecases import deploy_hybrid_access, install_wrr
 
-CALLS_PER_PACKET_BUDGET = 67
-CALLS_PER_SCALAR_END_BPF_BUDGET = 10
+CALLS_PER_PACKET_BUDGET = 64
+CALLS_PER_SCALAR_END_BPF_BUDGET = 7
 CALLS_PER_WRR_DECISION_BUDGET = 41
 CALLS_PER_END_DT6_BUDGET = 8
 CALLS_PER_SETUP2_PACKET_BUDGET = 288
