@@ -100,7 +100,7 @@ _JIT_V2_STATS = {
     # instead of the generic Memory path.
     "v2_region_loads": 0,
     "v2_region_stores": 0,
-    # Runtime: End.BPF groups (see Node._run_group).
+    # Runtime: seg6local groups of every action (see Node._run_group).
     "bpf_groups": 0,
     "bpf_grouped_packets": 0,
     "bpf_group_flushes": 0,
@@ -242,8 +242,8 @@ def handler_cache_stats() -> dict:
     :meth:`CompiledHandler.arm` of each attach site's handler),
     ``handler_hits`` the invocations that re-armed one.  The v2 entries
     cover both translation (``v2_region_loads``/``v2_region_stores``:
-    accesses compiled to direct region indexing) and the End.BPF groups
-    of :meth:`repro.net.node.Node._run_group` (``bpf_groups``,
+    accesses compiled to direct region indexing) and the groups of every
+    seg6local action in :meth:`repro.net.node.Node._run_group` (``bpf_groups``,
     ``bpf_grouped_packets``, ``bpf_group_flushes`` — the last counts
     groups cut short because a FIB-generation bump was observed after
     one of their packets).

@@ -47,7 +47,7 @@ from .lwt_bpf import BpfLwt
 from .netdev import NetDev
 from .packet import Packet, make_icmpv6_packet
 from .seg6 import Seg6Encap
-from .seg6local import _FORWARD, Disposition, EndBPF, Seg6LocalAction
+from .seg6local import _FORWARD, Disposition, Seg6LocalAction
 
 _RECIRCULATION_BUDGET = 8
 
@@ -313,11 +313,12 @@ class Node:
                     counters.dropped += 1
                     i += 1
                     continue
-                if i + 1 < n and type(route.encap) is EndBPF:
-                    # End.BPF group: scan the run of consecutive
-                    # packets with this same destination — the lookup is
+                encap = route.encap
+                if i + 1 < n and encap is not None and isinstance(encap, Seg6LocalAction):
+                    # seg6local group: scan the run of consecutive packets
+                    # with this same destination — the lookup is
                     # deterministic per (table generation, dst), and no
-                    # program runs between the probes, so byte-equal
+                    # action runs between the probes, so byte-equal
                     # destinations resolve to this same route.
                     j = i + 1
                     while j < n and pkts[j].data[24:40] == dst:
@@ -332,102 +333,100 @@ class Node:
                 self._flush_egress()
 
     def _run_group(self, pkts: list[Packet], start: int, end: int, route: Route) -> int:
-        """Run ``pkts[start:end]`` — consecutive packets to one End.BPF route.
+        """Run ``pkts[start:end]`` — consecutive packets to one local segment.
 
-        What the group shares is one route resolution, one fetch of the
-        action's pinned :class:`~repro.ebpf.jit.CompiledHandler`, its
-        counters and the inlined plain-forward continuation; each packet
-        is invoked exactly as a lone one is (``encap.process``) and keeps
-        exact scalar semantics: its disposition is applied — and its
-        pipeline continuation run — *before* the next packet executes, so
-        side effects (map state, perf events, locally generated ICMP,
-        listener callbacks) interleave in arrival order.
+        Each packet is processed as a lone one is (``action.process(pkt,
+        node)``), and its disposition and continuation run *before* the
+        next packet does, so side effects (map state, perf events, ICMP,
+        listener callbacks) interleave in arrival order.  What the group
+        shares is the segment's route, its counters and the continuation
+        memo: the route after the action, resolved once per run of equal
+        (table id, destination or nh6) keys and again when that table's
+        generation moved.  A plain continuation is the pipeline's
+        decrement and :meth:`_transmit`; any other enters :meth:`_run_pipeline`.
 
-        After each packet, the main table's generation is compared to its
-        value at group formation: an eBPF program or continuation that
-        mutated the FIB flushes the group, and the caller re-resolves the
-        remaining packets against the new FIB (the stale-route hazard
+        Before each packet after the first, a main-table generation that
+        moved since group formation flushes the group, and the caller
+        re-resolves the rest against the new FIB (the stale-route hazard
         ``tests/test_jit_v2_fib_guard.py`` pins).  Returns the index of
         the first unprocessed packet.
         """
         from ..ebpf.jit import _JIT_V2_STATS
 
         counters = self.counters
-        table = self.tables[MAIN_TABLE]
-        generation = table.generation
-        encap = route.encap
-        handler = encap.handler()
+        tables = self.tables
+        main = tables[MAIN_TABLE]
+        generation = main.generation
+        action = route.encap
+        process = action.process
         run = self._run_pipeline
         lookup = self._lookup_route
-        process = encap.process
-        devices = self.devices
-        egress = self._egress_batch
+        transmit = self._transmit
         name = self.name
-        ecmp_seed = self.ecmp_seed
         budget = _RECIRCULATION_BUDGET - 1
+        # The continuation memo: the last key resolved, its route, and the
+        # generation of the table it was resolved in.
+        last_table_id = last_key = last_route = last_table = last_generation = None
         _JIT_V2_STATS["bpf_groups"] += 1
-        processed = 0
         i = start
         while i < end:
+            if main.generation != generation:
+                _JIT_V2_STATS["bpf_group_flushes"] += 1
+                break
             pkt = pkts[i]
-            processed += 1
+            i += 1
             tctx = pkt.tctx
             if tctx is not None:
                 # Mirror the scalar path's instants so a traced packet's
                 # span stream is identical whichever path dispatched it.
                 t = self.clock_ns()
                 tctx.append((t, t, "stage:lookup", name, ""))
-                tctx.append((t, t, "stage:seg6local", name, encap.kind))
-            disposition = process(pkt, self, handler)
-            i += 1
+                tctx.append((t, t, "stage:seg6local", name, action.kind))
+            disposition = process(pkt, self)
             if disposition is _FORWARD:
-                # Inlined plain-forward continuation — the dominant case
-                # (BPF_OK, next segment resolves to an encap-less route);
-                # mirrors _run_pipeline's lookup, decrement and transmit
-                # blocks.
-                dst = pkt.dst
-                route2 = lookup(MAIN_TABLE, dst)
-                if route2 is not None and route2.encap is None and not route2.local:
-                    if tctx is not None:
-                        t = self.clock_ns()
-                        tctx.append((t, t, "stage:lookup", name, ""))
-                    if pkt.decrement_hop_limit() == 0:
-                        counters.hop_limit_exceeded += 1
-                        self._send_time_exceeded(pkt)
-                    else:
-                        counters.forwarded += 1
-                        nexthops = route2.nexthops
-                        nexthop = (
-                            nexthops[0]
-                            if len(nexthops) == 1
-                            else route2.select_nexthop(pkt.flow_hash() ^ ecmp_seed)
-                        )
-                        if nexthop is None or nexthop.dev not in devices:
-                            counters.dropped += 1
-                        else:
-                            pkt.trace.append(name)
-                            if tctx is not None:
-                                t = self.clock_ns()
-                                tctx.append((t, t, "stage:transmit", name, nexthop.dev))
-                            counters.tx += 1
-                            out = egress.get(nexthop.dev)
-                            if out is None:
-                                egress[nexthop.dev] = out = []
-                            out.append(pkt)
-                elif route2 is None:
-                    counters.no_route += 1
-                    counters.dropped += 1
-                else:
-                    run(pkt, True, budget, route2, dst)
+                table_id = MAIN_TABLE
+                key = pkt.data[24:40]
             else:
                 outcome = self._apply_disposition(disposition)
-                if outcome is not None:
-                    run(pkt, True, budget, table_id=outcome[0], nh6=outcome[1])
-            if table.generation != generation:
-                _JIT_V2_STATS["bpf_group_flushes"] += 1
-                break
-        counters.seg6local_processed += processed
-        encap.processed += processed
+                if outcome is None:
+                    continue
+                table_id, nh6 = outcome
+                table_id = table_id or MAIN_TABLE
+                key = nh6 if nh6 is not None else pkt.data[24:40]
+            if (
+                key != last_key
+                or table_id != last_table_id
+                or last_table.generation != last_generation
+            ):
+                last_table_id = table_id
+                last_key = bytes(key)
+                last_route = lookup(table_id, last_key)
+                last_table = tables[table_id]
+                last_generation = last_table.generation
+            route = last_route
+            if route is None:
+                counters.no_route += 1
+                counters.dropped += 1
+                continue
+            if route.encap is not None or route.local:
+                run(pkt, True, budget, route, last_key)
+                continue
+            if tctx is not None:
+                t = self.clock_ns()
+                tctx.append((t, t, "stage:lookup", name, ""))
+            # -- decrement and transmit: _run_pipeline's blocks.
+            data = pkt.data
+            hop_limit = data[7]
+            if hop_limit <= 1:
+                data[7] = 0
+                counters.hop_limit_exceeded += 1
+                self._send_time_exceeded(pkt)
+                continue
+            data[7] = hop_limit - 1
+            counters.forwarded += 1
+            transmit(pkt, route)
+        counters.seg6local_processed += i - start
+        action.processed += i - start
         _JIT_V2_STATS["bpf_grouped_packets"] += i - start
         return i
 
@@ -476,8 +475,6 @@ class Node:
         budget: int = _RECIRCULATION_BUDGET,
         route: "Route | None" = None,
         lookup_dst: bytes | None = None,
-        table_id: int | None = None,
-        nh6: bytes | None = None,
     ) -> None:
         """Carry one packet through the stages until it leaves or dies.
 
@@ -485,15 +482,15 @@ class Node:
         the headers or the routing state re-circulates the packet with
         ``route = None; continue``.  ``decrement`` is False for locally
         originated packets.  ``route`` pre-resolves the first lookup
-        (``lookup_dst`` is the destination it was resolved for: batch
-        entry points resolve it while probing for End.BPF groups);
-        ``table_id`` / ``nh6`` direct the first lookup instead (a
-        redirect the group path already applied); ``budget`` is the
-        remaining re-circulation allowance for callers that already
-        consumed a routing decision (the group path).
+        (``lookup_dst`` is the destination or nh6 it was resolved for:
+        batch entry points resolve it while probing for seg6local groups,
+        and a group for its continuation); ``budget`` is the remaining
+        re-circulation allowance for callers that already consumed a
+        routing decision (the group path).
         """
         counters = self.counters
         decremented = False
+        table_id = nh6 = None
         for _ in range(budget):
             # -- lookup: in table_id (main unless redirected), by nh6 or
             # the destination; both are consumed by the lookup.

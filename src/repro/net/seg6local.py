@@ -174,7 +174,6 @@ class Seg6LocalAction:
     """Base class: validates the SRH and advances to the next segment."""
 
     kind = "End"
-    needs_srh = True
     # Packets handed to this action instance (the per-SID telemetry
     # counter); bumped by the node after dispatch, not on the hot path
     # of process() itself.  Class default keeps dataclass subclasses'
@@ -212,13 +211,14 @@ class EndX(Seg6LocalAction):
 
     def __post_init__(self) -> None:
         self.nh6 = as_addr(self.nh6)
+        self._forward = Disposition.forward(nh6=self.nh6)
 
     def process(self, pkt: Packet, node) -> Disposition:
         """Advance, then pin the layer-3 nexthop (End.X, §2)."""
         base = super().process(pkt, node)
-        if base.action != "forward":
+        if base is not _FORWARD:
             return base
-        return Disposition.forward(nh6=self.nh6)
+        return self._forward
 
 
 @dataclass
@@ -228,12 +228,15 @@ class EndT(Seg6LocalAction):
     table_id: int
     kind = "End.T"
 
+    def __post_init__(self) -> None:
+        self._forward = Disposition.forward(table_id=self.table_id)
+
     def process(self, pkt: Packet, node) -> Disposition:
         """Advance, then route in the configured table (End.T, §2)."""
         base = super().process(pkt, node)
-        if base.action != "forward":
+        if base is not _FORWARD:
             return base
-        return Disposition.forward(table_id=self.table_id)
+        return self._forward
 
 
 def _decap(pkt: Packet, kind: str) -> Disposition | None:
@@ -263,9 +266,12 @@ class EndDT6(Seg6LocalAction):
     table_id: int
     kind = "End.DT6"
 
+    def __post_init__(self) -> None:
+        self._forward = Disposition.forward(table_id=self.table_id)
+
     def process(self, pkt: Packet, node) -> Disposition:
         """Decapsulate at the last segment and route the inner packet in a table (§2)."""
-        return _decap(pkt, self.kind) or Disposition.forward(table_id=self.table_id)
+        return _decap(pkt, self.kind) or self._forward
 
 
 @dataclass
@@ -277,10 +283,11 @@ class EndDX6(Seg6LocalAction):
 
     def __post_init__(self) -> None:
         self.nh6 = as_addr(self.nh6)
+        self._forward = Disposition.forward(nh6=self.nh6)
 
     def process(self, pkt: Packet, node) -> Disposition:
         """Decapsulate at the last segment and pin the inner packet's nexthop (§2)."""
-        return _decap(pkt, self.kind) or Disposition.forward(nh6=self.nh6)
+        return _decap(pkt, self.kind) or self._forward
 
 
 @dataclass
@@ -301,7 +308,7 @@ class EndB6(Seg6LocalAction):
             pkt.data = bytearray(push_srh_inline(data, srh))
         except ValueError as exc:
             return Disposition.drop(f"End.B6: {exc}")
-        return Disposition.forward()
+        return _FORWARD
 
 
 @dataclass
@@ -320,7 +327,7 @@ class EndB6Encaps(Seg6LocalAction):
     def process(self, pkt: Packet, node) -> Disposition:
         """Advance, then encapsulate with an outer header and new SRH (§2)."""
         base = super().process(pkt, node)
-        if base.action != "forward":
+        if base is not _FORWARD:
             return base
         srh = make_srh(list(self.segments), next_header=PROTO_IPV6)
         try:
@@ -329,7 +336,7 @@ class EndB6Encaps(Seg6LocalAction):
             )
         except ValueError as exc:
             return Disposition.drop(f"End.B6.Encaps: {exc}")
-        return Disposition.forward()
+        return _FORWARD
 
 
 @dataclass
@@ -355,12 +362,8 @@ class EndBPF(Seg6LocalAction):
             handler = self._handler = CompiledHandler(self.program, "seg6local")
         return handler
 
-    def process(self, pkt: Packet, node, handler: CompiledHandler | None = None) -> Disposition:
-        """Advance the SRH, then run the attached program (§3.1 semantics).
-
-        ``handler`` is :meth:`handler`'s result when the caller already
-        fetched it — ``Node._run_group`` does, once for a whole group.
-        """
+    def process(self, pkt: Packet, node) -> Disposition:
+        """Advance the SRH, then run the attached program (§3.1 semantics)."""
         data = pkt.data
         verdict = _advance_verdict(data)
         if verdict is _V_NO_SRH or verdict is _V_SL_ZERO:
@@ -370,9 +373,7 @@ class EndBPF(Seg6LocalAction):
         if tctx is not None:
             t = node.clock_ns()
             tctx.append((t, t, "ebpf", node.name, f"seg6local/{self.program.name}"))
-        if handler is None:
-            handler = self.handler()
-        return run_attached(handler, self.stats, pkt, node)
+        return run_attached(self.handler(), self.stats, pkt, node)
 
 
 def _revalidate(stats: dict, data: bytearray) -> Disposition | None:

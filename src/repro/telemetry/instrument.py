@@ -23,7 +23,7 @@ issue: ``node``, ``device``, ``sid``, ``hook``):
 ``perf_*{ring=}``     per-CPU perf ring push/drop/depth
 ``igp_*``/``ctrl_events{kind=}``  control-plane state + bus counts
 ``meter_*{meter=}``   flow-meter delivery counters
-``handler_*``/``v2_*``/``bpf_group*``  global JIT cache counters
+``handler_*``/``v2_*``/``bpf_group*``  global JIT cache / seg6local group counters
 ====================  ===========================================
 """
 

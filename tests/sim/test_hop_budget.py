@@ -20,6 +20,17 @@ both ran for every program; 13 with the ``Program.run`` /
 ``JitProgram.run`` / ``HelperContext.rearm`` frames) — so the next
 layer someone adds to it shows up as a number.
 
+One packet of a 256-packet ``make_fig2_router`` batch has a budget per
+Figure 2 variant.  Every seg6local action is grouped, the route after
+the action is resolved once per run of equal next segments, and the
+packet leaves through ``_transmit``; plain forwarding reads 4.02.
+- a static End: 4.5 (4.04; 7.02 while only End.BPF was grouped and a
+  static End took the pipeline alone, with two lookups per packet);
+- End.T: 6.5 (6.04; 11.02 alone in the pipeline, with two lookups and
+  a ``Disposition`` built per packet);
+- End.BPF: 8.5 (8.04; 9.04 with a lookup, ``pkt.dst`` and
+  ``decrement_hop_limit`` per packet, the handler fetched per group).
+
 Setup 2's hybrid-access path has three budgets of the same kind: one
 WRR decision on the LWT hook (39 calls; 40 with the mark read-back of a
 program that never writes it; 45 before the single invocation path;
@@ -33,6 +44,9 @@ from __future__ import annotations
 
 import sys
 
+import pytest
+
+from repro.bench.harness import copy_batch, drive_batch, make_fig2_router
 from repro.lab import build_setup1, build_setup2
 from repro.net import EndBPF, EndDT6, Node, Packet, make_srv6_udp_packet, make_udp_packet, pton
 from repro.progs import end_prog
@@ -44,6 +58,7 @@ CALLS_PER_SCALAR_END_BPF_BUDGET = 7
 CALLS_PER_WRR_DECISION_BUDGET = 41
 CALLS_PER_END_DT6_BUDGET = 8
 CALLS_PER_SETUP2_PACKET_BUDGET = 288
+CALLS_PER_FIG2_PACKET_BUDGET = {"end_static": 4.5, "end_t_static": 6.5, "end_bpf": 8.5}
 
 
 def count_calls(fn, *args, **kwargs) -> int:
@@ -131,6 +146,21 @@ def test_scalar_end_bpf_stays_within_its_call_budget():
     assert pkt.dst == pton("fc00:2::2") and action.stats["ok"] == 2
     assert calls <= CALLS_PER_SCALAR_END_BPF_BUDGET, (
         f"{calls} Python-level calls per scalar End.BPF, budget {CALLS_PER_SCALAR_END_BPF_BUDGET}"
+    )
+
+
+@pytest.mark.parametrize("variant", sorted(CALLS_PER_FIG2_PACKET_BUDGET))
+def test_fig2_batch_packet_stays_within_its_call_budget(variant):
+    node, templates = make_fig2_router(variant)
+    drive_batch(node, copy_batch(templates))  # builds the handler, fills the flow table
+    pkts = copy_batch(templates)
+    calls = count_calls(node.receive_batch, pkts, node.devices["eth0"])
+    assert len(node.devices["eth1"].tx_buffer) == len(pkts)
+    per_packet = calls / len(pkts)
+    budget = CALLS_PER_FIG2_PACKET_BUDGET[variant]
+    assert per_packet <= budget, (
+        f"{per_packet:.2f} Python-level calls per {variant} packet in a "
+        f"{len(pkts)}-packet batch, budget {budget}"
     )
 
 

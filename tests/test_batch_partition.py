@@ -18,17 +18,27 @@ import random
 
 import pytest
 
-from repro.bench.harness import copy_batch, make_fig2_router, make_router
+from repro.bench.harness import FUNC_SEGMENT, copy_batch, make_fig2_router, make_router
 from repro.ebpf import ArrayMap, PerfEventArrayMap, Program
 from repro.net import (
     MAIN_TABLE,
+    PROTO_IPV6,
     BpfLwt,
+    End,
+    EndB6,
+    EndB6Encaps,
     EndBPF,
+    EndDT6,
+    EndDX6,
+    EndX,
     FlowTable,
+    Nexthop,
     Node,
     Packet,
     as_addr,
+    make_srh,
     make_srv6_udp_packet,
+    push_outer_encap,
 )
 from repro.progs import (
     dm_config_value,
@@ -150,6 +160,118 @@ def test_malformed_srh_partition_invariance():
         del pkt.data[48:]  # truncate inside the segment list
 
     assert_partition_invariant(build, batch)
+
+
+# --- every static seg6local action ---------------------------------------------
+
+# Runs of one next segment alternating with runs of distinct ones; the
+# fc00:3:: segments take the mixed stream's ECMP route.
+NEXT_SEGMENTS = (
+    ["fc00:2::2"] * 5
+    + ["fc00:2::10", "fc00:2::11", "fc00:3::1", "fc00:2::12"]
+    + ["fc00:3::7"] * 6
+    + ["fc00:2::13", "fc00:3::2", "fc00:3::3", "fc00:3::4"]
+    + ["fc00:2::2"] * 4
+    + ["fc00:3::5", "fc00:2::14", "fc00:3::6"]
+)
+
+
+def srv6_stream(hop_limits=(64,)) -> list[Packet]:
+    """Two-segment SRv6 packets to the function segment, one flow each."""
+    return [
+        make_srv6_udp_packet(
+            "fc00:1::1",
+            [FUNC_SEGMENT, segment],
+            40000 + i,
+            5201,
+            bytes([i]) * 16,
+            hop_limit=hop_limits[i % len(hop_limits)],
+        )
+        for i, segment in enumerate(NEXT_SEGMENTS)
+    ]
+
+
+def encapsulated_stream() -> list[Packet]:
+    """Plain UDP to the sink inside an outer header whose one-segment SRH
+    (segments_left 0) ends at the function segment — End.DT6 / End.DX6 input."""
+    srh = make_srh([FUNC_SEGMENT], next_header=PROTO_IPV6)
+    return [
+        Packet(push_outer_encap(pkt.data, "fc00:1::1", srh))
+        for pkt in batch_udp("fc00:1::1", "fc00:2::2", len(NEXT_SEGMENTS), payload_size=16)
+    ]
+
+
+STATIC_ACTIONS = {
+    "end_x": (lambda: EndX(nh6="fc00:2::2"), srv6_stream),
+    "end_dt6": (lambda: EndDT6(table_id=MAIN_TABLE), encapsulated_stream),
+    "end_dx6": (lambda: EndDX6(nh6="fc00:2::2"), encapsulated_stream),
+    "end_b6": (lambda: EndB6(segments=["fc00:2::b6"]), srv6_stream),
+    "end_b6_encaps": (lambda: EndB6Encaps(segments=["fc00:2::b7"]), srv6_stream),
+}
+
+
+def function_action(node: Node):
+    """The action installed on the function segment."""
+    return node.main_table().lookup(as_addr(FUNC_SEGMENT)).encap
+
+
+@pytest.mark.parametrize("kind", sorted(STATIC_ACTIONS))
+def test_static_action_partition_invariance(kind):
+    """End.X, End.DT6, End.DX6, End.B6 and End.B6.Encaps forward identically for any split."""
+    make_action, make_stream = STATIC_ACTIONS[kind]
+
+    def build():
+        node = make_router()
+        node.add_route(f"{FUNC_SEGMENT}/128", encap=make_action())
+        return node
+
+    templates = make_stream()
+    assert_partition_invariant(
+        build, templates, extra_observe=lambda node: function_action(node).processed
+    )
+
+    node = build()
+    out = drive_partition(node, copy_batch(templates), [len(templates)])
+    assert len(out) == len(templates) and node.counters.dropped == 0
+
+
+def test_static_end_mixed_stream_partition_invariance():
+    """One static End segment, one stream, every continuation shape at once.
+
+    Hop limits 1 and 2 interleave (expiry sends Time Exceeded out of the
+    observed device), one packet mid-run carries an exhausted SRH, and
+    the next segments alternate runs of one segment with runs of distinct
+    ones, some through a two-nexthop ECMP route split over eth1 / eth2.
+    """
+
+    def build():
+        node = make_router()
+        node.add_device("eth2")
+        node.add_route("fc00:1::/64", via="fc00:2::2", dev="eth1")
+        node.add_route(
+            "fc00:3::/64",
+            nexthops=[Nexthop(via="fc00:2::3", dev="eth1"), Nexthop(via="fc00:3::3", dev="eth2")],
+        )
+        node.add_route(f"{FUNC_SEGMENT}/128", encap=End())
+        return node
+
+    def side_effects(node):
+        eth2 = [bytes(p.data) for p in node.devices["eth2"].tx_buffer]
+        return eth2, function_action(node).processed
+
+    templates = srv6_stream(hop_limits=(2, 2, 1))
+    templates[7].data[43] = 0  # segments_left = 0, mid-run
+    assert_partition_invariant(build, templates, extra_observe=side_effects)
+
+    node = build()
+    out = drive_partition(node, copy_batch(templates), [len(templates)])
+    counters = node.counters
+    assert counters.hop_limit_exceeded == 8 and counters.dropped == 1
+    assert counters.forwarded == len(templates) - 9
+    # Both ECMP legs carried traffic, and the errors share eth1 with it.
+    assert node.devices["eth2"].tx_buffer
+    assert any(p.dst[:4] == as_addr("fc00:3::")[:4] for p in out)
+    assert sum(p.next_header == 58 for p in out) == 8
 
 
 # --- §4.1 delay monitoring ----------------------------------------------------
@@ -403,20 +525,24 @@ def flow_dst(index: int) -> bytes:
     return as_addr("fc00:2::")[:8] + index.to_bytes(8, "big")
 
 
+def receive_one_at_a_time(node: Node, pkts: list[Packet]) -> None:
+    """Batches of one: every packet looks up its local segment, then its next one."""
+    dev = node.devices["eth0"]
+    for pkt in pkts:
+        node.receive_batch([pkt], dev)
+
+
 def test_flow_table_fifo_eviction():
     """Bounded, oldest-insertion-first: the survivors are the newest keys."""
-    from repro.net import End
-
     node = make_router()
     node.flow_table.capacity = 16
     pkts = batch_srv6_udp_flows("fc00:1::1", "fc00:e::100", "fc00:2", 64, 64)
-    # Each packet looks up the local segment, then its own final segment.
     looked_up = []
     for pkt in pkts:
         looked_up += [(MAIN_TABLE, pkt.dst), (MAIN_TABLE, pkt.srh()[0].segments[0])]
 
     node.add_route("fc00:e::100/128", encap=End())
-    node.receive_batch(pkts, node.devices["eth0"])
+    receive_one_at_a_time(node, copy_batch(pkts))
     assert len(node.devices["eth1"].tx_buffer) == 64
     flow_table = node.flow_table
     hits, misses, survivors = fifo_model(looked_up, 16)
@@ -424,11 +550,17 @@ def test_flow_table_fifo_eviction():
     assert (flow_table.hits, flow_table.misses) == (hits, misses) == (60, 68)
     assert_flow_table_consistent(flow_table)
 
+    # One batch groups the shared local segment: one lookup for it, then
+    # one per distinct next segment.
+    node = make_router()
+    node.add_route("fc00:e::100/128", encap=End())
+    node.receive_batch(pkts, node.devices["eth0"])
+    assert len(node.devices["eth1"].tx_buffer) == 64
+    assert node.flow_table.hits + node.flow_table.misses == 1 + 64
+
 
 def test_flow_table_cyclic_stream_counts_match_fifo():
     """Three laps over 3x-capacity flows: every per-flow lookup misses."""
-    from repro.net import End
-
     node = make_router()
     node.flow_table.capacity = 16
     node.add_route("fc00:e::100/128", encap=End())
@@ -437,7 +569,7 @@ def test_flow_table_cyclic_stream_counts_match_fifo():
         pkts = batch_srv6_udp_flows("fc00:1::1", "fc00:e::100", "fc00:2", 48, 48)
         for pkt in pkts:
             looked_up += [(MAIN_TABLE, pkt.dst), (MAIN_TABLE, pkt.srh()[0].segments[0])]
-        node.receive_batch(pkts, node.devices["eth0"])
+        receive_one_at_a_time(node, pkts)
     flow_table = node.flow_table
     hits, misses, survivors = fifo_model(looked_up, 16)
     assert list(flow_table.entries) == survivors

@@ -1,30 +1,34 @@
-"""End.BPF groups vs concurrent FIB updates — the re-landing guard.
+"""seg6local groups vs concurrent FIB updates — the re-landing guard.
 
 The datapath groups consecutive same-destination packets behind one
-route resolution.  That resolution can go stale *mid-group*: an eBPF
-program (through a helper) or its continuation may mutate the FIB, and
-the packets still queued behind the group's route must then see the new
+route resolution, and resolves the route after the action once per run
+of equal next keys.  Either resolution can go stale *mid-group*: an
+eBPF program (through a helper) or its continuation may mutate the FIB,
+and the packets still queued behind the group must then see the new
 table — exactly as they would had each been resolved individually.
 
-``Node._run_group`` defends this with a generation check after every
-packet: the main table's generation is compared against its value at
-group formation, and a mismatch flushes the group so the caller
-re-resolves the remainder.  Without the check the group keeps executing
-the replaced route's program (every mark stays 1) — the hazard that
-reverted the first landing of the group path — and the first test below
-fails: a helper-made route replacement must take effect from the very
-next packet, as it does in the second test's one-packet batches.
+``Node._run_group`` defends the segment's route with a generation check
+before every packet after the first: the main table's generation is
+compared against its value at group formation, and a mismatch flushes
+the group so the caller re-resolves the remainder.  Without the check
+the group keeps executing the replaced route's program (every mark
+stays 1) — the hazard that reverted the first landing of the group path
+— and the first test below fails: a helper-made route replacement must
+take effect from the very next packet, as it does in the second test's
+one-packet batches.  The continuation memo is re-resolved when the
+generation of the table it came from moved; the last test replaces the
+next segment's route in the main table and in a redirect table.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.bench.harness import FUNC_SEGMENT, copy_batch, make_router
+from repro.bench.harness import FUNC_SEGMENT, SINK_PREFIX, copy_batch, make_router
 from repro.ebpf import Program
 from repro.ebpf.helpers import HELPERS_BY_ID, register_helper
 from repro.ebpf.jit import clear_handler_cache, handler_cache_stats
-from repro.net import EndBPF
+from repro.net import MAIN_TABLE, EndBPF
 from repro.sim.trafgen import batch_srv6_udp
 
 SINK_ADDR = "fc00:2::2"
@@ -116,3 +120,85 @@ def test_guard_on_matches_batch_of_one():
         node.receive_batch([pkt], dev)
     marks = [p.mark for p in node.devices["eth1"].tx_buffer]
     assert marks == [1] + [2] * (BATCH - 1)
+
+
+# --- a stale continuation ------------------------------------------------------
+#
+# The group resolves the route *after* the action once per run of equal
+# (table, next segment) keys.  A program may replace exactly that route —
+# in the main table, or in the table it redirects into, which the group's
+# main-table flush never sees — and the packets after it must follow the
+# replacement, as one-packet batches do.
+
+# The end_t shape into table 100, handing the host the FIB; BPF_REDIRECT.
+FLIP_REDIRECT_ASM = """
+    r6 = r1
+    *(u32 *)(r10 - 4) = 100        ; u32 table id parameter
+    r2 = 3                         ; SEG6_LOCAL_ACTION_END_T
+    r3 = r10
+    r3 += -4
+    r4 = 4
+    call lwt_seg6_action
+    r1 = r6
+    call test_fib_flip
+    r0 = 7                         ; BPF_REDIRECT
+    exit
+"""
+
+CONTINUATIONS = {
+    # (program, table the continuation resolves in)
+    "main_table": (MARK1_AND_FLIP_ASM, MAIN_TABLE),
+    "redirect_table": (FLIP_REDIRECT_ASM, 100),
+}
+
+
+def _build_next_segment_flip(case: str, flip_at: int):
+    """A router whose program, in its ``flip_at``-th run, moves the next
+    segment's route (in the table the continuation resolves in) from eth1
+    to eth0."""
+    _FLIP.clear()
+    asm, table_id = CONTINUATIONS[case]
+    node = make_router()
+    node.add_route(SINK_PREFIX, via=SINK_ADDR, dev="eth1", table_id=table_id)
+    node.add_route(
+        f"{FUNC_SEGMENT}/128",
+        encap=EndBPF(Program(asm, name=f"flip_{case}", allowed_helpers=None)),
+    )
+    runs = 0
+
+    def count_then_flip(n):
+        nonlocal runs
+        runs += 1
+        if runs < flip_at:
+            _FLIP["fn"] = count_then_flip  # the helper pops it per call
+        else:
+            n.add_route(SINK_PREFIX, via=SINK_ADDR, dev="eth0", table_id=table_id)
+
+    _FLIP["fn"] = count_then_flip
+    return node
+
+
+def _source_ports(pkts) -> list[int]:
+    return [p.l4()[1] for p in pkts]
+
+
+@pytest.mark.parametrize("flip_at", [1, 2, 5])
+@pytest.mark.parametrize("case", sorted(CONTINUATIONS))
+def test_replaced_continuation_route_takes_effect_from_the_flipping_packet(case, flip_at):
+    """Packets up to the flip leave on eth1; the flipping packet and every
+    later one follow the replaced route out of eth0 — grouped or not."""
+    templates = batch_srv6_udp(
+        "fc00:1::1", [FUNC_SEGMENT, SINK_ADDR], BATCH, payload_size=32
+    )
+    ports = _source_ports(templates)
+    expected = (ports[: flip_at - 1], ports[flip_at - 1 :])
+    for sizes in ([BATCH], [1] * BATCH):
+        node = _build_next_segment_flip(case, flip_at)
+        pkts = copy_batch(templates)
+        offset = 0
+        for size in sizes:
+            node.receive_batch(pkts[offset : offset + size], node.devices["eth0"])
+            offset += size
+        devices = node.devices
+        got = (_source_ports(devices["eth1"].tx_buffer), _source_ports(devices["eth0"].tx_buffer))
+        assert got == expected, f"batches of {sizes[0]}"
