@@ -339,11 +339,10 @@ class Node:
         node)``), and its disposition and continuation run *before* the
         next packet does, so side effects (map state, perf events, ICMP,
         listener callbacks) interleave in arrival order.  What the group
-        shares is the segment's route, its counters and the continuation
-        memo: the route after the action, resolved once per run of equal
-        (table id, destination or nh6) keys and again when that table's
-        generation moved.  A plain continuation is the pipeline's
-        decrement and :meth:`_transmit`; any other enters :meth:`_run_pipeline`.
+        shares is the segment's route and its counters; the route after
+        the action is looked up per packet, as the pipeline does.  A plain
+        continuation is the pipeline's decrement and :meth:`_transmit`;
+        any other enters :meth:`_run_pipeline`.
 
         Before each packet after the first, a main-table generation that
         moved since group formation flushes the group, and the caller
@@ -354,8 +353,7 @@ class Node:
         from ..ebpf.jit import _JIT_V2_STATS
 
         counters = self.counters
-        tables = self.tables
-        main = tables[MAIN_TABLE]
+        main = self.tables[MAIN_TABLE]
         generation = main.generation
         action = route.encap
         process = action.process
@@ -364,9 +362,6 @@ class Node:
         transmit = self._transmit
         name = self.name
         budget = _RECIRCULATION_BUDGET - 1
-        # The continuation memo: the last key resolved, its route, and the
-        # generation of the table it was resolved in.
-        last_table_id = last_key = last_route = last_table = last_generation = None
         _JIT_V2_STATS["bpf_groups"] += 1
         i = start
         while i < end:
@@ -385,31 +380,21 @@ class Node:
             disposition = process(pkt, self)
             if disposition is _FORWARD:
                 table_id = MAIN_TABLE
-                key = pkt.data[24:40]
+                key = bytes(pkt.data[24:40])
             else:
                 outcome = self._apply_disposition(disposition)
                 if outcome is None:
                     continue
                 table_id, nh6 = outcome
                 table_id = table_id or MAIN_TABLE
-                key = nh6 if nh6 is not None else pkt.data[24:40]
-            if (
-                key != last_key
-                or table_id != last_table_id
-                or last_table.generation != last_generation
-            ):
-                last_table_id = table_id
-                last_key = bytes(key)
-                last_route = lookup(table_id, last_key)
-                last_table = tables[table_id]
-                last_generation = last_table.generation
-            route = last_route
+                key = nh6 if nh6 is not None else bytes(pkt.data[24:40])
+            route = lookup(table_id, key)
             if route is None:
                 counters.no_route += 1
                 counters.dropped += 1
                 continue
             if route.encap is not None or route.local:
-                run(pkt, True, budget, route, last_key)
+                run(pkt, True, budget, route, key)
                 continue
             if tctx is not None:
                 t = self.clock_ns()

@@ -1,11 +1,11 @@
 """seg6local groups vs concurrent FIB updates — the re-landing guard.
 
 The datapath groups consecutive same-destination packets behind one
-route resolution, and resolves the route after the action once per run
-of equal next keys.  Either resolution can go stale *mid-group*: an
-eBPF program (through a helper) or its continuation may mutate the FIB,
-and the packets still queued behind the group must then see the new
-table — exactly as they would had each been resolved individually.
+route resolution.  That resolution, and the route after the action, can
+go stale *mid-group*: an eBPF program (through a helper) or its
+continuation may mutate the FIB, and the packets still queued behind
+the group must then see the new table — exactly as they would had each
+been resolved individually.
 
 ``Node._run_group`` defends the segment's route with a generation check
 before every packet after the first: the main table's generation is
@@ -15,9 +15,10 @@ the group keeps executing the replaced route's program (every mark
 stays 1) — the hazard that reverted the first landing of the group path
 — and the first test below fails: a helper-made route replacement must
 take effect from the very next packet, as it does in the second test's
-one-packet batches.  The continuation memo is re-resolved when the
-generation of the table it came from moved; the last test replaces the
-next segment's route in the main table and in a redirect table.
+one-packet batches.  The route after the action is looked up per
+packet, revalidated against the generation of the table it came from;
+the last test replaces the next segment's route in the main table and
+in a redirect table.
 """
 
 from __future__ import annotations
@@ -124,11 +125,11 @@ def test_guard_on_matches_batch_of_one():
 
 # --- a stale continuation ------------------------------------------------------
 #
-# The group resolves the route *after* the action once per run of equal
-# (table, next segment) keys.  A program may replace exactly that route —
-# in the main table, or in the table it redirects into, which the group's
-# main-table flush never sees — and the packets after it must follow the
-# replacement, as one-packet batches do.
+# A program may replace the route *after* the action — in the main table,
+# or in the table it redirects into, which the group's main-table flush
+# never sees — and the packets after it must follow the replacement, as
+# one-packet batches do.  A cache of that route held across the group
+# that ignored the redirect table's generation fails the second case.
 
 # The end_t shape into table 100, handing the host the FIB; BPF_REDIRECT.
 FLIP_REDIRECT_ASM = """
