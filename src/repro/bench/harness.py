@@ -105,23 +105,22 @@ def amortisation_stats(node: Node, scheduler=None, since: dict | None = None) ->
     """Cache-effectiveness counters for benchmark reporting.
 
     Reports what the datapath amortises per batch: route-resolution
-    memoisation (:class:`~repro.net.node.FlowTable` hits/misses),
-    compiled-handler reuse (guest address spaces built vs re-armed, one
-    per attach site), and — when a scheduler is involved — the heap
-    events saved by batch delivery.  The counters come from the same
-    :mod:`repro.telemetry` collectors a streaming session samples
-    (unlabelled, so the historical flat key names are unchanged); the
+    memoisation (:class:`~repro.net.node.FlowTable` hits/misses), the
+    node's seg6local groups, and — when a scheduler is involved — the
+    heap events saved by batch delivery.  The counters come from the same
+    :mod:`repro.telemetry` collectors a streaming session samples (the
+    flow-table and scheduler keys unlabelled, so their historical flat
+    names are unchanged; the group keys carry the node label); the
     sample kind drives the ``since`` delta — counters are diffed,
     gauges like ``flow_table_entries`` never are.  Attach the result to
     benchmark JSON (``benchmark.extra_info``) so amortisation
     regressions show up in recorded runs, not just wall-clock.
     """
-    from ..telemetry.instrument import jit_samples, node_cache_samples, scheduler_samples
+    from ..telemetry.instrument import node_cache_samples, scheduler_samples
     from ..telemetry.metrics import MetricsRegistry
 
     registry = MetricsRegistry()
     registry.register(lambda: node_cache_samples(node))
-    registry.register(jit_samples)
     if scheduler is not None:
         registry.register(lambda: scheduler_samples(scheduler))
     samples = registry.collect()

@@ -24,7 +24,7 @@ from typing import Callable
 from . import isa
 from .errors import HelperError
 from .maps import Map, PerfEventArrayMap
-from .memory import MAP_PTR_BASE, Memory, Region
+from .memory import Memory, Region
 
 # Argument-spec atoms (see verifier):
 #   ("ctx",)                      pointer to the program context
@@ -78,11 +78,6 @@ def register_helper(helper_id: int, name: str, args: list[ArgSpec], ret: str = "
     return decorator
 
 
-def map_handle_addr(map_obj: Map) -> int:
-    """Stable opaque guest address representing a map in lddw immediates."""
-    return MAP_PTR_BASE + map_obj.fd * 16
-
-
 class HelperContext:
     """Per-invocation runtime state shared by all helpers.
 
@@ -104,6 +99,7 @@ class HelperContext:
         self.mem = mem
         self.skb = skb
         self.maps_by_addr = maps or {}
+        self.value_bases: dict[int, int] = {}  # map handle -> its values' base
         self.clock_ns = clock_ns
         self.rng = rng or random.Random(0)
         self.cpu = cpu
@@ -146,7 +142,7 @@ def _map_lookup_elem(hctx: HelperContext, map_addr: int, key_addr: int) -> int:
     found = map_obj.lookup_slot(hctx.mem.read_bytes(key_addr, map_obj.key_size))
     if found is None:
         return 0
-    return map_obj.register_value_region(hctx.mem, *found)
+    return map_obj.register_value_region(hctx.mem, hctx.value_bases[map_addr], *found)
 
 
 @register_helper(

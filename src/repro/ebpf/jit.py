@@ -22,8 +22,9 @@ which
   up (so ``Memory.values`` holds its buffer) — exactly how the kernel JIT
   trusts verifier proofs instead of re-checking at runtime.
 
-There is one translator; "v2" in the counter names and in the archived
-``BENCH_pr4.json`` rows refers to it.
+There is one translator; "v2" in the archived ``BENCH_pr4.json`` rows
+refers to it.  What it specialised is counted on the :class:`JitProgram`
+it built; the one process-wide counter is the handler hit/miss pair.
 
 The translated function is exactly semantics-preserving with respect to
 :class:`repro.ebpf.vm.Interpreter`; the test suite runs differential
@@ -44,6 +45,7 @@ from .errors import VmFault
 from .helpers import HELPERS_BY_ID, HelperContext
 from .insn import Instruction, flatten
 from .memory import CTX_BASE, PACKET_BASE, STACK_BASE
+from .vm import _bswap
 
 _M64 = "0xFFFFFFFFFFFFFFFF"
 _M32 = "0xFFFFFFFF"
@@ -61,11 +63,6 @@ def _s64(value: int) -> int:
 def _s32(value: int) -> int:
     value &= 0xFFFFFFFF
     return value - 0x100000000 if value & 0x80000000 else value
-
-
-def _bswap(value: int, width: int) -> int:
-    nbytes = width // 8
-    return int.from_bytes((value & ((1 << width) - 1)).to_bytes(nbytes, "little"), "big")
 
 
 # Names bound into every compiled function's globals.  The _lu/_su entries
@@ -93,20 +90,6 @@ _REGION_BIND = {
     "pkt": "_pktd = _skb.packet_region.data",
 }
 
-# v2 runtime/translation counters, reported through handler_cache_stats()
-# (and from there into repro.bench.amortisation_stats / benchmark JSON).
-_JIT_V2_STATS = {
-    # Translation-time: memory accesses compiled to direct region indexing
-    # instead of the generic Memory path.
-    "v2_region_loads": 0,
-    "v2_region_stores": 0,
-    # Runtime: seg6local groups of every action (see Node._run_group).
-    "bpf_groups": 0,
-    "bpf_grouped_packets": 0,
-    "bpf_group_flushes": 0,
-}
-
-
 def _compile(source: str):
     namespace = dict(_BASE_NAMESPACE)
     exec(compile(source, "<ebpf-jit>", "exec"), namespace)
@@ -127,6 +110,10 @@ class JitProgram:
     values come from ``mem``); for the rare caller running a bare
     :class:`~repro.ebpf.helpers.HelperContext` without one, :meth:`run`
     lazily compiles and uses the generic variant.
+
+    :attr:`region_loads` / :attr:`region_stores` count the memory accesses
+    the translation compiled to direct region indexing instead of the
+    generic ``Memory`` path.
     """
 
     def __init__(self, insns: list[Instruction], helpers=None, regions=None):
@@ -136,8 +123,8 @@ class JitProgram:
         self._fn = _compile(self.source)
         self._needs_skb = bool(spec.buffers)
         self._generic_fn = None if self._needs_skb else self._fn
-        _JIT_V2_STATS["v2_region_loads"] += spec.loads
-        _JIT_V2_STATS["v2_region_stores"] += spec.stores
+        self.region_loads = spec.loads
+        self.region_stores = spec.stores
 
     def run(self, hctx: HelperContext, ctx_addr: int, stack_top: int) -> int:
         fn = self._fn
@@ -176,7 +163,6 @@ class CompiledHandler:
     def __init__(self, program, attach_point: str):
         self.program = program
         self.attach_point = attach_point
-        self.cache_generation = _HANDLER_CACHE_GENERATION
         self.call = None
         self._hctx: HelperContext | None = None
         self._snapshot = None
@@ -228,46 +214,30 @@ class CompiledHandler:
         return hctx
 
 
-# A miss is an address space built, a hit is one re-armed.
+# A miss is an address space built, a hit is one re-armed.  Process-wide,
+# for benchmarks/ledger, which reads it through the two functions below.
 _HANDLER_CACHE_STATS = {"handler_hits": 0, "handler_misses": 0}
-# Bumped by clear_handler_cache(); a handler carries the generation it was
-# built under, and the attach site that owns it drops it on a mismatch.
-_HANDLER_CACHE_GENERATION = 0
 
 
 def handler_cache_stats() -> dict:
-    """Handler hits/misses plus the JIT v2 counters.
+    """Handler hits and misses, summed over every attach site in the process.
 
     ``handler_misses`` counts guest address spaces built (the first
     :meth:`CompiledHandler.arm` of each attach site's handler),
-    ``handler_hits`` the invocations that re-armed one.  The v2 entries
-    cover both translation (``v2_region_loads``/``v2_region_stores``:
-    accesses compiled to direct region indexing) and the groups of every
-    seg6local action in :meth:`repro.net.node.Node._run_group` (``bpf_groups``,
-    ``bpf_grouped_packets``, ``bpf_group_flushes`` — the last counts
-    groups cut short because a FIB-generation bump was observed after
-    one of their packets).
+    ``handler_hits`` the invocations that re-armed one.
     """
-    stats = dict(_HANDLER_CACHE_STATS)
-    stats.update(_JIT_V2_STATS)
-    return stats
+    return dict(_HANDLER_CACHE_STATS)
 
 
 def clear_handler_cache() -> None:
-    """Make every attach site rebuild its handler; reset the hit/miss + v2 counters.
+    """Zero the handler hit/miss counters.
 
-    Handlers live on their attach sites (``EndBPF``, ``BpfLwt``), which
-    compare :attr:`CompiledHandler.cache_generation` against the
-    generation bumped here before reusing one.  Benchmarks call this so
-    a run starts cold: the next packet through each site pays the
-    assembly of a fresh guest address space.
+    A handler lives on its attach site and is rebuilt only when the
+    site's program is replaced: a run that should start cold builds new
+    sites.
     """
-    global _HANDLER_CACHE_GENERATION
-    _HANDLER_CACHE_GENERATION += 1
     _HANDLER_CACHE_STATS["handler_hits"] = 0
     _HANDLER_CACHE_STATS["handler_misses"] = 0
-    for key in _JIT_V2_STATS:
-        _JIT_V2_STATS[key] = 0
 
 
 def _block_starts(slots) -> list[int]:

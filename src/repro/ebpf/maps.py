@@ -12,39 +12,17 @@ pointer-based value access as the kernel:
 * Value storage lives at stable guest addresses; the backing ``bytearray``
   objects are shared with user space (:meth:`Map.lookup` /
   :meth:`Map.update`), giving the bcc-style control plane a live view.
+* A map has no address of its own: as a kernel program's map references
+  are resolved when it loads, each :class:`~repro.ebpf.program.Program`
+  numbers its maps and gives each a handle and a base for its values.
 """
 
 from __future__ import annotations
 
-import itertools
-import threading
 from typing import Iterator
 
 from .errors import MapError
 from .memory import Memory
-
-_fd_counter = itertools.count(3)  # fds 0-2 are taken, as in any self-respecting process
-_fd_lock = threading.Lock()
-
-# Bump allocator for stable guest addresses of map value storage.
-_value_addr_cursor = 0x1000_0000
-_VALUE_ADDR_LIMIT = 0x7000_0000
-_PAGE = 0x1000
-
-
-def _alloc_value_space(size: int) -> int:
-    global _value_addr_cursor
-    with _fd_lock:
-        base = _value_addr_cursor
-        _value_addr_cursor += (size + _PAGE - 1) // _PAGE * _PAGE
-        if _value_addr_cursor > _VALUE_ADDR_LIMIT:
-            raise MapError("guest map-value address space exhausted")
-    return base
-
-
-def _next_fd() -> int:
-    with _fd_lock:
-        return next(_fd_counter)
 
 
 def _align8(size: int) -> int:
@@ -67,17 +45,13 @@ class Map:
         self.key_size = key_size
         self.value_size = value_size
         self.max_entries = max_entries
-        self.fd = _next_fd()
         self._stride = _align8(max(value_size, 1))
-        self._value_base = _alloc_value_space(self._stride * max_entries)
 
     # -- guest address plumbing ------------------------------------------
-    def value_addr(self, slot: int) -> int:
-        return self._value_base + slot * self._stride
-
-    def register_value_region(self, mem: Memory, slot: int, data: bytearray) -> int:
-        """Expose one entry's storage in the invocation's address space."""
-        return mem.map_value(self._value_base + slot * self._stride, data, self)
+    def register_value_region(self, mem: Memory, base: int, slot: int, data: bytearray) -> int:
+        """Expose one entry's storage in the invocation's address space, at
+        ``base`` — where the program's numbering put this map's values."""
+        return mem.map_value(base + slot * self._stride, data, self)
 
     def _check_key(self, key: bytes) -> None:
         if len(key) != self.key_size:

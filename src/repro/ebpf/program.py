@@ -10,15 +10,15 @@ hand is always safe to attach to a hook.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import isa
 from .errors import BpfError
-from .helpers import HelperContext, install_map_regions, map_handle_addr
+from .helpers import HelperContext, install_map_regions
 from .insn import Instruction, flatten
 from .jit import JitProgram
 from .maps import Map
-from .memory import Memory
+from .memory import MAP_PTR_BASE, MAP_VALUE_BASE, Memory
 from .verifier import Verifier
 from .vm import Interpreter
 
@@ -26,6 +26,9 @@ from .vm import Interpreter
 #: ``allowed_helpers`` default: the set the source's ``.hook`` directive
 #: names (every registered helper when there is no hook).
 AUTO_HELPERS = object()
+
+# The kernel's MAX_USED_MAPS: distinct maps one program may reference.
+_MAX_USED_MAPS = 64
 
 
 @dataclass
@@ -79,9 +82,6 @@ class Program:
         self.maps = dict(maps or {})
         self.jit_enabled = jit
         self.insns, self.slot_maps = self._relocate(list(source))
-        self.maps_by_addr = {
-            map_handle_addr(m): m for m in self.slot_maps.values()
-        }
         verifier = Verifier(
             self.insns, self.slot_maps, allowed_helpers=allowed_helpers
         )
@@ -100,9 +100,17 @@ class Program:
 
     # -- loading -------------------------------------------------------------
     def _relocate(self, insns: list[Instruction]):
-        """Resolve ``map:<name>`` references to opaque guest handles."""
+        """Resolve ``map:<name>`` references to this program's guest handles.
+
+        Maps are numbered in first-reference order: map *i*'s handle is
+        ``MAP_PTR_BASE + 16 * i`` (:attr:`maps_by_addr`) and its values
+        follow map *i - 1*'s from ``MAP_VALUE_BASE`` (:attr:`value_bases`),
+        so the relocated bytes and every guest address depend on this
+        program alone.
+        """
         out: list[Instruction] = []
         slot_maps: dict[int, Map] = {}
+        handles: dict[Map, int] = {}
         slot = 0
         for insn in insns:
             if insn.is_lddw and insn.map_ref is not None:
@@ -118,7 +126,7 @@ class Program:
                     isa.BPF_PSEUDO_MAP_FD,
                     insn.off,
                     0,
-                    imm64=map_handle_addr(map_obj),
+                    imm64=handles.setdefault(map_obj, MAP_PTR_BASE + 16 * len(handles)),
                     map_ref=insn.map_ref,
                 )
                 slot_maps[slot] = map_obj
@@ -126,6 +134,20 @@ class Program:
                 raise BpfError("pseudo map lddw without map_ref")
             out.append(insn)
             slot += insn.slots
+        if len(handles) > _MAX_USED_MAPS:
+            raise BpfError(
+                f"program {self.name!r} references {len(handles)} maps, more than {_MAX_USED_MAPS}"
+            )
+        self.maps_by_addr = {handle: map_obj for map_obj, handle in handles.items()}
+        self.value_bases: dict[int, int] = {}
+        end = MAP_VALUE_BASE
+        for handle, map_obj in self.maps_by_addr.items():
+            self.value_bases[handle], end = end, end + map_obj._stride * map_obj.max_entries
+        if end > MAP_PTR_BASE:
+            raise BpfError(
+                f"program {self.name!r}: map values need {end - MAP_VALUE_BASE:#x} bytes, "
+                f"more than the {MAP_PTR_BASE - MAP_VALUE_BASE:#x} below the map handles"
+            )
         return out, slot_maps
 
     @property
@@ -146,7 +168,9 @@ class Program:
         mem = Memory()
         skb = SkbContext(mem, packet_bytes, mark=mark)
         install_map_regions(mem, self.maps_by_addr)
-        return HelperContext(mem, skb, self.maps_by_addr, clock_ns, rng)
+        hctx = HelperContext(mem, skb, self.maps_by_addr, clock_ns, rng)
+        hctx.value_bases = self.value_bases
+        return hctx
 
     def run(self, hctx: HelperContext) -> int:
         """Execute with the configured engine; returns R0."""

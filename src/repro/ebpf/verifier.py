@@ -96,8 +96,8 @@ class Reg:
     null_id: int = 0  # identity group for map_value_or_null refinement
 
     def key(self):
-        map_fd = self.map.fd if self.map is not None else -1
-        return (self.kind, self.off, self.const, map_fd, self.null_id)
+        map_id = id(self.map) if self.map is not None else -1
+        return (self.kind, self.off, self.const, map_id, self.null_id)
 
 
 _UNINIT = Reg()

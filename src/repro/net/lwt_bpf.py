@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..ebpf import Program
-from ..ebpf import jit as _jit
 from ..ebpf.jit import CompiledHandler
 from .packet import Packet
 from .seg6local import _FORWARD, Disposition, run_attached
@@ -48,8 +47,7 @@ class BpfLwt:
 
         Each hook owns its :class:`~repro.ebpf.jit.CompiledHandler` — built
         on the hook's first packet, rebuilt when the hook's program is
-        replaced or :func:`~repro.ebpf.jit.clear_handler_cache` ran since —
-        and the program runs through
+        replaced — and the program runs through
         :func:`~repro.net.seg6local.run_attached`, as End.BPF's does.
         """
         if hook == "lwt_in":
@@ -69,10 +67,6 @@ class BpfLwt:
             tctx.append((t, t, "ebpf", node.name, f"{hook}/{program.name}"))
 
         handler = self._handlers.get(hook)
-        if (
-            handler is None
-            or handler.program is not program
-            or handler.cache_generation != _jit._HANDLER_CACHE_GENERATION
-        ):
+        if handler is None or handler.program is not program:
             handler = self._handlers[hook] = CompiledHandler(program, hook)
         return run_attached(handler, self.stats, pkt, node)

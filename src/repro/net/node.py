@@ -144,6 +144,12 @@ class Node:
         self.log_messages: list[str] = []
         self.answer_echo = True
         self.flow_table = FlowTable()  # route-resolution memo
+        # seg6local groups formed, packets they ran, and groups cut short by
+        # a main-table generation bump (see _run_group).  Not NodeCounters
+        # fields: those are the simulated statistics a run's digest hashes.
+        self.groups = 0
+        self.grouped_packets = 0
+        self.group_flushes = 0
         # Per-device egress accumulator (keyed by device name), active while
         # a batch is being dispatched; flushed through NetDev.transmit_batch
         # at batch end.  Nested dispatches (ICMP errors, echo replies)
@@ -350,8 +356,6 @@ class Node:
         ``tests/test_jit_v2_fib_guard.py`` pins).  Returns the index of
         the first unprocessed packet.
         """
-        from ..ebpf.jit import _JIT_V2_STATS
-
         counters = self.counters
         main = self.tables[MAIN_TABLE]
         generation = main.generation
@@ -362,11 +366,11 @@ class Node:
         transmit = self._transmit
         name = self.name
         budget = _RECIRCULATION_BUDGET - 1
-        _JIT_V2_STATS["bpf_groups"] += 1
+        self.groups += 1
         i = start
         while i < end:
             if main.generation != generation:
-                _JIT_V2_STATS["bpf_group_flushes"] += 1
+                self.group_flushes += 1
                 break
             pkt = pkts[i]
             i += 1
@@ -412,7 +416,7 @@ class Node:
             transmit(pkt, route)
         counters.seg6local_processed += i - start
         action.processed += i - start
-        _JIT_V2_STATS["bpf_grouped_packets"] += i - start
+        self.grouped_packets += i - start
         return i
 
     def _flush_egress(self) -> None:
@@ -629,11 +633,19 @@ class Node:
         if pkt.tctx is not None and self.tracer is not None:
             self.tracer.finish(pkt, self)
         self.counters.delivered_local += 1
-        l4 = pkt.l4()
-        if l4 is None:
+        info = pkt._l4_offset()  # the one header walk: ICMP parsing reuses it
+        if info is None:
             return
-        proto, _sport, dport = l4
-        if proto == PROTO_ICMPV6 and self._handle_icmp(pkt):
+        proto, offset = info
+        if proto == PROTO_ICMPV6:
+            if self._handle_icmp(pkt, offset):
+                return
+        elif proto == PROTO_UDP or proto == PROTO_TCP:
+            data = pkt.data
+            if offset + 4 > len(data):
+                return
+            dport = (data[offset + 2] << 8) | data[offset + 3]
+        else:
             return
         matched = False
         for listener in self.listeners:
@@ -654,12 +666,9 @@ class Node:
             )
             self.send(error)
 
-    def _handle_icmp(self, pkt: Packet) -> bool:
-        """Answer Echo Requests; other ICMP goes to listeners."""
-        info = pkt._l4_offset()
-        if info is None:
-            return False
-        _proto, offset = info
+    def _handle_icmp(self, pkt: Packet, offset: int) -> bool:
+        """Answer Echo Requests (the ICMPv6 header at ``offset``); other ICMP
+        goes to listeners."""
         try:
             message = Icmpv6Message.parse(bytes(pkt.data), offset)
         except ValueError:

@@ -152,38 +152,21 @@ class Packet:
     def l4(self) -> tuple[int, int, int] | None:
         """(protocol, src_port, dst_port) of the innermost transport header.
 
-        Walks routing extension headers and IPv6-in-IPv6 encapsulation.
-        Returns None for packets without a recognised transport header.
+        Walks routing extension headers and IPv6-in-IPv6 encapsulation
+        (:meth:`_l4_offset`).  ICMPv6 has no ports (0, 0).  Returns None
+        for packets without a recognised, untruncated transport header.
         """
+        info = self._l4_offset()
+        if info is None:
+            return None
+        proto, offset = info
+        if proto == PROTO_ICMPV6:
+            return proto, 0, 0
         data = self.data
-        offset = IPV6_HEADER_LEN
-        proto = self.next_header
-        hops = 0
-        while hops < 8:
-            hops += 1
-            if proto == PROTO_ROUTING:
-                if offset + 2 > len(data):
-                    return None
-                next_proto = data[offset]
-                ext_len = (data[offset + 1] + 1) * 8
-                offset += ext_len
-                proto = next_proto
-            elif proto == 41:  # IPv6-in-IPv6
-                if offset + IPV6_HEADER_LEN > len(data):
-                    return None
-                proto = data[offset + 6]
-                offset += IPV6_HEADER_LEN
-            elif proto in (PROTO_UDP, PROTO_TCP):
-                if offset + 4 > len(data):
-                    return None
-                src_port = (data[offset] << 8) | data[offset + 1]
-                dst_port = (data[offset + 2] << 8) | data[offset + 3]
-                return proto, src_port, dst_port
-            elif proto == PROTO_ICMPV6:
-                return proto, 0, 0
-            else:
-                return None
-        return None
+        if (proto != PROTO_UDP and proto != PROTO_TCP) or offset + 4 > len(data):
+            return None
+        src_port = (data[offset] << 8) | data[offset + 1]
+        return proto, src_port, (data[offset + 2] << 8) | data[offset + 3]
 
     def flow_hash(self) -> int:
         """5-tuple hash used for ECMP nexthop selection (RFC 2992 style)."""
@@ -203,6 +186,8 @@ class Packet:
         return bytes(self.data[offset + UDP_HEADER_LEN :])
 
     def _l4_offset(self) -> tuple[int, int] | None:
+        """(protocol, offset) of the first header past routing headers and
+        IPv6-in-IPv6, or None if the walk is truncated or takes > 8 headers."""
         data = self.data
         offset = IPV6_HEADER_LEN
         proto = self.next_header

@@ -45,7 +45,6 @@ from dataclasses import dataclass, field
 from ..ebpf import BPF_DROP, BPF_OK, BPF_REDIRECT, Program
 from ..ebpf.context import SkbContext
 from ..ebpf.errors import BpfError, VmFault
-from ..ebpf import jit as _jit
 from ..ebpf.jit import CompiledHandler
 from .addr import as_addr
 from .ipv6 import IPV6_HEADER_LEN, PROTO_IPV6, PROTO_ROUTING
@@ -351,14 +350,9 @@ class EndBPF(Seg6LocalAction):
         self._handler = None
 
     def handler(self) -> CompiledHandler:
-        """This site's handler: built on first use, rebuilt when ``program`` is
-        replaced or :func:`~repro.ebpf.jit.clear_handler_cache` ran since."""
+        """This site's handler: built on first use, rebuilt when ``program`` is replaced."""
         handler = self._handler
-        if (
-            handler is None
-            or handler.program is not self.program
-            or handler.cache_generation != _jit._HANDLER_CACHE_GENERATION
-        ):
+        if handler is None or handler.program is not self.program:
             handler = self._handler = CompiledHandler(self.program, "seg6local")
         return handler
 

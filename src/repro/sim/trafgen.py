@@ -36,9 +36,11 @@ class UdpFlow:
     The wire image is built once, on the first tick, by the checked
     builder (:meth:`_build_template`); each packet is a copy of it with
     the source port and UDP checksum — all that varies — stamped in.
-    """
 
-    _flow_ids = iter(range(1, 1 << 30))
+    ``flow_id`` is 0 until an owner numbers the flow:
+    :meth:`repro.lab.network.Network.trafgen` gives a network's flows
+    1, 2, … in creation order.
+    """
 
     def __init__(
         self,
@@ -89,7 +91,7 @@ class UdpFlow:
         # scripted start(duration_ns=) later resets _stop_ns.  The shard
         # workers use it to quiesce replica flows owned by other shards.
         self.enabled = True
-        self.flow_id = next(self._flow_ids)
+        self.flow_id = 0
         # Set by net.trace() iff this flow is admitted by the sampling
         # decision (a pure function of seed and flow_id); an admitted
         # flow traces every packet it emits.

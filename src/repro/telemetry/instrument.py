@@ -15,6 +15,7 @@ issue: ``node``, ``device``, ``sid``, ``hook``):
 ====================  ===========================================
 ``node_*{node=}``     :class:`~repro.net.node.NodeCounters` fields
 ``flow_table_*``      route-resolution memo hits/misses/occupancy
+``bpf_group*{node=}`` seg6local groups formed / packets / flushes
 ``dev_*{device=}``    per-device ``ip -s link`` counters
 ``link_*{device=}``   per-direction wire counters (egress device)
 ``cpu_*{node=}``      :class:`~repro.sim.cpu.CpuStats` + queue depth
@@ -23,7 +24,6 @@ issue: ``node``, ``device``, ``sid``, ``hook``):
 ``perf_*{ring=}``     per-CPU perf ring push/drop/depth
 ``igp_*``/``ctrl_events{kind=}``  control-plane state + bus counts
 ``meter_*{meter=}``   flow-meter delivery counters
-``handler_*``/``v2_*``/``bpf_group*``  global JIT cache / seg6local group counters
 ====================  ===========================================
 """
 
@@ -63,21 +63,17 @@ def node_counter_samples(node, labels: dict | None = None) -> Iterator[Sample]:
 
 
 def node_cache_samples(node, labels: dict | None = None) -> Iterator[Sample]:
-    """Flow-table memo effectiveness (hits/misses counters, occupancy gauge)."""
+    """Flow-table memo effectiveness (hits/misses counters, occupancy gauge)
+    and the node's seg6local groups (formed, packets run, flushed)."""
     tags = _labels(labels) if labels else ()
     flow_table = node.flow_table
     yield Sample("flow_table_hits", tags, flow_table.hits)
     yield Sample("flow_table_misses", tags, flow_table.misses)
     yield Sample("flow_table_entries", tags, len(flow_table), "gauge")
-
-
-def jit_samples(labels: dict | None = None) -> Iterator[Sample]:
-    """The handler hit/miss + JIT v2 counters (process-wide)."""
-    from ..ebpf.jit import handler_cache_stats
-
-    tags = _labels(labels) if labels else ()
-    for name, value in sorted(handler_cache_stats().items()):
-        yield Sample(name, tags, value)
+    tags = _labels(labels, node=node.name)
+    yield Sample("bpf_groups", tags, node.groups)
+    yield Sample("bpf_grouped_packets", tags, node.grouped_packets)
+    yield Sample("bpf_group_flushes", tags, node.group_flushes)
 
 
 def scheduler_samples(scheduler, labels: dict | None = None) -> Iterator[Sample]:
@@ -266,7 +262,6 @@ def network_samples(net) -> Iterable[Sample]:
     ctrl = net._ctrl
     if ctrl is not None:
         out.extend(ctrl_samples(ctrl))
-    out.extend(jit_samples())
     out.extend(scheduler_samples(net.scheduler))
     return out
 

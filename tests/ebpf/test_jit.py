@@ -202,17 +202,13 @@ def _accesses(prog: Program) -> tuple[list, list]:
 
 def test_wrr_translation_makes_no_generic_memory_call():
     """Ten map-value load pcs and six store pcs, every one of them specialised."""
-    from repro.ebpf.jit import clear_handler_cache, handler_cache_stats
-
-    clear_handler_cache()  # zeroes the translation counters
     _node, handle = _wrr()
     prog = handle.lwt.prog_out
     loads, stores = _accesses(prog)
     assert sum(type(tag) is tuple for tag in loads) == 10
     assert sum(type(tag) is tuple for tag in stores) == 6
     assert "mixed" not in loads + stores
-    stats = handler_cache_stats()
-    assert (stats["v2_region_loads"], stats["v2_region_stores"]) == (len(loads), len(stores))
+    assert (prog._jit.region_loads, prog._jit.region_stores) == (len(loads), len(stores))
     source = prog._jit.source
     for generic in ("_load(", "_store(", "mem.load", "mem.store"):
         assert generic not in source

@@ -83,29 +83,39 @@ def test_percpu_array_behaves_like_array():
     assert m.map_type == "percpu_array"
 
 
+BASE = 0x1000_0000
+
+
 def test_stable_value_addresses():
-    m = ArrayMap("a", value_size=8, max_entries=4)
-    assert m.value_addr(0) == m.value_addr(0)
-    assert m.value_addr(1) - m.value_addr(0) == 8
+    """Slot s of a map sits at base + s * stride in any address space."""
+    m = ArrayMap("a", value_size=5, max_entries=4)
+    addrs = [m.register_value_region(Memory(), BASE, *m.lookup_slot(key32(i))) for i in range(4)]
+    assert addrs == [BASE, BASE + 8, BASE + 16, BASE + 24]  # 5-byte values, 8-byte stride
 
 
 def test_value_region_is_registered_once_per_address_space():
     m = ArrayMap("a", value_size=8, max_entries=4)
     mem = Memory()
     slot, storage = m.lookup_slot(key32(2))
-    addr = m.register_value_region(mem, slot, storage)
-    assert m.register_value_region(mem, slot, storage) == addr == m.value_addr(2)
+    addr = m.register_value_region(mem, BASE, slot, storage)
+    assert m.register_value_region(mem, BASE, slot, storage) == addr == BASE + 16
     assert [r.base for r in mem.snapshot()[1]] == [addr]
     mem.store(addr, 8, 0x0102030405060708)  # guest stores land in the map
     assert m.lookup(key32(2)) == bytes(range(8, 0, -1))
 
 
 def test_distinct_maps_use_distinct_address_space():
+    """A program lays its maps' values out one after another, in
+    first-reference order, whatever other programs did with them."""
+    from repro.ebpf import Program
+
     m1 = ArrayMap("a1", value_size=8, max_entries=4)
-    m2 = ArrayMap("a2", value_size=8, max_entries=4)
-    span1 = (m1.value_addr(0), m1.value_addr(3) + 8)
-    span2 = (m2.value_addr(0), m2.value_addr(3) + 8)
-    assert span1[1] <= span2[0] or span2[1] <= span1[0]
+    m2 = ArrayMap("a2", value_size=12, max_entries=3)
+    text = "r1 = a2 ll\nr1 = a1 ll\nr1 = a2 ll\nr0 = 0\nexit"
+    for maps in ({"a1": m1, "a2": m2}, {"a2": m2, "a1": m1}):
+        prog = Program(text, maps=maps, allowed_helpers=None)
+        assert list(prog.maps_by_addr.values()) == [m2, m1]
+        assert list(prog.value_bases.values()) == [BASE, BASE + 3 * 16]
 
 
 # --- hash ---------------------------------------------------------------------
@@ -156,10 +166,10 @@ def test_value_region_follows_a_reused_slot(map_type):
     key_a, key_b = key32(32) + b"AAAA", key32(32) + b"BBBB"  # LPM: a /32 each
     mem = Memory()
     m.update(key_a, b"AAAAAAAA")
-    addr = m.register_value_region(mem, *m.lookup_slot(key_a))
+    addr = m.register_value_region(mem, BASE, *m.lookup_slot(key_a))
     m.delete(key_a)
     m.update(key_b, b"BBBBBBBB")
-    assert m.register_value_region(mem, *m.lookup_slot(key_b)) == addr
+    assert m.register_value_region(mem, BASE, *m.lookup_slot(key_b)) == addr
     assert mem.mapped(addr)
     assert mem.read_bytes(addr, 8) == b"BBBBBBBB"
     mem.store(addr, 1, ord("b"))  # and guest stores land in the live entry

@@ -157,10 +157,11 @@ def test_fault_messages(access, writes):
 def test_map_handle_region_refuses_reads_and_writes():
     """The opaque ``map_ptr`` handles are mapped with no permission at all."""
     from repro.ebpf import ArrayMap
-    from repro.ebpf.helpers import install_map_regions, map_handle_addr
+    from repro.ebpf.helpers import install_map_regions
+    from repro.ebpf.memory import MAP_PTR_BASE
 
     map_obj = ArrayMap("handle", value_size=8, max_entries=1)
-    addr = map_handle_addr(map_obj)
+    addr = MAP_PTR_BASE  # a program's first map
     mem = Memory()
     install_map_regions(mem, {addr: map_obj})
     assert mem.find(addr, 16).kind == "map_ptr"

@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.ebpf import ArrayMap, LinkError, Program, VerifierError
-from repro.ebpf.helpers import map_handle_addr
+from repro.ebpf import ArrayMap, HashMap, LinkError, Program, VerifierError
+from repro.ebpf.errors import BpfError
+from repro.ebpf.memory import MAP_PTR_BASE
 
 PKT = b"\x60" + b"\x00" * 39
 
@@ -24,11 +25,36 @@ COUNTER_PROG = """
 
 
 def test_relocation_sets_map_handle():
+    """A program's first map gets handle MAP_PTR_BASE, whichever program
+    loaded the same map before it."""
     m = ArrayMap("m", value_size=8, max_entries=1)
-    prog = Program(COUNTER_PROG, maps={"m": m})
-    lddw = next(insn for insn in prog.insns if insn.is_lddw)
-    assert lddw.imm64 == map_handle_addr(m)
-    assert prog.maps_by_addr[map_handle_addr(m)] is m
+    for _ in range(2):
+        prog = Program(COUNTER_PROG, maps={"m": m})
+        lddw = next(insn for insn in prog.insns if insn.is_lddw)
+        assert lddw.imm64 == MAP_PTR_BASE
+        assert prog.maps_by_addr == {MAP_PTR_BASE: m}
+
+
+def test_a_program_may_reference_at_most_64_maps():
+    maps = {f"m{i}": ArrayMap(f"m{i}", value_size=8, max_entries=1) for i in range(65)}
+    text = "\n".join(f"r1 = m{i} ll" for i in range(64)) + "\nr0 = 0\nexit"
+    prog = Program(text, maps=maps, allowed_helpers=None)
+    assert sorted(prog.maps_by_addr) == [MAP_PTR_BASE + 16 * i for i in range(64)]
+    with pytest.raises(BpfError, match="references 65 maps, more than 64"):
+        Program(text.replace("r0 = 0", "r1 = m64 ll\nr0 = 0"), maps=maps, allowed_helpers=None)
+
+
+def test_map_values_must_fit_below_the_map_handles():
+    big = HashMap("big", key_size=4, value_size=1 << 20, max_entries=1 << 10)  # 1 GiB
+    prog = Program("r1 = big ll\nr0 = 0\nexit", maps={"big": big}, allowed_helpers=None)
+    assert prog.value_bases == {MAP_PTR_BASE: 0x1000_0000}
+    other = HashMap("other", key_size=4, value_size=1 << 20, max_entries=1 << 10)
+    with pytest.raises(BpfError, match="map values need 0x80000000 bytes, more than the 0x6f000000 below"):
+        Program(
+            "r1 = big ll\nr1 = other ll\nr0 = 0\nexit",
+            maps={"big": big, "other": other},
+            allowed_helpers=None,
+        )
 
 
 def test_unknown_map_reference_raises():

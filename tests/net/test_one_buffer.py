@@ -13,7 +13,6 @@ import pytest
 from repro.ebpf import ArrayMap, PerfEventArrayMap, Program
 from repro.ebpf.errors import HelperError
 from repro.ebpf.helpers import HELPERS_BY_ID, register_helper
-from repro.ebpf.jit import handler_cache_stats
 from repro.net import (
     BpfLwt,
     EndBPF,
@@ -107,15 +106,13 @@ def test_end_bpf_runs_on_the_packets_own_buffer(name, path):
     pkts = [Packet(raw) for _ in range(3)]
     buffers = [pkt.data for pkt in pkts]
 
-    grouped = handler_cache_stats()["bpf_grouped_packets"]
     if path == "group":
         node.receive_batch(pkts, node.devices["eth0"])
     else:
         for pkt in pkts:
             node.receive(pkt, node.devices["eth0"])
-    grouped = handler_cache_stats()["bpf_grouped_packets"] - grouped
 
-    assert grouped == (3 if path == "group" else 0)
+    assert node.grouped_packets == (3 if path == "group" else 0)
     assert action.program.stats.invocations == 3 and action.stats["errors"] == 0
     assert all(pkt.data is buffer for pkt, buffer in zip(pkts, buffers))
     assert [len(pkt.data) != len(raw) for pkt in pkts] == [resizes] * 3

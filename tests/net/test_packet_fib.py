@@ -56,6 +56,42 @@ def test_tcp_packet_l4():
     assert pkt.l4() == (6, 80, 443)
 
 
+def _ipv6(next_header: int) -> bytes:
+    return bytes(6) + bytes([next_header, 64]) + bytes(32)
+
+
+def _rh(next_header: int, ext_len: int = 0) -> bytes:
+    return bytes([next_header, ext_len]) + bytes(6 + 8 * ext_len)
+
+
+PORTS = bytes([0x12, 0x34, 0x56, 0x78])
+
+L4_CHAINS = {
+    "udp": (_ipv6(17) + PORTS, (17, 0x1234, 0x5678)),
+    "two_routing_headers_then_tcp": (_ipv6(43) + _rh(43, 2) + _rh(6) + PORTS, (6, 0x1234, 0x5678)),
+    "ipv6_in_ipv6_then_routing_then_udp": (_ipv6(41) + _ipv6(43) + _rh(17) + PORTS, (17, 0x1234, 0x5678)),
+    "seven_routing_headers_then_udp": (_ipv6(43) + _rh(43) * 6 + _rh(17) + PORTS, (17, 0x1234, 0x5678)),
+    "eight_routing_headers_exhaust_the_walk": (_ipv6(43) + _rh(43) * 7 + _rh(17) + PORTS, None),
+    "icmp_without_a_body": (_ipv6(43) + _rh(58), (58, 0, 0)),
+    "udp_ports_truncated": (_ipv6(43) + _rh(17) + PORTS[:3], None),
+    "tcp_ports_missing": (_ipv6(6), None),
+    "routing_header_truncated": (_ipv6(43) + b"\x11", None),
+    "routing_header_overruns_the_packet": (_ipv6(43) + _rh(17, 4)[:8] + PORTS, None),
+    "inner_ipv6_truncated": (_ipv6(41) + _ipv6(17)[:39], None),
+    "no_next_header": (_ipv6(43) + _rh(59) + PORTS, None),
+    "hop_by_hop_is_not_walked": (_ipv6(0) + _rh(17) + PORTS, None),
+}
+
+
+@pytest.mark.parametrize("chain", sorted(L4_CHAINS))
+def test_l4_verdicts_on_header_chains(chain):
+    """l4(): the innermost transport header through routing headers and
+    IPv6-in-IPv6, None for truncated ports, unknown protocols and walks
+    longer than eight headers; ICMPv6 carries no ports."""
+    raw, expected = L4_CHAINS[chain]
+    assert Packet(raw).l4() == expected
+
+
 def test_hop_limit_ops():
     pkt = make_udp_packet("fc00::1", "fc00::2", 1, 2, b"", hop_limit=2)
     assert pkt.decrement_hop_limit() == 1

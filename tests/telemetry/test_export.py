@@ -4,7 +4,6 @@ import json
 
 import pytest
 
-from repro.ebpf.jit import clear_handler_cache
 from repro.ebpf.text import load_text
 from repro.lab import Network
 from repro.net.lwt_bpf import BpfLwt
@@ -49,7 +48,6 @@ def _ctrl_net(seed: int) -> Network:
 
 
 def _run_ctrl_export(seed: int) -> str:
-    clear_handler_cache()  # JIT stats are process-global; start cold
     net = _ctrl_net(seed)
     session = net.telemetry(interval_ms=20, sink=RingSink(capacity=None))
     net.run(until_ms=450)
@@ -69,7 +67,6 @@ def test_seeded_runs_export_byte_identical_jsonl():
 
 def _run_perf_export(seed: int) -> str:
     """A jittery link with a BPF LWT program streaming per-packet records."""
-    clear_handler_cache()  # JIT stats are process-global; start cold
     net = Network(seed=seed)
     net.add_node("A", addr="fc00:a::1")
     net.add_node("B", addr="fc00:b::1")

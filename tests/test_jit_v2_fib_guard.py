@@ -28,7 +28,6 @@ import pytest
 from repro.bench.harness import FUNC_SEGMENT, SINK_PREFIX, copy_batch, make_router
 from repro.ebpf import Program
 from repro.ebpf.helpers import HELPERS_BY_ID, register_helper
-from repro.ebpf.jit import clear_handler_cache, handler_cache_stats
 from repro.net import MAIN_TABLE, EndBPF
 from repro.sim.trafgen import batch_srv6_udp
 
@@ -72,7 +71,6 @@ MARK2_ASM = """
 
 def _build():
     """Router with an End.BPF segment whose program can flip the FIB."""
-    clear_handler_cache()
     _FLIP.clear()
     node = make_router()
     prog_a = Program(MARK1_AND_FLIP_ASM, name="mark1_flip", allowed_helpers=None)
@@ -100,14 +98,15 @@ def _drive(node) -> list[int]:
 
 def test_guard_on_flushes_group_and_matches_scalar():
     """A mid-group route replacement takes effect from the next packet."""
-    marks = _drive(_build())
+    node = _build()
+    marks = _drive(node)
     # Packet 1 ran the old program (mark 1) and flipped the route; every
     # later packet must already see the replacement (mark 2) — identical
     # to resolving each packet individually.
     assert marks == [1] + [2] * (BATCH - 1)
-    stats = handler_cache_stats()
-    assert stats["bpf_groups"] >= 2  # the flushed group plus its retry
-    assert stats["bpf_group_flushes"] >= 1
+    assert node.groups == 2  # the flushed group plus its retry
+    assert node.group_flushes == 1
+    assert node.grouped_packets == BATCH
 
 
 def test_guard_on_matches_batch_of_one():
