@@ -54,6 +54,8 @@ CB_SLOTS = 5
 _CB_ZERO = bytes(CTX_SIZE - OFF_CB)
 # len, protocol, mark, priority, data, data_end: the fields before cb.
 _PACK_FIELDS = struct.Struct("<IIIIQQ").pack_into
+_PACK_U32 = struct.Struct("<I").pack_into
+_PACK_U64 = struct.Struct("<Q").pack_into
 
 # Static access rules consumed by the verifier: offset -> (size, writable, kind)
 # kind: "scalar", "pkt_ptr", "pkt_end_ptr"
@@ -111,8 +113,8 @@ class SkbContext:
         """
         size = len(self.packet_region.data)
         raw = self.ctx_region.data
-        struct.pack_into("<I", raw, OFF_LEN, size & isa.U32)
-        struct.pack_into("<Q", raw, OFF_DATA_END, PACKET_BASE + size)
+        _PACK_U32(raw, OFF_LEN, size & isa.U32)
+        _PACK_U64(raw, OFF_DATA_END, PACKET_BASE + size)
 
     # -- metadata read-back after the run --------------------------------------
     @property

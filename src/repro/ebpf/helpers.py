@@ -8,6 +8,11 @@ helper carries:
 * an argument specification the verifier checks statically, and
 * a Python implementation executed with bounds-checked guest memory.
 
+A helper is called with exactly its ``len(helper.args)`` arguments.  The
+tracing :class:`Helper` appends ``(name, args, ret)`` to an enabled
+``helper_trace``; a translated program calls the plain ``Helper.fn`` when
+the invocation does not trace, so both engines leave the same trace.
+
 The SRv6 helpers of §3.1 (``bpf_lwt_seg6_*``, ``bpf_lwt_push_encap``) are
 registered by :mod:`repro.net.seg6_helpers`, keeping the kernel-networking
 logic out of the VM core — the same layering as the kernel, where helper
@@ -48,11 +53,10 @@ class Helper:
     args: list[ArgSpec] = field(default_factory=list)
     ret: str = "scalar"
 
-    def __call__(self, hctx: "HelperContext", *regs: int) -> int:
-        args = regs[: len(self.args)]
+    def __call__(self, hctx: "HelperContext", *args: int) -> int:
         ret = self.fn(hctx, *args)
         if hctx.helper_trace is not None:
-            hctx.helper_trace.append((self.name, tuple(args), ret))
+            hctx.helper_trace.append((self.name, args, ret))
         return ret
 
 
@@ -105,10 +109,10 @@ class HelperContext:
         self.cpu = cpu
         self.trace_log: list[str] = []
         # Opt-in call tracing: set to a list and every helper invocation
-        # appends ``(name, args, ret)``.  Both engines dispatch through
+        # appends ``(name, args, ret)``.  Both engines trace through
         # :meth:`Helper.__call__`, so traces are engine-comparable — the
         # differential corpus and fuzzer rely on this.  ``None`` (the
-        # default) keeps the hot path to a single identity check.
+        # default) lets a translated program call ``Helper.fn`` directly.
         self.helper_trace: list[tuple] | None = None
         # Networking hooks populate these:
         self.packet = None
@@ -139,10 +143,13 @@ def install_map_regions(mem: Memory, maps: dict[int, Map]) -> None:
 def _map_lookup_elem(hctx: HelperContext, map_addr: int, key_addr: int) -> int:
     # The table read directly; resolve_map only raises for an unbound handle.
     map_obj = hctx.maps_by_addr.get(map_addr) or hctx.resolve_map(map_addr)
-    found = map_obj.lookup_slot(hctx.mem.read_bytes(key_addr, map_obj.key_size))
+    mem = hctx.mem
+    found = map_obj.lookup_slot(mem.read_bytes(key_addr, map_obj.key_size))
     if found is None:
         return 0
-    return map_obj.register_value_region(hctx.mem, hctx.value_bases[map_addr], *found)
+    # Slot s of this map's values sits where the program's numbering put them.
+    slot, data = found
+    return mem.map_value(hctx.value_bases[map_addr] + slot * map_obj._stride, data, map_obj)
 
 
 @register_helper(

@@ -6,7 +6,13 @@ host: each program is translated once into a dedicated Python function in
 which
 
 * registers are local variables (no register-file indexing),
-* instruction semantics are inlined expressions (no dispatch),
+* instruction semantics are inlined expressions (no dispatch), byte
+  swaps included: ``be16`` / ``be32`` / ``be64`` truncate to their width
+  and swap in one expression each, where the interpreter calls a function,
+* a helper call passes exactly the helper's arguments,
+  ``_hN(hctx, r1, ..., rk)``, to the plain ``Helper.fn`` — or, when the
+  invocation records a ``helper_trace``, to the tracing
+  :class:`~repro.ebpf.helpers.Helper` — chosen once in the prologue,
 * control flow is *threaded*: basic blocks are laid out in program order
   and guarded by a single integer state variable, so a straight-line
   program runs top to bottom without ever returning to a dispatcher
@@ -45,7 +51,6 @@ from .errors import VmFault
 from .helpers import HELPERS_BY_ID, HelperContext
 from .insn import Instruction, flatten
 from .memory import CTX_BASE, PACKET_BASE, STACK_BASE
-from .vm import _bswap
 
 _M64 = "0xFFFFFFFFFFFFFFFF"
 _M32 = "0xFFFFFFFF"
@@ -71,7 +76,6 @@ def _s32(value: int) -> int:
 _BASE_NAMESPACE = {
     "_s64": _s64,
     "_s32": _s32,
-    "_bswap": _bswap,
     "VmFault": VmFault,
     "_lu16": _STRUCT_U16.unpack_from,
     "_lu32": _STRUCT_U32.unpack_from,
@@ -300,12 +304,12 @@ def _translate(insns: list[Instruction], helpers, regions=None):
     block_id = {pc: i for i, pc in enumerate(leaders)}
     regions = regions or {}
 
-    used_helpers = sorted(
-        {insn.imm for insn in insns if insn.opcode == (isa.BPF_JMP | isa.BPF_CALL)}
-    )
-    for hid in used_helpers:
-        if hid not in helpers:
-            raise VmFault(f"JIT: unknown helper id {hid}")
+    arity = {}  # helper id -> argument count, for each helper the program calls
+    for insn in insns:
+        if insn.opcode == (isa.BPF_JMP | isa.BPF_CALL):
+            if insn.imm not in helpers:
+                raise VmFault(f"JIT: unknown helper id {insn.imm}")
+            arity[insn.imm] = len(helpers[insn.imm].args)
 
     # Which region buffers the specialised sites need, and whether any
     # access still goes through the generic Memory path.
@@ -323,8 +327,12 @@ def _translate(insns: list[Instruction], helpers, regions=None):
                 lines.append("    " + _REGION_BIND[tag])
     if spec.values:
         lines.append("    _values = mem.values")
-    for hid in used_helpers:
-        lines.append(f"    _h{hid} = helpers[{hid}]")
+    if arity:
+        # Once per invocation: the plain functions, or the tracing Helpers.
+        lines.append("    if hctx.helper_trace is None:")
+        lines.extend(f"        _h{hid} = helpers[{hid}].fn" for hid in arity)
+        lines.append("    else:")
+        lines.extend(f"        _h{hid} = helpers[{hid}]" for hid in arity)
 
     used = _used_registers(slots)
     zero_regs = sorted(r for r in used if r not in (isa.R1, isa.R10))
@@ -338,7 +346,7 @@ def _translate(insns: list[Instruction], helpers, regions=None):
     if len(leaders) == 1:
         # Single basic block: no dispatch state at all — the program is
         # a straight-line function body.
-        body = _emit_block(slots, 0, leaders, block_id, spec)
+        body = _emit_block(slots, 0, leaders, block_id, spec, arity)
         lines.extend("    " + stmt for stmt in body)
         return "\n".join(lines) + "\n", spec
 
@@ -351,7 +359,7 @@ def _translate(insns: list[Instruction], helpers, regions=None):
     lines.append("    while True:")
     for index, leader in enumerate(leaders):
         lines.append(f"        if _b == {index}:")
-        body = _emit_block(slots, leader, leaders, block_id, spec)
+        body = _emit_block(slots, leader, leaders, block_id, spec, arity)
         lines.extend("            " + stmt for stmt in body)
     return "\n".join(lines) + "\n", spec
 
@@ -416,7 +424,7 @@ def _emit_spec_store(insn, tag, size, value: str) -> str:
     return f"{_STORE_FN[size]}({buf}, {idx}, {value})"
 
 
-def _emit_block(slots, start, leaders, block_id, spec) -> list[str]:
+def _emit_block(slots, start, leaders, block_id, spec, arity) -> list[str]:
     out: list[str] = []
     pc = start
     next_leader_idx = leaders.index(start) + 1
@@ -480,9 +488,8 @@ def _emit_block(slots, start, leaders, block_id, spec) -> list[str]:
                 out.append("return r0")
                 return out
             if op == isa.BPF_CALL:
-                out.append(
-                    f"r0 = int(_h{insn.imm}(hctx, r1, r2, r3, r4, r5)) & {_M64}"
-                )
+                args = "".join(f", r{reg}" for reg in range(1, arity[insn.imm] + 1))
+                out.append(f"r0 = int(_h{insn.imm}(hctx{args})) & {_M64}")
                 pc += 1
                 continue
             if op == isa.BPF_JA:
@@ -513,9 +520,14 @@ def _emit_alu(insn: Instruction) -> str:
     dst = f"r{insn.dst_reg}"
 
     if op == isa.BPF_END:
-        if insn.opcode & isa.BPF_TO_BE:
-            return f"{dst} = _bswap({dst}, {insn.imm})"
-        return f"{dst} = {dst} & {(1 << insn.imm) - 1:#x}"
+        # Truncate to the width (a register already fits 64 bits), then swap.
+        width = insn.imm
+        if not insn.opcode & isa.BPF_TO_BE:
+            return f"{dst} = {dst} & {(1 << width) - 1:#x}"
+        if width == 16:
+            return f"{dst} = (({dst} & 0xFF) << 8) | (({dst} >> 8) & 0xFF)"
+        low = dst if width == 64 else f"({dst} & {(1 << width) - 1:#x})"
+        return f"{dst} = int.from_bytes({low}.to_bytes({width // 8}, 'little'), 'big')"
     if op == isa.BPF_NEG:
         return f"{dst} = (-{dst}) & {mask}"
 

@@ -22,7 +22,6 @@ from __future__ import annotations
 from typing import Iterator
 
 from .errors import MapError
-from .memory import Memory
 
 
 def _align8(size: int) -> int:
@@ -46,12 +45,6 @@ class Map:
         self.value_size = value_size
         self.max_entries = max_entries
         self._stride = _align8(max(value_size, 1))
-
-    # -- guest address plumbing ------------------------------------------
-    def register_value_region(self, mem: Memory, base: int, slot: int, data: bytearray) -> int:
-        """Expose one entry's storage in the invocation's address space, at
-        ``base`` — where the program's numbering put this map's values."""
-        return mem.map_value(base + slot * self._stride, data, self)
 
     def _check_key(self, key: bytes) -> None:
         if len(key) != self.key_size:
@@ -101,23 +94,19 @@ class ArrayMap(Map):
         super().__init__(name, 4, value_size, max_entries)
         self._values = [bytearray(value_size) for _ in range(max_entries)]
 
-    def _index(self, key: bytes) -> int | None:
-        self._check_key(key)
-        idx = int.from_bytes(key, "little")
-        return idx if idx < self.max_entries else None
-
     def lookup_slot(self, key: bytes):
-        idx = self._index(key)
-        if idx is None:
-            return None
-        return idx, self._values[idx]
+        # One frame on the hot path: map_lookup_elem runs this per packet.
+        if len(key) != self.key_size:
+            self._check_key(key)  # raises the key-size MapError
+        idx = int.from_bytes(key, "little")
+        return (idx, self._values[idx]) if idx < self.max_entries else None
 
     def update(self, key: bytes, value: bytes) -> None:
-        idx = self._index(key)
-        if idx is None:
+        found = self.lookup_slot(key)
+        if found is None:
             raise MapError(f"array map {self.name!r}: index out of bounds")
         self._check_value(value)
-        self._values[idx][:] = value
+        found[1][:] = value
 
     def delete(self, key: bytes) -> None:
         raise MapError("array map entries cannot be deleted")

@@ -114,7 +114,7 @@ class Interpreter:
                     helper = self.helpers.get(insn.imm)
                     if helper is None:
                         raise VmFault(f"call to unknown helper {insn.imm}", pc)
-                    result = helper(hctx, regs[1], regs[2], regs[3], regs[4], regs[5])
+                    result = helper(hctx, *regs[1 : 1 + len(helper.args)])
                     regs[isa.R0] = int(result) & _U64
                     pc += 1
                     continue

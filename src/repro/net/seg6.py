@@ -8,8 +8,12 @@ on *wire bytes*, shared by the static lwtunnel, the decapsulating
 seg6local actions and ``bpf_lwt_push_encap`` / ``bpf_lwt_seg6_action``
 (§3.1): the SRH goes in as its packed bytes with only the next-header
 byte rewritten, and no ``SRH`` or ``IPv6Header`` object is built.
-Callers that hold an ``SRH`` (daemons, tests) may pass it instead of its
-bytes; ``SRH.parse`` is the reference the tests hold all of this to.
+``_srh_head`` builds those headers for both transit behaviours:
+``push_outer_encap`` / ``push_srh_inline`` return them joined to the
+payload as new bytes, and the helpers splice them into the packet
+buffer where it lies.  Callers that hold an ``SRH`` (daemons, tests)
+may pass it instead of its bytes; ``SRH.parse`` is the reference the
+tests hold all of this to.
 """
 
 from __future__ import annotations
@@ -40,12 +44,21 @@ def _check_ipv6(data) -> None:
         raise ValueError(f"not an IPv6 packet (version {data[0] >> 4})")
 
 
-def _push(word0, payload_length, hop_limit, src, srh, next_header, payload) -> bytes:
-    """IPv6 header to ``srh``'s active segment + ``srh`` + ``payload``.
+def _srh_head(data, srh, outer_src: bytes | None = None, hop_limit: int = 64) -> bytes:
+    """An IPv6 header to ``srh``'s active segment + ``srh``: the one header builder.
 
-    Wire bytes, checked by their producer with :func:`~repro.net.srh.srh_wire_len`,
-    go in as they are but for the next-header byte.
+    With ``outer_src`` it is T.Encaps' outer header, to go in front of all
+    of ``data``; without, it is T.Insert's, to replace ``data``'s IPv6
+    header.  Wire bytes, checked by their producer with
+    :func:`~repro.net.srh.srh_wire_len`, go in as they are but for the
+    next-header byte.  Raises ValueError before anything is built.
     """
+    if outer_src is None:
+        _check_ipv6(data)
+        word0, payload_length = int.from_bytes(data[:4], "big"), (data[4] << 8) | data[5]
+        hop_limit, src, next_header = data[7], data[8:24], data[6:7]
+    else:
+        word0, payload_length, src, next_header = 0x60000000, len(data), outer_src, _NH_IPV6
     raw_srh = srh.pack() if isinstance(srh, SRH) else srh
     payload_length += len(raw_srh)
     if payload_length > 0xFFFF:
@@ -54,7 +67,7 @@ def _push(word0, payload_length, hop_limit, src, srh, next_header, payload) -> b
     header = _PACK_HEADER(
         word0, payload_length, PROTO_ROUTING, hop_limit, src, raw_srh[at : at + SEGMENT_LEN]
     )
-    return b"".join((header, next_header, raw_srh[1:], payload))
+    return b"".join((header, next_header, raw_srh[1:]))
 
 
 def push_srh_inline(data, srh: SRH | bytes) -> bytes:
@@ -64,14 +77,12 @@ def push_srh_inline(data, srh: SRH | bytes) -> bytes:
     final segment (``segments[0]``); the IPv6 destination is rewritten to
     the SRH's active segment.
     """
-    _check_ipv6(data)
-    word0, length = int.from_bytes(data[:4], "big"), (data[4] << 8) | data[5]
-    return _push(word0, length, data[7], data[8:24], srh, data[6:7], data[IPV6_HEADER_LEN:])
+    return _srh_head(data, srh) + data[IPV6_HEADER_LEN:]
 
 
 def push_outer_encap(data, outer_src: bytes, srh: SRH | bytes, hop_limit: int = 64) -> bytes:
     """Encapsulate in an outer IPv6 header carrying ``srh``, object or wire bytes (T.Encaps)."""
-    return _push(0x60000000, len(data), hop_limit, as_addr(outer_src), srh, _NH_IPV6, data)
+    return _srh_head(data, srh, as_addr(outer_src), hop_limit) + data
 
 
 def pop_srh(data: bytes) -> bytes:

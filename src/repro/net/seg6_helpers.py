@@ -25,13 +25,7 @@ from ..ebpf import isa
 from ..ebpf.errors import HelperError
 from ..ebpf.helpers import HelperContext, register_helper
 from .ipv6 import IPV6_HEADER_LEN, PROTO_ROUTING
-from .seg6 import (
-    BPF_LWT_ENCAP_SEG6,
-    BPF_LWT_ENCAP_SEG6_INLINE,
-    decap_in_place,
-    push_outer_encap,
-    push_srh_inline,
-)
+from .seg6 import BPF_LWT_ENCAP_SEG6, BPF_LWT_ENCAP_SEG6_INLINE, _srh_head, decap_in_place
 from .seg6local import (
     SEG6_LOCAL_ACTION_END_B6,
     SEG6_LOCAL_ACTION_END_B6_ENCAP,
@@ -207,9 +201,13 @@ def _push_srh(hctx: HelperContext, encap_type: int, raw, exact_len: bool = False
 
     :func:`~repro.net.srh.srh_wire_len` accepts what ``SRH.parse`` accepts; ``raw`` is
     cut to the length the header states (``exact_len``: it must be that long).
-    The new packet replaces the buffer's contents; the buffer object stays.
+    The headers are built first, by the transit behaviours' own builder, and
+    then spliced into the buffer where it lies: in front of the packet for
+    T.Encaps, in place of its IPv6 header for T.Insert.  A failed check
+    leaves the buffer untouched.
     """
     skb = hctx.skb
+    data = skb.packet_region.data
     try:
         total = srh_wire_len(raw)
         if exact_len and total != len(raw):
@@ -217,14 +215,13 @@ def _push_srh(hctx: HelperContext, encap_type: int, raw, exact_len: bool = False
         if encap_type == BPF_LWT_ENCAP_SEG6:
             node = hctx.node
             source = node.primary_address() if node else bytes(16)
-            new_packet = push_outer_encap(skb.packet_region.data, source, raw[:total])
+            data[:0] = _srh_head(data, raw[:total], source)
         elif encap_type == BPF_LWT_ENCAP_SEG6_INLINE:
-            new_packet = push_srh_inline(skb.packet_region.data, raw[:total])
+            data[:IPV6_HEADER_LEN] = _srh_head(data, raw[:total])
         else:
             return _ERR
     except ValueError:
         return _ERR
-    skb.packet_region.data[:] = new_packet
     skb.packet_resized()
     return _OK
 

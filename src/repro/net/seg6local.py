@@ -375,10 +375,10 @@ def _revalidate(stats: dict, data: bytearray) -> Disposition | None:
     if len(data) < IPV6_HEADER_LEN or data[6] != PROTO_ROUTING:
         return None
     try:
-        srh_wire_span(data, IPV6_HEADER_LEN)
+        span = srh_wire_span(data, IPV6_HEADER_LEN)
     except ValueError:
         return None  # no parseable SRH; nothing to revalidate
-    reason = validate_srh_wire(data, IPV6_HEADER_LEN)
+    reason = validate_srh_wire(data, IPV6_HEADER_LEN, span)
     if reason is None:
         return None
     stats["drop"] += 1

@@ -335,16 +335,21 @@ def validate_srh_bytes(data: bytes) -> SRH:
     return srh
 
 
-def validate_srh_wire(data, offset: int = 0) -> str | None:
+def validate_srh_wire(data, offset: int = 0, span: tuple[int, int] | None = None) -> str | None:
     """§3.1 re-validation of the SRH at ``offset``, read where it lies.
 
     None for a consistent header, else the reason — the text
-    :func:`validate_srh_bytes` raises for the same bytes.
+    :func:`validate_srh_bytes` raises for the same bytes.  A caller that
+    already holds :func:`srh_wire_span`'s result passes it as ``span``, and
+    the header is not walked again for it.
     """
     try:
-        end = offset + srh_wire_len(data, offset)
-        start = offset + SRH_FIXED_LEN + SEGMENT_LEN * (data[offset + OFF_LAST_ENTRY] + 1)
-        for _tlv in _walk_tlvs(data, start, end):
+        total, nsegs = span or srh_wire_span(data, offset)
+        segments_left = data[offset + OFF_SEGMENTS_LEFT]
+        if segments_left >= nsegs:  # srh_wire_len's check, on the span in hand
+            return f"segments_left {segments_left} > last_entry {nsegs - 1}"
+        start = offset + SRH_FIXED_LEN + SEGMENT_LEN * nsegs
+        for _tlv in _walk_tlvs(data, start, offset + total):
             pass
     except ValueError as exc:
         return str(exc)

@@ -122,6 +122,19 @@ def test_differential_comparisons(a, b, op, is32):
     assert interp == jit
 
 
+@pytest.mark.parametrize("order", ["be", "le"])
+@pytest.mark.parametrize("width", [16, 32, 64])
+@pytest.mark.parametrize(
+    "value", [0x0102030405060708, 0xFFFFFFFFFFFFFFFF, 0x8000000000008001, 0xA5A5_0000_1234_00FF]
+)
+def test_byte_swap_truncates_a_wider_operand_to_its_width(value, width, order):
+    """One ``be`` / ``le`` instruction on a register wider than its width."""
+    interp, jit = run_both(f"r0 = {value:#x} ll\nr0 = {order}{width} r0\nexit")
+    low = value & ((1 << width) - 1)
+    expected = int.from_bytes(low.to_bytes(width // 8, "little"), "big") if order == "be" else low
+    assert interp == jit == expected
+
+
 def _run_paper_prog(prog: Program, packet: bytes) -> tuple[int, bytes]:
     hctx = prog.make_context(packet)
     hctx.hook = "seg6local"

@@ -8,12 +8,15 @@ from hypothesis import given, settings, strategies as st
 from repro.ebpf import (
     ArrayMap,
     HashMap,
+    HelperContext,
     LpmTrieMap,
     MapError,
     Memory,
     PerCpuArrayMap,
     PerfEventArrayMap,
 )
+from repro.ebpf.helpers import HELPERS_BY_ID
+from repro.ebpf.memory import Region
 from repro.ebpf.text import load_text
 
 
@@ -84,22 +87,41 @@ def test_percpu_array_behaves_like_array():
 
 
 BASE = 0x1000_0000
+HANDLE = 0x7F00_0000
+KEY_AT = 0x2000
+
+
+def lookup(m, mem: Memory, key: bytes) -> int:
+    """``map_lookup_elem`` on ``m`` bound at HANDLE with its values from BASE; the key sits at KEY_AT."""
+    if not mem.mapped(KEY_AT):
+        mem.add_region(Region(KEY_AT, bytearray(8), kind="key"))
+    mem.write_bytes(KEY_AT, key)
+    hctx = HelperContext(mem, maps={HANDLE: m})
+    hctx.value_bases = {HANDLE: BASE}
+    return HELPERS_BY_ID[1](hctx, HANDLE, KEY_AT)
 
 
 def test_stable_value_addresses():
     """Slot s of a map sits at base + s * stride in any address space."""
     m = ArrayMap("a", value_size=5, max_entries=4)
-    addrs = [m.register_value_region(Memory(), BASE, *m.lookup_slot(key32(i))) for i in range(4)]
+    addrs = [lookup(m, Memory(), key32(i)) for i in range(4)]
     assert addrs == [BASE, BASE + 8, BASE + 16, BASE + 24]  # 5-byte values, 8-byte stride
+    assert lookup(m, Memory(), key32(4)) == 0  # past max_entries: NULL
+
+
+def test_array_lookup_checks_the_key_size_first():
+    m = ArrayMap("a", value_size=4, max_entries=2)
+    for key in (b"", b"\x00" * 3, b"\x00" * 5, key32(7) * 2):
+        with pytest.raises(MapError, match=f"key size {len(key)} != 4"):
+            m.lookup_slot(key)
 
 
 def test_value_region_is_registered_once_per_address_space():
     m = ArrayMap("a", value_size=8, max_entries=4)
     mem = Memory()
-    slot, storage = m.lookup_slot(key32(2))
-    addr = m.register_value_region(mem, BASE, slot, storage)
-    assert m.register_value_region(mem, BASE, slot, storage) == addr == BASE + 16
-    assert [r.base for r in mem.snapshot()[1]] == [addr]
+    addr = lookup(m, mem, key32(2))
+    assert lookup(m, mem, key32(2)) == addr == BASE + 16
+    assert [r.base for r in mem.snapshot()[1]] == [KEY_AT, addr]
     mem.store(addr, 8, 0x0102030405060708)  # guest stores land in the map
     assert m.lookup(key32(2)) == bytes(range(8, 0, -1))
 
@@ -166,16 +188,16 @@ def test_value_region_follows_a_reused_slot(map_type):
     key_a, key_b = key32(32) + b"AAAA", key32(32) + b"BBBB"  # LPM: a /32 each
     mem = Memory()
     m.update(key_a, b"AAAAAAAA")
-    addr = m.register_value_region(mem, BASE, *m.lookup_slot(key_a))
+    addr = lookup(m, mem, key_a)
     m.delete(key_a)
     m.update(key_b, b"BBBBBBBB")
-    assert m.register_value_region(mem, BASE, *m.lookup_slot(key_b)) == addr
+    assert lookup(m, mem, key_b) == addr
     assert mem.mapped(addr)
     assert mem.read_bytes(addr, 8) == b"BBBBBBBB"
     mem.store(addr, 1, ord("b"))  # and guest stores land in the live entry
     assert m.lookup(key_b) == b"bBBBBBBB"
     assert mem.values[addr] is m.lookup_slot(key_b)[1]
-    assert [r.base for r in mem.snapshot()[1]] == [addr]  # swapped, not mapped twice
+    assert [r.base for r in mem.snapshot()[1]] == [KEY_AT, addr]  # swapped, not mapped twice
 
 
 DELETE_REINSERT_ASM = """

@@ -26,7 +26,7 @@ from repro.net import (
     push_outer_encap,
     seg6local,
 )
-from repro.net.srh import make_controller_tlv, validate_srh_bytes
+from repro.net.srh import make_controller_tlv, srh_wire_span, validate_srh_bytes
 from repro.progs import (
     add_tlv_prog,
     dm_config_value,
@@ -280,8 +280,10 @@ GROW_8_AND_STORE = """
 def test_revalidation_reads_the_wire_and_agrees_with_the_object_validator(make_program, reason, monkeypatch):
     seen = []
 
-    def checked(data, offset):
-        verdict = seg6local_validate(data, offset)
+    def checked(data, offset, span):
+        assert span == srh_wire_span(data, offset)  # the span located once, handed over
+        verdict = seg6local_validate(data, offset, span)
+        assert verdict == seg6local_validate(data, offset)  # and the same verdict without it
         try:
             validate_srh_bytes(bytes(data[offset : offset + (data[offset + 1] + 1) * 8]))
             expected = None

@@ -43,6 +43,7 @@ from repro.net.srh import (
     OFF_ROUTING_TYPE,
     OFF_SEGMENTS_LEFT,
     Tlv,
+    srh_wire_span,
     validate_srh_bytes,
     validate_srh_wire,
 )
@@ -175,6 +176,42 @@ def test_lwt_push_encap_matches_reference(raw, packet, encap_type):
     assert packet_state(hctx) == (expected_packet, len(expected_packet), len(expected_packet))
 
 
+def _einval_case(case: str, encap_type: int) -> tuple[bytes, bytes]:
+    """(packet, header) for one ``lwt_push_encap`` outcome; ``ok`` succeeds."""
+    packet = bytearray(make_udp_packet("fc00:1::1", "fc00:2::2", 1111, 2222, bytes(64)).data)
+    raw = make_srh(["fc00:7::1", "fc00:2::2"], next_header=41).pack()
+    if case == "bad SRH":
+        raw = raw[:2] + b"\x03" + raw[3:]  # routing type 3
+    elif case == "hdr_len mismatch":
+        raw += bytes(8)
+    elif case == "payload > 65535":
+        if encap_type == BPF_LWT_ENCAP_SEG6:
+            packet += bytes(0xFFFF - len(packet) - len(raw) + 1)  # the whole packet is the payload
+        else:
+            packet[4:6] = (0xFFFF - len(raw) + 1).to_bytes(2, "big")  # the header's own length
+    return bytes(packet), raw
+
+
+@pytest.mark.parametrize("case", ["ok", "bad SRH", "hdr_len mismatch", "payload > 65535"])
+@pytest.mark.parametrize("encap_type", [BPF_LWT_ENCAP_SEG6, BPF_LWT_ENCAP_SEG6_INLINE], ids=["encap", "inline"])
+def test_lwt_push_encap_edits_the_buffer_where_it_lies(case, encap_type):
+    """Success grows the one buffer; each -EINVAL leaves bytes, ``len`` and ``data_end`` as they were."""
+    packet, raw = _einval_case(case, encap_type)
+    hctx = helper_context(packet, "lwt_out")
+    buffer = hctx.skb.packet_region.data
+    hctx.mem.write_bytes(STACK_BASE, raw)
+    code = HELPERS_BY_ID[73](hctx, hctx.skb.ctx_addr, encap_type, STACK_BASE, len(raw))
+    assert hctx.skb.packet_region.data is buffer
+    if case == "ok":
+        assert code == ref.OK
+        expected = ref.lwt_push_encap(packet, SOURCE, encap_type, raw)[1]
+        assert packet_state(hctx) == (expected, len(expected), len(expected))
+        assert len(expected) == len(packet) + len(raw) + (40 if encap_type == BPF_LWT_ENCAP_SEG6 else 0)
+    else:
+        assert code == ref.ERR
+        assert packet_state(hctx) == (packet, len(packet), len(packet))
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     raw=raw_headers(),
@@ -277,8 +314,15 @@ def validation_verdicts(raw: bytes) -> tuple[str | None, str | None]:
         expected = None
     except ValueError as exc:
         expected = str(exc)
-    # The wire validator reads the header where it lies in a packet.
-    return expected, validate_srh_wire(bytes(40) + raw, 40)
+    # The wire validator reads the header where it lies in a packet, and
+    # says the same when handed the span the datapath located first.
+    data = bytes(40) + raw
+    got = validate_srh_wire(data, 40)
+    try:
+        assert validate_srh_wire(data, 40, srh_wire_span(data, 40)) == got
+    except ValueError:
+        pass  # no span: the datapath does not re-validate
+    return expected, got
 
 
 @st.composite

@@ -18,7 +18,11 @@ helper and touches no context field, so the verifier's facts leave
 ``arm`` no region reset and ``run_attached`` no mark read-back (9 when
 both ran for every program; 13 with the ``Program.run`` /
 ``JitProgram.run`` / ``HelperContext.rearm`` frames) — so the next
-layer someone adds to it shows up as a number.
+layer someone adds to it shows up as a number.  Two programs that call
+helpers have one each: Tag++ 20 (19; 24 while the JIT called every
+helper through ``Helper.__call__``, called ``_bswap`` for its two byte
+swaps, and the §3.1 re-validation located the SRH twice more) and Add
+TLV 28 (27; 31).
 
 One packet of a 256-packet ``make_fig2_router`` batch has a budget per
 Figure 2 variant.  Every seg6local action is grouped, the route after
@@ -32,12 +36,16 @@ the action is looked up per packet, and the packet leaves through
   per packet and the handler fetched per group).
 
 Setup 2's hybrid-access path has three budgets of the same kind: one
-WRR decision on the LWT hook (39 calls; 40 with the mark read-back of a
-program that never writes it; 45 before the single invocation path;
-the SRH / IPv6 dataclass round trips and the generic ``Memory`` walk
-read 110), one ``End.DT6`` on its encapsulation (7; 25 with two parses
-and two packet copies), and one delivered packet of the ledger-shaped
-Setup 2 (283.3; 285.2; 294.6; 445.7).
+WRR decision on the LWT hook (29: 28 calls; 39 while each helper call
+went through ``Helper.__call__``'s slice to arity, an array-map lookup
+took three frames and a fourth to map the value, and the encapsulation
+went through ``push_outer_encap`` and a copy back; 40 with the mark
+read-back of a program that never writes it; 45 before the single
+invocation path; the SRH / IPv6 dataclass round trips and the generic
+``Memory`` walk read 110), one ``End.DT6`` on its encapsulation (7; 25
+with two parses and two packet copies), and one delivered packet of the
+ledger-shaped Setup 2 (265: 259.5; 280.1 before exact-arity helper
+calls; 283.3; 285.2; 294.6; 445.7).
 """
 
 from __future__ import annotations
@@ -49,15 +57,16 @@ import pytest
 from repro.bench.harness import copy_batch, drive_batch, make_fig2_router
 from repro.lab import build_setup1, build_setup2
 from repro.net import EndBPF, EndDT6, Node, Packet, make_srv6_udp_packet, make_udp_packet, pton
-from repro.progs import end_prog
+from repro.progs import add_tlv_prog, end_prog, tag_increment_prog
 from repro.sim import NS_PER_MS
 from repro.usecases import deploy_hybrid_access, install_wrr
 
 CALLS_PER_PACKET_BUDGET = 64
 CALLS_PER_SCALAR_END_BPF_BUDGET = 7
-CALLS_PER_WRR_DECISION_BUDGET = 41
+CALLS_PER_SCALAR_HELPER_PROGRAM_BUDGET = {"tag_increment": 20, "add_tlv": 28}
+CALLS_PER_WRR_DECISION_BUDGET = 29
 CALLS_PER_END_DT6_BUDGET = 8
-CALLS_PER_SETUP2_PACKET_BUDGET = 288
+CALLS_PER_SETUP2_PACKET_BUDGET = 265
 CALLS_PER_FIG2_PACKET_BUDGET = {"end_static": 5.5, "end_t_static": 7.5, "end_bpf": 9.5}
 
 
@@ -136,17 +145,32 @@ def test_wrr_decision_and_its_decap_stay_within_their_call_budgets():
     )
 
 
-def test_scalar_end_bpf_stays_within_its_call_budget():
+def scalar_end_bpf_calls(program) -> tuple[int, Packet, EndBPF]:
+    """Calls in one ``EndBPF.process`` of a 2-segment SRv6 packet, after a warm-up packet."""
     node = Node("R")
-    action = EndBPF(end_prog())
+    action = EndBPF(program)
     template = make_srv6_udp_packet("fc00:1::1", ["fc00:e::100", "fc00:2::2"], 40000, 5201, bytes(64))
     action.process(Packet(template.data), node)  # builds the handler's guest address space
     pkt = Packet(template.data)
     calls = count_calls(action.process, pkt, node)
     assert pkt.dst == pton("fc00:2::2") and action.stats["ok"] == 2
+    return calls, pkt, action
+
+
+def test_scalar_end_bpf_stays_within_its_call_budget():
+    calls, _pkt, _action = scalar_end_bpf_calls(end_prog())
     assert calls <= CALLS_PER_SCALAR_END_BPF_BUDGET, (
         f"{calls} Python-level calls per scalar End.BPF, budget {CALLS_PER_SCALAR_END_BPF_BUDGET}"
     )
+
+
+@pytest.mark.parametrize("name", sorted(CALLS_PER_SCALAR_HELPER_PROGRAM_BUDGET))
+def test_scalar_helper_calling_end_bpf_stays_within_its_call_budget(name):
+    make_program, grows = {"tag_increment": (tag_increment_prog, 0), "add_tlv": (add_tlv_prog, 8)}[name]
+    calls, pkt, _action = scalar_end_bpf_calls(make_program())
+    assert len(pkt.data) == 40 + 40 + 8 + 64 + grows  # IPv6, 2-segment SRH, UDP + payload, the TLV
+    budget = CALLS_PER_SCALAR_HELPER_PROGRAM_BUDGET[name]
+    assert calls <= budget, f"{calls} Python-level calls per scalar {name} End.BPF, budget {budget}"
 
 
 @pytest.mark.parametrize("variant", sorted(CALLS_PER_FIG2_PACKET_BUDGET))
