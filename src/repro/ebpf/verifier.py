@@ -304,6 +304,8 @@ class Verifier:
         is64 = insn.klass == isa.BPF_ALU64
         dst = state.regs[insn.dst_reg]
 
+        if insn.off != 0:  # ISA v4's sdiv / smod / movsx live here; 4.18 has none
+            raise VerifierError("BPF_ALU uses reserved fields", pc)
         if insn.dst_reg == isa.R10:
             raise VerifierError("cannot write to frame pointer R10", pc)
 

@@ -25,13 +25,20 @@ faithful loss-recovery state machine, which this module provides:
 
 The connection starts established (no handshake): the experiments
 measure steady-state goodput, as nttcp does.
+
+Segments are wire bytes: each end stamps seq, ack and the checksum
+(RFC 1624) into a copy of one image of its segment, built by
+``make_tcp_packet`` on its first send, and reads the flags, seq and ack
+of an arriving header in place, with no parse and no copy.
 """
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field
 
 from ..net.addr import as_addr
+from ..net.ipv6 import IPV6_HEADER_LEN
 from ..net.node import Node
 from ..net.packet import Packet, make_tcp_packet
 from ..net.tcp import FLAG_ACK, TCP_HEADER_LEN, TcpHeader
@@ -41,6 +48,30 @@ _MIN_RTO_NS = 200 * NS_PER_MS
 _MAX_RTO_NS = 60 * NS_PER_SEC
 _INITIAL_RTO_NS = 1 * NS_PER_SEC
 _INITIAL_WINDOW_SEGMENTS = 10  # RFC 6928
+
+_SEQ_ACK = struct.Struct(">II")  # at L4 offset 4
+_CSUM = struct.Struct(">H")  # at L4 offset 16
+
+
+def _image(end: TcpSender | TcpReceiver, payload: bytes) -> tuple[bytes, int]:
+    """``end``'s segment at seq = ack = 0, and the one's-complement sum
+    (never 0: the data-offset byte is 0x50) of all its checksum covers."""
+    header = TcpHeader(end.src_port, end.dst_port, seq=0, ack=0, flags=FLAG_ACK)
+    image = bytes(make_tcp_packet(end.src, end.dst, header, payload).data)
+    (csum,) = _CSUM.unpack_from(image, IPV6_HEADER_LEN + 16)
+    return image, 0xFFFF - csum
+
+
+def _stamp(image: bytes, rest: int, seq: int, ack: int) -> Packet:
+    pkt = Packet(image)
+    seq, ack = seq & 0xFFFFFFFF, ack & 0xFFFFFFFF
+    _SEQ_ACK.pack_into(pkt.data, IPV6_HEADER_LEN + 4, seq, ack)
+    # A u32 adds as its two halves do (2**16 is 1 mod 0xFFFF); the exact
+    # end-around-carry fold of a sum s > 0 is (s - 1) % 0xFFFF + 1, so one
+    # that folds to 0xFFFF sends checksum 0, as l4_checksum does.
+    csum = 0xFFFE - (rest + seq + ack - 1) % 0xFFFF
+    _CSUM.pack_into(pkt.data, IPV6_HEADER_LEN + 16, csum)
+    return pkt
 
 
 @dataclass
@@ -96,6 +127,7 @@ class TcpSender:
         self._rto_event = None
         self.reorder_tolerance = reorder_tolerance
         self._send_times: dict[int, int] = {}  # segment seq -> last send time
+        self._image: bytes | None = None  # built on the first send
         self.stats = TcpSenderStats()
 
         node.bind(self._on_segment, proto=6, port=src_port)
@@ -123,14 +155,9 @@ class TcpSender:
             self.snd_nxt += self.mss
 
     def _transmit(self, seq: int, retransmit: bool = False) -> None:
-        header = TcpHeader(
-            src_port=self.src_port,
-            dst_port=self.dst_port,
-            seq=seq,
-            ack=0,
-            flags=FLAG_ACK,
-        )
-        pkt = make_tcp_packet(self.src, self.dst, header, bytes(self.mss))
+        if self._image is None:
+            self._image, self._rest = _image(self, bytes(self.mss))
+        pkt = _stamp(self._image, self._rest, seq, 0)
         pkt.tx_tstamp_ns = self.scheduler.now_ns
         self._send_times[seq] = self.scheduler.now_ns
         self.stats.segments_sent += 1
@@ -146,17 +173,15 @@ class TcpSender:
     # -- ACK processing -------------------------------------------------------------
     def _on_segment(self, pkt: Packet, node: Node) -> None:
         info = pkt._l4_offset()
-        if info is None:
+        data = pkt.data
+        if info is None or len(data) - info[1] < TCP_HEADER_LEN:
             return
-        try:
-            header = TcpHeader.parse(bytes(pkt.data), info[1])
-        except ValueError:
-            return
-        if not header.flags & FLAG_ACK:
+        if not data[info[1] + 13] & FLAG_ACK:
             return
         # Pure ACKs carry the highest received sequence in the (otherwise
         # unused) seq field — our one-block SACK (see TcpReceiver).
-        self._handle_ack(header.ack, sack_high=header.seq)
+        sack_high, ack = _SEQ_ACK.unpack_from(data, info[1] + 4)
+        self._handle_ack(ack, sack_high=sack_high)
 
     def _handle_ack(self, ack: int, sack_high: int = 0) -> None:
         if ack > self.snd_una:
@@ -304,6 +329,7 @@ class TcpReceiver:
         self.last_data_ns: int | None = None
         self._ooo: dict[int, int] = {}  # seq -> length
         self._sack_high = 0  # highest byte received (reported in ACKs)
+        self._image: bytes | None = None  # built on the first ACK
         self.stats = TcpReceiverStats()
         node.bind(self._on_segment, proto=6, port=src_port)
 
@@ -311,12 +337,8 @@ class TcpReceiver:
         info = pkt._l4_offset()
         if info is None:
             return
-        offset = info[1]
-        try:
-            header = TcpHeader.parse(bytes(pkt.data), offset)
-        except ValueError:
-            return
-        data_len = len(pkt.data) - offset - TCP_HEADER_LEN
+        # A header shorter than 20 bytes leaves no data either.
+        data_len = len(pkt.data) - info[1] - TCP_HEADER_LEN
         if data_len <= 0:
             return
         self.stats.segments_received += 1
@@ -325,7 +347,7 @@ class TcpReceiver:
             self.first_data_ns = now
         self.last_data_ns = now
 
-        seq = header.seq
+        seq, _ack = _SEQ_ACK.unpack_from(pkt.data, info[1] + 4)
         self._sack_high = max(self._sack_high, seq + data_len)
         if seq == self.rcv_nxt:
             self.rcv_nxt += data_len
@@ -346,14 +368,10 @@ class TcpReceiver:
         self._send_ack()
 
     def _send_ack(self) -> None:
-        header = TcpHeader(
-            src_port=self.src_port,
-            dst_port=self.dst_port,
-            seq=self._sack_high,  # one-block SACK: highest byte received
-            ack=self.rcv_nxt,
-            flags=FLAG_ACK,
-        )
-        pkt = make_tcp_packet(self.src, self.dst, header)
+        if self._image is None:
+            self._image, self._rest = _image(self, b"")
+        # One-block SACK: the seq field carries the highest byte received.
+        pkt = _stamp(self._image, self._rest, self._sack_high, self.rcv_nxt)
         self.stats.acks_sent += 1
         self.node.send(pkt)
 

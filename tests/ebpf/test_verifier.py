@@ -583,6 +583,32 @@ def test_byte_swap_invalid_width():
         verify_program(insns)
 
 
+@pytest.mark.parametrize("width", ["alu", "alu64"])
+@pytest.mark.parametrize("op", ["div", "mod"])
+@pytest.mark.parametrize("source", ["k", "x"])
+def test_alu_with_nonzero_off_rejected(width, op, source):
+    """``off = 1`` makes RFC 9669's signed divide / modulo, which 4.18 lacks:
+    ``r0 = -7; r1 = 2; r0 s/= r1`` must not run as an unsigned divide."""
+    from repro.ebpf.insn import Instruction
+    from repro.ebpf import isa
+
+    klass = {"alu": isa.BPF_ALU, "alu64": isa.BPF_ALU64}[width]
+    code = klass | {"div": isa.BPF_DIV, "mod": isa.BPF_MOD}[op]
+    signed = (
+        Instruction(code | isa.BPF_K, isa.R0, off=1, imm=2)
+        if source == "k"
+        else Instruction(code | isa.BPF_X, isa.R0, isa.R1, off=1)
+    )
+    insns = [
+        Instruction(isa.BPF_ALU64 | isa.BPF_K | isa.BPF_MOV, isa.R0, imm=-7),
+        Instruction(isa.BPF_ALU64 | isa.BPF_K | isa.BPF_MOV, isa.R1, imm=2),
+        signed,
+        Instruction(isa.BPF_JMP | isa.BPF_EXIT),
+    ]
+    with pytest.raises(VerifierError, match="BPF_ALU uses reserved fields"):
+        verify_program(insns)
+
+
 def test_xadd_rejected():
     from repro.ebpf.insn import Instruction
     from repro.ebpf import isa

@@ -44,8 +44,16 @@ read-back of a program that never writes it; 45 before the single
 invocation path; the SRH / IPv6 dataclass round trips and the generic
 ``Memory`` walk read 110), one ``End.DT6`` on its encapsulation (7; 25
 with two parses and two packet copies), and one delivered packet of the
-ledger-shaped Setup 2 (265: 259.5; 280.1 before exact-arity helper
-calls; 283.3; 285.2; 294.6; 445.7).
+ledger-shaped Setup 2 (234: 232.6; 259.5 while each TCP segment and ACK
+was built by ``make_tcp_packet`` and parsed from a copy; 280.1 before
+exact-arity helper calls; 283.3; 285.2; 294.6; 445.7).
+
+The TCP endpoints have one each, with ``node.send`` stubbed: an in-order
+data segment through ``TcpReceiver._on_segment`` up to and including
+its ACK's ``node.send`` (8: 7; 25 with a ``TcpHeader`` parse and the
+ACK built by ``make_tcp_packet``), and a new ACK through
+``TcpSender._on_segment`` up to and including the one new segment's
+``node.send`` (20: 19; 37 likewise).
 """
 
 from __future__ import annotations
@@ -56,9 +64,12 @@ import pytest
 
 from repro.bench.harness import copy_batch, drive_batch, make_fig2_router
 from repro.lab import build_setup1, build_setup2
-from repro.net import EndBPF, EndDT6, Node, Packet, make_srv6_udp_packet, make_udp_packet, pton
+from repro.net import (
+    EndBPF, EndDT6, Node, Packet, TcpHeader, make_srv6_udp_packet, make_tcp_packet, make_udp_packet, pton,
+)
+from repro.net.tcp import FLAG_ACK
 from repro.progs import add_tlv_prog, end_prog, tag_increment_prog
-from repro.sim import NS_PER_MS
+from repro.sim import NS_PER_MS, Scheduler, TcpReceiver, TcpSender
 from repro.usecases import deploy_hybrid_access, install_wrr
 
 CALLS_PER_PACKET_BUDGET = 64
@@ -66,7 +77,9 @@ CALLS_PER_SCALAR_END_BPF_BUDGET = 7
 CALLS_PER_SCALAR_HELPER_PROGRAM_BUDGET = {"tag_increment": 20, "add_tlv": 28}
 CALLS_PER_WRR_DECISION_BUDGET = 29
 CALLS_PER_END_DT6_BUDGET = 8
-CALLS_PER_SETUP2_PACKET_BUDGET = 265
+CALLS_PER_SETUP2_PACKET_BUDGET = 234
+CALLS_PER_TCP_DATA_SEGMENT_BUDGET = 8
+CALLS_PER_TCP_NEW_ACK_BUDGET = 20
 CALLS_PER_FIG2_PACKET_BUDGET = {"end_static": 5.5, "end_t_static": 7.5, "end_bpf": 9.5}
 
 
@@ -185,6 +198,43 @@ def test_fig2_batch_packet_stays_within_its_call_budget(variant):
     assert per_packet <= budget, (
         f"{per_packet:.2f} Python-level calls per {variant} packet in a "
         f"{len(pkts)}-packet batch, budget {budget}"
+    )
+
+
+def test_tcp_endpoints_stay_within_their_call_budgets():
+    """One in-order data segment in, its ACK out; one new ACK in, one new segment out."""
+    sent = []
+
+    def send(pkt: Packet) -> None:
+        sent.append(pkt)
+
+    def segment(src, dst, ports, seq, ack, payload=b"") -> Packet:
+        return make_tcp_packet(src, dst, TcpHeader(*ports, seq, ack, FLAG_ACK), payload)
+
+    b = Node("B")
+    b.send = send
+    receiver = TcpReceiver(Scheduler(), b, "fc00::b", "fc00::a", 6000, 16000)
+    data = [segment("fc00::a", "fc00::b", (16000, 6000), seq, 0, bytes(1400)) for seq in (0, 1400)]
+    receiver._on_segment(data[0], b)  # the first ACK builds the image
+    calls = count_calls(receiver._on_segment, data[1], b)
+    assert receiver.rcv_nxt == 2800 and len(sent) == 2
+    assert calls <= CALLS_PER_TCP_DATA_SEGMENT_BUDGET, (
+        f"{calls} Python-level calls per in-order data segment and its ACK, "
+        f"budget {CALLS_PER_TCP_DATA_SEGMENT_BUDGET}"
+    )
+
+    a = Node("A")
+    a.send = send
+    sender = TcpSender(Scheduler(), a, "fc00::a", "fc00::b", 16000, 6000)
+    sender.start()  # the initial window: 10 segments
+    sender.ssthresh = sender.cwnd  # congestion avoidance: each new ACK frees one segment
+    acks = [segment("fc00::b", "fc00::a", (6000, 16000), ack, ack) for ack in (1400, 2800)]
+    sender._on_segment(acks[0], a)  # takes the RTT sample
+    calls = count_calls(sender._on_segment, acks[1], a)
+    assert sender.snd_una == 2800 and len(sent) == 2 + 12
+    assert calls <= CALLS_PER_TCP_NEW_ACK_BUDGET, (
+        f"{calls} Python-level calls per new ACK and its new segment, "
+        f"budget {CALLS_PER_TCP_NEW_ACK_BUDGET}"
     )
 
 

@@ -2,8 +2,10 @@
 
 import pytest
 
-from repro.net import Node
-from repro.sim import Link, NetemQdisc, Scheduler, make_connection, mbps
+from repro.net import IPV6_HEADER_LEN, PROTO_TCP, Node, TcpHeader, make_tcp_packet
+from repro.net.checksum import verify_l4
+from repro.net.tcp import FLAG_ACK, TCP_HEADER_LEN
+from repro.sim import Link, NetemQdisc, Scheduler, TcpReceiver, TcpSender, make_connection, mbps
 from repro.sim.scheduler import NS_PER_MS, NS_PER_SEC
 
 
@@ -144,6 +146,87 @@ def test_sender_respects_cwnd_cap():
     sched, a, b = build_pipe()
     sender, _ = run_transfer(sched, a, b, seconds=0.5, cwnd_max_bytes=20 * 1400)
     assert sender.cwnd <= 20 * 1400
+
+
+def record_sends(node) -> list[bytes]:
+    """The wire bytes of every packet handed to ``node.send``, as handed."""
+    sent = []
+    send = node.send
+
+    def recording(pkt):
+        sent.append(bytes(pkt.data))
+        send(pkt)
+
+    node.send = recording
+    return sent
+
+
+def rebuilt(wire: bytes) -> bytes:
+    """``wire`` rebuilt by the checked builder from its parsed fields."""
+    h = TcpHeader.parse(wire, IPV6_HEADER_LEN)
+    payload = bytes(len(wire) - IPV6_HEADER_LEN - TCP_HEADER_LEN)
+    header = TcpHeader(h.src_port, h.dst_port, h.seq, h.ack, h.flags)
+    return bytes(make_tcp_packet(wire[8:24], wire[24:40], header, payload).data)
+
+
+def test_endpoints_emit_the_checked_builders_bytes():
+    """Every data segment, retransmit, ACK and dup-ACK either end emits over
+    a lossy, reordering path is ``make_tcp_packet``'s, byte for byte."""
+    sched, a, b = build_pipe()
+    a.devices["eth0"].qdisc = NetemQdisc(
+        sched, rate_bps=20e6, delay_ns=5 * NS_PER_MS, jitter_ns=3 * NS_PER_MS,
+        loss=0.02, seed=5, ordered=False,
+    )
+    segments, acks = record_sends(a), record_sends(b)
+    sender, receiver = run_transfer(sched, a, b, seconds=1.0)
+
+    for wire in segments + acks:
+        assert wire == rebuilt(wire)
+        assert verify_l4(wire[8:24], wire[24:40], PROTO_TCP, wire[IPV6_HEADER_LEN:])
+    assert len(segments) == sender.stats.segments_sent
+    assert len(acks) == receiver.stats.acks_sent
+    acked = [TcpHeader.parse(wire, IPV6_HEADER_LEN).ack for wire in acks]
+    assert sum(x == y for x, y in zip(acked, acked[1:])) > 100  # dup-ACKs
+    stats = sender.stats
+    assert (
+        stats.segments_sent, stats.retransmits, stats.fast_retransmits,
+        stats.timeouts, stats.acked_bytes, receiver.delivered_bytes,
+    ) == (454, 30, 15, 1, 590_800, 590_800)
+
+
+def zero_checksum_segment(src, dst, ports, seq, ack, payload=b"") -> bytes:
+    """``make_tcp_packet``'s bytes for a segment whose checksum is 0x0000."""
+    wire = bytes(make_tcp_packet(src, dst, TcpHeader(*ports, seq, ack, FLAG_ACK), payload).data)
+    assert wire[IPV6_HEADER_LEN + 16 : IPV6_HEADER_LEN + 18] == b"\x00\x00"
+    return wire
+
+
+def emitted(node, emit) -> list[bytes]:
+    """The wire bytes ``emit()`` hands to ``node.send``."""
+    sent = []
+    node.send = lambda pkt: sent.append(bytes(pkt.data))
+    emit()
+    return sent
+
+
+# A sum that folds to 0xFFFF is sent as checksum 0x0000, as l4_checksum
+# computes it: only UDP sends 0 as 0xFFFF.  The seq / ack values below
+# were found by search over each end's segments.
+
+
+def test_an_ack_whose_sum_folds_to_0xffff_carries_checksum_zero():
+    sched, _a, b = build_pipe()
+    receiver = TcpReceiver(sched, b, "fc00::b", "fc00::a", 6000, 16000)
+    receiver._sack_high, receiver.rcv_nxt = 1_455_689, 1_452_889
+    expected = zero_checksum_segment("fc00::b", "fc00::a", (6000, 16000), 1_455_689, 1_452_889)
+    assert emitted(b, receiver._send_ack) == [expected]
+
+
+def test_a_data_segment_whose_sum_folds_to_0xffff_carries_checksum_zero():
+    sched, a, _b = build_pipe()
+    sender = TcpSender(sched, a, "fc00::a", "fc00::b", 16000, 6000)
+    expected = zero_checksum_segment("fc00::a", "fc00::b", (16000, 6000), 23_638, 0, bytes(sender.mss))
+    assert emitted(a, lambda: sender._transmit(23_638)) == [expected]
 
 
 def test_stop_cancels_timers():
