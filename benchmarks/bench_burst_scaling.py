@@ -30,8 +30,8 @@ whenever its flow points ran.  The 1k-flow point additionally runs with
 a live 10 ms telemetry sampler attached (simulated line-rate cadence)
 and asserts the export costs under 5% of batch throughput, and A/B's
 ``repro.trace`` overhead against the untraced batch path.  Results —
-pps, the ratios to the 1-flow point, the group and translation counters and
-the telemetry run's drop accounting — are written to
+pps, the ratios to the 1-flow point, the handler re-arm and translation
+counters and the telemetry run's drop accounting — are written to
 ``BENCH_burst_scaling.json`` (override with ``REPRO_BENCH_JSON``).
 """
 
@@ -61,7 +61,7 @@ MIN_PPS_VS_1_FLOW = {10_000: 0.8, CHURN_FLOWS: 0.4}
 BATCH = 2048
 ROUNDS = 5
 RESULTS: dict[tuple[int, str], float] = {}  # (flows, "batch" | "batch+telemetry") -> pps
-V2_COUNTERS: dict[int, dict] = {}  # flows -> group / translation counters of the batch rounds
+V2_COUNTERS: dict[int, dict] = {}  # flows -> handler re-arms / translation counters of the batch rounds
 TELEMETRY_INFO: dict = {}  # the 1k-flow telemetry-enabled run's export accounting
 # Telemetry overhead gate: a 10 ms streaming sampler may not cost the
 # batch datapath more than this fraction of its throughput.
@@ -78,14 +78,9 @@ def make_end_bpf_router():
     return net, node
 
 
-def _run_counters(node) -> dict:
-    """Handler re-arms (process-wide) and the router's seg6local groups."""
-    return {
-        "handler_hits": handler_cache_stats()["handler_hits"],
-        "bpf_groups": node.groups,
-        "bpf_grouped_packets": node.grouped_packets,
-        "bpf_group_flushes": node.group_flushes,
-    }
+def _run_counters() -> dict:
+    """Handler re-arms (process-wide)."""
+    return {"handler_hits": handler_cache_stats()["handler_hits"]}
 
 
 def make_templates(flows: int):
@@ -279,9 +274,9 @@ def test_batch_scaling_point(flows):
     packet_node.devices["eth1"].tx_buffer.clear()
     batch_node.devices["eth1"].tx_buffer.clear()
 
-    before = _run_counters(batch_node)
+    before = _run_counters()
     RESULTS[(flows, "batch")] = measure_batch(batch_node, templates)
-    after = _run_counters(batch_node)
+    after = _run_counters()
     if flows == TELEMETRY_FLOWS:
         # The same datapath with a live export stream attached: the
         # telemetry acceptance (overhead bounded) is asserted in the

@@ -105,16 +105,14 @@ def amortisation_stats(node: Node, scheduler=None, since: dict | None = None) ->
     """Cache-effectiveness counters for benchmark reporting.
 
     Reports what the datapath amortises per batch: route-resolution
-    memoisation (:class:`~repro.net.node.FlowTable` hits/misses), the
-    node's seg6local groups, and — when a scheduler is involved — the
-    heap events saved by batch delivery.  The counters come from the same
-    :mod:`repro.telemetry` collectors a streaming session samples (the
-    flow-table and scheduler keys unlabelled, so their historical flat
-    names are unchanged; the group keys carry the node label); the
-    sample kind drives the ``since`` delta — counters are diffed,
-    gauges like ``flow_table_entries`` never are.  Attach the result to
-    benchmark JSON (``benchmark.extra_info``) so amortisation
-    regressions show up in recorded runs, not just wall-clock.
+    memoisation (:class:`~repro.net.node.FlowTable` hits/misses) and —
+    when a scheduler is involved — the heap events saved by batch
+    delivery, from the :mod:`repro.telemetry` collectors a streaming
+    session samples.  The sample kind drives the ``since`` delta —
+    counters are diffed, gauges like ``flow_table_entries`` never are.
+    Attach the result to benchmark JSON (``benchmark.extra_info``) so
+    amortisation regressions show up in recorded runs, not just
+    wall-clock.
     """
     from ..telemetry.instrument import node_cache_samples, scheduler_samples
     from ..telemetry.metrics import MetricsRegistry

@@ -23,7 +23,9 @@ the Linux verifier of the 4.18 era the paper targets:
   ``map_lookup_elem``);
 * division/modulo by a zero immediate rejected; shifts, stores to the
   read-only packet, and arithmetic on pointers beyond ``ptr += const``
-  rejected.
+  rejected;
+* a non-zero reserved field rejected, so an ISA-v4 encoding 4.18 lacks
+  is a verdict, not a silently different instruction.
 
 The packet in LWT/seg6local programs is read-only (the paper's helpers are
 the only mutation channel), so any store through a packet pointer is
@@ -220,6 +222,9 @@ class Verifier:
         for pc, insn in enumerate(self.slots):
             if insn is None:
                 continue
+            verdict = _reserved_fields(insn)
+            if verdict is not None:
+                raise VerifierError(f"{verdict} uses reserved fields", pc)
             klass = insn.klass
             if klass not in (isa.BPF_JMP, isa.BPF_JMP32):
                 continue
@@ -304,8 +309,6 @@ class Verifier:
         is64 = insn.klass == isa.BPF_ALU64
         dst = state.regs[insn.dst_reg]
 
-        if insn.off != 0:  # ISA v4's sdiv / smod / movsx live here; 4.18 has none
-            raise VerifierError("BPF_ALU uses reserved fields", pc)
         if insn.dst_reg == isa.R10:
             raise VerifierError("cannot write to frame pointer R10", pc)
 
@@ -706,6 +709,30 @@ class Verifier:
 
         worklist.append((target, state.clone()))
         return fallthrough
+
+
+def _reserved_fields(insn: Instruction) -> str | None:
+    """The name in 4.18's "... uses reserved fields" verdict for ``insn``
+    (``check_alu_op``, ``check_cond_jmp_op``, ``do_check``), or None.
+    ISA v4 puts sdiv / smod / movsx in ``off`` and bswap in ALU64."""
+    klass, op, x = insn.klass, insn.opcode & isa.OP_MASK, insn.opcode & isa.BPF_X
+    src, dst, off, imm = insn.src_reg, insn.dst_reg, insn.off, insn.imm
+    if klass in (isa.BPF_ALU, isa.BPF_ALU64):
+        if op == isa.BPF_END:  # the X bit is the byte order here
+            return "BPF_END" if klass == isa.BPF_ALU64 or src or off else None
+        if op == isa.BPF_NEG:
+            return "BPF_NEG" if x or src or off or imm else None
+        bad = off or (imm if x else src)
+        return ("BPF_MOV" if op == isa.BPF_MOV else "BPF_ALU") if bad else None
+    if klass not in (isa.BPF_JMP, isa.BPF_JMP32):
+        return None
+    if op == isa.BPF_CALL:
+        return "BPF_CALL" if x or off or src or dst else None
+    if op == isa.BPF_JA:
+        return "BPF_JA" if x or imm or src or dst else None
+    if op == isa.BPF_EXIT:
+        return "BPF_EXIT" if x or off or imm or src or dst else None
+    return "BPF_JMP" if (imm if x else src) else None
 
 
 def _refine_null(state: _State, null_id: int, is_null: bool) -> None:

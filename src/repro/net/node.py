@@ -15,12 +15,17 @@ its lwtunnel attachment points:
 
 The datapath is **batch-native**: the unit of work is a list of packets
 (the NAPI-poll analogue), and the scalar entry points are the N=1 case.
-Each packet is carried through the staged pipeline —
+The staged pipeline is
 
     lookup → seg6local → lwt-in → local delivery → decrement →
     seg6 encap → lwt-out/xmit → transmit
 
-— by one function, :meth:`Node._run_pipeline`, whose blocks are the
+:meth:`Node._input_batch` carries a batch through it one packet at a
+time.  A packet takes the previous packet's first route when its
+destination bytes and the main table's generation are unchanged, and
+is looked up otherwise.  A seg6local action (its continuation looked
+up in the table it chose) and a plain forward run in that loop; any
+other route enters :meth:`Node._run_pipeline`, whose blocks are the
 stages in that order and whose locals are the packet's routing state.
 Packets whose headers were rewritten by a tunnel re-enter the routing
 decision (re-circulation), with a budget against misconfiguration
@@ -144,12 +149,6 @@ class Node:
         self.log_messages: list[str] = []
         self.answer_echo = True
         self.flow_table = FlowTable()  # route-resolution memo
-        # seg6local groups formed, packets they ran, and groups cut short by
-        # a main-table generation bump (see _run_group).  Not NodeCounters
-        # fields: those are the simulated statistics a run's digest hashes.
-        self.groups = 0
-        self.grouped_packets = 0
-        self.group_flushes = 0
         # Per-device egress accumulator (keyed by device name), active while
         # a batch is being dispatched; flushed through NetDev.transmit_batch
         # at batch end.  Nested dispatches (ICMP errors, echo replies)
@@ -296,128 +295,81 @@ class Node:
 
     # -- internals --------------------------------------------------------------
     def _input_batch(self, pkts: list[Packet]) -> None:
+        """Carry arrivals through the datapath one at a time (see the module
+        docstring).  Reusing the first route is exact: the lookup is
+        deterministic per (generation, destination), and any FIB change a
+        packet causes bumps the generation (``test_jit_v2_fib_guard.py``).
+        """
         outer = self._egress_batch
         if outer is None:
             self._egress_batch = {}
         counters = self.counters
-        run = self._run_pipeline
-        lookup = self._lookup_route
-        n = len(pkts)
-        i = 0
+        main = self.tables[MAIN_TABLE]
+        dst = first = action = None
+        generation, ran = -1, 0  # ran: packets ``action`` ran, not yet counted
         try:
-            while i < n:
-                pkt = pkts[i]
+            for pkt in pkts:
                 data = pkt.data
-                if len(data) < IPV6_HEADER_LEN:
-                    counters.dropped += 1
-                    i += 1
-                    continue
-                dst = bytes(data[24:40])
-                route = lookup(MAIN_TABLE, dst)
+                if main.generation != generation or data[24:40] != dst:
+                    if len(data) < IPV6_HEADER_LEN:  # never equal to ``dst``
+                        counters.dropped += 1
+                        continue
+                    if ran:
+                        counters.seg6local_processed += ran
+                        action.processed += ran
+                        ran = 0
+                    dst = bytes(data[24:40])
+                    generation = main.generation
+                    first = self._lookup_route(MAIN_TABLE, dst)
+                    action = first.encap if first is not None else None
+                    if action is not None and not isinstance(action, Seg6LocalAction):
+                        action = None
+                tctx = pkt.tctx
+                route, key, budget = first, dst, _RECIRCULATION_BUDGET
+                if action is not None:
+                    if tctx is not None:
+                        # The pipeline's instants: spans match either path.
+                        t = self.clock_ns()
+                        tctx.append((t, t, "stage:lookup", self.name, ""))
+                        tctx.append((t, t, "stage:seg6local", self.name, action.kind))
+                    ran += 1
+                    disposition = action.process(pkt, self)
+                    table_id = nh6 = None
+                    if disposition is not _FORWARD:
+                        outcome = self._apply_disposition(disposition)
+                        if outcome is None:
+                            continue
+                        table_id, nh6 = outcome
+                    key = nh6 if nh6 is not None else bytes(pkt.data[24:40])
+                    route = self._lookup_route(table_id or MAIN_TABLE, key)
+                    budget -= 1
                 if route is None:
                     counters.no_route += 1
                     counters.dropped += 1
-                    i += 1
                     continue
-                encap = route.encap
-                if i + 1 < n and encap is not None and isinstance(encap, Seg6LocalAction):
-                    # seg6local group: scan the run of consecutive packets
-                    # with this same destination — the lookup is
-                    # deterministic per (table generation, dst), and no
-                    # action runs between the probes, so byte-equal
-                    # destinations resolve to this same route.
-                    j = i + 1
-                    while j < n and pkts[j].data[24:40] == dst:
-                        j += 1
-                    if j - i >= 2:
-                        i = self._run_group(pkts, i, j, route)
-                        continue
-                run(pkt, True, route=route, lookup_dst=dst)
-                i += 1
+                if route.encap is not None or route.local:
+                    self._run_pipeline(pkt, True, budget, route, key)
+                    continue
+                if tctx is not None:
+                    t = self.clock_ns()
+                    tctx.append((t, t, "stage:lookup", self.name, ""))
+                # -- decrement and transmit: _run_pipeline's blocks.
+                data = pkt.data
+                hop_limit = data[7]
+                if hop_limit <= 1:
+                    data[7] = 0
+                    counters.hop_limit_exceeded += 1
+                    self._send_time_exceeded(pkt)
+                    continue
+                data[7] = hop_limit - 1
+                counters.forwarded += 1
+                self._transmit(pkt, route)
         finally:
+            if ran:
+                counters.seg6local_processed += ran
+                action.processed += ran
             if outer is None:
                 self._flush_egress()
-
-    def _run_group(self, pkts: list[Packet], start: int, end: int, route: Route) -> int:
-        """Run ``pkts[start:end]`` — consecutive packets to one local segment.
-
-        Each packet is processed as a lone one is (``action.process(pkt,
-        node)``), and its disposition and continuation run *before* the
-        next packet does, so side effects (map state, perf events, ICMP,
-        listener callbacks) interleave in arrival order.  What the group
-        shares is the segment's route and its counters; the route after
-        the action is looked up per packet, as the pipeline does.  A plain
-        continuation is the pipeline's decrement and :meth:`_transmit`;
-        any other enters :meth:`_run_pipeline`.
-
-        Before each packet after the first, a main-table generation that
-        moved since group formation flushes the group, and the caller
-        re-resolves the rest against the new FIB (the stale-route hazard
-        ``tests/test_jit_v2_fib_guard.py`` pins).  Returns the index of
-        the first unprocessed packet.
-        """
-        counters = self.counters
-        main = self.tables[MAIN_TABLE]
-        generation = main.generation
-        action = route.encap
-        process = action.process
-        run = self._run_pipeline
-        lookup = self._lookup_route
-        transmit = self._transmit
-        name = self.name
-        budget = _RECIRCULATION_BUDGET - 1
-        self.groups += 1
-        i = start
-        while i < end:
-            if main.generation != generation:
-                self.group_flushes += 1
-                break
-            pkt = pkts[i]
-            i += 1
-            tctx = pkt.tctx
-            if tctx is not None:
-                # Mirror the scalar path's instants so a traced packet's
-                # span stream is identical whichever path dispatched it.
-                t = self.clock_ns()
-                tctx.append((t, t, "stage:lookup", name, ""))
-                tctx.append((t, t, "stage:seg6local", name, action.kind))
-            disposition = process(pkt, self)
-            if disposition is _FORWARD:
-                table_id = MAIN_TABLE
-                key = bytes(pkt.data[24:40])
-            else:
-                outcome = self._apply_disposition(disposition)
-                if outcome is None:
-                    continue
-                table_id, nh6 = outcome
-                table_id = table_id or MAIN_TABLE
-                key = nh6 if nh6 is not None else bytes(pkt.data[24:40])
-            route = lookup(table_id, key)
-            if route is None:
-                counters.no_route += 1
-                counters.dropped += 1
-                continue
-            if route.encap is not None or route.local:
-                run(pkt, True, budget, route, key)
-                continue
-            if tctx is not None:
-                t = self.clock_ns()
-                tctx.append((t, t, "stage:lookup", name, ""))
-            # -- decrement and transmit: _run_pipeline's blocks.
-            data = pkt.data
-            hop_limit = data[7]
-            if hop_limit <= 1:
-                data[7] = 0
-                counters.hop_limit_exceeded += 1
-                self._send_time_exceeded(pkt)
-                continue
-            data[7] = hop_limit - 1
-            counters.forwarded += 1
-            transmit(pkt, route)
-        counters.seg6local_processed += i - start
-        action.processed += i - start
-        self.grouped_packets += i - start
-        return i
 
     def _flush_egress(self) -> None:
         """Hand each device its accumulated batch (order preserved per device)."""
@@ -470,12 +422,10 @@ class Node:
         The blocks below are the stages, in order; a stage that rewrote
         the headers or the routing state re-circulates the packet with
         ``route = None; continue``.  ``decrement`` is False for locally
-        originated packets.  ``route`` pre-resolves the first lookup
-        (``lookup_dst`` is the destination or nh6 it was resolved for:
-        batch entry points resolve it while probing for seg6local groups,
-        and a group for its continuation); ``budget`` is the remaining
-        re-circulation allowance for callers that already consumed a
-        routing decision (the group path).
+        originated packets.  ``route`` pre-resolves the first lookup, for
+        ``lookup_dst`` (a destination or nh6), and ``budget`` is what is
+        left of the re-circulation allowance: :meth:`_input_batch` passes
+        a packet's first route, or its continuation after an action.
         """
         counters = self.counters
         decremented = False

@@ -15,7 +15,6 @@ issue: ``node``, ``device``, ``sid``, ``hook``):
 ====================  ===========================================
 ``node_*{node=}``     :class:`~repro.net.node.NodeCounters` fields
 ``flow_table_*``      route-resolution memo hits/misses/occupancy
-``bpf_group*{node=}`` seg6local groups formed / packets / flushes
 ``dev_*{device=}``    per-device ``ip -s link`` counters
 ``link_*{device=}``   per-direction wire counters (egress device)
 ``cpu_*{node=}``      :class:`~repro.sim.cpu.CpuStats` + queue depth
@@ -63,17 +62,12 @@ def node_counter_samples(node, labels: dict | None = None) -> Iterator[Sample]:
 
 
 def node_cache_samples(node, labels: dict | None = None) -> Iterator[Sample]:
-    """Flow-table memo effectiveness (hits/misses counters, occupancy gauge)
-    and the node's seg6local groups (formed, packets run, flushed)."""
+    """Flow-table memo effectiveness (hits/misses counters, occupancy gauge)."""
     tags = _labels(labels) if labels else ()
     flow_table = node.flow_table
     yield Sample("flow_table_hits", tags, flow_table.hits)
     yield Sample("flow_table_misses", tags, flow_table.misses)
     yield Sample("flow_table_entries", tags, len(flow_table), "gauge")
-    tags = _labels(labels, node=node.name)
-    yield Sample("bpf_groups", tags, node.groups)
-    yield Sample("bpf_grouped_packets", tags, node.grouped_packets)
-    yield Sample("bpf_group_flushes", tags, node.group_flushes)
 
 
 def scheduler_samples(scheduler, labels: dict | None = None) -> Iterator[Sample]:

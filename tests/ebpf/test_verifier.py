@@ -609,6 +609,74 @@ def test_alu_with_nonzero_off_rejected(width, op, source):
         verify_program(insns)
 
 
+def _reserved_field_cases():
+    """(id, instruction, 4.18's verdict): one encoding per reserved field."""
+    from repro.ebpf.insn import Instruction
+    from repro.ebpf import isa
+
+    alu, alu64, jmp, k, x = isa.BPF_ALU, isa.BPF_ALU64, isa.BPF_JMP, isa.BPF_K, isa.BPF_X
+    r0, r1 = isa.R0, isa.R1
+    end, neg, mov, add = isa.BPF_END, isa.BPF_NEG, isa.BPF_MOV, isa.BPF_ADD
+    jeq, ja, call, exit_ = isa.BPF_JEQ, isa.BPF_JA, isa.BPF_CALL, isa.BPF_EXIT
+    return [
+        # ISA v4's bswap16: 4.18 has no ALU64-class byte swap.
+        ("bswap16", Instruction(alu64 | end | k, r0, imm=16), "BPF_END"),
+        ("end_src_reg", Instruction(alu | end | isa.BPF_TO_BE, r0, r1, imm=16), "BPF_END"),
+        ("end_off", Instruction(alu | end | isa.BPF_TO_LE, r0, off=1, imm=32), "BPF_END"),
+        ("neg_src_reg", Instruction(alu64 | neg | k, r0, r1), "BPF_NEG"),
+        ("neg_imm", Instruction(alu64 | neg | k, r0, imm=5), "BPF_NEG"),
+        ("neg_x", Instruction(alu | neg | x, r0), "BPF_NEG"),
+        ("mov_k_src_reg", Instruction(alu64 | mov | k, r0, r1, imm=3), "BPF_MOV"),
+        ("mov_x_imm", Instruction(alu | mov | x, r0, r1, imm=3), "BPF_MOV"),
+        ("mov_x_off", Instruction(alu64 | mov | x, r0, r1, off=8), "BPF_MOV"),  # ISA v4's movsx
+        ("add_k_src_reg", Instruction(alu64 | add | k, r0, r1, imm=3), "BPF_ALU"),
+        ("add_x_imm", Instruction(alu | add | x, r0, r1, imm=3), "BPF_ALU"),
+        ("jeq_k_src_reg", Instruction(jmp | jeq | k, r0, r1, imm=3), "BPF_JMP"),
+        ("jeq_x_imm", Instruction(jmp | jeq | x, r0, r1, imm=3), "BPF_JMP"),
+        ("jeq32_k_src_reg", Instruction(isa.BPF_JMP32 | jeq | k, r0, r1, imm=3), "BPF_JMP"),
+        ("ja_imm", Instruction(jmp | ja, imm=1), "BPF_JA"),
+        ("ja_dst_reg", Instruction(jmp | ja, r1), "BPF_JA"),
+        ("call_off", Instruction(jmp | call, off=1, imm=5), "BPF_CALL"),
+        ("call_src_reg", Instruction(jmp | call, 0, r1, imm=5), "BPF_CALL"),
+        ("call_x", Instruction(jmp | call | x, imm=5), "BPF_CALL"),
+    ]
+
+
+@pytest.mark.parametrize(
+    "insn, verdict",
+    [case[1:] for case in _reserved_field_cases()],
+    ids=[case[0] for case in _reserved_field_cases()],
+)
+def test_reserved_fields_rejected(insn, verdict):
+    """4.18's ``check_alu_op`` / ``check_cond_jmp_op`` / ``do_check``
+    encoding checks: an instruction with a non-zero reserved field is a
+    loud verdict, not a silently different instruction."""
+    from repro.ebpf.insn import Instruction
+    from repro.ebpf import isa
+
+    insns = [
+        Instruction(isa.BPF_ALU64 | isa.BPF_K | isa.BPF_MOV, isa.R0, imm=0x1234),
+        Instruction(isa.BPF_ALU64 | isa.BPF_K | isa.BPF_MOV, isa.R1, imm=2),
+        insn,
+        Instruction(isa.BPF_JMP | isa.BPF_EXIT),
+    ]
+    with pytest.raises(VerifierError, match=f"{verdict} uses reserved fields"):
+        verify_program(insns)
+
+
+@pytest.mark.parametrize("field", ["imm", "src_reg", "dst_reg", "off"])
+def test_exit_with_reserved_fields_rejected(field):
+    from repro.ebpf.insn import Instruction
+    from repro.ebpf import isa
+
+    insns = [
+        Instruction(isa.BPF_ALU64 | isa.BPF_K | isa.BPF_MOV, isa.R0, imm=0),
+        Instruction(isa.BPF_JMP | isa.BPF_EXIT, **{field: 7}),
+    ]
+    with pytest.raises(VerifierError, match="BPF_EXIT uses reserved fields"):
+        verify_program(insns)
+
+
 def test_xadd_rejected():
     from repro.ebpf.insn import Instruction
     from repro.ebpf import isa

@@ -59,8 +59,11 @@ def accepted(insns) -> bool:
 @pytest.mark.parametrize("klass", [isa.BPF_ALU64, isa.BPF_ALU], ids=["alu64", "alu32"])
 @pytest.mark.parametrize("name", ALU_OPS)
 def test_alu_fold_is_the_interpreters_result(name, klass):
+    op = ALU_OPS[name]
+    # NEG has no source: its X form uses a reserved field.
+    insn = Instruction(klass | op, isa.R0) if op == isa.BPF_NEG else Instruction(klass | op | isa.BPF_X, isa.R0, isa.R1)
     for a, b in PAIRS:
-        head = [lddw(isa.R0, a), lddw(isa.R1, b), Instruction(klass | ALU_OPS[name] | isa.BPF_X, isa.R0, isa.R1)]
+        head = [lddw(isa.R0, a), lddw(isa.R1, b), insn]
         result = interpret(head + [EXIT])
         # if r0 <cmp> result goto +1; r0 = r5; exit
         for cmp, reaches_unsafe in ((isa.BPF_JEQ, False), (isa.BPF_JNE, True)):

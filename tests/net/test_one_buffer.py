@@ -96,7 +96,7 @@ def wrr() -> Program:
 LWT_CASES = {"dm_encap": lambda: dm_encap_prog(dm_config("ob_dm_c")), "wrr": wrr}
 
 
-@pytest.mark.parametrize("path", ["scalar", "group"])
+@pytest.mark.parametrize("path", ["scalar", "batch"])
 @pytest.mark.parametrize("name", SEG6LOCAL_CASES)
 def test_end_bpf_runs_on_the_packets_own_buffer(name, path):
     make_program, raw, resizes = SEG6LOCAL_CASES[name]
@@ -106,13 +106,17 @@ def test_end_bpf_runs_on_the_packets_own_buffer(name, path):
     pkts = [Packet(raw) for _ in range(3)]
     buffers = [pkt.data for pkt in pkts]
 
-    if path == "group":
+    if path == "batch":
         node.receive_batch(pkts, node.devices["eth0"])
     else:
         for pkt in pkts:
             node.receive(pkt, node.devices["eth0"])
 
-    assert node.grouped_packets == (3 if path == "group" else 0)
+    # One batch looks the segment up once, one at a time three times; each
+    # forwarded packet adds the lookup of its continuation.
+    flow_table = node.flow_table
+    segment_lookups = flow_table.hits + flow_table.misses - node.counters.forwarded
+    assert segment_lookups == (1 if path == "batch" else 3)
     assert action.program.stats.invocations == 3 and action.stats["errors"] == 0
     assert all(pkt.data is buffer for pkt, buffer in zip(pkts, buffers))
     assert [len(pkt.data) != len(raw) for pkt in pkts] == [resizes] * 3
@@ -188,7 +192,7 @@ PROBE_ONLY = """
 """
 
 
-@pytest.mark.parametrize("sizes", [[3], [1, 1, 1]], ids=["group", "scalar"])
+@pytest.mark.parametrize("sizes", [[3], [1, 1, 1]], ids=["batch", "scalar"])
 def test_helpers_see_the_packets_own_buffer_across_a_resize(sizes):
     _SEEN.clear()
     node = router()
@@ -214,7 +218,7 @@ def test_lwt_helpers_see_the_packets_own_buffer():
 # --- a dropped packet keeps its edits; the node's books do not change --------------
 
 
-@pytest.mark.parametrize("sizes", [[2], [1, 1]], ids=["group", "scalar"])
+@pytest.mark.parametrize("sizes", [[2], [1, 1]], ids=["batch", "scalar"])
 @pytest.mark.parametrize("ending", ["BPF_DROP", "fault"])
 def test_edit_then_drop_keeps_the_edit_and_the_nodes_books(ending, sizes):
     tail = "r0 = 2\nexit" if ending == "BPF_DROP" else "r1 = r6\nr2 = 9\ncall test_buffer_probe\nr0 = 0\nexit"

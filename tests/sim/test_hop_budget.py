@@ -5,11 +5,13 @@ link, S2's local delivery — once per packet, so every layer someone
 adds to that path is a few more Python calls per packet.  The count
 under ``sys.setprofile`` is exact and the same on every host; the
 budget below sits just above what the fused dispatch function, the
-straight-line wire, the single invocation path and the fact-gated arm
-left (62.0; 65.0 while every program's arm reset everything; 69.0
-while a scalar End.BPF went through ``Program.run`` and
-``JitProgram.run``; the per-packet context object, stage methods and
-``Packet.__len__`` frames before that read 100.0).
+straight-line wire, the single invocation path, the fact-gated arm and
+the batch loop's inline seg6local action left (61.0; 62.0 while a
+batch of one entered ``_run_pipeline`` for its End.BPF; 65.0 while
+every program's arm reset everything; 69.0 while a scalar End.BPF went
+through ``Program.run`` and ``JitProgram.run``; the per-packet context
+object, stage methods and ``Packet.__len__`` frames before that read
+100.0).
 
 The invocation itself has its own budget: one scalar
 ``EndBPF.process`` is 6 calls — ``process``, the prologue, the pin,
@@ -25,15 +27,21 @@ swaps, and the §3.1 re-validation located the SRH twice more) and Add
 TLV 28 (27; 31).
 
 One packet of a 256-packet ``make_fig2_router`` batch has a budget per
-Figure 2 variant.  Every seg6local action is grouped, the route after
-the action is looked up per packet, and the packet leaves through
-``_transmit``; plain forwarding reads 4.02.
-- a static End: 5.5 (5.03; 7.02 while only End.BPF was grouped and a
-  static End took the pipeline alone, with two lookups per packet);
-- End.T: 7.5 (7.03; 11.02 alone in the pipeline, with two lookups and
-  a ``Disposition`` built per packet);
-- End.BPF: 9.5 (9.03; 9.04 with ``pkt.dst`` and ``decrement_hop_limit``
-  per packet and the handler fetched per group).
+Figure 2 variant.  A packet takes the previous packet's first route
+when its destination and the main table's generation are unchanged, a
+seg6local action runs inline in the batch loop, the route after the
+action is looked up per packet, and the packet leaves through
+``_transmit``:
+- plain forwarding: 2.5 (2.02; 4.02 while each plain packet did its
+  own lookup and entered ``_run_pipeline``);
+- a static End: 5.5 (5.02; 5.03 in a seg6local group of its own;
+  7.02 while only End.BPF was grouped and a static End took the
+  pipeline alone, with two lookups per packet);
+- End.T: 7.5 (7.02; 7.03 grouped; 11.02 alone in the pipeline, with
+  two lookups and a ``Disposition`` built per packet);
+- End.BPF: 9.5 (9.02; 9.03 grouped; 9.04 with ``pkt.dst`` and
+  ``decrement_hop_limit`` per packet and the handler fetched per
+  group).
 
 Setup 2's hybrid-access path has three budgets of the same kind: one
 WRR decision on the LWT hook (29: 28 calls; 39 while each helper call
@@ -44,9 +52,10 @@ read-back of a program that never writes it; 45 before the single
 invocation path; the SRH / IPv6 dataclass round trips and the generic
 ``Memory`` walk read 110), one ``End.DT6`` on its encapsulation (7; 25
 with two parses and two packet copies), and one delivered packet of the
-ledger-shaped Setup 2 (234: 232.6; 259.5 while each TCP segment and ACK
-was built by ``make_tcp_packet`` and parsed from a copy; 280.1 before
-exact-arity helper calls; 283.3; 285.2; 294.6; 445.7).
+ledger-shaped Setup 2 (230: 228.5; 232.6 while every arrival entered
+``_run_pipeline``; 259.5 while each TCP segment and ACK was built by
+``make_tcp_packet`` and parsed from a copy; 280.1 before exact-arity
+helper calls; 283.3; 285.2; 294.6; 445.7).
 
 The TCP endpoints have one each, with ``node.send`` stubbed: an in-order
 data segment through ``TcpReceiver._on_segment`` up to and including
@@ -72,15 +81,15 @@ from repro.progs import add_tlv_prog, end_prog, tag_increment_prog
 from repro.sim import NS_PER_MS, Scheduler, TcpReceiver, TcpSender
 from repro.usecases import deploy_hybrid_access, install_wrr
 
-CALLS_PER_PACKET_BUDGET = 64
+CALLS_PER_PACKET_BUDGET = 62
 CALLS_PER_SCALAR_END_BPF_BUDGET = 7
 CALLS_PER_SCALAR_HELPER_PROGRAM_BUDGET = {"tag_increment": 20, "add_tlv": 28}
 CALLS_PER_WRR_DECISION_BUDGET = 29
 CALLS_PER_END_DT6_BUDGET = 8
-CALLS_PER_SETUP2_PACKET_BUDGET = 234
+CALLS_PER_SETUP2_PACKET_BUDGET = 230
 CALLS_PER_TCP_DATA_SEGMENT_BUDGET = 8
 CALLS_PER_TCP_NEW_ACK_BUDGET = 20
-CALLS_PER_FIG2_PACKET_BUDGET = {"end_static": 5.5, "end_t_static": 7.5, "end_bpf": 9.5}
+CALLS_PER_FIG2_PACKET_BUDGET = {"baseline_ipv6": 2.5, "end_static": 5.5, "end_t_static": 7.5, "end_bpf": 9.5}
 
 
 def count_calls(fn, *args, **kwargs) -> int:

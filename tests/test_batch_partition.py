@@ -51,6 +51,8 @@ from repro.progs import (
 )
 from repro.sim.trafgen import batch_srv6_udp_flows, batch_udp
 
+ROUTER_ADDR = "fc00:e::1"  # make_router's own address
+
 FIG2_VARIANTS = (
     "baseline_ipv6",
     "end_static",
@@ -274,6 +276,34 @@ def test_static_end_mixed_stream_partition_invariance():
     assert sum(p.next_header == 58 for p in out) == 8
 
 
+def test_two_segments_interleaved_count_each_action():
+    """Runs to two End segments alternate within one batch: each action's
+    ``processed`` counts its own packets whatever the split, though a batch
+    adds a run's count once, when its first route changes."""
+    second = "fc00:e::200"
+    firsts = [FUNC_SEGMENT] * 3 + [second] * 2 + [FUNC_SEGMENT] + [second] * 4 + [FUNC_SEGMENT] * 2
+
+    def build():
+        node = make_router()
+        node.add_route(f"{FUNC_SEGMENT}/128", encap=End())
+        node.add_route(f"{second}/128", encap=End())
+        return node
+
+    def processed(node):
+        table = node.main_table()
+        return [table.lookup(as_addr(segment)).encap.processed for segment in (FUNC_SEGMENT, second)]
+
+    templates = [
+        make_srv6_udp_packet("fc00:1::1", [first, "fc00:2::2"], 40000 + i, 5201, bytes(8))
+        for i, first in enumerate(firsts)
+    ]
+    assert_partition_invariant(build, templates, extra_observe=processed)
+
+    node = build()
+    drive_partition(node, copy_batch(templates), [len(templates)])
+    assert processed(node) == [6, 6] and node.counters.seg6local_processed == 12
+
+
 # --- §4.1 delay monitoring ----------------------------------------------------
 
 DM_SEGMENT = "fc00:3::dd"
@@ -407,7 +437,7 @@ def test_icmp_interleaves_in_arrival_order_within_batch():
     assert out[1].next_header == 58
 
 
-# --- same-handler re-entry while a group is running ----------------------------
+# --- same-handler re-entry mid-batch ---------------------------------------------
 
 # count += 1 in a map; mark = count — so the order of invocations is on the wire.
 COUNT_TO_MARK_ASM = """
@@ -434,9 +464,9 @@ def test_same_handler_reentry_mid_group_partition_invariance():
 
     Every other packet of the stream ends at the router itself; its
     listener answers with a new packet through the same End.BPF segment
-    while the rest of the group is still queued behind the same pinned
+    while the rest of the run is still queued behind the same pinned
     handler.  The nested invocation must neither see nor leave anything
-    of the group's: forwarded bytes, marks, counters and map state match
+    of the batch's: forwarded bytes, marks, counters and map state match
     the packets fed one at a time.
     """
     boxes = []
@@ -480,16 +510,52 @@ def test_same_handler_reentry_mid_group_partition_invariance():
     assert boxes[-1][0].stats["ok"] == 18 and node.counters.delivered_local == 6
 
 
+def test_listener_route_replacement_mid_run_partition_invariance():
+    """A run of packets to one local address whose first delivery moves it.
+
+    The listener replaces the address's local route with a route out of
+    eth1 on its first call, so the rest of the run must be forwarded,
+    exactly as batches of one do.  A batch that took the first packet's
+    route for the rest of a same-destination run without checking the
+    table's generation would deliver all of them locally.
+    """
+
+    def build():
+        node = make_router()
+
+        def move_address(pkt, n):
+            if n.counters.delivered_local == 1:
+                n.add_route(f"{ROUTER_ADDR}/128", via="fc00:2::2", dev="eth1")
+
+        node.bind(move_address, port=5201)
+        return node
+
+    templates = batch_udp("fc00:1::1", ROUTER_ADDR, 12, payload_size=32)
+    assert_partition_invariant(build, templates)
+
+    node = build()
+    out = drive_partition(node, copy_batch(templates), [len(templates)])
+    assert node.counters.delivered_local == 1
+    assert len(out) == node.counters.forwarded == len(templates) - 1
+
+
 # --- flow-table invalidation --------------------------------------------------
 
 
 def test_flow_table_invalidation_on_route_change():
-    """A route change between batches takes effect immediately (generation bump)."""
+    """A route change between batches takes effect immediately (generation bump).
+
+    A same-destination batch looks its route up once: the packets after
+    the first take the first one's route.
+    """
     node = make_router()
+    flow_table = node.flow_table
     pkts = batch_udp("fc00:1::1", "fc00:2::2", 8, payload_size=64)
     node.receive_batch(copy_batch(pkts), node.devices["eth0"])
     assert len(node.devices["eth1"].tx_buffer) == 8
-    assert node.flow_table.hits > 0
+    assert (flow_table.hits, flow_table.misses) == (0, 1)
+    node.receive_batch(copy_batch(pkts), node.devices["eth0"])
+    assert (flow_table.hits, flow_table.misses) == (1, 1)
 
     # Shadow the sink route with a more-specific route out of eth0
     # instead; cached entries must not keep the stale resolution.
@@ -498,6 +564,7 @@ def test_flow_table_invalidation_on_route_change():
     node.receive_batch(copy_batch(pkts), node.devices["eth0"])
     assert len(node.devices["eth1"].tx_buffer) == 0
     assert len(node.devices["eth0"].tx_buffer) == 8
+    assert (flow_table.hits, flow_table.misses) == (1, 2)
 
 
 def fifo_model(keys, capacity: int) -> tuple[int, int, list]:
@@ -550,8 +617,9 @@ def test_flow_table_fifo_eviction():
     assert (flow_table.hits, flow_table.misses) == (hits, misses) == (60, 68)
     assert_flow_table_consistent(flow_table)
 
-    # One batch groups the shared local segment: one lookup for it, then
-    # one per distinct next segment.
+    # In one batch the packets after the first take its route to the
+    # shared local segment: one lookup for it, then one per distinct
+    # next segment.
     node = make_router()
     node.add_route("fc00:e::100/128", encap=End())
     node.receive_batch(pkts, node.devices["eth0"])

@@ -1,20 +1,20 @@
-"""seg6local groups vs concurrent FIB updates — the re-landing guard.
+"""A batch's reused first route vs concurrent FIB updates — the guard.
 
-The datapath groups consecutive same-destination packets behind one
-route resolution.  That resolution, and the route after the action, can
-go stale *mid-group*: an eBPF program (through a helper) or its
-continuation may mutate the FIB, and the packets still queued behind
-the group must then see the new table — exactly as they would had each
-been resolved individually.
+Inside one batch a packet takes the previous packet's first route when
+its destination bytes and the main table's generation are both
+unchanged.  That route, and the route after the action, can go stale
+*mid-batch*: an eBPF program (through a helper) or its continuation may
+mutate the FIB, and the packets still queued behind it must then see
+the new table — exactly as they would had each been resolved in a
+batch of its own.
 
-``Node._run_group`` defends the segment's route with a generation check
-before every packet after the first: the main table's generation is
-compared against its value at group formation, and a mismatch flushes
-the group so the caller re-resolves the remainder.  Without the check
-the group keeps executing the replaced route's program (every mark
-stays 1) — the hazard that reverted the first landing of the group path
-— and the first test below fails: a helper-made route replacement must
-take effect from the very next packet, as it does in the second test's
+``Node._input_batch`` compares the main table's generation with the one
+the held route was looked up at before every packet, and looks the
+route up again when it moved.  Without that check the batch keeps
+executing the replaced route's program (every mark stays 1) — the
+hazard that reverted the first landing of End.BPF batching — and the
+first test below fails: a helper-made route replacement must take
+effect from the very next packet, as it does in the second test's
 one-packet batches.  The route after the action is looked up per
 packet, revalidated against the generation of the table it came from;
 the last test replaces the next segment's route in the main table and
@@ -96,17 +96,14 @@ def _drive(node) -> list[int]:
     return [p.mark for p in out]
 
 
-def test_guard_on_flushes_group_and_matches_scalar():
-    """A mid-group route replacement takes effect from the next packet."""
+def test_guard_on_whole_batch_matches_scalar():
+    """A mid-batch route replacement takes effect from the next packet."""
     node = _build()
     marks = _drive(node)
     # Packet 1 ran the old program (mark 1) and flipped the route; every
     # later packet must already see the replacement (mark 2) — identical
     # to resolving each packet individually.
     assert marks == [1] + [2] * (BATCH - 1)
-    assert node.groups == 2  # the flushed group plus its retry
-    assert node.group_flushes == 1
-    assert node.grouped_packets == BATCH
 
 
 def test_guard_on_matches_batch_of_one():
@@ -125,9 +122,9 @@ def test_guard_on_matches_batch_of_one():
 # --- a stale continuation ------------------------------------------------------
 #
 # A program may replace the route *after* the action — in the main table,
-# or in the table it redirects into, which the group's main-table flush
+# or in the table it redirects into, which the batch's main-table check
 # never sees — and the packets after it must follow the replacement, as
-# one-packet batches do.  A cache of that route held across the group
+# one-packet batches do.  A cache of that route held across the batch
 # that ignored the redirect table's generation fails the second case.
 
 # The end_t shape into table 100, handing the host the FIB; BPF_REDIRECT.
@@ -186,7 +183,7 @@ def _source_ports(pkts) -> list[int]:
 @pytest.mark.parametrize("case", sorted(CONTINUATIONS))
 def test_replaced_continuation_route_takes_effect_from_the_flipping_packet(case, flip_at):
     """Packets up to the flip leave on eth1; the flipping packet and every
-    later one follow the replaced route out of eth0 — grouped or not."""
+    later one follow the replaced route out of eth0 — whole batch or not."""
     templates = batch_srv6_udp(
         "fc00:1::1", [FUNC_SEGMENT, SINK_ADDR], BATCH, payload_size=32
     )
