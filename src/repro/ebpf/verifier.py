@@ -713,10 +713,15 @@ class Verifier:
 
 def _reserved_fields(insn: Instruction) -> str | None:
     """The name in 4.18's "... uses reserved fields" verdict for ``insn``
-    (``check_alu_op``, ``check_cond_jmp_op``, ``do_check``), or None.
-    ISA v4 puts sdiv / smod / movsx in ``off`` and bswap in ALU64."""
+    (``check_alu_op``, ``check_cond_jmp_op``, ``do_check``,
+    ``replace_map_fd_with_map_ptr``), or None.  ISA v4 puts sdiv / smod /
+    movsx in ``off`` and bswap in ALU64."""
     klass, op, x = insn.klass, insn.opcode & isa.OP_MASK, insn.opcode & isa.BPF_X
     src, dst, off, imm = insn.src_reg, insn.dst_reg, insn.off, insn.imm
+    if klass == isa.BPF_ST:
+        return "BPF_ST" if src else None
+    if klass in (isa.BPF_STX, isa.BPF_LDX):
+        return ("BPF_STX" if klass == isa.BPF_STX else "BPF_LDX") if imm else None
     if klass in (isa.BPF_ALU, isa.BPF_ALU64):
         if op == isa.BPF_END:  # the X bit is the byte order here
             return "BPF_END" if klass == isa.BPF_ALU64 or src or off else None

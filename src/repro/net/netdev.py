@@ -1,4 +1,4 @@
-"""Network devices: the attachment points between nodes and links."""
+"""Network devices: a node's egress attachment points to links."""
 
 from __future__ import annotations
 
@@ -19,15 +19,18 @@ class DevStats:
 
 @dataclass
 class NetDev:
-    """A device owned by a node.
+    """A device owned by a node: the egress side of one hop.
 
     When attached to a :class:`repro.sim.link.Link` endpoint, transmitted
     packets enter the simulated wire; otherwise they accumulate in
     ``tx_buffer`` (which is what the direct-datapath microbenchmarks and
-    unit tests read).
+    unit tests read).  Ingress has no device frame: a link delivers its
+    batch straight to the owning node's
+    :meth:`~repro.net.node.Node.receive_batch`, which accounts the rx
+    counters here.
 
-    Batches are the unit of work in both directions; the scalar
-    :meth:`transmit` / :meth:`receive` are the N=1 case.
+    Batches are the unit of work; the scalar :meth:`transmit` is the
+    N=1 case.
     """
 
     name: str
@@ -46,7 +49,8 @@ class NetDev:
         """Batch egress: account, then qdisc or wire.
 
         A qdisc still sees packets one at a time (disciplines reorder and
-        drop individually); an attached link takes the whole batch so it
+        drop individually) and hands each one it releases to
+        :meth:`_emit_batch`; an attached link takes the whole batch so it
         can coalesce delivery into one scheduler event.
         """
         stats = self.stats
@@ -59,38 +63,12 @@ class NetDev:
             return
         self._emit_batch(pkts)
 
-    def _emit(self, pkt: Packet) -> None:
-        """Hand a qdisc-released packet to the wire (batch of one)."""
-        self._emit_batch([pkt])
-
     def _emit_batch(self, pkts: list[Packet]) -> None:
         """The wire handoff (or the test buffer); pcap taps wrap here."""
         if self.link_endpoint is not None:
             self.link_endpoint.send_batch(pkts)
         else:
             self.tx_buffer.extend(pkts)
-
-    def receive(self, pkt: Packet) -> None:
-        """Ingress entry point (batch of one)."""
-        self.process_batch([pkt])
-
-    def process_batch(self, pkts: list[Packet]) -> None:
-        """Batch ingress (the NAPI-poll analogue).
-
-        Called by links with a whole delivered batch.  The owning node
-        accounts rx stats and ``input_dev`` stamping for this device
-        (the ``ip -s link`` view lives in one place); a detached device
-        accounts locally so its counters stay meaningful.
-        """
-        if self.node is not None:
-            self.node.receive_batch(pkts, self)
-            return
-        stats = self.stats
-        name = self.name
-        for pkt in pkts:
-            stats.rx_packets += 1
-            stats.rx_bytes += len(pkt)
-            pkt.input_dev = name
 
     def __str__(self) -> str:
         owner = getattr(self.node, "name", "?")

@@ -150,9 +150,10 @@ class Node:
         self.answer_echo = True
         self.flow_table = FlowTable()  # route-resolution memo
         # Per-device egress accumulator (keyed by device name), active while
-        # a batch is being dispatched; flushed through NetDev.transmit_batch
-        # at batch end.  Nested dispatches (ICMP errors, echo replies)
-        # append to the already-active batch, preserving per-device order.
+        # a batch is being dispatched; the outermost dispatch hands each
+        # device its list through NetDev.transmit_batch at batch end.
+        # Nested dispatches (ICMP errors, echo replies) append to the
+        # already-active batch, preserving per-device order.
         self._egress_batch: dict[str, list[Packet]] | None = None
 
     # -- configuration ------------------------------------------------------
@@ -244,12 +245,13 @@ class Node:
     def receive_batch(self, pkts: list[Packet], dev: NetDev | None = None) -> None:
         """Batch ingress: the NAPI-poll entry point, and the only one.
 
-        Per-packet semantics are those of N arrivals in order; egress is
-        accumulated per device and flushed once at batch end, so links
-        see whole batches while per-device wire order stays exactly the
-        order of the input.  ``dev`` identifies the ingress device: its
-        ``ip -s link`` rx counters are bumped and each packet is stamped
-        with ``input_dev``.  With a CPU cost model attached, the whole
+        A link delivers its arrivals here directly.  Per-packet semantics
+        are those of N arrivals in order; egress is accumulated per
+        device and handed over once at batch end, so links see whole
+        batches while per-device wire order stays exactly the order of
+        the input.  ``dev`` identifies the ingress device: its ``ip -s
+        link`` rx counters are bumped and each packet is stamped with
+        ``input_dev``.  With a CPU cost model attached, the whole
         batch is submitted to the queue (per-packet costs, one
         completion — the interrupt-coalescing analogue).
         """
@@ -291,7 +293,9 @@ class Node:
                 run(pkt, False)
         finally:
             if outer is None:
-                self._flush_egress()
+                batch, self._egress_batch = self._egress_batch, None
+                for dev_name, out in batch.items():
+                    self.devices[dev_name].transmit_batch(out)
 
     # -- internals --------------------------------------------------------------
     def _input_batch(self, pkts: list[Packet]) -> None:
@@ -369,15 +373,9 @@ class Node:
                 counters.seg6local_processed += ran
                 action.processed += ran
             if outer is None:
-                self._flush_egress()
-
-    def _flush_egress(self) -> None:
-        """Hand each device its accumulated batch (order preserved per device)."""
-        batch = self._egress_batch
-        self._egress_batch = None
-        if batch:
-            for dev_name, out in batch.items():
-                self.devices[dev_name].transmit_batch(out)
+                batch, self._egress_batch = self._egress_batch, None
+                for dev_name, out in batch.items():
+                    self.devices[dev_name].transmit_batch(out)
 
     def _lookup_route(self, table_id: int, dst: bytes) -> "Route | None":
         """Flow-table-memoised route lookup.

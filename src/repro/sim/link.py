@@ -3,7 +3,9 @@
 A :class:`Link` joins two :class:`~repro.net.netdev.NetDev` devices.  Each
 direction is an independent :class:`LinkEndpoint` modelling a transmit
 queue drained at the link rate plus a fixed propagation delay — i.e. the
-10 Gb/s and 1 Gb/s NICs of the paper's lab (Figure 1).
+10 Gb/s and 1 Gb/s NICs of the paper's lab (Figure 1).  A device's
+egress sends into its endpoint; an arrival goes straight to the peer
+device's node (:meth:`~repro.net.node.Node.receive_batch`).
 
 Endpoints are also the sharded engine's cut points (:mod:`repro.shard`).
 Every endpoint owns an ordering *stream* and numbers its departures with
@@ -145,10 +147,13 @@ class LinkEndpoint:
             self._in_flight[id(accepted)] = (event, accepted)
 
     def _deliver_batch(self, pkts: list[Packet]) -> None:
+        """The arrival: the batch goes straight to the peer node, on the
+        peer device (the hop's one handoff on the receiving side)."""
         self._in_flight.pop(id(pkts), None)
         self._queued -= len(pkts)
         self.stats.delivered += len(pkts)
-        self.peer_dev.process_batch(pkts)
+        dev = self.peer_dev
+        dev.node.receive_batch(pkts, dev)
 
     def _drain_remote(self, pkts: list[Packet]) -> None:
         # Export-mode twin of _deliver_batch's queue bookkeeping; the
@@ -181,7 +186,8 @@ class LinkEndpoint:
     def _deliver_remote(self, pkts: list[Packet]) -> None:
         self._remote_in_flight.pop(id(pkts), None)
         self.stats.delivered += len(pkts)
-        self.peer_dev.process_batch(pkts)
+        dev = self.peer_dev
+        dev.node.receive_batch(pkts, dev)
 
     def set_down(self) -> None:
         """Administratively down: refuse new sends, lose what is in flight."""

@@ -100,40 +100,42 @@ def tap_device(
 ) -> None:
     """Mirror a device's traffic into ``writer`` (``tx``, ``rx`` or ``both``).
 
-    Installed by wrapping the device's emit/receive path, like an
-    ``AF_PACKET`` tap; the datapath behaviour is unchanged.  Packets are
-    stamped with the owning node's scheduler clock.  ``index`` is an
-    optional callable invoked as ``index(pkt, timestamp_ns)`` per
-    captured packet (see :class:`PcapCapture`).
+    Installed like an ``AF_PACKET`` tap, by wrapping the device's wire
+    handoff (tx, after any qdisc) or its node's receive entry point for
+    arrivals on this device (rx); the datapath behaviour is unchanged.
+    Packets are stamped with the owning node's scheduler clock.
+    ``index`` is an optional callable invoked as ``index(pkt,
+    timestamp_ns)`` per captured packet (see :class:`PcapCapture`).
     """
     if direction not in ("tx", "rx", "both"):
         raise ValueError("direction must be tx, rx or both")
+
+    def capture(pkts: list[Packet]) -> None:
+        now = dev.node.clock_ns() if dev.node is not None else 0
+        for pkt in pkts:
+            writer.write_packet(pkt, timestamp_ns=now)
+            if index is not None:
+                index(pkt, now)
 
     if direction in ("tx", "both"):
         original_emit = dev._emit_batch
 
         def tapped_emit(pkts: list[Packet]) -> None:
-            now = dev.node.clock_ns() if dev.node is not None else 0
-            for pkt in pkts:
-                writer.write_packet(pkt, timestamp_ns=now)
-                if index is not None:
-                    index(pkt, now)
+            capture(pkts)
             original_emit(pkts)
 
         dev._emit_batch = tapped_emit
 
     if direction in ("rx", "both"):
-        original_receive = dev.process_batch
+        node = dev.node
+        original_receive = node.receive_batch
 
-        def tapped_receive(pkts: list[Packet]) -> None:
-            now = dev.node.clock_ns() if dev.node is not None else 0
-            for pkt in pkts:
-                writer.write_packet(pkt, timestamp_ns=now)
-                if index is not None:
-                    index(pkt, now)
-            original_receive(pkts)
+        def tapped_receive(pkts: list[Packet], in_dev: NetDev | None = None) -> None:
+            if in_dev is dev:
+                capture(pkts)
+            original_receive(pkts, in_dev)
 
-        dev.process_batch = tapped_receive
+        node.receive_batch = tapped_receive
 
 
 def read_pcap(path: str | Path) -> list[tuple[int, bytes]]:

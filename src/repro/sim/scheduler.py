@@ -144,6 +144,8 @@ class Scheduler:
         # counter per allocated stream.
         self._stream = 0
         self._stream_seqs: list[int] = [0]
+        # An armed repro.trace.SelfProfiler: run() hands it each callback.
+        self.profiler = None
 
     # -- ordering streams ----------------------------------------------------
     def new_stream(self) -> int:
@@ -235,37 +237,38 @@ class Scheduler:
         return self.schedule_at(time_ns, callback, items, *args)
 
     # -- execution -------------------------------------------------------------
-    def _execute(self, event: Event) -> None:
-        # The self-profiler (repro.trace.SelfProfiler) shadows this method
-        # with an instance attribute while armed; keep the clock/stream
-        # updates here in sync with that wrapper if they ever change.
-        self.now_ns = event.time_ns
-        self._stream = event.stream
-        event.callback(*event.args)
-
     def run(self, until_ns: int | None = None, max_events: int | None = None) -> int:
         """Process events until the horizon / event budget / empty heap.
 
-        Returns the number of events executed.
+        Returns the number of events executed.  This is the scheduler's
+        one event loop; :meth:`run_until_grant` runs it to the instant
+        before its horizon.  An armed :attr:`profiler` times each
+        callback.
         """
+        heap = self._heap
         executed = 0
         budget_hit = False
-        while self._heap:
+        while heap:
             if max_events is not None and executed >= max_events:
                 budget_hit = True
                 break
             if until_ns is None and self._work == 0:
                 break  # only daemon timers (and corpses) remain
-            if until_ns is not None and self._heap[0][0] > until_ns:
+            if until_ns is not None and heap[0][0] > until_ns:
                 break
-            event = heapq.heappop(self._heap)[4]
+            event = heapq.heappop(heap)[4]
             if event.cancelled:
                 self._cancelled -= 1
                 continue
             event.owner = None
             if not event.daemon:
                 self._work -= 1
-            self._execute(event)
+            self.now_ns = event.time_ns
+            self._stream = event.stream
+            if self.profiler is None:
+                event.callback(*event.args)
+            else:
+                self.profiler.call(event.callback, event.args)
             executed += 1
             self.events_run += 1
         self._stream = 0
@@ -287,23 +290,10 @@ class Scheduler:
         preempted by a not-yet-received handoff.  The exclusive bound is
         what makes rounds composable: the next round's injections all
         carry ``arrival >= horizon``, which the post-advance clock
-        accepts.
+        accepts.  Event times are integers, so this is :meth:`run` to
+        ``horizon_ns - 1``.
         """
-        executed = 0
-        while self._heap:
-            if self._heap[0][0] >= horizon_ns:
-                break
-            event = heapq.heappop(self._heap)[4]
-            if event.cancelled:
-                self._cancelled -= 1
-                continue
-            event.owner = None
-            if not event.daemon:
-                self._work -= 1
-            self._execute(event)
-            executed += 1
-            self.events_run += 1
-        self._stream = 0
+        executed = self.run(until_ns=horizon_ns - 1)
         if self.now_ns < horizon_ns:
             self.now_ns = horizon_ns
         return executed

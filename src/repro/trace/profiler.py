@@ -1,10 +1,10 @@
 """A scheduler-level self-profiler: host wall-clock per callback kind.
 
-The simulator's single hot seam is ``Scheduler._execute`` — every event
-callback funnels through it.  The profiler shadows that method with an
-instance attribute on one scheduler, so a network that never profiles
-pays literally nothing (the class method is untouched), and a profiled
-run pays one ``perf_counter_ns`` pair per event.
+Every event callback runs from ``Scheduler.run``, the scheduler's one
+event loop.  A started profiler is that scheduler's ``profiler``, and the
+loop hands it each callback to time; a network that never profiles pays
+one ``None`` test per event, and a profiled run one ``perf_counter_ns``
+pair per event.
 
 Costs are attributed to the callback's ``__qualname__`` — e.g.
 ``NetemQdisc._dequeue``, ``LinkEndpoint._deliver_batch``,
@@ -29,36 +29,30 @@ class SelfProfiler:
         self.active = False
 
     def start(self) -> "SelfProfiler":
-        if self.active:
-            return self
-        scheduler = self.scheduler
-        categories = self.categories
-        clock = perf_counter_ns
-
-        def _execute_profiled(event):
-            t0 = clock()
-            scheduler.now_ns = event.time_ns
-            scheduler._stream = event.stream
-            event.callback(*event.args)
-            dt = clock() - t0
-            callback = event.callback
-            key = getattr(callback, "__qualname__", None) or repr(callback)
-            entry = categories.get(key)
-            if entry is None:
-                categories[key] = [1, dt]
-            else:
-                entry[0] += 1
-                entry[1] += dt
-
-        scheduler._execute = _execute_profiled
-        self.active = True
+        if not self.active:
+            self.scheduler.profiler = self
+            self.active = True
         return self
 
     def stop(self) -> "SelfProfiler":
         if self.active:
-            self.scheduler.__dict__.pop("_execute", None)
+            self.scheduler.profiler = None
             self.active = False
         return self
+
+    def call(self, callback, args: tuple) -> None:
+        """Run one event's callback (the scheduler has set its clock) and
+        charge the host time to the callback's qualname."""
+        t0 = perf_counter_ns()
+        callback(*args)
+        dt = perf_counter_ns() - t0
+        key = getattr(callback, "__qualname__", None) or repr(callback)
+        entry = self.categories.get(key)
+        if entry is None:
+            self.categories[key] = [1, dt]
+        else:
+            entry[0] += 1
+            entry[1] += dt
 
     @property
     def total_ns(self) -> int:

@@ -639,6 +639,10 @@ def _reserved_field_cases():
         ("call_off", Instruction(jmp | call, off=1, imm=5), "BPF_CALL"),
         ("call_src_reg", Instruction(jmp | call, 0, r1, imm=5), "BPF_CALL"),
         ("call_x", Instruction(jmp | call | x, imm=5), "BPF_CALL"),
+        # The memory classes: ST takes no source register, LDX / STX no immediate.
+        ("st_src_reg", Instruction(isa.BPF_ST | isa.BPF_MEM | isa.BPF_DW, isa.R10, r1, -8, 7), "BPF_ST"),
+        ("stx_imm", Instruction(isa.BPF_STX | isa.BPF_MEM | isa.BPF_DW, isa.R10, r1, -8, 7), "BPF_STX"),
+        ("ldx_imm", Instruction(isa.BPF_LDX | isa.BPF_MEM | isa.BPF_DW, r0, isa.R10, -8, 7), "BPF_LDX"),
     ]
 
 
@@ -648,9 +652,10 @@ def _reserved_field_cases():
     ids=[case[0] for case in _reserved_field_cases()],
 )
 def test_reserved_fields_rejected(insn, verdict):
-    """4.18's ``check_alu_op`` / ``check_cond_jmp_op`` / ``do_check``
-    encoding checks: an instruction with a non-zero reserved field is a
-    loud verdict, not a silently different instruction."""
+    """4.18's ``check_alu_op`` / ``check_cond_jmp_op`` / ``do_check`` /
+    ``replace_map_fd_with_map_ptr`` encoding checks: an instruction with
+    a non-zero reserved field is a loud verdict, not a silently different
+    instruction."""
     from repro.ebpf.insn import Instruction
     from repro.ebpf import isa
 

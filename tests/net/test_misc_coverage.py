@@ -128,7 +128,7 @@ def test_netdev_stats_count_tx_rx():
     dev = node.add_device("eth0")
     node.add_address("fc00::1")
     pkt = make_udp_packet("fc00::2", "fc00::1", 1, 2, b"abc")
-    dev.receive(pkt)
+    node.receive(pkt, dev)
     assert dev.stats.rx_packets == 1
     assert dev.stats.rx_bytes == len(pkt)
     node2 = Node("M")
@@ -144,5 +144,5 @@ def test_input_dev_recorded():
     node.add_address("fc00::1")
     seen = []
     node.bind(lambda pkt, n: seen.append(pkt.input_dev), proto=17, port=9)
-    dev.receive(make_udp_packet("fc00::2", "fc00::1", 1, 9, b""))
+    node.receive(make_udp_packet("fc00::2", "fc00::1", 1, 9, b""), dev)
     assert seen == ["eth7"]

@@ -5,8 +5,11 @@ link, S2's local delivery — once per packet, so every layer someone
 adds to that path is a few more Python calls per packet.  The count
 under ``sys.setprofile`` is exact and the same on every host; the
 budget below sits just above what the fused dispatch function, the
-straight-line wire, the single invocation path, the fact-gated arm and
-the batch loop's inline seg6local action left (61.0; 62.0 while a
+straight-line wire, the single invocation path, the fact-gated arm, the
+batch loop's inline seg6local action and the one handoff per hop left
+(53.0; 61.0 while a link delivered through ``NetDev.process_batch``,
+each event ran in a ``Scheduler._execute`` frame and each dispatch
+flushed its egress in a ``Node._flush_egress`` frame; 62.0 while a
 batch of one entered ``_run_pipeline`` for its End.BPF; 65.0 while
 every program's arm reset everything; 69.0 while a scalar End.BPF went
 through ``Program.run`` and ``JitProgram.run``; the per-packet context
@@ -52,8 +55,8 @@ read-back of a program that never writes it; 45 before the single
 invocation path; the SRH / IPv6 dataclass round trips and the generic
 ``Memory`` walk read 110), one ``End.DT6`` on its encapsulation (7; 25
 with two parses and two packet copies), and one delivered packet of the
-ledger-shaped Setup 2 (230: 228.5; 232.6 while every arrival entered
-``_run_pipeline``; 259.5 while each TCP segment and ACK was built by
+ledger-shaped Setup 2 (205: 203.5; 228.5 before the one handoff per
+hop; 232.6 while every arrival entered ``_run_pipeline``; 259.5 while each TCP segment and ACK was built by
 ``make_tcp_packet`` and parsed from a copy; 280.1 before exact-arity
 helper calls; 283.3; 285.2; 294.6; 445.7).
 
@@ -81,12 +84,12 @@ from repro.progs import add_tlv_prog, end_prog, tag_increment_prog
 from repro.sim import NS_PER_MS, Scheduler, TcpReceiver, TcpSender
 from repro.usecases import deploy_hybrid_access, install_wrr
 
-CALLS_PER_PACKET_BUDGET = 62
+CALLS_PER_PACKET_BUDGET = 54
 CALLS_PER_SCALAR_END_BPF_BUDGET = 7
 CALLS_PER_SCALAR_HELPER_PROGRAM_BUDGET = {"tag_increment": 20, "add_tlv": 28}
 CALLS_PER_WRR_DECISION_BUDGET = 29
 CALLS_PER_END_DT6_BUDGET = 8
-CALLS_PER_SETUP2_PACKET_BUDGET = 230
+CALLS_PER_SETUP2_PACKET_BUDGET = 205
 CALLS_PER_TCP_DATA_SEGMENT_BUDGET = 8
 CALLS_PER_TCP_NEW_ACK_BUDGET = 20
 CALLS_PER_FIG2_PACKET_BUDGET = {"baseline_ipv6": 2.5, "end_static": 5.5, "end_t_static": 7.5, "end_bpf": 9.5}

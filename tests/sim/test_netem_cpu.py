@@ -13,17 +13,17 @@ def make_dev(sched):
 def drain_times(sched, dev, count, qdisc, spacing_ns=0, size=100):
     """Enqueue ``count`` packets, return their emission times."""
     times = []
-    original_emit = dev._emit
+    original_emit = dev._emit_batch
 
-    def capture(pkt):
-        times.append(sched.now_ns)
+    def capture(pkts):
+        times.extend(sched.now_ns for _pkt in pkts)
 
-    dev._emit = capture
+    dev._emit_batch = capture
     for i in range(count):
         sched.schedule(i * spacing_ns, qdisc.enqueue, make_udp_packet(
             "fc00::1", "fc00::2", 1, 2, bytes(size)), dev)
     sched.run()
-    dev._emit = original_emit
+    dev._emit_batch = original_emit
     return times
 
 

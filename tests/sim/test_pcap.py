@@ -147,6 +147,43 @@ def test_net_pcap_indexes_active_trace_ids(tmp_path):
     assert net._pcaps == [capture]
 
 
+def test_rx_tap_captures_only_its_own_device(tmp_path):
+    """A router with a link on each side: the rx tap on eth0 records what
+    arrived on eth0, in arrival order, and nothing that arrived on eth1."""
+    from repro.lab import Network
+    from repro.sim.scheduler import NS_PER_MS
+
+    net = Network(seed=5)
+    for name, addr in (("A", "fc00:a::1"), ("R", "fc00:e::1"), ("B", "fc00:b::1")):
+        net.add_node(name, addr=addr)
+    net.add_link("A", "R")
+    net.add_link("R", "B")
+    net.config("A", "route add fc00:b::/64 via fc00:e::1 dev eth0")
+    net.config("B", "route add fc00:a::/64 via fc00:e::1 dev eth0")
+    net.config("R", "route add fc00:b::/64 via fc00:b::1 dev eth1")
+    net.config("R", "route add fc00:a::/64 via fc00:a::1 dev eth0")
+    capture = net.pcap("R", dev="eth0", direction="rx", path=tmp_path / "r-eth0.pcap")
+    arrived = []
+    net["B"].bind(lambda pkt, node: arrived.append(bytes(pkt.data)), proto=17, port=5201)
+    net.sink("A")
+    forward = net.trafgen("A", dst="fc00:b::1", rate_bps=10e6, payload_size=120, seed=1)
+    reverse = net.trafgen("B", dst="fc00:a::1", rate_bps=10e6, payload_size=80, seed=2)
+    forward.start(at_ns=0)
+    reverse.start(at_ns=0)
+    net.run(until_ns=2 * NS_PER_MS)
+    # A packet handed to R on eth0 without a link is an arrival on eth0
+    # too: the tap and the device's rx counters see the same packets.
+    injected = make_udp_packet("fc00:a::1", "fc00:b::1", 1, 5201, b"direct")
+    net["R"].receive(injected, net["R"].devices["eth0"])
+    net.run(until_ns=3 * NS_PER_MS)
+    capture.close()
+    records = read_pcap(tmp_path / "r-eth0.pcap")
+    assert len(records) == net["R"].devices["eth0"].stats.rx_packets > 5
+    # Hop limits differ (R decrements before B); compare from byte 8 on.
+    assert [data[8:] for _ts, data in records] == [data[8:] for data in arrived[: len(records)]]
+    assert injected.data[8:] in [data[8:] for _ts, data in records]
+
+
 def test_net_pcap_device_resolution(tmp_path):
     net = _two_node_net()
     net.add_link("A", "B")  # second device on each end

@@ -210,6 +210,24 @@ def test_link_delivers_after_delay():
     assert seen[0] == 1 * NS_PER_MS + int(148 * 8)
 
 
+def test_link_delivery_accounts_the_receiving_device():
+    """The link hands its batch to the peer node on the peer device: the
+    device's ``ip -s link`` rx counters and each packet's ``input_dev``."""
+    sched, a, b = two_nodes()
+    b.add_device("eth1")
+    link = Link(sched, a.devices["eth0"], b.devices["eth0"], rate_bps=1e9, delay_ns=100)
+    seen = []
+    b.bind(lambda pkt, node: seen.append(pkt.input_dev), proto=17, port=5)
+    pkts = [make_udp_packet("fc00::a", "fc00::b", 1, 5, b"x" * size) for size in (10, 20, 30)]
+    a.send_batch(pkts)
+    sched.run()
+    stats = b.devices["eth0"].stats
+    assert seen == ["eth0"] * 3
+    assert stats.rx_packets == link.a_to_b.stats.delivered == 3
+    assert stats.rx_bytes == sum(len(pkt.data) for pkt in pkts)
+    assert b.devices["eth1"].stats.rx_packets == 0 and b.counters.rx == 3
+
+
 def test_link_serialisation_spaces_packets():
     sched, a, b = two_nodes()
     Link(sched, a.devices["eth0"], b.devices["eth0"], rate_bps=1e6, delay_ns=0)

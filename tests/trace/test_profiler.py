@@ -31,18 +31,19 @@ def test_profiler_attributes_by_qualname():
     assert sched.now_ns == 20
 
 
-def test_profiler_shadow_leaves_class_untouched():
-    original = Scheduler.__dict__["_execute"]
-    sched = Scheduler()
+def test_profiler_sees_only_its_scheduler_and_only_while_started():
+    sched, other = Scheduler(), Scheduler()
     prof = SelfProfiler(sched).start()
-    assert "_execute" in sched.__dict__
-    assert Scheduler.__dict__["_execute"] is original
-    other = Scheduler()
-    assert "_execute" not in other.__dict__  # only the profiled instance pays
+    for scheduler in (sched, other):
+        scheduler.schedule(5, _noop)
+        scheduler.run()
+    assert prof.events == 1  # the other scheduler is not profiled
     prof.stop()
     prof.stop()  # idempotent
-    assert "_execute" not in sched.__dict__
-    assert sched._execute.__func__ is original
+    sched.schedule(5, _noop)
+    assert sched.run() == 1
+    assert prof.events == 1  # a stopped profiler records nothing
+    assert sched.now_ns == other.now_ns + 5
 
 
 def test_collapsed_stack_output(tmp_path):
