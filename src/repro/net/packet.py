@@ -37,7 +37,9 @@ class Packet:
       eBPF via the context; the constructor refuses any other value);
     * ``nh6`` / ``table_id`` — routing decision installed by the seg6
       action helper, honoured on ``BPF_REDIRECT``;
-    * ``flow_id`` / ``seq`` / ``tx_tstamp_ns`` — generator bookkeeping;
+    * ``flow_id`` / ``seq`` / ``tx_tstamp_ns`` — generator bookkeeping
+      (``tx_tstamp_ns`` is None on a packet no generator stamped; a
+      packet sent at t = 0 is stamped 0);
     * ``trace`` — list of node names the packet traversed (debugging);
     * ``tctx`` — tracing context: ``None`` when untraced (the common
       case — hot paths test this with one slot load), else the span
@@ -70,7 +72,7 @@ class Packet:
         table_id: int | None = None,
         flow_id: int = 0,
         seq: int = 0,
-        tx_tstamp_ns: int = 0,
+        tx_tstamp_ns: int | None = None,
         trace: list | None = None,
         tctx: list | None = None,
     ):

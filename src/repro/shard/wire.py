@@ -25,7 +25,7 @@ import struct
 from ..net.packet import Packet
 
 _BATCH_HEADER = struct.Struct("<I")
-# len, flow_id, seq, tx, rx, mark, traces, spans
+# len, flow_id, seq, tx (-1: unstamped), rx, mark, traces, spans
 _PKT_HEADER = struct.Struct("<IqqqqIHH")
 _NAME_HEADER = struct.Struct("<H")
 _SPAN_HEADER = struct.Struct("<qq")  # start_ns, end_ns
@@ -42,7 +42,7 @@ def pack_batch(pkts: list[Packet]) -> bytes:
                 len(pkt.data),
                 pkt.flow_id,
                 pkt.seq,
-                pkt.tx_tstamp_ns,
+                -1 if pkt.tx_tstamp_ns is None else pkt.tx_tstamp_ns,
                 pkt.rx_tstamp_ns,
                 pkt.mark,
                 len(trace),
@@ -100,7 +100,7 @@ def unpack_batch(blob: bytes) -> list[Packet]:
                 data,
                 flow_id=flow_id,
                 seq=seq,
-                tx_tstamp_ns=tx,
+                tx_tstamp_ns=None if tx < 0 else tx,
                 rx_tstamp_ns=rx,
                 mark=mark,
                 trace=trace,

@@ -61,7 +61,7 @@ class FlowMeter:
             if pkt.seq < self._last_seq:
                 self.out_of_order += 1
             self._last_seq = max(self._last_seq, pkt.seq)
-        if pkt.tx_tstamp_ns:
+        if pkt.tx_tstamp_ns is not None:
             trace_id = (
                 f"{pkt.flow_id}:{pkt.seq}" if pkt.tctx is not None else None
             )

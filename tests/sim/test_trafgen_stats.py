@@ -103,3 +103,40 @@ def test_batch_builders():
 
 def test_mbps_helper():
     assert mbps(5_000_000) == 5.0
+
+
+def setup1_flood(duration_ns: int):
+    """A Setup 1 trafgen flood through End.BPF on R, started at t = 0."""
+    from repro.lab import build_setup1
+    from repro.net import EndBPF
+    from repro.progs import end_prog
+
+    setup = build_setup1()
+    net = setup.net
+    net.attach("R", setup.FUNC_SEGMENT, EndBPF(end_prog()))
+    flow = net.trafgen(
+        "S1", path=[setup.FUNC_SEGMENT, setup.S2_ADDR], rate_bps=400e6, payload_size=64, seed=1
+    )
+    meter = net.sink("S2")
+    flow.start(at_ns=0, duration_ns=duration_ns)
+    return net, flow, meter
+
+
+def test_a_packet_sent_at_time_zero_is_delay_sampled():
+    net, flow, meter = setup1_flood(10_000)  # ticks at 0, 2240, ... 8960 ns
+    net.run()
+    assert flow.stats.sent == meter.packets == 5
+    assert meter.delay_count == 5
+    assert len(meter.delays_ns) == 5 and min(meter.delays_ns) > 0
+
+
+def test_an_unstamped_packet_is_not_delay_sampled():
+    meter = FlowMeter()
+    node = Node("X", clock_ns=lambda: 50)
+    meter.on_packet(make_udp_packet("fc00::1", "fc00::2", 1, 2, b"ab"), node)
+    stamped = make_udp_packet("fc00::1", "fc00::2", 1, 2, b"ab")
+    stamped.tx_tstamp_ns = 0
+    meter.on_packet(stamped, node)
+    assert meter.packets == 2
+    assert meter.delays_ns == [50]
+
