@@ -140,3 +140,13 @@ def test_an_unstamped_packet_is_not_delay_sampled():
     assert meter.packets == 2
     assert meter.delays_ns == [50]
 
+
+def test_a_restarted_flow_runs_one_tick_chain():
+    window = 50_000
+    net, flow, meter = setup1_flood(window)
+    net.run(until_ns=window)  # the last tick has armed the next one
+    flow.stop()
+    flow.start(duration_ns=window)  # within one interval of that tick
+    net.run()
+    due = 2 * -(-window // flow.interval_ns)  # one tick per interval, per window
+    assert flow.stats.sent == meter.packets == due
