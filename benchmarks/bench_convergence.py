@@ -42,7 +42,7 @@ def run_failover(frr: bool) -> dict:
     assert ctrl.converged()
     arrivals: list[int] = []
     meter = net.sink("S2")
-    net["S2"].bind(lambda pkt, node: arrivals.append(node.clock_ns()), proto=17, port=5201)
+    net["S2"].bind(lambda pkt, node, _offset: arrivals.append(node.clock_ns()), proto=17, port=5201)
     flow = net.trafgen("S1", dst="fc00:2::2", rate_bps=RATE_BPS, payload_size=PAYLOAD)
     flow.start(at_ns=FLOW_START_NS, duration_ns=FLOW_DURATION_NS)
     net.fail_link("A", "R", dev="dsl", at_ns=FAIL_NS)

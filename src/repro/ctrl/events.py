@@ -36,8 +36,8 @@ class ControlBus:
     run at the simulated instant the event happened.
     """
 
-    def __init__(self, clock_ns: Callable[[], int]):
-        self.clock_ns = clock_ns
+    def __init__(self, clock):
+        self.clock = clock  # its ``now_ns`` stamps each event (a Scheduler)
         self.events: list[CtrlEvent] = []
         # Running totals per (kind, node) — the telemetry ``ctrl_events``
         # counter reads this instead of re-scanning the log.
@@ -49,7 +49,7 @@ class ControlBus:
         self._subscribers.setdefault(kind, []).append(handler)
 
     def publish(self, node: str, kind: str, **detail) -> CtrlEvent:
-        event = CtrlEvent(self.clock_ns(), node, kind, detail)
+        event = CtrlEvent(self.clock.now_ns, node, kind, detail)
         self.events.append(event)
         key = (kind, node)
         self.counts[key] = self.counts.get(key, 0) + 1

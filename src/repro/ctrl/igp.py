@@ -23,6 +23,7 @@ import json
 from dataclasses import dataclass
 
 from ..net.packet import make_udp_packet
+from ..net.udp import UDP_HEADER_LEN
 from ..sim.scheduler import NS_PER_MS
 from .events import ControlBus
 from .frr import FrrManager
@@ -165,8 +166,8 @@ class IgpSpeaker:
                 self._send(message, dev)
 
     # -- message RX ----------------------------------------------------------
-    def _on_packet(self, pkt, _node) -> None:
-        payload = pkt.udp_payload()
+    def _on_packet(self, pkt, _node, offset: int) -> None:
+        payload = bytes(pkt.data[offset + UDP_HEADER_LEN :])
         if not payload:
             return
         try:
@@ -359,7 +360,7 @@ class ControlPlane:
         self.frr_enabled = bool(frr)
         self.costs = dict(costs or {})
         self.default_cost = int(default_cost)
-        self.bus = ControlBus(net.scheduler.now_fn())
+        self.bus = ControlBus(net.scheduler)
         advertise = advertise or {}
         names = sorted(nodes) if nodes is not None else sorted(net.nodes)
         self.sids: dict[str, str] = {}

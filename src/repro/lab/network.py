@@ -162,7 +162,8 @@ class Network:
         if name in self.nodes:
             raise ValueError(f"node {name!r} already exists")
         node_seed = seed if seed is not None else self.derive_seed("node", name)
-        node = Node(name, clock_ns=self.scheduler.now_fn(), seed=node_seed)
+        node = Node(name, seed=node_seed)
+        node.clock = self.scheduler
         ecmp_seed = self.derive_seed("ecmp", name)
         if ecmp_seed is not None:
             node.ecmp_seed = ecmp_seed

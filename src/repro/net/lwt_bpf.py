@@ -63,7 +63,7 @@ class BpfLwt:
         self.hook_runs[hook] = self.hook_runs.get(hook, 0) + 1
         tctx = pkt.tctx
         if tctx is not None:
-            t = node.clock_ns()
+            t = node.clock.now_ns
             tctx.append((t, t, "ebpf", node.name, f"{hook}/{program.name}"))
 
         handler = self._handlers.get(hook)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 from .packet import Packet
 
@@ -21,10 +22,10 @@ class DevStats:
 class NetDev:
     """A device owned by a node: the egress side of one hop.
 
-    When attached to a :class:`repro.sim.link.Link` endpoint, transmitted
-    packets enter the simulated wire; otherwise they accumulate in
-    ``tx_buffer`` (which is what the direct-datapath microbenchmarks and
-    unit tests read).  Ingress has no device frame: a link delivers its
+    ``wire`` is where a transmitted batch goes, after any qdisc: the
+    attached :class:`repro.sim.link.Link` endpoint's ``send_batch``, or
+    else ``tx_buffer.extend`` (which is what the direct-datapath
+    microbenchmarks and unit tests read).  A pcap tx tap re-points it.  Ingress has no device frame: a link delivers its
     batch straight to the owning node's
     :meth:`~repro.net.node.Node.receive_batch`, which accounts the rx
     counters here.
@@ -40,6 +41,11 @@ class NetDev:
     mtu: int = 1500
     stats: DevStats = field(default_factory=DevStats)
     tx_buffer: list[Packet] = field(default_factory=list)
+    wire: Callable[[list[Packet]], None] = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if self.wire is None:
+            self.wire = self.tx_buffer.extend
 
     def transmit(self, pkt: Packet) -> None:
         """Egress entry point (batch of one)."""
@@ -49,26 +55,22 @@ class NetDev:
         """Batch egress: account, then qdisc or wire.
 
         A qdisc still sees packets one at a time (disciplines reorder and
-        drop individually) and hands each one it releases to
-        :meth:`_emit_batch`; an attached link takes the whole batch so it
-        can coalesce delivery into one scheduler event.
+        drop individually) and hands each one it releases to ``wire``; a
+        device with no qdisc hands its whole batch straight to ``wire``,
+        so an attached link can coalesce delivery into one scheduler
+        event.
         """
         stats = self.stats
+        tx_bytes = 0
         for pkt in pkts:
-            stats.tx_packets += 1
-            stats.tx_bytes += len(pkt.data)
+            tx_bytes += len(pkt.data)
+        stats.tx_packets += len(pkts)
+        stats.tx_bytes += tx_bytes
         if self.qdisc is not None:
             for pkt in pkts:
                 self.qdisc.enqueue(pkt, self)
             return
-        self._emit_batch(pkts)
-
-    def _emit_batch(self, pkts: list[Packet]) -> None:
-        """The wire handoff (or the test buffer); pcap taps wrap here."""
-        if self.link_endpoint is not None:
-            self.link_endpoint.send_batch(pkts)
-        else:
-            self.tx_buffer.extend(pkts)
+        self.wire(pkts)
 
     def __str__(self) -> str:
         owner = getattr(self.node, "name", "?")

@@ -73,9 +73,11 @@ class NodeCounters:
 
 @dataclass
 class Listener:
-    """A bound 'socket': called with (packet, node) on local delivery."""
+    """A bound 'socket': called with ``(packet, node, offset)`` on local
+    delivery, ``offset`` being where the transport header starts (the
+    node's one header walk, which the listener need not repeat)."""
 
-    callback: Callable[[Packet, "Node"], None]
+    callback: Callable[[Packet, "Node", int], None]
     proto: int
     port: int | None = None
 
@@ -115,8 +117,27 @@ class FlowTable:
         self.order.clear()
 
 
+class _CallClock:
+    """The clock of a node built with ``clock_ns=fn``: ``now_ns`` calls ``fn``."""
+
+    __slots__ = ("fn",)
+
+    def __init__(self, fn: Callable[[], int]):
+        self.fn = fn
+
+    @property
+    def now_ns(self) -> int:
+        return self.fn()
+
+
 class Node:
-    """One simulated Linux host/router."""
+    """One simulated Linux host/router.
+
+    ``clock`` is the object whose ``now_ns`` is the node's time: a lab
+    node's is its network's :class:`~repro.sim.scheduler.Scheduler`, read
+    as an attribute; ``Node(clock_ns=fn)`` (direct-datapath nodes and
+    tests) calls ``fn`` instead, and no clock reads 0.
+    """
 
     def __init__(
         self,
@@ -125,7 +146,7 @@ class Node:
         seed: int | None = None,
     ):
         self.name = name
-        self.clock_ns = clock_ns or (lambda: 0)
+        self.clock = _CallClock(clock_ns or (lambda: 0))
         # The default seed derives from the name with crc32, NOT hash():
         # str hashing is salted per process (PYTHONHASHSEED), which would
         # make eBPF get_prandom_u32 streams differ between runs of the
@@ -151,10 +172,14 @@ class Node:
         self.flow_table = FlowTable()  # route-resolution memo
         # Per-device egress accumulator (keyed by device name), active while
         # a batch is being dispatched; the outermost dispatch hands each
-        # device its list through NetDev.transmit_batch at batch end.
+        # device its list at batch end (see _input_batch).
         # Nested dispatches (ICMP errors, echo replies) append to the
         # already-active batch, preserving per-device order.
         self._egress_batch: dict[str, list[Packet]] | None = None
+
+    def clock_ns(self) -> int:
+        """The node's time in simulated ns: its :attr:`clock`'s ``now_ns``."""
+        return self.clock.now_ns
 
     # -- configuration ------------------------------------------------------
     def add_device(self, name: str) -> NetDev:
@@ -220,11 +245,12 @@ class Node:
 
     def bind(
         self,
-        callback: Callable[[Packet, "Node"], None],
+        callback: Callable[[Packet, "Node", int], None],
         proto: int = PROTO_UDP,
         port: int | None = None,
     ) -> Listener:
-        """Attach a 'socket': ``callback(pkt, node)`` on matching local delivery."""
+        """Attach a 'socket': ``callback(pkt, node, offset)`` on matching
+        local delivery, ``offset`` being the transport header's."""
         listener = Listener(callback, proto, port)
         self.listeners.append(listener)
         return listener
@@ -251,69 +277,63 @@ class Node:
         batches while per-device wire order stays exactly the order of
         the input.  ``dev`` identifies the ingress device: its ``ip -s
         link`` rx counters are bumped and each packet is stamped with
-        ``input_dev``.  With a CPU cost model attached, the whole
-        batch is submitted to the queue (per-packet costs, one
-        completion — the interrupt-coalescing analogue).
+        ``input_dev`` and the arrival instant, in the same pass that
+        routes it.  With a CPU cost model attached, the whole batch is
+        stamped, then submitted to the queue (per-packet costs, one
+        completion — the interrupt-coalescing analogue) and routed when
+        it completes.
         """
-        clock = self.clock_ns
-        counters = self.counters
-        if dev is not None:
-            name = dev.name
-            rx_bytes = 0
-            for pkt in pkts:
-                rx_bytes += len(pkt.data)
-                pkt.input_dev = name
-                t = clock()
-                pkt.rx_tstamp_ns = t
-                if pkt.tctx is not None:
-                    pkt.tctx.append((t, t, "rx", self.name, name))
-            stats = dev.stats
-            stats.rx_packets += len(pkts)
-            stats.rx_bytes += rx_bytes
-        else:
-            for pkt in pkts:
-                t = clock()
-                pkt.rx_tstamp_ns = t
-                if pkt.tctx is not None:
-                    pkt.tctx.append((t, t, "rx", self.name, ""))
-        counters.rx += len(pkts)
-        if self.cpu is not None:
-            self.cpu.submit_batch(pkts, self._input_batch)
-            return
-        self._input_batch(pkts)
+        self._input_batch(pkts, dev, self.clock.now_ns)
 
     def send_batch(self, pkts: list[Packet]) -> None:
-        """Batch egress for locally originated packets (generators, daemons)."""
-        outer = self._egress_batch
-        if outer is None:
-            self._egress_batch = {}
-        run = self._run_pipeline
-        try:
-            for pkt in pkts:
-                run(pkt, False)
-        finally:
-            if outer is None:
-                batch, self._egress_batch = self._egress_batch, None
-                for dev_name, out in batch.items():
-                    self.devices[dev_name].transmit_batch(out)
+        """Batch egress for locally originated packets (generators, daemons):
+        the same dispatch as arrivals, without the hop-limit decrement."""
+        self._input_batch(pkts, decrement=False)
 
     # -- internals --------------------------------------------------------------
-    def _input_batch(self, pkts: list[Packet]) -> None:
-        """Carry arrivals through the datapath one at a time (see the module
-        docstring).  Reusing the first route is exact: the lookup is
+    def _input_batch(
+        self,
+        pkts: list[Packet],
+        dev: NetDev | None = None,
+        now: int | None = None,
+        decrement: bool = True,
+    ) -> None:
+        """Carry a batch through the datapath one packet at a time (see the
+        module docstring), stamping each on the way when ``now`` is its
+        arrival instant; ``decrement`` is False for locally originated
+        packets.  Reusing the first route is exact: the lookup is
         deterministic per (generation, destination), and any FIB change a
         packet causes bumps the generation (``test_jit_v2_fib_guard.py``).
+
+        The outermost dispatch hands each device its egress at batch end,
+        straight to the device's ``wire`` when it has no qdisc (the
+        device's tx counters were bumped per packet by :meth:`_transmit`).
         """
+        counters = self.counters
+        cpu = None
+        if now is not None:
+            counters.rx += len(pkts)
+            name = dev.name if dev is not None else ""
+            rx_bytes = 0
+            cpu = self.cpu  # stamped now, routed when the CPU is done
         outer = self._egress_batch
         if outer is None:
             self._egress_batch = {}
-        counters = self.counters
         main = self.tables[MAIN_TABLE]
         dst = first = action = None
         generation, ran = -1, 0  # ran: packets ``action`` ran, not yet counted
         try:
             for pkt in pkts:
                 data = pkt.data
+                tctx = pkt.tctx
+                if now is not None:
+                    rx_bytes += len(data)
+                    pkt.input_dev = name
+                    pkt.rx_tstamp_ns = now
+                    if tctx is not None:
+                        tctx.append((now, now, "rx", self.name, name))
+                    if cpu is not None:
+                        continue
                 if main.generation != generation or data[24:40] != dst:
                     if len(data) < IPV6_HEADER_LEN:  # never equal to ``dst``
                         counters.dropped += 1
@@ -328,12 +348,11 @@ class Node:
                     action = first.encap if first is not None else None
                     if action is not None and not isinstance(action, Seg6LocalAction):
                         action = None
-                tctx = pkt.tctx
                 route, key, budget = first, dst, _RECIRCULATION_BUDGET
                 if action is not None:
                     if tctx is not None:
                         # The pipeline's instants: spans match either path.
-                        t = self.clock_ns()
+                        t = self.clock.now_ns
                         tctx.append((t, t, "stage:lookup", self.name, ""))
                         tctx.append((t, t, "stage:seg6local", self.name, action.kind))
                     ran += 1
@@ -351,31 +370,47 @@ class Node:
                     counters.no_route += 1
                     counters.dropped += 1
                     continue
-                if route.encap is not None or route.local:
-                    self._run_pipeline(pkt, True, budget, route, key)
+                if route.encap is not None:
+                    self._run_pipeline(pkt, decrement, budget, route, key)
                     continue
                 if tctx is not None:
-                    t = self.clock_ns()
+                    t = self.clock.now_ns
                     tctx.append((t, t, "stage:lookup", self.name, ""))
-                # -- decrement and transmit: _run_pipeline's blocks.
-                data = pkt.data
-                hop_limit = data[7]
-                if hop_limit <= 1:
-                    data[7] = 0
-                    counters.hop_limit_exceeded += 1
-                    self._send_time_exceeded(pkt)
+                if route.local:
+                    self._deliver_local(pkt)
                     continue
-                data[7] = hop_limit - 1
-                counters.forwarded += 1
+                # -- decrement and transmit: _run_pipeline's blocks.
+                if decrement:
+                    data = pkt.data
+                    hop_limit = data[7]
+                    if hop_limit <= 1:
+                        data[7] = 0
+                        counters.hop_limit_exceeded += 1
+                        self._send_time_exceeded(pkt)
+                        continue
+                    data[7] = hop_limit - 1
+                    counters.forwarded += 1
                 self._transmit(pkt, route)
         finally:
+            if now is not None and dev is not None:
+                stats = dev.stats
+                stats.rx_packets += len(pkts)
+                stats.rx_bytes += rx_bytes
             if ran:
                 counters.seg6local_processed += ran
                 action.processed += ran
             if outer is None:
                 batch, self._egress_batch = self._egress_batch, None
                 for dev_name, out in batch.items():
-                    self.devices[dev_name].transmit_batch(out)
+                    out_dev = self.devices[dev_name]
+                    qdisc = out_dev.qdisc
+                    if qdisc is None:
+                        out_dev.wire(out)
+                    else:
+                        for pkt in out:
+                            qdisc.enqueue(pkt, out_dev)
+        if cpu is not None:
+            cpu.submit_batch(pkts, self._input_batch)
 
     def _lookup_route(self, table_id: int, dst: bytes) -> "Route | None":
         """Flow-table-memoised route lookup.
@@ -440,7 +475,7 @@ class Node:
                     return
             tctx = pkt.tctx
             if tctx is not None:
-                t = self.clock_ns()
+                t = self.clock.now_ns
                 tctx.append((t, t, "stage:lookup", self.name, ""))
             encap = route.encap
             if encap is not None:
@@ -448,7 +483,7 @@ class Node:
                 # packet with its action (§3) or re-circulates it.
                 if isinstance(encap, Seg6LocalAction):
                     if tctx is not None:
-                        t = self.clock_ns()
+                        t = self.clock.now_ns
                         tctx.append((t, t, "stage:seg6local", self.name, encap.kind))
                     counters.seg6local_processed += 1
                     encap.processed += 1
@@ -472,7 +507,7 @@ class Node:
                     and encap.prog_in is not None
                 ):
                     if tctx is not None:
-                        t = self.clock_ns()
+                        t = self.clock.now_ns
                         tctx.append((t, t, "stage:lwt_in", self.name, ""))
                     disposition = encap.run_hook("lwt_in", pkt, self)
                     outcome = self._apply_disposition(disposition)
@@ -507,7 +542,7 @@ class Node:
                 # header (§2); the new destination is routed afresh.
                 if isinstance(encap, Seg6Encap):
                     if tctx is not None:
-                        t = self.clock_ns()
+                        t = self.clock.now_ns
                         tctx.append((t, t, "stage:encap", self.name, ""))
                     try:
                         pkt.data = bytearray(encap.apply(pkt.data, self.primary_address()))
@@ -520,7 +555,7 @@ class Node:
                 # -- lwt-out/xmit: route-attached output programs (§2.1)
                 if isinstance(encap, BpfLwt) and encap.has_output_stage():
                     if tctx is not None:
-                        t = self.clock_ns()
+                        t = self.clock.now_ns
                         tctx.append((t, t, "stage:lwt_out", self.name, ""))
                     old_dst = pkt.data[24:40]
                     for hook in ("lwt_out", "lwt_xmit"):
@@ -551,19 +586,23 @@ class Node:
             nexthop = nexthops[0]
         else:
             nexthop = route.select_nexthop(pkt.flow_hash() ^ self.ecmp_seed)
-        if nexthop is None or nexthop.dev not in self.devices:
+        dev = self.devices.get(nexthop.dev) if nexthop is not None else None
+        if dev is None:
             self.counters.dropped += 1
             return
         pkt.trace.append(self.name)
         tctx = pkt.tctx
         if tctx is not None:
-            t = self.clock_ns()
-            tctx.append((t, t, "stage:transmit", self.name, nexthop.dev))
+            t = self.clock.now_ns
+            tctx.append((t, t, "stage:transmit", self.name, dev.name))
         self.counters.tx += 1
+        stats = dev.stats
+        stats.tx_packets += 1
+        stats.tx_bytes += len(pkt.data)
         batch = self._egress_batch
-        out = batch.get(nexthop.dev)
+        out = batch.get(dev.name)
         if out is None:
-            batch[nexthop.dev] = out = []
+            batch[dev.name] = out = []
         out.append(pkt)
 
     def _apply_disposition(
@@ -581,10 +620,11 @@ class Node:
         if pkt.tctx is not None and self.tracer is not None:
             self.tracer.finish(pkt, self)
         self.counters.delivered_local += 1
-        info = pkt._l4_offset()  # the one header walk: ICMP parsing reuses it
+        info = pkt._l4_offset()  # the one header walk: listeners and ICMP reuse it
         if info is None:
             return
         proto, offset = info
+        dport = None
         if proto == PROTO_ICMPV6:
             if self._handle_icmp(pkt, offset):
                 return
@@ -599,11 +639,11 @@ class Node:
         for listener in self.listeners:
             if listener.proto != proto:
                 continue
-            if listener.port is not None and proto in (PROTO_UDP, PROTO_TCP):
-                if listener.port != dport:
-                    continue
+            port = listener.port
+            if port is not None and dport is not None and port != dport:
+                continue
             matched = True
-            listener.callback(pkt, self)
+            listener.callback(pkt, self, offset)
         if not matched and proto == PROTO_UDP and self.addresses:
             # No socket bound: ICMPv6 Destination Unreachable (port), which
             # is how traceroute detects that its probe reached the target.

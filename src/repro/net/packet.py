@@ -2,9 +2,9 @@
 
 A :class:`Packet` owns the raw bytes (outermost IPv6 header onward) plus
 the kernel-side metadata the paper's mechanisms need: the RX software
-timestamp (End.DM reads it through a helper, §4.1), the firewall mark,
-and the routing decision carried between the eBPF hook and the forwarding
-code (``BPF_REDIRECT`` semantics, §3.1).
+timestamp (End.DM reads it through a helper, §4.1), the firewall mark
+and the ingress device.  A program's ``BPF_REDIRECT`` decision (§3.1)
+travels in its helper context, not on the packet.
 """
 
 from __future__ import annotations
@@ -35,8 +35,6 @@ class Packet:
     * ``rx_tstamp_ns`` — software RX timestamp set on reception;
     * ``mark`` — firewall mark, a u32 as ``skb->mark`` (writable from
       eBPF via the context; the constructor refuses any other value);
-    * ``nh6`` / ``table_id`` — routing decision installed by the seg6
-      action helper, honoured on ``BPF_REDIRECT``;
     * ``flow_id`` / ``seq`` / ``tx_tstamp_ns`` — generator bookkeeping
       (``tx_tstamp_ns`` is None on a packet no generator stamped; a
       packet sent at t = 0 is stamped 0);
@@ -52,8 +50,6 @@ class Packet:
         "rx_tstamp_ns",
         "mark",
         "input_dev",
-        "nh6",
-        "table_id",
         "flow_id",
         "seq",
         "tx_tstamp_ns",
@@ -68,8 +64,6 @@ class Packet:
         rx_tstamp_ns: int = 0,
         mark: int = 0,
         input_dev: str | None = None,
-        nh6: bytes | None = None,
-        table_id: int | None = None,
         flow_id: int = 0,
         seq: int = 0,
         tx_tstamp_ns: int | None = None,
@@ -82,8 +76,6 @@ class Packet:
         self.rx_tstamp_ns = rx_tstamp_ns
         self.mark = mark
         self.input_dev = input_dev
-        self.nh6 = nh6
-        self.table_id = table_id
         self.flow_id = flow_id
         self.seq = seq
         self.tx_tstamp_ns = tx_tstamp_ns
@@ -192,7 +184,7 @@ class Packet:
         IPv6-in-IPv6, or None if the walk is truncated or takes > 8 headers."""
         data = self.data
         offset = IPV6_HEADER_LEN
-        proto = self.next_header
+        proto = data[6]
         hops = 0
         while hops < 8:
             hops += 1

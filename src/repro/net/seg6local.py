@@ -365,9 +365,12 @@ class EndBPF(Seg6LocalAction):
         data[_AT_SEGMENTS_LEFT], data[24:40] = verdict
         tctx = pkt.tctx
         if tctx is not None:
-            t = node.clock_ns()
+            t = node.clock.now_ns
             tctx.append((t, t, "ebpf", node.name, f"seg6local/{self.program.name}"))
-        return run_attached(self.handler(), self.stats, pkt, node)
+        handler = self._handler
+        if handler is None or handler.program is not self.program:
+            handler = self.handler()
+        return run_attached(handler, self.stats, pkt, node)
 
 
 def _revalidate(stats: dict, data: bytearray) -> Disposition | None:

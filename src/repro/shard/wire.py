@@ -12,10 +12,8 @@ timestamp, mark, trace count, span count), the raw packet bytes, the
 trace's node names, then the tracing context's spans (``tctx`` — the
 sender's side of the link already appended its queue/serialise/propagate
 spans before export, so a trace crosses the cut without losing time).
-The per-hop routing scratch fields (``input_dev``, ``nh6``,
-``table_id``) are deliberately *not* carried: they are dead between
-hops — ingress restamps ``input_dev`` and the seg6 helpers rewrite the
-rest before they are read.
+The per-hop ``input_dev`` is deliberately *not* carried: it is dead
+between hops, and ingress restamps it.
 """
 
 from __future__ import annotations

@@ -61,9 +61,8 @@ def _quiesce(endpoint) -> None:
     shards execute the real deliveries, and nothing here may move a
     counter the merge would then double-count.
     """
-    for event, _pkts in endpoint._in_flight.values():
+    for event in endpoint.scheduler.events_of(endpoint):
         event.cancel()
-    endpoint._in_flight.clear()
 
 
 def localise(net, assignment: dict, shard_id: int, outbox: list) -> dict:
@@ -106,7 +105,7 @@ def localise(net, assignment: dict, shard_id: int, outbox: list) -> dict:
         if dev.qdisc is not None
     }
     if remote_qdiscs:
-        for *_key, event in net.scheduler._heap:
+        for event in net.scheduler._heap:
             held_by = getattr(event.callback, "__self__", None)
             if held_by is not None and id(held_by) in remote_qdiscs:
                 event.cancel()
@@ -137,7 +136,7 @@ def localise(net, assignment: dict, shard_id: int, outbox: list) -> dict:
                 # the receiving shard's replica holds its own copy of the
                 # delivery event (same key), so delivery/stats happen
                 # there and only the queue bookkeeping remains here.
-                for event, _pkts in endpoint._in_flight.values():
+                for event in endpoint.scheduler.events_of(endpoint):
                     event.callback = endpoint._drain_remote
             elif dst == shard_id:
                 inject[(link_idx, direction)] = endpoint

@@ -58,15 +58,9 @@ class LinkEndpoint:
         self._send_seq = 0
         self._free_at_ns = 0
         self._queued = 0
-        # In-flight delivery events, keyed by the identity of the batch
-        # they carry, so set_down() can cancel them (a failed link loses
-        # the photons already on the fibre).
-        self._in_flight: dict[int, tuple] = {}
-        # Sharding hooks (None/empty on every in-process run): export is
-        # a callable(arrival_ns, seq, pkts) invoked instead of scheduling
-        # local delivery; _remote_in_flight tracks injected deliveries.
+        # Sharding hook (None on every in-process run): a callable(arrival_ns,
+        # seq, pkts) invoked instead of scheduling local delivery.
         self.export = None
-        self._remote_in_flight: dict[int, tuple] = {}
 
     def send(self, pkt: Packet) -> None:
         """Put one packet on the wire (batch of one)."""
@@ -133,7 +127,7 @@ class LinkEndpoint:
                     if delay:
                         tctx.append((last_depart, arrival, "propagate", where, ""))
             if self.export is None:
-                event = self.scheduler.schedule_batch(
+                self.scheduler.schedule_batch(
                     arrival, self._deliver_batch, accepted, key=(self.stream, seq)
                 )
             else:
@@ -141,15 +135,13 @@ class LinkEndpoint:
                 # local drain event under the same key keeps the transmit
                 # queue accounting (and its drop behaviour) byte-identical.
                 self.export(arrival, seq, accepted)
-                event = self.scheduler.schedule_keyed(
+                self.scheduler.schedule_keyed(
                     arrival, self.stream, seq, self._drain_remote, accepted
                 )
-            self._in_flight[id(accepted)] = (event, accepted)
 
     def _deliver_batch(self, pkts: list[Packet]) -> None:
         """The arrival: the batch goes straight to the peer node, on the
         peer device (the hop's one handoff on the receiving side)."""
-        self._in_flight.pop(id(pkts), None)
         self._queued -= len(pkts)
         self.stats.delivered += len(pkts)
         dev = self.peer_dev
@@ -158,7 +150,6 @@ class LinkEndpoint:
     def _drain_remote(self, pkts: list[Packet]) -> None:
         # Export-mode twin of _deliver_batch's queue bookkeeping; the
         # receiving shard owns delivery and its stats.
-        self._in_flight.pop(id(pkts), None)
         self._queued -= len(pkts)
 
     def inject_remote(
@@ -172,19 +163,17 @@ class LinkEndpoint:
         the link is down now, went down at any point since ``sent_ns``
         (a flap shorter than the propagation delay still loses the
         photons already on the fibre, exactly as ``set_down()`` models
-        in-process), or goes down before ``arrival_ns`` (the
-        ``_remote_in_flight`` cancellation path).
+        in-process), or goes down before ``arrival_ns`` (``set_down()``
+        cancels the pending delivery).
         """
         if not self.up or self._last_down_ns >= sent_ns:
             self.stats.dropped += len(pkts)
             return
-        event = self.scheduler.schedule_batch(
+        self.scheduler.schedule_batch(
             arrival_ns, self._deliver_remote, pkts, key=(self.stream, seq)
         )
-        self._remote_in_flight[id(pkts)] = (event, pkts)
 
     def _deliver_remote(self, pkts: list[Packet]) -> None:
-        self._remote_in_flight.pop(id(pkts), None)
         self.stats.delivered += len(pkts)
         dev = self.peer_dev
         dev.node.receive_batch(pkts, dev)
@@ -194,18 +183,20 @@ class LinkEndpoint:
         self.up = False
         self._last_down_ns = self.scheduler.now_ns
         exported = self.export is not None
-        for event, pkts in self._in_flight.values():
+        # The in-flight batches are this endpoint's pending delivery (or
+        # drain) events: found by a scan, so sending keeps no books.
+        for event in self.scheduler.events_of(self):
+            pkts = event.args[0]
+            injected = event.callback == self._deliver_remote
             event.cancel()
+            if injected:
+                self.stats.dropped += len(pkts)
+                continue
             self._queued -= len(pkts)
             if not exported:
                 # In export mode the receiving shard's replica owns the
                 # in-flight loss accounting (see inject_remote).
                 self.stats.dropped += len(pkts)
-        self._in_flight.clear()
-        for event, pkts in self._remote_in_flight.values():
-            event.cancel()
-            self.stats.dropped += len(pkts)
-        self._remote_in_flight.clear()
         # The dropped packets' serialisation reservations die with them:
         # after recovery the first send must not wait out a phantom
         # backlog.
@@ -235,6 +226,8 @@ class Link:
         self.b_to_a = LinkEndpoint(scheduler, dev_a, rate_bps, delay_ns, queue_limit)
         dev_a.link_endpoint = self.a_to_b
         dev_b.link_endpoint = self.b_to_a
+        dev_a.wire = self.a_to_b.send_batch
+        dev_b.wire = self.b_to_a.send_batch
         self.dev_a = dev_a
         self.dev_b = dev_b
         # Carrier watchers: callables invoked as watcher(link, up) on

@@ -120,4 +120,4 @@ class NetemQdisc:
         if seq < self._last_delivered_seq:
             self.stats.reordered += 1
         self._last_delivered_seq = max(self._last_delivered_seq, seq)
-        dev._emit_batch([pkt])
+        dev.wire([pkt])

@@ -100,8 +100,9 @@ def tap_device(
 ) -> None:
     """Mirror a device's traffic into ``writer`` (``tx``, ``rx`` or ``both``).
 
-    Installed like an ``AF_PACKET`` tap, by wrapping the device's wire
-    handoff (tx, after any qdisc) or its node's receive entry point for
+    Installed like an ``AF_PACKET`` tap, by re-pointing the device's
+    ``wire`` (tx, after any qdisc) at a capture that hands on to the
+    previous target, or by wrapping its node's receive entry point for
     arrivals on this device (rx); the datapath behaviour is unchanged.
     Packets are stamped with the owning node's scheduler clock.
     ``index`` is an optional callable invoked as ``index(pkt,
@@ -111,20 +112,20 @@ def tap_device(
         raise ValueError("direction must be tx, rx or both")
 
     def capture(pkts: list[Packet]) -> None:
-        now = dev.node.clock_ns() if dev.node is not None else 0
+        now = dev.node.clock.now_ns if dev.node is not None else 0
         for pkt in pkts:
             writer.write_packet(pkt, timestamp_ns=now)
             if index is not None:
                 index(pkt, now)
 
     if direction in ("tx", "both"):
-        original_emit = dev._emit_batch
+        original_wire = dev.wire
 
-        def tapped_emit(pkts: list[Packet]) -> None:
+        def tapped_wire(pkts: list[Packet]) -> None:
             capture(pkts)
-            original_emit(pkts)
+            original_wire(pkts)
 
-        dev._emit_batch = tapped_emit
+        dev.wire = tapped_wire
 
     if direction in ("rx", "both"):
         node = dev.node

@@ -18,7 +18,8 @@ run would — the bit-reproducibility contract across shard counts.
 
 from __future__ import annotations
 
-import heapq
+from heapq import heappop, heappush
+from operator import itemgetter
 from typing import Callable
 
 NS_PER_SEC = 1_000_000_000
@@ -26,72 +27,57 @@ NS_PER_MS = 1_000_000
 NS_PER_US = 1_000
 
 
-class Event:
-    """One scheduled callback, ordered by ``(time_ns, stream, phase, seq)``.
+class Event(list):
+    """One scheduled callback: the heap entry is the handle.
 
-    Events define no comparison: the heap holds ``(time_ns, stream,
-    phase, seq, event)`` tuples, so ``heapq`` orders them in C and that
-    tuple is the one definition of order.  Keys are unique by
-    construction; a duplicate would fall through to comparing the
-    events and raise ``TypeError`` rather than order arbitrarily.
+    ``[time_ns, stream, phase, seq, unordered, callback, args, owner]``.
+    ``heapq`` compares entries as lists, in C, so the leading key is the
+    one definition of order.  Keys are unique by construction; a
+    duplicate would fall through to ``unordered`` — a fresh ``object()``
+    per event — and raise ``TypeError`` rather than order by callback.
 
-    ``__slots__`` matters here: a busy run allocates millions of events,
-    and slots cut per-event memory roughly in half versus a dataclass
-    with ``__dict__`` (measured in ``BENCH_shard_scaling.json``).
+    ``owner`` is the scheduler while the event waits in its heap, the
+    :class:`Timer` for a timer firing (a daemon: it is not pending
+    work), and None once the event ran or was cancelled, so a late
+    ``cancel()`` is a no-op.  A cancelled event keeps its heap slot, its
+    callback None, until the run loop pops it.
     """
 
-    __slots__ = (
-        "time_ns",
-        "stream",
-        "phase",
-        "seq",
-        "callback",
-        "args",
-        "cancelled",
-        "daemon",
-        "owner",
-    )
+    __slots__ = ()
 
-    def __init__(
-        self,
-        time_ns: int,
-        stream: int,
-        phase: int,
-        seq: int,
-        callback: Callable,
-        args: tuple = (),
-        daemon: bool = False,
-        owner: "Scheduler | None" = None,
-    ):
-        self.time_ns = time_ns
-        self.stream = stream
-        self.phase = phase
-        self.seq = seq
-        self.callback = callback
-        self.args = args
-        self.cancelled = False
-        # Daemon events (recurring-timer firings) don't count as pending
-        # work: a horizon-less run() returns once only daemons remain.
-        self.daemon = daemon
-        # Owning scheduler while the event sits in the heap, so cancellation
-        # can be accounted without a scan; detached (None) once popped, so a
-        # late cancel() of an already-executed event is a no-op.
-        self.owner = owner
+    time_ns = property(itemgetter(0))
+    stream = property(itemgetter(1))
+    phase = property(itemgetter(2))
+    seq = property(itemgetter(3))
+    args = property(itemgetter(6))
+
+    @property
+    def callback(self) -> Callable | None:
+        return self[5]
+
+    @callback.setter
+    def callback(self, callback: Callable) -> None:
+        self[5] = callback
+
+    @property
+    def cancelled(self) -> bool:
+        return self[5] is None
 
     def __repr__(self) -> str:
         return (
-            f"<Event t={self.time_ns} key=({self.stream},{self.phase},{self.seq}) "
-            f"{getattr(self.callback, '__qualname__', self.callback)}>"
+            f"<Event t={self[0]} key=({self[1]},{self[2]},{self[3]}) "
+            f"{getattr(self[5], '__qualname__', self[5])}>"
         )
 
     def cancel(self) -> None:
-        if not self.cancelled:
-            self.cancelled = True
-            if self.owner is not None:
-                self.owner._cancelled += 1
-                if not self.daemon:
-                    self.owner._work -= 1
-                self.owner = None
+        owner = self[7]
+        self[5] = None
+        if owner is not None:
+            self[7] = None
+            if type(owner) is Timer:
+                owner = owner.scheduler
+                owner._daemons -= 1
+            owner._cancelled += 1
 
 
 class Timer:
@@ -120,11 +106,20 @@ class Timer:
             self._event.cancel()
             self._event = None
 
+    def _arm(self) -> None:
+        """Schedule the next firing, owned by this timer (a daemon event)."""
+        scheduler = self.scheduler
+        self._event = event = scheduler.schedule(self.interval_ns, self._fire)
+        event[7] = self
+        scheduler._daemons += 1
+
     def _fire(self) -> None:
-        # Re-arm before running the callback: a callback that raises does
-        # not silently kill the recurrence, and a callback that calls
-        # cancel() cancels the already-scheduled next firing.
-        self._event = self.scheduler._schedule_timer(self.interval_ns, self._fire)
+        # The firing that runs this is no longer queued.  Re-arm before
+        # running the callback: a callback that raises does not silently
+        # kill the recurrence, and a callback that calls cancel() cancels
+        # the already-scheduled next firing.
+        self.scheduler._daemons -= 1
+        self._arm()
         self.fires += 1
         self.callback(*self.args)
 
@@ -134,11 +129,11 @@ class Scheduler:
 
     def __init__(self):
         self.now_ns = 0
-        self._heap: list[tuple[int, int, int, int, Event]] = []
+        self._heap: list[Event] = []
         self.events_run = 0
         self.events_coalesced = 0  # heap events saved by schedule_batch
         self._cancelled = 0  # cancelled events still sitting in the heap
-        self._work = 0  # live non-daemon events in the heap
+        self._daemons = 0  # live timer firings in the heap (not work)
         # Keyed ordering state: the stream of the currently executing
         # event (0 = root, i.e. outside any event) and one derived-event
         # counter per allocated stream.
@@ -171,7 +166,12 @@ class Scheduler:
         seqs = self._stream_seqs
         seq = seqs[stream]
         seqs[stream] = seq + 1
-        return self._push(int(time_ns), stream, 1, seq, callback, args)
+        time_ns = int(time_ns)
+        if time_ns < self.now_ns:
+            raise ValueError(f"cannot schedule in the past ({time_ns} < {self.now_ns})")
+        event = Event((time_ns, stream, 1, seq, object(), callback, args, self))
+        heappush(self._heap, event)
+        return event
 
     def schedule_keyed(
         self, time_ns: int, stream: int, seq: int, callback: Callable, *args
@@ -184,23 +184,11 @@ class Scheduler:
         sender's own scheduler (in-process) or re-keyed onto a remote
         shard's scheduler (cross-shard handoff).
         """
-        return self._push(int(time_ns), stream, 0, seq, callback, args)
-
-    def _push(
-        self, time_ns: int, stream: int, phase: int, seq: int, callback, args
-    ) -> Event:
+        time_ns = int(time_ns)
         if time_ns < self.now_ns:
             raise ValueError(f"cannot schedule in the past ({time_ns} < {self.now_ns})")
-        event = Event(time_ns, stream, phase, seq, callback, args, owner=self)
-        self._work += 1
-        heapq.heappush(self._heap, (time_ns, stream, phase, seq, event))
-        return event
-
-    def _schedule_timer(self, delay_ns: int, callback: Callable) -> Event:
-        """A daemon event: a timer firing that doesn't count as work."""
-        event = self.schedule(delay_ns, callback)
-        event.daemon = True
-        self._work -= 1
+        event = Event((time_ns, stream, 0, seq, object(), callback, args, self))
+        heappush(self._heap, event)
         return event
 
     def every(self, interval_ns: int, callback: Callable, *args) -> Timer:
@@ -216,7 +204,7 @@ class Scheduler:
         plane cannot wedge ``net.run()`` forever.
         """
         timer = Timer(self, interval_ns, callback, args)
-        timer._event = self._schedule_timer(timer.interval_ns, timer._fire)
+        timer._arm()
         return timer
 
     def schedule_batch(
@@ -231,10 +219,16 @@ class Scheduler:
         saved, so benchmarks can report the amortisation.  ``key`` is an
         explicit ``(stream, seq)`` pair (see :meth:`schedule_keyed`).
         """
-        self.events_coalesced += max(0, len(items) - 1)
-        if key is not None:
-            return self._push(int(time_ns), key[0], 0, key[1], callback, (items, *args))
-        return self.schedule_at(time_ns, callback, items, *args)
+        if len(items) > 1:
+            self.events_coalesced += len(items) - 1
+        if key is None:
+            return self.schedule_at(time_ns, callback, items, *args)
+        time_ns = int(time_ns)
+        if time_ns < self.now_ns:
+            raise ValueError(f"cannot schedule in the past ({time_ns} < {self.now_ns})")
+        event = Event((time_ns, key[0], 0, key[1], object(), callback, (items, *args), self))
+        heappush(self._heap, event)
+        return event
 
     # -- execution -------------------------------------------------------------
     def run(self, until_ns: int | None = None, max_events: int | None = None) -> int:
@@ -242,36 +236,39 @@ class Scheduler:
 
         Returns the number of events executed.  This is the scheduler's
         one event loop; :meth:`run_until_grant` runs it to the instant
-        before its horizon.  An armed :attr:`profiler` times each
-        callback.
+        before its horizon.  A :attr:`profiler` armed before the run
+        times each callback.  ``events_run`` is counted once per run.
         """
         heap = self._heap
+        profiler = self.profiler
         executed = 0
         budget_hit = False
-        while heap:
-            if max_events is not None and executed >= max_events:
-                budget_hit = True
-                break
-            if until_ns is None and self._work == 0:
-                break  # only daemon timers (and corpses) remain
-            if until_ns is not None and heap[0][0] > until_ns:
-                break
-            event = heapq.heappop(heap)[4]
-            if event.cancelled:
-                self._cancelled -= 1
-                continue
-            event.owner = None
-            if not event.daemon:
-                self._work -= 1
-            self.now_ns = event.time_ns
-            self._stream = event.stream
-            if self.profiler is None:
-                event.callback(*event.args)
-            else:
-                self.profiler.call(event.callback, event.args)
-            executed += 1
-            self.events_run += 1
-        self._stream = 0
+        try:
+            while heap:
+                if max_events is not None and executed >= max_events:
+                    budget_hit = True
+                    break
+                if until_ns is None:
+                    if len(heap) == self._cancelled + self._daemons:
+                        break  # only daemon timers (and corpses) remain
+                elif heap[0][0] > until_ns:
+                    break
+                event = heappop(heap)
+                owner = event[7]
+                if owner is None:
+                    self._cancelled -= 1
+                    continue
+                event[7] = None
+                self.now_ns = event[0]
+                self._stream = event[1]
+                if profiler is None:
+                    event[5](*event[6])
+                else:
+                    profiler.call(event[5], event[6])
+                executed += 1
+        finally:
+            self.events_run += executed
+            self._stream = 0
         # Fast-forward to the horizon — unless the event budget cut the
         # run short with pre-horizon events still queued, in which case
         # jumping the clock would make those events run in the past.
@@ -298,11 +295,21 @@ class Scheduler:
             self.now_ns = horizon_ns
         return executed
 
+    def events_of(self, owner) -> list[Event]:
+        """The live events whose callback is a method of ``owner`` — an
+        O(heap) scan, for rare state changes such as a link going down."""
+        return [
+            event
+            for event in self._heap
+            if event[7] is not None and getattr(event[5], "__self__", None) is owner
+        ]
+
     @property
     def pending(self) -> int:
         """Live (non-cancelled) events in the heap — O(1), not a scan."""
         return len(self._heap) - self._cancelled
 
-    def now_fn(self) -> Callable[[], int]:
-        """A clock callable suitable for ``Node(clock_ns=...)``."""
-        return lambda: self.now_ns
+    @property
+    def _work(self) -> int:
+        """Live events in the heap that are not timer firings."""
+        return len(self._heap) - self._cancelled - self._daemons

@@ -7,6 +7,7 @@ import zlib
 from dataclasses import dataclass, field
 
 from ..net.packet import Packet
+from ..net.udp import UDP_HEADER_LEN
 from .scheduler import NS_PER_SEC
 
 DEFAULT_DELAY_SAMPLES = 4096
@@ -48,24 +49,34 @@ class FlowMeter:
         if self._rng is None:
             self._rng = random.Random(zlib.crc32(self.name.encode()))
 
-    def on_packet(self, pkt: Packet, node) -> None:
-        payload = pkt.udp_payload()
-        size = len(payload) if payload is not None else 0
-        now = node.clock_ns()
+    def on_packet(self, pkt: Packet, node, offset: int) -> None:
+        """A listener: one delivered datagram, its UDP header at ``offset``."""
+        now = node.clock.now_ns
         self.packets += 1
-        self.payload_bytes += size
+        size = len(pkt.data) - offset - UDP_HEADER_LEN
+        if size > 0:
+            self.payload_bytes += size
         if self.first_ns is None:
             self.first_ns = now
         self.last_ns = now
-        if pkt.seq:
-            if pkt.seq < self._last_seq:
+        seq = pkt.seq
+        if seq:
+            if seq < self._last_seq:
                 self.out_of_order += 1
-            self._last_seq = max(self._last_seq, pkt.seq)
-        if pkt.tx_tstamp_ns is not None:
-            trace_id = (
-                f"{pkt.flow_id}:{pkt.seq}" if pkt.tctx is not None else None
-            )
-            self._observe_delay(now - pkt.tx_tstamp_ns, trace_id)
+            elif seq > self._last_seq:
+                self._last_seq = seq
+        sent = pkt.tx_tstamp_ns
+        if sent is not None:
+            trace_id = f"{pkt.flow_id}:{seq}" if pkt.tctx is not None else None
+            delays = self.delays_ns
+            if self.max_samples is None or len(delays) < self.max_samples:
+                # The reservoir is not full yet: every delay is kept.
+                self.delay_count += 1
+                self.delay_sum_ns += now - sent
+                delays.append(now - sent)
+                self.delay_exemplars.append(trace_id)
+            else:
+                self._observe_delay(now - sent, trace_id)
 
     def _observe_delay(self, delay_ns: int, trace_id: str | None = None) -> None:
         self.delay_count += 1

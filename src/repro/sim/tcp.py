@@ -171,16 +171,15 @@ class TcpSender:
         self.node.send(pkt)
 
     # -- ACK processing -------------------------------------------------------------
-    def _on_segment(self, pkt: Packet, node: Node) -> None:
-        info = pkt._l4_offset()
+    def _on_segment(self, pkt: Packet, node: Node, offset: int) -> None:
         data = pkt.data
-        if info is None or len(data) - info[1] < TCP_HEADER_LEN:
+        if len(data) - offset < TCP_HEADER_LEN:
             return
-        if not data[info[1] + 13] & FLAG_ACK:
+        if not data[offset + 13] & FLAG_ACK:
             return
         # Pure ACKs carry the highest received sequence in the (otherwise
         # unused) seq field — our one-block SACK (see TcpReceiver).
-        sack_high, ack = _SEQ_ACK.unpack_from(data, info[1] + 4)
+        sack_high, ack = _SEQ_ACK.unpack_from(data, offset + 4)
         self._handle_ack(ack, sack_high=sack_high)
 
     def _handle_ack(self, ack: int, sack_high: int = 0) -> None:
@@ -333,12 +332,9 @@ class TcpReceiver:
         self.stats = TcpReceiverStats()
         node.bind(self._on_segment, proto=6, port=src_port)
 
-    def _on_segment(self, pkt: Packet, node: Node) -> None:
-        info = pkt._l4_offset()
-        if info is None:
-            return
+    def _on_segment(self, pkt: Packet, node: Node, offset: int) -> None:
         # A header shorter than 20 bytes leaves no data either.
-        data_len = len(pkt.data) - info[1] - TCP_HEADER_LEN
+        data_len = len(pkt.data) - offset - TCP_HEADER_LEN
         if data_len <= 0:
             return
         self.stats.segments_received += 1
@@ -347,7 +343,7 @@ class TcpReceiver:
             self.first_data_ns = now
         self.last_data_ns = now
 
-        seq, _ack = _SEQ_ACK.unpack_from(pkt.data, info[1] + 4)
+        seq, _ack = _SEQ_ACK.unpack_from(pkt.data, offset + 4)
         self._sack_high = max(self._sack_high, seq + data_len)
         if seq == self.rcv_nxt:
             self.rcv_nxt += data_len

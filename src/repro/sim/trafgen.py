@@ -161,10 +161,10 @@ class UdpFlow:
             return
         if self._template is None:
             self._compile()
-        self.node.send_batch([self._make_packet(now) for _ in range(self.burst)])
-        self._event = self.scheduler.schedule_at(
-            now + self.interval_ns * self.burst, self._tick
-        )
+        burst = self.burst
+        make = self._make_packet
+        self.node.send_batch([make(now)] if burst == 1 else [make(now) for _ in range(burst)])
+        self._event = self.scheduler.schedule_at(now + self.interval_ns * burst, self._tick)
 
 
 class Srv6UdpFlood(UdpFlow):

@@ -85,7 +85,7 @@ class Tracer:
 
     def finish(self, pkt, node) -> None:
         """Close the trace at local delivery on ``node`` (exactly once)."""
-        now = node.clock_ns()
+        now = node.clock.now_ns
         spans = pkt.tctx
         spans.append((now, now, "deliver", node.name, ""))
         t0 = pkt.tx_tstamp_ns

@@ -28,6 +28,7 @@ from ..net.lwt_bpf import BpfLwt
 from ..net.node import Node
 from ..net.packet import Packet, make_udp_packet
 from ..net.seg6local import EndBPF
+from ..net.udp import UDP_HEADER_LEN
 from ..progs import (
     DM_CONFIG_SIZE,
     DmEvent,
@@ -65,9 +66,9 @@ class DelayCollector:
     def __post_init__(self) -> None:
         self.node.bind(self._on_report, proto=17, port=self.port)
 
-    def _on_report(self, pkt: Packet, node: Node) -> None:
-        payload = pkt.udp_payload()
-        if payload is None or len(payload) < REPORT_SIZE:
+    def _on_report(self, pkt: Packet, node: Node, offset: int) -> None:
+        payload = bytes(pkt.data[offset + UDP_HEADER_LEN :])
+        if len(payload) < REPORT_SIZE:
             return
         tx, rx, kind = struct.unpack_from(REPORT_FORMAT, payload)
         self.samples.append(DelaySample(tx, rx, kind))

@@ -34,6 +34,7 @@ from ..net.srh import (
     make_dm_tlv,
     make_srh,
 )
+from ..net.udp import UDP_HEADER_LEN
 from ..progs import (
     WRR_CONFIG_SIZE,
     WRR_STATE_SIZE,
@@ -152,9 +153,9 @@ class TwdDaemon:
         probe = Packet(push_outer_encap(bytes(inner.data), me, srh))
         self.node.send(probe)
 
-    def _on_probe_return(self, pkt: Packet, node: Node) -> None:
-        payload = pkt.udp_payload()
-        if payload is None or len(payload) < struct.calcsize(self.PROBE_FORMAT):
+    def _on_probe_return(self, pkt: Packet, node: Node, offset: int) -> None:
+        payload = bytes(pkt.data[offset + UDP_HEADER_LEN :])
+        if len(payload) < struct.calcsize(self.PROBE_FORMAT):
             return
         link, tx_ns = struct.unpack_from(self.PROBE_FORMAT, payload)
         if link not in (0, 1):

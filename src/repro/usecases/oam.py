@@ -31,7 +31,7 @@ from ..net.packet import Packet, make_udp_packet
 from ..net.seg6 import push_outer_encap
 from ..net.seg6local import EndBPF
 from ..net.srh import make_controller_tlv, make_srh
-from ..net.udp import build_udp
+from ..net.udp import UDP_HEADER_LEN, build_udp
 from ..progs import OampEvent, end_oamp_prog
 from ..sim.scheduler import NS_PER_MS, Scheduler
 
@@ -215,14 +215,11 @@ class SrTraceroute:
         self._probe(next_ttl)
 
     # -- replies ---------------------------------------------------------------
-    def _on_icmp(self, pkt: Packet, node: Node) -> None:
+    def _on_icmp(self, pkt: Packet, node: Node, offset: int) -> None:
         if self.done or self._current is None:
             return
-        info = pkt._l4_offset()
-        if info is None:
-            return
         try:
-            message = Icmpv6Message.parse(bytes(pkt.data), info[1])
+            message = Icmpv6Message.parse(bytes(pkt.data), offset)
         except ValueError:
             return
         if message.msg_type == ICMPV6_TIME_EXCEEDED:
@@ -255,11 +252,11 @@ class SrTraceroute:
             return False
         return header.dst == self.target
 
-    def _on_oamp_reply(self, pkt: Packet, node: Node) -> None:
+    def _on_oamp_reply(self, pkt: Packet, node: Node, offset: int) -> None:
         if self.done or self._current is None or self._current.router is None:
             return
-        payload = pkt.udp_payload()
-        if payload is None or not payload.startswith(OAMP_REPLY_MAGIC):
+        payload = bytes(pkt.data[offset + UDP_HEADER_LEN :])
+        if not payload.startswith(OAMP_REPLY_MAGIC):
             return
         offset = len(OAMP_REPLY_MAGIC) + 16
         count = struct.unpack_from("<I", payload, offset)[0]

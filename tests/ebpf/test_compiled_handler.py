@@ -198,7 +198,7 @@ def test_one_site_on_two_nodes_interleaved_matches_fresh_contexts():
     node armed the handler last: marks, map contents and invocation
     counts equal a per-packet ``run_on_packet`` model fed the same clocks
     and ``random.Random`` streams, and assigning ``node.rng`` /
-    ``node.clock_ns`` takes effect on the very next packet.
+    ``node.clock``'s function takes effect on the very next packet.
     """
     end_live, end_seen = _stamp_prog("end_live")
     lwt_live, lwt_seen = _stamp_prog("lwt_live")
@@ -233,7 +233,7 @@ def test_one_site_on_two_nodes_interleaved_matches_fresh_contexts():
         if step == 3:
             # Between two one-packet batches on B: a new stream, a new clock object.
             nodes["B"].rng, rng_of["B"] = random.Random(5), random.Random(5)
-            nodes["B"].clock_ns = clock_of["B"] = lambda: now["B"] + 77
+            nodes["B"].clock.fn = clock_of["B"] = lambda: now["B"] + 77
 
     total = sum(size for _name, size in script)
     for name, node in nodes.items():

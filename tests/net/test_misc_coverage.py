@@ -143,6 +143,6 @@ def test_input_dev_recorded():
     dev = node.add_device("eth7")
     node.add_address("fc00::1")
     seen = []
-    node.bind(lambda pkt, n: seen.append(pkt.input_dev), proto=17, port=9)
+    node.bind(lambda pkt, n, _offset: seen.append(pkt.input_dev), proto=17, port=9)
     node.receive(make_udp_packet("fc00::2", "fc00::1", 1, 9, b""), dev)
     assert seen == ["eth7"]

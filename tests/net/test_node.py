@@ -66,7 +66,7 @@ def test_hop_limit_expiry_generates_time_exceeded(router):
 
 def test_local_delivery_to_bound_listener(router):
     seen = []
-    router.bind(lambda pkt, node: seen.append(pkt), proto=17, port=7777)
+    router.bind(lambda pkt, node, _offset: seen.append(pkt), proto=17, port=7777)
     pkt = make_udp_packet("fc00:1::1", "fc00:e::1", 1, 7777, b"hi")
     router.receive(pkt, router.devices["eth0"])
     assert len(seen) == 1
@@ -85,7 +85,7 @@ def test_local_udp_without_listener_sends_port_unreachable(router):
 
 def test_wildcard_port_listener(router):
     seen = []
-    router.bind(lambda pkt, node: seen.append(pkt), proto=17, port=None)
+    router.bind(lambda pkt, node, _offset: seen.append(pkt), proto=17, port=None)
     router.receive(
         make_udp_packet("fc00:1::1", "fc00:e::1", 1, 1234, b""), router.devices["eth0"]
     )
@@ -276,7 +276,7 @@ def test_rx_timestamp_set_on_receive():
     node.add_device("eth0")
     node.add_address("fc00::1")
     seen = []
-    node.bind(lambda pkt, n: seen.append(pkt.rx_tstamp_ns), proto=17, port=1)
+    node.bind(lambda pkt, n, _offset: seen.append(pkt.rx_tstamp_ns), proto=17, port=1)
     node.receive(make_udp_packet("fc00::2", "fc00::1", 9, 1, b""), node.devices["eth0"])
     assert seen == [555]
 

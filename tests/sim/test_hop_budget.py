@@ -227,8 +227,8 @@ def test_tcp_endpoints_stay_within_their_call_budgets():
     b.send = send
     receiver = TcpReceiver(Scheduler(), b, "fc00::b", "fc00::a", 6000, 16000)
     data = [segment("fc00::a", "fc00::b", (16000, 6000), seq, 0, bytes(1400)) for seq in (0, 1400)]
-    receiver._on_segment(data[0], b)  # the first ACK builds the image
-    calls = count_calls(receiver._on_segment, data[1], b)
+    receiver._on_segment(data[0], b, 40)  # the first ACK builds the image
+    calls = count_calls(receiver._on_segment, data[1], b, 40)
     assert receiver.rcv_nxt == 2800 and len(sent) == 2
     assert calls <= CALLS_PER_TCP_DATA_SEGMENT_BUDGET, (
         f"{calls} Python-level calls per in-order data segment and its ACK, "
@@ -241,8 +241,8 @@ def test_tcp_endpoints_stay_within_their_call_budgets():
     sender.start()  # the initial window: 10 segments
     sender.ssthresh = sender.cwnd  # congestion avoidance: each new ACK frees one segment
     acks = [segment("fc00::b", "fc00::a", (6000, 16000), ack, ack) for ack in (1400, 2800)]
-    sender._on_segment(acks[0], a)  # takes the RTT sample
-    calls = count_calls(sender._on_segment, acks[1], a)
+    sender._on_segment(acks[0], a, 40)  # takes the RTT sample
+    calls = count_calls(sender._on_segment, acks[1], a, 40)
     assert sender.snd_una == 2800 and len(sent) == 2 + 12
     assert calls <= CALLS_PER_TCP_NEW_ACK_BUDGET, (
         f"{calls} Python-level calls per new ACK and its new segment, "

@@ -6,24 +6,24 @@ from repro.sim.scheduler import NS_PER_MS, NS_PER_SEC
 
 
 def make_dev(sched):
-    node = Node("N", clock_ns=sched.now_fn())
+    node = Node("N", clock_ns=lambda: sched.now_ns)
     return node.add_device("eth0")
 
 
 def drain_times(sched, dev, count, qdisc, spacing_ns=0, size=100):
     """Enqueue ``count`` packets, return their emission times."""
     times = []
-    original_emit = dev._emit_batch
+    original_wire = dev.wire
 
     def capture(pkts):
         times.extend(sched.now_ns for _pkt in pkts)
 
-    dev._emit_batch = capture
+    dev.wire = capture
     for i in range(count):
         sched.schedule(i * spacing_ns, qdisc.enqueue, make_udp_packet(
             "fc00::1", "fc00::2", 1, 2, bytes(size)), dev)
     sched.run()
-    dev._emit_batch = original_emit
+    dev.wire = original_wire
     return times
 
 
@@ -108,7 +108,7 @@ def test_set_delay_reconfigures_live():
 
 def test_cpu_serialises_processing():
     sched = Scheduler()
-    node = Node("M", clock_ns=sched.now_fn())
+    node = Node("M", clock_ns=lambda: sched.now_ns)
     model = CostModel(forward_ns=1000)
     cpu = CpuQueue(sched, model, node)
     done = []
@@ -123,7 +123,7 @@ def test_cpu_serialises_processing():
 
 def test_cpu_queue_limit_drops():
     sched = Scheduler()
-    node = Node("M", clock_ns=sched.now_fn())
+    node = Node("M", clock_ns=lambda: sched.now_ns)
     cpu = CpuQueue(sched, CostModel(forward_ns=100), node, queue_limit=2)
     for _ in range(5):
         cpu.submit(make_udp_packet("fc00::1", "fc00::2", 1, 2, b""), lambda pkt: None)
@@ -147,7 +147,7 @@ def test_cost_model_classifier():
 
 def test_cpu_utilisation():
     sched = Scheduler()
-    node = Node("M", clock_ns=sched.now_fn())
+    node = Node("M", clock_ns=lambda: sched.now_ns)
     cpu = CpuQueue(sched, CostModel(forward_ns=500), node)
     for _ in range(4):
         cpu.submit(make_udp_packet("fc00::1", "fc00::2", 1, 2, b""), lambda pkt: None)
@@ -158,7 +158,7 @@ def test_cpu_utilisation():
 def test_cpu_batch_submission_charges_per_packet_completes_once():
     """submit_batch costs what N submits cost, but coalesces completion."""
     sched = Scheduler()
-    node = Node("M", clock_ns=sched.now_fn())
+    node = Node("M", clock_ns=lambda: sched.now_ns)
     cpu = CpuQueue(sched, CostModel(forward_ns=1000), node)
     done = []
     pkts = [make_udp_packet("fc00::1", "fc00::2", 1, 2, b"") for _ in range(3)]
@@ -175,7 +175,7 @@ def test_cpu_batch_submission_charges_per_packet_completes_once():
 
 def test_cpu_batch_submission_overflow_drops_individually():
     sched = Scheduler()
-    node = Node("M", clock_ns=sched.now_fn())
+    node = Node("M", clock_ns=lambda: sched.now_ns)
     cpu = CpuQueue(sched, CostModel(forward_ns=100), node, queue_limit=2)
     got = []
     pkts = [make_udp_packet("fc00::1", "fc00::2", 1, 2, b"") for _ in range(5)]
@@ -188,7 +188,7 @@ def test_cpu_batch_submission_overflow_drops_individually():
 
 def test_node_routes_through_cpu_queue():
     sched = Scheduler()
-    node = Node("M", clock_ns=sched.now_fn())
+    node = Node("M", clock_ns=lambda: sched.now_ns)
     node.add_device("eth0")
     node.add_device("eth1")
     node.add_address("fc00::e")

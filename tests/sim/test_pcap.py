@@ -164,7 +164,7 @@ def test_rx_tap_captures_only_its_own_device(tmp_path):
     net.config("R", "route add fc00:a::/64 via fc00:a::1 dev eth0")
     capture = net.pcap("R", dev="eth0", direction="rx", path=tmp_path / "r-eth0.pcap")
     arrived = []
-    net["B"].bind(lambda pkt, node: arrived.append(bytes(pkt.data)), proto=17, port=5201)
+    net["B"].bind(lambda pkt, node, _offset: arrived.append(bytes(pkt.data)), proto=17, port=5201)
     net.sink("A")
     forward = net.trafgen("A", dst="fc00:b::1", rate_bps=10e6, payload_size=120, seed=1)
     reverse = net.trafgen("B", dst="fc00:a::1", rate_bps=10e6, payload_size=80, seed=2)

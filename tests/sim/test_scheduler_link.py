@@ -187,7 +187,7 @@ def test_cancelling_an_executed_event_does_not_corrupt_pending():
 
 def two_nodes():
     sched = Scheduler()
-    clock = sched.now_fn()
+    clock = lambda: sched.now_ns  # noqa: E731
     a, b = Node("A", clock_ns=clock), Node("B", clock_ns=clock)
     a.add_device("eth0")
     b.add_device("eth0")
@@ -202,7 +202,7 @@ def test_link_delivers_after_delay():
     sched, a, b = two_nodes()
     Link(sched, a.devices["eth0"], b.devices["eth0"], rate_bps=1e9, delay_ns=1 * NS_PER_MS)
     seen = []
-    b.bind(lambda pkt, node: seen.append(sched.now_ns), proto=17, port=5)
+    b.bind(lambda pkt, node, _offset: seen.append(sched.now_ns), proto=17, port=5)
     a.send(make_udp_packet("fc00::a", "fc00::b", 1, 5, b"x" * 100))
     sched.run()
     assert len(seen) == 1
@@ -217,7 +217,7 @@ def test_link_delivery_accounts_the_receiving_device():
     b.add_device("eth1")
     link = Link(sched, a.devices["eth0"], b.devices["eth0"], rate_bps=1e9, delay_ns=100)
     seen = []
-    b.bind(lambda pkt, node: seen.append(pkt.input_dev), proto=17, port=5)
+    b.bind(lambda pkt, node, _offset: seen.append(pkt.input_dev), proto=17, port=5)
     pkts = [make_udp_packet("fc00::a", "fc00::b", 1, 5, b"x" * size) for size in (10, 20, 30)]
     a.send_batch(pkts)
     sched.run()
@@ -232,7 +232,7 @@ def test_link_serialisation_spaces_packets():
     sched, a, b = two_nodes()
     Link(sched, a.devices["eth0"], b.devices["eth0"], rate_bps=1e6, delay_ns=0)
     times = []
-    b.bind(lambda pkt, node: times.append(sched.now_ns), proto=17, port=5)
+    b.bind(lambda pkt, node, _offset: times.append(sched.now_ns), proto=17, port=5)
     for _ in range(3):
         a.send(make_udp_packet("fc00::a", "fc00::b", 1, 5, b"x" * 77))
     sched.run()
@@ -258,7 +258,7 @@ def test_link_down_drops_in_flight_and_new_sends():
     sched, a, b = two_nodes()
     link = Link(sched, a.devices["eth0"], b.devices["eth0"], rate_bps=1e9, delay_ns=1 * NS_PER_MS)
     seen = []
-    b.bind(lambda pkt, node: seen.append(sched.now_ns), proto=17, port=5)
+    b.bind(lambda pkt, node, _offset: seen.append(sched.now_ns), proto=17, port=5)
     a.send(make_udp_packet("fc00::a", "fc00::b", 1, 5, b"x" * 100))
     # The packet is serialised and propagating; kill the link under it.
     sched.run(until_ns=NS_PER_MS // 2)
@@ -280,7 +280,7 @@ def test_link_down_clears_serialisation_backlog():
     # ~148 ms, so 5 queued packets reserve ~740 ms of serialisation.
     link = Link(sched, a.devices["eth0"], b.devices["eth0"], rate_bps=8e3, delay_ns=1000)
     arrivals = []
-    b.bind(lambda pkt, node: arrivals.append(sched.now_ns), proto=17, port=5)
+    b.bind(lambda pkt, node, _offset: arrivals.append(sched.now_ns), proto=17, port=5)
     for _ in range(5):
         a.send(make_udp_packet("fc00::a", "fc00::b", 1, 5, b"x" * 100))
     sched.run(until_ns=NS_PER_MS)
@@ -299,7 +299,7 @@ def test_link_recovery_resumes_delivery_and_notifies_watchers():
     transitions = []
     link.watchers.append(lambda lnk, up: transitions.append((sched.now_ns, up)))
     seen = []
-    b.bind(lambda pkt, node: seen.append(1), proto=17, port=5)
+    b.bind(lambda pkt, node, _offset: seen.append(1), proto=17, port=5)
     link.set_down()
     link.set_down()  # idempotent: watchers fire once
     a.send(make_udp_packet("fc00::a", "fc00::b", 1, 5, b""))
@@ -316,8 +316,8 @@ def test_link_is_bidirectional():
     sched, a, b = two_nodes()
     Link(sched, a.devices["eth0"], b.devices["eth0"], rate_bps=1e9, delay_ns=100)
     seen = []
-    a.bind(lambda pkt, node: seen.append("a"), proto=17, port=5)
-    b.bind(lambda pkt, node: seen.append("b"), proto=17, port=5)
+    a.bind(lambda pkt, node, _offset: seen.append("a"), proto=17, port=5)
+    b.bind(lambda pkt, node, _offset: seen.append("b"), proto=17, port=5)
     a.send(make_udp_packet("fc00::a", "fc00::b", 1, 5, b""))
     b.send(make_udp_packet("fc00::b", "fc00::a", 1, 5, b""))
     sched.run()

@@ -12,7 +12,7 @@ from repro.sim.scheduler import NS_PER_MS, NS_PER_SEC
 def build_pipe(rate_bps=100e6, delay_ns=2 * NS_PER_MS, loss=0.0, seed=1):
     """Sender node A, receiver node B over a single shaped link."""
     sched = Scheduler()
-    clock = sched.now_fn()
+    clock = lambda: sched.now_ns  # noqa: E731
     a, b = Node("A", clock_ns=clock), Node("B", clock_ns=clock)
     a.add_device("eth0")
     b.add_device("eth0")

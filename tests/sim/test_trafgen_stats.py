@@ -16,7 +16,7 @@ from repro.sim.scheduler import NS_PER_SEC
 
 def wired_pair():
     sched = Scheduler()
-    clock = sched.now_fn()
+    clock = lambda: sched.now_ns  # noqa: E731
     a, b = Node("A", clock_ns=clock), Node("B", clock_ns=clock)
     a.add_device("eth0")
     b.add_device("eth0")
@@ -56,7 +56,7 @@ def test_flow_meter_detects_out_of_order():
     for seq in (1, 2, 5, 3, 6):
         pkt = make_udp_packet("fc00::1", "fc00::2", 1, 2, b"abc")
         pkt.seq = seq
-        meter.on_packet(pkt, node)
+        meter.on_packet(pkt, node, 40)
     assert meter.out_of_order == 1
 
 
@@ -65,7 +65,7 @@ def test_flow_duration_defaults_to_first_last():
     times = iter([100, 200, 300])
     node = Node("X", clock_ns=lambda: next(times))
     for _ in range(3):
-        meter.on_packet(make_udp_packet("fc00::1", "fc00::2", 1, 2, b"ab"), node)
+        meter.on_packet(make_udp_packet("fc00::1", "fc00::2", 1, 2, b"ab"), node, 40)
     assert meter.goodput_bps() == 6 * 8 * 1e9 / 200
 
 
@@ -133,10 +133,10 @@ def test_a_packet_sent_at_time_zero_is_delay_sampled():
 def test_an_unstamped_packet_is_not_delay_sampled():
     meter = FlowMeter()
     node = Node("X", clock_ns=lambda: 50)
-    meter.on_packet(make_udp_packet("fc00::1", "fc00::2", 1, 2, b"ab"), node)
+    meter.on_packet(make_udp_packet("fc00::1", "fc00::2", 1, 2, b"ab"), node, 40)
     stamped = make_udp_packet("fc00::1", "fc00::2", 1, 2, b"ab")
     stamped.tx_tstamp_ns = 0
-    meter.on_packet(stamped, node)
+    meter.on_packet(stamped, node, 40)
     assert meter.packets == 2
     assert meter.delays_ns == [50]
 

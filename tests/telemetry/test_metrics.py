@@ -78,12 +78,12 @@ def test_flowmeter_delay_exemplars_lockstep():
     from repro.net import make_udp_packet
     from repro.sim.stats import FlowMeter
 
+    class _Clock:
+        now_ns = 1_000
+
     class _Node:
         name = "D"
-
-        @staticmethod
-        def clock_ns():
-            return 1_000
+        clock = _Clock
 
     meter = FlowMeter("m")
     traced = make_udp_packet("fc00::1", "fc00::2", 1, 2, b"x")
@@ -91,8 +91,8 @@ def test_flowmeter_delay_exemplars_lockstep():
     traced.tctx = [(400, 400, "emit", "A", "")]
     plain = make_udp_packet("fc00::1", "fc00::2", 1, 2, b"x")
     plain.flow_id, plain.seq, plain.tx_tstamp_ns = 9, 5, 500
-    meter.on_packet(traced, _Node)
-    meter.on_packet(plain, _Node)
+    meter.on_packet(traced, _Node, 40)  # the UDP header follows IPv6's
+    meter.on_packet(plain, _Node, 40)
     assert meter.delays_ns == [600, 500]
     assert meter.delay_exemplars == ["9:4", None]
 

@@ -477,7 +477,7 @@ def test_same_handler_reentry_mid_group_partition_invariance():
         action = EndBPF(Program(COUNT_TO_MARK_ASM, maps={"hits": hits}, name="count_to_mark"))
         node.add_route("fc00:e::100/128", encap=action)
 
-        def answer(pkt, n):
+        def answer(pkt, n, _offset):
             n.send(
                 make_srv6_udp_packet(
                     "fc00:e::1", ["fc00:e::100", "fc00:2::2"], 7, 5201, pkt.udp_payload()
@@ -523,7 +523,7 @@ def test_listener_route_replacement_mid_run_partition_invariance():
     def build():
         node = make_router()
 
-        def move_address(pkt, n):
+        def move_address(pkt, n, _offset):
             if n.counters.delivered_local == 1:
                 n.add_route(f"{ROUTER_ADDR}/128", via="fc00:2::2", dev="eth1")
 
@@ -741,7 +741,7 @@ def test_trafgen_batch_pacing_conserves_throughput():
 
     def run(burst):
         scheduler = Scheduler()
-        clock = scheduler.now_fn()
+        clock = lambda: scheduler.now_ns  # noqa: E731
         a, b = Node("A", clock_ns=clock), Node("B", clock_ns=clock)
         a.add_device("eth0")
         b.add_device("eth0")
@@ -750,7 +750,7 @@ def test_trafgen_batch_pacing_conserves_throughput():
         Link(scheduler, a.devices["eth0"], b.devices["eth0"], 1e9, 1000)
         a.add_route("fc00:2::/64", via="fc00:2::1", dev="eth0")
         got = []
-        b.bind(lambda pkt, node: got.append(len(pkt)), proto=17, port=5201)
+        b.bind(lambda pkt, node, _offset: got.append(len(pkt)), proto=17, port=5201)
         flow = UdpFlow(
             scheduler, a, "fc00:1::1", "fc00:2::1", rate_bps=8e6,
             payload_size=952, burst=burst,

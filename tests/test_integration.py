@@ -53,7 +53,7 @@ def test_setup1_tag_increment_visible_at_sink():
     net.config("S1", f"route add {setup.FUNC_SEGMENT}/128 via fc00:1::ff dev eth0")
     tags = []
     setup.s2.bind(
-        lambda pkt, node: tags.append(pkt.srh()[0].tag if pkt.srh() else None),
+        lambda pkt, node, _offset: tags.append(pkt.srh()[0].tag if pkt.srh() else None),
         proto=17,
         port=5201,
     )
@@ -123,7 +123,7 @@ def test_hop_limits_decrement_across_des_path():
     setup = build_setup1()
     net = setup.net
     hlims = []
-    setup.s2.bind(lambda pkt, node: hlims.append(pkt.hop_limit), proto=17, port=5201)
+    setup.s2.bind(lambda pkt, node, _offset: hlims.append(pkt.hop_limit), proto=17, port=5201)
     flow = net.trafgen("S1", dst="fc00:2::2", rate_bps=1e6, payload_size=64)
     flow.start(duration_ns=NS_PER_SEC // 100)
     net.run(until_ns=NS_PER_SEC // 4)

@@ -304,7 +304,7 @@ def test_topo_subclass_params_flow_into_build():
 
 def handwired_setup1(rate_bps: float = 10e9, link_delay_ns: int = 5000) -> Setup1:
     scheduler = Scheduler()
-    clock = scheduler.now_fn()
+    clock = lambda: scheduler.now_ns  # noqa: E731
     s1 = Node("S1", clock_ns=clock)
     r = Node("R", clock_ns=clock)
     s2 = Node("S2", clock_ns=clock)
@@ -331,7 +331,7 @@ def handwired_setup2(seed: int = 7) -> Setup2:
 
     link0, link1, lan_rate_bps = PAPER_LINK0, PAPER_LINK1, 1e9
     scheduler = Scheduler()
-    clock = scheduler.now_fn()
+    clock = lambda: scheduler.now_ns  # noqa: E731
     s1 = Node("S1", clock_ns=clock)
     a = Node("A", clock_ns=clock)
     r = Node("R", clock_ns=clock)
@@ -408,7 +408,7 @@ def record_sink(setup):
     """Capture every S2 delivery as (arrival time, wire bytes)."""
     deliveries = []
     setup.s2.bind(
-        lambda pkt, node: deliveries.append((node.clock_ns(), bytes(pkt.data))),
+        lambda pkt, node, _offset: deliveries.append((node.clock_ns(), bytes(pkt.data))),
         proto=17,
         port=5201,
     )
@@ -495,7 +495,7 @@ def seeded_run(seed: int) -> list:
     net.config("B", "route add fc00:a::/64 via fc00:a::1 dev eth0")
     deliveries = []
     net["B"].bind(
-        lambda pkt, node: deliveries.append((node.clock_ns(), bytes(pkt.data))),
+        lambda pkt, node, _offset: deliveries.append((node.clock_ns(), bytes(pkt.data))),
         proto=17,
         port=5201,
     )

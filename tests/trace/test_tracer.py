@@ -88,7 +88,7 @@ def test_untraced_run_keeps_tctx_none():
     net.config("A", "route add fc00:b::/64 via fc00:b::1 dev eth0")
     flow = net.trafgen("A", dst="fc00:b::1", rate_bps=10e6, payload_size=200)
     seen = []
-    net.nodes["B"].bind(lambda pkt, node: seen.append(pkt), port=5201)
+    net.nodes["B"].bind(lambda pkt, node, _offset: seen.append(pkt), port=5201)
     flow.start(at_ns=0)
     net.run(until_ns=5 * NS_PER_MS)
     assert seen and all(pkt.tctx is None for pkt in seen)

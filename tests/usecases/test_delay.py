@@ -86,7 +86,7 @@ def test_ratio_zero_disables_sampling(monitored_setup):
 def test_probe_decapsulation_preserves_payload(monitored_setup):
     setup, handles = monitored_setup
     payloads = []
-    setup.s2.bind(lambda pkt, node: payloads.append(pkt.udp_payload()), proto=17, port=4242)
+    setup.s2.bind(lambda pkt, node, _offset: payloads.append(pkt.udp_payload()), proto=17, port=4242)
     pkt = make_udp_packet("fc00:1::1", "fc00:2::2", 9, 4242, b"precious-bytes")
     setup.s1.send(pkt)
     setup.scheduler.run(until_ns=NS_PER_SEC // 10)

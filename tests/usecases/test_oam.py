@@ -21,7 +21,7 @@ OAMP_SEG = {"R1": "fc00:10::aa", "R3": "fc00:30::aa"}
 def diamond():
     """C - R1 - {R2A, R2B} - R3 - T with OAMP on R1 and R3."""
     sched = Scheduler()
-    clock = sched.now_fn()
+    clock = lambda: sched.now_ns  # noqa: E731
     nodes = {name: Node(name, clock_ns=clock) for name in ADDR}
     for name, node in nodes.items():
         node.add_address(ADDR[name])

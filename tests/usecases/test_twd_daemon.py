@@ -13,7 +13,7 @@ from repro.usecases.hybrid import TWD_PORT, TwdDaemon
 @pytest.fixture
 def daemon_env():
     sched = Scheduler()
-    node = Node("A", clock_ns=sched.now_fn())
+    node = Node("A", clock_ns=lambda: sched.now_ns)
     node.add_device("dsl")
     node.add_device("lte")
     node.add_address("fc00:aa::1")
@@ -65,7 +65,7 @@ def _return_probe(daemon, node, link, rtt_ns, sched):
     inner = make_udp_packet(
         me, me, TWD_PORT, TWD_PORT, struct.pack("<BQ", link, tx)
     )
-    daemon._on_probe_return(inner, node)
+    daemon._on_probe_return(inner, node, 40)  # the UDP header follows IPv6's
 
 
 def test_ewma_and_compensation(daemon_env):
@@ -105,9 +105,9 @@ def test_daemon_ignores_garbage_payloads(daemon_env):
     from repro.net import make_udp_packet
 
     me = node.primary_address()
-    daemon._on_probe_return(make_udp_packet(me, me, 1, TWD_PORT, b"xx"), node)
+    daemon._on_probe_return(make_udp_packet(me, me, 1, TWD_PORT, b"xx"), node, 40)
     daemon._on_probe_return(
-        make_udp_packet(me, me, 1, TWD_PORT, struct.pack("<BQ", 9, 0)), node
+        make_udp_packet(me, me, 1, TWD_PORT, struct.pack("<BQ", 9, 0)), node, 40
     )
     assert daemon.samples == []
 
