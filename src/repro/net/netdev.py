@@ -42,6 +42,8 @@ class NetDev:
     stats: DevStats = field(default_factory=DevStats)
     tx_buffer: list[Packet] = field(default_factory=list)
     wire: Callable[[list[Packet]], None] = field(default=None, repr=False, compare=False)
+    # Egress a node is dispatching, parked until its batch ends.
+    pending: list[Packet] = field(default_factory=list, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.wire is None:

@@ -41,6 +41,7 @@ from __future__ import annotations
 import random
 import zlib
 from collections import deque
+from functools import partial
 from dataclasses import dataclass
 from typing import Callable
 
@@ -170,12 +171,12 @@ class Node:
         self.log_messages: list[str] = []
         self.answer_echo = True
         self.flow_table = FlowTable()  # route-resolution memo
-        # Per-device egress accumulator (keyed by device name), active while
-        # a batch is being dispatched; the outermost dispatch hands each
-        # device its list at batch end (see _input_batch).
+        # The devices with egress parked on their ``pending`` list, in
+        # first-use order, while a batch is being dispatched; the outermost
+        # dispatch hands each its list at batch end (see _input_batch).
         # Nested dispatches (ICMP errors, echo replies) append to the
         # already-active batch, preserving per-device order.
-        self._egress_batch: dict[str, list[Packet]] | None = None
+        self._egress: list[NetDev] | None = None
 
     def clock_ns(self) -> int:
         """The node's time in simulated ns: its :attr:`clock`'s ``now_ns``."""
@@ -268,65 +269,62 @@ class Node:
         """Transmit a locally originated packet (batch of one)."""
         self.send_batch([pkt])
 
-    def receive_batch(self, pkts: list[Packet], dev: NetDev | None = None) -> None:
-        """Batch ingress: the NAPI-poll entry point, and the only one.
-
-        A link delivers its arrivals here directly.  Per-packet semantics
-        are those of N arrivals in order; egress is accumulated per
-        device and handed over once at batch end, so links see whole
-        batches while per-device wire order stays exactly the order of
-        the input.  ``dev`` identifies the ingress device: its ``ip -s
-        link`` rx counters are bumped and each packet is stamped with
-        ``input_dev`` and the arrival instant, in the same pass that
-        routes it.  With a CPU cost model attached, the whole batch is
-        stamped, then submitted to the queue (per-packet costs, one
-        completion — the interrupt-coalescing analogue) and routed when
-        it completes.
-        """
-        self._input_batch(pkts, dev, self.clock.now_ns)
-
-    def send_batch(self, pkts: list[Packet]) -> None:
-        """Batch egress for locally originated packets (generators, daemons):
-        the same dispatch as arrivals, without the hop-limit decrement."""
-        self._input_batch(pkts, decrement=False)
-
-    # -- internals --------------------------------------------------------------
-    def _input_batch(
+    def receive_batch(
         self,
         pkts: list[Packet],
         dev: NetDev | None = None,
-        now: int | None = None,
+        arrival: bool = True,
         decrement: bool = True,
     ) -> None:
-        """Carry a batch through the datapath one packet at a time (see the
-        module docstring), stamping each on the way when ``now`` is its
-        arrival instant; ``decrement`` is False for locally originated
-        packets.  Reusing the first route is exact: the lookup is
-        deterministic per (generation, destination), and any FIB change a
-        packet causes bumps the generation (``test_jit_v2_fib_guard.py``).
+        """Batch ingress — the NAPI-poll entry point — and the node's one
+        dispatch pass.
 
-        The outermost dispatch hands each device its egress at batch end,
-        straight to the device's ``wire`` when it has no qdisc (the
-        device's tx counters were bumped per packet by :meth:`_transmit`).
+        A link delivers its arrivals here directly.  Per-packet semantics
+        are those of N arrivals in order: the batch is carried through the
+        datapath one packet at a time (see the module docstring).  Egress
+        is accumulated per device and handed over once at batch end, so
+        links see whole batches while per-device wire order stays exactly
+        the order of the input.  ``dev`` identifies the ingress device:
+        its ``ip -s link`` rx counters are bumped and each packet is
+        stamped with ``input_dev`` and the arrival instant, in the same
+        pass that routes it.  With a CPU cost model attached, the whole
+        batch is stamped, then submitted to the queue (per-packet costs,
+        one completion — the interrupt-coalescing analogue) and routed
+        when it completes.
+
+        The node's own dispatches enter this pass as ``_input_batch``,
+        past any wrapper of ``receive_batch`` (a pcap rx tap sees arrivals
+        only): ``arrival=False`` routes a batch already stamped and
+        counted (a CPU completion), and with ``decrement=False`` a locally
+        originated one (:meth:`send_batch`).
+
+        Reusing the first route is exact: the lookup is deterministic per
+        (generation, destination), and any FIB change a packet causes
+        bumps the generation (``test_jit_v2_fib_guard.py``).
+        :meth:`_transmit` parks each packet on its device's ``pending``
+        list; the outermost dispatch hands each device that list at batch
+        end, straight to its ``wire`` when it has no qdisc.
         """
         counters = self.counters
         cpu = None
-        if now is not None:
+        if arrival:
+            now = self.clock.now_ns
             counters.rx += len(pkts)
             name = dev.name if dev is not None else ""
             rx_bytes = 0
             cpu = self.cpu  # stamped now, routed when the CPU is done
-        outer = self._egress_batch
+        egress = outer = self._egress
         if outer is None:
-            self._egress_batch = {}
+            self._egress = egress = []
         main = self.tables[MAIN_TABLE]
-        dst = first = action = None
+        # The first packet always takes the lookup branch (no generation
+        # is -1), which binds dst, first and action before any use.
         generation, ran = -1, 0  # ran: packets ``action`` ran, not yet counted
         try:
             for pkt in pkts:
                 data = pkt.data
                 tctx = pkt.tctx
-                if now is not None:
+                if arrival:
                     rx_bytes += len(data)
                     pkt.input_dev = name
                     pkt.rx_tstamp_ns = now
@@ -344,11 +342,11 @@ class Node:
                         ran = 0
                     dst = bytes(data[24:40])
                     generation = main.generation
-                    first = self._lookup_route(MAIN_TABLE, dst)
+                    first = self._lookup_route(main, dst)
                     action = first.encap if first is not None else None
                     if action is not None and not isinstance(action, Seg6LocalAction):
                         action = None
-                route, key, budget = first, dst, _RECIRCULATION_BUDGET
+                route = first
                 if action is not None:
                     if tctx is not None:
                         # The pipeline's instants: spans match either path.
@@ -357,21 +355,28 @@ class Node:
                         tctx.append((t, t, "stage:seg6local", self.name, action.kind))
                     ran += 1
                     disposition = action.process(pkt, self)
-                    table_id = nh6 = None
-                    if disposition is not _FORWARD:
+                    table = main
+                    if disposition is _FORWARD:
+                        key = bytes(pkt.data[24:40])
+                    else:
                         outcome = self._apply_disposition(disposition)
                         if outcome is None:
                             continue
-                        table_id, nh6 = outcome
-                    key = nh6 if nh6 is not None else bytes(pkt.data[24:40])
-                    route = self._lookup_route(table_id or MAIN_TABLE, key)
-                    budget -= 1
+                        table_id, key = outcome
+                        if table_id:
+                            table = self.table(table_id)
+                        if key is None:
+                            key = bytes(pkt.data[24:40])
+                    route = self._lookup_route(table, key)
+                    if route is not None and route.encap is not None:
+                        self._run_pipeline(pkt, decrement, _RECIRCULATION_BUDGET - 1, route, key)
+                        continue
+                elif route is not None and route.encap is not None:
+                    self._run_pipeline(pkt, decrement, _RECIRCULATION_BUDGET, route, dst)
+                    continue
                 if route is None:
                     counters.no_route += 1
                     counters.dropped += 1
-                    continue
-                if route.encap is not None:
-                    self._run_pipeline(pkt, decrement, budget, route, key)
                     continue
                 if tctx is not None:
                     t = self.clock.now_ns
@@ -392,7 +397,7 @@ class Node:
                     counters.forwarded += 1
                 self._transmit(pkt, route)
         finally:
-            if now is not None and dev is not None:
+            if arrival and dev is not None:
                 stats = dev.stats
                 stats.rx_packets += len(pkts)
                 stats.rx_bytes += rx_bytes
@@ -400,31 +405,43 @@ class Node:
                 counters.seg6local_processed += ran
                 action.processed += ran
             if outer is None:
-                batch, self._egress_batch = self._egress_batch, None
-                for dev_name, out in batch.items():
-                    out_dev = self.devices[dev_name]
-                    qdisc = out_dev.qdisc
-                    if qdisc is None:
-                        out_dev.wire(out)
-                    else:
-                        for pkt in out:
-                            qdisc.enqueue(pkt, out_dev)
+                self._egress = None
+                try:
+                    for out_dev in egress:
+                        out = out_dev.pending
+                        out_dev.pending = []
+                        qdisc = out_dev.qdisc
+                        if qdisc is None:
+                            out_dev.wire(out)
+                        else:
+                            for pkt in out:
+                                qdisc.enqueue(pkt, out_dev)
+                except BaseException:
+                    for out_dev in egress:  # an unflushed device starts empty
+                        out_dev.pending = []
+                    raise
         if cpu is not None:
-            cpu.submit_batch(pkts, self._input_batch)
+            cpu.submit_batch(pkts, partial(self._input_batch, arrival=False))
 
-    def _lookup_route(self, table_id: int, dst: bytes) -> "Route | None":
-        """Flow-table-memoised route lookup.
+    # The node's own dispatches enter here, past any instance-level wrapper
+    # of receive_batch.
+    _input_batch = receive_batch
+
+    def send_batch(self, pkts: list[Packet]) -> None:
+        """Batch egress for locally originated packets (generators, daemons):
+        the dispatch pass without the rx stamp and the hop-limit decrement."""
+        self._input_batch(pkts, None, False, False)
+
+    def _lookup_route(self, table: FibTable, dst: bytes) -> "Route | None":
+        """Flow-table-memoised route lookup in ``table``.
 
         Misses fall through to the FIB's longest-prefix match; hits are
         revalidated against the table generation so route changes take
         effect immediately.
         """
-        table = self.tables.get(table_id)
-        if table is None:
-            table = self.table(table_id)
         flow_table = self.flow_table
         entries = flow_table.entries
-        key = (table_id, dst)
+        key = (table.table_id, dst)
         hit = entries.get(key)
         if hit is not None and hit[1] == table.generation:
             flow_table.hits += 1
@@ -468,7 +485,8 @@ class Node:
             # the destination; both are consumed by the lookup.
             if route is None:
                 lookup_dst = nh6 if nh6 is not None else bytes(pkt.data[24:40])
-                route = self._lookup_route(table_id or MAIN_TABLE, lookup_dst)
+                table = self.table(table_id) if table_id else self.tables[MAIN_TABLE]
+                route = self._lookup_route(table, lookup_dst)
                 if route is None:
                     counters.no_route += 1
                     counters.dropped += 1
@@ -599,11 +617,10 @@ class Node:
         stats = dev.stats
         stats.tx_packets += 1
         stats.tx_bytes += len(pkt.data)
-        batch = self._egress_batch
-        out = batch.get(dev.name)
-        if out is None:
-            batch[dev.name] = out = []
-        out.append(pkt)
+        pending = dev.pending
+        if not pending:
+            self._egress.append(dev)
+        pending.append(pkt)
 
     def _apply_disposition(
         self, disposition: Disposition

@@ -70,7 +70,7 @@ class Packet:
         trace: list | None = None,
         tctx: list | None = None,
     ):
-        if not 0 <= mark <= 0xFFFFFFFF:
+        if mark and not 0 < mark <= 0xFFFFFFFF:
             raise ValueError(f"mark {mark} is not a u32 (skb->mark)")
         self.data = bytearray(data)
         self.rx_tstamp_ns = rx_tstamp_ns
@@ -185,22 +185,22 @@ class Packet:
         data = self.data
         offset = IPV6_HEADER_LEN
         proto = data[6]
-        hops = 0
-        while hops < 8:
-            hops += 1
-            if proto == PROTO_ROUTING:
-                if offset + 2 > len(data):
-                    return None
-                next_proto = data[offset]
-                offset += (data[offset + 1] + 1) * 8
-                proto = next_proto
-            elif proto == 41:
-                if offset + IPV6_HEADER_LEN > len(data):
-                    return None
-                proto = data[offset + 6]
-                offset += IPV6_HEADER_LEN
-            else:
-                return proto, offset
+        try:
+            for _ in range(8):
+                if proto == PROTO_ROUTING:
+                    # An IndexError here is a routing header cut short.
+                    next_proto = data[offset]
+                    offset += (data[offset + 1] + 1) * 8
+                    proto = next_proto
+                elif proto == 41:
+                    if offset + IPV6_HEADER_LEN > len(data):
+                        return None
+                    proto = data[offset + 6]
+                    offset += IPV6_HEADER_LEN
+                else:
+                    return proto, offset
+        except IndexError:
+            return None
         return None
 
 

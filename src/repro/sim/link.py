@@ -27,6 +27,9 @@ from ..net.packet import Packet
 from .scheduler import NS_PER_SEC, Scheduler
 
 
+_BIT_NS = 8 * NS_PER_SEC  # ns to serialise one byte at 1 b/s
+
+
 @dataclass
 class LinkStats:
     sent: int = 0
@@ -94,7 +97,7 @@ class LinkEndpoint:
             start = depart if depart > now else now
             depart = start
             if self.rate_bps > 0:
-                depart += int(size * 8 * NS_PER_SEC / self.rate_bps)
+                depart += int(size * _BIT_NS / self.rate_bps)
             self._queued += 1
             stats.sent += 1
             stats.bytes_sent += size
@@ -106,7 +109,7 @@ class LinkEndpoint:
         self._free_at_ns = depart
         if accepted:
             seq = self._send_seq
-            self._send_seq += 1
+            self._send_seq = seq + 1
             arrival = depart + self.delay_ns
             if traced is not None:
                 # Spans are appended before the export branch so they
@@ -142,8 +145,9 @@ class LinkEndpoint:
     def _deliver_batch(self, pkts: list[Packet]) -> None:
         """The arrival: the batch goes straight to the peer node, on the
         peer device (the hop's one handoff on the receiving side)."""
-        self._queued -= len(pkts)
-        self.stats.delivered += len(pkts)
+        count = len(pkts)
+        self._queued -= count
+        self.stats.delivered += count
         dev = self.peer_dev
         dev.node.receive_batch(pkts, dev)
 

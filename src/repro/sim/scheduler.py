@@ -223,10 +223,11 @@ class Scheduler:
             self.events_coalesced += len(items) - 1
         if key is None:
             return self.schedule_at(time_ns, callback, items, *args)
+        stream, seq = key
         time_ns = int(time_ns)
         if time_ns < self.now_ns:
             raise ValueError(f"cannot schedule in the past ({time_ns} < {self.now_ns})")
-        event = Event((time_ns, key[0], 0, key[1], object(), callback, (items, *args), self))
+        event = Event((time_ns, stream, 0, seq, object(), callback, (items,) + args, self))
         heappush(self._heap, event)
         return event
 
@@ -241,6 +242,7 @@ class Scheduler:
         """
         heap = self._heap
         profiler = self.profiler
+        horizon = until_ns if until_ns is not None else float("inf")
         executed = 0
         budget_hit = False
         try:
@@ -248,18 +250,18 @@ class Scheduler:
                 if max_events is not None and executed >= max_events:
                     budget_hit = True
                     break
-                if until_ns is None:
-                    if len(heap) == self._cancelled + self._daemons:
-                        break  # only daemon timers (and corpses) remain
-                elif heap[0][0] > until_ns:
-                    break
+                if until_ns is None and len(heap) == self._cancelled + self._daemons:
+                    break  # only daemon timers (and corpses) remain
                 event = heappop(heap)
-                owner = event[7]
-                if owner is None:
+                time_ns = event[0]
+                if time_ns > horizon:
+                    heappush(heap, event)  # the first event past the horizon
+                    break
+                if event[7] is None:
                     self._cancelled -= 1
                     continue
                 event[7] = None
-                self.now_ns = event[0]
+                self.now_ns = time_ns
                 self._stream = event[1]
                 if profiler is None:
                     event[5](*event[6])

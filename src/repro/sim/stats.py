@@ -69,14 +69,15 @@ class FlowMeter:
         if sent is not None:
             trace_id = f"{pkt.flow_id}:{seq}" if pkt.tctx is not None else None
             delays = self.delays_ns
+            delay = now - sent
             if self.max_samples is None or len(delays) < self.max_samples:
                 # The reservoir is not full yet: every delay is kept.
                 self.delay_count += 1
-                self.delay_sum_ns += now - sent
-                delays.append(now - sent)
+                self.delay_sum_ns += delay
+                delays.append(delay)
                 self.delay_exemplars.append(trace_id)
             else:
-                self._observe_delay(now - sent, trace_id)
+                self._observe_delay(delay, trace_id)
 
     def _observe_delay(self, delay_ns: int, trace_id: str | None = None) -> None:
         self.delay_count += 1

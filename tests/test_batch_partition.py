@@ -653,16 +653,16 @@ def test_flow_table_stale_generation_reresolves_in_place():
     flow_table.capacity = 4
     keys = [(MAIN_TABLE, flow_dst(i)) for i in range(4)]
     for key in keys:
-        node._lookup_route(*key)
+        node._lookup_route(node.table(key[0]), key[1])
     node.add_route("fc00:3::/64", via="fc00:2::2", dev="eth1")  # generation bump
-    node._lookup_route(*keys[1])
+    node._lookup_route(node.main_table(), keys[1][1])
     assert list(flow_table.entries) == keys
     assert flow_table.entries[keys[1]][1] == node.main_table().generation
     assert (flow_table.hits, flow_table.misses) == (0, 5)
     assert_flow_table_consistent(flow_table)
     # The re-resolved key is still second-oldest: evicted second, not last.
-    node._lookup_route(MAIN_TABLE, flow_dst(4))
-    node._lookup_route(MAIN_TABLE, flow_dst(5))
+    node._lookup_route(node.main_table(), flow_dst(4))
+    node._lookup_route(node.main_table(), flow_dst(5))
     assert list(flow_table.entries) == keys[2:] + [
         (MAIN_TABLE, flow_dst(4)),
         (MAIN_TABLE, flow_dst(5)),
@@ -679,9 +679,9 @@ def test_flow_table_shrinks_to_lowered_capacity():
     flow_table = node.flow_table
     flow_table.capacity = 16
     for i in range(16):
-        node._lookup_route(MAIN_TABLE, flow_dst(i))
+        node._lookup_route(node.main_table(), flow_dst(i))
     flow_table.capacity = 4
-    node._lookup_route(MAIN_TABLE, flow_dst(16))
+    node._lookup_route(node.main_table(), flow_dst(16))
     assert list(flow_table.entries) == [(MAIN_TABLE, flow_dst(i)) for i in (13, 14, 15, 16)]
     assert_flow_table_consistent(flow_table)
 
@@ -708,14 +708,14 @@ def test_flow_table_churn_has_no_eviction_cliff():
     try:
         for _ in range(3):
             node = make_router()
-            lookup = node._lookup_route
+            lookup, main = node._lookup_route, node.main_table()
             for dst in keys[:capacity]:
-                lookup(MAIN_TABLE, dst)
+                lookup(main, dst)
             marks = []
             for start in range(capacity, capacity + period, tenth):
                 begin = perf_counter_ns()
                 for dst in keys[start : start + tenth]:
-                    lookup(MAIN_TABLE, dst)
+                    lookup(main, dst)
                 marks.append(perf_counter_ns() - begin)
             first = min(first, marks[0])
             last = min(last, marks[9])
