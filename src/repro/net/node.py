@@ -122,13 +122,10 @@ class _CallClock:
     """The clock of a node built with ``clock_ns=fn``: ``now_ns`` calls ``fn``."""
 
     __slots__ = ("fn",)
+    now_ns = property(lambda self: self.fn())
 
     def __init__(self, fn: Callable[[], int]):
         self.fn = fn
-
-    @property
-    def now_ns(self) -> int:
-        return self.fn()
 
 
 class Node:
@@ -276,34 +273,27 @@ class Node:
         arrival: bool = True,
         decrement: bool = True,
     ) -> None:
-        """Batch ingress — the NAPI-poll entry point — and the node's one
-        dispatch pass.
+        """Batch ingress (the NAPI-poll entry point) and the node's one
+        dispatch pass, which carries the batch through the datapath one
+        packet at a time (see the module docstring).
 
-        A link delivers its arrivals here directly.  Per-packet semantics
-        are those of N arrivals in order: the batch is carried through the
-        datapath one packet at a time (see the module docstring).  Egress
-        is accumulated per device and handed over once at batch end, so
-        links see whole batches while per-device wire order stays exactly
-        the order of the input.  ``dev`` identifies the ingress device:
-        its ``ip -s link`` rx counters are bumped and each packet is
-        stamped with ``input_dev`` and the arrival instant, in the same
-        pass that routes it.  With a CPU cost model attached, the whole
-        batch is stamped, then submitted to the queue (per-packet costs,
-        one completion — the interrupt-coalescing analogue) and routed
-        when it completes.
+        Per-packet semantics are those of N arrivals in order.  ``dev``
+        identifies the ingress device: its ``ip -s link`` rx counters are
+        bumped and each packet is stamped with ``input_dev`` and the
+        arrival instant in the pass that routes it.  With a CPU cost model
+        attached, the stamped batch is submitted to the queue (per-packet
+        costs, one completion) and routed when it completes.  Reusing the
+        first route is exact: the lookup is deterministic per (generation,
+        destination), and any FIB change a packet causes bumps the
+        generation (``test_jit_v2_fib_guard.py``).
 
-        The node's own dispatches enter this pass as ``_input_batch``,
-        past any wrapper of ``receive_batch`` (a pcap rx tap sees arrivals
-        only): ``arrival=False`` routes a batch already stamped and
-        counted (a CPU completion), and with ``decrement=False`` a locally
-        originated one (:meth:`send_batch`).
-
-        Reusing the first route is exact: the lookup is deterministic per
-        (generation, destination), and any FIB change a packet causes
-        bumps the generation (``test_jit_v2_fib_guard.py``).
-        :meth:`_transmit` parks each packet on its device's ``pending``
-        list; the outermost dispatch hands each device that list at batch
-        end, straight to its ``wire`` when it has no qdisc.
+        :meth:`_transmit` parks egress on each device's ``pending`` list;
+        the outermost dispatch hands each list over at batch end, straight
+        to the device's ``wire`` when it has no qdisc, so links see whole
+        batches in input order.  The node's own dispatches enter as
+        ``_input_batch``, past any wrapper of ``receive_batch`` (a pcap rx
+        tap): ``arrival=False`` for a batch stamped already (a CPU
+        completion), with ``decrement=False`` for a local one (a send).
         """
         counters = self.counters
         cpu = None
@@ -346,7 +336,7 @@ class Node:
                     action = first.encap if first is not None else None
                     if action is not None and not isinstance(action, Seg6LocalAction):
                         action = None
-                route = first
+                route, key, budget = first, dst, _RECIRCULATION_BUDGET
                 if action is not None:
                     if tctx is not None:
                         # The pipeline's instants: spans match either path.
@@ -355,28 +345,21 @@ class Node:
                         tctx.append((t, t, "stage:seg6local", self.name, action.kind))
                     ran += 1
                     disposition = action.process(pkt, self)
-                    table = main
-                    if disposition is _FORWARD:
-                        key = bytes(pkt.data[24:40])
-                    else:
+                    table_id = nh6 = None
+                    if disposition is not _FORWARD:
                         outcome = self._apply_disposition(disposition)
                         if outcome is None:
                             continue
-                        table_id, key = outcome
-                        if table_id:
-                            table = self.table(table_id)
-                        if key is None:
-                            key = bytes(pkt.data[24:40])
-                    route = self._lookup_route(table, key)
-                    if route is not None and route.encap is not None:
-                        self._run_pipeline(pkt, decrement, _RECIRCULATION_BUDGET - 1, route, key)
-                        continue
-                elif route is not None and route.encap is not None:
-                    self._run_pipeline(pkt, decrement, _RECIRCULATION_BUDGET, route, dst)
-                    continue
+                        table_id, nh6 = outcome
+                    key = nh6 if nh6 is not None else bytes(pkt.data[24:40])
+                    route = self._lookup_route(self.table(table_id) if table_id else main, key)
+                    budget -= 1
                 if route is None:
                     counters.no_route += 1
                     counters.dropped += 1
+                    continue
+                if route.encap is not None:
+                    self._run_pipeline(pkt, decrement, budget, route, key)
                     continue
                 if tctx is not None:
                     t = self.clock.now_ns
@@ -417,7 +400,7 @@ class Node:
                             for pkt in out:
                                 qdisc.enqueue(pkt, out_dev)
                 except BaseException:
-                    for out_dev in egress:  # an unflushed device starts empty
+                    for out_dev in egress:  # nothing stays parked past a failure
                         out_dev.pending = []
                     raise
         if cpu is not None:

@@ -49,25 +49,9 @@ class Event(list):
     stream = property(itemgetter(1))
     phase = property(itemgetter(2))
     seq = property(itemgetter(3))
+    callback = property(itemgetter(5), lambda self, callback: self.__setitem__(5, callback))
     args = property(itemgetter(6))
-
-    @property
-    def callback(self) -> Callable | None:
-        return self[5]
-
-    @callback.setter
-    def callback(self, callback: Callable) -> None:
-        self[5] = callback
-
-    @property
-    def cancelled(self) -> bool:
-        return self[5] is None
-
-    def __repr__(self) -> str:
-        return (
-            f"<Event t={self[0]} key=({self[1]},{self[2]},{self[3]}) "
-            f"{getattr(self[5], '__qualname__', self[5])}>"
-        )
+    cancelled = property(lambda self: self[5] is None)
 
     def cancel(self) -> None:
         owner = self[7]
