@@ -584,10 +584,10 @@ class Node:
         if len(nexthops) == 1:
             # ECMP selection is the 5-tuple hash's only consumer, so a
             # single-nexthop route skips the L4 walk entirely.
-            nexthop = nexthops[0]
+            dev = self.devices.get(nexthops[0].dev)
         else:
             nexthop = route.select_nexthop(pkt.flow_hash() ^ self.ecmp_seed)
-        dev = self.devices.get(nexthop.dev) if nexthop is not None else None
+            dev = self.devices.get(nexthop.dev) if nexthop is not None else None
         if dev is None:
             self.counters.dropped += 1
             return
@@ -630,9 +630,10 @@ class Node:
                 return
         elif proto == PROTO_UDP or proto == PROTO_TCP:
             data = pkt.data
-            if offset + 4 > len(data):
+            try:
+                dport = (data[offset + 2] << 8) | data[offset + 3]
+            except IndexError:  # the ports are cut short
                 return
-            dport = (data[offset + 2] << 8) | data[offset + 3]
         else:
             return
         matched = False

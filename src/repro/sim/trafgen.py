@@ -134,25 +134,6 @@ class UdpFlow:
         (csum,) = _U16.unpack_from(self._template, l4 + 6)
         self._csum_rest = (0xFFFF - csum) + (0xFFFF - self.src_port)
 
-    def _make_packet(self, now: int) -> Packet:
-        pkt = Packet(self._template)
-        if self.src_port_spread > 1:
-            src_port = self.src_port + self.rng.randrange(self.src_port_spread)
-            _U16.pack_into(pkt.data, self._l4, src_port)
-            # x % 0xFFFF is the one's-complement fold; a checksum of 0 is
-            # sent as 0xFFFF (RFC 8200), exactly as build_udp does.
-            csum = 0xFFFF - (self._csum_rest + src_port) % 0xFFFF
-            _U16.pack_into(pkt.data, self._l4 + 6, csum)
-        self._seq += 1
-        pkt.seq = self._seq
-        pkt.flow_id = self.flow_id
-        pkt.tx_tstamp_ns = now
-        if self.tracer is not None:
-            self.tracer.admit(pkt, self.node.name, now)
-        self.stats.sent += 1
-        self.stats.bytes_sent += len(pkt.data)
-        return pkt
-
     def _tick(self) -> None:
         if not self.enabled:
             return
@@ -161,10 +142,28 @@ class UdpFlow:
             return
         if self._template is None:
             self._compile()
-        burst = self.burst
-        make = self._make_packet
-        self.node.send_batch([make(now)] if burst == 1 else [make(now) for _ in range(burst)])
-        self._event = self.scheduler.schedule_at(now + self.interval_ns * burst, self._tick)
+        spread, stats = self.src_port_spread, self.stats
+        pkts = []
+        for _ in range(self.burst):
+            pkt = Packet(self._template)
+            if spread > 1:
+                src_port = self.src_port + self.rng.randrange(spread)
+                _U16.pack_into(pkt.data, self._l4, src_port)
+                # x % 0xFFFF is the one's-complement fold; a checksum of 0 is
+                # sent as 0xFFFF (RFC 8200), exactly as build_udp does.
+                csum = 0xFFFF - (self._csum_rest + src_port) % 0xFFFF
+                _U16.pack_into(pkt.data, self._l4 + 6, csum)
+            self._seq = seq = self._seq + 1
+            pkt.seq = seq
+            pkt.flow_id = self.flow_id
+            pkt.tx_tstamp_ns = now
+            if self.tracer is not None:
+                self.tracer.admit(pkt, self.node.name, now)
+            stats.sent += 1
+            stats.bytes_sent += len(pkt.data)
+            pkts.append(pkt)
+        self.node.send_batch(pkts)
+        self._event = self.scheduler.schedule_at(now + self.interval_ns * self.burst, self._tick)
 
 
 class Srv6UdpFlood(UdpFlow):
