@@ -4,17 +4,29 @@
 link, S2's local delivery — once per packet, so every layer someone
 adds to that path is a few more Python calls per packet.  The count
 under ``sys.setprofile`` is exact and the same on every host; the
-budget below sits just above what the fused dispatch function, the
-straight-line wire, the single invocation path, the fact-gated arm, the
-batch loop's inline seg6local action and the one handoff per hop left
-(53.0; 61.0 while a link delivered through ``NetDev.process_batch``,
-each event ran in a ``Scheduler._execute`` frame and each dispatch
-flushed its egress in a ``Node._flush_egress`` frame; 62.0 while a
-batch of one entered ``_run_pipeline`` for its End.BPF; 65.0 while
-every program's arm reset everything; 69.0 while a scalar End.BPF went
-through ``Program.run`` and ``JitProgram.run``; the per-packet context
-object, stage methods and ``Packet.__len__`` frames before that read
-100.0).
+budget below sits just above what the batch-of-one path left (29.0:
+an event that is its own heap entry, a node that reads its scheduler's
+``now_ns``, one dispatch pass that stamps, routes and delivers, egress
+handed straight to the wire, a listener handed its L4 offset and a tick
+that builds its packet inline; 53.0 before, with an ``Event.__init__``
+and a ``Scheduler._push`` per event, the clock lambda three times, a
+``_run_pipeline`` for the local delivery, ``NetDev.transmit_batch`` and
+``_emit_batch`` per hop and the meter's second header walk; 61.0 while
+a link delivered through ``NetDev.process_batch``, each event ran in a
+``Scheduler._execute`` frame and each dispatch flushed its egress in a
+``Node._flush_egress`` frame; 62.0 while a batch of one entered
+``_run_pipeline`` for its End.BPF; 65.0 while every program's arm reset
+everything; 69.0 while a scalar End.BPF went through ``Program.run`` and
+``JitProgram.run``; the per-packet context object, stage methods and
+``Packet.__len__`` frames before that read 100.0).
+
+Calls undersell a frame's cost, so the same path has a bytecode budget
+too, per CPython minor version because each compiles differently: over
+~350 delivered packets (the first millisecond after the template is
+built), 3.11 executes 2 353 bytecodes per packet (2 933 before the
+batch-of-one path) and 3.12 2 255 (2 792).  3.11 counts ``sys.settrace``
+opcode events; 3.12 counts ``sys.monitoring`` INSTRUCTION events, since
+3.12.1 delivers no settrace opcode events.
 
 The invocation itself has its own budget: one scalar
 ``EndBPF.process`` is 6 calls — ``process``, the prologue, the pin,
@@ -55,8 +67,9 @@ read-back of a program that never writes it; 45 before the single
 invocation path; the SRH / IPv6 dataclass round trips and the generic
 ``Memory`` walk read 110), one ``End.DT6`` on its encapsulation (7; 25
 with two parses and two packet copies), and one delivered packet of the
-ledger-shaped Setup 2 (205: 203.5; 228.5 before the one handoff per
-hop; 232.6 while every arrival entered ``_run_pipeline``; 259.5 while each TCP segment and ACK was built by
+ledger-shaped Setup 2 (153: 151.8; 203.5 before the batch-of-one path;
+228.5 before the one handoff per hop; 232.6 while every arrival entered
+``_run_pipeline``; 259.5 while each TCP segment and ACK was built by
 ``make_tcp_packet`` and parsed from a copy; 280.1 before exact-arity
 helper calls; 283.3; 285.2; 294.6; 445.7).
 
@@ -84,12 +97,13 @@ from repro.progs import add_tlv_prog, end_prog, tag_increment_prog
 from repro.sim import NS_PER_MS, Scheduler, TcpReceiver, TcpSender
 from repro.usecases import deploy_hybrid_access, install_wrr
 
-CALLS_PER_PACKET_BUDGET = 54
+CALLS_PER_PACKET_BUDGET = 30
+BYTECODES_PER_PACKET_BUDGET = {(3, 11): 2360, (3, 12): 2265}
 CALLS_PER_SCALAR_END_BPF_BUDGET = 7
 CALLS_PER_SCALAR_HELPER_PROGRAM_BUDGET = {"tag_increment": 20, "add_tlv": 28}
 CALLS_PER_WRR_DECISION_BUDGET = 29
 CALLS_PER_END_DT6_BUDGET = 8
-CALLS_PER_SETUP2_PACKET_BUDGET = 205
+CALLS_PER_SETUP2_PACKET_BUDGET = 153
 CALLS_PER_TCP_DATA_SEGMENT_BUDGET = 8
 CALLS_PER_TCP_NEW_ACK_BUDGET = 20
 CALLS_PER_FIG2_PACKET_BUDGET = {"baseline_ipv6": 2.5, "end_static": 5.5, "end_t_static": 7.5, "end_bpf": 9.5}
@@ -112,7 +126,53 @@ def count_calls(fn, *args, **kwargs) -> int:
     return calls
 
 
-def test_setup1_hop_stays_within_its_call_budget():
+def count_bytecodes(fn, *args, **kwargs) -> int:
+    """Bytecodes executed while ``fn(...)`` runs (see the module docstring)."""
+    count = 0
+    if sys.version_info < (3, 12):
+
+        def trace(frame, event, _arg):
+            nonlocal count
+            if event == "call":
+                frame.f_trace_opcodes = True
+            elif event == "opcode":
+                count += 1
+            return trace
+
+        sys.settrace(trace)
+        try:
+            fn(*args, **kwargs)
+        finally:
+            sys.settrace(None)
+        return count
+    monitoring = sys.monitoring
+    tool, events, codes = monitoring.PROFILER_ID, monitoring.events, set()
+
+    def start(code, _offset):
+        if code not in codes:
+            codes.add(code)
+            monitoring.set_local_events(tool, code, events.INSTRUCTION)
+
+    def instruction(_code, _offset):
+        nonlocal count
+        count += 1
+
+    monitoring.use_tool_id(tool, "bytecode budget")
+    try:
+        monitoring.register_callback(tool, events.PY_START, start)
+        monitoring.register_callback(tool, events.INSTRUCTION, instruction)
+        monitoring.set_events(tool, events.PY_START)
+        fn(*args, **kwargs)
+    finally:
+        monitoring.set_events(tool, 0)
+        for code in codes:
+            monitoring.set_local_events(tool, code, 0)
+        monitoring.free_tool_id(tool)
+    return count
+
+
+def setup1_flood():
+    """Setup 1 at the ledger's ``setup1_events`` shape, its template built."""
     setup = build_setup1()
     net = setup.net
     net.attach("R", setup.FUNC_SEGMENT, EndBPF(end_prog()))
@@ -128,7 +188,11 @@ def test_setup1_hop_stays_within_its_call_budget():
     meter = net.sink("S2")
     flow.start(at_ns=0)
     net.run(until_ns=NS_PER_MS // 5)  # first tick compiles the template
+    return net, meter
 
+
+def test_setup1_hop_stays_within_its_call_budget():
+    net, meter = setup1_flood()
     delivered = meter.packets
     calls = count_calls(net.run, until_ns=3 * NS_PER_MS)
     delivered = meter.packets - delivered
@@ -138,6 +202,25 @@ def test_setup1_hop_stays_within_its_call_budget():
     assert per_packet <= CALLS_PER_PACKET_BUDGET, (
         f"{per_packet:.1f} Python-level calls per delivered Setup 1 packet "
         f"({calls} calls / {delivered} packets), budget {CALLS_PER_PACKET_BUDGET}"
+    )
+
+
+@pytest.mark.skipif(
+    sys.version_info[:2] not in BYTECODES_PER_PACKET_BUDGET,
+    reason="the bytecode budget is kept for the CI matrix's CPython versions",
+)
+def test_setup1_hop_stays_within_its_bytecode_budget():
+    net, meter = setup1_flood()
+    delivered = meter.packets
+    bytecodes = count_bytecodes(net.run, until_ns=NS_PER_MS)
+    delivered = meter.packets - delivered
+
+    assert delivered > 300
+    per_packet = bytecodes / delivered
+    budget = BYTECODES_PER_PACKET_BUDGET[sys.version_info[:2]]
+    assert per_packet <= budget, (
+        f"{per_packet:.1f} bytecodes per delivered Setup 1 packet "
+        f"({bytecodes} / {delivered} packets), budget {budget}"
     )
 
 
