@@ -131,10 +131,8 @@ class _CallClock:
 class Node:
     """One simulated Linux host/router.
 
-    ``clock`` is the object whose ``now_ns`` is the node's time: a lab
-    node's is its network's :class:`~repro.sim.scheduler.Scheduler`, read
-    as an attribute; ``Node(clock_ns=fn)`` (direct-datapath nodes and
-    tests) calls ``fn`` instead, and no clock reads 0.
+    ``clock``'s ``now_ns`` is the node's time: a lab node's clock is its
+    network's :class:`~repro.sim.scheduler.Scheduler`.
     """
 
     def __init__(
@@ -168,11 +166,9 @@ class Node:
         self.log_messages: list[str] = []
         self.answer_echo = True
         self.flow_table = FlowTable()  # route-resolution memo
-        # The devices with egress parked on their ``pending`` list, in
-        # first-use order, while a batch is being dispatched; the outermost
-        # dispatch hands each its list at batch end (see _input_batch).
-        # Nested dispatches (ICMP errors, echo replies) append to the
-        # already-active batch, preserving per-device order.
+        # Devices with egress parked, in first-use order, while a batch is
+        # dispatched.  Nested dispatches (ICMP errors, echo replies) park
+        # theirs in the active batch, preserving per-device order.
         self._egress: list[NetDev] | None = None
 
     def clock_ns(self) -> int:
@@ -443,22 +439,17 @@ class Node:
 
     # -- the staged pipeline -----------------------------------------------------
     def _run_pipeline(
-        self,
-        pkt: Packet,
-        decrement: bool,
-        budget: int = _RECIRCULATION_BUDGET,
-        route: "Route | None" = None,
-        lookup_dst: bytes | None = None,
+        self, pkt: Packet, decrement: bool, budget: int, route: Route, lookup_dst: bytes
     ) -> None:
         """Carry one packet through the stages until it leaves or dies.
 
         The blocks below are the stages, in order; a stage that rewrote
         the headers or the routing state re-circulates the packet with
         ``route = None; continue``.  ``decrement`` is False for locally
-        originated packets.  ``route`` pre-resolves the first lookup, for
-        ``lookup_dst`` (a destination or nh6), and ``budget`` is what is
-        left of the re-circulation allowance: :meth:`_input_batch` passes
-        a packet's first route, or its continuation after an action.
+        originated packets.  The batch loop hands over a packet's first
+        route, or its continuation after an action, resolved for
+        ``lookup_dst`` (a destination or nh6), and ``budget``, what is
+        left of the re-circulation allowance.
         """
         counters = self.counters
         decremented = False
