@@ -25,10 +25,10 @@ class NetDev:
     ``wire`` is where a transmitted batch goes, after any qdisc: the
     attached :class:`repro.sim.link.Link` endpoint's ``send_batch``, or
     else ``tx_buffer.extend`` (which is what the direct-datapath
-    microbenchmarks and unit tests read).  A pcap tx tap re-points it.  Ingress has no device frame: a link delivers its
-    batch straight to the owning node's
-    :meth:`~repro.net.node.Node.receive_batch`, which accounts the rx
-    counters here.
+    microbenchmarks and unit tests read).  A pcap tx tap re-points it.
+    Ingress has no device frame: a link delivers its batch straight to
+    the owning node's :meth:`~repro.net.node.Node.receive_batch`, which
+    accounts the rx counters here.
 
     Batches are the unit of work; the scalar :meth:`transmit` is the
     N=1 case.

@@ -70,7 +70,7 @@ class Packet:
         trace: list | None = None,
         tctx: list | None = None,
     ):
-        if mark and not 0 < mark <= 0xFFFFFFFF:
+        if not 0 <= mark <= 0xFFFFFFFF:
             raise ValueError(f"mark {mark} is not a u32 (skb->mark)")
         self.data = bytearray(data)
         self.rx_tstamp_ns = rx_tstamp_ns
