@@ -20,18 +20,19 @@ The staged pipeline is
     lookup → seg6local → lwt-in → local delivery → decrement →
     seg6 encap → lwt-out/xmit → transmit
 
-:meth:`Node._input_batch` carries a batch through it one packet at a
-time.  A packet takes the previous packet's first route when its
-destination bytes and the main table's generation are unchanged, and
-is looked up otherwise.  A seg6local action (its continuation looked
-up in the table it chose) and a plain forward run in that loop; any
-other route enters :meth:`Node._run_pipeline`, whose blocks are the
-stages in that order and whose locals are the packet's routing state.
-Packets whose headers were rewritten by a tunnel re-enter the routing
-decision (re-circulation), with a budget against misconfiguration
-loops.  Route lookups are memoised in a per-node :class:`FlowTable`
-(O(1) on hit and on miss), SRH advances read only the fixed SRH header,
-and eBPF invocations re-arm their attach site's
+:meth:`Node.receive_batch` carries a batch through it one packet at a
+time, stamping arrivals on the way; sends enter the same pass.  A
+packet takes the previous packet's first route when its destination
+bytes and the main table's generation are unchanged, and is looked up
+otherwise.  A seg6local action (its continuation looked
+up in the table it chose), a local delivery and a plain forward run in
+that loop; any other route enters :meth:`Node._run_pipeline`, whose
+blocks are the stages in that order and whose locals are the packet's
+routing state.  Packets whose headers were rewritten by a tunnel
+re-enter the routing decision (re-circulation), with a budget against
+misconfiguration loops.  Route lookups are memoised in a per-node
+:class:`FlowTable` (O(1) on hit and on miss), SRH advances read only
+the fixed SRH header, and eBPF invocations re-arm their attach site's
 :class:`~repro.ebpf.jit.CompiledHandler` address space — so the cost
 of per-packet setup is paid once per flow, not once per packet.
 """
@@ -41,8 +42,9 @@ from __future__ import annotations
 import random
 import zlib
 from collections import deque
-from functools import partial
 from dataclasses import dataclass
+from functools import partial
+from operator import attrgetter
 from typing import Callable
 
 from .addr import as_addr, ntop, parse_prefix
@@ -56,6 +58,7 @@ from .seg6 import Seg6Encap
 from .seg6local import _FORWARD, Disposition, Seg6LocalAction
 
 _RECIRCULATION_BUDGET = 8
+_DATA = attrgetter("data")
 
 
 @dataclass
@@ -296,8 +299,12 @@ class Node:
         if arrival:
             now = self.clock.now_ns
             counters.rx += len(pkts)
-            name = dev.name if dev is not None else ""
-            rx_bytes = 0
+            name = ""
+            if dev is not None:
+                name = dev.name
+                stats = dev.stats
+                stats.rx_packets += len(pkts)
+                stats.rx_bytes += sum(map(len, map(_DATA, pkts)))
             cpu = self.cpu  # stamped now, routed when the CPU is done
         egress = outer = self._egress
         if outer is None:
@@ -311,7 +318,6 @@ class Node:
                 data = pkt.data
                 tctx = pkt.tctx
                 if arrival:
-                    rx_bytes += len(data)
                     pkt.input_dev = name
                     pkt.rx_tstamp_ns = now
                     if tctx is not None:
@@ -376,10 +382,6 @@ class Node:
                     counters.forwarded += 1
                 self._transmit(pkt, route)
         finally:
-            if arrival and dev is not None:
-                stats = dev.stats
-                stats.rx_packets += len(pkts)
-                stats.rx_bytes += rx_bytes
             if ran:
                 counters.seg6local_processed += ran
                 action.processed += ran

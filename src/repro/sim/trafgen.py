@@ -145,7 +145,8 @@ class UdpFlow:
         spread, stats = self.src_port_spread, self.stats
         pkts = []
         for _ in range(self.burst):
-            pkt = Packet(self._template)
+            self._seq = seq = self._seq + 1
+            pkt = Packet(self._template, flow_id=self.flow_id, seq=seq, tx_tstamp_ns=now)
             if spread > 1:
                 src_port = self.src_port + self.rng.randrange(spread)
                 _U16.pack_into(pkt.data, self._l4, src_port)
@@ -153,10 +154,6 @@ class UdpFlow:
                 # sent as 0xFFFF (RFC 8200), exactly as build_udp does.
                 csum = 0xFFFF - (self._csum_rest + src_port) % 0xFFFF
                 _U16.pack_into(pkt.data, self._l4 + 6, csum)
-            self._seq = seq = self._seq + 1
-            pkt.seq = seq
-            pkt.flow_id = self.flow_id
-            pkt.tx_tstamp_ns = now
             if self.tracer is not None:
                 self.tracer.admit(pkt, self.node.name, now)
             stats.sent += 1

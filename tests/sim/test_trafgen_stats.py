@@ -1,6 +1,8 @@
 """Traffic generators and flow metering."""
 
-from repro.net import Node, make_udp_packet
+from repro.lab import build_setup1
+from repro.net import EndBPF, Node, make_udp_packet
+from repro.progs import end_prog
 from repro.sim import (
     FlowMeter,
     Link,
@@ -107,10 +109,6 @@ def test_mbps_helper():
 
 def setup1_flood(duration_ns: int):
     """A Setup 1 trafgen flood through End.BPF on R, started at t = 0."""
-    from repro.lab import build_setup1
-    from repro.net import EndBPF
-    from repro.progs import end_prog
-
     setup = build_setup1()
     net = setup.net
     net.attach("R", setup.FUNC_SEGMENT, EndBPF(end_prog()))
