@@ -389,14 +389,12 @@ class Node:
                 self._egress = None
                 try:
                     for out_dev in egress:
-                        out = out_dev.pending
-                        out_dev.pending = []
-                        qdisc = out_dev.qdisc
-                        if qdisc is None:
+                        out, out_dev.pending = out_dev.pending, []
+                        if out_dev.qdisc is None:
                             out_dev.wire(out)
                         else:
                             for pkt in out:
-                                qdisc.enqueue(pkt, out_dev)
+                                out_dev.qdisc.enqueue(pkt, out_dev)
                 except BaseException:
                     for out_dev in egress:  # nothing stays parked past a failure
                         out_dev.pending = []

@@ -23,8 +23,8 @@ everything; 69.0 while a scalar End.BPF went through ``Program.run`` and
 Calls undersell a frame's cost, so the same path has a bytecode budget
 too, per CPython minor version because each compiles differently: over
 ~350 delivered packets (the first millisecond after the template is
-built), 3.11 executes 2 360 bytecodes per packet (2 933 before the
-batch-of-one path) and 3.12 2 262 (2 792).  3.11 counts ``sys.settrace``
+built), 3.11 executes 2 349 bytecodes per packet (2 933 before the
+batch-of-one path) and 3.12 2 247 (2 792).  3.11 counts ``sys.settrace``
 opcode events; 3.12 counts ``sys.monitoring`` INSTRUCTION events, since
 3.12.1 delivers no settrace opcode events.
 
@@ -98,7 +98,7 @@ from repro.sim import NS_PER_MS, Scheduler, TcpReceiver, TcpSender
 from repro.usecases import deploy_hybrid_access, install_wrr
 
 CALLS_PER_PACKET_BUDGET = 30
-BYTECODES_PER_PACKET_BUDGET = {(3, 11): 2370, (3, 12): 2270}
+BYTECODES_PER_PACKET_BUDGET = {(3, 11): 2360, (3, 12): 2260}
 CALLS_PER_SCALAR_END_BPF_BUDGET = 7
 CALLS_PER_SCALAR_HELPER_PROGRAM_BUDGET = {"tag_increment": 20, "add_tlv": 28}
 CALLS_PER_WRR_DECISION_BUDGET = 29
