@@ -22,14 +22,14 @@ from repro.ebpf.errors import BpfError
 from repro.ebpf.helpers import HELPER_IDS_BY_NAME, HELPERS_BY_ID
 from repro.net import Packet, make_controller_tlv, make_dm_tlv, make_srh, make_udp_packet, push_outer_encap
 from test_corpus import _dump_map, _make_clock, _restore_map, _snapshot_map
-from test_handler_differential import PROGRAM_IDS, PROGRAMS, SEG, SINK, _attach_point, _load, _node, _packet
+from test_handler_differential import PROGRAMS, SEG, SINK, _attach_point, _load, _node, _packet
 
 PACKETS = 25
 
 CALLERS = [
-    pytest.param(path, id=name)
-    for path, name in zip(PROGRAMS, PROGRAM_IDS)
-    if _load(path, jit=True).facts.helpers
+    pytest.param(name, text, id=name)
+    for name, text in PROGRAMS
+    if _load(name, text, jit=True).facts.helpers
 ]
 
 
@@ -56,12 +56,12 @@ def _run(prog, engine, raw: bytes, hook: str, node, seed: int, traced: bool):
     return ret, trace, tuple(hctx.trace_log), bytes(hctx.skb.packet_region.data)
 
 
-@pytest.mark.parametrize("path", CALLERS)
-def test_engines_trace_the_same_exact_arity_calls(path):
-    prog = _load(path, jit=True)
-    hook = _attach_point(path)
+@pytest.mark.parametrize("name, text", CALLERS)
+def test_engines_trace_the_same_exact_arity_calls(name, text):
+    prog = _load(name, text, jit=True)
+    hook = _attach_point(text)
     node = _node("A", lambda: 0, 1)
-    rng = random.Random(path.stem)
+    rng = random.Random(name.removeprefix("library_"))
     calls = 0
     for index in range(PACKETS):
         raw = _any_packet(rng, index)
@@ -86,4 +86,4 @@ def test_engines_trace_the_same_exact_arity_calls(path):
         quiet, quiet_maps = outcomes["jit_untraced"]
         assert quiet[1] is None  # nothing was traced
         assert (quiet[0], quiet[2:], quiet_maps) == (jit[0], jit[2:], jit_maps), index
-    assert calls, f"{path.stem} called no helper on {PACKETS} packets"
+    assert calls, f"{name} called no helper on {PACKETS} packets"

@@ -12,7 +12,10 @@ from hypothesis import given, settings, strategies as st
 from repro.net import (
     SRH,
     End,
+    EndB6Encaps,
     EndBPF,
+    EndDT6,
+    EndDX6,
     EndT,
     EndX,
     Node,
@@ -105,6 +108,76 @@ def test_advance_verdict_matches_srh_parse(
     rewritten[SRH_AT + OFF_SEGMENTS_LEFT] = new_sl
     rewritten[24:40] = new_dst
     assert pkt.data == rewritten
+
+
+@st.composite
+def generated_srv6(draw) -> bytearray:
+    """An SRv6 packet with any of its SRH header fields rewritten, maybe cut short."""
+    data = srv6_bytes(draw(st.integers(1, 5)), draw(st.sampled_from([0, 8, 16])))
+    for offset in (OFF_HDR_EXT_LEN, OFF_LAST_ENTRY, OFF_SEGMENTS_LEFT):
+        value = draw(_field)
+        if value is not None:
+            data[SRH_AT + offset] = value
+    routing_type = draw(st.one_of(st.none(), st.integers(0, 255)))
+    if routing_type is not None:
+        data[SRH_AT + OFF_ROUTING_TYPE] = routing_type
+    data[6] = draw(st.sampled_from([PROTO_ROUTING, PROTO_ROUTING, 17, 0]))
+    keep = draw(st.one_of(st.none(), st.integers(0, 160)))
+    if keep is not None:
+        del data[keep:]
+    return data
+
+
+def advancing_actions():
+    """Every action that runs the End prologue, with its drop-reason prefix."""
+    return [
+        (End(), ""),
+        (EndX(nh6="fc00::55"), ""),
+        (EndT(table_id=100), ""),
+        (EndBPF(end_prog()), "End.BPF: "),
+        (EndB6Encaps(segments=["fc00:b6::1"], source="fc00::b6"), ""),
+    ]
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=generated_srv6())
+def test_every_advancing_action_takes_srh_parse_decisions(data):
+    """Accept exactly what ``SRH.parse`` accepts, rewrite in place, leave a refused packet as it came."""
+    expected = reference_verdict(bytes(data))
+    node = Node("N")
+    for action, prefix in advancing_actions():
+        pkt = Packet(bytes(data))
+        disposition = action.process(pkt, node)
+        if expected is _V_NO_SRH or expected is _V_SL_ZERO:
+            assert (disposition.action, disposition.reason, disposition.bpf) == (
+                "drop", prefix + expected, False
+            ), action.kind
+            assert pkt.data == data, action.kind  # a refused packet's bytes are unchanged
+            continue
+        assert disposition.action == "forward", action.kind
+        new_sl, new_dst = expected
+        rewritten = bytearray(data)
+        rewritten[SRH_AT + OFF_SEGMENTS_LEFT] = new_sl
+        rewritten[24:40] = new_dst
+        if isinstance(action, EndB6Encaps):
+            assert pkt.data.endswith(rewritten) and len(pkt.data) > len(rewritten)
+        else:
+            assert pkt.data == rewritten, action.kind
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=generated_srv6())
+def test_decap_refuses_exactly_what_the_prologue_would_advance(data):
+    """End.DT6 / End.DX6 refuse a packet End would advance, and leave it untouched."""
+    would_advance = type(reference_verdict(bytes(data))) is tuple
+    node = Node("N")
+    for action in (EndDT6(table_id=254), EndDX6(nh6="fc00::9")):
+        pkt = Packet(bytes(data))
+        disposition = action.process(pkt, node)
+        refused = disposition.reason == f"{action.kind} requires segments_left == 0"
+        assert refused == would_advance, action.kind
+        if refused:
+            assert pkt.data == data, action.kind
 
 
 def _mutated(offset: int, value: int) -> bytearray:

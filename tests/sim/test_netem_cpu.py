@@ -199,3 +199,49 @@ def test_node_routes_through_cpu_queue():
     sched.run()
     assert len(node.devices["eth1"].tx_buffer) == 1
     assert sched.now_ns == 777
+
+
+# --- device tx counters count what reached the wire ---------------------------------
+
+
+def _netem_pair(**netem):
+    """A -- B, a netem qdisc on A's egress, and 9 packets A sends to B."""
+    from repro.lab import Network
+
+    net = Network(seed=1)
+    net.add_node("A", addr="fc00:a::1")
+    net.add_node("B", addr="fc00:b::1")
+    link = net.add_link("A", "B", rate_bps=1e9, delay_ns=1_000)
+    net["A"].add_route("fc00:b::/64", via="fc00:b::1", dev="eth0")
+    qdisc = net.netem("A", "eth0", **netem) if netem else None
+    pkts = [make_udp_packet("fc00:a::1", "fc00:b::1", 1, 2, bytes(10 * i)) for i in range(9)]
+    return net, link, qdisc, pkts
+
+
+def test_a_packet_the_qdisc_drops_is_not_device_tx():
+    """As ``ip -s link``: a netem drop is counted in the qdisc, not in the device's TX."""
+    net, link, qdisc, pkts = _netem_pair(loss=1.0)
+    net["A"].send_batch(pkts)
+    net.run(until_ns=NS_PER_MS)
+    stats = net["A"].devices["eth0"].stats
+    assert (stats.tx_packets, stats.tx_bytes) == (0, 0)
+    assert qdisc.stats.lost == 9 and link.a_to_b.stats.sent == 0
+    assert net["A"].counters.tx == 9  # the node handed them to the device
+
+
+def test_a_qdisc_device_counts_tx_at_release_and_a_plain_one_at_the_flush():
+    net, link, qdisc, pkts = _netem_pair(delay_ns=NS_PER_MS)
+    dev = net["A"].devices["eth0"]
+    net["A"].send_batch(pkts[:4])
+    assert dev.stats.tx_packets == 0  # held by netem
+    net.run(until_ns=2 * NS_PER_MS)
+    size = sum(len(p.data) for p in pkts[:4])
+    assert (dev.stats.tx_packets, dev.stats.tx_bytes) == (4, size)
+    assert link.a_to_b.stats.sent == 4
+
+    dev.qdisc = None
+    net["A"].send_batch(pkts[4:])
+    size += sum(len(p.data) for p in pkts[4:])
+    assert (dev.stats.tx_packets, dev.stats.tx_bytes) == (9, size)
+    dev.transmit(make_udp_packet("fc00:a::1", "fc00:b::1", 1, 2, b"x"))
+    assert (dev.stats.tx_packets, dev.stats.tx_bytes) == (10, size + 49)
