@@ -42,7 +42,6 @@ the JIT disabled).
 
 from __future__ import annotations
 
-import random
 import struct
 
 from . import isa
@@ -54,7 +53,6 @@ from .memory import CTX_BASE, PACKET_BASE, STACK_BASE
 
 _M64 = "0xFFFFFFFFFFFFFFFF"
 _M32 = "0xFFFFFFFF"
-_STACK_ZERO = bytes(isa.STACK_SIZE)
 
 _STRUCT_U16 = struct.Struct("<H")
 _STRUCT_U32 = struct.Struct("<I")
@@ -149,86 +147,96 @@ class CompiledHandler:
     eBPF invocation in the kernel before batching.
 
     A handler belongs to the attach site that built it (an ``EndBPF``,
-    one hook of a ``BpfLwt``), builds the address space on its first
-    :meth:`arm` and *re-arms* it for every later packet.  There is one
-    arming and it has no precondition: every call, the first included,
-    binds the packet buffer and resets only what the program can observe
-    — the verifier's :class:`~repro.ebpf.verifier.ProgramFacts`, read
-    once here — so the result is observably identical to a fresh context
-    whichever node, batch or group the previous packet belonged to.
-    :attr:`calls_helpers` and :attr:`writes_mark` also tell
-    :func:`repro.net.seg6local.run_attached` what to read back.
-    :attr:`call` is what the datapath invokes after arming:
-    ``(fn | None, mem, helpers)`` — the translated function (``None``:
-    interpret) and its invariant arguments, fixed by the program and the
-    address space.
+    one hook of a ``BpfLwt``; built on the site's first packet) and
+    builds the address space once, here.  The one invocation,
+    :func:`repro.net.seg6local.run_attached`, re-arms it for every
+    packet: ``pkt.data`` itself becomes :attr:`packet_region`'s buffer,
+    and only what the program can observe is reset, by a plan computed
+    here once from the verifier's
+    :class:`~repro.ebpf.verifier.ProgramFacts` — so the result is
+    observably identical to a fresh context whichever node, batch or
+    group the previous packet belonged to:
+
+    * :attr:`rearms_ctx` — a ctx field load or store, or a helper call:
+      rewrite the fields for the bound packet and zero ``cb``;
+    * :attr:`zeroes_stack` — the frame is touched: wipe it;
+    * :attr:`calls_helpers` — clear the trace log and metadata and bind
+      the packet and node; then :attr:`restores_regions` only with
+      ``map_lookup_elem`` (the one helper that maps value regions),
+      :attr:`binds_clock` only with a clock reader, :attr:`binds_rng`
+      only with ``get_prandom_u32`` (a helper registered elsewhere gets
+      all three);
+    * :attr:`resets` — any of these.  A program with trivial facts
+      (``end.s``: no ctx access, helper call or stack use) gets the
+      packet bind alone.
+
+    After the call, :attr:`reads_back` gates the read-back: the mark if
+    the program stores ``skb->mark`` (:attr:`writes_mark`), the §3.1 SRH
+    re-validation after a helper call.  :attr:`fn` is the translated
+    function (``None``: interpret), called with :attr:`hctx` and its
+    invariant arguments :attr:`mem` and :attr:`helpers`.
     """
 
     def __init__(self, program, attach_point: str):
         self.program = program
         self.attach_point = attach_point
-        self.call = None
-        self._hctx: HelperContext | None = None
-        self._snapshot = None
+        _HANDLER_CACHE_STATS["handler_misses"] += 1
+        hctx = self.hctx = program.make_context(b"")
+        hctx.hook = attach_point
+        self.packet_region = hctx.skb.packet_region
+        self.mem = hctx.mem
+        self.snapshot = hctx.mem.snapshot()
+        jitp = program._jit if program.jit_enabled else None
+        self.fn = None if jitp is None else jitp._fn
+        self.helpers = None if jitp is None else jitp.helpers
+
         facts = program.facts
+        reads = set()
+        for helper_id in facts.helpers:
+            reads |= _HELPER_READS.get(HELPERS_BY_ID[helper_id].name, _READS_ALL)
         self.calls_helpers = bool(facts.helpers)
         self.writes_mark = OFF_MARK in facts.ctx_writes
-        self._sees_ctx = self.calls_helpers or bool(facts.ctx_reads or facts.ctx_writes)
-        self._zero_stack = facts.touches_stack
-
-    def arm(
-        self, data: bytearray, clock_ns, rng, mark: int = 0, packet=None, node=None
-    ) -> HelperContext:
-        """Return the context bound to ``data`` itself — the only reset of a reused one.
-
-        ``data`` (``pkt.data`` on the datapath) becomes the guest packet
-        region's buffer: nothing is copied in or back out.  A ctx access or
-        helper call rewrites fields and ``cb`` and clears the trace log and
-        metadata; a touched frame is wiped; a helper call restores the
-        region table and rebinds clock, rng, packet and node.
-        """
-        hctx = self._hctx
-        if hctx is None:
-            _HANDLER_CACHE_STATS["handler_misses"] += 1
-            program = self.program
-            hctx = self._hctx = program.make_context(b"")
-            hctx.hook = self.attach_point
-            self._snapshot = hctx.mem.snapshot()
-            jitp = program._jit if program.jit_enabled else None
-            self.call = (
-                (None, hctx.mem, None) if jitp is None else (jitp._fn, hctx.mem, jitp.helpers)
-            )
-        else:
-            _HANDLER_CACHE_STATS["handler_hits"] += 1
-        skb = hctx.skb
-        skb.packet_region.data = data
-        if self._sees_ctx:
-            skb.rearm(mark)
-            hctx.trace_log.clear()
-            hctx.metadata.clear()
-        if self._zero_stack:
-            skb.stack_region.data[:] = _STACK_ZERO
-        if self.calls_helpers:  # only map_lookup_elem maps regions
-            hctx.mem.restore(self._snapshot)
-            hctx.clock_ns = clock_ns
-            hctx.rng = rng or random.Random(0)
-            hctx.helper_trace = None
-            hctx.packet = packet
-            hctx.node = node
-        return hctx
+        self.rearms_ctx = self.calls_helpers or bool(facts.ctx_reads or facts.ctx_writes)
+        self.zeroes_stack = facts.touches_stack
+        self.restores_regions = "regions" in reads
+        self.binds_clock = "clock" in reads
+        self.binds_rng = "rng" in reads
+        self.resets = self.rearms_ctx or self.zeroes_stack
+        self.reads_back = self.writes_mark or self.calls_helpers
 
 
-# A miss is an address space built, a hit is one re-armed.  Process-wide,
-# for benchmarks/ledger, which reads it through the two functions below.
+# What a call of each of the package's helpers reads of its context beyond
+# its arguments, that arming must restore or rebind: map_lookup_elem maps
+# value regions, the rest read the clock or the rng, or none of the three.
+_READS_ALL = frozenset({"regions", "clock", "rng"})
+_HELPER_READS = {
+    "map_lookup_elem": {"regions"},
+    "ktime_get_ns": {"clock"},
+    "perf_event_output": {"clock"},
+    "get_prandom_u32": {"rng"},
+    **dict.fromkeys(
+        (
+            "map_update_elem", "map_delete_elem", "trace_printk", "get_smp_processor_id",
+            "skb_rx_timestamp", "lwt_push_encap", "lwt_seg6_store_bytes",
+            "lwt_seg6_adjust_srh", "lwt_seg6_action", "get_ecmp_nexthops",
+        ),
+        frozenset(),
+    ),
+}
+
+
+# A miss is an address space built, a hit is one invocation re-arming one.
+# Process-wide, for benchmarks/ledger, which reads it through the two
+# functions below; run_attached counts the hits.
 _HANDLER_CACHE_STATS = {"handler_hits": 0, "handler_misses": 0}
 
 
 def handler_cache_stats() -> dict:
     """Handler hits and misses, summed over every attach site in the process.
 
-    ``handler_misses`` counts guest address spaces built (the first
-    :meth:`CompiledHandler.arm` of each attach site's handler),
-    ``handler_hits`` the invocations that re-armed one.
+    ``handler_misses`` counts guest address spaces built (one per
+    :class:`CompiledHandler`), ``handler_hits`` the invocations that
+    re-armed one (every :func:`~repro.net.seg6local.run_attached`).
     """
     return dict(_HANDLER_CACHE_STATS)
 

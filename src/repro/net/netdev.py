@@ -54,24 +54,22 @@ class NetDev:
         self.transmit_batch([pkt])
 
     def transmit_batch(self, pkts: list[Packet]) -> None:
-        """Batch egress: account, then qdisc or wire.
+        """Batch egress: qdisc, or account and wire.
 
-        A qdisc still sees packets one at a time (disciplines reorder and
-        drop individually) and hands each one it releases to ``wire``; a
-        device with no qdisc hands its whole batch straight to ``wire``,
-        so an attached link can coalesce delivery into one scheduler
-        event.
+        The tx counters count what reaches the wire, as ``ip -s link``
+        does: a qdisc sees packets one at a time (disciplines reorder and
+        drop individually) and accounts each one it releases to ``wire``;
+        a device with no qdisc accounts its whole batch and hands it
+        straight to ``wire``, so an attached link can coalesce delivery
+        into one scheduler event.
         """
-        stats = self.stats
-        tx_bytes = 0
-        for pkt in pkts:
-            tx_bytes += len(pkt.data)
-        stats.tx_packets += len(pkts)
-        stats.tx_bytes += tx_bytes
         if self.qdisc is not None:
             for pkt in pkts:
                 self.qdisc.enqueue(pkt, self)
             return
+        stats = self.stats
+        stats.tx_packets += len(pkts)
+        stats.tx_bytes += sum(len(pkt.data) for pkt in pkts)
         self.wire(pkts)
 
     def __str__(self) -> str:

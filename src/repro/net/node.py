@@ -40,6 +40,7 @@ of per-packet setup is paid once per flow, not once per packet.
 from __future__ import annotations
 
 import random
+import struct
 import zlib
 from collections import deque
 from dataclasses import dataclass
@@ -59,6 +60,8 @@ from .seg6local import _FORWARD, Disposition, Seg6LocalAction
 
 _RECIRCULATION_BUDGET = 8
 _DATA = attrgetter("data")
+# A packet's destination address as bytes, the flow-table key, in one read.
+_DST = struct.Struct("24x16s").unpack_from
 
 
 @dataclass
@@ -311,8 +314,11 @@ class Node:
             self._egress = egress = []
         main = self.tables[MAIN_TABLE]
         # The first packet always takes the lookup branch (no generation
-        # is -1), which binds dst, first and action before any use.
-        generation, ran = -1, 0  # ran: packets ``action`` ran, not yet counted
+        # is -1), which binds dst, first, action, key and budget before
+        # any use.  ran / forwarded / sent: packets ``action`` ran on,
+        # hop-limit decrements and packets parked for egress, counted when
+        # the run (ran) or the dispatch ends.
+        generation, ran, forwarded, sent = -1, 0, 0, 0
         try:
             for pkt in pkts:
                 data = pkt.data
@@ -324,7 +330,7 @@ class Node:
                         tctx.append((now, now, "rx", self.name, name))
                     if cpu is not None:
                         continue
-                if main.generation != generation or data[24:40] != dst:
+                if main.generation != generation or not data.startswith(dst, 24):
                     if len(data) < IPV6_HEADER_LEN:  # never equal to ``dst``
                         counters.dropped += 1
                         continue
@@ -332,13 +338,17 @@ class Node:
                         counters.seg6local_processed += ran
                         action.processed += ran
                         ran = 0
-                    dst = bytes(data[24:40])
+                    dst = _DST(data)[0]
                     generation = main.generation
                     first = self._lookup_route(main, dst)
                     action = first.encap if first is not None else None
                     if action is not None and not isinstance(action, Seg6LocalAction):
                         action = None
-                route, key, budget = first, dst, _RECIRCULATION_BUDGET
+                    # What a pipeline packet is handed: the route's lookup
+                    # key, and what is left of the re-circulation budget.
+                    key = dst
+                    budget = _RECIRCULATION_BUDGET if action is None else _RECIRCULATION_BUDGET - 1
+                route = first
                 if action is not None:
                     if tctx is not None:
                         # The pipeline's instants: spans match either path.
@@ -347,15 +357,20 @@ class Node:
                         tctx.append((t, t, "stage:seg6local", self.name, action.kind))
                     ran += 1
                     disposition = action.process(pkt, self)
-                    table_id = nh6 = None
-                    if disposition is not _FORWARD:
+                    data = pkt.data
+                    if disposition is _FORWARD:  # on to the new destination
+                        try:
+                            key = _DST(data)[0]
+                        except struct.error:  # a program's decap left a short packet
+                            key = bytes(data[24:40])
+                        route = self._lookup_route(main, key)
+                    else:
                         outcome = self._apply_disposition(disposition)
                         if outcome is None:
                             continue
                         table_id, nh6 = outcome
-                    key = nh6 if nh6 is not None else bytes(pkt.data[24:40])
-                    route = self._lookup_route(self.table(table_id) if table_id else main, key)
-                    budget -= 1
+                        key = nh6 if nh6 is not None else bytes(data[24:40])
+                        route = self._lookup_route(self.table(table_id) if table_id else main, key)
                 if route is None:
                     counters.no_route += 1
                     counters.dropped += 1
@@ -371,7 +386,6 @@ class Node:
                     continue
                 # -- decrement and transmit: _run_pipeline's blocks.
                 if decrement:
-                    data = pkt.data
                     hop_limit = data[7]
                     if hop_limit <= 1:
                         data[7] = 0
@@ -379,18 +393,23 @@ class Node:
                         self._send_time_exceeded(pkt)
                         continue
                     data[7] = hop_limit - 1
-                    counters.forwarded += 1
-                self._transmit(pkt, route)
+                    forwarded += 1
+                sent += self._transmit(pkt, route)
         finally:
             if ran:
                 counters.seg6local_processed += ran
                 action.processed += ran
+            counters.forwarded += forwarded
+            counters.tx += sent
             if outer is None:
                 self._egress = None
                 try:
                     for out_dev in egress:
                         out, out_dev.pending = out_dev.pending, []
-                        if out_dev.qdisc is None:
+                        if out_dev.qdisc is None:  # at the wire: a qdisc counts at release
+                            stats = out_dev.stats
+                            stats.tx_packets += len(out)
+                            stats.tx_bytes += sum(map(len, map(_DATA, out)))
                             out_dev.wire(out)
                         else:
                             for pkt in out:
@@ -564,13 +583,14 @@ class Node:
                         route = None
                         continue
             # -- transmit
-            self._transmit(pkt, route)
+            counters.tx += self._transmit(pkt, route)
             return
         self.log("re-circulation budget exceeded; dropping")
         counters.dropped += 1
 
-    def _transmit(self, pkt: Packet, route: Route) -> None:
-        """Select a nexthop and park the packet on its device's egress batch."""
+    def _transmit(self, pkt: Packet, route: Route) -> int:
+        """Select a nexthop and park the packet on its device's egress batch:
+        1 if parked (the caller counts ``tx``), 0 if dropped."""
         nexthops = route.nexthops
         if len(nexthops) == 1:
             # ECMP selection is the 5-tuple hash's only consumer, so a
@@ -581,20 +601,15 @@ class Node:
             dev = self.devices.get(nexthop.dev) if nexthop is not None else None
         if dev is None:
             self.counters.dropped += 1
-            return
-        pkt.trace.append(self.name)
-        tctx = pkt.tctx
-        if tctx is not None:
+            return 0
+        if pkt.tctx is not None:
             t = self.clock.now_ns
-            tctx.append((t, t, "stage:transmit", self.name, dev.name))
-        self.counters.tx += 1
-        stats = dev.stats
-        stats.tx_packets += 1
-        stats.tx_bytes += len(pkt.data)
+            pkt.tctx.append((t, t, "stage:transmit", self.name, dev.name))
         pending = dev.pending
         if not pending:
             self._egress.append(dev)
         pending.append(pkt)
+        return 1
 
     def _apply_disposition(
         self, disposition: Disposition

@@ -38,7 +38,6 @@ class Packet:
     * ``flow_id`` / ``seq`` / ``tx_tstamp_ns`` — generator bookkeeping
       (``tx_tstamp_ns`` is None on a packet no generator stamped; a
       packet sent at t = 0 is stamped 0);
-    * ``trace`` — list of node names the packet traversed (debugging);
     * ``tctx`` — tracing context: ``None`` when untraced (the common
       case — hot paths test this with one slot load), else the span
       list a :class:`repro.trace.Tracer` started (rides the packet
@@ -53,7 +52,6 @@ class Packet:
         "flow_id",
         "seq",
         "tx_tstamp_ns",
-        "trace",
         "tctx",
     )
 
@@ -67,7 +65,6 @@ class Packet:
         flow_id: int = 0,
         seq: int = 0,
         tx_tstamp_ns: int | None = None,
-        trace: list | None = None,
         tctx: list | None = None,
     ):
         if not 0 <= mark <= 0xFFFFFFFF:
@@ -79,7 +76,6 @@ class Packet:
         self.flow_id = flow_id
         self.seq = seq
         self.tx_tstamp_ns = tx_tstamp_ns
-        self.trace = [] if trace is None else trace
         self.tctx = tctx
 
     def __len__(self) -> int:
@@ -94,7 +90,6 @@ class Packet:
         clone.flow_id = self.flow_id
         clone.seq = self.seq
         clone.tx_tstamp_ns = self.tx_tstamp_ns
-        clone.trace = list(self.trace)
         # A clone (ICMP error, DM relay, ...) is a new logical packet:
         # it never inherits the original's trace context.
         clone.tctx = None

@@ -40,12 +40,14 @@ parse.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field
 
 from ..ebpf import BPF_DROP, BPF_OK, BPF_REDIRECT, Program
 from ..ebpf.context import SkbContext
 from ..ebpf.errors import BpfError, VmFault
-from ..ebpf.jit import CompiledHandler
+from ..ebpf.isa import STACK_SIZE
+from ..ebpf.jit import _HANDLER_CACHE_STATS, CompiledHandler  # run_attached counts the hits
 from .addr import as_addr
 from .ipv6 import IPV6_HEADER_LEN, PROTO_IPV6, PROTO_ROUTING
 from .packet import Packet
@@ -53,7 +55,6 @@ from .seg6 import decap_in_place, push_outer_encap, push_srh_inline
 from .srh import (
     OFF_HDR_EXT_LEN,
     OFF_LAST_ENTRY,
-    OFF_ROUTING_TYPE,
     OFF_SEGMENTS_LEFT,
     ROUTING_TYPE_SRH,
     SEGMENT_LEN,
@@ -115,53 +116,59 @@ _FORWARD = Disposition("forward")
 #
 # Every advancing endpoint action starts with the same prologue: check the
 # SRH, check segments_left, decrement it and rewrite the IPv6 destination to
-# the new active segment.  The *verdict* of that prologue — a drop reason, or
-# (new segments_left, new active segment) — needs only the fixed SRH header
-# and one segment, so it is read straight off the packet: no SRH object, no
-# per-segment copies, and nothing cached per flow that a large flow
+# the new active segment.  It needs only the fixed SRH header and one
+# segment, so it works where they lie: one read of the header fields, two
+# writes, no SRH object and nothing cached per flow that a large flow
 # population could thrash.  :meth:`SRH.parse` stays the reference the tests
-# compare this against.
+# compare it against.
 
 _V_NO_SRH = "no SRH"
 _V_SL_ZERO = "segments_left == 0"
 
 # Where the prologue's SRH fields sit in the packet (the SRH directly
 # follows the IPv6 header), folded here so the per-packet path adds nothing.
-_AT_HDR_EXT_LEN = IPV6_HEADER_LEN + OFF_HDR_EXT_LEN
-_AT_ROUTING_TYPE = IPV6_HEADER_LEN + OFF_ROUTING_TYPE
 _AT_SEGMENTS_LEFT = IPV6_HEADER_LEN + OFF_SEGMENTS_LEFT
-_AT_LAST_ENTRY = IPV6_HEADER_LEN + OFF_LAST_ENTRY
 _AT_SEGMENTS = IPV6_HEADER_LEN + SRH_FIXED_LEN
 
+# The IPv6 next header, then the SRH's hdr_ext_len, routing_type,
+# segments_left and last_entry (consecutive bytes) up to the end of its
+# fixed header: a packet too short for that fails the read.
+_SRH_HEAD = struct.Struct(
+    f"!B{IPV6_HEADER_LEN + OFF_HDR_EXT_LEN - 7}xBBBB{SRH_FIXED_LEN - OFF_LAST_ENTRY - 1}x"
+).unpack_from
 
-def _advance_verdict(data: bytearray) -> str | tuple[int, bytearray]:
-    """The End prologue: a drop reason or (new_sl, new_active_segment).
+
+def _advance(data: bytearray) -> str | None:
+    """The End prologue, in place: None once advanced, else the drop reason.
 
     ``_V_NO_SRH`` exactly when ``SRH.parse(data, IPV6_HEADER_LEN)`` would
-    raise: :func:`~repro.net.srh.srh_wire_span`'s checks plus
-    ``segments_left > last_entry``.  The segment is a slice of ``data``.
+    raise (:func:`~repro.net.srh.srh_wire_span`'s checks plus
+    ``segments_left > last_entry``), ``_V_SL_ZERO`` for a valid SRH with
+    nothing left to visit; either way ``data`` is left as it came.
+    Otherwise segments_left is decremented and the new active segment
+    becomes the destination, both where they lie.
     """
-    size = len(data)
-    if (
-        size < _AT_SEGMENTS
-        or data[6] != PROTO_ROUTING
-        or data[_AT_ROUTING_TYPE] != ROUTING_TYPE_SRH
-    ):
+    try:
+        next_header, hdr_ext_len, routing_type, segments_left, last_entry = _SRH_HEAD(data, 6)
+    except struct.error:
         return _V_NO_SRH
-    total = (data[_AT_HDR_EXT_LEN] + 1) * 8
-    last_entry = data[_AT_LAST_ENTRY]
-    segments_left = data[_AT_SEGMENTS_LEFT]
     if (
-        size - IPV6_HEADER_LEN < total
-        or SRH_FIXED_LEN + SEGMENT_LEN * (last_entry + 1) > total
+        next_header != PROTO_ROUTING
+        or routing_type != ROUTING_TYPE_SRH
         or segments_left > last_entry
+        # The segment list fits the header: 8 + 16 (last_entry + 1) <= 8 (hdr_ext_len + 1).
+        or hdr_ext_len < 2 * last_entry + 2
+        # The header fits the packet: 40 + 8 (hdr_ext_len + 1) <= len(data).
+        or len(data) < _AT_SEGMENTS + 8 * hdr_ext_len
     ):
         return _V_NO_SRH
-    if segments_left == 0:
+    if not segments_left:
         return _V_SL_ZERO
-    new_sl = segments_left - 1
-    start = _AT_SEGMENTS + SEGMENT_LEN * new_sl
-    return new_sl, data[start : start + SEGMENT_LEN]
+    segments_left -= 1
+    data[_AT_SEGMENTS_LEFT] = segments_left
+    at = _AT_SEGMENTS + SEGMENT_LEN * segments_left
+    data[24:40] = data[at : at + SEGMENT_LEN]
+    return None
 
 
 def clear_advance_memo() -> None:
@@ -178,20 +185,17 @@ class Seg6LocalAction:
     # of process() itself.  Class default keeps dataclass subclasses'
     # generated __init__ signatures unchanged.
     processed = 0
+    # What an advanced packet does next: End.X and End.T pin a nexthop
+    # or a table.
+    _forward = _FORWARD
 
     def process(self, pkt: Packet, node) -> Disposition:
-        """Validate the SRH, advance to the next segment, forward (plain End, §2).
-
-        The advance verdict is read off the fixed SRH header (see
-        :func:`_advance_verdict`); the destination rewrite happens in
-        place on the packet buffer.
-        """
-        data = pkt.data
-        verdict = _advance_verdict(data)
-        if verdict is _V_NO_SRH or verdict is _V_SL_ZERO:
-            return Disposition.drop(verdict)
-        data[_AT_SEGMENTS_LEFT], data[24:40] = verdict
-        return _FORWARD
+        """Advance to the next segment in place (:func:`_advance`), then
+        forward (End, End.X, End.T, §2)."""
+        reason = _advance(pkt.data)
+        if reason is None:
+            return self._forward
+        return Disposition.drop(reason)
 
 
 @dataclass
@@ -212,13 +216,6 @@ class EndX(Seg6LocalAction):
         self.nh6 = as_addr(self.nh6)
         self._forward = Disposition.forward(nh6=self.nh6)
 
-    def process(self, pkt: Packet, node) -> Disposition:
-        """Advance, then pin the layer-3 nexthop (End.X, §2)."""
-        base = super().process(pkt, node)
-        if base is not _FORWARD:
-            return base
-        return self._forward
-
 
 @dataclass
 class EndT(Seg6LocalAction):
@@ -230,26 +227,19 @@ class EndT(Seg6LocalAction):
     def __post_init__(self) -> None:
         self._forward = Disposition.forward(table_id=self.table_id)
 
-    def process(self, pkt: Packet, node) -> Disposition:
-        """Advance, then route in the configured table (End.T, §2)."""
-        base = super().process(pkt, node)
-        if base is not _FORWARD:
-            return base
-        return self._forward
-
 
 def _decap(pkt: Packet, kind: str) -> Disposition | None:
     """End.DT6 / End.DX6 decapsulation, in place: a drop, or None once stripped.
 
     Only a first routing header ``SRH.parse`` accepts can demand
     ``segments_left == 0`` (a malformed one is a decap failure): the one
-    the End prologue would advance.
+    the End prologue would advance, which it is asked on a copy.
     """
     data = pkt.data
     if (
         len(data) > _AT_SEGMENTS_LEFT
         and data[_AT_SEGMENTS_LEFT]
-        and type(_advance_verdict(data)) is tuple
+        and _advance(bytearray(data)) is None
     ):
         return Disposition.drop(f"{kind} requires segments_left == 0")
     reason = decap_in_place(data)
@@ -325,9 +315,9 @@ class EndB6Encaps(Seg6LocalAction):
 
     def process(self, pkt: Packet, node) -> Disposition:
         """Advance, then encapsulate with an outer header and new SRH (§2)."""
-        base = super().process(pkt, node)
-        if base is not _FORWARD:
-            return base
+        reason = _advance(pkt.data)
+        if reason is not None:
+            return Disposition.drop(reason)
         srh = make_srh(list(self.segments), next_header=PROTO_IPV6)
         try:
             pkt.data = bytearray(
@@ -358,15 +348,12 @@ class EndBPF(Seg6LocalAction):
 
     def process(self, pkt: Packet, node) -> Disposition:
         """Advance the SRH, then run the attached program (§3.1 semantics)."""
-        data = pkt.data
-        verdict = _advance_verdict(data)
-        if verdict is _V_NO_SRH or verdict is _V_SL_ZERO:
-            return Disposition.drop("End.BPF: " + verdict)
-        data[_AT_SEGMENTS_LEFT], data[24:40] = verdict
-        tctx = pkt.tctx
-        if tctx is not None:
+        reason = _advance(pkt.data)
+        if reason is not None:
+            return Disposition.drop("End.BPF: " + reason)
+        if pkt.tctx is not None:
             t = node.clock.now_ns
-            tctx.append((t, t, "ebpf", node.name, f"seg6local/{self.program.name}"))
+            pkt.tctx.append((t, t, "ebpf", node.name, f"seg6local/{self.program.name}"))
         handler = self._handler
         if handler is None or handler.program is not self.program:
             handler = self.handler()
@@ -390,23 +377,44 @@ def _revalidate(stats: dict, data: bytearray) -> Disposition | None:
 
 _CTX_ADDR = SkbContext.ctx_addr
 _STACK_TOP = SkbContext.stack_top
+_STACK_ZERO = bytes(STACK_SIZE)
 
 
 def run_attached(handler: CompiledHandler, stats: dict, pkt: Packet, node) -> Disposition:
-    """Run ``handler``'s program on ``pkt`` and apply §3.1 return-code semantics.
+    """Arm ``handler`` for ``pkt``, run its program, apply §3.1 return-code semantics.
 
-    The one invocation of an attached program on the datapath — End.BPF,
-    alone or in a group, and the BPF LWT hooks; ``stats`` is the owner's.
+    The one invocation of an attached program on the datapath — End.BPF
+    and the BPF LWT hooks; ``stats`` is the owner's.  The arming is the
+    handler's plan (:class:`~repro.ebpf.jit.CompiledHandler`): bind
+    ``pkt.data`` as the guest packet, then reset only what the program
+    can observe, with this packet's mark and this node's clock and rng.
     """
-    data = pkt.data
-    hctx = handler.arm(data, node.clock_ns, node.rng, pkt.mark, pkt, node)
-    program = handler.program
-    fn, mem, helpers = handler.call
+    handler.packet_region.data = pkt.data
+    hctx = handler.hctx
+    if handler.resets:
+        skb = hctx.skb
+        if handler.rearms_ctx:
+            skb.rearm(pkt.mark)
+        if handler.zeroes_stack:
+            skb.stack_region.data[:] = _STACK_ZERO
+        if handler.calls_helpers:
+            hctx.trace_log.clear()
+            hctx.metadata.clear()
+            hctx.packet = pkt
+            hctx.node = node
+            if handler.restores_regions:
+                hctx.mem.restore(handler.snapshot)
+            if handler.binds_clock:
+                hctx.clock_ns = node.clock_ns
+            if handler.binds_rng:
+                hctx.rng = node.rng
+    _HANDLER_CACHE_STATS["handler_hits"] += 1
+    fn = handler.fn
     try:
         if fn is not None:
-            ret = fn(hctx, mem, helpers, _CTX_ADDR, _STACK_TOP)
+            ret = fn(hctx, handler.mem, handler.helpers, _CTX_ADDR, _STACK_TOP)
         else:
-            ret = program._interp.run(hctx, _CTX_ADDR, _STACK_TOP)
+            ret = handler.program._interp.run(hctx, _CTX_ADDR, _STACK_TOP)
     except (VmFault, BpfError) as exc:
         stats["errors"] += 1
         hook = handler.attach_point
@@ -415,26 +423,28 @@ def run_attached(handler: CompiledHandler, stats: dict, pkt: Packet, node) -> Di
         else:
             node.log(f"BPF LWT program fault on {hook}: {exc}")
         return Disposition.drop(f"program fault: {exc}", bpf=True)
-    pstats = program.stats
+    pstats = handler.program.stats
     pstats.invocations += 1
     pstats.last_return = ret
 
-    # The program ran on ``data`` itself: there is no packet to write back,
-    # and one dropped below keeps its edits, as the kernel's skb does.
-    # No helper writes the mark; only a seg6local one sets srh_modified.
-    if handler.writes_mark:
-        pkt.mark = hctx.skb.mark
-    metadata = hctx.metadata
-    if handler.calls_helpers and ret != BPF_DROP and metadata.get("srh_modified"):
-        invalid = _revalidate(stats, data)
-        if invalid is not None:
-            return invalid
+    # The program ran on ``pkt.data`` itself: there is no packet to write
+    # back, and one dropped below keeps its edits, as the kernel's skb
+    # does.  No helper writes the mark; only a seg6local one sets
+    # srh_modified.
+    if handler.reads_back:
+        if handler.writes_mark:
+            pkt.mark = hctx.skb.mark
+        if handler.calls_helpers and ret != BPF_DROP and hctx.metadata.get("srh_modified"):
+            invalid = _revalidate(stats, pkt.data)
+            if invalid is not None:
+                return invalid
 
     if ret == BPF_OK:
         stats["ok"] += 1
         return _FORWARD
     if ret == BPF_REDIRECT:
         stats["redirect"] += 1
+        metadata = hctx.metadata
         return Disposition.forward(
             table_id=metadata.get("redirect_table"),
             nh6=metadata.get("redirect_nh6"),

@@ -8,10 +8,10 @@ the bytes are deterministic, which keeps the handoff stream itself
 reproducible.
 
 Per packet: a fixed header (data length, generator bookkeeping, RX
-timestamp, mark, trace count, span count), the raw packet bytes, the
-trace's node names, then the tracing context's spans (``tctx`` — the
-sender's side of the link already appended its queue/serialise/propagate
-spans before export, so a trace crosses the cut without losing time).
+timestamp, mark, span count), the raw packet bytes, then the tracing
+context's spans (``tctx`` — the sender's side of the link already
+appended its queue/serialise/propagate spans before export, so a trace
+crosses the cut without losing time).
 The per-hop ``input_dev`` is deliberately *not* carried: it is dead
 between hops, and ingress restamps it.
 """
@@ -23,8 +23,8 @@ import struct
 from ..net.packet import Packet
 
 _BATCH_HEADER = struct.Struct("<I")
-# len, flow_id, seq, tx (-1: unstamped), rx, mark, traces, spans
-_PKT_HEADER = struct.Struct("<IqqqqIHH")
+# len, flow_id, seq, tx (-1: unstamped), rx, mark, spans
+_PKT_HEADER = struct.Struct("<IqqqqIH")
 _NAME_HEADER = struct.Struct("<H")
 _SPAN_HEADER = struct.Struct("<qq")  # start_ns, end_ns
 
@@ -33,7 +33,6 @@ def pack_batch(pkts: list[Packet]) -> bytes:
     """Serialise a delivery batch to deterministic bytes."""
     parts = [_BATCH_HEADER.pack(len(pkts))]
     for pkt in pkts:
-        trace = pkt.trace
         tctx = pkt.tctx
         parts.append(
             _PKT_HEADER.pack(
@@ -43,15 +42,10 @@ def pack_batch(pkts: list[Packet]) -> bytes:
                 -1 if pkt.tx_tstamp_ns is None else pkt.tx_tstamp_ns,
                 pkt.rx_tstamp_ns,
                 pkt.mark,
-                len(trace),
                 len(tctx) if tctx is not None else 0,
             )
         )
         parts.append(bytes(pkt.data))
-        for name in trace:
-            encoded = str(name).encode()
-            parts.append(_NAME_HEADER.pack(len(encoded)))
-            parts.append(encoded)
         if tctx is not None:
             for start, end, category, where, detail in tctx:
                 parts.append(_SPAN_HEADER.pack(start, end))
@@ -68,18 +62,10 @@ def unpack_batch(blob: bytes) -> list[Packet]:
     offset = _BATCH_HEADER.size
     pkts: list[Packet] = []
     for _ in range(count):
-        data_len, flow_id, seq, tx, rx, mark, traces, spans = _PKT_HEADER.unpack_from(
-            blob, offset
-        )
+        data_len, flow_id, seq, tx, rx, mark, spans = _PKT_HEADER.unpack_from(blob, offset)
         offset += _PKT_HEADER.size
         data = blob[offset : offset + data_len]
         offset += data_len
-        trace = []
-        for _ in range(traces):
-            (name_len,) = _NAME_HEADER.unpack_from(blob, offset)
-            offset += _NAME_HEADER.size
-            trace.append(blob[offset : offset + name_len].decode())
-            offset += name_len
         tctx = None
         if spans:
             tctx = []
@@ -101,7 +87,6 @@ def unpack_batch(blob: bytes) -> list[Packet]:
                 tx_tstamp_ns=None if tx < 0 else tx,
                 rx_tstamp_ns=rx,
                 mark=mark,
-                trace=trace,
                 tctx=tctx,
             )
         )

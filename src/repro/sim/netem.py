@@ -120,4 +120,7 @@ class NetemQdisc:
         if seq < self._last_delivered_seq:
             self.stats.reordered += 1
         self._last_delivered_seq = max(self._last_delivered_seq, seq)
+        stats = dev.stats  # device tx counts what reaches the wire, not what netem dropped
+        stats.tx_packets += 1
+        stats.tx_bytes += len(pkt.data)
         dev.wire([pkt])

@@ -1,11 +1,13 @@
 """CompiledHandler reuse must be observably identical to fresh contexts.
 
-The datapath re-arms one guest address space per attach site.  These
-tests pin down the reset contract: map-value regions from the previous
-invocation are unmapped, per-invocation state (trace log, metadata, cb,
-stack, clock, rng, packet, node) is rebound or cleared whichever node or
-group the previous packet belonged to, and persistent map state keeps
-evolving exactly as it would across fresh ``make_context`` calls.
+The datapath re-arms one guest address space per attach site, by a plan
+read off the program's facts.  These tests pin down the reset contract:
+map-value regions from the previous invocation are unmapped,
+per-invocation state (trace log, metadata, cb, stack, clock, rng,
+packet, node) is rebound or cleared whichever node or group the previous
+packet belonged to, a program gets exactly the resets its facts call
+for, and persistent map state keeps evolving exactly as it would across
+fresh ``make_context`` calls.
 """
 
 import random
@@ -17,6 +19,8 @@ from repro.ebpf.errors import HelperError
 from repro.ebpf.helpers import HELPERS_BY_ID, register_helper
 from repro.ebpf.jit import CompiledHandler
 from repro.net import BpfLwt, EndBPF, Node, Packet, make_srv6_udp_packet
+from repro.net.seg6local import run_attached
+from repro.progs.library import ASM_DIR
 
 PACKET = bytes([0x60]) + bytes(39)
 
@@ -59,6 +63,12 @@ def key(n: int) -> bytes:
     return n.to_bytes(4, "little")
 
 
+def _invoke(handler: CompiledHandler, pkt: Packet, node: Node | None = None) -> int:
+    """One datapath invocation of ``handler``'s program; its return code."""
+    run_attached(handler, {"ok": 0, "drop": 0, "redirect": 0, "errors": 0}, pkt, node or Node("N"))
+    return handler.program.stats.last_return
+
+
 def test_reused_context_matches_fresh_contexts():
     """N runs through one handler == N runs through fresh contexts."""
     counter_a = ArrayMap("ch_hits_b", value_size=8, max_entries=1)
@@ -68,8 +78,7 @@ def test_reused_context_matches_fresh_contexts():
     handler = CompiledHandler(prog_handler, "test")
 
     for _ in range(5):
-        hctx = handler.arm(bytearray(PACKET), clock_ns=lambda: 0, rng=None)
-        assert prog_handler.run(hctx) == 0
+        assert _invoke(handler, Packet(PACKET)) == 0
         ret, _ = prog_fresh.run_on_packet(PACKET)
         assert ret == 0
 
@@ -89,46 +98,39 @@ def test_no_stale_map_value_regions_after_slot_reuse():
     handler = CompiledHandler(prog, "test")
 
     m.update(key(1), (0).to_bytes(8, "little"))
-    hctx = handler.arm(bytearray(PACKET), clock_ns=lambda: 0, rng=None, mark=1)
-    prog.run(hctx)
+    _invoke(handler, Packet(PACKET, mark=1))
     assert int.from_bytes(m.lookup(key(1)), "little") == 1
 
     # Free slot 0 and hand it to a new key with brand-new storage.
     m.delete(key(1))
     m.update(key(2), (10).to_bytes(8, "little"))
 
-    hctx = handler.arm(bytearray(PACKET), clock_ns=lambda: 0, rng=None, mark=2)
-    prog.run(hctx)
+    _invoke(handler, Packet(PACKET, mark=2))
     assert int.from_bytes(m.lookup(key(2)), "little") == 11
 
 
 def test_per_invocation_state_is_reset():
-    """trace log, metadata, cb slots and the stack are fresh per arm()."""
+    """cb slots and the frame are fresh per invocation: the program finds
+    cb[0] zero though the previous packet left 7 there (the trace log,
+    metadata and a helper's view: the fault test below)."""
     prog = Program(
         """
         r6 = r1
+        r7 = *(u64 *)(r6 + 0x20)   ; cb[0] as found
         r1 = 7
         *(u64 *)(r6 + 0x20) = r1   ; cb[0] = 7
-        r7 = *(u64 *)(r6 + 0x20)
-        r1 = 1
         *(u64 *)(r10 - 8) = r1     ; dirty the stack
         r0 = r7
         exit
         """
     )
     handler = CompiledHandler(prog, "test")
-
-    hctx = handler.arm(bytearray(PACKET), clock_ns=lambda: 0, rng=None)
-    hctx.metadata["left_over"] = True
-    hctx.trace_log.append("stale line")
-    assert prog.run(hctx) == 7
-
-    hctx2 = handler.arm(bytearray(PACKET), clock_ns=lambda: 0, rng=None)
-    assert hctx2 is hctx  # same reused context object...
-    assert hctx2.metadata == {}  # ...with per-invocation state reset
-    assert hctx2.trace_log == []
-    assert hctx2.skb.cb(0) == 0
-    assert bytes(hctx2.skb.stack_region.data) == bytes(len(hctx2.skb.stack_region.data))
+    hctx = handler.hctx
+    for _ in range(3):
+        assert _invoke(handler, Packet(PACKET)) == 0
+        assert handler.hctx is hctx  # same reused context object...
+        assert hctx.skb.cb(0) == 7  # ...the program's write landed...
+        assert hctx.skb.stack_region.data[-8] == 7  # ...and was wiped before the next
 
 
 def test_rearm_rebinds_packet_and_mark():
@@ -139,14 +141,38 @@ def test_rearm_rebinds_packet_and_mark():
         """
     )
     handler = CompiledHandler(prog, "test")
-    hctx = handler.arm(bytearray(PACKET), clock_ns=lambda: 0, rng=None)
-    assert prog.run(hctx) == len(PACKET)
+    assert _invoke(handler, Packet(PACKET)) == len(PACKET)
 
-    bigger = PACKET + bytes(24)
-    hctx = handler.arm(bytearray(bigger), clock_ns=lambda: 0, rng=None, mark=9)
-    assert prog.run(hctx) == len(bigger)
-    assert hctx.skb.mark == 9
-    assert hctx.skb.packet_region.data == bigger
+    bigger = Packet(PACKET + bytes(24), mark=9)
+    assert _invoke(handler, bigger) == len(bigger.data)
+    assert handler.hctx.skb.mark == 9
+    assert handler.hctx.skb.packet_region.data is bigger.data
+
+
+def test_the_plan_follows_the_facts():
+    """What an invocation resets is read off the verifier's facts once: a
+    program with trivial facts gets the packet bind alone, a helper caller
+    the restores and rebinds its helpers need."""
+    plans = {}
+    for name in ("end", "tag_increment", "add_tlv", "end_dm", "dm_encap", "wrr"):
+        handler = CompiledHandler(Program((ASM_DIR / f"{name}.s").read_text(), name=name), "test")
+        plans[name] = tuple(
+            name
+            for name in (
+                "resets", "rearms_ctx", "zeroes_stack", "calls_helpers",
+                "restores_regions", "binds_clock", "binds_rng", "reads_back",
+            )
+            if getattr(handler, name)
+        )
+    helper_caller = ("resets", "rearms_ctx", "zeroes_stack", "calls_helpers")
+    assert plans == {
+        "end": (),
+        "tag_increment": helper_caller + ("reads_back",),
+        "add_tlv": helper_caller + ("reads_back",),
+        "end_dm": helper_caller + ("binds_clock", "reads_back"),
+        "dm_encap": helper_caller + ("restores_regions", "binds_clock", "binds_rng", "reads_back"),
+        "wrr": helper_caller + ("restores_regions", "reads_back"),
+    }
 
 
 # --- one attach site, several nodes: re-armed ≡ fresh under interleaving -------

@@ -1,9 +1,9 @@
 """One attach site's re-armed invocation ≡ a fresh context, program by program.
 
-``CompiledHandler.arm`` re-arms one guest address space per attach site
-and ``seg6local.run_attached`` reads back what the program changed; both
-skip the work the verifier's :class:`~repro.ebpf.verifier.ProgramFacts`
-rule out.  Over every accepted corpus program, the eight library
+``seg6local.run_attached`` re-arms one attach site's guest address space
+by its handler's plan and reads back what the program changed; both skip
+the work the verifier's :class:`~repro.ebpf.verifier.ProgramFacts` rule
+out.  Over every accepted corpus program, the eight library
 programs and one small program per helper the arming treats apart
 (``PLAN_PROGRAMS``), one handler serves seeded packets that alternate
 between two nodes with different clocks, rngs, routes and incoming
@@ -135,27 +135,13 @@ def _node(name: str, clock_ns, seed: int) -> Node:
     return node
 
 
-def _traced_handler(program: Program, hook: str):
-    """The attach site's handler, with a fresh helper trace installed after every arm."""
-    handler = CompiledHandler(program, hook)
-    arm = handler.arm
-
-    def traced_arm(*args):
-        hctx = arm(*args)
-        hctx.helper_trace = []
-        return hctx
-
-    handler.arm = traced_arm
-    return handler
-
-
 @pytest.mark.parametrize("jit", [True, False], ids=["jit", "interp"])
 @pytest.mark.parametrize("name, text", PROGRAMS, ids=PROGRAM_IDS)
 def test_rearmed_site_on_two_nodes_matches_fresh_contexts(name, text, jit):
     live = _load(name, text, jit)
     model = _load(name, text, jit, maps=dict(live.maps))
     hook = _attach_point(text)
-    handler = _traced_handler(live, hook)
+    handler = CompiledHandler(live, hook)
     before_hits = handler_cache_stats()
     stats = {"ok": 0, "drop": 0, "redirect": 0, "errors": 0}
 
@@ -172,9 +158,10 @@ def test_rearmed_site_on_two_nodes_matches_fresh_contexts(name, text, jit):
 
         before = {n: _snapshot_map(m) for n, m in live.maps.items()}
         pkt = Packet(raw, mark=mark, rx_tstamp_ns=stamp)
+        live_hctx = handler.hctx
+        live_hctx.helper_trace = []  # arming leaves it be: only a test sets one
         disposition = run_attached(handler, stats, pkt, node)
         live_fault = disposition.reason.startswith("program fault")
-        live_hctx = handler._hctx
         live_maps = {n: _dump_map(m) for n, m in live.maps.items()}
         for n, m in live.maps.items():
             _restore_map(m, before[n])
@@ -204,5 +191,7 @@ def test_rearmed_site_on_two_nodes_matches_fresh_contexts(name, text, jit):
         model.stats.last_return,
     )
     after_hits = handler_cache_stats()
-    invocations = sum(after_hits[k] - before_hits[k] for k in ("handler_hits", "handler_misses"))
-    assert invocations == PACKETS
+    assert {k: after_hits[k] - before_hits[k] for k in after_hits} == {
+        "handler_hits": PACKETS,  # one per invocation
+        "handler_misses": 0,  # the address space was built with the handler
+    }

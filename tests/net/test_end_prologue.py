@@ -1,9 +1,11 @@
-"""The End prologue (`_advance_verdict`) against `SRH.parse`, the reference.
+"""The End prologue (`_advance`) against `SRH.parse`, the reference.
 
-The prologue reads four SRH header bytes and one segment off the packet
-instead of parsing the header; these tests hold it to the parser's exact
-accept/reject decisions, and the advancing actions to their drop reasons
-on every class of malformed header.
+The prologue reads the fixed SRH header off the packet and writes
+segments_left and the destination where they lie instead of parsing the
+header; these tests hold it, and every action that runs it, to the
+parser's exact accept/reject decisions over generated headers (a refused
+packet's bytes unchanged), and the advancing actions to their drop
+reasons on every class of malformed header.
 """
 
 import pytest
@@ -25,7 +27,7 @@ from repro.net import (
     pton,
 )
 from repro.net.ipv6 import IPV6_HEADER_LEN, PROTO_ROUTING
-from repro.net.seg6local import _V_NO_SRH, _V_SL_ZERO, _advance_verdict
+from repro.net.seg6local import _V_NO_SRH, _V_SL_ZERO, _advance
 from repro.net.srh import (
     OFF_HDR_EXT_LEN,
     OFF_LAST_ENTRY,
@@ -63,53 +65,6 @@ def srv6_bytes(n_segments: int, tlv_len: int = 0) -> bytearray:
 _field = st.one_of(st.none(), st.integers(0, 12), st.integers(0, 255))
 
 
-@settings(max_examples=600, deadline=None)
-@given(
-    n_segments=st.integers(1, 5),
-    tlv_len=st.sampled_from([0, 8, 16]),
-    hdr_ext_len=_field,
-    last_entry=_field,
-    segments_left=_field,
-    routing_type=st.one_of(st.none(), st.integers(0, 255)),
-    next_header=st.sampled_from([PROTO_ROUTING, PROTO_ROUTING, 17, 0]),
-    keep=st.one_of(st.none(), st.integers(0, 160)),
-)
-def test_advance_verdict_matches_srh_parse(
-    n_segments, tlv_len, hdr_ext_len, last_entry, segments_left, routing_type, next_header, keep
-):
-    data = srv6_bytes(n_segments, tlv_len)
-    for offset, value in (
-        (OFF_HDR_EXT_LEN, hdr_ext_len),
-        (OFF_LAST_ENTRY, last_entry),
-        (OFF_SEGMENTS_LEFT, segments_left),
-        (OFF_ROUTING_TYPE, routing_type),
-    ):
-        if value is not None:
-            data[SRH_AT + offset] = value
-    data[6] = next_header
-    if keep is not None:
-        del data[keep:]
-
-    expected = reference_verdict(bytes(data))
-    before = bytes(data)
-    verdict = _advance_verdict(data)
-    assert bytes(data) == before  # the verdict itself never writes
-    if expected is _V_NO_SRH or expected is _V_SL_ZERO:
-        assert verdict is expected
-        return
-    assert verdict == expected
-
-    # And the action applies it: new segments_left, new destination,
-    # every other byte untouched.
-    pkt = Packet(before)
-    assert End().process(pkt, None).action == "forward"
-    new_sl, new_dst = expected
-    rewritten = bytearray(before)
-    rewritten[SRH_AT + OFF_SEGMENTS_LEFT] = new_sl
-    rewritten[24:40] = new_dst
-    assert pkt.data == rewritten
-
-
 @st.composite
 def generated_srv6(draw) -> bytearray:
     """An SRv6 packet with any of its SRH header fields rewritten, maybe cut short."""
@@ -126,6 +81,25 @@ def generated_srv6(draw) -> bytearray:
     if keep is not None:
         del data[keep:]
     return data
+
+
+@settings(max_examples=600, deadline=None)
+@given(data=generated_srv6())
+def test_advance_matches_srh_parse(data):
+    """The prologue itself: the reference's verdict, applied in place or not at all."""
+    expected = reference_verdict(bytes(data))
+    before = bytes(data)
+    reason = _advance(data)
+    if expected is _V_NO_SRH or expected is _V_SL_ZERO:
+        assert reason is expected
+        assert data == before  # a refused packet is not half-advanced
+        return
+    assert reason is None
+    new_sl, new_dst = expected
+    rewritten = bytearray(before)
+    rewritten[SRH_AT + OFF_SEGMENTS_LEFT] = new_sl
+    rewritten[24:40] = new_dst
+    assert data == rewritten  # segments_left and the destination, every other byte untouched
 
 
 def advancing_actions():

@@ -111,16 +111,27 @@ def test_table_created_on_demand():
 # --- packet traces and device stats ------------------------------------------------------
 
 
-def test_packet_trace_records_transit_nodes():
-    a = Node("A")
-    a.add_device("eth0")
-    a.add_device("eth1")
-    a.add_address("fc00::a")
-    a.add_route("fc00:2::/64", via="fc00:2::1", dev="eth1")
-    pkt = make_udp_packet("fc00:1::1", "fc00:2::2", 1, 2, b"x")
-    a.receive(pkt, a.devices["eth0"])
-    forwarded = a.devices["eth1"].tx_buffer.pop()
-    assert forwarded.trace == ["A"]
+def test_tracer_records_transit_nodes():
+    """The path a packet took is its trace's ``stage:transmit`` spans, one per
+    node that sent it on (the packet itself keeps no list of names)."""
+    from repro.lab import Network
+
+    net = Network(seed=3)
+    for name in "ABC":
+        net.add_node(name, addr=f"fc00:{name.lower()}::1")
+    net.add_link("A", "B", rate_bps=1e9, delay_ns=1_000)
+    net.add_link("B", "C", rate_bps=1e9, delay_ns=1_000)
+    net.config("A", "route add fc00:c::/64 via fc00:b::1 dev eth0")
+    net.config("B", "route add fc00:c::/64 via fc00:c::1 dev eth1")
+    tracer = net.trace(sample=1)
+    flow = net.trafgen("A", dst="fc00:c::1", rate_bps=1e6, payload_size=64)
+    net.sink("C")
+    flow.start(at_ns=0)
+    net.run(until_ns=2_000_000)
+    assert tracer.records
+    for rec in tracer.records:
+        transmits = [(where, dev) for _s, _e, category, where, dev in rec["spans"] if category == "stage:transmit"]
+        assert transmits == [("A", "eth0"), ("B", "eth1")]
 
 
 def test_netdev_stats_count_tx_rx():

@@ -1,7 +1,7 @@
 """One packet buffer per invocation: an attached program runs on ``pkt.data``.
 
 The kernel runs End.BPF and the BPF LWT hooks on the skb; here that is
-``pkt.data``.  ``CompiledHandler.arm`` binds that bytearray as the guest
+``pkt.data``.  ``run_attached`` binds that bytearray as the guest
 packet region, the helpers edit it where it lies, and nothing copies it
 in or back out — so across an invocation ``pkt.data`` keeps its identity
 (a resizing program included), the guest region *is* that object, and a
@@ -121,7 +121,7 @@ def test_end_bpf_runs_on_the_packets_own_buffer(name, path):
     assert all(pkt.data is buffer for pkt, buffer in zip(pkts, buffers))
     assert [len(pkt.data) != len(raw) for pkt in pkts] == [resizes] * 3
     # The guest packet region is the packet's buffer, not a copy of it.
-    assert action.handler()._hctx.skb.packet_region.data is pkts[-1].data
+    assert action.handler().hctx.skb.packet_region.data is pkts[-1].data
 
 
 @pytest.mark.parametrize("hook", ["lwt_out", "lwt_xmit"])
@@ -139,7 +139,7 @@ def test_lwt_hooks_run_on_the_packets_own_buffer(name, hook):
     assert node.devices["eth1"].tx_buffer == pkts
     assert all(pkt.data is buffer for pkt, buffer in zip(pkts, buffers))
     assert all(len(pkt.data) > len(PLAIN) for pkt in pkts)  # both push an encapsulation
-    assert lwt._handlers[hook]._hctx.skb.packet_region.data is pkts[-1].data
+    assert lwt._handlers[hook].hctx.skb.packet_region.data is pkts[-1].data
 
 
 # --- what a helper sees while the program runs ------------------------------------

@@ -134,10 +134,6 @@ def test_unknown_packet_fields_rejected():
         Packet(b"\x60" + b"\x00" * 39, bogus=1)
 
 
-def test_default_trace_list_is_per_packet():
-    assert Packet(b"").trace is not Packet(b"").trace
-
-
 # skb->mark is a u32: a mark outside it is refused where the packet is made,
 # not truncated by an End.BPF ctx round trip or a struct.error at a shard cut.
 

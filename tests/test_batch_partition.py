@@ -102,7 +102,9 @@ def observe(node: Node, out: list[Packet]) -> dict:
     return {
         "bytes": [bytes(p.data) for p in out],
         "marks": [p.mark for p in out],
-        "traces": [list(p.trace) for p in out],
+        # A packet keeps no list of the nodes it crossed: that path is the
+        # tracer's stage:transmit spans
+        # (test_misc_coverage.py::test_tracer_records_transit_nodes).
         "delivered_bytes": sum(len(p) for p in out),
         "counters": dict(vars(node.counters)),
         "dev_stats": {name: dict(vars(d.stats)) for name, d in node.devices.items()},
