@@ -162,10 +162,9 @@ class CompiledHandler:
     * :attr:`zeroes_stack` — the frame is touched: wipe it;
     * :attr:`calls_helpers` — clear the trace log and metadata and bind
       the packet and node; then :attr:`restores_regions` only with
-      ``map_lookup_elem`` (the one helper that maps value regions),
-      :attr:`binds_clock` only with a clock reader, :attr:`binds_rng`
-      only with ``get_prandom_u32`` (a helper registered elsewhere gets
-      all three);
+      ``map_lookup_elem``, :attr:`binds_clock` only with a clock reader
+      (``ktime_get_ns``, ``perf_event_output``) and :attr:`binds_rng`
+      only with ``get_prandom_u32``: no other helper reads the three;
     * :attr:`resets` — any of these.  A program with trivial facts
       (``end.s``: no ctx access, helper call or stack use) gets the
       packet bind alone.
@@ -180,7 +179,7 @@ class CompiledHandler:
     def __init__(self, program, attach_point: str):
         self.program = program
         self.attach_point = attach_point
-        _HANDLER_CACHE_STATS["handler_misses"] += 1
+        HANDLER_COUNTS.misses += 1
         hctx = self.hctx = program.make_context(b"")
         hctx.hook = attach_point
         self.packet_region = hctx.skb.packet_region
@@ -191,44 +190,30 @@ class CompiledHandler:
         self.helpers = None if jitp is None else jitp.helpers
 
         facts = program.facts
-        reads = set()
-        for helper_id in facts.helpers:
-            reads |= _HELPER_READS.get(HELPERS_BY_ID[helper_id].name, _READS_ALL)
-        self.calls_helpers = bool(facts.helpers)
+        helpers = {HELPERS_BY_ID[helper_id].name for helper_id in facts.helpers}
+        self.calls_helpers = bool(helpers)
         self.writes_mark = OFF_MARK in facts.ctx_writes
         self.rearms_ctx = self.calls_helpers or bool(facts.ctx_reads or facts.ctx_writes)
         self.zeroes_stack = facts.touches_stack
-        self.restores_regions = "regions" in reads
-        self.binds_clock = "clock" in reads
-        self.binds_rng = "rng" in reads
+        self.restores_regions = "map_lookup_elem" in helpers  # the one helper that maps regions
+        self.binds_clock = not helpers.isdisjoint(("ktime_get_ns", "perf_event_output"))
+        self.binds_rng = "get_prandom_u32" in helpers
         self.resets = self.rearms_ctx or self.zeroes_stack
         self.reads_back = self.writes_mark or self.calls_helpers
 
 
-# What a call of each of the package's helpers reads of its context beyond
-# its arguments, that arming must restore or rebind: map_lookup_elem maps
-# value regions, the rest read the clock or the rng, or none of the three.
-_READS_ALL = frozenset({"regions", "clock", "rng"})
-_HELPER_READS = {
-    "map_lookup_elem": {"regions"},
-    "ktime_get_ns": {"clock"},
-    "perf_event_output": {"clock"},
-    "get_prandom_u32": {"rng"},
-    **dict.fromkeys(
-        (
-            "map_update_elem", "map_delete_elem", "trace_printk", "get_smp_processor_id",
-            "skb_rx_timestamp", "lwt_push_encap", "lwt_seg6_store_bytes",
-            "lwt_seg6_adjust_srh", "lwt_seg6_action", "get_ecmp_nexthops",
-        ),
-        frozenset(),
-    ),
-}
+class _HandlerCounts:
+    """Process-wide, for benchmarks/ledger (read through the two functions
+    below): a miss is an address space built, a hit an invocation
+    re-arming one (counted by ``run_attached``)."""
+
+    __slots__ = ("hits", "misses")
+
+    def __init__(self):
+        self.hits = self.misses = 0
 
 
-# A miss is an address space built, a hit is one invocation re-arming one.
-# Process-wide, for benchmarks/ledger, which reads it through the two
-# functions below; run_attached counts the hits.
-_HANDLER_CACHE_STATS = {"handler_hits": 0, "handler_misses": 0}
+HANDLER_COUNTS = _HandlerCounts()
 
 
 def handler_cache_stats() -> dict:
@@ -238,7 +223,7 @@ def handler_cache_stats() -> dict:
     :class:`CompiledHandler`), ``handler_hits`` the invocations that
     re-armed one (every :func:`~repro.net.seg6local.run_attached`).
     """
-    return dict(_HANDLER_CACHE_STATS)
+    return {"handler_hits": HANDLER_COUNTS.hits, "handler_misses": HANDLER_COUNTS.misses}
 
 
 def clear_handler_cache() -> None:
@@ -248,8 +233,7 @@ def clear_handler_cache() -> None:
     site's program is replaced: a run that should start cold builds new
     sites.
     """
-    _HANDLER_CACHE_STATS["handler_hits"] = 0
-    _HANDLER_CACHE_STATS["handler_misses"] = 0
+    HANDLER_COUNTS.hits = HANDLER_COUNTS.misses = 0
 
 
 def _block_starts(slots) -> list[int]:

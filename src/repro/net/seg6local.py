@@ -47,7 +47,7 @@ from ..ebpf import BPF_DROP, BPF_OK, BPF_REDIRECT, Program
 from ..ebpf.context import SkbContext
 from ..ebpf.errors import BpfError, VmFault
 from ..ebpf.isa import STACK_SIZE
-from ..ebpf.jit import _HANDLER_CACHE_STATS, CompiledHandler  # run_attached counts the hits
+from ..ebpf.jit import HANDLER_COUNTS, CompiledHandler
 from .addr import as_addr
 from .ipv6 import IPV6_HEADER_LEN, PROTO_IPV6, PROTO_ROUTING
 from .packet import Packet
@@ -408,7 +408,7 @@ def run_attached(handler: CompiledHandler, stats: dict, pkt: Packet, node) -> Di
                 hctx.clock_ns = node.clock_ns
             if handler.binds_rng:
                 hctx.rng = node.rng
-    _HANDLER_CACHE_STATS["handler_hits"] += 1
+    HANDLER_COUNTS.hits += 1
     fn = handler.fn
     try:
         if fn is not None:

@@ -1,15 +1,21 @@
 """Cross-cutting coverage: disassembly of the paper programs, LWT xmit
-hook, multiple routing tables, packet traces, netdev stats."""
+hook, multiple routing tables, packet traces, netdev stats, a short
+packet's continuation lookup."""
 
 import pytest
 
 from repro.ebpf import ArrayMap, PerfEventArrayMap, Program, disassemble, parse_asm
+from repro.lab import Network
 from repro.net import (
     BpfLwt,
+    EndBPF,
     LWT_HELPERS,
     Node,
+    Packet,
+    make_srh,
     make_udp_packet,
     pton,
+    push_outer_encap,
 )
 from repro.progs import (
     add_tlv_prog,
@@ -114,8 +120,6 @@ def test_table_created_on_demand():
 def test_tracer_records_transit_nodes():
     """The path a packet took is its trace's ``stage:transmit`` spans, one per
     node that sent it on (the packet itself keeps no list of names)."""
-    from repro.lab import Network
-
     net = Network(seed=3)
     for name in "ABC":
         net.add_node(name, addr=f"fc00:{name.lower()}::1")
@@ -157,3 +161,40 @@ def test_input_dev_recorded():
     node.bind(lambda pkt, n, _offset: seen.append(pkt.input_dev), proto=17, port=9)
     node.receive(make_udp_packet("fc00::2", "fc00::1", 1, 9, b""), dev)
     assert seen == ["eth7"]
+
+
+_DT6_THEN_OK = """
+.hook seg6local
+    r6 = r1
+    r2 = 254
+    *(u32 *)(r10 - 4) = r2
+    r1 = r6
+    r2 = 7                         ; End.DT6
+    r3 = r10
+    r3 += -4
+    r4 = 4
+    call lwt_seg6_action
+    r0 = 0                         ; BPF_OK though the packet is decapsulated
+    exit
+"""
+
+
+def test_a_program_that_decapsulates_a_short_packet_is_routed_by_what_is_left():
+    """A BPF_OK after an End.DT6 decap of a cut inner packet: the continuation
+    is looked up by the destination bytes that are left, however few."""
+    node = Node("R")
+    node.add_device("eth0")
+    node.add_device("eth1")
+    node.add_route("fc00:e::100/128", encap=EndBPF(Program(_DT6_THEN_OK, name="dt6_ok")))
+    node.add_route("::/0", via="fc00:2::1", dev="eth1")
+    inner = make_udp_packet("fc00:1::1", "fc00:2::2", 1, 2, b"x").data
+    for cut in (20, 39, 40, len(inner)):
+        srh = make_srh(["fc00:e::100", "fc00:e::100"], next_header=41)
+        outer = bytearray(push_outer_encap(bytes(inner[:cut]), bytes(16), srh))
+        outer[24:40] = pton("fc00:e::100")  # segments_left 1: End.BPF advances onto the SID
+        node.receive_batch([Packet(outer)], node.devices["eth0"])
+    assert [len(p.data) for p in node.devices["eth1"].tx_buffer] == [20, 39, 40, len(inner)]
+    assert {dst for _table, dst in node.flow_table.entries} == {
+        pton("fc00:e::100"), b"", pton("fc00:2::")[:15], pton("fc00:2::2")
+    }
+    assert (node.counters.forwarded, node.counters.tx, node.counters.dropped) == (4, 4, 0)
