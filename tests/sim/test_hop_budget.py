@@ -1,77 +1,90 @@
-"""Python-level calls per packet on the event path, counted, not timed.
+"""Python-level calls and bytecodes per packet on the datapath, counted, not timed.
 
 ``setup1_events`` pays the whole hop — trafgen tick, link, R's End.BPF,
 link, S2's local delivery — once per packet, so every layer someone
 adds to that path is a few more Python calls per packet.  The count
 under ``sys.setprofile`` is exact and the same on every host; the
-budget below sits just above what the batch-of-one path left (29.0:
-an event that is its own heap entry, a node that reads its scheduler's
-``now_ns``, one dispatch pass that stamps, routes and delivers, egress
-handed straight to the wire, a listener handed its L4 offset and a tick
-that builds its packet inline; 53.0 before, with an ``Event.__init__``
-and a ``Scheduler._push`` per event, the clock lambda three times, a
-``_run_pipeline`` for the local delivery, ``NetDev.transmit_batch`` and
-``_emit_batch`` per hop and the meter's second header walk; 61.0 while
-a link delivered through ``NetDev.process_batch``, each event ran in a
-``Scheduler._execute`` frame and each dispatch flushed its egress in a
-``Node._flush_egress`` frame; 62.0 while a batch of one entered
-``_run_pipeline`` for its End.BPF; 65.0 while every program's arm reset
-everything; 69.0 while a scalar End.BPF went through ``Program.run`` and
-``JitProgram.run``; the per-packet context object, stage methods and
-``Packet.__len__`` frames before that read 100.0).
+budget below sits just above what the End.BPF invocation armed from the
+program's facts left (28.0: the prologue advances in place and the
+arming runs inside ``run_attached``; 29.0 with ``CompiledHandler.arm``
+a frame of its own; 53.0 before the batch-of-one path, with an
+``Event.__init__`` and a ``Scheduler._push`` per event, the clock lambda
+three times, a ``_run_pipeline`` for the local delivery,
+``NetDev.transmit_batch`` and ``_emit_batch`` per hop and the meter's
+second header walk; 61.0 while a link delivered through
+``NetDev.process_batch``, each event ran in a ``Scheduler._execute``
+frame and each dispatch flushed its egress in a ``Node._flush_egress``
+frame; 62.0 while a batch of one entered ``_run_pipeline`` for its
+End.BPF; 65.0 while every program's arm reset everything; 69.0 while a
+scalar End.BPF went through ``Program.run`` and ``JitProgram.run``; the
+per-packet context object, stage methods and ``Packet.__len__`` frames
+before that read 100.0).
 
 Calls undersell a frame's cost, so the same path has a bytecode budget
 too, per CPython minor version because each compiles differently: over
 ~350 delivered packets (the first millisecond after the template is
-built), 3.11 executes 2 349 bytecodes per packet (2 933 before the
-batch-of-one path) and 3.12 2 247 (2 792).  3.11 counts ``sys.settrace``
-opcode events; 3.12 counts ``sys.monitoring`` INSTRUCTION events, since
-3.12.1 delivers no settrace opcode events.
+built), 3.11 executes 2 300 bytecodes per packet (2 349 with the End
+prologue's verdict tuple, the separate arm and the per-packet device tx
+counters; 2 933 before the batch-of-one path) and 3.12 2 199 (2 247;
+2 792).  3.11 counts ``sys.settrace`` opcode events; 3.12 counts
+``sys.monitoring`` INSTRUCTION events, since 3.12.1 delivers no settrace
+opcode events.
 
 The invocation itself has its own budget: one scalar
-``EndBPF.process`` is 6 calls — ``process``, the prologue, the pin,
-``run_attached``, ``arm``, the translated function.  ``end.s`` calls no
-helper and touches no context field, so the verifier's facts leave
-``arm`` no region reset and ``run_attached`` no mark read-back (9 when
-both ran for every program; 13 with the ``Program.run`` /
-``JitProgram.run`` / ``HelperContext.rearm`` frames) — so the next
-layer someone adds to it shows up as a number.  Two programs that call
-helpers have one each: Tag++ 20 (19; 24 while the JIT called every
-helper through ``Helper.__call__``, called ``_bswap`` for its two byte
-swaps, and the §3.1 re-validation located the SRH twice more) and Add
-TLV 28 (27; 31).
+``EndBPF.process`` is 4 calls — ``process``, the prologue,
+``run_attached``, the translated function.  ``end.s`` calls no helper
+and touches no context field, so the plan its handler reads off the
+verifier's facts is the packet bind alone (5 with ``arm`` a frame of its
+own; 9 when every program's arm reset everything and ``run_attached``
+read the mark back; 13 with the ``Program.run`` / ``JitProgram.run`` /
+``HelperContext.rearm`` frames) — so the next layer someone adds to it
+shows up as a number.  Two programs that call helpers have one each:
+Tag++ 17 (16; 18 with ``arm``; 24 while the JIT called every helper
+through ``Helper.__call__``, called ``_bswap`` for its two byte swaps,
+and the §3.1 re-validation located the SRH twice more) and Add TLV 25
+(24; 26; 31).
 
-One packet of a 256-packet ``make_fig2_router`` batch has a budget per
-Figure 2 variant.  A packet takes the previous packet's first route
-when its destination and the main table's generation are unchanged, a
-seg6local action runs inline in the batch loop, the route after the
-action is looked up per packet, and the packet leaves through
-``_transmit``:
-- plain forwarding: 2.5 (2.02; 4.02 while each plain packet did its
-  own lookup and entered ``_run_pipeline``);
-- a static End: 5.5 (5.02; 5.03 in a seg6local group of its own;
-  7.02 while only End.BPF was grouped and a static End took the
-  pipeline alone, with two lookups per packet);
-- End.T: 7.5 (7.02; 7.03 grouped; 11.02 alone in the pipeline, with
-  two lookups and a ``Disposition`` built per packet);
-- End.BPF: 9.5 (9.02; 9.03 grouped; 9.04 with ``pkt.dst`` and
-  ``decrement_hop_limit`` per packet and the handler fetched per
-  group).
+One packet of a 256-packet ``make_fig2_router`` batch has a call and a
+bytecode budget per Figure 2 variant.  A packet takes the previous
+packet's first route when its destination and the main table's
+generation are unchanged, a seg6local action runs inline in the batch
+loop, the route after the action is looked up per packet, and the
+packet leaves through ``_transmit``, which parks it (the dispatch counts
+``tx`` and the flush the device's tx counters, per batch):
+- plain forwarding: 1.5 calls (1.01; 2.02 when the budget was last
+  set; 4.02 while each plain packet did its own lookup and entered
+  ``_run_pipeline``) and 120 bytecodes on 3.11 (116; 164 with
+  ``Packet.trace`` appended and the device counted per packet), 117 on
+  3.12 (113; 158);
+- a static End: 4.5 calls (4.01; 5.02 when the budget was last set;
+  5.03 in a seg6local group of its own; 7.02 while only End.BPF was
+  grouped and a static End took the pipeline alone, with two lookups per
+  packet) and 280 bytecodes (275; 356 with the prologue's verdict
+  tuple), 264 on 3.12 (260; 341);
+- End.T: 6.5 calls (6.01; 7.01 with End.T's ``process`` calling the
+  base one; 7.03 grouped; 11.02 alone in the pipeline, with two lookups
+  and a ``Disposition`` built per packet) and 320 bytecodes (316; 410),
+  303 on 3.12 (299; 392);
+- End.BPF: 6.5 calls (6.01; 7.01 with ``arm``; 9.03 grouped; 9.04 with
+  ``pkt.dst`` and ``decrement_hop_limit`` per packet and the handler
+  fetched per group) and 380 bytecodes (372; 497), 359 on 3.12 (355;
+  478).
 
 Setup 2's hybrid-access path has three budgets of the same kind: one
-WRR decision on the LWT hook (29: 28 calls; 39 while each helper call
-went through ``Helper.__call__``'s slice to arity, an array-map lookup
-took three frames and a fourth to map the value, and the encapsulation
-went through ``push_outer_encap`` and a copy back; 40 with the mark
-read-back of a program that never writes it; 45 before the single
-invocation path; the SRH / IPv6 dataclass round trips and the generic
-``Memory`` walk read 110), one ``End.DT6`` on its encapsulation (7; 25
-with two parses and two packet copies), and one delivered packet of the
-ledger-shaped Setup 2 (153: 151.8; 203.5 before the batch-of-one path;
-228.5 before the one handoff per hop; 232.6 while every arrival entered
-``_run_pipeline``; 259.5 while each TCP segment and ACK was built by
-``make_tcp_packet`` and parsed from a copy; 280.1 before exact-arity
-helper calls; 283.3; 285.2; 294.6; 445.7).
+WRR decision on the LWT hook (28: 27 calls; 28 with ``arm``; 39 while
+each helper call went through ``Helper.__call__``'s slice to arity, an
+array-map lookup took three frames and a fourth to map the value, and
+the encapsulation went through ``push_outer_encap`` and a copy back; 40
+with the mark read-back of a program that never writes it; 45 before
+the single invocation path; the SRH / IPv6 dataclass round trips and the
+generic ``Memory`` walk read 110), one ``End.DT6`` on its encapsulation
+(6: 5; 25 with two parses and two packet copies), and one delivered
+packet of the ledger-shaped Setup 2 (151: 149.9; 151.8 with ``arm``;
+203.5 before the batch-of-one path; 228.5 before the one handoff per
+hop; 232.6 while every arrival entered ``_run_pipeline``; 259.5 while
+each TCP segment and ACK was built by ``make_tcp_packet`` and parsed
+from a copy; 280.1 before exact-arity helper calls; 283.3; 285.2;
+294.6; 445.7).
 
 The TCP endpoints have one each, with ``node.send`` stubbed: an in-order
 data segment through ``TcpReceiver._on_segment`` up to and including
@@ -97,16 +110,20 @@ from repro.progs import add_tlv_prog, end_prog, tag_increment_prog
 from repro.sim import NS_PER_MS, Scheduler, TcpReceiver, TcpSender
 from repro.usecases import deploy_hybrid_access, install_wrr
 
-CALLS_PER_PACKET_BUDGET = 30
-BYTECODES_PER_PACKET_BUDGET = {(3, 11): 2360, (3, 12): 2260}
-CALLS_PER_SCALAR_END_BPF_BUDGET = 7
-CALLS_PER_SCALAR_HELPER_PROGRAM_BUDGET = {"tag_increment": 20, "add_tlv": 28}
-CALLS_PER_WRR_DECISION_BUDGET = 29
-CALLS_PER_END_DT6_BUDGET = 8
-CALLS_PER_SETUP2_PACKET_BUDGET = 153
+CALLS_PER_PACKET_BUDGET = 29
+BYTECODES_PER_PACKET_BUDGET = {(3, 11): 2315, (3, 12): 2210}
+CALLS_PER_SCALAR_END_BPF_BUDGET = 5
+CALLS_PER_SCALAR_HELPER_PROGRAM_BUDGET = {"tag_increment": 17, "add_tlv": 25}
+CALLS_PER_WRR_DECISION_BUDGET = 28
+CALLS_PER_END_DT6_BUDGET = 6
+CALLS_PER_SETUP2_PACKET_BUDGET = 151
 CALLS_PER_TCP_DATA_SEGMENT_BUDGET = 8
 CALLS_PER_TCP_NEW_ACK_BUDGET = 20
-CALLS_PER_FIG2_PACKET_BUDGET = {"baseline_ipv6": 2.5, "end_static": 5.5, "end_t_static": 7.5, "end_bpf": 9.5}
+CALLS_PER_FIG2_PACKET_BUDGET = {"baseline_ipv6": 1.5, "end_static": 4.5, "end_t_static": 6.5, "end_bpf": 6.5}
+BYTECODES_PER_FIG2_PACKET_BUDGET = {
+    (3, 11): {"baseline_ipv6": 120, "end_static": 280, "end_t_static": 320, "end_bpf": 380},
+    (3, 12): {"baseline_ipv6": 117, "end_static": 264, "end_t_static": 303, "end_bpf": 359},
+}
 
 
 def count_calls(fn, *args, **kwargs) -> int:
@@ -292,6 +309,25 @@ def test_fig2_batch_packet_stays_within_its_call_budget(variant):
     budget = CALLS_PER_FIG2_PACKET_BUDGET[variant]
     assert per_packet <= budget, (
         f"{per_packet:.2f} Python-level calls per {variant} packet in a "
+        f"{len(pkts)}-packet batch, budget {budget}"
+    )
+
+
+@pytest.mark.skipif(
+    sys.version_info[:2] not in BYTECODES_PER_FIG2_PACKET_BUDGET,
+    reason="the bytecode budget is kept for the CI matrix's CPython versions",
+)
+@pytest.mark.parametrize("variant", sorted(CALLS_PER_FIG2_PACKET_BUDGET))
+def test_fig2_batch_packet_stays_within_its_bytecode_budget(variant):
+    node, templates = make_fig2_router(variant)
+    drive_batch(node, copy_batch(templates))  # builds the handler, fills the flow table
+    pkts = copy_batch(templates)
+    bytecodes = count_bytecodes(node.receive_batch, pkts, node.devices["eth0"])
+    assert len(node.devices["eth1"].tx_buffer) == len(pkts)
+    per_packet = bytecodes / len(pkts)
+    budget = BYTECODES_PER_FIG2_PACKET_BUDGET[sys.version_info[:2]][variant]
+    assert per_packet <= budget, (
+        f"{per_packet:.1f} bytecodes per {variant} packet in a "
         f"{len(pkts)}-packet batch, budget {budget}"
     )
 
