@@ -21,21 +21,23 @@ If the program altered the SRH through the helpers, the header is
 re-validated before the packet continues; an inconsistent SRH is dropped
 (§3.1).
 
-Every advancing action's ``process`` runs the shared End prologue (a
-read of the fixed SRH header and one segment, no SRH object).  An
-attached program — End.BPF's here, a BPF LWT hook's in
+Every advancing action's ``process`` runs the one End prologue,
+:func:`_advance`: a read of the fixed SRH header, segments_left and the
+destination written where they lie, a drop reason or None back — no
+SRH object.  An attached program — End.BPF's here, a BPF LWT hook's in
 :mod:`~repro.net.lwt_bpf` — is run in exactly one way,
 :func:`run_attached`: arm the attach site's own
-:class:`~repro.ebpf.jit.CompiledHandler` on ``pkt.data`` itself, call the
-translated function, read back what the verifier's facts say it could
-change (the mark if it stores ``skb->mark``; after a helper call, an SRH
-to re-validate where it lies), map the return code — the paper's
-``End`` pays for the packet bind and the call.  There is one packet
-buffer per invocation: the helpers edit ``pkt.data`` in place, so
-nothing is copied in or out and a packet the program edited and then
-dropped keeps the edits, as the kernel's skb does.  A site's first
-packet pays the guest address-space assembly; no packet pays an SRH
-parse.
+:class:`~repro.ebpf.jit.CompiledHandler` on ``pkt.data`` itself by the
+plan the handler read off the verifier's facts, call the translated
+function, read back what the facts say it could change (the mark if it
+stores ``skb->mark``; after a helper call, an SRH to re-validate where
+it lies), map the return code.  So End.BPF costs End plus its program:
+the paper's ``End`` (``r0 = 0; exit``) pays for the prologue, the packet
+bind and the call.  There is one packet buffer per invocation: the
+helpers edit ``pkt.data`` in place, so nothing is copied in or out and
+a packet the program edited and then dropped keeps the edits, as the
+kernel's skb does.  A site's first packet pays the guest address-space
+assembly; no packet pays an SRH parse.
 """
 
 from __future__ import annotations
