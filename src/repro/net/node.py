@@ -407,9 +407,9 @@ class Node:
                     for out_dev in egress:
                         out, out_dev.pending = out_dev.pending, []
                         if out_dev.qdisc is None:  # at the wire: a qdisc counts at release
-                            stats = out_dev.stats
-                            stats.tx_packets += len(out)
-                            stats.tx_bytes += sum(map(len, map(_DATA, out)))
+                            dev_stats = out_dev.stats
+                            dev_stats.tx_packets += len(out)
+                            dev_stats.tx_bytes += sum(map(len, map(_DATA, out)))
                             out_dev.wire(out)
                         else:
                             for pkt in out:

@@ -405,7 +405,7 @@ def run_attached(handler: CompiledHandler, stats: dict, pkt: Packet, node) -> Di
             hctx.packet = pkt
             hctx.node = node
             if handler.restores_regions:
-                hctx.mem.restore(handler.snapshot)
+                handler.mem.restore(handler.snapshot)
             if handler.binds_clock:
                 hctx.clock_ns = node.clock_ns
             if handler.binds_rng:
