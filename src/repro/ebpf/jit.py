@@ -182,6 +182,7 @@ class CompiledHandler:
         HANDLER_COUNTS.misses += 1
         hctx = self.hctx = program.make_context(b"")
         hctx.hook = attach_point
+        hctx.clock_ns = hctx.rng = None  # bound per invocation, where a helper reads them
         self.packet_region = hctx.skb.packet_region
         self.mem = hctx.mem
         self.snapshot = hctx.mem.snapshot()
