@@ -4,7 +4,8 @@
 Builds the paper's setup 1 (S1 — R — S2), then monitors the S1→S2 path:
 
 * S1 (head-end) runs a BPF LWT program that encapsulates 1 in N packets
-  with an SRH carrying a Delay-Measurement TLV;
+  with an SRH carrying a Delay-Measurement TLV; half way through, N is
+  lowered by rewriting the program's config map, without a reload;
 * R forwards;
 * S2's router side runs ``End.DM`` (an End.BPF program) which timestamps
   reception, reports both timestamps to a collector through a perf event
@@ -46,17 +47,22 @@ def main() -> None:
     net.config("R", f"ip -6 route add {dm_segment}/128 via fc00:2::2 dev eth1")
     handles.daemon.start(net.scheduler, interval_ns=5 * NS_PER_MS)
 
-    # Sink + traffic: 200 Mb/s of plain IPv6 UDP for one second.
+    # Sink + traffic: 200 Mb/s of plain IPv6 UDP for one second, probed
+    # at 1:100 for the first half and at 1:20 for the second.
     meter = net.sink("S2", port=5201, name="sink")
     flow = net.trafgen("S1", dst="fc00:2::2", rate_bps=200e6, payload_size=512)
     flow.start(duration_ns=NS_PER_SEC)
+    net.run(until_ns=NS_PER_SEC // 2)
+    sent_at_100 = flow.stats.sent
+    handles.sampler.set_ratio(20)
     net.run(until_ns=int(1.2 * NS_PER_SEC))
 
     samples = handles.collector.samples
+    expected = sent_at_100 // 100 + (flow.stats.sent - sent_at_100) // 20
     print(f"traffic: {flow.stats.sent} packets sent, "
           f"{meter.packets} delivered ({mbps(meter.goodput_bps()):.1f} Mb/s)")
-    print(f"probes: {len(samples)} delay reports at ratio 1:100 "
-          f"(expected ≈ {flow.stats.sent // 100})")
+    print(f"probes: {len(samples)} delay reports at ratio 1:100, then 1:20 "
+          f"(expected ≈ {expected})")
     if samples:
         mean_ms = handles.collector.mean_delay_ns() / NS_PER_MS
         print(f"mean one-way delay: {mean_ms:.3f} ms "

@@ -4,7 +4,9 @@
 Reproduces the section's storyline on the paper's setup 2 topology
 (50 Mb/s @ 30±5 ms RTT + 30 Mb/s @ 5±2 ms RTT):
 
-1. UDP over the eBPF WRR scheduler aggregates both links' bandwidth;
+1. UDP over the eBPF WRR scheduler aggregates both links' bandwidth,
+   and rewriting the weights in its config map rebalances the bond
+   mid-run without reloading the program;
 2. TCP over the same bond collapses (the paper measured 3.8 Mb/s of the
    80 Mb/s aggregate) because the delay gap reorders segments;
 3. the TWD-probing daemon compensates the fast path with a netem delay,
@@ -30,12 +32,20 @@ def run_udp() -> None:
     meter = net.sink("S2", port=5201, name="client")
     flow = net.trafgen("S1", dst="fc00:2::2", rate_bps=200e6, payload_size=1400)
     flow.start(duration_ns=2 * NS_PER_SEC)
-    net.run(until_ns=int(2.5 * NS_PER_SEC))
-    c0, c1, pkts0, pkts1 = hybrid.wrr_down.counters()
+    net.run(until_ns=NS_PER_SEC)
+    _c0, _c1, pkts0, pkts1 = hybrid.wrr_down.counters()
     print(f"UDP over the bond:  {mbps(meter.goodput_bps()):5.1f} Mb/s goodput "
           f"(80 Mb/s aggregate)")
     print(f"  WRR split: {pkts0} on the 50 Mb/s link, {pkts1} on the 30 Mb/s "
           f"link  (ratio {pkts0 / max(pkts1, 1):.2f}, configured 5:3 = 1.67)")
+    # Rebalance at 1 s: the program reads its weights from the config
+    # map per packet, so a map update takes effect without a reload.
+    hybrid.wrr_down.set_weights(1, 1)
+    net.run(until_ns=int(2.5 * NS_PER_SEC))
+    _c0, _c1, now0, now1 = hybrid.wrr_down.counters()
+    new0, new1 = now0 - pkts0, now1 - pkts1
+    print(f"  set_weights(1, 1) at 1 s: {new0} / {new1} since  (ratio "
+          f"{new0 / max(new1, 1):.2f}, configured 1:1 = 1.00)")
 
 
 def run_tcp(compensation: bool, flows: int) -> float:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..ebpf import Program
 from ..lab import Network
 from ..net import End, EndBPF, EndT, Node, Packet
 from ..progs import add_tlv_prog, end_prog, end_t_prog, tag_increment_prog

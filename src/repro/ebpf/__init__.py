@@ -61,7 +61,7 @@ from .maps import (
 from .memory import Memory, Region
 from .program import Program
 from .text import LinkedProgram, TextObject, link, load_text, parse_asm
-from .verifier import Verifier, verify_program
+from .verifier import Verifier
 from .vm import Interpreter
 
 # LWT program return codes (include/uapi/linux/bpf.h).
@@ -111,5 +111,4 @@ __all__ = [
     "load_text",
     "parse_asm",
     "register_helper",
-    "verify_program",
 ]

@@ -120,8 +120,3 @@ class SkbContext:
     @property
     def mark(self) -> int:
         return struct.unpack_from("<I", self.ctx_region.data, OFF_MARK)[0]
-
-    def cb(self, index: int) -> int:
-        if not 0 <= index < CB_SLOTS:
-            raise IndexError("cb index out of range")
-        return struct.unpack_from("<Q", self.ctx_region.data, OFF_CB + 8 * index)[0]

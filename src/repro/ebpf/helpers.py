@@ -22,7 +22,6 @@ sets are per-hook.
 from __future__ import annotations
 
 import random
-import struct
 from dataclasses import dataclass, field
 from typing import Callable
 

@@ -150,11 +150,6 @@ def to_signed32(value: int) -> int:
     return value - (1 << 32) if value & S32_SIGN else value
 
 
-def to_unsigned64(value: int) -> int:
-    """Wrap a Python int into the unsigned 64-bit domain."""
-    return value & U64
-
-
 ALU_OP_NAMES = {
     BPF_ADD: "add",
     BPF_SUB: "sub",

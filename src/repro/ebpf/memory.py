@@ -103,11 +103,6 @@ class Memory:
                 return region
         raise MemoryFault(f"access to unmapped guest address {addr:#x} (+{size})")
 
-    def mapped(self, addr: int) -> bool:
-        """Whether ``addr`` lies in a region — :meth:`find` without the fault."""
-        idx = bisect_right(self._bases, addr) - 1
-        return idx >= 0 and self._regions[idx].contains(addr, 1)
-
     # -- burst-mode reuse ----------------------------------------------------
     def snapshot(self) -> tuple[list[int], list[Region]]:
         """Capture the region table so :meth:`restore` can drop later additions.

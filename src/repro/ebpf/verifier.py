@@ -788,12 +788,3 @@ def _pkt_bounds_refinement(op, dst: Reg, src: Reg, is32: bool):
         if op == isa.BPF_JLE:
             return (False, length)
     return None
-
-
-def verify_program(
-    insns: list[Instruction],
-    slot_maps: dict[int, object] | None = None,
-    allowed_helpers: Iterable[int] | None = None,
-) -> None:
-    """Convenience wrapper: verify or raise :class:`VerifierError`."""
-    Verifier(insns, slot_maps, allowed_helpers=allowed_helpers).verify()

@@ -16,7 +16,6 @@ from .icmpv6 import (
     ICMPV6_TIME_EXCEEDED,
     Icmpv6Message,
     echo_reply,
-    echo_request,
     time_exceeded,
 )
 from .ipv6 import (
@@ -44,8 +43,6 @@ from .seg6 import (
     SEG6_MODE_ENCAP,
     SEG6_MODE_INLINE,
     Seg6Encap,
-    decap_outer,
-    pop_srh,
     push_outer_encap,
     push_srh_inline,
 )
@@ -137,9 +134,7 @@ __all__ = [
     "as_addr",
     "build_tcp",
     "build_udp",
-    "decap_outer",
     "echo_reply",
-    "echo_request",
     "make_controller_tlv",
     "make_dm_tlv",
     "make_icmpv6_packet",
@@ -149,7 +144,6 @@ __all__ = [
     "make_udp_packet",
     "ntop",
     "parse_prefix",
-    "pop_srh",
     "pton",
     "push_outer_encap",
     "push_srh_inline",

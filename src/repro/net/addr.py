@@ -42,11 +42,6 @@ def prefix_bits(addr: bytes, prefixlen: int) -> int:
     return value >> (128 - prefixlen) if prefixlen < 128 else value
 
 
-def matches_prefix(addr: bytes, prefix: bytes, prefixlen: int) -> bool:
-    """True when ``addr`` lies inside ``prefix``/``prefixlen``."""
-    return prefix_bits(addr, prefixlen) == prefix_bits(prefix, prefixlen)
-
-
 def parse_prefix(text: str) -> tuple[bytes, int]:
     """``"fc00:1::/64"`` → (prefix bytes, prefix length)."""
     network = ipaddress.IPv6Network(text, strict=False)

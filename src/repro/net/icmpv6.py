@@ -46,11 +46,6 @@ class Icmpv6Message:
         msg_type, code, csum = struct.unpack_from(">BBH", data, offset)
         return cls(msg_type, code, csum, bytes(data[offset + 4 :]))
 
-    @property
-    def is_error(self) -> bool:
-        """True for error messages (type < 128, RFC 4443 §2.1)."""
-        return self.msg_type < 128
-
 
 def build_icmpv6(src: bytes, dst: bytes, message: Icmpv6Message) -> bytes:
     """Serialise with a valid pseudo-header checksum."""
@@ -70,13 +65,6 @@ def dest_unreachable(offending_packet: bytes, code: int = 0) -> Icmpv6Message:
     """Destination Unreachable carrying the truncated offending packet (§4.3 traceroute terminus)."""
     body = b"\x00\x00\x00\x00" + offending_packet[:MAX_ERROR_PAYLOAD]
     return Icmpv6Message(ICMPV6_DEST_UNREACH, code, 0, body)
-
-
-def echo_request(ident: int, seq: int, payload: bytes = b"") -> Icmpv6Message:
-    """Echo Request with the given identifier/sequence (ping probe)."""
-    return Icmpv6Message(
-        ICMPV6_ECHO_REQUEST, 0, 0, struct.pack(">HH", ident, seq) + payload
-    )
 
 
 def echo_reply(request: Icmpv6Message) -> Icmpv6Message:

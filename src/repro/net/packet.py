@@ -24,7 +24,7 @@ from .ipv6 import (
 )
 from .srh import SRH
 from .tcp import TcpHeader, build_tcp
-from .udp import UDP_HEADER_LEN, UdpHeader, build_udp
+from .udp import UDP_HEADER_LEN, build_udp
 
 
 class Packet:
@@ -96,9 +96,6 @@ class Packet:
         return clone
 
     # -- parsing ----------------------------------------------------------
-    def ipv6(self) -> IPv6Header:
-        """Parse and return the outer IPv6 header."""
-        return IPv6Header.parse(self.data)
 
     @property
     def dst(self) -> bytes:
@@ -119,10 +116,6 @@ class Packet:
     def hop_limit(self) -> int:
         """The outer header's remaining hop limit."""
         return self.data[7]
-
-    def set_dst(self, addr: bytes) -> None:
-        """Rewrite the outer destination address in place."""
-        self.data[24:40] = as_addr(addr)
 
     def decrement_hop_limit(self) -> int:
         """Decrement the hop limit (floored at 0) and return the new value."""

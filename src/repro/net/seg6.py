@@ -85,20 +85,6 @@ def push_outer_encap(data, outer_src: bytes, srh: SRH | bytes, hop_limit: int = 
     return _srh_head(data, srh, as_addr(outer_src), hop_limit) + data
 
 
-def pop_srh(data: bytes) -> bytes:
-    """Remove the SRH that directly follows the IPv6 header."""
-    _check_ipv6(data)
-    if data[6] != PROTO_ROUTING:
-        raise ValueError("packet has no SRH to remove")
-    total = srh_wire_len(data, IPV6_HEADER_LEN)
-    payload_length = ((data[4] << 8) | data[5]) - total
-    if payload_length < 0:
-        raise ValueError("payload length shorter than the SRH")
-    header = bytearray(data[:IPV6_HEADER_LEN])
-    header[4:7] = payload_length.to_bytes(2, "big") + data[IPV6_HEADER_LEN : IPV6_HEADER_LEN + 1]
-    return bytes(header + data[IPV6_HEADER_LEN + total :])
-
-
 def decap_in_place(data: bytearray) -> str | None:
     """Strip the outer IPv6 header and its routing headers off ``data``.
 
@@ -123,15 +109,6 @@ def decap_in_place(data: bytearray) -> str | None:
         return "no inner IPv6 packet to decapsulate"
     del data[:offset]
     return None
-
-
-def decap_outer(data: bytes) -> bytes:
-    """:func:`decap_in_place` on a copy; raises ValueError with its reason."""
-    inner = bytearray(data)
-    reason = decap_in_place(inner)
-    if reason is not None:
-        raise ValueError(reason)
-    return bytes(inner)
 
 
 @dataclass

@@ -250,16 +250,6 @@ class SRH:
         """The active segment (``segments[segments_left]``)."""
         return self.segments[self.segments_left]
 
-    @property
-    def first_segment(self) -> bytes:
-        """The first segment of the path (highest index)."""
-        return self.segments[self.last_entry]
-
-    @property
-    def final_segment(self) -> bytes:
-        """The last segment of the path (index 0)."""
-        return self.segments[0]
-
     def advance(self) -> bytes:
         """Decrement ``segments_left`` and return the new active segment."""
         if self.segments_left == 0:
@@ -272,20 +262,6 @@ class SRH:
     def tlvs(self) -> list[Tlv]:
         """The TLV area parsed into Tlv objects."""
         return parse_tlvs(self.tlv_bytes)
-
-    def find_tlv(self, tlv_type: int) -> Tlv | None:
-        """First TLV of ``tlv_type``, or None."""
-        for tlv in self.tlvs:
-            if tlv.tlv_type == tlv_type:
-                return tlv
-        return None
-
-    def tlv_offset(self, tlv_type: int) -> int | None:
-        """Byte offset (from SRH start) of the first TLV of ``tlv_type``."""
-        for found, at, _length in _walk_tlvs(self.tlv_bytes, 0, len(self.tlv_bytes)):
-            if found == tlv_type:
-                return SRH_FIXED_LEN + SEGMENT_LEN * len(self.segments) + at
-        return None
 
     def __str__(self) -> str:
         segs = ", ".join(ntop(seg) for seg in reversed(self.segments))

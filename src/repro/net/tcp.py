@@ -68,20 +68,6 @@ class TcpHeader:
         ) = struct.unpack_from(">HHIIBBHHH", data, offset)
         return cls(src, dst, seq, ack, flags, window, csum, urgent, off_byte >> 4)
 
-    def flag_names(self) -> str:
-        """Human-readable flag list, e.g. ['SYN', 'ACK'] (debugging)."""
-        names = []
-        for bit, name in (
-            (FLAG_SYN, "SYN"),
-            (FLAG_ACK, "ACK"),
-            (FLAG_FIN, "FIN"),
-            (FLAG_RST, "RST"),
-            (FLAG_PSH, "PSH"),
-        ):
-            if self.flags & bit:
-                names.append(name)
-        return "|".join(names) or "none"
-
 
 def build_tcp(
     src_addr: bytes,

@@ -7,13 +7,13 @@ datapath into a single-server queue: every received packet occupies the
 CPU for a cost determined by which processing path it will take (plain
 forwarding, kernel decap, eBPF under JIT or interpreter).
 
-Costs are expressed in nanoseconds per packet and can be calibrated from
-the §3.2 microbenchmarks (see ``repro.bench.calibrate``).
+Costs are expressed in nanoseconds per packet; :class:`CostModel`'s
+defaults are the paper's Turris Omnia figures.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from ..net.packet import Packet
@@ -74,24 +74,20 @@ class CpuQueue:
         self._free_at_ns = 0
         self._queued = 0
 
-    def submit(self, pkt: Packet, process: Callable[[Packet], None]) -> None:
-        """Occupy the CPU with one packet (batch of one)."""
-        self.submit_batch([pkt], lambda batch: process(batch[0]))
-
     def submit_batch(
         self, pkts: list[Packet], process: Callable[[list[Packet]], None]
     ) -> None:
         """Charge per-packet costs, complete the batch in one event.
 
-        Each packet occupies the CPU for its modelled cost as N
-        :meth:`submit` calls would — ``busy_ns``, utilisation and
-        overflow drops are per packet — but the whole accepted batch is
-        handed to ``process`` at the instant its *last* packet finishes
-        (the completion analogue of link-level interrupt coalescing), so
-        a batch costs one scheduler event instead of N.  Like batched
-        link delivery, the queue drains in batch-sized steps: slots are
-        held until the batch completes, so a contended queue can drop
-        marginally more than per-packet completion would.
+        Each packet occupies the CPU for its modelled cost as N batches
+        of one would — ``busy_ns`` and overflow drops are per packet —
+        but the whole accepted batch is handed to ``process`` at the
+        instant its *last* packet finishes (the completion analogue of
+        link-level interrupt coalescing), so a batch costs one scheduler
+        event instead of N.  Like batched link delivery, the queue drains
+        in batch-sized steps: slots are held until the batch completes,
+        so a contended queue can drop marginally more than per-packet
+        completion would.
         """
         now = self.scheduler.now_ns
         accepted: list[Packet] = []
@@ -135,6 +131,3 @@ class CpuQueue:
         self._queued -= len(pkts)
         self.stats.processed += len(pkts)
         process(pkts)
-
-    def utilisation(self, elapsed_ns: int) -> float:
-        return self.stats.busy_ns / elapsed_ns if elapsed_ns else 0.0

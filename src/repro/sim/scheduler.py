@@ -294,8 +294,3 @@ class Scheduler:
     def pending(self) -> int:
         """Live (non-cancelled) events in the heap — O(1), not a scan."""
         return len(self._heap) - self._cancelled
-
-    @property
-    def _work(self) -> int:
-        """Live events in the heap that are not timer firings."""
-        return len(self._heap) - self._cancelled - self._daemons

@@ -35,7 +35,7 @@ of an arriving header in place, with no parse and no copy.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..net.addr import as_addr
 from ..net.ipv6 import IPV6_HEADER_LEN

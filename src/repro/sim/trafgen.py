@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import random
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..net.node import Node
 from ..net.packet import Packet, make_srv6_udp_packet, make_udp_packet

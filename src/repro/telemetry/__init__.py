@@ -3,10 +3,10 @@
 The registry → samplers → sinks pipeline:
 
 * :class:`MetricsRegistry` (:mod:`repro.telemetry.metrics`) is the one
-  read path for every counter/gauge/histogram, labelled by
-  ``(node, device, sid, hook)``;
-* :mod:`repro.telemetry.instrument` adopts the simulation's existing
-  counters into a registry without touching the hot path;
+  read path for every counter and gauge, labelled by
+  ``(node, device, sid, hook)``; collectors are its one way in;
+* :mod:`repro.telemetry.instrument` registers the collectors that read
+  the simulation's existing counters without touching the hot path;
 * :class:`TelemetrySession` (:mod:`repro.telemetry.sampler`) snapshots
   the registry periodically, drains perf rings and bridges control-bus
   events into one time-ordered JSONL stream;
@@ -18,15 +18,12 @@ runs interactively with :mod:`repro.cli`.
 """
 
 from .instrument import instrument_network, network_samples, perf_maps
-from .metrics import Counter, Gauge, Histogram, MetricsRegistry, Sample
+from .metrics import MetricsRegistry, Sample
 from .sampler import TelemetrySession
 from .sink import FileSink, RingSink, encode
 
 __all__ = [
-    "Counter",
     "FileSink",
-    "Gauge",
-    "Histogram",
     "MetricsRegistry",
     "RingSink",
     "Sample",

@@ -8,17 +8,14 @@ per-direction ``LinkStats``, ``CpuStats``, the JIT handler-cache stats,
 the control bus log.  This module makes one :class:`MetricsRegistry`
 the *single source* for reading all of them.
 
-Two registration styles coexist:
-
-* **owned** metrics (:meth:`MetricsRegistry.counter` /
-  :meth:`~MetricsRegistry.gauge` / :meth:`~MetricsRegistry.histogram`)
-  are created and mutated through the registry — for new subsystems;
-* **adopted** metrics arrive through *collectors*
-  (:meth:`MetricsRegistry.register`): a callable returning
-  :class:`Sample` tuples, invoked at :meth:`~MetricsRegistry.collect`
-  time.  The datapath keeps its plain-attribute increments (the hot
-  path pays nothing for observability) and the collector snapshots
-  them on demand — the pull model Prometheus client libraries use.
+Metrics arrive through *collectors* (:meth:`MetricsRegistry.register`):
+a callable returning :class:`Sample` tuples, invoked at
+:meth:`~MetricsRegistry.collect` time.  The datapath keeps its
+plain-attribute increments (the hot path pays nothing for
+observability) and the collector snapshots them on demand — the pull
+model Prometheus client libraries use.  :meth:`~MetricsRegistry.merge`
+folds in another registry's snapshot; it is how a sharded run's
+registries are assembled.
 
 Labels follow the issue's ``(node, device, sid, hook)`` axes; a sample
 renders as ``name{key=value,...}`` with keys sorted, so a collected
@@ -29,17 +26,6 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, NamedTuple
 
-# Histogram bucket upper bounds in nanoseconds: 1 µs … 1 s, decade steps.
-DEFAULT_BUCKETS_NS = (
-    1_000,
-    10_000,
-    100_000,
-    1_000_000,
-    10_000_000,
-    100_000_000,
-    1_000_000_000,
-)
-
 
 class Sample(NamedTuple):
     """One collected measurement: a metric name, its labels, a value."""
@@ -47,7 +33,7 @@ class Sample(NamedTuple):
     name: str
     labels: tuple  # sorted ((key, value), ...) pairs
     value: "int | float"
-    kind: str = "counter"  # counter | gauge | histogram
+    kind: str = "counter"  # counter | gauge
 
     def render(self) -> str:
         """``name{key=value,...}`` (or the bare name when unlabelled)."""
@@ -61,121 +47,16 @@ def _label_key(labels: dict) -> tuple:
     return tuple(sorted((str(k), str(v)) for k, v in labels.items()))
 
 
-class Counter:
-    """A monotonically increasing owned metric."""
-
-    kind = "counter"
-    __slots__ = ("name", "labels", "value")
-
-    def __init__(self, name: str, labels: tuple):
-        self.name = name
-        self.labels = labels
-        self.value = 0
-
-    def inc(self, n: int = 1) -> None:
-        if n < 0:
-            raise ValueError("counters are monotonic; use a Gauge to go down")
-        self.value += n
-
-    def samples(self) -> Iterable[Sample]:
-        yield Sample(self.name, self.labels, self.value, self.kind)
-
-
-class Gauge:
-    """A point-in-time owned metric: set directly, or pulled from ``fn``."""
-
-    kind = "gauge"
-    __slots__ = ("name", "labels", "fn", "_value")
-
-    def __init__(self, name: str, labels: tuple, fn: Callable[[], float] | None = None):
-        self.name = name
-        self.labels = labels
-        self.fn = fn
-        self._value = 0
-
-    def set(self, value: "int | float") -> None:
-        self._value = value
-
-    @property
-    def value(self) -> "int | float":
-        return self.fn() if self.fn is not None else self._value
-
-    def samples(self) -> Iterable[Sample]:
-        yield Sample(self.name, self.labels, self.value, self.kind)
-
-
-class Histogram:
-    """Bucketed distribution: cumulative bucket counts plus count/sum.
-
-    Collected as ``name_count``, ``name_sum`` and one
-    ``name_bucket{le=...}`` sample per bound (cumulative, like
-    Prometheus), so percentile floors can be read straight off a
-    snapshot without keeping raw observations.
-
-    ``observe(value, trace_id=...)`` optionally records an *exemplar* —
-    the trace id of one concrete observation per bucket (last writer
-    wins, OpenMetrics-style), read back via :attr:`exemplars`.  Exemplars
-    are side-band only: ``samples()`` output is unchanged, so the
-    byte-stable export stream the determinism tests pin stays identical.
-    """
-
-    kind = "histogram"
-    __slots__ = ("name", "labels", "bounds", "buckets", "count", "sum", "exemplars")
-
-    def __init__(self, name: str, labels: tuple, bounds: tuple = DEFAULT_BUCKETS_NS):
-        self.name = name
-        self.labels = labels
-        self.bounds = tuple(bounds)
-        self.buckets = [0] * (len(self.bounds) + 1)  # +inf overflow bucket
-        self.count = 0
-        self.sum = 0
-        # bucket index -> (value, trace_id) for the latest traced
-        # observation landing in that bucket (index len(bounds) = +Inf).
-        self.exemplars: dict = {}
-
-    def observe(self, value: "int | float", trace_id: str | None = None) -> None:
-        self.count += 1
-        self.sum += value
-        index = len(self.bounds)
-        for i, bound in enumerate(self.bounds):
-            if value <= bound:
-                index = i
-                break
-        self.buckets[index] += 1
-        if trace_id is not None:
-            self.exemplars[index] = (value, trace_id)
-
-    def samples(self) -> Iterable[Sample]:
-        yield Sample(f"{self.name}_count", self.labels, self.count, self.kind)
-        yield Sample(f"{self.name}_sum", self.labels, self.sum, self.kind)
-        cumulative = 0
-        for bound, n in zip(self.bounds, self.buckets):
-            cumulative += n
-            yield Sample(
-                f"{self.name}_bucket",
-                tuple(sorted(self.labels + (("le", str(bound)),))),
-                cumulative,
-                self.kind,
-            )
-        yield Sample(
-            f"{self.name}_bucket",
-            tuple(sorted(self.labels + (("le", "+Inf"),))),
-            self.count,
-            self.kind,
-        )
-
-
 class MetricsRegistry:
-    """Owned metrics plus adopted collectors, snapshotted on demand.
+    """Registered collectors plus merged samples, snapshotted on demand.
 
-    ``collect()`` is the one read path: it walks owned metrics and every
-    registered collector, and returns samples sorted by
+    ``collect()`` is the one read path: it walks the merged samples and
+    every registered collector, and returns samples sorted by
     ``(name, labels)`` — a deterministic ordering that the telemetry
     export stream and the determinism tests rely on.
     """
 
     def __init__(self):
-        self._owned: dict[tuple, object] = {}  # (name, labels) -> metric
         self._collectors: list[Callable[[], Iterable[Sample]]] = []
         # Static samples folded in by merge(): (name, labels) -> Sample.
         self._static: dict[tuple, Sample] = {}
@@ -185,10 +66,10 @@ class MetricsRegistry:
         """Fold another registry's snapshot (or an iterable of samples) in.
 
         Each incoming sample lands as a *static* sample under its
-        ``(name, labels + extra_labels)`` key: counters and histogram
-        samples **sum** with an existing value at the same key, gauges
-        **overwrite**.  The shard coordinator uses this to build the
-        post-run registries — one per-shard view labelled with
+        ``(name, labels + extra_labels)`` key: counters **sum** with an
+        existing value at the same key, gauges **overwrite**.  The shard
+        coordinator uses this to build the post-run registries — one
+        per-shard view labelled with
         ``extra_labels={"shard": k}``, and the aggregate view from the
         ownership-merged sample set — so ``collect()``/``value()``/
         ``query()`` (and ``repro.cli counters``) read a merged run
@@ -207,37 +88,7 @@ class MetricsRegistry:
             self._static[key] = Sample(sample.name, labels, value, sample.kind)
         return self
 
-    # -- owned metrics -------------------------------------------------------
-    def _owned_metric(self, cls, name: str, labels: dict, **kwargs):
-        key = (name, _label_key(labels))
-        metric = self._owned.get(key)
-        if metric is None:
-            metric = cls(name, key[1], **kwargs)
-            self._owned[key] = metric
-        elif not isinstance(metric, cls):
-            raise TypeError(
-                f"metric {name!r} already registered as {type(metric).__name__}"
-            )
-        return metric
-
-    def counter(self, name: str, **labels) -> Counter:
-        """Create-or-get an owned counter for this (name, labels) pair."""
-        return self._owned_metric(Counter, name, labels)
-
-    def gauge(self, name: str, fn: Callable[[], float] | None = None, **labels) -> Gauge:
-        """Create-or-get an owned gauge (``fn`` makes it pull-based)."""
-        gauge = self._owned_metric(Gauge, name, labels)
-        if fn is not None:
-            gauge.fn = fn
-        return gauge
-
-    def histogram(
-        self, name: str, bounds: tuple = DEFAULT_BUCKETS_NS, **labels
-    ) -> Histogram:
-        """Create-or-get an owned histogram with the given bucket bounds."""
-        return self._owned_metric(Histogram, name, labels, bounds=bounds)
-
-    # -- adopted metrics -----------------------------------------------------
+    # -- collectors ---------------------------------------------------------
     def register(self, collector: Callable[[], Iterable[Sample]]) -> None:
         """Adopt a collector: called at every collect() for its samples.
 
@@ -251,8 +102,6 @@ class MetricsRegistry:
     def collect(self) -> list[Sample]:
         """Every sample, sorted by (name, labels) — the one read path."""
         out: list[Sample] = list(self._static.values())
-        for metric in self._owned.values():
-            out.extend(metric.samples())
         for collector in self._collectors:
             out.extend(collector())
         out.sort(key=lambda s: (s.name, s.labels))

@@ -16,7 +16,7 @@ a netem qdisc by half the measured gap, aligning one-way delays.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..ebpf import ArrayMap, PerfEventArrayMap
 from ..lab import Setup2
@@ -27,13 +27,7 @@ from ..net.lwt_bpf import BpfLwt
 from ..net.node import Node
 from ..net.packet import Packet, make_udp_packet
 from ..net.seg6 import push_outer_encap
-from ..net.srh import (
-    DM_KIND_TWD,
-    SRH,
-    make_controller_tlv,
-    make_dm_tlv,
-    make_srh,
-)
+from ..net.srh import DM_KIND_TWD, make_controller_tlv, make_dm_tlv, make_srh
 from ..net.udp import UDP_HEADER_LEN
 from ..progs import (
     WRR_CONFIG_SIZE,

@@ -16,7 +16,7 @@ simply fall back to the legacy behaviour.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..ebpf import PerfEventArrayMap
 from ..net.addr import as_addr, ntop

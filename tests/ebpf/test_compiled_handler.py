@@ -15,6 +15,7 @@ import random
 import pytest
 
 from repro.ebpf import ArrayMap, HashMap, Program
+from repro.ebpf.context import CB_SLOTS, OFF_CB
 from repro.ebpf.errors import HelperError
 from repro.ebpf.helpers import HELPERS_BY_ID, register_helper
 from repro.ebpf.jit import CompiledHandler
@@ -129,7 +130,8 @@ def test_per_invocation_state_is_reset():
     for _ in range(3):
         assert _invoke(handler, Packet(PACKET)) == 0
         assert handler.hctx is hctx  # same reused context object...
-        assert hctx.skb.cb(0) == 7  # ...the program's write landed...
+        cb0 = hctx.skb.ctx_region.data[OFF_CB : OFF_CB + 8]
+        assert cb0 == (7).to_bytes(8, "little")  # ...the program's write landed...
         assert hctx.skb.stack_region.data[-8] == 7  # ...and was wiped before the next
 
 
@@ -283,9 +285,8 @@ if 2001 not in HELPERS_BY_ID:
         helper-side state and faults on a packet whose last byte is set."""
         skb = hctx.skb
         if phase == 0:
-            _SNAPSHOTS.append(
-                (dict(hctx.metadata), list(hctx.trace_log), skb.cb(0), bytes(skb.stack_region.data))
-            )
+            cb = skb.ctx_region.data[OFF_CB:]
+            _SNAPSHOTS.append((dict(hctx.metadata), list(hctx.trace_log), cb, bytes(skb.stack_region.data)))
             return 0
         hctx.metadata["left_over"] = True
         hctx.trace_log.append("stale line")
@@ -327,7 +328,7 @@ def test_fault_in_one_packet_leaves_the_next_a_clean_context(sizes):
         node.receive_batch(pkts[offset : offset + size], node.devices["eth0"])
         offset += size
 
-    clean = ({}, [], 0, bytes(512))
+    clean = ({}, [], bytes(8 * CB_SLOTS), bytes(512))  # cb[] and the stack zeroed
     assert _SNAPSHOTS == [clean] * 4  # packet 1 faulted with all four dirtied
     assert node.devices["eth1"].tx_buffer == [pkts[0], pkts[2], pkts[3]]
     assert action.stats == {"ok": 3, "drop": 0, "redirect": 0, "errors": 1}

@@ -129,4 +129,3 @@ def test_signed_conversion_helpers():
     assert isa.to_signed64(isa.S64_SIGN) == -(1 << 63)
     assert isa.to_signed32(0xFFFFFFFF) == -1
     assert isa.to_signed32(0x7FFFFFFF) == 0x7FFFFFFF
-    assert isa.to_unsigned64(-1) == isa.U64

@@ -3,7 +3,7 @@
 import pytest
 
 import repro.net  # noqa: F401  — helper registration
-from repro.ebpf import ArrayMap, Program, VerifierError, verify_program
+from repro.ebpf import ArrayMap, Program, Verifier, VerifierError
 from repro.net.seg6_helpers import LWT_HELPERS, SEG6LOCAL_HELPERS
 
 
@@ -21,7 +21,7 @@ def reject(source: str, match: str, maps=None, allowed=None):
 
 def test_empty_program_rejected():
     with pytest.raises(VerifierError, match="empty"):
-        verify_program([])
+        Verifier([]).verify()
 
 
 def test_must_end_with_exit():
@@ -41,7 +41,7 @@ def test_jump_out_of_range_rejected():
         Instruction(isa.BPF_JMP | isa.BPF_EXIT),
     ]
     with pytest.raises(VerifierError, match="out of range"):
-        verify_program(insns)
+        Verifier(insns).verify()
 
 
 def test_jump_into_lddw_rejected():
@@ -54,7 +54,7 @@ def test_jump_into_lddw_rejected():
         Instruction(isa.BPF_JMP | isa.BPF_EXIT),
     ]
     with pytest.raises(VerifierError, match="middle of an lddw"):
-        verify_program(insns)
+        Verifier(insns).verify()
 
 
 def test_oversized_program_rejected():
@@ -580,7 +580,7 @@ def test_byte_swap_invalid_width():
         Instruction(isa.BPF_JMP | isa.BPF_EXIT),
     ]
     with pytest.raises(VerifierError, match="byte-swap width"):
-        verify_program(insns)
+        Verifier(insns).verify()
 
 
 @pytest.mark.parametrize("width", ["alu", "alu64"])
@@ -606,7 +606,7 @@ def test_alu_with_nonzero_off_rejected(width, op, source):
         Instruction(isa.BPF_JMP | isa.BPF_EXIT),
     ]
     with pytest.raises(VerifierError, match="BPF_ALU uses reserved fields"):
-        verify_program(insns)
+        Verifier(insns).verify()
 
 
 def _reserved_field_cases():
@@ -666,7 +666,7 @@ def test_reserved_fields_rejected(insn, verdict):
         Instruction(isa.BPF_JMP | isa.BPF_EXIT),
     ]
     with pytest.raises(VerifierError, match=f"{verdict} uses reserved fields"):
-        verify_program(insns)
+        Verifier(insns).verify()
 
 
 @pytest.mark.parametrize("field", ["imm", "src_reg", "dst_reg", "off"])
@@ -679,7 +679,7 @@ def test_exit_with_reserved_fields_rejected(field):
         Instruction(isa.BPF_JMP | isa.BPF_EXIT, **{field: 7}),
     ]
     with pytest.raises(VerifierError, match="BPF_EXIT uses reserved fields"):
-        verify_program(insns)
+        Verifier(insns).verify()
 
 
 def test_xadd_rejected():
@@ -692,7 +692,7 @@ def test_xadd_rejected():
         Instruction(isa.BPF_JMP | isa.BPF_EXIT),
     ]
     with pytest.raises(VerifierError, match="XADD"):
-        verify_program(insns)
+        Verifier(insns).verify()
 
 
 def test_all_paper_programs_verify():

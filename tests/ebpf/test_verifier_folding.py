@@ -12,7 +12,7 @@ accepted exactly when the verifier agrees about which side that is.
 
 import pytest
 
-from repro.ebpf import HelperContext, Memory, VerifierError, isa, verify_program
+from repro.ebpf import HelperContext, Memory, Verifier, VerifierError, isa
 from repro.ebpf.insn import Instruction
 from repro.ebpf.vm import Interpreter
 
@@ -49,7 +49,7 @@ def interpret(insns) -> int:
 
 def accepted(insns) -> bool:
     try:
-        verify_program(insns)
+        Verifier(insns).verify()
     except VerifierError as exc:
         assert "uninitialised R5" in str(exc)
         return False

@@ -9,13 +9,13 @@ from repro.net import (
     EndBPF,
     EndDT6,
     EndT,
+    ICMPV6_ECHO_REQUEST,
     Icmpv6Message,
     LWT_HELPERS,
     Nexthop,
     Node,
     SEG6LOCAL_HELPERS,
     Seg6Encap,
-    echo_request,
     make_icmpv6_packet,
     make_srv6_udp_packet,
     make_udp_packet,
@@ -96,7 +96,8 @@ def test_wildcard_port_listener(router):
 
 
 def test_echo_request_answered(router):
-    ping = make_icmpv6_packet("fc00:1::1", "fc00:e::1", echo_request(1, 1, b"abc"))
+    request = Icmpv6Message(ICMPV6_ECHO_REQUEST, body=b"\x00\x01\x00\x01abc")
+    ping = make_icmpv6_packet("fc00:1::1", "fc00:e::1", request)
     router.receive(ping, router.devices["eth0"])
     back = router.devices["eth0"].tx_buffer
     assert len(back) == 1

@@ -5,6 +5,7 @@ import pytest
 from repro.ebpf import Program
 from repro.net import (
     EndBPF,
+    IPv6Header,
     Node,
     Packet,
     SEG6LOCAL_HELPERS,
@@ -149,8 +150,8 @@ def test_adjust_srh_grows_tlv_area(router):
     assert len(out.data) == before_len + 8
     srh, _ = out.srh()
     assert srh.hdr_ext_len == 5
-    assert srh.find_tlv(10) is not None
-    assert out.ipv6().payload_length == before_len - 40 + 8
+    assert [tlv.tlv_type for tlv in srh.tlvs] == [10]
+    assert IPv6Header.parse(out.data).payload_length == before_len - 40 + 8
     # Inner UDP still intact after the TLV area grew.
     assert out.udp_payload() == b"y" * 32
 

@@ -26,7 +26,6 @@ from repro.net import (
     Seg6Encap,
     make_srh,
     make_udp_packet,
-    pop_srh,
     pton,
     push_outer_encap,
     push_srh_inline,
@@ -369,19 +368,6 @@ def test_end_decap_matches_reference(data):
     assert code == expected_code
     assert packet_state(hctx) == (expected_packet, len(expected_packet), len(expected_packet))
     assert hctx.metadata.get("redirect_table") == (254 if code == ref.OK else None)
-
-
-@settings(max_examples=300, deadline=None)
-@given(data=outer_chains())
-def test_pop_srh_matches_reference(data):
-    try:
-        expected = ref.pop_srh(data)
-    except ValueError as exc:
-        with pytest.raises(ValueError) as caught:
-            pop_srh(data)
-        assert str(caught.value) == str(exc)
-    else:
-        assert pop_srh(data) == expected
 
 
 # --- transit behaviours --------------------------------------------------------------------

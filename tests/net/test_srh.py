@@ -56,10 +56,10 @@ def test_advance_semantics():
         srh.advance()
 
 
-def test_first_final_properties():
+def test_segments_stored_last_first():
     srh = make_srh(["fc00::a", "fc00::b", "fc00::c"], next_header=59)
-    assert srh.first_segment == pton("fc00::a")
-    assert srh.final_segment == pton("fc00::c")
+    assert srh.segments == [pton("fc00::c"), pton("fc00::b"), pton("fc00::a")]
+    assert srh.current_segment == srh.segments[srh.last_entry] == pton("fc00::a")
 
 
 def test_empty_segment_list_rejected():
@@ -131,26 +131,11 @@ def test_pad_tlvs_single_byte_uses_pad1():
 def test_srh_with_tlvs_roundtrip():
     tlvs = [make_dm_tlv(123456789), make_controller_tlv("fc00::c", 9999)]
     srh = make_srh(["fc00::a", "fc00::b"], next_header=41, tlvs=tlvs)
-    parsed = SRH.parse(srh.pack())
-    dm = parsed.find_tlv(TLV_DM)
-    assert dm is not None
+    by_type = {tlv.tlv_type: tlv for tlv in SRH.parse(srh.pack()).tlvs}
+    dm, ctrl = by_type[TLV_DM], by_type[TLV_CONTROLLER]
     assert int.from_bytes(dm.value[:8], "big") == 123456789
-    ctrl = parsed.find_tlv(TLV_CONTROLLER)
     assert ctrl.value[:16] == pton("fc00::c")
     assert int.from_bytes(ctrl.value[16:18], "big") == 9999
-
-
-def test_tlv_offset_location():
-    tlvs = [make_dm_tlv(1)]
-    srh = make_srh(["fc00::a", "fc00::b"], next_header=41, tlvs=tlvs)
-    offset = srh.tlv_offset(TLV_DM)
-    assert offset == 8 + 32  # right after the segment list
-    assert srh.pack()[offset] == TLV_DM
-
-
-def test_find_tlv_missing_returns_none():
-    srh = make_srh(["fc00::a"], next_header=59)
-    assert srh.find_tlv(TLV_DM) is None
 
 
 def test_validate_srh_bytes_rejects_bad_tlv_area():
@@ -180,4 +165,4 @@ def test_srh_roundtrip_property(n_segments, tag, flags, next_header, tlv_payload
     parsed = SRH.parse(srh.pack())
     assert parsed.pack() == srh.pack()
     assert parsed.current_segment == path[0]
-    assert parsed.final_segment == path[-1]
+    assert parsed.segments[0] == path[-1]

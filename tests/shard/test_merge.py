@@ -21,12 +21,11 @@ from repro.telemetry.metrics import MetricsRegistry, Sample
 from test_determinism import SQUARE_UNTIL, build_square
 
 
-def _registry(counts: dict[str, int], gauges: dict[str, float] | None = None):
+def _registry(counts: dict[str, int]):
+    """A registry whose one collector reports ``counts``, one node each."""
+    samples = [Sample(name, (("node", name[-1].upper()),), value) for name, value in counts.items()]
     reg = MetricsRegistry()
-    for name, value in counts.items():
-        reg.counter(name, node=name[-1].upper()).inc(value)
-    for name, value in (gauges or {}).items():
-        reg.gauge(name, node=name[-1].upper()).set(value)
+    reg.register(lambda: samples)
     return reg
 
 

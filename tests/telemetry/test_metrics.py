@@ -1,77 +1,26 @@
-"""MetricsRegistry unit behaviour: instruments, labels, collection order."""
+"""MetricsRegistry unit behaviour: collectors, labels, collection order."""
 
-import pytest
-
-from repro.telemetry import Counter, Gauge, Histogram, MetricsRegistry, Sample
+from repro.telemetry import MetricsRegistry, Sample
 
 
-def test_counter_inc_and_value():
+def test_value_reads_one_labelled_sample():
     registry = MetricsRegistry()
-    c = registry.counter("node_rx", node="R")
-    c.inc()
-    c.inc(4)
-    assert c.value == 5
-    assert registry.value("node_rx", node="R") == 5
-
-
-def test_counter_rejects_negative():
-    c = Counter("c", ())
-    with pytest.raises(ValueError):
-        c.inc(-1)
-
-
-def test_counter_identity_per_label_set():
-    registry = MetricsRegistry()
-    a = registry.counter("hits", node="A")
-    b = registry.counter("hits", node="B")
-    again = registry.counter("hits", node="A")
-    assert a is again and a is not b
-    a.inc()
-    assert registry.value("hits", node="A") == 1
+    registry.register(
+        lambda: [Sample("hits", (("node", "A"),), 5), Sample("hits", (("node", "B"),), 0)]
+    )
+    assert registry.value("hits", node="A") == 5
     assert registry.value("hits", node="B") == 0
+    assert registry.value("hits", node="C") is None
+    assert registry.value("hits", default=-1) == -1
 
 
-def test_gauge_set_and_pull():
+def test_collector_is_pulled_at_every_collect():
     registry = MetricsRegistry()
-    g = registry.gauge("depth", node="A")
-    g.set(7)
     backing = [1, 2, 3]
-    registry.gauge("depth_fn", fn=lambda: len(backing), node="A")
-    values = registry.as_dict()
-    assert values["depth{node=A}"] == 7
-    assert values["depth_fn{node=A}"] == 3
+    registry.register(lambda: [Sample("depth", (("node", "A"),), len(backing), "gauge")])
+    assert registry.as_dict()["depth{node=A}"] == 3
     backing.append(4)
-    assert registry.as_dict()["depth_fn{node=A}"] == 4
-
-
-def test_histogram_buckets_cumulative():
-    registry = MetricsRegistry()
-    h = registry.histogram("lat", bounds=(10, 100), node="A")
-    for v in (5, 50, 500):
-        h.observe(v)
-    values = registry.as_dict()
-    assert values["lat_count{node=A}"] == 3
-    assert values["lat_sum{node=A}"] == 555
-    assert values["lat_bucket{le=10,node=A}"] == 1
-    assert values["lat_bucket{le=100,node=A}"] == 2
-    assert values["lat_bucket{le=+Inf,node=A}"] == 3
-
-
-def test_histogram_exemplars_are_sideband():
-    registry = MetricsRegistry()
-    h = registry.histogram("lat", bounds=(10, 100), node="A")
-    before = [s for s in h.samples()]
-    h.observe(5)  # untraced: no exemplar
-    h.observe(50, trace_id="3:14")
-    h.observe(60, trace_id="3:15")  # same bucket: last writer wins
-    h.observe(500, trace_id="3:16")  # +Inf overflow bucket
-    assert h.exemplars == {1: (60, "3:15"), 2: (500, "3:16")}
-    # samples() output carries no exemplar fields — the export stream
-    # (pinned byte for byte by the determinism tests) is unchanged.
-    assert {s.name for s in h.samples()} == {s.name for s in before}
-    values = registry.as_dict()
-    assert values["lat_count{node=A}"] == 4
-    assert values["lat_bucket{le=+Inf,node=A}"] == 4
+    assert registry.as_dict()["depth{node=A}"] == 4
 
 
 def test_flowmeter_delay_exemplars_lockstep():
@@ -99,9 +48,8 @@ def test_flowmeter_delay_exemplars_lockstep():
 
 def test_collect_is_sorted_and_deterministic():
     registry = MetricsRegistry()
-    registry.counter("zeta")
-    registry.counter("alpha", node="B")
-    registry.counter("alpha", node="A")
+    registry.register(lambda: [Sample("zeta", (), 0), Sample("alpha", (("node", "B"),), 0)])
+    registry.merge([Sample("alpha", (("node", "A"),), 0)])
     names = [s.render() for s in registry.collect()]
     assert names == sorted(names)
     assert names[0] == "alpha{node=A}"
@@ -120,9 +68,3 @@ def test_sample_render():
     assert Sample("m", (("a", "1"), ("b", "2")), 0).render() == "m{a=1,b=2}"
     assert Sample("bare", (), 3).render() == "bare"
 
-
-def test_owned_metric_kind_clash_raises():
-    registry = MetricsRegistry()
-    registry.counter("x", node="A")
-    with pytest.raises(TypeError):
-        registry.gauge("x", node="A")

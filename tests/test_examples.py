@@ -1,6 +1,7 @@
 """The example scripts stay runnable (fast ones run in-process)."""
 
 import importlib.util
+import re
 import sys
 from pathlib import Path
 
@@ -47,6 +48,10 @@ def test_delay_monitoring_example_logic(capsys):
     module.main()
     out = capsys.readouterr().out
     assert "mean one-way delay: 3.0" in out
+    # set_ratio(20) half way through: the probe count follows the new ratio.
+    found = re.search(r"probes: (\d+) .*then 1:20 \(expected ≈ (\d+)\)", out)
+    probes, expected = map(int, found.groups())
+    assert abs(probes - expected) <= expected // 50
 
 
 def test_hybrid_access_runs(capsys):
@@ -61,6 +66,10 @@ def test_hybrid_access_runs(capsys):
     module.main()
     out = capsys.readouterr().out
     assert "UDP over the bond" in out
+    # set_weights(1, 1) at 1 s: the bond splits evenly from then on.
+    found = re.search(r"set_weights\(1, 1\) at 1 s: (\d+) / (\d+)", out)
+    since0, since1 = map(int, found.groups())
+    assert since0 > 0 and abs(since0 - since1) <= 1
     assert "summary: disaster" in out
     assert "compensating link" in out
 

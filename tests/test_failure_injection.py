@@ -15,6 +15,7 @@ from repro.net import (
     SEG6LOCAL_HELPERS,
     make_srv6_udp_packet,
     make_udp_packet,
+    pton,
 )
 
 SEG = "fc00:e::100"
@@ -192,7 +193,7 @@ def test_seg6local_route_with_exhausted_segments_drops():
     # Force segments_left to 0 while keeping DA = SEG.
     srh, off = pkt.srh()
     pkt.data[off + 3] = 0
-    pkt.set_dst(SEG)
+    pkt.data[24:40] = pton(SEG)
     node.receive(pkt, node.devices["eth0"])
     assert node.counters.dropped == 1
     assert prog.stats.invocations == 0

@@ -104,8 +104,7 @@ def test_add_tlv_prog(jit):
     out = push(node, pkt)
     assert len(out.data) == original_len + 8
     srh, _ = out.srh()
-    tlv = srh.find_tlv(10)
-    assert tlv is not None
+    (tlv,) = [tlv for tlv in srh.tlvs if tlv.tlv_type == 10]
     assert len(tlv.value) == 6
     # The packet is still structurally valid end to end.
     assert out.udp_payload() == b"p" * 64
@@ -138,10 +137,10 @@ def test_dm_encap_prog_builds_valid_probe():
     assert out.dst == pton("fc00:3::dd")
     srh, _ = out.srh()
     assert srh.segments_left == 1
-    assert srh.final_segment == pton("fc00:2::2")
-    dm = srh.find_tlv(0x80)
-    assert dm is not None and len(dm.value) == 9
-    ctrl = srh.find_tlv(0x81)
+    assert srh.segments[0] == pton("fc00:2::2")
+    by_type = {tlv.tlv_type: tlv for tlv in srh.tlvs}
+    dm, ctrl = by_type[0x80], by_type[0x81]
+    assert len(dm.value) == 9
     assert ctrl.value[:16] == pton("fc00:c::1")
     assert struct.unpack(">H", ctrl.value[16:18])[0] == 9000
 
@@ -282,9 +281,10 @@ def test_wrr_encapsulated_packet_structure():
     out = push(node, make_udp_packet("fc00:1::1", "fc00:2::2", 5, 6, b"inner"))
     srh, _ = out.srh()
     assert srh.segments_left == 0  # direct to the decap segment
-    from repro.net import decap_outer
+    from repro.net.seg6 import decap_in_place
 
-    inner = Packet(decap_outer(bytes(out.data)))
+    assert decap_in_place(out.data) is None
+    inner = Packet(out.data)
     assert inner.udp_payload() == b"inner"
     assert inner.dst == pton("fc00:2::2")
 

@@ -40,11 +40,10 @@ def test_probe_packet_structure(daemon_env):
     assert probe.dst == pton("fc00:bb::dd0")
     srh, _off = probe.srh()
     assert srh.segments_left == 1
-    assert srh.final_segment == pton("fc00:aa::d0")  # same-link return
-    dm = srh.find_tlv(0x80)
-    assert dm is not None
+    assert srh.segments[0] == pton("fc00:aa::d0")  # same-link return
+    by_type = {tlv.tlv_type: tlv for tlv in srh.tlvs}
+    dm, ctrl = by_type[0x80], by_type[0x81]
     assert dm.value[8] == 1  # TWD kind
-    ctrl = srh.find_tlv(0x81)
     assert ctrl.value[:16] == pton("fc00:aa::1")
     assert struct.unpack(">H", ctrl.value[16:18])[0] == TWD_PORT
 
