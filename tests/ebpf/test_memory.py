@@ -57,6 +57,18 @@ def test_access_just_before_region_faults():
         mem.load(0xFFF, 1)
 
 
+def test_find_faults_exactly_outside_regions():
+    mem = Memory()
+    mem.add_region(Region(0x1000, bytearray(8)))
+    mem.add_region(Region(0x3000, bytearray(8)))
+    inside = (0x1000, 0x1007, 0x3000, 0x3007)
+    for addr in inside:
+        assert mem.find(addr, 1).base == addr & ~0xFFF, hex(addr)
+    for addr in (0xFFF, 0x1008, 0x2FFF, 0x3008):
+        with pytest.raises(MemoryFault):
+            mem.find(addr, 1)
+
+
 def test_readonly_region_rejects_writes():
     mem = Memory()
     mem.add_region(Region(0x1000, bytearray(8), PROT_READ))

@@ -101,6 +101,14 @@ def test_hop_limit_ops():
     assert pkt.decrement_hop_limit() == 0  # saturates
 
 
+def test_addresses_read_the_live_wire_bytes():
+    pkt = make_udp_packet("fc00::1", "fc00::2", 1, 2, b"")
+    pkt.data[24:40] = pton("fc00::42")
+    pkt.data[8:24] = pton("fc00::41")
+    assert pkt.dst == pton("fc00::42")
+    assert pkt.src == pton("fc00::41")
+
+
 def test_flow_hash_stable_and_flow_sensitive():
     p1 = make_udp_packet("fc00::1", "fc00::2", 1111, 2222, b"a")
     p2 = make_udp_packet("fc00::1", "fc00::2", 1111, 2222, b"bb")

@@ -138,6 +138,20 @@ def test_srh_with_tlvs_roundtrip():
     assert int.from_bytes(ctrl.value[16:18], "big") == 9999
 
 
+def test_tlv_area_follows_segment_list():
+    srh = make_srh(["fc00::a", "fc00::b"], next_header=41, tlvs=[make_dm_tlv(1)])
+    raw = srh.pack()
+    assert raw[8 + 2 * 16] == TLV_DM  # right after the segment list
+    assert raw[8 + 2 * 16 :] == srh.tlv_bytes
+
+
+def test_srh_without_tlvs_has_no_tlv_area():
+    srh = SRH.parse(make_srh(["fc00::a"], next_header=59).pack())
+    assert srh.tlv_bytes == b""
+    assert srh.tlvs == []
+    assert srh.hdr_ext_len == 2  # one segment: 16 bytes past the first 8
+
+
 def test_validate_srh_bytes_rejects_bad_tlv_area():
     srh = make_srh(["fc00::a"], next_header=59, tlvs=[Tlv(10, b"abcdef")])
     raw = bytearray(srh.pack())

@@ -19,7 +19,7 @@ from repro.net import (
     time_exceeded,
 )
 from repro.net.checksum import l4_checksum, ones_complement_sum, verify_l4
-from repro.net.icmpv6 import MAX_ERROR_PAYLOAD, build_icmpv6
+from repro.net.icmpv6 import MAX_ERROR_PAYLOAD, build_icmpv6, dest_unreachable
 
 
 # --- addresses -------------------------------------------------------------
@@ -208,4 +208,21 @@ def test_time_exceeded_truncates_large_packets():
     offender = bytes(2000)
     message = time_exceeded(offender)
     assert len(message.body) == 4 + MAX_ERROR_PAYLOAD
+
+
+def test_dest_unreachable_quotes_offender_with_code():
+    offender = bytes(range(64))
+    message = dest_unreachable(offender, code=4)
+    assert (message.msg_type, message.code) == (1, 4)
+    assert message.body == bytes(4) + offender
+    assert len(dest_unreachable(bytes(2000)).body) == 4 + MAX_ERROR_PAYLOAD
+
+
+def test_error_vs_info_classification():
+    # RFC 4443 §2.1: error messages have types 0-127, informational 128-255.
+    assert time_exceeded(b"").msg_type < 128
+    assert dest_unreachable(b"").msg_type < 128
+    request = Icmpv6Message(ICMPV6_ECHO_REQUEST, body=b"\x00\x01\x00\x01")
+    assert request.msg_type >= 128
+    assert echo_reply(request).msg_type >= 128
 

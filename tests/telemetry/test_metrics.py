@@ -23,6 +23,16 @@ def test_collector_is_pulled_at_every_collect():
     assert registry.as_dict()["depth{node=A}"] == 4
 
 
+def test_merge_folds_in_a_snapshot_not_the_collector():
+    source = MetricsRegistry()
+    backing = {"value": 3}
+    source.register(lambda: [Sample("rx", (("node", "A"),), backing["value"])])
+    merged = MetricsRegistry().merge(source)
+    backing["value"] = 8
+    assert source.value("rx", node="A") == 8
+    assert merged.value("rx", node="A") == 3
+
+
 def test_flowmeter_delay_exemplars_lockstep():
     from repro.net import make_udp_packet
     from repro.sim.stats import FlowMeter

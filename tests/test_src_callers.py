@@ -21,6 +21,7 @@ else unreached must sit in ``ALLOWED`` with its reason.
 
 import ast
 import re
+import textwrap
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
@@ -67,14 +68,14 @@ def _exempt(cls: str | None, fn: ast.AST) -> bool:
     )
 
 
-def _scan_src():
+def _scan_src(src: Path = SRC):
     """(definitions, roots): definitions map "module:Qualname" to (bare
     name, names its body references, the class it sits in, exempt)."""
     defs: dict[str, tuple[str, set[str], str | None, bool]] = {}
     roots: set[str] = set()
     funcs = (ast.FunctionDef, ast.AsyncFunctionDef)
-    for path in sorted(SRC.rglob("*.py")):
-        module = ".".join(path.relative_to(SRC).with_suffix("").parts)
+    for path in sorted(src.rglob("*.py")):
+        module = ".".join(path.relative_to(src).with_suffix("").parts)
         module = module.removesuffix(".__init__")
         for top in ast.parse(path.read_text()).body:
             if isinstance(top, funcs):
@@ -95,21 +96,32 @@ def _scan_src():
     return defs, roots
 
 
+def _documented(text: str) -> set[str]:
+    """Identifiers inside the Markdown code spans and blocks of ``text``."""
+    names = set()
+    for span in _CODE_SPAN.findall(text):
+        names |= set(_IDENT.findall(span))
+    return names
+
+
 def _caller_roots() -> set[str]:
     roots = set()
     for folder in CALLER_DIRS:
         for path in (REPO / folder).rglob("*.py"):
             roots |= _names(ast.parse(path.read_text()))
     for doc in DOCS:
-        for span in _CODE_SPAN.findall((REPO / doc).read_text()):
-            roots |= set(_IDENT.findall(span))
+        roots |= _documented((REPO / doc).read_text())
     return roots
 
 
-def unreached(allowed: dict[str, str]) -> list[str]:
-    """Every definition no caller reaches, less the ``allowed`` ones."""
-    defs, reached = _scan_src()
-    reached |= _caller_roots()
+def unreached(allowed: dict[str, str], src: Path = SRC, callers: set[str] | None = None) -> list[str]:
+    """Every definition no caller reaches, less the ``allowed`` ones.
+
+    ``callers`` are the names reached from outside ``src``; by default
+    those of ``benchmarks/``, ``examples/`` and the documented names.
+    """
+    defs, reached = _scan_src(src)
+    reached |= _caller_roots() if callers is None else callers
     # An exempt method is called without being named (a dunder by the
     # language, cmd_* by the CLI): it is reached when its class is, not
     # when another class's method of the same name is.
@@ -145,3 +157,124 @@ def test_allow_list_names_live_definitions():
     flagged = set(unreached({}))
     stale = sorted(key for key in ALLOWED if key not in flagged)
     assert not stale, f"allow-listed but reached, drop the entry: {stale}"
+
+
+# --- the scan itself, on small source trees -------------------------------------------
+
+
+def _tree(tmp_path, **modules: str) -> Path:
+    """A ``pkg`` package under ``tmp_path`` holding the given modules."""
+    pkg = tmp_path / "pkg"
+    pkg.mkdir()
+    for name, text in modules.items():
+        (pkg / f"{name}.py").write_text(textwrap.dedent(text))
+    return tmp_path
+
+
+def test_scan_leaves_a_self_calling_cluster_unreached(tmp_path):
+    src = _tree(
+        tmp_path,
+        __init__="""
+            from .m import counter
+            __all__ = ["counter"]
+        """,
+        m="""
+            class Counter:
+                def inc(self):
+                    self.inc()
+
+            def counter():
+                return Counter()
+
+            def used():
+                return 1
+
+            VALUE = used()
+        """,
+    )
+    # The re-export and __all__ string are not references; the factory
+    # and the class only reach each other.
+    assert unreached({}, src, callers=set()) == ["pkg.m:Counter", "pkg.m:Counter.inc", "pkg.m:counter"]
+    # A caller outside src reaches the factory, the factory the class;
+    # the method stays unreached until something names it.
+    assert unreached({}, src, callers={"counter"}) == ["pkg.m:Counter.inc"]
+    assert unreached({"pkg.m:Counter.inc": "why"}, src, callers={"counter"}) == []
+
+
+def test_scan_reaches_a_dunder_through_its_own_class_only(tmp_path):
+    src = _tree(
+        tmp_path,
+        m="""
+            def helper_a():
+                return 1
+
+            def helper_b():
+                return 2
+
+            class A:
+                def __len__(self):
+                    return helper_a()
+
+            class B:
+                def __len__(self):
+                    return helper_b()
+
+            SIZE = len(A())
+        """,
+    )
+    assert unreached({}, src, callers=set()) == ["pkg.m:B", "pkg.m:helper_b"]
+
+
+def test_scan_reaches_a_class_head_with_its_class(tmp_path):
+    src = _tree(
+        tmp_path,
+        m="""
+            def base():
+                return object
+
+            def default():
+                return 0
+
+            class Plain(base()):
+                value = default()
+
+            class Unused:
+                value = default()
+        """,
+    )
+    # Bases and class-level statements belong to the class: reached when
+    # the class is, and not before.
+    assert unreached({}, src, callers=set()) == ["pkg.m:Plain", "pkg.m:Unused", "pkg.m:base", "pkg.m:default"]
+    assert unreached({}, src, callers={"Plain"}) == ["pkg.m:Unused"]
+
+
+def test_scan_exempts_helper_table_entries_and_cli_commands(tmp_path):
+    src = _tree(
+        tmp_path,
+        m="""
+            def for_helper():
+                return 1
+
+            def for_command():
+                return 2
+
+            @register_helper(7)
+            def bpf_thing(vm):
+                return for_helper()
+
+            class NetCli:
+                def cmd_go(self):
+                    return for_command()
+        """,
+    )
+    # The helper table calls bpf_thing unnamed; cmd_go runs only once
+    # its class is reached, and nothing here reaches NetCli.
+    assert unreached({}, src, callers=set()) == ["pkg.m:NetCli", "pkg.m:for_command"]
+    assert unreached({}, src, callers={"NetCli"}) == []
+
+
+def test_documented_names_come_from_code_spans_only():
+    text = "Call `parse_tlvs(srh)` in prose_word.\n\n```python\nout = decode(raw)\n```\n"
+    # A fence's info string ("python") counts too, which only adds to
+    # what is reached.
+    assert _documented(text) == {"parse_tlvs", "srh", "python", "out", "decode", "raw"}
