@@ -94,7 +94,7 @@ class SkbContext:
     def rearm(self, mark: int = 0) -> None:
         """Write the fields for the bound packet buffer and zero ``cb`` — the one
         place the context layout is written: ``__init__`` ends here, and
-        :meth:`repro.ebpf.jit.CompiledHandler.arm` calls it, after binding
+        :func:`repro.net.seg6local.run_attached` calls it, after binding
         ``pkt.data``, for a program that touches a ctx field or calls a helper."""
         size = len(self.packet_region.data)
         raw = self.ctx_region.data

@@ -87,7 +87,7 @@ class HelperContext:
     Networking hooks subclass-or-embed this with packet/node attributes;
     the VM only requires what is defined here.  A context is built fresh
     by ``Program.make_context``; the one place that resets a reused one
-    is :meth:`repro.ebpf.jit.CompiledHandler.arm`.
+    is :func:`repro.net.seg6local.run_attached`.
     """
 
     def __init__(

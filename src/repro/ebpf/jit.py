@@ -13,6 +13,8 @@ which
   ``_hN(hctx, r1, ..., rk)``, to the plain ``Helper.fn`` — or, when the
   invocation records a ``helper_trace``, to the tracing
   :class:`~repro.ebpf.helpers.Helper` — chosen once in the prologue,
+* an array-map lookup the verifier tied to one map and a stack key is no
+  call at all: a bounds check and an index, as Linux's ``array_map_gen_lookup``,
 * control flow is *threaded*: basic blocks are laid out in program order
   and guarded by a single integer state variable, so a straight-line
   program runs top to bottom without ever returning to a dispatcher
@@ -49,6 +51,7 @@ from .context import OFF_MARK
 from .errors import VmFault
 from .helpers import HELPERS_BY_ID, HelperContext
 from .insn import Instruction, flatten
+from .maps import ArrayMap
 from .memory import CTX_BASE, PACKET_BASE, STACK_BASE
 
 _M64 = "0xFFFFFFFFFFFFFFFF"
@@ -104,9 +107,11 @@ class JitProgram:
     ``regions`` is the verifier's slot-pc → region-tag annotation map
     (see :attr:`repro.ebpf.verifier.Verifier.region_hints`).  Accesses
     tagged ``ctx``/``stack``/``pkt``/``("map_value", offset)`` compile to
-    direct byte-array access; without annotations (or for ``mixed`` ones)
-    the generic ``Memory`` path is emitted, so a :class:`JitProgram` built
-    from raw instructions still runs unverified test programs faithfully.
+    direct byte-array access, a lookup tagged ``("map_key", array, key
+    offset, values' base)`` inline; without annotations (or for ``mixed``
+    ones) the generic ``Memory`` path and the helper are emitted, so a
+    :class:`JitProgram` built from raw instructions still runs unverified
+    test programs faithfully.
 
     A function specialised on ctx, stack or packet needs ``hctx.skb`` (map
     values come from ``mem``); for the rare caller running a bare
@@ -161,8 +166,8 @@ class CompiledHandler:
       rewrite the fields for the bound packet and zero ``cb``;
     * :attr:`zeroes_stack` — the frame is touched: wipe it;
     * :attr:`calls_helpers` — clear the trace log and metadata and bind
-      the packet and node; then :attr:`restores_regions` only with
-      ``map_lookup_elem``, :attr:`binds_clock` only with a clock reader
+      the packet and node; then :attr:`restores_regions` only with a
+      non-array lookup, :attr:`binds_clock` only with a clock reader
       (``ktime_get_ns``, ``perf_event_output``) and :attr:`binds_rng`
       only with ``get_prandom_u32``: no other helper reads the three;
     * :attr:`resets` — any of these.  A program with trivial facts
@@ -196,7 +201,8 @@ class CompiledHandler:
         self.writes_mark = OFF_MARK in facts.ctx_writes
         self.rearms_ctx = self.calls_helpers or bool(facts.ctx_reads or facts.ctx_writes)
         self.zeroes_stack = facts.touches_stack
-        self.restores_regions = "map_lookup_elem" in helpers  # the one helper that maps regions
+        arrays_only = all(isinstance(m, ArrayMap) for m in program.maps_by_addr.values())
+        self.restores_regions = "map_lookup_elem" in helpers and not arrays_only
         self.binds_clock = not helpers.isdisjoint(("ktime_get_ns", "perf_event_output"))
         self.binds_rng = "get_prandom_u32" in helpers
         self.resets = self.rearms_ctx or self.zeroes_stack
@@ -297,16 +303,17 @@ def _translate(insns: list[Instruction], helpers, regions=None):
     block_id = {pc: i for i, pc in enumerate(leaders)}
     regions = regions or {}
 
-    arity = {}  # helper id -> argument count, for each helper the program calls
-    for insn in insns:
-        if insn.opcode == (isa.BPF_JMP | isa.BPF_CALL):
-            if insn.imm not in helpers:
-                raise VmFault(f"JIT: unknown helper id {insn.imm}")
-            arity[insn.imm] = len(helpers[insn.imm].args)
-
     # Which region buffers the specialised sites need, and whether any
     # access still goes through the generic Memory path.
     spec = _Spec(slots, regions)
+
+    arity = {}  # helper id -> argument count, for each helper the program calls
+    for pc, insn in enumerate(slots):
+        if insn is not None and insn.opcode == (isa.BPF_JMP | isa.BPF_CALL):
+            if insn.imm not in helpers:
+                raise VmFault(f"JIT: unknown helper id {insn.imm}")
+            if pc not in spec.lookups:
+                arity[insn.imm] = len(helpers[insn.imm].args)
 
     lines = ["def _ebpf_jitted(hctx, mem, helpers, ctx_addr, stack_top):"]
     if spec.generic_loads:
@@ -320,6 +327,8 @@ def _translate(insns: list[Instruction], helpers, regions=None):
                 lines.append("    " + _REGION_BIND[tag])
     if spec.values:
         lines.append("    _values = mem.values")
+    if spec.lookups:
+        lines.append("    _tr = hctx.helper_trace")
     if arity:
         # Once per invocation: the plain functions, or the tracing Helpers.
         lines.append("    if hctx.helper_trace is None:")
@@ -362,7 +371,11 @@ class _Spec:
 
     def __init__(self, slots, regions):
         self.regions = regions
-        self.buffers: set[str] = set()  # of ctx/stack/pkt: bound from hctx.skb
+        self.lookups = {  # call pc -> hint of each array-map lookup compiled inline
+            pc: t for pc, t in regions.items() if t[0] == "map_key" and isinstance(t[1], ArrayMap)
+        }
+        # Of ctx/stack/pkt, bound from hctx.skb; an inline lookup reads its key from the stack.
+        self.buffers: set[str] = {"stack"} if self.lookups else set()
         self.values = False  # some access indexes mem.values
         self.generic_loads = False
         self.generic_stores = False
@@ -481,8 +494,14 @@ def _emit_block(slots, start, leaders, block_id, spec, arity) -> list[str]:
                 out.append("return r0")
                 return out
             if op == isa.BPF_CALL:
-                args = "".join(f", r{reg}" for reg in range(1, arity[insn.imm] + 1))
-                out.append(f"r0 = int(_h{insn.imm}(hctx{args})) & {_M64}")
+                if pc in spec.lookups:  # the u32 stack key, one bounds check, one index
+                    _tag, m, key_off, base = spec.lookups[pc]
+                    out.append(f"_k = _lu32(_stkd, {isa.STACK_SIZE + key_off})[0]")
+                    out.append(f"r0 = {base:#x} + _k * {m._stride} if _k < {m.max_entries} else 0")
+                    out.append("if _tr is not None: _tr.append(('map_lookup_elem', (r1, r2), r0))")
+                else:
+                    args = "".join(f", r{reg}" for reg in range(1, arity[insn.imm] + 1))
+                    out.append(f"r0 = int(_h{insn.imm}(hctx{args})) & {_M64}")
                 pc += 1
                 continue
             if op == isa.BPF_JA:

@@ -2,7 +2,8 @@
 
 Registers hold 64-bit integers; pointer values are addresses in this guest
 space.  Each invocation assembles a :class:`Memory` out of *regions* — the
-stack, the program context, the packet, and (lazily) map values.  Regions
+stack, the program context, the packet, and map values (an array's when
+the space is built, another map's lazily on lookup).  Regions
 carry permissions, so a verified program that somehow computed a wild
 pointer still cannot corrupt the host: all accesses are bounds- and
 permission-checked and raise :class:`MemoryFault` on violation.
@@ -59,8 +60,7 @@ class Memory:
     def __init__(self) -> None:
         self._bases: list[int] = []
         self._regions: list[Region] = []
-        # Value base address -> buffer of each "map_value" region mapped
-        # since the last restore().
+        # Value base address -> buffer of each "map_value" region mapped.
         self.values: dict[int, bytearray] = {}
 
     # -- region management -------------------------------------------------
@@ -103,30 +103,29 @@ class Memory:
                 return region
         raise MemoryFault(f"access to unmapped guest address {addr:#x} (+{size})")
 
-    # -- burst-mode reuse ----------------------------------------------------
-    def snapshot(self) -> tuple[list[int], list[Region]]:
+    # -- reuse by an attach site's handler -------------------------------------
+    def snapshot(self) -> tuple[list[int], list[Region], dict[int, bytearray]]:
         """Capture the region table so :meth:`restore` can drop later additions.
 
         The :class:`Region` objects themselves are shared, not copied — a
         snapshot freezes *which* regions are mapped, not their contents.
-        Used by the burst fast path to reset an address space between
-        invocations without rebuilding the stable regions.
+        An attach site's handler takes one as it builds its space, and its
+        plan restores it for a program that may look up a non-array map.
         """
-        return list(self._bases), list(self._regions)
+        return list(self._bases), list(self._regions), dict(self.values)
 
-    def restore(self, snapshot: tuple[list[int], list[Region]]) -> None:
+    def restore(self, snapshot: tuple[list[int], list[Region], dict[int, bytearray]]) -> None:
         """Unmap every region added since ``snapshot`` was taken.
 
-        Regions are only ever added (map values, mapped lazily on
-        lookup), so restoring the snapshot's table is exactly equivalent
-        to assembling a fresh address space from the stable regions; the
-        map values among them leave :attr:`values` too.
+        Regions are only ever added (array values as the space is built,
+        others lazily on lookup), so restoring the snapshot's table and
+        :attr:`values` is exactly equivalent to assembling a fresh space.
         """
-        bases, regions = snapshot
+        bases, regions, values = snapshot
         if len(self._regions) != len(regions):
             self._bases[:] = bases
             self._regions[:] = regions
-            self.values.clear()
+            self.values = dict(values)
 
     # -- accessors (scalar for the engines, bulk for the helpers) -------------
     def _span(self, addr: int, size: int, prot: int) -> tuple[bytearray, int]:

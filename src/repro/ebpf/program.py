@@ -17,7 +17,7 @@ from .errors import BpfError
 from .helpers import HelperContext, install_map_regions
 from .insn import Instruction, flatten
 from .jit import JitProgram
-from .maps import Map
+from .maps import ArrayMap, Map
 from .memory import MAP_PTR_BASE, MAP_VALUE_BASE, Memory
 from .verifier import Verifier
 from .vm import Interpreter
@@ -89,8 +89,12 @@ class Program:
         # Verifier by-products: per-slot region provenance the JIT
         # specialises memory access on, and the facts (helpers called, ctx
         # fields read / written, stack touched) that gate what an attach
-        # site's invocation resets and reads back.
-        self.region_hints = dict(verifier.region_hints)
+        # site's invocation resets and reads back; a lookup's hint gains its values' base.
+        bases = {map_obj: self.value_bases[handle] for handle, map_obj in self.maps_by_addr.items()}
+        self.region_hints = {
+            pc: (*tag, bases[tag[1]]) if tag[0] == "map_key" else tag
+            for pc, tag in verifier.region_hints.items()
+        }
         self.facts = verifier.facts
         self._interp = Interpreter(self.insns)
         self._jit = (
@@ -168,6 +172,9 @@ class Program:
         mem = Memory()
         skb = SkbContext(mem, packet_bytes, mark=mark)
         install_map_regions(mem, self.maps_by_addr)
+        for handle, map_obj in self.maps_by_addr.items():  # an array's values never move
+            for slot, data in enumerate(map_obj._values if isinstance(map_obj, ArrayMap) else ()):
+                mem.map_value(self.value_bases[handle] + slot * map_obj._stride, data, map_obj)
         hctx = HelperContext(mem, skb, self.maps_by_addr, clock_ns, rng)
         hctx.value_bases = self.value_bases
         return hctx

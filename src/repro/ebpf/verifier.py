@@ -186,15 +186,17 @@ class Verifier:
         # "mixed".  The JIT's region-specialised translation emits direct
         # byte-array access for every unambiguous access and the generic
         # bounds-checked path for "mixed" — the proof that makes the direct
-        # access safe is exactly the check performed here.
-        self.region_hints: dict[int, str | tuple[str, int]] = {}
+        # access safe is exactly the check performed here.  A lookup's call
+        # records ("map_key", map, key's stack offset), or "mixed" with two
+        # maps or a non-stack key (the kernel's poisoned map pointer).
+        self.region_hints: dict[int, str | tuple] = {}
         # ProgramFacts, gathered where each access or call is proved safe.
         self._helpers: set[int] = set()
         self._ctx_reads: set[int] = set()
         self._ctx_writes: set[int] = set()
         self._stack = False
 
-    def _note_region(self, pc: int, tag: str | tuple[str, int]) -> None:
+    def _note_region(self, pc: int, tag: str | tuple) -> None:
         prev = self.region_hints.get(pc)
         if prev is None:
             self.region_hints[pc] = tag
@@ -561,6 +563,9 @@ class Verifier:
                 self._check_mem_arg(
                     state, reg, current_map.key_size, "r", helper, arg_idx, pc
                 )
+                if helper.ret == "map_value_or_null":  # a lookup: the JIT may inline it
+                    hint = ("map_key", current_map, reg.off) if reg.kind == STACK else "mixed"
+                    self._note_region(pc, hint)
             elif kind == "map_value_src":
                 if current_map is None:
                     raise VerifierError(

@@ -2,7 +2,8 @@
 
 The datapath re-arms one guest address space per attach site, by a plan
 read off the program's facts.  These tests pin down the reset contract:
-map-value regions from the previous invocation are unmapped,
+non-array map-value regions from the previous invocation are unmapped
+(an array's values stay mapped from the build on),
 per-invocation state (trace log, metadata, cb, stack, clock, rng,
 packet, node) is rebound or cleared whichever node or group the previous
 packet belonged to, a program gets exactly the resets its facts call
@@ -47,6 +48,34 @@ MARK_KEYED_ASM = """
     r2 = *(u32 *)(r6 + 8)
     *(u32 *)(r10 - 4) = r2
     r1 = m ll
+    r2 = r10
+    r2 += -4
+    call map_lookup_elem
+    if r0 == 0 goto out
+    r1 = *(u64 *)(r0 + 0)
+    r1 += 1
+    *(u64 *)(r0 + 0) = r1
+out:
+    r0 = 0
+    exit
+"""
+
+# MARK_KEYED_ASM's hash lookup, then COUNTER_ASM's array lookup.
+ARRAY_AND_HASH_ASM = """
+    r6 = r1
+    r2 = *(u32 *)(r6 + 8)
+    *(u32 *)(r10 - 4) = r2
+    r1 = m ll
+    r2 = r10
+    r2 += -4
+    call map_lookup_elem
+    if r0 == 0 goto counter
+    r1 = *(u64 *)(r0 + 0)
+    r1 += 1
+    *(u64 *)(r0 + 0) = r1
+counter:
+    *(u32 *)(r10 - 4) = 0
+    r1 = hits ll
     r2 = r10
     r2 += -4
     call map_lookup_elem
@@ -172,9 +201,31 @@ def test_the_plan_follows_the_facts():
         "tag_increment": helper_caller + ("reads_back",),
         "add_tlv": helper_caller + ("reads_back",),
         "end_dm": helper_caller + ("binds_clock", "reads_back"),
-        "dm_encap": helper_caller + ("restores_regions", "binds_clock", "binds_rng", "reads_back"),
-        "wrr": helper_caller + ("restores_regions", "reads_back"),
+        "dm_encap": helper_caller + ("binds_clock", "binds_rng", "reads_back"),
+        "wrr": helper_caller + ("reads_back",),
     }
+    # Array values are mapped when the space is built; a hash value per lookup.
+    hashed = CompiledHandler(Program(MARK_KEYED_ASM, maps={"m": HashMap("ch_plan", 4, 8, 2)}), "test")
+    assert hashed.restores_regions
+
+
+def test_restoring_a_hash_lookup_keeps_the_array_values_mapped():
+    """A program that looks up an array and a hash map: the restore before
+    each invocation unmaps the hash value only, and the handler's runs
+    equal fresh contexts'."""
+    maps = {}
+    for side in ("handler", "fresh"):
+        maps[side] = {"hits": ArrayMap(f"ch_mix_a_{side}", 8, 1), "m": HashMap(f"ch_mix_h_{side}", 4, 8, 2)}
+        maps[side]["m"].update(key(3), bytes(8))
+    handler = CompiledHandler(Program(ARRAY_AND_HASH_ASM, maps=maps["handler"]), "test")
+    fresh = Program(ARRAY_AND_HASH_ASM, maps=maps["fresh"])
+    assert handler.restores_regions
+    for mark in (3, 1, 3, 3):
+        _invoke(handler, Packet(PACKET, mark=mark))
+        fresh.run_on_packet(PACKET, mark=mark)
+    for side in ("handler", "fresh"):
+        assert maps[side]["hits"].lookup(key(0)) == (4).to_bytes(8, "little")
+        assert maps[side]["m"].lookup(key(3)) == (3).to_bytes(8, "little")
 
 
 # --- one attach site, several nodes: re-armed ≡ fresh under interleaving -------

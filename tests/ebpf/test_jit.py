@@ -228,6 +228,27 @@ def test_wrr_translation_makes_no_generic_memory_call():
     assert "_values = mem.values" in source
 
 
+def test_array_lookups_compile_inline_and_other_lookups_keep_the_helper():
+    """Linux's ``array_map_gen_lookup``: WRR's two lookups, each hinted with
+    its array and the key at fp-4, become a bounds check and an index with
+    no ``map_lookup_elem`` call left; the corpus's hash and LPM lookups
+    call the helper."""
+    from pathlib import Path
+
+    prog = _wrr()[1].lwt.prog_out
+    hints = [tag for tag in prog.region_hints.values() if tag[0] == "map_key"]
+    assert [(type(m), key_off, base) for _tag, m, key_off, base in hints] == [
+        (ArrayMap, -4, base) for base in prog.value_bases.values()
+    ]
+    source = prog._jit.source
+    assert source.count("_k = _lu32(_stkd, 508)[0]") == 2
+    assert "_h1" not in source
+    corpus = Path(__file__).parent / "corpus"
+    for name in ("map_hash", "map_lpm"):
+        hashed = link(parse_asm((corpus / f"{name}.s").read_text())).load(name=name)
+        assert "_h1(hctx, r1, r2)" in hashed._jit.source and "_k =" not in hashed._jit.source
+
+
 def test_unverified_translation_of_the_same_program_runs_through_memory():
     from repro.net import make_udp_packet
 

@@ -1,14 +1,20 @@
 """The verifier's ProgramFacts are sound: a run never does what the facts rule out.
 
-``CompiledHandler.arm`` skips the resets, and ``run_attached`` the
-read-backs, that a program's :class:`~repro.ebpf.verifier.ProgramFacts`
-say it cannot observe — so every context field the interpreter actually
+``seg6local.run_attached`` skips the resets and the read-backs that a
+program's :class:`~repro.ebpf.verifier.ProgramFacts` say it cannot
+observe — so every context field the interpreter actually
 loads or stores, and every helper it actually calls, must be inside
 ``ctx_reads`` / ``ctx_writes`` / ``helpers``, and a run that touches the
 stack needs ``touches_stack``.  Checked over the ``test_fuzz`` easm
 stream (with context loads and stores mixed in) and over every accepted
 corpus and library program on seeded packets; the run's ``Memory`` records
 the accesses and its ``helper_trace`` the calls.
+
+The JIT trusts the verifier's map-value region tags the same way, so
+generated programs with array-map lookups (keys in range, equal to
+``max_entries`` or computed) check that every value access lands inside
+the value looked up, at an offset the verifier tagged, and that both
+engines agree on the return, helper trace, map contents and packet.
 """
 
 from __future__ import annotations
@@ -21,10 +27,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.ebpf import Program, VerifierError, isa
-from repro.ebpf.context import CTX_SIZE
-from repro.ebpf.errors import AsmError, BpfError, VmFault
+from repro.ebpf.context import CTX_SIZE, SkbContext
+from repro.ebpf.errors import AsmError, BpfError, MapError, VmFault
 from repro.ebpf.helpers import HELPER_IDS_BY_NAME
-from repro.ebpf.memory import CTX_BASE, STACK_BASE
+from repro.ebpf.maps import ArrayMap
+from repro.ebpf.memory import CTX_BASE, MAP_PTR_BASE, MAP_VALUE_BASE, STACK_BASE
 from repro.net import make_srv6_udp_packet, make_udp_packet
 from repro.progs import dm_config_value, wrr_config_value
 from repro.progs.library import ASM_DIR
@@ -126,3 +133,194 @@ def test_facts_cover_what_fuzzed_runs_do(lines):
     except (VerifierError, AsmError, BpfError):
         return  # rejected — nothing ran, nothing to cover
     assert_covered(prog, observe(prog, PLAIN))
+
+
+# --- array-map lookups: where the tagged value accesses land, and VM ≡ JIT ----------
+
+# Two arrays of different shapes; a generated program looks one of them
+# up per block, with a key in range, equal to max_entries or computed.
+_ARRAYS = {"a": (12, 3), "b": (24, 1)}  # name -> (value_size, max_entries)
+_ARRAY_DECLS = "\n".join(
+    f".map {name}, array, key=4, value={size}, entries={entries}"
+    for name, (size, entries) in _ARRAYS.items()
+)
+_KEY_LINES = {
+    "len": ["r3 = *(u32 *)(r6 + 0)", "r3 %= 5"],  # PLAIN is 112 bytes: key 2
+    "draw": ["call get_prandom_u32", "r3 = r0", "r3 &= 3"],
+}
+
+
+@st.composite
+def _lookup_block(draw):
+    name = draw(st.sampled_from(sorted(_ARRAYS)))
+    size, entries = _ARRAYS[name]
+    key = draw(st.one_of(st.integers(0, entries - 1), st.just(entries), st.sampled_from(sorted(_KEY_LINES))))
+    shift = draw(st.integers(0, size - 1))  # r8 = value + shift
+    accesses = []
+    for width, store in draw(st.lists(st.tuples(st.sampled_from([1, 2, 4, 8]), st.booleans()), max_size=4)):
+        at = draw(st.integers(0, size - width))  # offset inside the value
+        accesses.append((width, at - shift, store))
+    return name, key, shift, accesses
+
+
+def _lookup_source(blocks) -> str:
+    lines = [_ARRAY_DECLS, "    r6 = r1", "    r7 = 0"]
+    for i, (name, key, shift, accesses) in enumerate(blocks):
+        lines += [f"    {line}" for line in (_KEY_LINES[key] if type(key) is str else [f"r3 = {key}"])]
+        lines += [
+            "    *(u32 *)(r10 - 4) = r3",
+            f"    r1 = {name} ll",
+            "    r2 = r10",
+            "    r2 += -4",
+            "    call map_lookup_elem",
+            f"    if r0 == 0 goto skip{i}",
+            "    r8 = r0",
+            f"    r8 += {shift}",
+        ]
+        for width, off, store in accesses:
+            site = f"*(u{8 * width} *)(r8 {'-' if off < 0 else '+'} {abs(off)})"
+            lines += ["    r7 += 3", f"    {site} = r7"] if store else [f"    r4 = {site}", "    r7 += r4"]
+        lines.append(f"skip{i}:")
+    return "\n".join(lines + ["    r0 = r7", "    exit"])
+
+
+def _map_state(prog: Program) -> dict:
+    return {name: [bytes(m.lookup(key)) for key in m.keys()] for name, m in sorted(prog.maps.items())}
+
+
+def _set_map_state(prog: Program, state: dict) -> None:
+    for name, values in state.items():
+        for key, value in zip(prog.maps[name].keys(), values):
+            prog.maps[name].update(key, value)
+
+
+def run_both(prog: Program, packet: bytes = PLAIN):
+    """Each engine from the same map contents and a fresh context: (return,
+    helper trace, map contents, packet), and the VM's value-range accesses."""
+    before = _map_state(prog)
+    outcomes, accesses = [], []
+    for engine in (prog._interp, prog._jit):
+        _set_map_state(prog, before)
+        hctx = prog.make_context(packet, rng=random.Random(3))
+        hctx.helper_trace = []
+        if engine is prog._interp:
+            mem = hctx.mem
+            load, store = mem.load, mem.store
+
+            def traced_load(addr, size, load=load):
+                accesses.append((addr, size))
+                return load(addr, size)
+
+            def traced_store(addr, size, value, store=store):
+                accesses.append((addr, size))
+                store(addr, size, value)
+
+            mem.load, mem.store = traced_load, traced_store
+        ret = engine.run(hctx, hctx.skb.ctx_addr, hctx.skb.stack_top)
+        outcomes.append((ret, tuple(hctx.helper_trace), _map_state(prog), bytes(hctx.skb.packet_region.data)))
+    return outcomes, [(addr, size) for addr, size in accesses if MAP_VALUE_BASE <= addr < MAP_PTR_BASE]
+
+
+@settings(max_examples=150, deadline=None)
+@given(blocks=st.lists(_lookup_block(), min_size=1, max_size=3))
+def test_array_lookups_land_where_the_verifier_says_and_engines_agree(blocks):
+    prog = Program(_lookup_source(blocks), name="lookups")
+    tagged = {tag[1] for tag in prog.region_hints.values() if type(tag) is tuple and tag[0] == "map_value"}
+    (vm, jit), accesses = run_both(prog)
+    assert vm == jit
+    looked_up = [
+        (ret, prog.maps_by_addr[args[0]].value_size)
+        for name, args, ret in vm[1]
+        if name == "map_lookup_elem" and ret
+    ]
+    for addr, size in accesses:
+        assert any(
+            base <= addr and addr + size <= base + value_size and addr - base in tagged
+            for base, value_size in looked_up
+        ), (hex(addr), size, looked_up, tagged)
+
+
+def _lookup_calls(prog: Program) -> list[str]:
+    """The translated lines that call the map_lookup_elem helper."""
+    return [line for line in prog._jit.source.splitlines() if "_h1(hctx, r1, r2)" in line]
+
+
+ONE_LOOKUP = """
+{decls}
+    *(u32 *)(r10 - 4) = {key}
+    r1 = m ll
+    r2 = r10
+    r2 += -4
+    call map_lookup_elem
+    if r0 == 0 goto out
+    r1 = *(u64 *)(r0 + 0)
+    r1 += 1
+    *(u64 *)(r0 + 0) = r1
+    r0 = r1
+    exit
+out:
+    r0 = 99
+    exit
+"""
+
+
+def test_a_zero_entry_array_is_refused_and_its_bound_returns_null():
+    """Linux refuses ``max_entries == 0`` at map creation, and so does ArrayMap;
+    a one-entry array shrunk to none after creation shows the lookup's bound
+    comes from the map: every key, 0 included, finds nothing in both engines."""
+    with pytest.raises(MapError, match="max_entries must be positive"):
+        ArrayMap("zero", value_size=8, max_entries=0)
+    empty = ArrayMap("m", value_size=8, max_entries=1)
+    empty.max_entries, empty._values = 0, []
+    prog = Program(ONE_LOOKUP.format(decls="", key=0), maps={"m": empty}, name="zero")
+    (vm, jit), _ = run_both(prog)
+    assert vm == jit and vm[0] == 99
+    assert vm[1] == (("map_lookup_elem", (MAP_PTR_BASE, SkbContext.stack_top - 4), 0),)
+
+
+def test_a_call_reached_with_two_maps_keeps_the_helper():
+    """Like the kernel's poisoned map pointer: one call pc, two arrays."""
+    source = """
+.map a, array, key=4, value=8, entries=2
+.map b, array, key=4, value=8, entries=2
+    *(u32 *)(r10 - 4) = 1
+    call get_prandom_u32
+    r1 = a ll
+    if r0 & 1 goto look
+    r1 = b ll
+look:
+    r2 = r10
+    r2 += -4
+    call map_lookup_elem
+    if r0 == 0 goto out
+    r1 = *(u64 *)(r0 + 0)
+    r1 += 5
+    *(u64 *)(r0 + 0) = r1
+out:
+    r0 = 0
+    exit
+"""
+    prog = Program(source, name="two_maps")
+    assert len(_lookup_calls(prog)) == 1
+    for seed in range(4):  # both maps get looked up
+        (vm, jit), _ = run_both(prog)
+        assert vm == jit
+        prog.maps["a"].update(bytes(4), (seed + 1).to_bytes(8, "little"))
+
+
+def test_a_hash_lookup_keeps_the_helper():
+    decls = ".map m, hash, key=4, value=8, entries=4"
+    prog = Program(ONE_LOOKUP.format(decls=decls, key=2), name="hash")
+    assert len(_lookup_calls(prog)) == 1
+    prog.maps["m"].update((2).to_bytes(4, "little"), (41).to_bytes(8, "little"))
+    (vm, jit), _ = run_both(prog)
+    assert vm == jit and vm[0] == 42
+
+
+def test_a_traced_array_lookup_records_one_entry_in_both_engines():
+    decls = ".map m, array, key=4, value=8, entries=3"
+    prog = Program(ONE_LOOKUP.format(decls=decls, key=2), name="traced")
+    (vm, jit), _ = run_both(prog)
+    assert vm == jit and vm[0] == 1
+    base = prog.value_bases[MAP_PTR_BASE]
+    assert vm[1] == (("map_lookup_elem", (MAP_PTR_BASE, SkbContext.stack_top - 4), base + 2 * 8),)
