@@ -111,12 +111,8 @@ class JitProgram:
     offset, values' base)`` inline; without annotations (or for ``mixed``
     ones) the generic ``Memory`` path and the helper are emitted, so a
     :class:`JitProgram` built from raw instructions still runs unverified
-    test programs faithfully.
-
-    A function specialised on ctx, stack or packet needs ``hctx.skb`` (map
-    values come from ``mem``); for the rare caller running a bare
-    :class:`~repro.ebpf.helpers.HelperContext` without one, :meth:`run`
-    lazily compiles and uses the generic variant.
+    test programs faithfully.  A function specialised on ctx, stack or
+    packet needs ``hctx.skb``; map values come from ``mem``.
 
     :attr:`region_loads` / :attr:`region_stores` count the memory accesses
     the translation compiled to direct region indexing instead of the
@@ -125,21 +121,13 @@ class JitProgram:
 
     def __init__(self, insns: list[Instruction], helpers=None, regions=None):
         self.helpers = helpers if helpers is not None else HELPERS_BY_ID
-        self._insns = list(insns)
-        self.source, spec = _translate(self._insns, self.helpers, regions)
+        self.source, spec = _translate(list(insns), self.helpers, regions)
         self._fn = _compile(self.source)
-        self._needs_skb = bool(spec.buffers)
-        self._generic_fn = None if self._needs_skb else self._fn
         self.region_loads = spec.loads
         self.region_stores = spec.stores
 
     def run(self, hctx: HelperContext, ctx_addr: int, stack_top: int) -> int:
-        fn = self._fn
-        if hctx.skb is None and self._needs_skb:
-            fn = self._generic_fn
-            if fn is None:
-                fn = self._generic_fn = _compile(_translate(self._insns, self.helpers)[0])
-        return fn(hctx, hctx.mem, self.helpers, ctx_addr, stack_top)
+        return self._fn(hctx, hctx.mem, self.helpers, ctx_addr, stack_top)
 
 
 class CompiledHandler:

@@ -73,7 +73,6 @@ from .srh import (
     make_controller_tlv,
     make_dm_tlv,
     make_srh,
-    validate_srh_bytes,
 )
 from .tcp import TcpHeader, build_tcp
 from .udp import UdpHeader, build_udp
@@ -148,5 +147,4 @@ __all__ = [
     "push_outer_encap",
     "push_srh_inline",
     "time_exceeded",
-    "validate_srh_bytes",
 ]

@@ -12,8 +12,8 @@ byte rewritten, and no ``SRH`` or ``IPv6Header`` object is built.
 ``push_outer_encap`` / ``push_srh_inline`` return them joined to the
 payload as new bytes, and the helpers splice them into the packet
 buffer where it lies.  Callers that hold an ``SRH`` (daemons, tests)
-may pass it instead of its bytes; ``SRH.parse`` is the reference the
-tests hold all of this to.
+may pass it instead of its bytes.  The tests hold all of this to the
+RFC 8754 / 8986 rules written out in ``tests/spec/srv6.py``.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from .addr import as_addr
 from .ipv6 import IPV6_HEADER_LEN, PROTO_IPV6, PROTO_ROUTING
-from .srh import OFF_SEGMENTS_LEFT, SEGMENT_LEN, SRH, SRH_FIXED_LEN, make_srh, srh_wire_len
+from .srh import OFF_SEGMENTS_LEFT, SEGMENT_LEN, SRH, SRH_FIXED_LEN, make_srh, srh_wire_span
 
 SEG6_MODE_ENCAP = "encap"
 SEG6_MODE_INLINE = "inline"
@@ -50,7 +50,7 @@ def _srh_head(data, srh, outer_src: bytes | None = None, hop_limit: int = 64) ->
     With ``outer_src`` it is T.Encaps' outer header, to go in front of all
     of ``data``; without, it is T.Insert's, to replace ``data``'s IPv6
     header.  Wire bytes, checked by their producer with
-    :func:`~repro.net.srh.srh_wire_len`, go in as they are but for the
+    :func:`~repro.net.srh.validate_srh_wire`, go in as they are but for the
     next-header byte.  Raises ValueError before anything is built.
     """
     if outer_src is None:
@@ -89,8 +89,9 @@ def decap_in_place(data: bytearray) -> str | None:
     """Strip the outer IPv6 header and its routing headers off ``data``.
 
     The decapsulation part of End.DT6/End.DX6: the outer header's next
-    chain must lead to an inner IPv6 packet through SRHs ``SRH.parse``
-    accepts.  Returns None, or the reason with ``data`` untouched.
+    chain must lead to an inner IPv6 packet through SRHs
+    :func:`~repro.net.srh.srh_wire_span` accepts.  Returns None, or the
+    reason with ``data`` untouched.
     """
     if len(data) < IPV6_HEADER_LEN:
         return f"short IPv6 header: {len(data)} bytes"
@@ -100,7 +101,7 @@ def decap_in_place(data: bytearray) -> str | None:
     offset = IPV6_HEADER_LEN
     try:
         while proto == PROTO_ROUTING:
-            total = srh_wire_len(data, offset)
+            total = srh_wire_span(data, offset)[0]
             proto = data[offset]
             offset += total
     except ValueError as exc:

@@ -33,7 +33,7 @@ from .seg6local import (
     SEG6_LOCAL_ACTION_END_T,
     SEG6_LOCAL_ACTION_END_X,
 )
-from .srh import srh_wire_len, srh_wire_span
+from .srh import OFF_HDR_EXT_LEN, srh_wire_span, validate_srh_wire
 
 _ERR = -22 & isa.U64  # -EINVAL
 _OK = 0
@@ -52,10 +52,10 @@ def _require_hook(hctx: HelperContext, allowed: tuple[str, ...], name: str) -> N
 def _srh_span(packet_bytes) -> tuple[int, int, int]:
     """(offset, wire length, segment count) of the packet's SRH.
 
-    Raises HelperError when the packet has none.  Uses the fixed-header
-    span check (:func:`repro.net.srh.srh_wire_span`) rather than a full
-    parse — the helpers below only need offsets, and this runs on every
-    ``store_bytes``/``adjust_srh`` call.
+    Raises HelperError when the packet has none that the one SRH rule,
+    :func:`repro.net.srh.srh_wire_span`, accepts; the helpers below only
+    need its offsets, and this runs on every ``store_bytes`` /
+    ``adjust_srh`` call.
     """
     if len(packet_bytes) < IPV6_HEADER_LEN or packet_bytes[6] != PROTO_ROUTING:
         raise HelperError("packet has no SRH")
@@ -199,25 +199,29 @@ def _lwt_seg6_action(
 def _push_srh(hctx: HelperContext, encap_type: int, raw, exact_len: bool = False) -> int:
     """Splice the program's SRH into the packet as the wire bytes it is.
 
-    :func:`~repro.net.srh.srh_wire_len` accepts what ``SRH.parse`` accepts; ``raw`` is
-    cut to the length the header states (``exact_len``: it must be that long).
+    ``raw`` must pass :func:`~repro.net.srh.validate_srh_wire`, TLV area
+    included, as Linux's ``seg6_validate_srh`` checks it; it is cut to the
+    length the header states (``exact_len``: it must be that long).
     The headers are built first, by the transit behaviours' own builder, and
     then spliced into the buffer where it lies: in front of the packet for
     T.Encaps, in place of its IPv6 header for T.Insert.  A failed check
     leaves the buffer untouched.
     """
+    if validate_srh_wire(raw) is not None:
+        return _ERR
+    if len(raw) != (raw[OFF_HDR_EXT_LEN] + 1) * 8:
+        if exact_len:
+            return _ERR
+        raw = raw[: (raw[OFF_HDR_EXT_LEN] + 1) * 8]
     skb = hctx.skb
     data = skb.packet_region.data
     try:
-        total = srh_wire_len(raw)
-        if exact_len and total != len(raw):
-            return _ERR
         if encap_type == BPF_LWT_ENCAP_SEG6:
             node = hctx.node
             source = node.primary_address() if node else bytes(16)
-            data[:0] = _srh_head(data, raw[:total], source)
+            data[:0] = _srh_head(data, raw, source)
         elif encap_type == BPF_LWT_ENCAP_SEG6_INLINE:
-            data[:IPV6_HEADER_LEN] = _srh_head(data, raw[:total])
+            data[:IPV6_HEADER_LEN] = _srh_head(data, raw)
         else:
             return _ERR
     except ValueError:

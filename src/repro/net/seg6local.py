@@ -121,8 +121,8 @@ _FORWARD = Disposition("forward")
 # the new active segment.  It needs only the fixed SRH header and one
 # segment, so it works where they lie: one read of the header fields, two
 # writes, no SRH object and nothing cached per flow that a large flow
-# population could thrash.  :meth:`SRH.parse` stays the reference the tests
-# compare it against.
+# population could thrash.  It inlines :func:`~repro.net.srh.srh_wire_span`'s
+# checks, which the tests hold both of them to (``tests/spec/srv6.py``).
 
 _V_NO_SRH = "no SRH"
 _V_SL_ZERO = "segments_left == 0"
@@ -143,12 +143,11 @@ _SRH_HEAD = struct.Struct(
 def _advance(data: bytearray) -> str | None:
     """The End prologue, in place: None once advanced, else the drop reason.
 
-    ``_V_NO_SRH`` exactly when ``SRH.parse(data, IPV6_HEADER_LEN)`` would
-    raise (:func:`~repro.net.srh.srh_wire_span`'s checks plus
-    ``segments_left > last_entry``), ``_V_SL_ZERO`` for a valid SRH with
-    nothing left to visit; either way ``data`` is left as it came.
-    Otherwise segments_left is decremented and the new active segment
-    becomes the destination, both where they lie.
+    ``_V_NO_SRH`` exactly when the IPv6 next header is no routing header or
+    :func:`~repro.net.srh.srh_wire_span` would raise for it, ``_V_SL_ZERO``
+    for a valid SRH with nothing left to visit; either way ``data`` is left
+    as it came.  Otherwise segments_left is decremented and the new active
+    segment becomes the destination, both where they lie.
     """
     try:
         next_header, hdr_ext_len, routing_type, segments_left, last_entry = _SRH_HEAD(data, 6)
@@ -233,17 +232,18 @@ class EndT(Seg6LocalAction):
 def _decap(pkt: Packet, kind: str) -> Disposition | None:
     """End.DT6 / End.DX6 decapsulation, in place: a drop, or None once stripped.
 
-    Only a first routing header ``SRH.parse`` accepts can demand
-    ``segments_left == 0`` (a malformed one is a decap failure): the one
-    the End prologue would advance, which it is asked on a copy.
+    Only a first routing header :func:`~repro.net.srh.srh_wire_span`
+    accepts can demand ``segments_left == 0``; a malformed one is a decap
+    failure.
     """
     data = pkt.data
-    if (
-        len(data) > _AT_SEGMENTS_LEFT
-        and data[_AT_SEGMENTS_LEFT]
-        and _advance(bytearray(data)) is None
-    ):
-        return Disposition.drop(f"{kind} requires segments_left == 0")
+    if len(data) > _AT_SEGMENTS_LEFT and data[_AT_SEGMENTS_LEFT] and data[6] == PROTO_ROUTING:
+        try:
+            srh_wire_span(data, IPV6_HEADER_LEN)
+        except ValueError:
+            pass  # a malformed first SRH is decap_in_place's to report
+        else:
+            return Disposition.drop(f"{kind} requires segments_left == 0")
     reason = decap_in_place(data)
     if reason is not None:
         return Disposition.drop(f"decap failed: {reason}")
@@ -363,14 +363,10 @@ class EndBPF(Seg6LocalAction):
 
 
 def _revalidate(stats: dict, data: bytearray) -> Disposition | None:
-    """§3.1: the drop for an SRH the program left inconsistent, else None."""
+    """§3.1: the drop for a first routing header the program left inconsistent, else None."""
     if len(data) < IPV6_HEADER_LEN or data[6] != PROTO_ROUTING:
         return None
-    try:
-        span = srh_wire_span(data, IPV6_HEADER_LEN)
-    except ValueError:
-        return None  # no parseable SRH; nothing to revalidate
-    reason = validate_srh_wire(data, IPV6_HEADER_LEN, span)
+    reason = validate_srh_wire(data, IPV6_HEADER_LEN)
     if reason is None:
         return None
     stats["drop"] += 1

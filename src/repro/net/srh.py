@@ -43,40 +43,34 @@ OFF_FLAGS = 5
 OFF_TAG = 6
 
 
-def srh_wire_span(data, offset: int = 0) -> tuple[int, int]:
-    """(wire length, segment count) of the SRH at ``offset``.
+# The SRH's hdr_ext_len, routing_type, segments_left and last_entry, read
+# off its 8-byte fixed header in one go.
+_SPAN_FIELDS = struct.Struct("!xBBBB3x").unpack_from
 
-    Reads only the fixed-header bytes — no segment-list or TLV
-    materialisation — and raises ValueError on exactly the
-    malformations :meth:`SRH.parse` rejects before building segments.
-    Hot paths (helper bounds checks, post-run revalidation spans) use
-    this instead of a full parse.
+
+def srh_wire_span(data, offset: int = 0) -> tuple[int, int]:
+    """(wire length, segment count) of the SRH at ``offset``: the one accept rule.
+
+    Reads only the fixed header — no segment-list or TLV materialisation —
+    and raises ValueError, with the reason, for a header that is cut short,
+    is not routing type 4, overruns the packet, holds a segment list longer
+    than itself, or has ``segments_left > last_entry`` (Linux's
+    ``seg6_validate_srh`` less the TLV walk :func:`validate_srh_wire` adds).
     """
     if len(data) - offset < SRH_FIXED_LEN:
         raise ValueError("truncated SRH")
-    if data[offset + OFF_ROUTING_TYPE] != ROUTING_TYPE_SRH:
-        raise ValueError(
-            f"routing type {data[offset + OFF_ROUTING_TYPE]} is not an SRH"
-        )
-    total = (data[offset + OFF_HDR_EXT_LEN] + 1) * 8
+    hdr_ext_len, routing_type, segments_left, last_entry = _SPAN_FIELDS(data, offset)
+    if routing_type != ROUTING_TYPE_SRH:
+        raise ValueError(f"routing type {routing_type} is not an SRH")
+    total = (hdr_ext_len + 1) * 8
     if len(data) - offset < total:
         raise ValueError("SRH length exceeds packet")
-    nsegs = data[offset + OFF_LAST_ENTRY] + 1
-    if SRH_FIXED_LEN + SEGMENT_LEN * nsegs > total:
+    # The segment list fits the header: 8 + 16 (last_entry + 1) <= 8 (hdr_ext_len + 1).
+    if hdr_ext_len < 2 * last_entry + 2:
         raise ValueError("segment list exceeds SRH length")
-    return total, nsegs
-
-
-def srh_wire_len(data, offset: int = 0) -> int:
-    """Wire length of the SRH at ``offset``; ValueError exactly when :meth:`SRH.parse` raises.
-
-    Bytes this accepts can be spliced into a packet without a parse → pack round trip.
-    """
-    total, _ = srh_wire_span(data, offset)
-    segments_left, last_entry = data[offset + OFF_SEGMENTS_LEFT], data[offset + OFF_LAST_ENTRY]
     if segments_left > last_entry:
         raise ValueError(f"segments_left {segments_left} > last_entry {last_entry}")
-    return total
+    return total, last_entry + 1
 
 
 # TLV types.  Pad1/PadN are from RFC 8200; HMAC from RFC 8754.  The DM and
@@ -209,38 +203,20 @@ class SRH:
 
     @classmethod
     def parse(cls, data: bytes, offset: int = 0) -> "SRH":
-        """Parse and validate an SRH at ``offset``; raises ValueError when malformed."""
-        if len(data) - offset < SRH_FIXED_LEN:
-            raise ValueError("truncated SRH")
-        (
-            next_header,
-            hdr_ext_len,
-            routing_type,
-            segments_left,
-            last_entry,
-            flags,
-            tag,
-        ) = struct.unpack_from(">BBBBBBH", data, offset)
-        if routing_type != ROUTING_TYPE_SRH:
-            raise ValueError(f"routing type {routing_type} is not an SRH")
-        total = (hdr_ext_len + 1) * 8
-        if len(data) - offset < total:
-            raise ValueError("SRH length exceeds packet")
-        seg_bytes = SEGMENT_LEN * (last_entry + 1)
-        if SRH_FIXED_LEN + seg_bytes > total:
-            raise ValueError("segment list exceeds SRH length")
-        segments = [
-            bytes(data[offset + SRH_FIXED_LEN + i : offset + SRH_FIXED_LEN + i + 16])
-            for i in range(0, seg_bytes, 16)
-        ]
-        tlv_bytes = bytes(data[offset + SRH_FIXED_LEN + seg_bytes : offset + total])
+        """Build the SRH at ``offset``; raises what :func:`srh_wire_span` raises."""
+        total, nsegs = srh_wire_span(data, offset)
+        next_header, _, _, segments_left, last_entry, flags, tag = struct.unpack_from(
+            ">BBBBBBH", data, offset
+        )
+        at = offset + SRH_FIXED_LEN
+        segments = [bytes(data[at + SEGMENT_LEN * i : at + SEGMENT_LEN * (i + 1)]) for i in range(nsegs)]
         return cls(
             segments=segments,
             segments_left=segments_left,
             next_header=next_header,
             flags=flags,
             tag=tag,
-            tlv_bytes=tlv_bytes,
+            tlv_bytes=bytes(data[at + SEGMENT_LEN * nsegs : offset + total]),
             last_entry=last_entry,
         )
 
@@ -304,29 +280,18 @@ def make_controller_tlv(addr: bytes | str, port: int) -> Tlv:
     return Tlv(TLV_CONTROLLER, as_addr(addr) + struct.pack(">H", port))
 
 
-def validate_srh_bytes(data: bytes) -> SRH:
-    """§3.1 validation on objects: the reference :func:`validate_srh_wire` is tested against."""
-    srh = SRH.parse(data)
-    parse_tlvs(srh.tlv_bytes)  # malformed TLV areas raise
-    return srh
-
-
-def validate_srh_wire(data, offset: int = 0, span: tuple[int, int] | None = None) -> str | None:
+def validate_srh_wire(data, offset: int = 0) -> str | None:
     """§3.1 re-validation of the SRH at ``offset``, read where it lies.
 
-    None for a consistent header, else the reason — the text
-    :func:`validate_srh_bytes` raises for the same bytes.  A caller that
-    already holds :func:`srh_wire_span`'s result passes it as ``span``, and
-    the header is not walked again for it.
+    None for a consistent header, else the reason: :func:`srh_wire_span`'s
+    checks, then the TLV area's framing.
     """
     try:
-        total, nsegs = span or srh_wire_span(data, offset)
-        segments_left = data[offset + OFF_SEGMENTS_LEFT]
-        if segments_left >= nsegs:  # srh_wire_len's check, on the span in hand
-            return f"segments_left {segments_left} > last_entry {nsegs - 1}"
-        start = offset + SRH_FIXED_LEN + SEGMENT_LEN * nsegs
-        for _tlv in _walk_tlvs(data, start, offset + total):
-            pass
+        total, nsegs = srh_wire_span(data, offset)
+        if total > SRH_FIXED_LEN + SEGMENT_LEN * nsegs:  # no generator frame for no TLVs
+            start = offset + SRH_FIXED_LEN + SEGMENT_LEN * nsegs
+            for _tlv in _walk_tlvs(data, start, offset + total):
+                pass
     except ValueError as exc:
         return str(exc)
     return None

@@ -123,13 +123,8 @@ class DmDaemon:
         self.node.send(report)
 
     def start(self, scheduler: Scheduler, interval_ns: int = 1_000_000) -> None:
-        """Poll periodically inside a simulation."""
-
-        def tick() -> None:
-            self.poll()
-            scheduler.schedule(interval_ns, tick)
-
-        scheduler.schedule(interval_ns, tick)
+        """Poll every ``interval_ns`` on a daemon timer (a horizon-less run still returns)."""
+        scheduler.every(interval_ns, self.poll)
 
 
 @dataclass

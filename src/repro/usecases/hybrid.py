@@ -125,13 +125,13 @@ class TwdDaemon:
 
     # -- probing -------------------------------------------------------------
     def start(self) -> None:
-        """Begin periodic two-way-delay probing on the scheduler (§4.2)."""
+        """Probe now, then every interval on a daemon timer (§4.2)."""
         self.scheduler.schedule(0, self._tick)
+        self.scheduler.every(self.interval_ns, self._tick)
 
     def _tick(self) -> None:
         for link in (0, 1):
             self._send_probe(link)
-        self.scheduler.schedule(self.interval_ns, self._tick)
 
     def _send_probe(self, link: int) -> None:
         now = self.scheduler.now_ns

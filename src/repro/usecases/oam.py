@@ -85,12 +85,8 @@ class OampDaemon:
         self.node.send(reply)
 
     def start(self, scheduler: Scheduler, interval_ns: int = 1 * NS_PER_MS) -> None:
-        """Poll periodically inside a simulation."""
-        def tick() -> None:
-            self.poll()
-            scheduler.schedule(interval_ns, tick)
-
-        scheduler.schedule(interval_ns, tick)
+        """Poll every ``interval_ns`` on a daemon timer (a horizon-less run still returns)."""
+        scheduler.every(interval_ns, self.poll)
 
 
 @dataclass

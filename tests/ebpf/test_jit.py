@@ -286,8 +286,7 @@ def test_load_reached_with_two_value_offsets_stays_generic():
 
 
 def test_map_value_only_specialisation_needs_no_skb():
-    """Value buffers come from ``mem``: a bare context runs the specialised
-    function itself, with no generic variant compiled on the side."""
+    """Value buffers come from ``mem``: a bare context runs the specialised function."""
     from repro.ebpf import Memory
     from repro.ebpf.helpers import HelperContext
 
@@ -297,7 +296,6 @@ def test_map_value_only_specialisation_needs_no_skb():
     jitp = JitProgram(insns, regions={0: ("map_value", 0)})
     assert "_skb" not in jitp.source and "_load" not in jitp.source
     assert jitp.run(HelperContext(mem), addr, 0) == 7
-    assert jitp._generic_fn is jitp._fn
 
 
 def test_jit_is_faster_than_interpreter():

@@ -1,18 +1,17 @@
-"""The End prologue (`_advance`) against `SRH.parse`, the reference.
+"""The End prologue (`_advance`) against the RFC 8986 End behaviour in ``tests/spec/srv6.py``.
 
 The prologue reads the fixed SRH header off the packet and writes
 segments_left and the destination where they lie instead of parsing the
 header; these tests hold it, and every action that runs it, to the
-parser's exact accept/reject decisions over generated headers (a refused
-packet's bytes unchanged), and the advancing actions to their drop
-reasons on every class of malformed header.
+spec's accept/reject decisions and drop reasons over generated headers
+(a refused packet's bytes unchanged), and the advancing actions to their
+drop reasons on every class of malformed header.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.net import (
-    SRH,
     End,
     EndB6Encaps,
     EndBPF,
@@ -36,21 +35,9 @@ from repro.net.srh import (
     Tlv,
 )
 from repro.progs import end_prog
+from spec import srv6 as spec
 
 SRH_AT = IPV6_HEADER_LEN
-
-
-def reference_verdict(data: bytes):
-    """What the prologue must return, by way of the full parser."""
-    if len(data) < IPV6_HEADER_LEN or data[6] != PROTO_ROUTING:
-        return _V_NO_SRH
-    try:
-        srh = SRH.parse(data, SRH_AT)
-    except ValueError:
-        return _V_NO_SRH
-    if srh.segments_left == 0:
-        return _V_SL_ZERO
-    return srh.segments_left - 1, srh.segments[srh.segments_left - 1]
 
 
 def srv6_bytes(n_segments: int, tlv_len: int = 0) -> bytearray:
@@ -85,21 +72,17 @@ def generated_srv6(draw) -> bytearray:
 
 @settings(max_examples=600, deadline=None)
 @given(data=generated_srv6())
-def test_advance_matches_srh_parse(data):
-    """The prologue itself: the reference's verdict, applied in place or not at all."""
-    expected = reference_verdict(bytes(data))
+def test_advance_matches_the_spec(data):
+    """The prologue itself: the spec's verdict, applied in place or not at all."""
+    expected, why = spec.end(bytes(data))
     before = bytes(data)
     reason = _advance(data)
-    if expected is _V_NO_SRH or expected is _V_SL_ZERO:
-        assert reason is expected
+    if why is not None:
+        assert reason in (_V_NO_SRH, _V_SL_ZERO) and reason == spec.drop_text(why)
         assert data == before  # a refused packet is not half-advanced
         return
     assert reason is None
-    new_sl, new_dst = expected
-    rewritten = bytearray(before)
-    rewritten[SRH_AT + OFF_SEGMENTS_LEFT] = new_sl
-    rewritten[24:40] = new_dst
-    assert data == rewritten  # segments_left and the destination, every other byte untouched
+    assert data == expected  # segments_left and the destination, every other byte untouched
 
 
 def advancing_actions():
@@ -115,35 +98,31 @@ def advancing_actions():
 
 @settings(max_examples=400, deadline=None)
 @given(data=generated_srv6())
-def test_every_advancing_action_takes_srh_parse_decisions(data):
-    """Accept exactly what ``SRH.parse`` accepts, rewrite in place, leave a refused packet as it came."""
-    expected = reference_verdict(bytes(data))
+def test_every_advancing_action_takes_the_spec_decisions(data):
+    """Accept exactly what the spec's End accepts, rewrite in place, leave a refused packet as it came."""
+    expected, why = spec.end(bytes(data))
     node = Node("N")
     for action, prefix in advancing_actions():
         pkt = Packet(bytes(data))
         disposition = action.process(pkt, node)
-        if expected is _V_NO_SRH or expected is _V_SL_ZERO:
+        if why is not None:
             assert (disposition.action, disposition.reason, disposition.bpf) == (
-                "drop", prefix + expected, False
+                "drop", prefix + spec.drop_text(why), False
             ), action.kind
             assert pkt.data == data, action.kind  # a refused packet's bytes are unchanged
             continue
         assert disposition.action == "forward", action.kind
-        new_sl, new_dst = expected
-        rewritten = bytearray(data)
-        rewritten[SRH_AT + OFF_SEGMENTS_LEFT] = new_sl
-        rewritten[24:40] = new_dst
         if isinstance(action, EndB6Encaps):
-            assert pkt.data.endswith(rewritten) and len(pkt.data) > len(rewritten)
+            assert pkt.data == spec.end_b6_encaps(bytes(data), [pton("fc00:b6::1")], pton("fc00::b6"))[0]
         else:
-            assert pkt.data == rewritten, action.kind
+            assert pkt.data == expected, action.kind
 
 
 @settings(max_examples=300, deadline=None)
 @given(data=generated_srv6())
 def test_decap_refuses_exactly_what_the_prologue_would_advance(data):
     """End.DT6 / End.DX6 refuse a packet End would advance, and leave it untouched."""
-    would_advance = type(reference_verdict(bytes(data))) is tuple
+    would_advance = spec.end(bytes(data))[1] is None
     node = Node("N")
     for action in (EndDT6(table_id=254), EndDX6(nh6="fc00::9")):
         pkt = Packet(bytes(data))

@@ -2,7 +2,6 @@
 
 import pytest
 
-import reference_seg6 as ref
 from repro.net import (
     End,
     EndB6,
@@ -24,6 +23,7 @@ from repro.net import (
     push_srh_inline,
 )
 from repro.net.seg6 import decap_in_place
+from spec import srv6 as spec
 
 
 def plain_packet() -> bytes:
@@ -67,7 +67,11 @@ def test_inline_pop_roundtrip():
     original = plain_packet()
     srh = make_srh(["fc00::a", "fc00:2::2"], next_header=17)
     inserted = push_srh_inline(original, srh)
-    popped = ref.pop_srh(inserted)
+    # Pop by hand: the SRH's next header and length go back into the IPv6 header.
+    header = bytearray(inserted[:40])
+    header[6] = inserted[40]
+    header[4:6] = ((header[4] << 8 | header[5]) - srh.wire_len).to_bytes(2, "big")
+    popped = bytes(header) + inserted[40 + srh.wire_len :]
     # Destination was rewritten to the first segment by insertion; the
     # payload and structure must otherwise be intact.
     restored = Packet(popped)
@@ -195,7 +199,7 @@ def test_end_b6_encaps_advances_then_wraps(node):
     outer = Packet(bytes(pkt.data))
     assert outer.dst == pton("fc00::b1")
     assert outer.src == pton("fc00:e::1")
-    inner = ref.decap_outer(bytes(pkt.data))
+    inner, _reason = spec.decapsulate(bytes(pkt.data))
     assert Packet(inner).dst == pton("fc00:2::2")  # advanced before encap
 
 
@@ -254,6 +258,7 @@ def test_end_b6_actions_drop_an_oversize_packet(node):
         "drop",
         "End.B6: payload length 65575 exceeds 65535",
     )
+    assert disposition.reason == spec.drop_text(spec.end_b6(before, [pton("fc00::b1")])[1])
     assert bytes(pkt.data) == before
 
     disposition = EndB6Encaps(segments=["fc00::b1"], source="fc00:e::1").process(jumbo_srv6(), node)
@@ -261,3 +266,5 @@ def test_end_b6_actions_drop_an_oversize_packet(node):
         "drop",
         "End.B6.Encaps: payload length 65599 exceeds 65535",
     )
+    expected = spec.end_b6_encaps(before, [pton("fc00::b1")], pton("fc00:e::1"))[1]
+    assert disposition.reason == spec.drop_text(expected)

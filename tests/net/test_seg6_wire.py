@@ -1,24 +1,26 @@
-"""The wire-byte SRv6 transforms against their object-based reference.
+"""The wire-byte SRv6 transforms against the RFC 8754 / 8986 spec.
 
 ``repro.net.seg6`` and the seg6 helpers validate and splice raw header
-bytes; ``reference_seg6.py`` keeps the parse → edit → pack bodies they
-replaced.  Over generated headers, outer chains and packets the two must
-agree byte for byte, return code for return code and drop reason for
-drop reason (the ``test_end_prologue.py`` pattern).
+bytes; ``tests/spec/srv6.py`` writes the same behaviours out from the RFC
+text, sharing no code with them.  Over generated headers, outer chains
+and packets the two must agree byte for byte, return code for return
+code and drop reason for drop reason (the ``test_end_prologue.py``
+pattern).
 """
 
+import functools
 import struct
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import reference_seg6 as ref
 from repro.ebpf import Program
 from repro.ebpf.context import OFF_DATA_END, OFF_LEN
 from repro.ebpf.helpers import HELPERS_BY_ID
 from repro.ebpf.memory import PACKET_BASE, STACK_BASE
 from repro.net import (
     SRH,
+    EndB6,
     EndDT6,
     EndDX6,
     Node,
@@ -43,9 +45,9 @@ from repro.net.srh import (
     OFF_SEGMENTS_LEFT,
     Tlv,
     srh_wire_span,
-    validate_srh_bytes,
     validate_srh_wire,
 )
+from spec import srv6 as spec
 
 SOURCE = pton("fc00:e::1")
 _PROGRAM = Program("r0 = 0\nexit")  # only its guest address space is used
@@ -54,24 +56,50 @@ addresses = st.binary(min_size=16, max_size=16)
 # Either "leave the field alone" or a replacement byte, biased to the
 # small values that land near the accept/reject boundaries.
 _field = st.one_of(st.none(), st.none(), st.integers(0, 12), st.integers(0, 255))
+# The generators' fixed strategies, built once: hypothesis validates a
+# strategy on every draw from a new one.
+_byte = st.integers(0, 255)
+_routing_type = st.one_of(st.none(), st.none(), _byte)
+_segment_count = st.integers(1, 4)
+_segments_left = {n: st.integers(0, n - 1) for n in range(1, 5)}
+# Next header, flags, the 2-byte tag and n segments, in one draw.
+_header_fields = {n: st.binary(min_size=4 + 16 * n, max_size=4 + 16 * n) for n in range(1, 5)}
+_tlv_len = st.sampled_from([0, 0, 8, 16])
+_tlv_piece = st.sampled_from([b"\x00", b"\x04\x00", b"\x04\x02\x00\x00", b"\x0a\x06abcdef", b"\x80\x09" + bytes(9)])
+_tlv_count = st.integers(0, 4)
+_hits = st.integers(0, 2)
+_hit = st.one_of(st.integers(0, 12), _byte)
+
+
+@functools.cache
+def _index(low: int, high: int):
+    """``st.integers(low, high)``, built once per range."""
+    return st.integers(low, high)
+
+
+@functools.cache
+def _maybe_index(high: int):
+    """``None`` two times in three, else ``0 .. high``; built once per ``high``."""
+    return st.one_of(st.none(), st.none(), st.integers(0, high))
 
 
 @st.composite
 def raw_headers(draw):
     """A packed SRH (1-4 segments, optional TLV tail), then maybe broken."""
-    n = draw(st.integers(1, 4))
-    tlv_len = draw(st.sampled_from([0, 0, 8, 16]))
+    n = draw(_segment_count)
+    tlv_len = draw(_tlv_len)
+    fields = draw(_header_fields[n])
     srh = SRH(
-        segments=[draw(addresses) for _ in range(n)],
-        segments_left=draw(st.integers(0, n - 1)),
-        next_header=draw(st.integers(0, 255)),
-        flags=draw(st.integers(0, 255)),
-        tag=draw(st.integers(0, 0xFFFF)),
+        segments=[fields[at : at + 16] for at in range(4, 4 + 16 * n, 16)],
+        segments_left=draw(_segments_left[n]),
+        next_header=fields[0],
+        flags=fields[1],
+        tag=int.from_bytes(fields[2:4], "big"),
         tlv_bytes=bytes([4, tlv_len - 2]) + bytes(tlv_len - 2) if tlv_len else b"",
     )
     raw = bytearray(srh.pack())
     for offset, value in (
-        (OFF_ROUTING_TYPE, draw(st.one_of(st.none(), st.none(), st.integers(0, 255)))),
+        (OFF_ROUTING_TYPE, draw(_routing_type)),
         (OFF_HDR_EXT_LEN, draw(_field)),
         (OFF_LAST_ENTRY, draw(_field)),
         (OFF_SEGMENTS_LEFT, draw(_field)),
@@ -79,10 +107,13 @@ def raw_headers(draw):
         if value is not None:
             raw[offset] = value
     # hdr_len shorter or longer than the header says it is.
-    resize = draw(st.one_of(st.none(), st.none(), st.integers(0, len(raw) + 24)))
+    resize = draw(_maybe_index(len(raw) + 24))
     if resize is not None:
         raw = (raw + bytes(24))[:resize]
     return bytes(raw)
+
+
+_raw_headers = raw_headers()
 
 
 @st.composite
@@ -168,8 +199,8 @@ def call_helper(helper_id: int, packet: bytes, hook: str, arg: int, buffer: byte
     packet=packets(),
     encap_type=st.sampled_from([BPF_LWT_ENCAP_SEG6, BPF_LWT_ENCAP_SEG6_INLINE, 2]),
 )
-def test_lwt_push_encap_matches_reference(raw, packet, encap_type):
-    expected_code, expected_packet = ref.lwt_push_encap(packet, SOURCE, encap_type, raw)
+def test_lwt_push_encap_matches_the_spec(raw, packet, encap_type):
+    expected_code, expected_packet = spec.push_encap(packet, SOURCE, encap_type, raw)
     code, hctx = call_helper(73, packet, "lwt_out", encap_type, raw)
     assert code == expected_code
     assert packet_state(hctx) == (expected_packet, len(expected_packet), len(expected_packet))
@@ -202,12 +233,12 @@ def test_lwt_push_encap_edits_the_buffer_where_it_lies(case, encap_type):
     code = HELPERS_BY_ID[73](hctx, hctx.skb.ctx_addr, encap_type, STACK_BASE, len(raw))
     assert hctx.skb.packet_region.data is buffer
     if case == "ok":
-        assert code == ref.OK
-        expected = ref.lwt_push_encap(packet, SOURCE, encap_type, raw)[1]
+        assert code == spec.OK
+        expected = spec.push_encap(packet, SOURCE, encap_type, raw)[1]
         assert packet_state(hctx) == (expected, len(expected), len(expected))
         assert len(expected) == len(packet) + len(raw) + (40 if encap_type == BPF_LWT_ENCAP_SEG6 else 0)
     else:
-        assert code == ref.ERR
+        assert code == spec.EINVAL
         assert packet_state(hctx) == (packet, len(packet), len(packet))
 
 
@@ -217,16 +248,9 @@ def test_lwt_push_encap_edits_the_buffer_where_it_lies(case, encap_type):
     packet=packets(),
     action=st.sampled_from([SEG6_LOCAL_ACTION_END_B6, SEG6_LOCAL_ACTION_END_B6_ENCAP]),
 )
-def test_lwt_seg6_action_b6_matches_reference(raw, packet, action):
+def test_lwt_seg6_action_b6_matches_the_spec(raw, packet, action):
     """End.B6 / End.B6.Encaps take the header's own length, not ``param_len``."""
-    try:
-        srh = SRH.parse(raw)
-        if action == SEG6_LOCAL_ACTION_END_B6:
-            expected = ref.OK, ref.push_srh_inline(packet, srh)
-        else:
-            expected = ref.OK, ref.push_outer_encap(packet, SOURCE, srh)
-    except ValueError:
-        expected = ref.ERR, packet
+    expected = spec.seg6_action_b6(packet, SOURCE, action == SEG6_LOCAL_ACTION_END_B6_ENCAP, raw)
     code, hctx = call_helper(76, packet, "seg6local", action, raw)
     assert (code, packet_state(hctx)[0]) == expected
     assert packet_state(hctx)[1:] == (len(expected[1]), len(expected[1]))
@@ -247,15 +271,15 @@ def srv6_packet(nsegs: int, tlv_len: int, payload_length: int | None = None) -> 
 
 
 def check_adjust_srh(packet: bytes, offset: int, delta: int) -> int:
-    """Run the helper; packet bytes, ctx ``len`` and ``data_end`` must be the reference's."""
-    expected_code, expected_packet = ref.adjust_srh(packet, offset, delta)
+    """Run the helper; packet bytes, ctx ``len`` and ``data_end`` must be the spec's."""
+    expected_code, expected_packet = spec.adjust_srh(packet, offset, delta)
     hctx = helper_context(packet, "seg6local")
     buffer = hctx.skb.packet_region.data
     code = HELPERS_BY_ID[75](hctx, hctx.skb.ctx_addr, offset & (2**64 - 1), delta & (2**64 - 1))
     assert code == expected_code
     assert packet_state(hctx) == (expected_packet, len(expected_packet), len(expected_packet))
     assert hctx.skb.packet_region.data is buffer  # resized where it lies, never rebound
-    assert bool(hctx.metadata.get("srh_modified")) is (code == ref.OK and delta != 0)
+    assert bool(hctx.metadata.get("srh_modified")) is (code == spec.OK and delta != 0)
     return code
 
 
@@ -284,7 +308,7 @@ def check_adjust_srh(packet: bytes, offset: int, delta: int) -> int:
     ],
 )  # fmt: skip
 def test_adjust_srh_einval_leaves_packet_and_ctx_untouched(packet, offset, delta):
-    assert check_adjust_srh(packet, offset, delta) == ref.ERR
+    assert check_adjust_srh(packet, offset, delta) == spec.EINVAL
 
 
 @settings(max_examples=500, deadline=None)
@@ -295,7 +319,7 @@ def test_adjust_srh_einval_leaves_packet_and_ctx_untouched(packet, offset, delta
     eighths=st.integers(-5, 5).filter(bool),
     delta=st.one_of(st.none(), st.none(), st.integers(-40, 40), st.sampled_from([2048, -2048])),
 )
-def test_adjust_srh_matches_reference(shape, payload_length, data, eighths, delta):
+def test_adjust_srh_matches_the_spec(shape, payload_length, data, eighths, delta):
     nsegs, tlv_len = shape
     packet = srv6_packet(nsegs, tlv_len, payload_length)
     # Mostly inside the TLV area with a multiple of 8, so successes are as common as refusals.
@@ -306,47 +330,36 @@ def test_adjust_srh_matches_reference(shape, payload_length, data, eighths, delt
 # --- §3.1 re-validation on wire bytes ---------------------------------------------------------
 
 
-def validation_verdicts(raw: bytes) -> tuple[str | None, str | None]:
-    """(object-level, wire-level) reason for ``raw``, None where it validates."""
-    try:
-        validate_srh_bytes(raw)
-        expected = None
-    except ValueError as exc:
-        expected = str(exc)
-    # The wire validator reads the header where it lies in a packet, and
-    # says the same when handed the span the datapath located first.
-    data = bytes(40) + raw
-    got = validate_srh_wire(data, 40)
-    try:
-        assert validate_srh_wire(data, 40, srh_wire_span(data, 40)) == got
-    except ValueError:
-        pass  # no span: the datapath does not re-validate
-    return expected, got
-
-
 @st.composite
 def raw_headers_with_tlvs(draw):
     """:func:`raw_headers` with a real TLV tail whose type / length bytes get hit too."""
-    raw = bytearray(draw(raw_headers()))
-    tail = b"".join(
-        draw(st.sampled_from([b"\x00", b"\x04\x00", b"\x04\x02\x00\x00", b"\x0a\x06abcdef", b"\x80\x09" + bytes(9)]))
-        for _ in range(draw(st.integers(0, 4)))
-    )
+    raw = bytearray(draw(_raw_headers))
+    tail = b"".join(draw(_tlv_piece) for _ in range(draw(_tlv_count)))
     tail += bytes(-len(tail) % 8)
     if tail and len(raw) >= 8 and draw(st.booleans()):
         raw += tail
         raw[OFF_HDR_EXT_LEN] = min(255, raw[OFF_HDR_EXT_LEN] + len(tail) // 8)
-    for _ in range(draw(st.integers(0, 2))):
+    for _ in range(draw(_hits)):
         if len(raw) > 8:
-            raw[draw(st.integers(8, len(raw) - 1))] = draw(st.one_of(st.integers(0, 12), st.integers(0, 255)))
+            raw[draw(_index(8, len(raw) - 1))] = draw(_hit)
     return bytes(raw)
 
 
 @settings(max_examples=1500, deadline=None)
 @given(raw=raw_headers_with_tlvs())
-def test_validate_srh_wire_matches_object_validation(raw):
-    expected, got = validation_verdicts(raw)
-    assert got == expected
+def test_the_srh_rule_matches_the_spec(raw):
+    """``srh_wire_span`` is the spec's rule without the TLV walk, ``validate_srh_wire``
+    the rule with it, each read where the header lies in a packet, each with its reason."""
+    data = bytes(40) + raw
+    reason = spec.srh_reason(raw, tlvs=False)
+    try:
+        span = srh_wire_span(data, 40)
+    except ValueError as exc:
+        assert reason is not None and str(exc) == spec.drop_text(reason)
+    else:
+        assert reason is None and span == (8 * (raw[1] + 1), raw[4] + 1)
+    reason = spec.srh_reason(raw)
+    assert validate_srh_wire(data, 40) == (None if reason is None else spec.drop_text(reason))
 
 
 # --- decapsulation ----------------------------------------------------------------------------
@@ -354,20 +367,22 @@ def test_validate_srh_wire_matches_object_validation(raw):
 
 @settings(max_examples=600, deadline=None)
 @given(data=outer_chains())
-def test_end_decap_matches_reference(data):
+def test_end_decap_matches_the_spec(data):
     node = Node("N")
     for kind, action in (("End.DT6", EndDT6(table_id=254)), ("End.DX6", EndDX6(nh6="fc00::66"))):
         pkt = Packet(data)
         disposition = action.process(pkt, node)
-        assert (disposition.action, disposition.reason, bytes(pkt.data)) == ref.end_decap(kind, data)
+        inner, reason = spec.end_decap(data, kind)
+        expected = ("forward", "", inner) if reason is None else ("drop", spec.drop_text(reason), data)
+        assert (disposition.action, disposition.reason, bytes(pkt.data)) == expected
         if disposition.action == "forward":
             assert (disposition.table_id, disposition.nh6) in ((254, None), (None, pton("fc00::66")))
 
-    expected_code, expected_packet = ref.action_end_dt6(data)
+    expected_code, expected_packet = spec.seg6_action_dt6(data)
     code, hctx = call_helper(76, data, "seg6local", SEG6_LOCAL_ACTION_END_DT6, (254).to_bytes(4, "little"))
     assert code == expected_code
     assert packet_state(hctx) == (expected_packet, len(expected_packet), len(expected_packet))
-    assert hctx.metadata.get("redirect_table") == (254 if code == ref.OK else None)
+    assert hctx.metadata.get("redirect_table") == (254 if code == spec.OK else None)
 
 
 # --- transit behaviours --------------------------------------------------------------------
@@ -379,17 +394,33 @@ def test_end_decap_matches_reference(data):
     mode=st.sampled_from(["encap", "inline"]),
     packet=packets(),
 )
-def test_seg6encap_apply_matches_reference(segments, mode, packet):
+def test_seg6encap_apply_matches_the_spec(segments, mode, packet):
+    """The route's T.Insert appends the packet's destination to the path; T.Encaps does not."""
     encap = Seg6Encap(segments=list(segments), mode=mode)
-    try:
-        expected = ref.seg6encap_apply(segments, mode, packet, SOURCE)
-    except ValueError as exc:
+    expected, reason = None, spec.ipv6_reason(packet)
+    if reason is None and mode == "inline":
+        expected, reason = spec.t_insert(packet, spec.srh_bytes([*segments, packet[24:40]], packet[6]))
+    elif reason is None:
+        expected, reason = spec.t_encaps(packet, SOURCE, spec.srh_bytes(segments, 41))
+    if reason is not None:
         with pytest.raises(ValueError) as caught:
             encap.apply(packet, SOURCE)
-        assert str(caught.value) == str(exc)
+        assert str(caught.value) == spec.drop_text(reason)
         return
     assert encap.apply(packet, SOURCE) == expected
     assert encap.apply(packet, SOURCE) == expected  # nothing consumed by the first call
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    policy=st.lists(addresses, min_size=1, max_size=3),
+    packet=packets().filter(lambda data: len(data) >= 40 and data[0] >> 4 == 6),
+)
+def test_end_b6_matches_the_spec(policy, packet):
+    """End.B6 inserts the policy's SRH, the packet's destination last, without an advance."""
+    pkt = Packet(packet)
+    disposition = EndB6(segments=list(policy)).process(pkt, Node("N"))
+    assert (disposition.action, bytes(pkt.data)) == ("forward", spec.end_b6(packet, policy)[0])
 
 
 @settings(max_examples=200, deadline=None)
@@ -399,14 +430,11 @@ def test_seg6encap_apply_matches_reference(segments, mode, packet):
     tag=st.integers(0, 0xFFFF),
     packet=packets().filter(lambda data: len(data) >= 40 and data[0] >> 4 == 6),
 )
-def test_object_adapters_match_reference(path, tlv_len, tag, packet):
-    """``push_outer_encap`` / ``push_srh_inline`` on an SRH object, TLVs included."""
-
-    def srh():
-        tlvs = [Tlv(0x80, bytes(tlv_len))] if tlv_len else None
-        return make_srh(list(path), next_header=59, tlvs=tlvs, tag=tag)
-
-    assert push_outer_encap(packet, SOURCE, srh(), hop_limit=9) == ref.push_outer_encap(
-        packet, SOURCE, srh(), hop_limit=9
-    )
-    assert push_srh_inline(packet, srh()) == ref.push_srh_inline(packet, srh())
+def test_object_adapters_match_the_spec(path, tlv_len, tag, packet):
+    """``make_srh`` lays the SRH out as RFC 8754 §2 does, and ``push_outer_encap`` /
+    ``push_srh_inline`` take the object as they take its bytes, TLVs included."""
+    srh = make_srh(list(path), next_header=59, tlvs=[Tlv(0x80, bytes(tlv_len))] if tlv_len else None, tag=tag)
+    raw = spec.srh_bytes(path, 59, tlvs=bytes([0x80, tlv_len]) + bytes(tlv_len) if tlv_len else b"", tag=tag)
+    assert srh.pack() == raw
+    assert push_outer_encap(packet, SOURCE, srh, hop_limit=9) == spec.t_encaps(packet, SOURCE, raw, hop_limit=9)[0]
+    assert push_srh_inline(packet, srh) == spec.t_insert(packet, raw)[0]

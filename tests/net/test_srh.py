@@ -10,7 +10,6 @@ from repro.net import (
     make_dm_tlv,
     make_srh,
     pton,
-    validate_srh_bytes,
 )
 from repro.net.srh import (
     TLV_CONTROLLER,
@@ -19,7 +18,9 @@ from repro.net.srh import (
     TLV_PADN,
     pad_tlvs,
     parse_tlvs,
+    validate_srh_wire,
 )
+from spec import srv6 as spec
 
 
 def test_make_srh_path_order():
@@ -152,17 +153,17 @@ def test_srh_without_tlvs_has_no_tlv_area():
     assert srh.hdr_ext_len == 2  # one segment: 16 bytes past the first 8
 
 
-def test_validate_srh_bytes_rejects_bad_tlv_area():
+def test_validate_srh_wire_rejects_bad_tlv_area():
     srh = make_srh(["fc00::a"], next_header=59, tlvs=[Tlv(10, b"abcdef")])
     raw = bytearray(srh.pack())
     raw[8 + 16 + 1] = 200  # corrupt the TLV length
-    with pytest.raises(ValueError):
-        validate_srh_bytes(bytes(raw))
+    assert validate_srh_wire(raw) == "TLV value exceeds TLV area"
+    assert SRH.parse(raw).tlv_bytes == raw[24:]  # the object is built without a TLV walk
 
 
-def test_validate_srh_bytes_accepts_valid():
-    srh = make_srh(["fc00::a", "fc00::b"], next_header=41)
-    assert validate_srh_bytes(srh.pack()).segments_left == 1
+def test_validate_srh_wire_accepts_valid():
+    srh = make_srh(["fc00::a", "fc00::b"], next_header=41, tlvs=[make_dm_tlv(7)])
+    assert validate_srh_wire(srh.pack()) is None
 
 
 @given(
@@ -176,6 +177,7 @@ def test_srh_roundtrip_property(n_segments, tag, flags, next_header, tlv_payload
     path = [pton(f"fc00::{i + 1}") for i in range(n_segments)]
     tlvs = [Tlv(10, tlv_payload)] if tlv_payload else []
     srh = make_srh(path, next_header=next_header, tlvs=tlvs, tag=tag, flags=flags)
+    assert spec.srh_reason(srh.pack()) is None  # make_srh writes what the RFC accepts
     parsed = SRH.parse(srh.pack())
     assert parsed.pack() == srh.pack()
     assert parsed.current_segment == path[0]

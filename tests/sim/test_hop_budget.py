@@ -39,9 +39,11 @@ own; 9 when every program's arm reset everything and ``run_attached``
 read the mark back; 13 with the ``Program.run`` / ``JitProgram.run`` /
 ``HelperContext.rearm`` frames) — so the next layer someone adds to it
 shows up as a number.  Two programs that call helpers have one each:
-Tag++ 17 (16; 18 with ``arm``; 24 while the JIT called every helper
-through ``Helper.__call__``, called ``_bswap`` for its two byte swaps,
-and the §3.1 re-validation located the SRH twice more) and Add TLV 25
+Tag++ 15 (16 while the §3.1 re-validation located the SRH with
+``srh_wire_span`` before ``validate_srh_wire`` read it again; 17 when
+that budget was set; 18 with ``arm``; 24 while the JIT called every
+helper through ``Helper.__call__``, called ``_bswap`` for its two byte
+swaps, and the re-validation located the SRH twice more) and Add TLV 25
 (24; 26; 31).
 
 One packet of a 256-packet ``make_fig2_router`` batch has a call and a
@@ -81,18 +83,22 @@ value, and the encapsulation went through ``push_outer_encap`` and a
 copy back; 40 with the mark read-back of a program that never writes
 it; 45 before the single invocation path; the SRH / IPv6 dataclass
 round trips and the generic ``Memory`` walk read 110), one ``End.DT6``
-on its encapsulation (6: 5; 25 with two parses and two packet copies),
-and one delivered packet of the ledger-shaped Setup 2 (126: 125.5 with
-the lookups inline; 149.9 with the helper; 151.8 with ``arm``; 203.5
+on its encapsulation (4: 5 while ``decap_in_place`` called
+``srh_wire_len``, which called ``srh_wire_span``, per SRH; 6 when that
+budget was set; 25 with two parses and two packet copies), and one
+delivered packet of the ledger-shaped Setup 2 (124: 123.9 with one SRH
+rule; 125.5 with the lookups inline; 149.9 with the helper; 151.8 with ``arm``; 203.5
 before the batch-of-one path; 228.5 before the one handoff per hop;
 232.6 while every arrival entered ``_run_pipeline``; 259.5 while each
 TCP segment and ACK was built by ``make_tcp_packet`` and parsed from a
 copy; 280.1 before exact-arity helper calls; 283.3; 285.2; 294.6;
 445.7).  The WRR decision and the Setup 2 packet have bytecode budgets
-per minor version too, set at the counts with the lookups inline: one
-decision 979 on 3.11 and 918 on 3.12 (1 496 and 1 388 with the
-helper), one delivered Setup 2 packet 8 832 on 3.11 (8 831.2; 9 800.9
-with the helper) and 8 161 on 3.12 (8 160.9; 9 052.8).
+per minor version too, set at the counts with one SRH rule: one
+decision 973 on 3.11 and 910 on 3.12 (979 and 918 while the pushed
+SRH went through ``srh_wire_len``; 1 496 and 1 388 with the helper),
+one delivered Setup 2 packet 8 782 on 3.11 (8 781.6; 8 831.2 before
+the one rule; 9 800.9 with the helper) and 8 108 on 3.12 (8 107.5;
+8 160.9; 9 052.8).
 
 The TCP endpoints have one each, with ``node.send`` stubbed: an in-order
 data segment through ``TcpReceiver._on_segment`` up to and including
@@ -121,12 +127,12 @@ from repro.usecases import deploy_hybrid_access, install_wrr
 CALLS_PER_PACKET_BUDGET = 29
 BYTECODES_PER_PACKET_BUDGET = {(3, 11): 2315, (3, 12): 2210}
 CALLS_PER_SCALAR_END_BPF_BUDGET = 5
-CALLS_PER_SCALAR_HELPER_PROGRAM_BUDGET = {"tag_increment": 17, "add_tlv": 25}
+CALLS_PER_SCALAR_HELPER_PROGRAM_BUDGET = {"tag_increment": 15, "add_tlv": 25}
 CALLS_PER_WRR_DECISION_BUDGET = 14
-BYTECODES_PER_WRR_DECISION_BUDGET = {(3, 11): 979, (3, 12): 918}
-CALLS_PER_END_DT6_BUDGET = 6
-CALLS_PER_SETUP2_PACKET_BUDGET = 126
-BYTECODES_PER_SETUP2_PACKET_BUDGET = {(3, 11): 8832, (3, 12): 8161}
+BYTECODES_PER_WRR_DECISION_BUDGET = {(3, 11): 973, (3, 12): 910}
+CALLS_PER_END_DT6_BUDGET = 4
+CALLS_PER_SETUP2_PACKET_BUDGET = 124
+BYTECODES_PER_SETUP2_PACKET_BUDGET = {(3, 11): 8782, (3, 12): 8108}
 CALLS_PER_TCP_DATA_SEGMENT_BUDGET = 8
 CALLS_PER_TCP_NEW_ACK_BUDGET = 20
 CALLS_PER_FIG2_PACKET_BUDGET = {"baseline_ipv6": 1.5, "end_static": 4.5, "end_t_static": 6.5, "end_bpf": 6.5}

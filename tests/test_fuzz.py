@@ -28,7 +28,9 @@ from repro.ebpf import (
 )
 from repro.ebpf.errors import AsmError, BpfError
 from repro.ebpf.vm import Interpreter
-from repro.net import IPv6Header, Packet, SRH, validate_srh_bytes
+from repro.net import IPv6Header, Packet, SRH
+from repro.net.srh import validate_srh_wire
+from spec import srv6 as spec
 from repro.net.srh import parse_tlvs
 
 PKT = b"\x60" + b"\x00" * 63
@@ -195,10 +197,13 @@ def test_easm_programs_agree_across_engines_including_helper_traces(lines):
 @settings(max_examples=300, deadline=None)
 @given(data=st.binary(max_size=120))
 def test_srh_parser_never_crashes(data):
+    reason = spec.srh_reason(data, tlvs=False)
     try:
         srh = SRH.parse(data)
-    except ValueError:
+    except ValueError as exc:
+        assert reason is not None and str(exc) == spec.drop_text(reason)
         return
+    assert reason is None
     # Successfully parsed SRHs re-serialise to the bytes they came from.
     assert srh.pack() == data[: srh.wire_len]
 
@@ -252,8 +257,6 @@ def test_end_bpf_survives_wire_garbage(data):
 
 @settings(max_examples=100, deadline=None)
 @given(data=st.binary(max_size=150))
-def test_validate_srh_bytes_never_crashes(data):
-    try:
-        validate_srh_bytes(data)
-    except ValueError:
-        pass
+def test_validate_srh_wire_never_crashes(data):
+    reason = spec.srh_reason(data)
+    assert validate_srh_wire(data) == (None if reason is None else spec.drop_text(reason))
