@@ -175,6 +175,8 @@ class SRH:
         total = SRH_FIXED_LEN + SEGMENT_LEN * len(self.segments) + len(self.tlv_bytes)
         if total % 8:
             raise ValueError("SRH length must be a multiple of 8 octets")
+        if total > 8 * 256:
+            raise ValueError(f"SRH of {total} bytes exceeds hdr_ext_len 255 (2048 bytes)")
 
     # -- wire format ---------------------------------------------------------
     @property

@@ -26,7 +26,7 @@ from ..ebpf import ArrayMap, PerfEventArrayMap
 from ..net.addr import as_addr, ntop
 from ..net.lwt_bpf import BpfLwt
 from ..net.node import Node
-from ..net.packet import Packet, make_udp_packet
+from ..net.packet import Packet
 from ..net.seg6local import EndBPF
 from ..net.udp import UDP_HEADER_LEN
 from ..progs import (
@@ -36,7 +36,7 @@ from ..progs import (
     dm_encap_prog,
     end_dm_prog,
 )
-from ..sim.scheduler import Scheduler
+from .relay import PerfRelay
 
 REPORT_FORMAT = "<QQB"  # tx_ns, rx_ns, kind
 REPORT_SIZE = struct.calcsize(REPORT_FORMAT)
@@ -80,51 +80,21 @@ class DelayCollector:
         return sum(s.delay_ns for s in self.samples) / len(self.samples)
 
 
-class DmDaemon:
+class DmDaemon(PerfRelay):
     """User-space daemon on the End.DM router (the paper's bcc daemon).
 
-    Polls the perf ring and relays every event to the controller address
-    carried *in the event itself* (which the eBPF program copied from the
-    probe's controller TLV) as one UDP datagram.
+    Relays every event to the controller address carried *in the event
+    itself* (which the eBPF program copied from the probe's controller TLV)
+    as one UDP datagram.
     """
 
-    def __init__(
-        self,
-        node: Node,
-        events: PerfEventArrayMap,
-        src_port: int = 8878,
-    ):
-        self.node = node
-        self.events = events
-        self.src_port = src_port
-        self.relayed = 0
+    src_port = 8878
 
-    def poll(self) -> int:
-        """Drain pending events; returns how many were relayed."""
-        count = 0
-        for cpu in range(self.events.max_entries):
-            for record in self.events.ring(cpu).drain():
-                self._relay(DmEvent.parse(record))
-                count += 1
-        self.relayed += count
-        return count
-
-    def _relay(self, event: DmEvent) -> None:
-        payload = struct.pack(
-            REPORT_FORMAT, event.tx_timestamp_ns, event.rx_timestamp_ns, event.kind
-        )
-        report = make_udp_packet(
-            self.node.primary_address(),
-            event.controller,
-            self.src_port,
-            event.port,
-            payload,
-        )
-        self.node.send(report)
-
-    def start(self, scheduler: Scheduler, interval_ns: int = 1_000_000) -> None:
-        """Poll every ``interval_ns`` on a daemon timer (a horizon-less run still returns)."""
-        scheduler.every(interval_ns, self.poll)
+    def reply(self, record: bytes) -> tuple[bytes, int, bytes]:
+        """The delay report for one End.DM event, to its controller."""
+        event = DmEvent.parse(record)
+        payload = struct.pack(REPORT_FORMAT, event.tx_timestamp_ns, event.rx_timestamp_ns, event.kind)
+        return event.controller, event.port, payload
 
 
 @dataclass

@@ -34,6 +34,7 @@ from ..net.srh import make_controller_tlv, make_srh
 from ..net.udp import UDP_HEADER_LEN, build_udp
 from ..progs import OampEvent, end_oamp_prog
 from ..sim.scheduler import NS_PER_MS, Scheduler
+from .relay import PerfRelay
 
 TRACEROUTE_BASE_PORT = 33434
 OAMP_REPLY_MAGIC = b"OAMP"
@@ -49,44 +50,20 @@ def install_end_oamp(
     return events, action
 
 
-class OampDaemon:
+class OampDaemon(PerfRelay):
     """Relays End.OAMP perf events to the prober as UDP replies.
 
     Reply payload: ``b"OAMP"`` + target (16) + count (u32 LE) + count×16
     bytes of nexthop addresses.
     """
 
-    def __init__(self, node: Node, events: PerfEventArrayMap, src_port: int = 8891):
-        self.node = node
-        self.events = events
-        self.src_port = src_port
-        self.relayed = 0
+    src_port = 8891
 
-    def poll(self) -> int:
-        """Drain pending OAM events and answer each query (§4.3)."""
-        count = 0
-        for cpu in range(self.events.max_entries):
-            for record in self.events.ring(cpu).drain():
-                self._relay(OampEvent.parse(record))
-                count += 1
-        self.relayed += count
-        return count
-
-    def _relay(self, event: OampEvent) -> None:
-        payload = (
-            OAMP_REPLY_MAGIC
-            + event.target
-            + struct.pack("<I", len(event.nexthops))
-            + b"".join(event.nexthops)
-        )
-        reply = make_udp_packet(
-            self.node.primary_address(), event.prober, self.src_port, event.port, payload
-        )
-        self.node.send(reply)
-
-    def start(self, scheduler: Scheduler, interval_ns: int = 1 * NS_PER_MS) -> None:
-        """Poll every ``interval_ns`` on a daemon timer (a horizon-less run still returns)."""
-        scheduler.every(interval_ns, self.poll)
+    def reply(self, record: bytes) -> tuple[bytes, int, bytes]:
+        """Answer one OAM query (§4.3): the target's ECMP nexthops, to the prober."""
+        event = OampEvent.parse(record)
+        count = struct.pack("<I", len(event.nexthops))
+        return event.prober, event.port, OAMP_REPLY_MAGIC + event.target + count + b"".join(event.nexthops)
 
 
 @dataclass

@@ -85,6 +85,15 @@ def test_decap_requires_inner_ipv6():
     assert data == plain_packet()
 
 
+def test_end_b6_drops_a_policy_whose_srh_would_overflow_hdr_ext_len():
+    """127 policy segments plus the packet's destination make 128: one more than the field holds."""
+    pkt = Packet(plain_packet())
+    policy = [pton(f"fc00:b6::{i:x}") for i in range(127)]
+    disposition = EndB6(segments=policy).process(pkt, Node("N"))
+    assert disposition.action == "drop" and "End.B6: " in disposition.reason
+    assert bytes(pkt.data) == plain_packet()
+
+
 # --- Seg6Encap lwtunnel -------------------------------------------------------------
 
 
@@ -109,6 +118,12 @@ def test_seg6encap_inline_appends_original_dst():
 def test_seg6encap_validates_mode():
     with pytest.raises(ValueError):
         Seg6Encap(segments=[pton("fc00::a")], mode="bogus")
+
+
+def test_seg6_encap_refuses_more_segments_than_hdr_ext_len_holds():
+    Seg6Encap(segments=[pton("fc00::a")] * 127)
+    with pytest.raises(ValueError, match="hdr_ext_len"):
+        Seg6Encap(segments=[pton("fc00::a")] * 128)
     with pytest.raises(ValueError):
         Seg6Encap(segments=[], mode="encap")
 

@@ -78,6 +78,15 @@ def test_length_must_be_multiple_of_8():
         SRH(segments=[pton("fc00::1")], segments_left=0, tlv_bytes=b"\x00" * 5)
 
 
+def test_header_longer_than_hdr_ext_len_allows_rejected():
+    # hdr_ext_len is one octet: 8 + 8 * 255 = 2048 bytes, 127 segments and an 8-byte TLV area.
+    SRH(segments=[pton("fc00::1")] * 127, segments_left=0, tlv_bytes=bytes(8))
+    with pytest.raises(ValueError, match="hdr_ext_len"):
+        SRH(segments=[pton("fc00::1")] * 128, segments_left=0)
+    with pytest.raises(ValueError, match="hdr_ext_len"):
+        SRH(segments=[pton("fc00::1")] * 127, segments_left=0, tlv_bytes=bytes(16))
+
+
 def test_parse_rejects_wrong_routing_type():
     raw = bytearray(make_srh(["fc00::a"], next_header=59).pack())
     raw[2] = 3  # not an SRH
