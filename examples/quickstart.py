@@ -14,16 +14,13 @@ Run:  python3 examples/quickstart.py
 
 from repro.ebpf import ArrayMap, Program, disassemble
 from repro.lab import Network
-from repro.net import (
-    SEG6LOCAL_HELPERS,
-    make_srv6_udp_packet,
-    ntop,
-)
+from repro.net import make_srv6_udp_packet, ntop
 
 # An eBPF program: read the SRH tag from the packet (verified bounds
 # check against data_end), use it as an index into an array map, and
 # increment the per-tag packet counter.
 COUNT_BY_TAG = """
+.hook seg6local                ; End.BPF: the seg6local helper set
     r6 = r1                    ; save ctx
     r7 = *(u64 *)(r6 + 16)     ; data
     r8 = *(u64 *)(r6 + 24)     ; data_end
@@ -57,7 +54,6 @@ def main() -> None:
         COUNT_BY_TAG,
         maps={"tag_counters": counters},
         name="count_by_tag",
-        allowed_helpers=SEG6LOCAL_HELPERS,
     )
     print(f"loaded {prog.name!r}: {prog.num_insns} instructions, verifier OK")
     print("--- disassembly ---")

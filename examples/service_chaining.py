@@ -20,10 +20,7 @@ Run:  python3 examples/service_chaining.py
 
 from repro.ebpf import ArrayMap, HashMap, Program
 from repro.lab import Network
-from repro.net import (
-    SEG6LOCAL_HELPERS,
-    make_udp_packet,
-)
+from repro.net import make_udp_packet
 
 FW_SEG = "fc00:f1::bbbb"
 CTR_SEG = "fc00:f2::cccc"
@@ -34,6 +31,7 @@ DECAP_SEG = "fc00:f2::dddd"  # End.DT6 at the chain egress (co-located with ctr)
 # map, drop on hit.  Geometry: outer IPv6 (40) + 3-segment SRH (56) +
 # inner IPv6 (40) + UDP -> dst port at byte 138.
 FIREWALL_SOURCE = """
+.hook seg6local
     r6 = r1
     r7 = *(u64 *)(r6 + 16)
     r8 = *(u64 *)(r6 + 24)
@@ -60,6 +58,7 @@ pass:
 # outer (encap) header always carries label 0, so the program reads the
 # *inner* IPv6 header at offset 96 (outer 40 + 3-segment SRH 56).
 COUNTER_SOURCE = """
+.hook seg6local
     r6 = r1
     r7 = *(u64 *)(r6 + 16)
     r8 = *(u64 *)(r6 + 24)
@@ -102,7 +101,7 @@ def build():
     blocklist = HashMap("blocklist", key_size=2, value_size=1, max_entries=64)
     net.load("sfc_firewall", Program(
         FIREWALL_SOURCE, maps={"blocklist": blocklist},
-        name="sfc_firewall", allowed_helpers=SEG6LOCAL_HELPERS,
+        name="sfc_firewall",
     ))
     net.config(
         "fw",
@@ -113,7 +112,7 @@ def build():
     flow_counts = ArrayMap("flow_counts", value_size=8, max_entries=8)
     ctr_prog = Program(
         COUNTER_SOURCE, maps={"flow_counts": flow_counts},
-        name="sfc_counter", allowed_helpers=SEG6LOCAL_HELPERS,
+        name="sfc_counter",
     )
     net.attach("ctr", CTR_SEG, ctr_prog)  # programmatic twin of the config form
     net.config("ctr", f"route add {DECAP_SEG}/128 encap seg6local action End.DT6 table 254")

@@ -60,7 +60,7 @@ from .maps import (
 )
 from .memory import Memory, Region
 from .program import Program
-from .text import LinkedProgram, TextObject, link, load_text, parse_asm
+from .text import LinkedProgram, TextObject, link, parse_asm
 from .verifier import Verifier
 from .vm import Interpreter
 
@@ -108,7 +108,6 @@ __all__ = [
     "disassemble",
     "encode_program",
     "link",
-    "load_text",
     "parse_asm",
     "register_helper",
 ]

@@ -27,11 +27,11 @@ class EncodingError(BpfError):
 
 
 class LinkError(BpfError):
-    """Raised when assembled sections cannot be linked into a program.
+    """Raised when an assembled source cannot be linked into a program.
 
-    Undefined or multiply-defined symbols, unresolvable map references
-    and map declarations that contradict a provided map all land here —
-    the moral equivalent of ``ld`` diagnostics, kept separate from
+    Unresolvable map references and map declarations that contradict a
+    provided map land here — the moral equivalent of ``ld``
+    diagnostics, kept separate from
     :class:`AsmError` (text that never parsed) and
     :class:`VerifierError` (a linked program that is unsafe).
     """

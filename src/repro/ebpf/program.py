@@ -27,6 +27,20 @@ from .vm import Interpreter
 #: names (every registered helper when there is no hook).
 AUTO_HELPERS = object()
 
+_HOOK_HELPER_SETS = {
+    "seg6local": "SEG6LOCAL_HELPERS",
+    "lwt": "LWT_HELPERS",
+}
+
+
+def hook_helpers(hook: str | None):
+    """The helper whitelist a ``.hook`` directive names (``None``: every helper)."""
+    if hook is None or hook == "none":
+        return None
+    from repro.net import seg6_helpers
+
+    return getattr(seg6_helpers, _HOOK_HELPER_SETS[hook])
+
 # The kernel's MAX_USED_MAPS: distinct maps one program may reference.
 _MAX_USED_MAPS = 64
 
@@ -45,9 +59,8 @@ class Program:
     Parameters
     ----------
     source:
-        A ``.s`` source in the kernel syntax (see :mod:`repro.ebpf.text`;
-        assembled and linked exactly as ``load_text`` does) or a pre-built
-        instruction list.
+        A ``.s`` source in the kernel syntax (see :mod:`repro.ebpf.text`),
+        assembled and linked here, or a pre-built instruction list.
     maps:
         Maps referenced by ``rX = <name> ll`` pseudo-instructions; a
         text's ``.map`` declarations supply the ones not given here.
@@ -72,12 +85,14 @@ class Program:
         jit: bool = True,
         allowed_helpers=AUTO_HELPERS,
     ):
+        hook = None
         if isinstance(source, str):
-            from .text.eld import link_text  # lazy: the linker imports Program
+            from .text import link, parse_asm  # lazy: the linker imports Program
 
-            source, maps, allowed_helpers = link_text(source, maps, allowed_helpers)
-        elif allowed_helpers is AUTO_HELPERS:
-            allowed_helpers = None
+            linked = link(parse_asm(source), maps)
+            source, maps, hook = linked.insns, linked.maps, linked.hook
+        if allowed_helpers is AUTO_HELPERS:
+            allowed_helpers = hook_helpers(hook)
         self.name = name
         self.maps = dict(maps or {})
         self.jit_enabled = jit

@@ -2,27 +2,26 @@
 
 The one assembler: ``.s`` sources written in the assignment syntax the
 kernel documentation and ``llvm-objdump -d`` use (``r6 = r1``,
-``if r2 > r8 goto out``, ``*(u64 *)(r10 - 8) = r3``), organised into
-sections, with first-class map declarations and symbolic relocations.
-:func:`repro.ebpf.disassemble` prints the same syntax back.
+``if r2 > r8 goto out``, ``*(u64 *)(r10 - 8) = r3``), with first-class
+map declarations and symbolic map relocations.  One source is one
+program.  :func:`repro.ebpf.disassemble` prints the same syntax back.
 
-Three layers:
+Two layers:
 
 * :mod:`~repro.ebpf.text.easm` — the assembler.  ``parse_asm(text)``
   turns one ``.s`` source into a :class:`~repro.ebpf.text.easm.TextObject`
-  (sections of instructions, local labels, exported symbols, map
-  declarations, pending cross-section branches).
-* :mod:`~repro.ebpf.text.eld` — the linker.  ``link(objects)`` lays the
-  sections out, resolves cross-section transfers and map symbols,
-  instantiates declared maps and returns a
+  (instructions with every branch resolved, map declarations, hook).
+* :mod:`~repro.ebpf.text.eld` — the linker.  ``link(obj)`` resolves map
+  symbols, instantiates declared maps and returns a
   :class:`~repro.ebpf.text.eld.LinkedProgram` whose ``.load()`` runs the
   ordinary verify-and-load pipeline.
-* ``load_text(source)`` — assemble, link, load in one call.  It is what
-  ``Program(source)`` does with a ``str`` and what ``net.load(name,
-  source)`` calls: every door reads this one language.
 
->>> from repro.ebpf.text import load_text
->>> prog = load_text('''
+``Program(source)`` assembles, links and loads a ``str`` in one call,
+and ``net.load(name, source)`` calls it: every door reads this one
+language.
+
+>>> from repro.ebpf import Program
+>>> prog = Program('''
 ...     .map hits, array, key=4, value=8, entries=1
 ...     *(u32 *)(r10 - 4) = 0
 ...     r1 = hits ll
@@ -42,15 +41,13 @@ Three layers:
 1
 """
 
-from .easm import MapDecl, Section, TextObject, parse_asm
-from .eld import LinkedProgram, link, load_text
+from .easm import MapDecl, TextObject, parse_asm
+from .eld import LinkedProgram, link
 
 __all__ = [
     "LinkedProgram",
     "MapDecl",
-    "Section",
     "TextObject",
     "link",
-    "load_text",
     "parse_asm",
 ]

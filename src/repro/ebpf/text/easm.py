@@ -2,11 +2,9 @@
 
 The accepted syntax is the assignment form used by the kernel's
 instruction-set documentation and by LLVM's BPF backend, extended with
-the directives an object format needs::
+two directives: the hook the program is written for and its maps::
 
     ; comments: ';', '//' or '#'
-    .section main                  ; start a named section (default: main)
-    .globl out                     ; export a label for cross-section use
     .hook seg6local                ; helper set the program is written for
     .map counters, array, key=4, value=8, entries=1
 
@@ -28,23 +26,22 @@ the directives an object format needs::
         call map_lookup_elem       ; helper, by name or number
         exit
 
-Branch targets may live in *another* section: the assembler records a
-pending branch and :mod:`~repro.ebpf.text.eld` resolves it against the
-linked layout (section names are themselves symbols, so ``goto tail``
-transfers into section ``tail`` — the pre-bpf2bpf idiom for composing
-programs from pieces, as the 4.18-era LWT hooks required).
+One source is one program, as one ELF section is one program to a
+4.18-era LWT hook (which reaches another program only by a tail call):
+every branch target is a label of the same source, resolved here.
 
 ``parse_asm`` is pure: no maps are instantiated and nothing is verified;
-it returns a :class:`TextObject` for the linker.
+it returns a :class:`TextObject` for :func:`~repro.ebpf.text.eld.link`.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .. import isa
 from ..errors import AsmError
+from ..helpers import HELPER_IDS_BY_NAME
 from ..insn import Instruction
 from ..maps import MAP_TYPES
 
@@ -95,8 +92,6 @@ _SIZES = {"8": isa.BPF_B, "16": isa.BPF_H, "32": isa.BPF_W, "64": isa.BPF_DW}
 
 _HOOKS = ("seg6local", "lwt", "none")
 
-DEFAULT_SECTION = "main"
-
 
 @dataclass(frozen=True)
 class MapDecl:
@@ -111,62 +106,16 @@ class MapDecl:
 
 
 @dataclass
-class PendingBranch:
-    """A branch whose target symbol is not (yet) a local label.
-
-    ``slot`` is section-local; the linker rewrites it against the final
-    layout.  ``opcode`` already encodes class/op/source; only ``off`` is
-    missing.
-    """
-
-    opcode: int
-    dst: int
-    src: int
-    imm: int
-    target: str
-    slot: int
-    line_no: int
-
-    @property
-    def slots(self) -> int:
-        return 1
-
-    def resolved(self, target_slot: int, own_abs_slot: int) -> Instruction:
-        off = target_slot - own_abs_slot - 1
-        if not -(1 << 15) <= off < (1 << 15):
-            raise AsmError(
-                f"branch to {self.target!r} out of 16-bit range", self.line_no
-            )
-        return Instruction(self.opcode, self.dst, self.src, off, self.imm)
-
-
-@dataclass
-class Section:
-    """One code section: instructions plus local label definitions."""
-
-    name: str
-    items: list = field(default_factory=list)  # Instruction | PendingBranch
-    labels: dict[str, int] = field(default_factory=dict)  # label -> local slot
-    size: int = 0  # total slots
-
-    def add(self, item) -> None:
-        self.items.append(item)
-        self.size += item.slots
-
-
-@dataclass
 class TextObject:
     """The assembler's output: an object file, minus the ELF.
 
-    ``sections`` preserves source order (the linker keeps it, entry
-    first).  ``globals`` are the labels exported with ``.globl``;
-    ``maps`` are declarations only — instantiation happens at link time
-    so several objects can share one declaration.
+    ``insns`` are the program in source order with every branch
+    resolved; ``maps`` are declarations only — :func:`link` instantiates
+    them or binds them to maps the caller provides.
     """
 
-    sections: dict[str, Section] = field(default_factory=dict)
+    insns: list[Instruction] = field(default_factory=list)
     maps: dict[str, MapDecl] = field(default_factory=dict)
-    globals: set[str] = field(default_factory=set)
     hook: str | None = None
 
 
@@ -222,41 +171,20 @@ def _parse_mem(token: str, line_no: int) -> tuple[int, int, int] | None:
 
 
 class _Parser:
-    def __init__(self, helpers: dict[str, int]):
-        self.helpers = helpers
+    def __init__(self):
         self.obj = TextObject()
-        self.section: Section | None = None
-
-    # -- sections ---------------------------------------------------------
-    def _current(self, line_no: int) -> Section:
-        if self.section is None:
-            self._open_section(DEFAULT_SECTION, line_no)
-        return self.section
-
-    def _open_section(self, name: str, line_no: int) -> None:
-        if not _LABEL_RE.match(name):
-            raise AsmError(f"invalid section name {name!r}", line_no)
-        if name in self.obj.sections:
-            raise AsmError(f"duplicate section {name!r}", line_no)
-        self.section = Section(name)
-        self.obj.sections[name] = self.section
+        self.labels: dict[str, int] = {}  # label -> slot
+        self.slot = 0  # slots emitted so far
+        # Branches awaiting their label: (insn index, own slot, target, line).
+        self.fixups: list[tuple[int, int, str, int]] = []
 
     # -- directives -------------------------------------------------------
     def directive(self, line: str, line_no: int) -> None:
         word, _, rest = line.partition(" ")
         rest = rest.strip()
-        if word in (".section", ".text"):
-            name = rest.strip('"') if word == ".section" else (rest or "text")
-            if word == ".section" and not name:
-                raise AsmError(".section needs a name", line_no)
-            self._open_section(name, line_no)
-            return
-        if word in (".globl", ".global"):
-            if not _LABEL_RE.match(rest):
-                raise AsmError(f"invalid symbol {rest!r}", line_no)
-            self.obj.globals.add(rest)
-            return
         if word == ".hook":
+            if self.obj.hook is not None:
+                raise AsmError("duplicate .hook", line_no)
             if rest not in _HOOKS:
                 raise AsmError(
                     f"unknown hook {rest!r} (expected one of {', '.join(_HOOKS)})",
@@ -313,24 +241,35 @@ class _Parser:
     def label(self, label: str, line_no: int) -> None:
         if not _LABEL_RE.match(label):
             raise AsmError(f"invalid label {label!r}", line_no)
-        section = self._current(line_no)
-        if label in section.labels:
+        if label in self.labels:
             raise AsmError(f"duplicate label {label!r}", line_no)
-        section.labels[label] = section.size
+        self.labels[label] = self.slot
 
     def insn(self, line: str, line_no: int) -> None:
-        section = self._current(line_no)
-        section.add(self._parse_insn(line, line_no, section))
+        insn = self._parse_insn(line, line_no)
+        self.obj.insns.append(insn)
+        self.slot += insn.slots
 
     def _branch(
         self, opcode: int, dst: int, src: int, imm: int, target: str, line_no: int
-    ) -> PendingBranch:
+    ) -> Instruction:
+        """The branch ``insn`` is about to append; ``off`` is fixed up at the end."""
         if not _LABEL_RE.match(target):
             raise AsmError(f"invalid branch target {target!r}", line_no)
-        section = self._current(line_no)
-        return PendingBranch(opcode, dst, src, imm, target, section.size, line_no)
+        self.fixups.append((len(self.obj.insns), self.slot, target, line_no))
+        return Instruction(opcode, dst, src, 0, imm)
 
-    def _parse_insn(self, line: str, line_no: int, section: Section):
+    def resolve(self) -> None:
+        """Point every branch at its label."""
+        for index, slot, target, line_no in self.fixups:
+            if target not in self.labels:
+                raise AsmError(f"undefined label {target!r}", line_no)
+            off = self.labels[target] - slot - 1
+            if not -(1 << 15) <= off < (1 << 15):
+                raise AsmError(f"branch to {target!r} out of 16-bit range", line_no)
+            self.obj.insns[index] = replace(self.obj.insns[index], off=off)
+
+    def _parse_insn(self, line: str, line_no: int) -> Instruction:
         # -- exit / goto / call -------------------------------------------
         if line == "exit":
             return Instruction(isa.BPF_JMP | isa.BPF_EXIT)
@@ -345,8 +284,8 @@ class _Parser:
                 raise AsmError("call needs exactly one operand", line_no)
             if _INT_RE.match(rest):
                 func = int(rest, 0)
-            elif rest in self.helpers:
-                func = self.helpers[rest]
+            elif rest in HELPER_IDS_BY_NAME:
+                func = HELPER_IDS_BY_NAME[rest]
             else:
                 raise AsmError(f"unknown helper {rest!r}", line_no)
             return Instruction(isa.BPF_JMP | isa.BPF_CALL, imm=func)
@@ -465,20 +404,13 @@ class _Parser:
         return Instruction(klass | isa.BPF_K | isa.BPF_MOV, dst, imm=imm)
 
 
-def parse_asm(text: str, helpers: dict[str, int] | None = None) -> TextObject:
+def parse_asm(text: str) -> TextObject:
     """Assemble kernel-style source text into a :class:`TextObject`.
 
-    ``helpers`` maps helper names to ids for ``call`` by name; it
-    defaults to the global registry.  Branches to labels that are not
-    defined in their own section are left pending for the linker (a
-    branch to a label no object defines fails there, not here).
+    ``call`` by name reads the helper registry.  A branch to a label the
+    source does not define is an :class:`AsmError` naming its line.
     """
-    if helpers is None:
-        from ..helpers import HELPER_IDS_BY_NAME
-
-        helpers = HELPER_IDS_BY_NAME
-
-    parser = _Parser(helpers)
+    parser = _Parser()
     for line_no, raw_line in enumerate(text.splitlines(), start=1):
         line = re.split(r";|//|#", raw_line, maxsplit=1)[0].strip()
         if not line:
@@ -495,12 +427,5 @@ def parse_asm(text: str, helpers: dict[str, int] | None = None) -> TextObject:
         if not line:
             continue
         parser.insn(line, line_no)
-
-    # Resolve branches whose target is a local label of their own section.
-    for section in parser.obj.sections.values():
-        for index, item in enumerate(section.items):
-            if isinstance(item, PendingBranch) and item.target in section.labels:
-                section.items[index] = item.resolved(
-                    section.labels[item.target], item.slot
-                )
+    parser.resolve()
     return parser.obj

@@ -359,9 +359,7 @@ class Network:
         if isinstance(program, Path):
             program = program.read_text()
         if isinstance(program, str):
-            from ..ebpf.text import load_text
-
-            program = load_text(program, maps=maps, name=name, jit=jit)
+            program = Program(program, maps=maps, name=name, jit=jit)
         elif maps is not None:
             raise TypeError("maps= only applies to textual .s programs")
         self.objects[name] = program

@@ -9,7 +9,7 @@ from test_corpus import reassembled
 
 
 def assemble(source: str):
-    """One section of kernel-syntax text as an instruction list."""
+    """One kernel-syntax source as an instruction list."""
     return link(parse_asm(source)).insns
 
 
@@ -80,7 +80,7 @@ def test_lddw_value():
 
 def test_lddw_map_ref():
     # No link: an undeclared map symbol is the linker's business.
-    (insn,) = parse_asm("r1 = flags ll").sections["main"].items
+    (insn,) = parse_asm("r1 = flags ll").insns
     assert insn.map_ref == "flags"
     assert insn.src_reg == isa.BPF_PSEUDO_MAP_FD
 

@@ -56,7 +56,6 @@ from repro.ebpf import (
     disassemble,
     encode_program,
     link,
-    load_text,
     parse_asm,
 )
 from repro.ebpf.context import (
@@ -96,9 +95,8 @@ _HEADER = (
 
 
 def reassembled(insns) -> bytes:
-    """Bytes of ``parse_asm(disassemble(insns))``: one section, local labels."""
-    (section,) = parse_asm(disassemble(insns)).sections.values()
-    return encode_program(section.items)
+    """Bytes of ``parse_asm(disassemble(insns))``."""
+    return encode_program(parse_asm(disassemble(insns)).insns)
 
 
 @lru_cache(maxsize=None)
@@ -225,9 +223,9 @@ def _load_outcome(door, text):
 
 
 def test_every_text_door_reads_the_same_language():
-    """``Program(str)``, ``load_text`` and ``net.load`` are one door: the same
-    texts load, to the same program, or fail with the same diagnostic."""
-    doors = (Program, load_text, lambda text: Network().load("prog", text))
+    """``Program(str)`` and ``net.load`` are one door: the same texts load,
+    to the same program, or fail with the same diagnostic."""
+    doors = (Program, lambda text: Network().load("prog", text))
     for path in CORPUS:
         text = path.read_text()
         first, *others = (_load_outcome(door, text) for door in doors)

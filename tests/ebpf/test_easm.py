@@ -35,7 +35,7 @@ EXIT = Instruction(isa.BPF_JMP | isa.BPF_EXIT)
 
 
 def _insns(source: str):
-    """Assemble a single-section easm source into linked instructions."""
+    """Assemble an easm source into linked instructions."""
     return link(parse_asm(source + "\n    exit")).insns
 
 
@@ -232,33 +232,15 @@ def test_map_directive_defaults_and_overrides():
     assert obj.maps["c"].max_entries == 2
 
 
-def test_hook_and_globl_directives():
+def test_hook_directive():
     obj = parse_asm(
         """
 .hook seg6local
-.globl out
     r0 = 0
-out:
     exit
 """
     )
     assert obj.hook == "seg6local"
-    assert obj.globals == {"out"}
-
-
-def test_sections_split_code():
-    obj = parse_asm(
-        """
-    r0 = 0
-    exit
-.section tail
-    r0 = 1
-    exit
-"""
-    )
-    assert list(obj.sections) == ["main", "tail"]
-    assert obj.sections["main"].size == 2
-    assert obj.sections["tail"].size == 2
 
 
 def test_comments_and_blank_lines_ignored():
@@ -292,7 +274,6 @@ def test_comments_and_blank_lines_ignored():
         ("    goto", "goto needs exactly one target"),
         ("    if r1 >> 2 goto out", "malformed branch"),
         ("    frobnicate r1", "cannot parse instruction"),
-        (".section", ".section needs a name"),
         (".wat 3", "unknown directive"),
         (".map m", ".map needs at least a name and a type"),
         (".map m, ringbuf", "unknown map type"),
@@ -300,7 +281,13 @@ def test_comments_and_blank_lines_ignored():
         (".hook xdp", "unknown hook"),
         ("x:\nx:", "duplicate label 'x'"),
         (".map m, array\n.map m, array", "duplicate map 'm'"),
-        (".section a\n.section a", "duplicate section 'a'"),
+        (".hook seg6local\n.hook lwt", r"line 2: duplicate \.hook"),
+        ("    r0 = 0\n    goto nowhere", "line 2: undefined label 'nowhere'"),
+        # One source is one program: no sections, no exported labels.
+        ("    r0 = 0\n.section tail", r"line 2: unknown directive '\.section'"),
+        ("    r0 = 0\n.text", r"line 2: unknown directive '\.text'"),
+        ("    r0 = 0\n.globl out", r"line 2: unknown directive '\.globl'"),
+        ("    r0 = 0\n.global out", r"line 2: unknown directive '\.global'"),
     ],
 )
 def test_asm_errors(source, message):

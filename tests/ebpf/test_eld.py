@@ -9,170 +9,18 @@ from repro.ebpf import (
     LpmTrieMap,
     PerCpuArrayMap,
     PerfEventArrayMap,
+    Program,
     VerifierError,
     parse_asm,
 )
 from repro.ebpf.errors import LinkError
-from repro.ebpf.text import link, load_text
+from repro.ebpf.text import link
 from repro.ebpf.text.easm import MapDecl
 from repro.ebpf.text.eld import instantiate_map
 from repro.ebpf import isa
 
 
-# --- layout and symbols -------------------------------------------------------
-
-
-def test_sections_concatenate_in_order():
-    linked = link(
-        parse_asm(
-            """
-    r0 = 0
-    exit
-.section tail
-    r0 = 1
-    exit
-"""
-        )
-    )
-    assert linked.symbols == {"main": 0, "tail": 2}
-    assert len(linked.insns) == 4
-
-
-def test_entry_reorders_layout():
-    obj = parse_asm(
-        """
-.section first
-    r0 = 0
-    exit
-.section second
-    r0 = 1
-    exit
-"""
-    )
-    linked = link(obj, entry="second")
-    assert linked.symbols == {"second": 0, "first": 2}
-    # The entry section's code now sits at slot 0.
-    assert linked.insns[0].imm == 1
-
-
-def test_cross_section_goto_resolved_by_linker():
-    linked = link(
-        parse_asm(
-            """
-    goto tail
-.section tail
-    r0 = 0
-    exit
-"""
-        )
-    )
-    # goto at slot 0, tail at slot 1 -> off = 0
-    assert linked.insns[0].off == 0
-    prog = linked.load(name="xsec")
-    ret, _ = prog.run_on_packet(b"\x60" + b"\x00" * 39)
-    assert ret == 0
-
-
-def test_globl_label_visible_across_objects():
-    a = parse_asm(".section entry\n    goto finish\n")
-    b = parse_asm(
-        """
-.section helper_code
-.globl finish
-    r0 = 3
-finish:
-    r0 = 5
-    exit
-"""
-    )
-    linked = link([a, b])
-    assert linked.symbols["finish"] == 2  # entry(1) + 'r0 = 3'(1)
-    prog = linked.load(name="two_obj")
-    ret, _ = prog.run_on_packet(b"\x60" + b"\x00" * 39)
-    assert ret == 5
-
-
-def test_backward_cross_section_branch():
-    linked = link(
-        parse_asm(
-            """
-.section a
-    r0 = 0
-    exit
-.section b
-    goto a
-"""
-        ),
-        entry="b",
-    )
-    # b laid out first: goto at slot 0, a at slot 1 -> off 0 forward here;
-    # without entry= the branch would point backward instead.
-    default = link(
-        parse_asm(
-            """
-.section a
-    r0 = 0
-    exit
-.section b
-    goto a
-"""
-        )
-    )
-    assert default.insns[2].off == -3
-
-
-# --- link errors --------------------------------------------------------------
-
-
-def test_nothing_to_link():
-    with pytest.raises(LinkError, match="nothing to link"):
-        link([])
-
-
-def test_undefined_branch_symbol_names_section_and_line():
-    obj = parse_asm(".section code\n    goto nowhere\n")
-    with pytest.raises(
-        LinkError, match=r"undefined symbol 'nowhere' \(section 'code', line 2\)"
-    ):
-        link(obj)
-
-
-def test_duplicate_section_across_objects():
-    a = parse_asm("    exit")
-    b = parse_asm("    exit")
-    with pytest.raises(LinkError, match="duplicate section 'main'"):
-        link([a, b])
-
-
-def test_unknown_entry_section():
-    with pytest.raises(LinkError, match="entry section 'boot' not found"):
-        link(parse_asm("    exit"), entry="boot")
-
-
-def test_globl_never_defined():
-    with pytest.raises(LinkError, match=r"\.globl 'ghost' never defined"):
-        link(parse_asm(".globl ghost\n    exit"))
-
-
-def test_conflicting_map_declarations():
-    a = parse_asm(".map m, array, value=8\n    exit")
-    b = parse_asm(".section other\n.map m, array, value=16\n    r0 = 0\n    exit")
-    with pytest.raises(LinkError, match="conflicting declarations for map 'm'"):
-        link([a, b])
-
-
-def test_identical_map_declarations_collapse():
-    a = parse_asm(".map m, array, value=8\n    exit")
-    b = parse_asm(".section other\n.map m, array, value=8\n    r0 = 0\n    exit")
-    linked = link([a, b])
-    assert list(linked.maps) == ["m"]
-
-
-def test_conflicting_hooks():
-    a = parse_asm(".hook seg6local\n    exit")
-    b = parse_asm(".section other\n.hook lwt\n    r0 = 0\n    exit")
-    with pytest.raises(LinkError, match="conflicting hooks: 'seg6local' vs 'lwt'"):
-        link([a, b])
+# --- map resolution -----------------------------------------------------------
 
 
 def test_provided_map_shape_mismatch():
@@ -243,11 +91,11 @@ _PUSH_ENCAP_SRC = """
 def test_hook_seg6local_rejects_lwt_only_helper():
     # lwt_push_encap (73) exists on lwt-in hooks but not on seg6local.
     with pytest.raises(VerifierError, match="not available on this hook"):
-        load_text("    r6 = r1\n" + _PUSH_ENCAP_SRC.format(hook="seg6local"))
+        Program("    r6 = r1\n" + _PUSH_ENCAP_SRC.format(hook="seg6local"))
 
 
 def test_hook_lwt_admits_the_same_helper():
-    prog = load_text("    r6 = r1\n" + _PUSH_ENCAP_SRC.format(hook="lwt"))
+    prog = Program("    r6 = r1\n" + _PUSH_ENCAP_SRC.format(hook="lwt"))
     assert prog is not None
 
 
@@ -257,12 +105,12 @@ def test_hook_none_means_unrestricted():
     linked.load(name="open")  # no whitelist applied
 
 
-# --- load_text end-to-end -----------------------------------------------------
+# --- a text program end-to-end -------------------------------------------------
 
 
-def test_load_text_counts_into_shared_map():
+def test_text_program_counts_into_shared_map():
     hits = ArrayMap("hits", 8, 1)
-    prog = load_text(
+    prog = Program(
         """
 .map hits, array, key=4, value=8, entries=1
     r6 = r1

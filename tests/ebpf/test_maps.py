@@ -14,10 +14,10 @@ from repro.ebpf import (
     Memory,
     PerCpuArrayMap,
     PerfEventArrayMap,
+    Program,
 )
 from repro.ebpf.helpers import HELPERS_BY_ID
 from repro.ebpf.memory import Region
-from repro.ebpf.text import load_text
 
 
 def key32(i: int) -> bytes:
@@ -129,8 +129,6 @@ def test_value_region_is_registered_once_per_address_space():
 def test_distinct_maps_use_distinct_address_space():
     """A program lays its maps' values out one after another, in
     first-reference order, whatever other programs did with them."""
-    from repro.ebpf import Program
-
     m1 = ArrayMap("a1", value_size=8, max_entries=4)
     m2 = ArrayMap("a2", value_size=12, max_entries=3)
     text = "r1 = a2 ll\nr1 = a1 ll\nr1 = a2 ll\nr0 = 0\nexit"
@@ -241,7 +239,7 @@ fail:
 def test_program_reads_the_entry_it_reinserted(jit):
     m = HashMap("m", key_size=4, value_size=8, max_entries=1)
     m.update(key32(1), (7).to_bytes(8, "little"))
-    prog = load_text(DELETE_REINSERT_ASM, maps={"m": m}, jit=jit)
+    prog = Program(DELETE_REINSERT_ASM, maps={"m": m}, jit=jit)
     ret, _hctx = prog.run_on_packet(b"\x60" + bytes(39))
     assert ret == 11
     assert m.lookup(key32(1)) is None

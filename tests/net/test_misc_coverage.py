@@ -37,8 +37,8 @@ from repro.progs import (
 )
 def test_paper_source_disassembles_and_reassembles(loader):
     insns = loader().insns
-    (again,) = parse_asm(disassemble(insns)).sections.values()
-    assert [i.encode() for i in again.items] == [i.encode() for i in insns]
+    again = parse_asm(disassemble(insns)).insns
+    assert [i.encode() for i in again] == [i.encode() for i in insns]
 
 
 def test_loaded_programs_disassemble_with_map_names():

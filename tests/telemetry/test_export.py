@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.ebpf.text import load_text
+from repro.ebpf import Program
 from repro.lab import Network
 from repro.net.lwt_bpf import BpfLwt
 from repro.sim.scheduler import NS_PER_MS
@@ -71,7 +71,7 @@ def _run_perf_export(seed: int) -> str:
     net.add_node("A", addr="fc00:a::1")
     net.add_node("B", addr="fc00:b::1")
     net.add_link("A", "B", delay_ns=1000, jitter_ns=2000, loss=0.02)
-    prog = load_text(PERF_SRC, name="stamp")
+    prog = Program(PERF_SRC, name="stamp")
     net["A"].add_route(
         "fc00:b::/64", via="fc00:b::1", dev="eth0", encap=BpfLwt(prog_xmit=prog)
     )

@@ -9,7 +9,7 @@ merges several rings into one time-ordered export stream.
 
 import json
 
-from repro.ebpf import PerfEventArrayMap
+from repro.ebpf import PerfEventArrayMap, Program
 from repro.lab import Network
 from repro.userspace.perf import PerfRecord, PerfRing
 
@@ -104,8 +104,6 @@ def test_bridge_reports_ring_drops():
 
 def test_perf_event_output_helper_stamps_program_clock():
     """The eBPF helper stamps records with the invocation clock (§4.1)."""
-    from repro.ebpf.text import load_text
-
     src = """
 ; push 8 bytes to user space
 .map events, perf_event_array, entries=1
@@ -119,7 +117,7 @@ def test_perf_event_output_helper_stamps_program_clock():
     r0 = 0
     exit
 """
-    prog = load_text(src, name="stamp")
+    prog = Program(src, name="stamp")
     ctx = prog.make_context(b"\x00" * 64, clock_ns=lambda: 777)
     assert prog.run(ctx) == 0
     records = prog.maps["events"].ring(0).drain_records()

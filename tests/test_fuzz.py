@@ -48,9 +48,8 @@ def _stack(size: str, off: int) -> str:
 
 def _closes_the_loop(source: str) -> None:
     """``disassemble`` prints what ``parse_asm`` reads, byte for byte."""
-    (section,) = parse_asm(source).sections.values()
-    (again,) = parse_asm(disassemble(section.items)).sections.values()
-    assert encode_program(again.items) == encode_program(section.items)
+    insns = parse_asm(source).insns
+    assert encode_program(parse_asm(disassemble(insns)).insns) == encode_program(insns)
 
 
 _line = st.one_of(
@@ -165,15 +164,13 @@ _easm_line = st.one_of(
 @settings(max_examples=300, deadline=None)
 @given(lines=st.lists(_easm_line, min_size=1, max_size=30))
 def test_easm_programs_agree_across_engines_including_helper_traces(lines):
-    """load_text acceptances run identically on VM and JIT — return value,
+    """Text acceptances run identically on VM and JIT — return value,
     helper-call trace (name, args, ret) and printk log all match."""
-    from repro.ebpf.text import load_text
-
     source = "\n".join(f"    {line}" for line in (*_EASM_PROLOGUE, *lines))
     source += "\nout:\n    r0 = 0\n    exit"
     _closes_the_loop(source)
     try:
-        prog = load_text(source, name="fuzz", jit=True)
+        prog = Program(source, name="fuzz", jit=True)
     except (VerifierError, AsmError, BpfError):
         return  # rejected — also a correct outcome
     import random
