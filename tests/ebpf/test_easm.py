@@ -300,6 +300,35 @@ def test_errors_carry_line_numbers():
         parse_asm("    r0 = 0\n    r1 = 1\n    bogus!\n    exit")
 
 
+def test_backward_branch_gets_a_negative_offset():
+    got = _insns("    r1 = 3\nloop:\n    r1 -= 1\n    if r1 != 0 goto loop\n    r0 = 0")
+    assert got[2] == Instruction(isa.BPF_JMP | K | isa.BPF_JNE, 1, off=-2)
+
+
+def _filler(slots: int) -> str:
+    """``slots`` instruction slots: two-slot lddws, and a ``r0 = 0`` for an odd count."""
+    return "    r1 = 0 ll\n" * (slots // 2) + "    r0 = 0\n" * (slots % 2)
+
+
+_FORWARD = "    goto far\n{}far:\n    exit"
+_BACKWARD = "back:\n{}    goto back\n    exit"
+
+
+@pytest.mark.parametrize(
+    ("template", "slots", "off"),
+    [(_FORWARD, 32767, 32767), (_FORWARD, 32768, None), (_BACKWARD, 32767, -32768), (_BACKWARD, 32768, None)],
+    ids=["forward_32767", "forward_32768_refused", "backward_32768", "backward_32769_refused"],
+)
+def test_branch_offset_must_fit_16_bits(template, slots, off):
+    source = template.format(_filler(slots))
+    if off is None:
+        with pytest.raises(AsmError, match="out of 16-bit range"):
+            parse_asm(source)
+        return
+    insns = parse_asm(source).insns
+    assert insns[0 if template is _FORWARD else -2].off == off
+
+
 # --- the library programs -----------------------------------------------------
 
 

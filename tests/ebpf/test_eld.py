@@ -13,7 +13,7 @@ from repro.ebpf import (
     VerifierError,
     parse_asm,
 )
-from repro.ebpf.errors import LinkError
+from repro.ebpf.errors import AsmError, LinkError
 from repro.ebpf.text import link
 from repro.ebpf.text.easm import MapDecl
 from repro.ebpf.text.eld import instantiate_map
@@ -41,10 +41,48 @@ def test_provided_map_matching_shape_is_shared():
     assert linked.maps["hits"] is mine
 
 
+@pytest.mark.parametrize(
+    ("decl", "provided"),
+    [
+        ("array, key=4, value=8, entries=1", PerCpuArrayMap("hits", 8, 1)),
+        ("hash, key=4, value=8, entries=1", HashMap("hits", 8, 8, 1)),
+        ("array, key=4, value=8, entries=1", ArrayMap("hits", 8, 2)),
+    ],
+    ids=["map_type", "key_size", "max_entries"],
+)
+def test_every_declared_shape_field_is_checked(decl, provided):
+    obj = parse_asm(f".map hits, {decl}\n    r1 = hits ll\n    exit")
+    with pytest.raises(LinkError, match="does not match its declaration"):
+        link(obj, maps={"hits": provided})
+
+
+def test_perf_event_array_value_size_is_not_compared():
+    # A perf ring has no value slots: its declared value= is not a shape.
+    obj = parse_asm(
+        ".map events, perf_event_array, value=16, entries=2\n    r1 = events ll\n    exit"
+    )
+    mine = PerfEventArrayMap("events", max_entries=2)
+    assert link(obj, maps={"events": mine}).maps["events"] is mine
+
+
+def test_provided_map_serves_an_undeclared_reference():
+    mine = HashMap("flows", 8, 8, 4)
+    linked = link(parse_asm("    r1 = flows ll\n    exit"), maps={"flows": mine})
+    assert linked.maps == {"flows": mine}
+
+
 def test_undeclared_map_ref_fails():
     obj = parse_asm("    r1 = mystery ll\n    exit")
     with pytest.raises(LinkError, match="undefined map symbol 'mystery'"):
         link(obj)
+
+
+def test_link_leaves_the_object_unmodified():
+    obj = parse_asm(".map m, array\n    r1 = m ll\n    r0 = 0\n    exit")
+    insns, maps = list(obj.insns), dict(obj.maps)
+    linked = link(obj)
+    linked.insns.append(linked.insns[-1])
+    assert obj.insns == insns and obj.maps == maps
 
 
 # --- map instantiation --------------------------------------------------------
@@ -134,6 +172,12 @@ out:
         prog.run_on_packet(b"\x60" + b"\x00" * 39)
     count = int.from_bytes(hits.lookup((0).to_bytes(4, "little")), "little")
     assert count == 3
+
+
+def test_text_program_reports_the_failing_line():
+    with pytest.raises(AsmError, match="line 2: undefined label 'nowhere'") as excinfo:
+        Program("    r0 = 0\n    goto nowhere\n    exit")
+    assert excinfo.value.line_no == 2
 
 
 def test_linked_insns_keep_symbolic_map_refs():

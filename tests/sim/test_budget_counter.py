@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import sys
 
 from test_hop_budget import MINOR, SRC, count, function
@@ -38,3 +39,29 @@ def test_one_pass_calls_equal_setprofile_calls_across_a_generator_resume():
     tallies = count(validate_srh_wire, data, by=function)
     assert sum(calls for calls, _b in tallies.values()) == events.count("call")
     assert tallies["net/srh.py:_walk_tlvs"][0] == 5  # started, then resumed after each of 3 TLVs and a PadN
+
+
+
+def test_no_collection_runs_inside_the_count():
+    """One would run the finalizers of garbage left from before, and count them."""
+    starts, during = [], []
+
+    def note(phase, _info):
+        if phase == "start":
+            starts.append(phase)
+
+    def churn():  # enough live new containers to start collections, were the collector on
+        seen = len(starts)
+        kept = [[] for _ in range(1000)]
+        during.append(len(starts) - seen)
+        return kept
+
+    threshold = gc.get_threshold()
+    gc.callbacks.append(note)
+    gc.set_threshold(1)
+    try:
+        count(churn)
+    finally:
+        gc.set_threshold(*threshold)
+        gc.callbacks.remove(note)
+    assert during == [0] and gc.isenabled()

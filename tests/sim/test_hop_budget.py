@@ -11,6 +11,7 @@ Print the measured rows for this minor in the table's format with
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import os
@@ -52,7 +53,22 @@ def function(code) -> str:
 def count(fn, *args, by=layer, **kwargs) -> dict[str, list[int]]:
     """``[calls, bytecodes]`` per ``by(code)`` in one run of ``fn(*args, **kwargs)``: frames entered
     or resumed, and 3.11 ``settrace`` opcode or 3.12 ``sys.monitoring`` INSTRUCTION events.  Code
-    objects are told apart by identity: one program translated for two nodes counts twice."""
+    objects are told apart by identity: one program translated for two nodes counts twice.
+
+    The cyclic collector is drained before the run and off during it: a collection inside would
+    run the finalizers of whatever garbage the process left earlier, and count them."""
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _count(fn, args, kwargs, by)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _count(fn, args: tuple, kwargs: dict, by) -> dict[str, list[int]]:
+    """:func:`count`'s tally, with the collector already off."""
     tallies, codes = {}, {}  # codes: id(code) -> (code, its tally, opcode); holding the code keeps its id
 
     def enter(code, *_offset) -> tuple:
