@@ -82,11 +82,10 @@ def test_fig2_shape_and_report(benchmark):
     # both costs are in µs, so the *relative* overhead is larger — see
     # EXPERIMENTS.md.)
     assert norm["end_bpf"] > 0.05
-    # The JIT'd Add TLV beats the interpreted one by well over the
-    # paper's ÷1.8 — with the v2 translator and the thin SRH span
-    # checks the end-to-end factor measures ~2.6-2.7x (the fixed
-    # datapath cost around the program no longer dilutes it).  The
-    # floor absorbs host noise; program-level factors are asserted in
+    # The JIT'd Add TLV beats the interpreted one by more than the
+    # paper's ÷1.8 — against the pre-decoded interpreter the end-to-end
+    # factor measures ~2.3x (median of six runs).  The floor absorbs
+    # some host noise; program-level factors are asserted in
     # bench_jit_ablation.py.
     jit_factor = norm["add_tlv_bpf"] / norm["add_tlv_bpf_nojit"]
     assert jit_factor > 2.0, f"JIT factor regressed: {jit_factor:.2f}x"

@@ -4,6 +4,7 @@ import pytest
 
 from repro.ebpf import HelperContext, Memory, Program, SkbContext, isa, link, parse_asm
 from repro.ebpf.errors import VmFault
+from repro.ebpf.insn import Instruction
 from repro.ebpf.text.easm import JMP_OPS
 from repro.ebpf.vm import Interpreter
 
@@ -265,21 +266,110 @@ def test_write_to_readonly_packet_faults():
         )
 
 
-def test_runaway_program_hits_instruction_budget():
-    insns = link(parse_asm("goto loop\nloop: goto back\nback: goto loop\nexit")).insns
-    # Hand-craft a loop (verifier would reject): jump back to slot 0.
-    from repro.ebpf.insn import Instruction
+def test_lddw_loads_full_64_bits():
+    assert run("r0 = 0xffffffffffffffff ll\nexit") == isa.U64
 
-    loop = [
-        Instruction(isa.BPF_JMP | isa.BPF_JA, off=-1),
-        Instruction(isa.BPF_JMP | isa.BPF_EXIT),
-    ]
+
+# --- faults: message and pc ---------------------------------------------------------
+
+MOV_R0_7 = Instruction(isa.BPF_ALU64 | isa.BPF_MOV | isa.BPF_K, isa.R0, imm=7)
+EXIT = Instruction(isa.BPF_JMP | isa.BPF_EXIT)
+
+
+def run_insns(insns, max_insns: int = 1_000_000) -> int:
     mem = Memory()
     skb = SkbContext(mem, PKT)
     hctx = HelperContext(mem, skb)
-    with pytest.raises(VmFault, match="budget"):
-        Interpreter(loop, max_insns=10_000).run(hctx, skb.ctx_addr, skb.stack_top)
+    return Interpreter(insns, max_insns=max_insns).run(hctx, skb.ctx_addr, skb.stack_top)
 
 
-def test_lddw_loads_full_64_bits():
-    assert run("r0 = 0xffffffffffffffff ll\nexit") == isa.U64
+def assert_faults(insns, message: str, pc: int, max_insns: int = 1_000_000) -> None:
+    with pytest.raises(VmFault) as info:
+        run_insns(insns, max_insns)
+    assert (str(info.value), info.value.pc) == (f"pc {pc}: {message}", pc)
+
+
+def ja(off: int) -> Instruction:
+    return Instruction(isa.BPF_JMP | isa.BPF_JA, off=off)
+
+
+def test_runaway_program_hits_instruction_budget():
+    # A hand-crafted loop (the verifier would reject it): slots 0, 1, 0, 1, ...
+    # The 8th instruction, at pc 1, is over a budget of 7.
+    add = Instruction(isa.BPF_ALU64 | isa.BPF_ADD | isa.BPF_K, isa.R0, imm=1)
+    assert_faults([add, ja(-2), EXIT], "instruction budget exceeded (runaway program)", 1, max_insns=7)
+
+
+def test_jump_into_the_middle_of_an_lddw_faults():
+    lddw = Instruction(isa.BPF_LD | isa.BPF_IMM | isa.BPF_DW, isa.R0, imm64=1)
+    assert_faults([ja(1), lddw, EXIT], "executed the middle of an lddw", 2)
+
+
+def test_call_to_an_unknown_helper_faults():
+    assert_faults([Instruction(isa.BPF_JMP | isa.BPF_CALL, imm=9999), EXIT], "call to unknown helper 9999", 0)
+
+
+@pytest.mark.parametrize(
+    "insns,pc",
+    [
+        ([MOV_R0_7, ja(5), EXIT], 7),  # past the end
+        ([MOV_R0_7, ja(-3), EXIT], -1),  # before slot 0, not the last slot
+        ([MOV_R0_7], 1),  # falling off the end
+    ],
+    ids=["past-the-end", "before-slot-0", "fall-off"],
+)
+def test_pc_outside_the_program_faults(insns, pc):
+    assert_faults(insns, "program counter out of range", pc)
+
+
+def test_out_of_range_target_faults_only_when_taken():
+    not_taken = Instruction(isa.BPF_JMP | isa.BPF_JNE | isa.BPF_K, isa.R0, off=-10, imm=7)
+    assert run_insns([MOV_R0_7, not_taken, EXIT]) == 7
+
+
+def test_budget_is_exactly_max_insns():
+    assert run_insns([MOV_R0_7, EXIT], max_insns=2) == 7
+    assert_faults([MOV_R0_7, EXIT], "instruction budget exceeded (runaway program)", 1, max_insns=1)
+
+
+XADD_DW = isa.BPF_STX | isa.BPF_XADD | isa.BPF_DW
+
+
+def test_xadd_is_not_run_as_a_plain_store():
+    # lock *(u64 *)(r10 - 8) += r1, twice: outside the verified subset.
+    xadd = Instruction(XADD_DW, isa.R10, isa.R1, off=-8)
+    insns = [
+        Instruction(isa.BPF_ST | isa.BPF_MEM | isa.BPF_DW, isa.R10, off=-8, imm=0),
+        Instruction(isa.BPF_ALU64 | isa.BPF_MOV | isa.BPF_K, isa.R1, imm=5),
+        xadd,
+        xadd,
+        Instruction(isa.BPF_LDX | isa.BPF_MEM | isa.BPF_DW, isa.R0, isa.R10, off=-8),
+        EXIT,
+    ]
+    assert_faults(insns, "unknown opcode 0xdb", 2)
+
+
+@pytest.mark.parametrize(
+    "opcode",
+    [
+        XADD_DW,
+        isa.BPF_STX | isa.BPF_XADD | isa.BPF_W,
+        isa.BPF_LD | isa.BPF_ABS | isa.BPF_W,
+        isa.BPF_LD | isa.BPF_IND | isa.BPF_B,
+        isa.BPF_LD | isa.BPF_IMM | isa.BPF_W,
+        isa.BPF_LDX | isa.BPF_IMM | isa.BPF_DW,
+        isa.BPF_LDX | isa.BPF_ABS | isa.BPF_W,
+        isa.BPF_ST | isa.BPF_IND | isa.BPF_B,
+        isa.BPF_ST | isa.BPF_IMM | isa.BPF_W,
+        isa.BPF_STX | isa.BPF_ABS | isa.BPF_H,
+        isa.BPF_ALU64 | 0xE0,
+        isa.BPF_ALU | 0xF0 | isa.BPF_X,
+        isa.BPF_JMP | 0xE0,
+        isa.BPF_JMP32 | 0xF0 | isa.BPF_X,
+    ],
+    ids=hex,
+)
+def test_opcode_outside_the_verified_subset_faults_when_run(opcode):
+    insns = [MOV_R0_7, Instruction(opcode, isa.R0, isa.R10, off=-8), EXIT]
+    Interpreter(insns)  # decoding an unverified program does not fault
+    assert_faults(insns, f"unknown opcode {opcode:#x}", 1)
