@@ -16,7 +16,7 @@ Arithmetic follows the eBPF specification exactly:
   (the behaviour the kernel patches in at load time),
 * shift amounts are masked to the operand width.
 
-Moves, 64-bit add / and / shifts and unsigned 64-bit compares have steps
+Moves, 64-bit add and left shift and unsigned 64-bit compares have steps
 of their own; the other operations call :func:`_alu` / :func:`_jump_taken`,
 which the verifier folds constants with.  Memory goes through the
 bounds-checked :class:`~repro.ebpf.memory.Memory`.  An opcode outside the
@@ -165,8 +165,6 @@ def _alu_step(insn, pc, helpers):
     op, is64 = insn.opcode & isa.OP_MASK, insn.klass == isa.BPF_ALU64
     mask = _U64 if is64 else _U32
     b = insn.imm & mask
-    if op in (isa.BPF_LSH, isa.BPF_RSH):
-        b &= 63 if is64 else 31
     if op == isa.BPF_MOV and not x:
         def step(regs, hctx):
             regs[dst] = b
@@ -175,7 +173,7 @@ def _alu_step(insn, pc, helpers):
         def step(regs, hctx):
             regs[dst] = regs[src] & mask
             return nxt
-    elif not is64 or op not in (isa.BPF_ADD, isa.BPF_AND, isa.BPF_LSH, isa.BPF_RSH):
+    elif not is64 or op not in (isa.BPF_ADD, isa.BPF_LSH):
         def step(regs, hctx):
             regs[dst] = _alu(op, regs[dst], regs[src] if x else b, is64, pc)
             return nxt
@@ -183,17 +181,11 @@ def _alu_step(insn, pc, helpers):
         def step(regs, hctx):
             regs[dst] = (regs[dst] + (regs[src] if x else b)) & _U64
             return nxt
-    elif op == isa.BPF_AND:
-        def step(regs, hctx):
-            regs[dst] = regs[dst] & (regs[src] if x else b)
-            return nxt
-    elif op == isa.BPF_LSH:
-        def step(regs, hctx):
-            regs[dst] = (regs[dst] << (regs[src] & 63 if x else b)) & _U64
-            return nxt
     else:
+        count = b & 63
+
         def step(regs, hctx):
-            regs[dst] = regs[dst] >> (regs[src] & 63 if x else b)
+            regs[dst] = (regs[dst] << (regs[src] & 63 if x else count)) & _U64
             return nxt
     return step
 
