@@ -322,3 +322,71 @@ def test_link_is_bidirectional():
     b.send(make_udp_packet("fc00::b", "fc00::a", 1, 5, b""))
     sched.run()
     assert sorted(seen) == ["a", "b"]
+
+
+def test_a_handle_cancels_before_its_run_once_and_never_after():
+    """Cancel before the run, twice, and after the run: each dead entry is
+    accounted once, and a late cancel leaves a live neighbour alone."""
+    sched = Scheduler()
+    seen = []
+    early = sched.schedule(10, seen.append, "early")
+    dead = sched.schedule(20, seen.append, "dead")
+    late = sched.schedule(30, seen.append, "late")
+    dead.cancel()
+    dead.cancel()
+    assert (sched.pending, sched._cancelled) == (2, 1)
+    assert sched.run(until_ns=15) == 1 and seen == ["early"]
+    early.cancel()  # it ran: a no-op
+    assert (sched.pending, sched._cancelled) == (1, 1)
+    assert sched.run() == 1 and seen == ["early", "late"]
+    late.cancel()
+    dead.cancel()
+    assert (sched.pending, sched._cancelled, sched.events_run) == (0, 0, 2)
+
+
+def test_a_cancelled_timer_firing_is_neither_pending_work_nor_a_daemon():
+    """Cancelling the entry a timer armed (not the timer) accounts it as a
+    daemon gone: ``pending`` and ``_daemons`` both drop by one, once."""
+    sched = Scheduler()
+    ticks, work = [], []
+    timer = sched.every(100, ticks.append, "tick")
+    sched.schedule(350, work.append, "done")
+    assert (sched.pending, sched._daemons) == (2, 1)
+    firing = timer._event
+    firing.cancel()
+    firing.cancel()
+    assert (sched.pending, sched._daemons, sched._cancelled) == (1, 0, 1)
+    timer.cancel()  # its armed firing is the dead one: a no-op
+    assert (sched.pending, sched._daemons, sched._cancelled) == (1, 0, 1)
+    sched.run()
+    assert ticks == [] and work == ["done"]
+    assert (sched.pending, sched._daemons, sched._cancelled) == (0, 0, 0)
+
+
+def test_a_timer_firing_rearms_as_one_daemon():
+    sched = Scheduler()
+    timer = sched.every(100, lambda: None)
+    sched.run(until_ns=250)
+    assert timer.fires == 2
+    assert (sched.pending, sched._daemons, sched._cancelled) == (1, 1, 0)
+    timer.cancel()
+    assert (sched.pending, sched._daemons, sched._cancelled) == (0, 0, 1)
+
+
+def test_events_of_finds_a_links_in_flight_batch_and_set_down_loses_it():
+    sched, a, b = two_nodes()
+    link = Link(sched, a.devices["eth0"], b.devices["eth0"], rate_bps=1e9, delay_ns=1 * NS_PER_MS)
+    seen = []
+    b.bind(lambda pkt, node, _offset: seen.append(pkt), proto=17, port=5)
+    pkts = [make_udp_packet("fc00::a", "fc00::b", 1, 5, b"x" * size) for size in (10, 20)]
+    a.send_batch(pkts)
+    sched.run(until_ns=NS_PER_MS // 2)
+    (in_flight,) = sched.events_of(link.a_to_b)
+    assert in_flight[6][0] == pkts and in_flight[5] == link.a_to_b._deliver_batch
+    assert sched.events_of(link.b_to_a) == []
+    assert (sched.pending, link.a_to_b.queue_depth) == (1, 2)
+    link.set_down()
+    assert sched.events_of(link.a_to_b) == [] and sched.pending == 0
+    assert (link.a_to_b.stats.dropped, link.a_to_b.queue_depth) == (2, 0)
+    sched.run()
+    assert seen == [] and link.a_to_b.stats.delivered == 0

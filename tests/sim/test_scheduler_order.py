@@ -226,3 +226,20 @@ def test_duplicate_key_raises_instead_of_ordering_arbitrarily():
         sched.schedule_keyed(10, stream, 7, ran.append, "second")
         sched.run()
     assert ran == []
+
+
+def test_a_handle_is_its_heap_entry_and_carries_its_key():
+    """The handle ``schedule_*`` returns is the list the heap orders:
+    ``[time_ns, stream, phase, seq, unordered, callback, args, owner]``."""
+    sched = Scheduler()
+    stream = sched.new_stream()
+    derived = sched.schedule_at(4, print, "x")
+    keyed = sched.schedule_keyed(4, stream, 9, print)
+    batch = sched.schedule_batch(4, print, ["a", "b"], "y", key=(stream, 3))
+    assert derived[:4] == [4, 0, 1, 0] and derived[5:] == [print, ("x",), sched]
+    assert keyed[:4] == [4, stream, 0, 9] and keyed[6] == ()
+    assert batch[:4] == [4, stream, 0, 3] and batch[6] == (["a", "b"], "y")
+    assert sorted(sched._heap) == [derived, batch, keyed]  # stream 0 first
+    assert sched.events_coalesced == 1
+    keyed.cancel()
+    assert keyed[5] is None and keyed[7] is None and sched.pending == 2
