@@ -26,9 +26,7 @@ def disassemble_insn(insn: Instruction, slot: int = 0) -> str:
         if insn.src_reg == isa.BPF_PSEUDO_MAP_FD:
             target = insn.map_ref if insn.map_ref else f"fd{insn.imm64}"
             return f"r{insn.dst_reg} = {target} ll"
-        # Hand-built lddws may carry a plain 32-bit imm with imm64 unset.
-        value = insn.imm64 if insn.imm64 is not None else insn.imm & isa.U64
-        return f"r{insn.dst_reg} = {value:#x} ll"
+        return f"r{insn.dst_reg} = {insn.lddw_value:#x} ll"
 
     if klass in (isa.BPF_ALU, isa.BPF_ALU64):
         op = insn.opcode & isa.OP_MASK

@@ -52,6 +52,12 @@ class Instruction:
         return self.opcode == (isa.BPF_LD | isa.BPF_IMM | isa.BPF_DW)
 
     @property
+    def lddw_value(self) -> int:
+        """An ``lddw``'s 64-bit value, as :meth:`encode` writes it: ``imm64``,
+        or else ``imm`` sign-extended."""
+        return (self.imm64 if self.imm64 is not None else self.imm) & isa.U64
+
+    @property
     def slots(self) -> int:
         """Number of 64-bit slots this instruction occupies (1 or 2)."""
         return 2 if self.is_lddw else 1
@@ -69,7 +75,7 @@ class Instruction:
     def encode(self) -> bytes:
         """Serialise to 8 (or 16, for lddw) little-endian bytes."""
         if self.is_lddw:
-            value = (self.imm64 if self.imm64 is not None else self.imm) & isa.U64
+            value = self.lddw_value
             low = isa.to_signed32(value & isa.U32)
             high = isa.to_signed32(value >> 32)
             first = _INSN_STRUCT.pack(

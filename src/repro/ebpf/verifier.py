@@ -402,7 +402,7 @@ class Verifier:
                 raise VerifierError("unresolved map reference in lddw", pc)
             state.regs[insn.dst_reg] = Reg(MAP_PTR, map=map_obj)
         elif insn.src_reg == 0:
-            state.regs[insn.dst_reg] = _scalar(insn.imm64 or 0)
+            state.regs[insn.dst_reg] = _scalar(insn.lddw_value)
         else:
             raise VerifierError(f"unsupported lddw pseudo src {insn.src_reg}", pc)
 

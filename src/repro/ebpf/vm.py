@@ -106,7 +106,7 @@ def _ja(insn, pc, helpers):
 
 
 def _lddw(insn, pc, helpers):
-    dst, value, nxt = insn.dst_reg, (insn.imm64 or 0) & _U64, pc + 2
+    dst, value, nxt = insn.dst_reg, insn.lddw_value, pc + 2
 
     def step(regs, hctx):
         regs[dst] = value

@@ -17,7 +17,7 @@ class, and the three must agree on that.
 import pytest
 
 from repro.ebpf import HelperContext, JitProgram, Memory, Verifier, VerifierError, isa
-from repro.ebpf.insn import Instruction
+from repro.ebpf.insn import Instruction, decode_program, encode_program
 from repro.ebpf.vm import Interpreter
 
 VALUES = [0, 1, 2**31 - 1, 2**31, 2**32 - 1, 2**32, 2**63 - 1, 2**63, 2**64 - 1]
@@ -142,3 +142,18 @@ def test_byte_swap_agrees(order):
         for width in (16, 32, 64):
             program = [lddw(isa.R0, a), Instruction(isa.BPF_ALU | isa.BPF_END | order, isa.R0, imm=width), EXIT]
             assert jitted(program) == interpret(program), (hex(a), width)
+
+
+@pytest.mark.parametrize("imm", [5, -1, 0x7FFFFFFF], ids=["5", "-1", "int32-max"])
+def test_an_lddw_given_imm_alone_loads_what_it_encodes(imm):
+    """An ``lddw`` built with ``imm`` and no ``imm64`` means the value its
+    bytes carry: the interpreter, the JIT and the verifier's constant read
+    what ``decode_program(encode_program(...))`` reads."""
+    insns = [Instruction(isa.BPF_LD | isa.BPF_IMM | isa.BPF_DW, isa.R0, imm=imm), EXIT]
+    (decoded, _exit) = decode_program(encode_program(insns))
+    assert decoded.imm64 == imm & isa.U64
+    assert interpret(insns) == jitted(insns) == decoded.imm64
+    for cmp, reaches_unsafe in ((isa.BPF_JEQ, False), (isa.BPF_JNE, True)):
+        check = [insns[0], lddw(isa.R2, decoded.imm64),
+                 Instruction(isa.BPF_JMP | cmp | isa.BPF_X, isa.R0, isa.R2, off=1), UNSAFE, EXIT]
+        assert accepted(check) is not reaches_unsafe, (hex(decoded.imm64), cmp)
