@@ -179,7 +179,7 @@ class CompiledHandler:
         self.packet_region = hctx.skb.packet_region
         self.mem = hctx.mem
         self.snapshot = hctx.mem.snapshot()
-        jitp = program._jit if program.jit_enabled else None
+        jitp = program._jit
         self.fn = None if jitp is None else jitp._fn
         self.helpers = None if jitp is None else jitp.helpers
 
@@ -434,7 +434,7 @@ def _emit_block(slots, start, leaders, block_id, spec, arity) -> list[str]:
             out.append(_emit_alu(insn))
             pc += 1
         elif klass == isa.BPF_LD:
-            out.append(f"r{insn.dst_reg} = {(insn.imm64 or 0) & isa.U64:#x}")
+            out.append(f"r{insn.dst_reg} = {insn.lddw_value:#x}")
             pc += 2
         elif klass == isa.BPF_LDX:
             size = isa.SIZE_BYTES[insn.opcode & isa.SIZE_MASK]

@@ -111,10 +111,9 @@ class Program:
             for pc, tag in verifier.region_hints.items()
         }
         self.facts = verifier.facts
-        self._interp = Interpreter(self.insns)
-        self._jit = (
-            JitProgram(self.insns, regions=self.region_hints) if jit else None
-        )
+        # One engine per program: the JIT, or (``jit=False``) the interpreter.
+        self._jit = JitProgram(self.insns, regions=self.region_hints) if jit else None
+        self._interp = None if jit else Interpreter(self.insns)
         self.stats = ProgramStats()
 
     # -- loading -------------------------------------------------------------
@@ -197,7 +196,7 @@ class Program:
     def run(self, hctx: HelperContext) -> int:
         """Execute with the configured engine; returns R0."""
         skb = hctx.skb
-        engine = self._jit if self.jit_enabled and self._jit is not None else self._interp
+        engine = self._jit or self._interp
         ret = engine.run(hctx, skb.ctx_addr, skb.stack_top)
         self.stats.invocations += 1
         self.stats.last_return = ret

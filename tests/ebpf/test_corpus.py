@@ -70,6 +70,7 @@ from repro.ebpf.context import (
     OFF_PROTOCOL,
 )
 from repro.ebpf.helpers import HELPER_NAMES_BY_ID
+from repro.ebpf.vm import Interpreter
 from repro.lab import Network
 from repro.progs.library import ASM_DIR
 
@@ -301,7 +302,7 @@ def test_differential_vm_vs_jit(path):
     for seed in range(DIFFERENTIAL_INPUTS):
         packet = _make_packet(random.Random(f"{path.stem}/{seed}"))
         outcomes = []
-        for engine in (prog._interp, prog._jit):
+        for engine in (Interpreter(prog.insns), prog._jit):
             for name, map_obj in prog.maps.items():
                 _restore_map(map_obj, baseline[name])
             hctx = prog.make_context(

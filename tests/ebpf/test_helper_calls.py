@@ -20,6 +20,7 @@ import pytest
 
 from repro.ebpf.errors import BpfError
 from repro.ebpf.helpers import HELPER_IDS_BY_NAME, HELPERS_BY_ID
+from repro.ebpf.vm import Interpreter
 from repro.net import Packet, make_controller_tlv, make_dm_tlv, make_srh, make_udp_packet, push_outer_encap
 from test_corpus import _dump_map, _make_clock, _restore_map, _snapshot_map
 from test_handler_differential import PROGRAMS, SEG, SINK, _attach_point, _load, _node, _packet
@@ -68,7 +69,7 @@ def test_engines_trace_the_same_exact_arity_calls(name, text):
         baseline = {n: _snapshot_map(m) for n, m in prog.maps.items()}
         outcomes = {}
         for run, engine, traced in (
-            ("vm", prog._interp, True),
+            ("vm", Interpreter(prog.insns), True),
             ("jit", prog._jit, True),
             ("jit_untraced", prog._jit, False),
         ):

@@ -260,7 +260,7 @@ def test_unverified_translation_of_the_same_program_runs_through_memory():
 
     packet = bytes(make_udp_packet("fc00:1::1", "fc00:2::2", 40000, 5201, bytes(64)).data)
     outcomes = []
-    for engine in (prog._jit, raw, prog._interp):
+    for engine in (prog._jit, raw, Interpreter(prog.insns)):
         handle.state.update(bytes(4), bytes(16))
         hctx = prog.make_context(packet)
         hctx.node, hctx.hook = node, "lwt_out"

@@ -88,6 +88,7 @@ def test_jit_flag_selects_engine():
     interp = Program("r0 = 1\nexit", jit=False)
     assert jit._jit is not None
     assert interp._jit is None
+    assert jit._interp is None and interp._interp is not None  # one engine each
     assert jit.run_on_packet(PKT)[0] == interp.run_on_packet(PKT)[0] == 1
 
 

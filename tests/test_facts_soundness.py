@@ -32,6 +32,7 @@ from repro.ebpf.errors import AsmError, BpfError, MapError, VmFault
 from repro.ebpf.helpers import HELPER_IDS_BY_NAME
 from repro.ebpf.maps import ArrayMap
 from repro.ebpf.memory import CTX_BASE, MAP_PTR_BASE, MAP_VALUE_BASE, STACK_BASE
+from repro.ebpf.vm import Interpreter
 from repro.net import make_srv6_udp_packet, make_udp_packet
 from repro.progs import dm_config_value, wrr_config_value
 from repro.progs.library import ASM_DIR
@@ -70,7 +71,7 @@ def observe(prog: Program, packet: bytes, hook: str | None = None):
 
     mem.load, mem.store = traced_load, traced_store
     try:
-        prog._interp.run(hctx, hctx.skb.ctx_addr, hctx.skb.stack_top)
+        Interpreter(prog.insns).run(hctx, hctx.skb.ctx_addr, hctx.skb.stack_top)
     except (VmFault, BpfError):
         pass  # a helper refused: what ran before it still counts
     helpers = {HELPER_IDS_BY_NAME[name] for name, _args, _ret in hctx.helper_trace}
@@ -199,11 +200,12 @@ def run_both(prog: Program, packet: bytes = PLAIN):
     helper trace, map contents, packet), and the VM's value-range accesses."""
     before = _map_state(prog)
     outcomes, accesses = [], []
-    for engine in (prog._interp, prog._jit):
+    interp = Interpreter(prog.insns)
+    for engine in (interp, prog._jit):
         _set_map_state(prog, before)
         hctx = prog.make_context(packet, rng=random.Random(3))
         hctx.helper_trace = []
-        if engine is prog._interp:
+        if engine is interp:
             mem = hctx.mem
             load, store = mem.load, mem.store
 

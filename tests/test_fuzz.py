@@ -176,7 +176,7 @@ def test_easm_programs_agree_across_engines_including_helper_traces(lines):
     import random
 
     outcomes = []
-    for engine in (prog._interp, prog._jit):
+    for engine in (Interpreter(prog.insns), prog._jit):
         hctx = prog.make_context(
             PKT, clock_ns=lambda: 42, rng=random.Random(7)
         )
