@@ -29,7 +29,7 @@ Acceptance (capacity ratio over shards=1): ≥ 1.7x at 2 shards and
 smoke lowers the 2-shard floor to absorb shared-runner noise).  Set
 ``REPRO_SHARD_COUNTS`` (e.g. ``1,2``) to shrink the sweep.  Results —
 capacity, wall clock, per-shard busy seconds, rounds, and the
-``Event.__slots__`` per-event memory note — are written to
+per-event memory note of a heap entry — are written to
 ``BENCH_shard_scaling.json`` (override with ``REPRO_BENCH_JSON``).
 """
 
@@ -43,7 +43,7 @@ import time
 import pytest
 
 from repro.lab import Network
-from repro.sim.scheduler import NS_PER_MS, Event
+from repro.sim.scheduler import NS_PER_MS, Scheduler
 
 _ENV_COUNTS = tuple(
     int(c)
@@ -165,16 +165,16 @@ def run_point(shards: int) -> dict:
 
 
 def event_memory_note() -> dict:
-    """Bytes per queued event: the heap entry that is its own handle,
-    against the slotted handle plus key tuple it replaced, measured here."""
+    """Bytes per queued event: the heap entry that is its own handle (a
+    plain list), against the slotted handle plus key tuple it replaced,
+    measured here."""
 
     class SlottedEvent:  # the nine-field handle, queued in a 5-tuple
         __slots__ = (
             "time_ns", "stream", "phase", "seq", "callback", "args", "cancelled", "daemon", "owner",
         )
 
-    entry = Event((0, 0, 0, 0, object(), print, (), None))
-    assert not hasattr(entry, "__dict__")
+    entry = Scheduler().schedule_at(0, print)
     entry_bytes = sys.getsizeof(entry) + sys.getsizeof(entry[4])
     replaced_bytes = sys.getsizeof(SlottedEvent()) + sys.getsizeof((0, 0, 0, 0, None))
     return {
@@ -219,7 +219,7 @@ def test_shard_scaling_report():
 
     memory = event_memory_note()
     print(
-        f"  Event heap entry: {memory['entry_bytes']} B/event vs "
+        f"  heap entry: {memory['entry_bytes']} B/event vs "
         f"{memory['replaced_bytes']} B as a slotted handle in a key tuple "
         f"({memory['saving_pct']}% saved)"
     )

@@ -118,10 +118,10 @@ class IgpSpeaker:
             timer.cancel()
         self._timers.clear()
         if self._bootstrap is not None:
-            self._bootstrap.cancel()  # no-op if it already fired
+            self.scheduler.cancel(self._bootstrap)  # no-op if it already fired
             self._bootstrap = None
         if self._spf_event is not None:
-            self._spf_event.cancel()
+            self.scheduler.cancel(self._spf_event)
             self._spf_event = None
         if self._listener is not None:
             try:
@@ -272,7 +272,7 @@ class IgpSpeaker:
 
     # -- SPF and route programming --------------------------------------------
     def _schedule_spf(self) -> None:
-        if self._spf_event is None or self._spf_event.cancelled:
+        if self._spf_event is None or self._spf_event[5] is None:  # [5]: None once cancelled
             self._spf_event = self.scheduler.schedule(
                 self.ctrl.spf_delay_ns, self._run_spf
             )

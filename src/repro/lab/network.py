@@ -632,8 +632,9 @@ class Network:
 
         The sanctioned way for examples and experiments to schedule
         mid-run actions — failures, reconfigurations, readouts — without
-        reaching into ``net.scheduler``.  Returns the event handle
-        (``.cancel()`` to unschedule).
+        reaching into ``net.scheduler``.  Returns the event handle, the
+        scheduler's heap entry: ``net.scheduler.cancel(handle)``
+        unschedules it.
         """
         return self.scheduler.schedule_at(at_ns, fn, *args)
 

@@ -307,7 +307,7 @@ class Node:
                 name = dev.name
                 stats = dev.stats
                 stats.rx_packets += len(pkts)
-                stats.rx_bytes += sum(map(len, map(_DATA, pkts)))
+                stats.rx_bytes += len(pkts[0].data) if len(pkts) == 1 else sum(map(len, map(_DATA, pkts)))
             cpu = self.cpu  # stamped now, routed when the CPU is done
         egress = outer = self._egress
         if outer is None:
@@ -409,7 +409,7 @@ class Node:
                         if out_dev.qdisc is None:  # at the wire: a qdisc counts at release
                             dev_stats = out_dev.stats
                             dev_stats.tx_packets += len(out)
-                            dev_stats.tx_bytes += sum(map(len, map(_DATA, out)))
+                            dev_stats.tx_bytes += len(out[0].data) if len(out) == 1 else sum(map(len, map(_DATA, out)))
                             out_dev.wire(out)
                         else:
                             for pkt in out:

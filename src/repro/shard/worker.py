@@ -61,8 +61,9 @@ def _quiesce(endpoint) -> None:
     shards execute the real deliveries, and nothing here may move a
     counter the merge would then double-count.
     """
-    for event in endpoint.scheduler.events_of(endpoint):
-        event.cancel()
+    scheduler = endpoint.scheduler
+    for event in scheduler.events_of(endpoint):
+        scheduler.cancel(event)
 
 
 def localise(net, assignment: dict, shard_id: int, outbox: list) -> dict:
@@ -79,7 +80,7 @@ def localise(net, assignment: dict, shard_id: int, outbox: list) -> dict:
         if flow.node.name not in local:
             flow.enabled = False
             if flow._event is not None:
-                flow._event.cancel()
+                flow.scheduler.cancel(flow._event)
 
     # IGP speakers run where their node lives; a stopped daemon neither
     # sends hellos nor reacts to carrier events, so every bus event and
@@ -105,10 +106,11 @@ def localise(net, assignment: dict, shard_id: int, outbox: list) -> dict:
         if dev.qdisc is not None
     }
     if remote_qdiscs:
-        for event in net.scheduler._heap:
-            held_by = getattr(event.callback, "__self__", None)
+        scheduler = net.scheduler
+        for event in scheduler._heap:
+            held_by = getattr(event[5], "__self__", None)
             if held_by is not None and id(held_by) in remote_qdiscs:
-                event.cancel()
+                scheduler.cancel(event)
 
     # The replica's telemetry ticks into a private unbounded sink; the
     # coordinator merges the per-shard streams back into the user's sink.
@@ -137,7 +139,7 @@ def localise(net, assignment: dict, shard_id: int, outbox: list) -> dict:
                 # delivery event (same key), so delivery/stats happen
                 # there and only the queue bookkeeping remains here.
                 for event in endpoint.scheduler.events_of(endpoint):
-                    event.callback = endpoint._drain_remote
+                    event[5] = endpoint._drain_remote
             elif dst == shard_id:
                 inject[(link_idx, direction)] = endpoint
             else:

@@ -4,7 +4,7 @@ from .cpu import CostModel, CpuQueue, CpuStats
 from .link import Link, LinkEndpoint
 from .netem import NetemQdisc
 from .pcap import PcapWriter, read_pcap, tap_device
-from .scheduler import NS_PER_MS, NS_PER_SEC, NS_PER_US, Event, Scheduler
+from .scheduler import NS_PER_MS, NS_PER_SEC, NS_PER_US, Scheduler
 from .stats import FlowMeter, mbps
 from .tcp import TcpReceiver, TcpSender, make_connection
 from .trafgen import Srv6UdpFlood, UdpFlow, batch_srv6_udp, batch_srv6_udp_flows, batch_udp
@@ -13,7 +13,6 @@ __all__ = [
     "CostModel",
     "CpuQueue",
     "CpuStats",
-    "Event",
     "FlowMeter",
     "Link",
     "LinkEndpoint",

@@ -81,66 +81,72 @@ class LinkEndpoint:
         in batch-sized steps (so a near-full queue can drop marginally
         more than packet-at-a-time delivery would).
         """
-        now = self.scheduler.now_ns
+        scheduler = self.scheduler
+        now = scheduler.now_ns
         stats = self.stats
         if not self.up:
             stats.dropped += len(pkts)
             return
-        accepted: list[Packet] = []
+        count = len(pkts)
+        limit = self.queue_limit
+        room = count if limit is None else limit - self._queued
+        if room < count:
+            # A full transmit queue drops what of the batch does not fit: its tail.
+            room = max(room, 0)
+            stats.dropped += count - room
+            if not room:
+                return
+            count = room
+        accepted = pkts[:count]
         traced = None
-        depart = self._free_at_ns
-        for pkt in pkts:
-            if self.queue_limit is not None and self._queued >= self.queue_limit:
-                stats.dropped += 1
-                continue
+        depart, rate, sent_bytes = self._free_at_ns, self.rate_bps, 0
+        for pkt in accepted:
             size = len(pkt.data)
-            start = depart if depart > now else now
-            depart = start
-            if self.rate_bps > 0:
-                depart += int(size * _BIT_NS / self.rate_bps)
-            self._queued += 1
-            stats.sent += 1
-            stats.bytes_sent += size
-            accepted.append(pkt)
+            if depart < now:
+                depart = now
+            start = depart
+            if rate > 0:
+                depart += int(size * _BIT_NS / rate)
+            sent_bytes += size
             if pkt.tctx is not None:
                 if traced is None:
                     traced = []
                 traced.append((pkt, start, depart))
         self._free_at_ns = depart
-        if accepted:
-            seq = self._send_seq
-            self._send_seq = seq + 1
-            arrival = depart + self.delay_ns
-            if traced is not None:
-                # Spans are appended before the export branch so they
-                # travel inside the shard handoff codec with the packet.
-                # The wait from a packet's own departure to the batch's
-                # (delivery coalescing) is queueing, not propagation.
-                last_depart = depart
-                where = str(self.peer_dev)
-                delay = self.delay_ns
-                for pkt, p_start, p_depart in traced:
-                    tctx = pkt.tctx
-                    if p_start > now:
-                        tctx.append((now, p_start, "queue", where, ""))
-                    if p_depart > p_start:
-                        tctx.append((p_start, p_depart, "serialize", where, ""))
-                    if last_depart > p_depart:
-                        tctx.append((p_depart, last_depart, "queue", where, "coalesce"))
-                    if delay:
-                        tctx.append((last_depart, arrival, "propagate", where, ""))
-            if self.export is None:
-                self.scheduler.schedule_batch(
-                    arrival, self._deliver_batch, accepted, key=(self.stream, seq)
-                )
-            else:
-                # Cross-shard proxy: the batch leaves this worker now; a
-                # local drain event under the same key keeps the transmit
-                # queue accounting (and its drop behaviour) byte-identical.
-                self.export(arrival, seq, accepted)
-                self.scheduler.schedule_keyed(
-                    arrival, self.stream, seq, self._drain_remote, accepted
-                )
+        self._queued += count
+        stats.sent += count
+        stats.bytes_sent += sent_bytes
+        seq = self._send_seq
+        self._send_seq = seq + 1
+        arrival = depart + self.delay_ns
+        if traced is not None:
+            # Spans are appended before the export branch so they
+            # travel inside the shard handoff codec with the packet.
+            # The wait from a packet's own departure to the batch's
+            # (delivery coalescing) is queueing, not propagation.
+            last_depart = depart
+            where = str(self.peer_dev)
+            delay = self.delay_ns
+            for pkt, p_start, p_depart in traced:
+                tctx = pkt.tctx
+                if p_start > now:
+                    tctx.append((now, p_start, "queue", where, ""))
+                if p_depart > p_start:
+                    tctx.append((p_start, p_depart, "serialize", where, ""))
+                if last_depart > p_depart:
+                    tctx.append((p_depart, last_depart, "queue", where, "coalesce"))
+                if delay:
+                    tctx.append((last_depart, arrival, "propagate", where, ""))
+        if self.export is None:
+            if count > 1:
+                scheduler.events_coalesced += count - 1
+            scheduler.schedule_keyed(arrival, self.stream, seq, self._deliver_batch, accepted)
+        else:
+            # Cross-shard proxy: the batch leaves this worker now; a
+            # local drain event under the same key keeps the transmit
+            # queue accounting (and its drop behaviour) byte-identical.
+            self.export(arrival, seq, accepted)
+            scheduler.schedule_keyed(arrival, self.stream, seq, self._drain_remote, accepted)
 
     def _deliver_batch(self, pkts: list[Packet]) -> None:
         """The arrival: the batch goes straight to the peer node, on the
@@ -189,10 +195,11 @@ class LinkEndpoint:
         exported = self.export is not None
         # The in-flight batches are this endpoint's pending delivery (or
         # drain) events: found by a scan, so sending keeps no books.
-        for event in self.scheduler.events_of(self):
-            pkts = event.args[0]
-            injected = event.callback == self._deliver_remote
-            event.cancel()
+        scheduler = self.scheduler
+        for event in scheduler.events_of(self):
+            pkts = event[6][0]
+            injected = event[5] == self._deliver_remote
+            scheduler.cancel(event)
             if injected:
                 self.stats.dropped += len(pkts)
                 continue

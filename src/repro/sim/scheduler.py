@@ -9,6 +9,17 @@ executes inherit the executing event's stream (phase 1, per-stream
 counter); link deliveries carry explicit keys (phase 0, the sender's
 per-endpoint send counter).
 
+An event is its own heap entry and its own handle: a plain list
+``[time_ns, stream, phase, seq, unordered, callback, args, owner]``.
+``heapq`` compares entries as lists, in C, so the leading key is the one
+definition of order.  Keys are unique by construction; a duplicate would
+fall through to ``unordered`` — a fresh ``object()`` per event — and
+raise ``TypeError`` rather than order by callback.  ``owner`` is the
+scheduler while the event waits in its heap, the :class:`Timer` for a
+timer firing (a daemon: it is not pending work), and None once the event
+ran or was cancelled (:meth:`Scheduler.cancel`).  A cancelled event keeps
+its heap slot, its callback None, until the run loop pops it.
+
 The point of keys is the sharded engine (:mod:`repro.shard`): because a
 key names an event's causal origin rather than its global creation
 order, the same simulation partitioned across K schedulers executes
@@ -19,49 +30,11 @@ run would — the bit-reproducibility contract across shard counts.
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from operator import itemgetter
 from typing import Callable
 
 NS_PER_SEC = 1_000_000_000
 NS_PER_MS = 1_000_000
 NS_PER_US = 1_000
-
-
-class Event(list):
-    """One scheduled callback: the heap entry is the handle.
-
-    ``[time_ns, stream, phase, seq, unordered, callback, args, owner]``.
-    ``heapq`` compares entries as lists, in C, so the leading key is the
-    one definition of order.  Keys are unique by construction; a
-    duplicate would fall through to ``unordered`` — a fresh ``object()``
-    per event — and raise ``TypeError`` rather than order by callback.
-
-    ``owner`` is the scheduler while the event waits in its heap, the
-    :class:`Timer` for a timer firing (a daemon: it is not pending
-    work), and None once the event ran or was cancelled, so a late
-    ``cancel()`` is a no-op.  A cancelled event keeps its heap slot, its
-    callback None, until the run loop pops it.
-    """
-
-    __slots__ = ()
-
-    time_ns = property(itemgetter(0))
-    stream = property(itemgetter(1))
-    phase = property(itemgetter(2))
-    seq = property(itemgetter(3))
-    callback = property(itemgetter(5), lambda self, callback: self.__setitem__(5, callback))
-    args = property(itemgetter(6))
-    cancelled = property(lambda self: self[5] is None)
-
-    def cancel(self) -> None:
-        owner = self[7]
-        self[5] = None
-        if owner is not None:
-            self[7] = None
-            if type(owner) is Timer:
-                owner = owner.scheduler
-                owner._daemons -= 1
-            owner._cancelled += 1
 
 
 class Timer:
@@ -79,7 +52,7 @@ class Timer:
         self.callback = callback
         self.args = args
         self.fires = 0
-        self._event: Event | None = None
+        self._event: list | None = None
 
     @property
     def active(self) -> bool:
@@ -87,7 +60,7 @@ class Timer:
 
     def cancel(self) -> None:
         if self._event is not None:
-            self._event.cancel()
+            self.scheduler.cancel(self._event)
             self._event = None
 
     def _arm(self) -> None:
@@ -113,7 +86,7 @@ class Scheduler:
 
     def __init__(self):
         self.now_ns = 0
-        self._heap: list[Event] = []
+        self._heap: list[list] = []
         self.events_run = 0
         self.events_coalesced = 0  # heap events saved by schedule_batch
         self._cancelled = 0  # cancelled events still sitting in the heap
@@ -140,11 +113,11 @@ class Scheduler:
         return stream
 
     # -- scheduling ----------------------------------------------------------
-    def schedule(self, delay_ns: int, callback: Callable, *args) -> Event:
+    def schedule(self, delay_ns: int, callback: Callable, *args) -> list:
         """Run ``callback(*args)`` after ``delay_ns`` simulated nanoseconds."""
         return self.schedule_at(self.now_ns + max(0, int(delay_ns)), callback, *args)
 
-    def schedule_at(self, time_ns: int, callback: Callable, *args) -> Event:
+    def schedule_at(self, time_ns: int, callback: Callable, *args) -> list:
         """Schedule in the executing event's stream (phase 1, derived)."""
         stream = self._stream
         seqs = self._stream_seqs
@@ -153,13 +126,13 @@ class Scheduler:
         time_ns = int(time_ns)
         if time_ns < self.now_ns:
             raise ValueError(f"cannot schedule in the past ({time_ns} < {self.now_ns})")
-        event = Event((time_ns, stream, 1, seq, object(), callback, args, self))
+        event = [time_ns, stream, 1, seq, object(), callback, args, self]
         heappush(self._heap, event)
         return event
 
     def schedule_keyed(
         self, time_ns: int, stream: int, seq: int, callback: Callable, *args
-    ) -> Event:
+    ) -> list:
         """Schedule with an explicit ``(stream, seq)`` key (phase 0).
 
         Link endpoints use this for wire events: the key is derived from
@@ -171,9 +144,20 @@ class Scheduler:
         time_ns = int(time_ns)
         if time_ns < self.now_ns:
             raise ValueError(f"cannot schedule in the past ({time_ns} < {self.now_ns})")
-        event = Event((time_ns, stream, 0, seq, object(), callback, args, self))
+        event = [time_ns, stream, 0, seq, object(), callback, args, self]
         heappush(self._heap, event)
         return event
+
+    def cancel(self, event: list) -> None:
+        """Unschedule ``event``, a handle a ``schedule*`` call returned: its
+        callback never runs.  A no-op once it ran or was cancelled."""
+        owner = event[7]
+        event[5] = None
+        if owner is not None:
+            event[7] = None
+            if owner is not self:  # a timer's firing: a daemon, not work
+                self._daemons -= 1
+            self._cancelled += 1
 
     def every(self, interval_ns: int, callback: Callable, *args) -> Timer:
         """Run ``callback(*args)`` every ``interval_ns``, starting one
@@ -193,7 +177,7 @@ class Scheduler:
 
     def schedule_batch(
         self, time_ns: int, callback: Callable, items: list, *args, key=None
-    ) -> Event:
+    ) -> list:
         """One heap event delivering a whole batch (``callback(items, *args)``).
 
         The batch equivalent of N ``schedule_at`` calls at the same
@@ -211,7 +195,7 @@ class Scheduler:
         time_ns = int(time_ns)
         if time_ns < self.now_ns:
             raise ValueError(f"cannot schedule in the past ({time_ns} < {self.now_ns})")
-        event = Event((time_ns, stream, 0, seq, object(), callback, (items,) + args, self))
+        event = [time_ns, stream, 0, seq, object(), callback, (items,) + args, self]
         heappush(self._heap, event)
         return event
 
@@ -281,7 +265,7 @@ class Scheduler:
             self.now_ns = horizon_ns
         return executed
 
-    def events_of(self, owner) -> list[Event]:
+    def events_of(self, owner) -> list[list]:
         """The live events whose callback is a method of ``owner`` — an
         O(heap) scan, for rare state changes such as a link going down."""
         return [

@@ -141,7 +141,7 @@ class TcpSender:
     def stop(self) -> None:
         self.running = False
         if self._rto_event is not None:
-            self._rto_event.cancel()
+            self.scheduler.cancel(self._rto_event)
             self._rto_event = None
 
     @property
@@ -272,7 +272,7 @@ class TcpSender:
 
     def _arm_rto(self) -> None:
         if self._rto_event is not None:
-            self._rto_event.cancel()
+            self.scheduler.cancel(self._rto_event)
         if self.flight_size == 0 or not self.running:
             self._rto_event = None
             return

@@ -108,7 +108,7 @@ class UdpFlow:
         if duration_ns is not None:
             self._stop_ns = start_ns + duration_ns
         if self._event is not None:
-            self._event.cancel()  # a restart retires the armed tick: one chain
+            self.scheduler.cancel(self._event)  # a restart retires the armed tick: one chain
         self._event = self.scheduler.schedule_at(start_ns, self._tick)
 
     def stop(self) -> None:

@@ -169,7 +169,7 @@ class SrTraceroute:
 
     def _arm_timeout(self) -> None:
         if self._timeout_event is not None:
-            self._timeout_event.cancel()
+            self.scheduler.cancel(self._timeout_event)
         self._timeout_event = self.scheduler.schedule(
             self.hop_timeout_ns, self._on_timeout
         )

@@ -6,6 +6,9 @@ or ``other``.  ``hop_budget.json`` holds each path's calls per packet and, per
 CPython minor, each layer's bytecodes per packet, rounded up to the hundredth.
 Print the measured rows for this minor in the table's format with
 ``PYTHONPATH=src python tests/sim/test_hop_budget.py [PATH ...] [--by function]``.
+``--host`` prints instead each layer's share of host time, sampled by
+``SIGPROF``, beside its share of the bytecodes: the counted rows weigh a
+bytecode that is a C call no more than one that is not.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ import gc
 import json
 import math
 import os
+import signal
 import sys
 from functools import partial
 from pathlib import Path
@@ -115,6 +119,38 @@ def _count(fn, args: tuple, kwargs: dict, by) -> dict[str, list[int]]:
             monitoring.set_local_events(tool, code, 0)
         monitoring.free_tool_id(tool)
     return tallies
+
+
+def sample(fn, *args, by=layer, **kwargs) -> dict[str, list[int]]:
+    """``[samples, 0]`` per ``by(code)`` in one run of ``fn(*args, **kwargs)``: the Python frame
+    running at each ``ITIMER_PROF`` expiry, every millisecond of this process's CPU time.  A C call
+    (``heappush``, ``sum``) counts in the frame that made it."""
+    tallies = {}
+
+    def tick(_signum, frame):
+        tallies.setdefault(by(frame.f_code), [0, 0])[0] += 1
+
+    previous = signal.signal(signal.SIGPROF, tick)
+    signal.setitimer(signal.ITIMER_PROF, 0.001, 0.001)
+    try:
+        fn(*args, **kwargs)
+    finally:
+        signal.setitimer(signal.ITIMER_PROF, 0)
+        signal.signal(signal.SIGPROF, previous)
+    return tallies
+
+
+def host_shares(path: str, samples: int, by=layer) -> tuple[int, dict[str, tuple[float, float]]]:
+    """``path`` re-run until ``samples`` samples are taken: their count, and per key its share of
+    them beside its share of the bytecodes, both in percent, the keys ranked by host share."""
+    host: dict[str, int] = {}
+    while sum(host.values()) < samples:
+        for key, (n, _zero) in PATHS[path](partial(sample, by=by))[0].items():
+            host[key] = host.get(key, 0) + n
+    _calls, bytecodes = per_packet(path, by)
+    taken, counted = sum(host.values()), sum(bytecodes.values())
+    keys = sorted(host.keys() | bytecodes.keys(), key=lambda key: (-host.get(key, 0), key))
+    return taken, {key: (100 * host.get(key, 0) / taken, 100 * bytecodes.get(key, 0) / counted) for key in keys}
 
 
 def setup1_flood(count):
@@ -285,10 +321,19 @@ def main(argv: list[str]) -> None:
     parser = argparse.ArgumentParser(description="Print each path's measured row of hop_budget.json for this minor.")
     parser.add_argument("paths", nargs="*", metavar="PATH", help=f"one of {', '.join(PATHS)} (default: all)")
     parser.add_argument("--by", choices=("layer", "function"), default="layer")
+    parser.add_argument("--host", type=int, nargs="?", const=2000, metavar="SAMPLES",
+                        help="print host-time shares from SAMPLES 1 ms SIGPROF samples (default 2000)")
     args = parser.parse_args(argv)
     for path in set(args.paths) - PATHS.keys():
         parser.error(f"unknown path {path}")
     by = {"layer": layer, "function": function}[args.by]
+    if args.host:
+        for path in args.paths or sorted(PATHS):
+            taken, shares = host_shares(path, args.host, by)
+            print(f"{path}: {taken} samples\n{'host %':>8} {'bytecode %':>11}  {args.by}")
+            for key, (host, counted) in shares.items():
+                print(f"{host:8.1f} {counted:11.1f}  {key}")
+        return
     rows = {path: dict(zip(("calls", MINOR), per_packet(path, by))) for path in args.paths or sorted(PATHS)}
     print(json.dumps(rows, indent=2))
 

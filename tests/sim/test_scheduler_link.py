@@ -50,7 +50,7 @@ def test_cancelled_event_skipped():
     sched = Scheduler()
     seen = []
     event = sched.schedule(100, seen.append, 1)
-    event.cancel()
+    sched.cancel(event)
     sched.run()
     assert seen == []
 
@@ -144,9 +144,9 @@ def test_pending_is_constant_time_and_correct():
     events = [sched.schedule(100 + i, lambda: None) for i in range(100)]
     assert sched.pending == 100
     for event in events[:40]:
-        event.cancel()
+        sched.cancel(event)
     assert sched.pending == 60
-    events[0].cancel()  # double-cancel must not double-count
+    sched.cancel(events[0])  # double-cancel must not double-count
     assert sched.pending == 60
     sched.run()
     assert sched.pending == 0
@@ -172,12 +172,12 @@ def test_cancelling_an_executed_event_does_not_corrupt_pending():
     sched = Scheduler()
     stale = sched.schedule(10, lambda: None)
     sched.run()
-    stale.cancel()
-    stale.cancel()
+    sched.cancel(stale)
+    sched.cancel(stale)
     assert sched.pending == 0
     follow = sched.schedule(10, lambda: None)
     assert sched.pending == 1  # not 0: the late cancel was a no-op
-    follow.cancel()
+    sched.cancel(follow)
     assert sched.pending == 0
     assert sched.run() == 0
 
@@ -332,15 +332,15 @@ def test_a_handle_cancels_before_its_run_once_and_never_after():
     early = sched.schedule(10, seen.append, "early")
     dead = sched.schedule(20, seen.append, "dead")
     late = sched.schedule(30, seen.append, "late")
-    dead.cancel()
-    dead.cancel()
+    sched.cancel(dead)
+    sched.cancel(dead)
     assert (sched.pending, sched._cancelled) == (2, 1)
     assert sched.run(until_ns=15) == 1 and seen == ["early"]
-    early.cancel()  # it ran: a no-op
+    sched.cancel(early)  # it ran: a no-op
     assert (sched.pending, sched._cancelled) == (1, 1)
     assert sched.run() == 1 and seen == ["early", "late"]
-    late.cancel()
-    dead.cancel()
+    sched.cancel(late)
+    sched.cancel(dead)
     assert (sched.pending, sched._cancelled, sched.events_run) == (0, 0, 2)
 
 
@@ -353,8 +353,8 @@ def test_a_cancelled_timer_firing_is_neither_pending_work_nor_a_daemon():
     sched.schedule(350, work.append, "done")
     assert (sched.pending, sched._daemons) == (2, 1)
     firing = timer._event
-    firing.cancel()
-    firing.cancel()
+    sched.cancel(firing)
+    sched.cancel(firing)
     assert (sched.pending, sched._daemons, sched._cancelled) == (1, 0, 1)
     timer.cancel()  # its armed firing is the dead one: a no-op
     assert (sched.pending, sched._daemons, sched._cancelled) == (1, 0, 1)

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.sim import Scheduler
+from repro.sim.scheduler import Timer
 
 STREAMS = 4
 END_NS = 100
@@ -128,7 +129,11 @@ def load(ops, timers):
         if delay is not None:
             sched.schedule(delay, fire, (label, "child"))
         if target in handles:
-            handles[target].cancel()
+            handle = handles[target]
+            if isinstance(handle, Timer):
+                handle.cancel()
+            else:
+                sched.cancel(handle)
 
     def fire_batch(items, label, delay, target):
         assert items == [label, label]
@@ -151,12 +156,12 @@ def load(ops, timers):
             want = (time_ns, stream, 0, seq)
         else:
             want = model.derived(time_ns, 0)
-        assert (event.time_ns, event.stream, event.phase, event.seq) == want
+        assert tuple(event[:4]) == want
         model.queue.append([want, label, 0, delay, target])
         if cancel:
-            event.cancel()
-            event.cancel()  # idempotent: accounted once
-            assert event.cancelled
+            sched.cancel(event)
+            sched.cancel(event)  # idempotent: accounted once
+            assert event[5] is None  # cancelled: no callback
             model.cancel(label)
     for number, (interval, cancel) in enumerate(timers):
         label = ("timer", number)
@@ -210,9 +215,9 @@ def test_a_cancel_after_the_event_ran_is_a_no_op():
     event = sched.schedule_at(5, ran.append, "first")
     later = sched.schedule_at(9, ran.append, "second")
     assert sched.run(until_ns=6) == 1 and ran == ["first"]
-    event.cancel()
+    sched.cancel(event)
     assert (sched.pending, sched._daemons, sched._cancelled) == (1, 0, 0)
-    later.cancel()
+    sched.cancel(later)
     assert (sched.pending, sched._daemons, sched._cancelled) == (0, 0, 1)
     assert sched.run() == 0 and ran == ["first"] and sched.events_run == 1
 
@@ -241,5 +246,5 @@ def test_a_handle_is_its_heap_entry_and_carries_its_key():
     assert batch[:4] == [4, stream, 0, 3] and batch[6] == (["a", "b"], "y")
     assert sorted(sched._heap) == [derived, batch, keyed]  # stream 0 first
     assert sched.events_coalesced == 1
-    keyed.cancel()
+    sched.cancel(keyed)
     assert keyed[5] is None and keyed[7] is None and sched.pending == 2
