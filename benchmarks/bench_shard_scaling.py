@@ -43,7 +43,7 @@ import time
 import pytest
 
 from repro.lab import Network
-from repro.sim.scheduler import NS_PER_MS, Scheduler
+from repro.sim.scheduler import NS_PER_MS
 
 _ENV_COUNTS = tuple(
     int(c)
@@ -174,7 +174,7 @@ def event_memory_note() -> dict:
             "time_ns", "stream", "phase", "seq", "callback", "args", "cancelled", "daemon", "owner",
         )
 
-    entry = Scheduler().schedule_at(0, print)
+    entry = Network().scheduler.schedule_at(0, print)
     entry_bytes = sys.getsizeof(entry) + sys.getsizeof(entry[4])
     replaced_bytes = sys.getsizeof(SlottedEvent()) + sys.getsizeof((0, 0, 0, 0, None))
     return {

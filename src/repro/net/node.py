@@ -301,13 +301,14 @@ class Node:
         cpu = None
         if arrival:
             now = self.clock.now_ns
-            counters.rx += len(pkts)
+            count = len(pkts)
+            counters.rx += count
             name = ""
             if dev is not None:
                 name = dev.name
                 stats = dev.stats
-                stats.rx_packets += len(pkts)
-                stats.rx_bytes += len(pkts[0].data) if len(pkts) == 1 else sum(map(len, map(_DATA, pkts)))
+                stats.rx_packets += count
+                stats.rx_bytes += len(pkts[0].data) if count == 1 else sum(map(len, map(_DATA, pkts)))
             cpu = self.cpu  # stamped now, routed when the CPU is done
         egress = outer = self._egress
         if outer is None:
@@ -408,8 +409,9 @@ class Node:
                         out, out_dev.pending = out_dev.pending, []
                         if out_dev.qdisc is None:  # at the wire: a qdisc counts at release
                             dev_stats = out_dev.stats
-                            dev_stats.tx_packets += len(out)
-                            dev_stats.tx_bytes += len(out[0].data) if len(out) == 1 else sum(map(len, map(_DATA, out)))
+                            count = len(out)
+                            dev_stats.tx_packets += count
+                            dev_stats.tx_bytes += len(out[0].data) if count == 1 else sum(map(len, map(_DATA, out)))
                             out_dev.wire(out)
                         else:
                             for pkt in out:

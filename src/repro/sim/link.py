@@ -27,7 +27,9 @@ from ..net.packet import Packet
 from .scheduler import NS_PER_SEC, Scheduler
 
 
-_BIT_NS = 8 * NS_PER_SEC  # ns to serialise one byte at 1 b/s
+# ns to serialise one byte at 1 b/s, a float: ``size * _BIT_NS`` is exact
+# either way, and a float product divides without converting a large int.
+_BIT_NS = 8.0 * NS_PER_SEC
 
 
 @dataclass
@@ -179,9 +181,10 @@ class LinkEndpoint:
         if not self.up or self._last_down_ns >= sent_ns:
             self.stats.dropped += len(pkts)
             return
-        self.scheduler.schedule_batch(
-            arrival_ns, self._deliver_remote, pkts, key=(self.stream, seq)
-        )
+        scheduler = self.scheduler
+        if len(pkts) > 1:
+            scheduler.events_coalesced += len(pkts) - 1
+        scheduler.schedule_keyed(arrival_ns, self.stream, seq, self._deliver_remote, pkts)
 
     def _deliver_remote(self, pkts: list[Packet]) -> None:
         self.stats.delivered += len(pkts)

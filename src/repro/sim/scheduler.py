@@ -175,29 +175,19 @@ class Scheduler:
         timer._arm()
         return timer
 
-    def schedule_batch(
-        self, time_ns: int, callback: Callable, items: list, *args, key=None
-    ) -> list:
+    def schedule_batch(self, time_ns: int, callback: Callable, items: list, *args) -> list:
         """One heap event delivering a whole batch (``callback(items, *args)``).
 
         The batch equivalent of N ``schedule_at`` calls at the same
         instant: heap churn is paid once per batch instead of once per
         packet, which is what lets 10k-flow simulations stay event-bound
         rather than heap-bound.  ``events_coalesced`` counts the events
-        saved, so benchmarks can report the amortisation.  ``key`` is an
-        explicit ``(stream, seq)`` pair (see :meth:`schedule_keyed`).
+        saved, so benchmarks can report the amortisation; a link endpoint
+        counts its own keyed batches there.
         """
         if len(items) > 1:
             self.events_coalesced += len(items) - 1
-        if key is None:
-            return self.schedule_at(time_ns, callback, items, *args)
-        stream, seq = key
-        time_ns = int(time_ns)
-        if time_ns < self.now_ns:
-            raise ValueError(f"cannot schedule in the past ({time_ns} < {self.now_ns})")
-        event = [time_ns, stream, 0, seq, object(), callback, (items,) + args, self]
-        heappush(self._heap, event)
-        return event
+        return self.schedule_at(time_ns, callback, items, *args)
 
     # -- execution -------------------------------------------------------------
     def run(self, until_ns: int | None = None, max_events: int | None = None) -> int:
@@ -221,20 +211,20 @@ class Scheduler:
                 if until_ns is None and len(heap) == self._cancelled + self._daemons:
                     break  # only daemon timers (and corpses) remain
                 event = heappop(heap)
-                time_ns = event[0]
+                time_ns, stream, _phase, _seq, _unordered, callback, args, owner = event
                 if time_ns > horizon:
                     heappush(heap, event)  # the first event past the horizon
                     break
-                if event[7] is None:
+                if owner is None:
                     self._cancelled -= 1
                     continue
                 event[7] = None
                 self.now_ns = time_ns
-                self._stream = event[1]
+                self._stream = stream
                 if profiler is None:
-                    event[5](*event[6])
+                    callback(*args)
                 else:
-                    profiler.call(event[5], event[6])
+                    profiler.call(callback, args)
                 executed += 1
         finally:
             self.events_run += executed

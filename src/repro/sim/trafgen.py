@@ -146,7 +146,9 @@ class UdpFlow:
         pkts = []
         for _ in range(self.burst):
             self._seq = seq = self._seq + 1
-            pkt = Packet(self._template, flow_id=self.flow_id, seq=seq, tx_tstamp_ns=now)
+            # Stamped after the call: keywords would cost the class call a dict.
+            pkt = Packet(self._template)
+            pkt.flow_id, pkt.seq, pkt.tx_tstamp_ns = self.flow_id, seq, now
             if spread > 1:
                 src_port = self.src_port + self.rng.randrange(spread)
                 _U16.pack_into(pkt.data, self._l4, src_port)

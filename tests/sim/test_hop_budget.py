@@ -20,6 +20,7 @@ import math
 import os
 import signal
 import sys
+from contextlib import contextmanager
 from functools import partial
 from pathlib import Path
 
@@ -54,21 +55,26 @@ def function(code) -> str:
     return f"{os.path.basename(code.co_filename) if where == 'other' else where}:{code.co_qualname}"
 
 
-def count(fn, *args, by=layer, **kwargs) -> dict[str, list[int]]:
-    """``[calls, bytecodes]`` per ``by(code)`` in one run of ``fn(*args, **kwargs)``: frames entered
-    or resumed, and 3.11 ``settrace`` opcode or 3.12 ``sys.monitoring`` INSTRUCTION events.  Code
-    objects are told apart by identity: one program translated for two nodes counts twice.
-
-    The cyclic collector is drained before the run and off during it: a collection inside would
-    run the finalizers of whatever garbage the process left earlier, and count them."""
+@contextmanager
+def collector_off():
+    """The cyclic collector drained, then off: a collection inside a count or a sample would run
+    the finalizers of whatever garbage the process left earlier, and count them."""
     gc.collect()
     enabled = gc.isenabled()
     gc.disable()
     try:
-        return _count(fn, args, kwargs, by)
+        yield
     finally:
         if enabled:
             gc.enable()
+
+
+def count(fn, *args, by=layer, **kwargs) -> dict[str, list[int]]:
+    """``[calls, bytecodes]`` per ``by(code)`` in one run of ``fn(*args, **kwargs)``: frames entered
+    or resumed, and 3.11 ``settrace`` opcode or 3.12 ``sys.monitoring`` INSTRUCTION events.  Code
+    objects are told apart by identity: one program translated for two nodes counts twice."""
+    with collector_off():
+        return _count(fn, args, kwargs, by)
 
 
 def _count(fn, args: tuple, kwargs: dict, by) -> dict[str, list[int]]:
@@ -122,21 +128,24 @@ def _count(fn, args: tuple, kwargs: dict, by) -> dict[str, list[int]]:
 
 
 def sample(fn, *args, by=layer, **kwargs) -> dict[str, list[int]]:
-    """``[samples, 0]`` per ``by(code)`` in one run of ``fn(*args, **kwargs)``: the Python frame
-    running at each ``ITIMER_PROF`` expiry, every millisecond of this process's CPU time.  A C call
-    (``heappush``, ``sum``) counts in the frame that made it."""
+    """``[samples, 0]`` per ``by(code)`` in one run of ``fn(*args, **kwargs)``, one sample per
+    millisecond of this process's CPU time (``ITIMER_PROF``).  CPython runs a signal handler where
+    it next checks for one (a call, a return from C, a function start, a backward jump), so a
+    sample lands in the frame running there: a C call (``heappush``, ``sum``) counts in the frame
+    that made it, the straight-line code before a call in the callee."""
     tallies = {}
 
     def tick(_signum, frame):
         tallies.setdefault(by(frame.f_code), [0, 0])[0] += 1
 
-    previous = signal.signal(signal.SIGPROF, tick)
-    signal.setitimer(signal.ITIMER_PROF, 0.001, 0.001)
-    try:
-        fn(*args, **kwargs)
-    finally:
-        signal.setitimer(signal.ITIMER_PROF, 0)
-        signal.signal(signal.SIGPROF, previous)
+    with collector_off():
+        previous = signal.signal(signal.SIGPROF, tick)
+        signal.setitimer(signal.ITIMER_PROF, 0.001, 0.001)
+        try:
+            fn(*args, **kwargs)
+        finally:
+            signal.setitimer(signal.ITIMER_PROF, 0)
+            signal.signal(signal.SIGPROF, previous)
     return tallies
 
 

@@ -146,11 +146,11 @@ def load(ops, timers):
         elif kind == "keyed":
             event = sched.schedule_keyed(time_ns, stream, seq, fire, label, delay, target)
         else:
-            key = (stream, seq) if kind == "batch_keyed" else None
-            event = sched.schedule_batch(
-                time_ns, fire_batch, [label, label], label, delay, target, key=key
-            )
-            coalesced += 1
+            if kind == "batch_keyed":  # a link's delivery: keyed, coalescing counted by the link
+                event = sched.schedule_keyed(time_ns, stream, seq, fire_batch, [label, label], label, delay, target)
+            else:
+                event = sched.schedule_batch(time_ns, fire_batch, [label, label], label, delay, target)
+                coalesced += 1
         handles[label] = event
         if kind in ("keyed", "batch_keyed"):
             want = (time_ns, stream, 0, seq)
@@ -240,10 +240,10 @@ def test_a_handle_is_its_heap_entry_and_carries_its_key():
     stream = sched.new_stream()
     derived = sched.schedule_at(4, print, "x")
     keyed = sched.schedule_keyed(4, stream, 9, print)
-    batch = sched.schedule_batch(4, print, ["a", "b"], "y", key=(stream, 3))
+    batch = sched.schedule_batch(4, print, ["a", "b"], "y")
     assert derived[:4] == [4, 0, 1, 0] and derived[5:] == [print, ("x",), sched]
     assert keyed[:4] == [4, stream, 0, 9] and keyed[6] == ()
-    assert batch[:4] == [4, stream, 0, 3] and batch[6] == (["a", "b"], "y")
+    assert batch[:4] == [4, 0, 1, 1] and batch[6] == (["a", "b"], "y")
     assert sorted(sched._heap) == [derived, batch, keyed]  # stream 0 first
     assert sched.events_coalesced == 1
     sched.cancel(keyed)
