@@ -14,6 +14,7 @@ bytecode that is a C call no more than one that is not.
 from __future__ import annotations
 
 import argparse
+import dis
 import gc
 import json
 import math
@@ -36,6 +37,7 @@ from repro.progs import add_tlv_prog, end_prog, tag_increment_prog
 from repro.sim import NS_PER_MS, Scheduler, TcpReceiver, TcpSender
 from repro.usecases import deploy_hybrid_access, install_wrr
 
+_RESUME = dis.opmap["RESUME"]
 BUDGETS = json.loads(Path(__file__).with_name("hop_budget.json").read_text())
 MINOR = "{}.{}".format(*sys.version_info)
 SRC = os.path.dirname(repro.__file__) + "/"
@@ -130,12 +132,15 @@ def _count(fn, args: tuple, kwargs: dict, by) -> dict[str, list[int]]:
 def sample(fn, *args, by=layer, **kwargs) -> dict[str, list[int]]:
     """``[samples, 0]`` per ``by(code)`` in one run of ``fn(*args, **kwargs)``, one sample per
     millisecond of this process's CPU time (``ITIMER_PROF``).  CPython runs a signal handler where
-    it next checks for one (a call, a return from C, a function start, a backward jump), so a
-    sample lands in the frame running there: a C call (``heappush``, ``sum``) counts in the frame
-    that made it, the straight-line code before a call in the callee."""
+    it next checks for one: after a call returns, at a backward jump or at a function's first
+    instruction.  So a C call (``heappush``, ``sum``) counts in the frame that made it, and a sample
+    taken at a function's first instruction counts in its caller, whose straight-line code ran up
+    to the call."""
     tallies = {}
 
     def tick(_signum, frame):
+        if frame.f_code.co_code[frame.f_lasti] == _RESUME and frame.f_back is not None:
+            frame = frame.f_back
         tallies.setdefault(by(frame.f_code), [0, 0])[0] += 1
 
     with collector_off():
@@ -150,16 +155,19 @@ def sample(fn, *args, by=layer, **kwargs) -> dict[str, list[int]]:
 
 
 def host_shares(path: str, samples: int, by=layer) -> tuple[int, dict[str, tuple[float, float]]]:
-    """``path`` re-run until ``samples`` samples are taken: their count, and per key its share of
-    them beside its share of the bytecodes, both in percent, the keys ranked by host share."""
+    """``path`` re-run until ``samples`` samples are taken, at most ``samples`` times (a one-packet
+    path takes almost none): their count, and per key its share of them beside its share of the
+    bytecodes, both in percent, the keys ranked by host share."""
     host: dict[str, int] = {}
-    while sum(host.values()) < samples:
+    for _ in range(samples):
         for key, (n, _zero) in PATHS[path](partial(sample, by=by))[0].items():
             host[key] = host.get(key, 0) + n
+        if sum(host.values()) >= samples:
+            break
     _calls, bytecodes = per_packet(path, by)
     taken, counted = sum(host.values()), sum(bytecodes.values())
     keys = sorted(host.keys() | bytecodes.keys(), key=lambda key: (-host.get(key, 0), key))
-    return taken, {key: (100 * host.get(key, 0) / taken, 100 * bytecodes.get(key, 0) / counted) for key in keys}
+    return taken, {key: (100 * host.get(key, 0) / max(taken, 1), 100 * bytecodes.get(key, 0) / counted) for key in keys}
 
 
 def setup1_flood(count):
