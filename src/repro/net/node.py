@@ -409,9 +409,9 @@ class Node:
                         out, out_dev.pending = out_dev.pending, []
                         if out_dev.qdisc is None:  # at the wire: a qdisc counts at release
                             dev_stats = out_dev.stats
-                            count = len(out)
-                            dev_stats.tx_packets += count
-                            dev_stats.tx_bytes += len(out[0].data) if count == 1 else sum(map(len, map(_DATA, out)))
+                            out_count = len(out)
+                            dev_stats.tx_packets += out_count
+                            dev_stats.tx_bytes += len(out[0].data) if out_count == 1 else sum(map(len, map(_DATA, out)))
                             out_dev.wire(out)
                         else:
                             for pkt in out:

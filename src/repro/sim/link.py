@@ -27,9 +27,7 @@ from ..net.packet import Packet
 from .scheduler import NS_PER_SEC, Scheduler
 
 
-# ns to serialise one byte at 1 b/s, a float: ``size * _BIT_NS`` is exact
-# either way, and a float product divides without converting a large int.
-_BIT_NS = 8.0 * NS_PER_SEC
+_BIT_NS = 8 * NS_PER_SEC  # ns to serialise one byte at 1 b/s
 
 
 @dataclass
