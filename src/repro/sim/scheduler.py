@@ -88,7 +88,7 @@ class Scheduler:
         self.now_ns = 0
         self._heap: list[list] = []
         self.events_run = 0
-        self.events_coalesced = 0  # heap events saved by schedule_batch
+        self.events_coalesced = 0  # heap events saved by batch delivery
         self._cancelled = 0  # cancelled events still sitting in the heap
         self._daemons = 0  # live timer firings in the heap (not work)
         # Keyed ordering state: the stream of the currently executing
@@ -155,7 +155,7 @@ class Scheduler:
         event[5] = None
         if owner is not None:
             event[7] = None
-            if owner is not self:  # a timer's firing: a daemon, not work
+            if type(owner) is Timer:  # a timer's firing: a daemon, not work
                 self._daemons -= 1
             self._cancelled += 1
 

@@ -390,3 +390,22 @@ def test_events_of_finds_a_links_in_flight_batch_and_set_down_loses_it():
     assert (link.a_to_b.stats.dropped, link.a_to_b.queue_depth) == (2, 0)
     sched.run()
     assert seen == [] and link.a_to_b.stats.delivered == 0
+
+
+def test_a_batch_overflowing_the_transmit_queue_loses_its_tail():
+    """Room for three: a batch of five keeps its first three, in order, as
+    one coalesced delivery, and drops the last two."""
+    sched, a, b = two_nodes()
+    link = Link(
+        sched, a.devices["eth0"], b.devices["eth0"], rate_bps=1e9, delay_ns=100, queue_limit=4
+    )
+    seen = []
+    b.bind(lambda pkt, node, _offset: seen.append(len(pkt.data)), proto=17, port=5)
+    a.send(make_udp_packet("fc00::a", "fc00::b", 1, 5, b""))
+    a.send_batch([make_udp_packet("fc00::a", "fc00::b", 1, 5, b"x" * size) for size in range(1, 6)])
+    assert (link.a_to_b.queue_depth, link.a_to_b.stats.dropped) == (4, 2)
+    assert sched.events_coalesced == 2
+    sched.run()
+    assert seen == [48, 49, 50, 51]
+    assert (link.a_to_b.stats.sent, link.a_to_b.stats.delivered) == (4, 4)
+    assert link.a_to_b.stats.bytes_sent == 48 + 49 + 50 + 51
