@@ -155,7 +155,7 @@ class Scheduler:
         event[5] = None
         if owner is not None:
             event[7] = None
-            if type(owner) is Timer:  # a timer's firing: a daemon, not work
+            if owner is not self:  # a timer's firing: a daemon, not work
                 self._daemons -= 1
             self._cancelled += 1
 
