@@ -146,10 +146,11 @@ def load(ops, timers):
         elif kind == "keyed":
             event = sched.schedule_keyed(time_ns, stream, seq, fire, label, delay, target)
         else:
-            if kind == "batch_keyed":  # a link's delivery: keyed, coalescing counted by the link
-                event = sched.schedule_keyed(time_ns, stream, seq, fire_batch, [label, label], label, delay, target)
+            args = (fire_batch, [label, label], label, delay, target)
+            if kind == "batch_keyed":  # a link's delivery: the link counts its coalescing
+                event = sched.schedule_keyed(time_ns, stream, seq, *args)
             else:
-                event = sched.schedule_batch(time_ns, fire_batch, [label, label], label, delay, target)
+                event = sched.schedule_batch(time_ns, *args)
                 coalesced += 1
         handles[label] = event
         if kind in ("keyed", "batch_keyed"):
