@@ -65,7 +65,8 @@ def run_once(frr: bool) -> None:
     if frr:
         fired = ctrl.bus.last("frr-fired", "A")
         print(f"  frr fired on A: repaired {fired.detail['repaired']} prefixes "
-              f"via precomputed seg6 backup routes")
+              f"via precomputed seg6 backup routes, "
+              f"{fired.detail['unprotected']} left unprotected")
     final = [l for l in net.config("A", "route show") if l.startswith("fc00:d::1")]
     print(f"  after reconvergence: {final[0]}")
 

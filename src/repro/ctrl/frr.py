@@ -7,10 +7,10 @@ programmable steering layer) is exactly what makes the classic fix
 expressible: *precompute* a repair path that provably avoids the failed
 link, encode it as a segment list over the nodes' SIDs, and install it
 as an ordinary ``encap seg6`` route the instant the local interface
-loses carrier.  Only the packets already in flight on the failed link
-are lost; everything after the carrier event detours immediately, while
-the IGP reconverges in the background and eventually replaces the
-repair with the post-convergence route.
+loses carrier.  A protected destination detours immediately, while the
+IGP reconverges in the background and eventually replaces the repair
+with the post-convergence route.  A destination with no node-SID repair
+waits for that reconvergence: its plan lists it as ``unprotected``.
 
 All repair state is precomputed into literal iproute2 command strings
 (:class:`FrrManager.plans`), so the carrier handler — the fast path —
@@ -36,6 +36,7 @@ class FrrPlan:
     prefixes: list[str] = field(default_factory=list)  # destinations this plan covers
     repaired: int = 0  # via TI-LFA segment lists
     rerouted: int = 0  # via surviving ECMP nexthops
+    unprotected: list[str] = field(default_factory=list)  # bare until reconvergence
 
     @property
     def commands(self) -> list[str]:
@@ -96,10 +97,9 @@ class FrrManager:
                 if origin is not None
                 else None
             )
-            if repair is None:
-                continue  # unprotectable: reconvergence is the only cure
-            segments = self._segments_for(repair.release_points)
+            segments = None if repair is None else self._segments_for(repair.release_points)
             if segments is None:
+                plan.unprotected.append(prefix)
                 continue
             pin_prefix = f"{segments[0]}/128"
             pins.setdefault(
@@ -156,7 +156,7 @@ class FrrManager:
     def on_carrier_down(self, dev: str) -> None:
         """Replay the precomputed plan for ``dev`` through the config plane."""
         plan = self.plans.get(dev)
-        if plan is None or not plan.routes:
+        if plan is None or not (plan.routes or plan.unprotected):
             return
         speaker = self.speaker
         for prefix, body in plan.routes:
@@ -173,4 +173,5 @@ class FrrManager:
             dev=dev,
             repaired=plan.repaired,
             rerouted=plan.rerouted,
+            unprotected=len(plan.unprotected),
         )

@@ -47,8 +47,10 @@ class Timer:
     __slots__ = ("scheduler", "interval_ns", "callback", "args", "fires", "_event")
 
     def __init__(self, scheduler: "Scheduler", interval_ns: int, callback: Callable, args: tuple):
+        if interval_ns < 1:
+            raise ValueError(f"a timer interval is at least 1 ns, not {interval_ns}")
         self.scheduler = scheduler
-        self.interval_ns = max(1, int(interval_ns))
+        self.interval_ns = int(interval_ns)
         self.callback = callback
         self.args = args
         self.fires = 0

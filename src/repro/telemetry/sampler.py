@@ -43,18 +43,18 @@ class TelemetrySession:
     ):
         self.net = net
         self.registry = registry
-        self.interval_ns = max(1, int(interval_ns))
+        self.interval_ns = int(interval_ns)
         self.sink = sink if sink is not None else RingSink()
         self.samples = 0
         self.closed = False
         self._explicit_rings = dict(rings or {})
         self._pending_events: list = []
+        self.timer = net.scheduler.every(self.interval_ns, self.sample)
         self._bus = None
         ctrl = net._ctrl
         if ctrl is not None:
             self._bus = ctrl.bus
             ctrl.bus.subscribe("*", self._on_event)
-        self.timer = net.scheduler.every(self.interval_ns, self.sample)
 
     # -- event + ring intake ---------------------------------------------------
     def _on_event(self, event) -> None:

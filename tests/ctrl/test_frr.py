@@ -78,6 +78,32 @@ def test_square_failover_loss_windows():
     assert frr_loss < igp_loss
 
 
+def test_a_destination_left_without_repair_is_listed_unprotected():
+    """Triangle B–A 4, C–A 8, B–C 1: losing B—A leaves A reachable via C,
+    but C's own shortest path to A runs over B—A and node SIDs alone
+    cannot pin C→A, so TI-LFA finds no repair.  The plan says so."""
+    net = Network(seed=1)
+    for name in ("A", "B", "C"):
+        net.add_node(name, addr=f"fc00:{name.lower()}::1")
+    net.add_link("B", "A")  # B.eth0, A.eth0
+    net.add_link("C", "A")  # C.eth0, A.eth1
+    net.add_link("B", "C")  # B.eth1, C.eth1
+    costs = {("B", "eth0"): 4, ("A", "eth0"): 4, ("C", "eth0"): 8,
+             ("A", "eth1"): 8, ("B", "eth1"): 1, ("C", "eth1"): 1}  # fmt: skip
+    ctrl = net.ctrl(frr=True, costs=costs)
+    net.run(until_ms=400)
+    speaker = ctrl.speakers["B"]
+    plan = speaker.frr.plans["eth0"]
+    assert (plan.prefixes, plan.repaired, plan.rerouted) == ([], 0, 0)
+    bare = sorted(p for p, hops in speaker.routes.items() if all(h.dev == "eth0" for h in hops))
+    assert bare and plan.unprotected == bare
+    assert "fc00:a::1/128" in plan.unprotected
+    net.fail_link("B", "A", at_ns=net.now_ns)
+    net.run(until_ms=410)
+    fired = ctrl.bus.last("frr-fired", "B")
+    assert fired.detail["unprotected"] == len(bare)
+
+
 def test_frr_plan_uses_surviving_ecmp_sibling_without_segments():
     net = Network(seed=1)
     for name in ("A", "B", "C", "D"):

@@ -96,6 +96,14 @@ def test_every_fires_at_fixed_interval():
     assert ticks == [100, 200, 300, 400, 500]
 
 
+@pytest.mark.parametrize("interval_ns", [0, -100, 0.5])
+def test_every_refuses_an_interval_under_one_ns(interval_ns):
+    sched = Scheduler()
+    with pytest.raises(ValueError):
+        sched.every(interval_ns, lambda: None)
+    assert sched.pending == 0 and sched._daemons == 0
+
+
 def test_every_cancel_stops_recurrence():
     sched = Scheduler()
     ticks = []

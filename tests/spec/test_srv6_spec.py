@@ -1,50 +1,18 @@
-"""The SRv6 spec itself: independent of ``repro``, and right on hand-worked RFC cases.
+"""The SRv6 spec itself: right on hand-worked RFC cases.
 
-Nothing under ``tests/spec/`` may import ``repro``: the spec is the oracle
-the datapath is compared with, so it must not share the datapath's code.
-The cases below are worked from the RFC text by hand, with packets built
-byte by byte.
+Nothing under ``tests/spec/`` may import ``repro`` (the
+``spec-imports-repro`` row of ``tests/test_structure.py``): the spec is
+the oracle the datapath is compared with, so it must not share the
+datapath's code.  The cases below are worked from the RFC text by hand,
+with packets built byte by byte.
 """
-
-import ast
-from pathlib import Path
 
 import pytest
 
 from spec import srv6 as spec
 
-SPEC_DIR = Path(__file__).resolve().parent
-
 A, B, C = (bytes([0xFC, 0, 0, n]) + bytes(12) for n in (0xA, 0xB, 0xC))
 SRC, DST = bytes([0xFC, 0, 0, 1]) + bytes(12), bytes([0xFC, 0, 0, 2]) + bytes(12)
-
-
-def repro_imports(source: str) -> list[str]:
-    """The ``repro`` modules ``source`` imports, at any depth."""
-    found = []
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Import):
-            found += [alias.name for alias in node.names if alias.name.split(".")[0] == "repro"]
-        elif isinstance(node, ast.ImportFrom) and node.level == 0 and (node.module or "").split(".")[0] == "repro":
-            found.append(node.module)
-        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) in ("__import__", "import_module"):
-            found += [arg.value for arg in node.args if isinstance(arg, ast.Constant) and str(arg.value).startswith("repro")]
-    return found
-
-
-def test_the_spec_directory_imports_nothing_from_repro():
-    files = sorted(SPEC_DIR.glob("*.py"))
-    assert SPEC_DIR / "srv6.py" in files
-    assert {path.name: repro_imports(path.read_text()) for path in files} == {path.name: [] for path in files}
-
-
-@pytest.mark.parametrize(
-    "source",
-    ["import repro", "import repro.net as n", "from repro.net import SRH", "def f():\n    from repro import net",
-     "__import__('repro.net')"],
-)  # fmt: skip
-def test_the_import_scan_sees_every_form(source):
-    assert repro_imports(source)
 
 
 def ipv6(next_header: int, payload: bytes, dst: bytes = DST, hop_limit: int = 64) -> bytes:

@@ -147,3 +147,11 @@ def test_close_cancels_sampler_and_context_manager():
     assert session.closed
     net.run(until_ms=100)  # the timer is gone: no further samples
     assert session.samples == taken
+
+
+def test_a_zero_interval_is_refused_not_clamped():
+    net = Network(seed=1)
+    net.add_node("A", addr="fc00:a::1")
+    with pytest.raises(ValueError):
+        net.telemetry(interval_ms=0)
+    net.telemetry(interval_ms=10).close(final_sample=False)  # the slot stayed free

@@ -85,6 +85,8 @@ def test_frr_reroute_runs(capsys):
     assert "A's converged route: fc00:d::1/128 via" in out
     assert "encap seg6 mode encap segs" in out
     assert "frr fired on A" in out
+    # "Only what was in flight" holds because no destination is bare.
+    assert "0 left unprotected" in out
 
 
 # Keep this in sync with the per-example tests above: the quickstart
