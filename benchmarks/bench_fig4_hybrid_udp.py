@@ -136,11 +136,11 @@ def run_series(mode: str, payload: int) -> float:
     for flow in flows:
         flow.start(duration_ns=DURATION_NS)
     LAST_RUN_STATS.clear()
-    with net.run(until_ns=DURATION_NS + NS_PER_SEC // 5):
-        # The CPE is the CPU-bound router Figure 4 is about; delta against
-        # the pre-run snapshot so each point records only its own run.
-        LAST_RUN_STATS.update(amortisation_stats(cpe, net.scheduler, since=baseline))
-        return meter.goodput_bps() * SCALE  # report at the unscaled magnitude
+    net.run(until_ns=DURATION_NS + NS_PER_SEC // 5)
+    # The CPE is the CPU-bound router Figure 4 is about; delta against
+    # the pre-run snapshot so each point records only its own run.
+    LAST_RUN_STATS.update(amortisation_stats(cpe, net.scheduler, since=baseline))
+    return meter.goodput_bps() * SCALE  # report at the unscaled magnitude
 
 
 @pytest.mark.parametrize("payload", PAYLOADS)

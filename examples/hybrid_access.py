@@ -13,11 +13,14 @@ Reproduces the section's storyline on the paper's setup 2 topology
    and TCP recovers to near the aggregate (paper: 68 Mb/s single flow,
    70 Mb/s with four).
 
+The CPE M runs with the Turris Omnia's CPU cost model attached (the
+§4.2 bottleneck); each run prints the share of time M's CPU was busy.
+
 Run:  python3 examples/hybrid_access.py        (~1 minute)
 """
 
 from repro.lab import build_setup2
-from repro.sim import mbps
+from repro.sim import CostModel, mbps
 from repro.sim.scheduler import NS_PER_SEC
 from repro.usecases import deploy_hybrid_access
 
@@ -25,8 +28,20 @@ WARMUP_S = 2
 DURATION_S = 8
 
 
-def run_udp() -> None:
+def build():
+    """Setup 2 with a Turris Omnia CPU on the CPE: net.cpu is the one door."""
     setup = build_setup2()
+    setup.net.cpu("M", CostModel())
+    return setup
+
+
+def cpu_busy(setup) -> str:
+    """The share of the run so far that the CPE's CPU spent busy."""
+    return f"CPE CPU busy {setup.m.cpu.stats.busy_ns / setup.net.now_ns:.1%}"
+
+
+def run_udp() -> None:
+    setup = build()
     net = setup.net
     hybrid = deploy_hybrid_access(setup, weights=(5, 3))
     meter = net.sink("S2", port=5201, name="client")
@@ -46,10 +61,11 @@ def run_udp() -> None:
     new0, new1 = now0 - pkts0, now1 - pkts1
     print(f"  set_weights(1, 1) at 1 s: {new0} / {new1} since  (ratio "
           f"{new0 / max(new1, 1):.2f}, configured 1:1 = 1.00)")
+    print(f"  {cpu_busy(setup)}")
 
 
 def run_tcp(compensation: bool, flows: int) -> float:
-    setup = build_setup2()
+    setup = build()
     net = setup.net
     hybrid = deploy_hybrid_access(setup, weights=(5, 3), compensation=compensation)
     connections = [net.tcp("S1", "S2", port=5000 + i) for i in range(flows)]
@@ -64,7 +80,7 @@ def run_tcp(compensation: bool, flows: int) -> float:
     sender = connections[0][0]
     print(f"TCP x{flows} ({label}): {total:5.1f} Mb/s | "
           f"fast rtx {sender.stats.fast_retransmits}, "
-          f"reorder events absorbed {sender.stats.spurious_avoided}")
+          f"reorder events absorbed {sender.stats.spurious_avoided} | {cpu_busy(setup)}")
     if compensation and hybrid.daemon is not None:
         print(f"  daemon: compensating link {hybrid.daemon.compensated_link} "
               f"by {hybrid.daemon.applied_delay_ns / 1e6:.1f} ms "

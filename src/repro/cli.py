@@ -131,7 +131,7 @@ class NetCli:
             "routes <node> [table N]    ip -6 route show on a node",
             "counters <node> [filter]   nonzero telemetry counters for a node",
             "bpf <node>                 attached eBPF programs and verdicts",
-            "events [-f] [-n N]        control-bus events (-f follows during run)",
+            "events [-f] [-n N]         control-bus events (-f follows during run)",
             "sample                     emit one telemetry snapshot now",
             "trace on [N]               arm tracing (head-sample 1-in-N flows)",
             "trace top [n]              slowest delivered packets, attributed",
@@ -140,6 +140,7 @@ class NetCli:
             "fail <a> <b> [dev]         take the a-b link down",
             "recover <a> <b> [dev]      bring the a-b link back up",
             "run <ms>                   advance the simulation by <ms> ms",
+            "help                       this list",
             "exit                       leave the CLI",
         )
 

@@ -3,23 +3,24 @@
 One API for the three things every experiment in this repository needs:
 
 * **topology** — :class:`Network.add_node` / :class:`Network.add_link`
-  auto-create devices, assign addresses and wire links, netem qdiscs
-  and CPU cost models onto one shared scheduler;
+  auto-create devices, assign addresses and wire links onto one shared
+  scheduler; :meth:`Network.netem` and :meth:`Network.cpu` attach netem
+  qdiscs and CPU cost models;
 * **configuration** — :meth:`Network.config` routes every command
   through the :class:`~repro.net.iproute.IpRoute` textual front-end
   (``ip -6 route add/del/replace/show``), so a scenario's config is the
   operator syntax of the paper's testbed;
 * **experiment runs** — :meth:`Network.trafgen`, :meth:`Network.sink`,
-  :meth:`Network.tcp` and the context-managed :meth:`Network.run`
-  replace ad-hoc scheduler plumbing, and ``Network(seed=N)`` makes a
-  run bit-reproducible end to end.
+  :meth:`Network.tcp` and :meth:`Network.run` replace ad-hoc scheduler
+  plumbing, and ``Network(seed=N)`` makes a run bit-reproducible end to
+  end.
 
 :class:`Topo` is the mininet-style reusable-topology base class;
 :class:`Setup1Topo`/:class:`Setup2Topo` declare the paper's two lab
 setups on top of it.
 """
 
-from .network import Network, RunResult
+from .network import Network
 from .setups import (
     PAPER_LINK0,
     PAPER_LINK1,
@@ -39,7 +40,6 @@ __all__ = [
     "Network",
     "PAPER_LINK0",
     "PAPER_LINK1",
-    "RunResult",
     "SETUP2_IGP_COSTS",
     "Setup1",
     "Setup1Topo",

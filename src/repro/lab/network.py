@@ -20,8 +20,8 @@ construction is a handful of declarative calls, not twenty lines of
     flow = net.trafgen("S1", dst="fc00:2::2", rate_bps=100e6)
     meter = net.sink("S2")
     flow.start(duration_ns=NS_PER_SEC)
-    with net.run(until_ns=2 * NS_PER_SEC):
-        print(meter.goodput_bps())
+    net.run(until_ns=2 * NS_PER_SEC)
+    print(meter.goodput_bps())
 
 ``Network(seed=N)`` makes a run bit-reproducible end to end: every
 node RNG (eBPF ``get_prandom_u32``), netem jitter/loss draw, traffic
@@ -52,26 +52,6 @@ from ..sim.tcp import TcpReceiver, TcpSender, make_connection
 from ..sim.trafgen import Srv6UdpFlood, UdpFlow
 
 
-class RunResult(int):
-    """Executed-event count that also closes a ``with net.run(...)`` block.
-
-    ``net.run()`` drives the scheduler eagerly and returns this: use it
-    as a plain ``int`` (events executed), or as a context manager for
-    the scoped-readout style — the horizon has been reached when the
-    block body runs, so the block reads results at a well-defined
-    simulated instant::
-
-        with net.run(until_ns=NS_PER_SEC) as executed:
-            print(meter.goodput_bps(), "after", int(executed), "events")
-    """
-
-    def __enter__(self) -> "RunResult":
-        return self
-
-    def __exit__(self, *exc) -> bool:
-        return False
-
-
 class Network:
     """Declarative builder for nodes, links, config and experiment runs."""
 
@@ -100,7 +80,6 @@ class Network:
         self._meter_nodes: list[str] = []  # sink() owners, for repro.shard
         self._sharded = False  # a sharded run is terminal for the network
         self._tracer = None  # repro.trace.Tracer, created by trace()
-        self._pcaps: list = []  # live captures opened by pcap()
 
     # -- seed derivation -------------------------------------------------------
     def derive_seed(self, *key) -> int | None:
@@ -128,9 +107,6 @@ class Network:
     def __getitem__(self, name: str) -> Node:
         return self.node(name)
 
-    def __contains__(self, name: str) -> bool:
-        return name in self.nodes
-
     @property
     def now_ns(self) -> int:
         return self.scheduler.now_ns
@@ -142,8 +118,6 @@ class Network:
         addr: "str | bytes | Iterable[str | bytes] | None" = None,
         *,
         devices: Iterable[str] = (),
-        cpu: CostModel | None = None,
-        cpu_queue_limit: int = 1000,
         seed: int | None = None,
         shard: int | None = None,
     ) -> Node:
@@ -154,10 +128,9 @@ class Network:
         empty tuple for an address-less node).  ``devices`` pre-creates
         named detached devices (useful for single-node datapath tests
         that read ``tx_buffer`` directly); link-facing devices are
-        normally auto-created by :meth:`add_link`.  ``cpu`` attaches a
-        :class:`~repro.sim.cpu.CpuQueue` with the given cost model.
-        ``shard`` pins the node to one shard of a ``run(shards=K)``
-        partition (see :mod:`repro.shard`).
+        normally auto-created by :meth:`add_link`.  ``shard`` pins the
+        node to one shard of a ``run(shards=K)`` partition (see
+        :mod:`repro.shard`).
         """
         if name in self.nodes:
             raise ValueError(f"node {name!r} already exists")
@@ -178,8 +151,6 @@ class Network:
         addrs = [addr] if isinstance(addr, (str, bytes)) else list(addr)
         for one in addrs:
             node.add_address(one)
-        if cpu is not None:
-            node.cpu = CpuQueue(self.scheduler, cpu, node, queue_limit=cpu_queue_limit)
         if self._tracer is not None:
             # A tracer is armed: late-added nodes finalise traces too.
             node.tracer = self._tracer
@@ -338,7 +309,8 @@ class Network:
     def cpu(
         self, node: "Node | str", model: CostModel, queue_limit: int = 1000
     ) -> CpuQueue:
-        """Attach a CPU cost model to an existing node (replaces any)."""
+        """Attach a CPU cost model to a node (replaces any): every packet
+        the node receives queues for its modelled cost before it is routed."""
         target = self.node(node)
         target.cpu = CpuQueue(self.scheduler, model, target, queue_limit=queue_limit)
         return target.cpu
@@ -590,43 +562,6 @@ class Network:
             tracer.profiler = SelfProfiler(self.scheduler).start()
         return tracer
 
-    def pcap(
-        self,
-        node: "Node | str",
-        dev: str | None = None,
-        *,
-        direction: str = "tx",
-        path: "str | Path | None" = None,
-    ):
-        """Capture a device's traffic to a pcap file (``tcpdump -i``).
-
-        Wraps :func:`repro.sim.pcap.tap_device` on the node's device
-        (``dev=None`` picks the node's only device), stamping every
-        captured packet with the scheduler clock, and returns a
-        :class:`~repro.sim.pcap.PcapCapture` whose ``trace_ids`` lists
-        ``(timestamp_ns, trace_id)`` for captured packets that carry an
-        active trace context — the join key between the pcap view and
-        ``net.trace()`` records.  Call ``capture.close()`` (or rely on
-        interpreter exit) to flush the file.
-        """
-        from ..sim.pcap import PcapCapture, PcapWriter, tap_device
-
-        target = self.node(node)
-        if dev is None:
-            if len(target.devices) != 1:
-                raise ValueError(
-                    f"{target.name} has {len(target.devices)} devices; pass dev="
-                )
-            dev = next(iter(target.devices))
-        if dev not in target.devices:
-            raise KeyError(f"{target.name}: no device {dev!r}")
-        if path is None:
-            path = f"{target.name}-{dev}.pcap"
-        capture = PcapCapture(PcapWriter(path), path)
-        tap_device(target.devices[dev], capture.writer, direction, index=capture.index)
-        self._pcaps.append(capture)
-        return capture
-
     def on(self, at_ns: int, fn, *args):
         """Run ``fn(*args)`` at simulated time ``at_ns`` (scripted events).
 
@@ -646,18 +581,17 @@ class Network:
         *,
         until_ms: "int | float | None" = None,
         shards: int | None = None,
-    ) -> RunResult:
+    ) -> int:
         """Drive the event loop to the horizon (or until the heap drains).
 
         ``until_ms`` is the millisecond convenience spelling of
         ``until_ns`` (mutually exclusive).  Returns the executed-event
-        count as a :class:`RunResult`, which doubles as a context manager
-        for the scoped-readout style.
+        count.
 
         ``shards=K`` (or ``Network(shards=K)``) executes the run across
         K worker processes with the conservative parallel engine
-        (:mod:`repro.shard`): same deliveries, counters and telemetry as
-        ``shards=1``, byte for byte, on a seeded network.  A sharded run
+        (:mod:`repro.shard`): same deliveries, counters and telemetry
+        export as ``shards=1``, byte for byte, on a seeded network.  A sharded run
         needs an explicit horizon, must be the network's first run, and
         is terminal — results are merged back here, but the network
         cannot be driven further afterwards.
@@ -677,8 +611,7 @@ class Network:
             from ..shard import run_sharded
 
             return run_sharded(self, until_ns, count, max_events=max_events)
-        executed = self.scheduler.run(until_ns=until_ns, max_events=max_events)
-        return RunResult(executed)
+        return self.scheduler.run(until_ns=until_ns, max_events=max_events)
 
     def __repr__(self) -> str:
         return (

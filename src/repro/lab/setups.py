@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..net.node import Node
-from ..sim.cpu import CostModel
 from ..sim.link import Link
 from ..sim.netem import NetemQdisc
 from ..sim.scheduler import NS_PER_MS, Scheduler
@@ -50,18 +49,19 @@ class Setup1Topo(Topo):
     """``S1 — R — S2`` with plain forwarding routes installed."""
 
     def build(self, rate_bps: float = 10e9, link_delay_ns: int = 5000) -> None:
+        net = self.net
         for name, addr in (
             ("S1", Setup1.S1_ADDR),
             ("R", Setup1.R_ADDR),
             ("S2", Setup1.S2_ADDR),
         ):
-            self.add_node(name, addr=addr)
-        self.add_link("S1", "R", rate_bps, link_delay_ns)  # S1.eth0 — R.eth0
-        self.add_link("R", "S2", rate_bps, link_delay_ns)  # R.eth1 — S2.eth0
-        self.config("S1", "ip -6 route add ::/0 via fc00:1::ff dev eth0")
-        self.config("R", f"ip -6 route add fc00:1::/64 via {Setup1.S1_ADDR} dev eth0")
-        self.config("R", f"ip -6 route add fc00:2::/64 via {Setup1.S2_ADDR} dev eth1")
-        self.config("S2", "ip -6 route add ::/0 via fc00:2::ff dev eth0")
+            net.add_node(name, addr=addr)
+        net.add_link("S1", "R", rate_bps, link_delay_ns)  # S1.eth0 — R.eth0
+        net.add_link("R", "S2", rate_bps, link_delay_ns)  # R.eth1 — S2.eth0
+        net.config("S1", "ip -6 route add ::/0 via fc00:1::ff dev eth0")
+        net.config("R", f"ip -6 route add fc00:1::/64 via {Setup1.S1_ADDR} dev eth0")
+        net.config("R", f"ip -6 route add fc00:2::/64 via {Setup1.S2_ADDR} dev eth1")
+        net.config("S2", "ip -6 route add ::/0 via fc00:2::ff dev eth0")
 
     def setup(self) -> Setup1:
         net = self.net
@@ -148,23 +148,22 @@ class Setup2Topo(Topo):
         link0: HybridLinkSpec = PAPER_LINK0,
         link1: HybridLinkSpec = PAPER_LINK1,
         lan_rate_bps: float = 1e9,
-        cpe_cpu: CostModel | None = None,
         netem_seed: int = 7,
     ) -> None:
-        S = Setup2
-        self.add_node("S1", addr=S.S1_ADDR)
-        self.add_node("A", addr=S.A_ADDR)
-        self.add_node("R", addr="fc00:ee::1")
-        self.add_node("M", addr=S.M_ADDR, cpu=cpe_cpu)
-        self.add_node("S2", addr=S.S2_ADDR)
+        S, net = Setup2, self.net
+        net.add_node("S1", addr=S.S1_ADDR)
+        net.add_node("A", addr=S.A_ADDR)
+        net.add_node("R", addr="fc00:ee::1")
+        net.add_node("M", addr=S.M_ADDR)
+        net.add_node("S2", addr=S.S2_ADDR)
 
         fast = 1e9  # physical port rate; shaping happens in netem on R
-        self.add_link("S1", "A", lan_rate_bps, 100_000, dev_a="eth0", dev_b="wan")
-        self.add_link("A", "R", fast, 10_000, dev_a="dsl", dev_b="a0")
-        self.add_link("A", "R", fast, 10_000, dev_a="lte", dev_b="a1")
-        self.add_link("R", "M", fast, 10_000, dev_a="m0", dev_b="dsl")
-        self.add_link("R", "M", fast, 10_000, dev_a="m1", dev_b="lte")
-        self.add_link("M", "S2", lan_rate_bps, 10_000, dev_a="lan", dev_b="eth0")
+        net.add_link("S1", "A", lan_rate_bps, 100_000, dev_a="eth0", dev_b="wan")
+        net.add_link("A", "R", fast, 10_000, dev_a="dsl", dev_b="a0")
+        net.add_link("A", "R", fast, 10_000, dev_a="lte", dev_b="a1")
+        net.add_link("R", "M", fast, 10_000, dev_a="m0", dev_b="dsl")
+        net.add_link("R", "M", fast, 10_000, dev_a="m1", dev_b="lte")
+        net.add_link("M", "S2", lan_rate_bps, 10_000, dev_a="lan", dev_b="eth0")
 
         # netem shaping on R, both directions of each access link.
         for devname, spec, seed_off in (
@@ -173,7 +172,7 @@ class Setup2Topo(Topo):
             ("m1", link1, 2),
             ("a1", link1, 3),
         ):
-            self.netem(
+            net.netem(
                 "R",
                 devname,
                 rate_bps=spec.rate_bps,
@@ -184,34 +183,34 @@ class Setup2Topo(Topo):
 
         # Plain forwarding on R: the path is pinned by the decap segment.
         for seg, a_dev, m_dev in ((0, "a0", "m0"), (1, "a1", "m1")):
-            self.config("R", f"route add {S.M_SEG[seg]}/128 via {S.M_ADDR} dev {m_dev}")
-            self.config("R", f"route add {S.M_DM_SEG[seg]}/128 via {S.M_ADDR} dev {m_dev}")
-            self.config("R", f"route add {S.A_SEG[seg]}/128 via {S.A_ADDR} dev {a_dev}")
+            net.config("R", f"route add {S.M_SEG[seg]}/128 via {S.M_ADDR} dev {m_dev}")
+            net.config("R", f"route add {S.M_DM_SEG[seg]}/128 via {S.M_ADDR} dev {m_dev}")
+            net.config("R", f"route add {S.A_SEG[seg]}/128 via {S.A_ADDR} dev {a_dev}")
         # Direct (non-aggregated) paths used before WRR is installed: pin to link 0.
-        self.config("R", f"route add fc00:2::/64 via {S.M_ADDR} dev m0")
-        self.config("R", f"route add fc00:bb::/64 via {S.M_ADDR} dev m0")
-        self.config("R", f"route add fc00:1::/64 via {S.A_ADDR} dev a0")
-        self.config("R", f"route add fc00:aa::/64 via {S.A_ADDR} dev a0")
+        net.config("R", f"route add fc00:2::/64 via {S.M_ADDR} dev m0")
+        net.config("R", f"route add fc00:bb::/64 via {S.M_ADDR} dev m0")
+        net.config("R", f"route add fc00:1::/64 via {S.A_ADDR} dev a0")
+        net.config("R", f"route add fc00:aa::/64 via {S.A_ADDR} dev a0")
 
         # Hosts.
-        self.config("S1", f"route add ::/0 via {S.A_ADDR} dev eth0")
-        self.config("S2", f"route add ::/0 via {S.M_ADDR} dev eth0")
+        net.config("S1", f"route add ::/0 via {S.A_ADDR} dev eth0")
+        net.config("S2", f"route add ::/0 via {S.M_ADDR} dev eth0")
 
         # Aggregation box: server side + per-segment access routes.
-        self.config("A", f"route add fc00:1::/64 via {S.S1_ADDR} dev wan")
-        self.config("A", f"route add {S.M_SEG[0]}/128 via fc00:ee::1 dev dsl")
-        self.config("A", f"route add {S.M_SEG[1]}/128 via fc00:ee::1 dev lte")
-        self.config("A", f"route add {S.M_DM_SEG[0]}/128 via fc00:ee::1 dev dsl")
-        self.config("A", f"route add {S.M_DM_SEG[1]}/128 via fc00:ee::1 dev lte")
-        self.config("A", "route add fc00:2::/64 via fc00:ee::1 dev dsl")  # WRR replaces
-        self.config("A", "route add fc00:bb::/64 via fc00:ee::1 dev dsl")
+        net.config("A", f"route add fc00:1::/64 via {S.S1_ADDR} dev wan")
+        net.config("A", f"route add {S.M_SEG[0]}/128 via fc00:ee::1 dev dsl")
+        net.config("A", f"route add {S.M_SEG[1]}/128 via fc00:ee::1 dev lte")
+        net.config("A", f"route add {S.M_DM_SEG[0]}/128 via fc00:ee::1 dev dsl")
+        net.config("A", f"route add {S.M_DM_SEG[1]}/128 via fc00:ee::1 dev lte")
+        net.config("A", "route add fc00:2::/64 via fc00:ee::1 dev dsl")  # WRR replaces
+        net.config("A", "route add fc00:bb::/64 via fc00:ee::1 dev dsl")
 
         # CPE: LAN side + per-segment access routes.
-        self.config("M", f"route add fc00:2::/64 via {S.S2_ADDR} dev lan")
-        self.config("M", f"route add {S.A_SEG[0]}/128 via fc00:ee::1 dev dsl")
-        self.config("M", f"route add {S.A_SEG[1]}/128 via fc00:ee::1 dev lte")
-        self.config("M", "route add fc00:1::/64 via fc00:ee::1 dev dsl")  # WRR replaces
-        self.config("M", "route add fc00:aa::/64 via fc00:ee::1 dev dsl")
+        net.config("M", f"route add fc00:2::/64 via {S.S2_ADDR} dev lan")
+        net.config("M", f"route add {S.A_SEG[0]}/128 via fc00:ee::1 dev dsl")
+        net.config("M", f"route add {S.A_SEG[1]}/128 via fc00:ee::1 dev lte")
+        net.config("M", "route add fc00:1::/64 via fc00:ee::1 dev dsl")  # WRR replaces
+        net.config("M", "route add fc00:aa::/64 via fc00:ee::1 dev dsl")
 
     def setup(self) -> Setup2:
         net = self.net
@@ -235,7 +234,6 @@ def build_setup2(
     link0: HybridLinkSpec = PAPER_LINK0,
     link1: HybridLinkSpec = PAPER_LINK1,
     lan_rate_bps: float = 1e9,
-    cpe_cpu: CostModel | None = None,
     seed: int = 7,
 ) -> Setup2:
     """Build the hybrid-access topology through the declarative builder."""
@@ -243,6 +241,5 @@ def build_setup2(
         link0=link0,
         link1=link1,
         lan_rate_bps=lan_rate_bps,
-        cpe_cpu=cpe_cpu,
         netem_seed=seed,
     ).setup()

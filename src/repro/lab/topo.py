@@ -1,12 +1,12 @@
 """Reusable topology classes, in the mininet ``Topo.build()`` idiom.
 
 Subclass :class:`Topo`, override :meth:`Topo.build`, and declare the
-scenario with the builder calls::
+scenario with the builder calls on ``self.net``::
 
     class Diamond(Topo):
         def build(self, paths: int = 2):
-            self.add_node("C", addr="fc00:c::1")
-            self.add_node("T", addr="fc00:f::1")
+            self.net.add_node("C", addr="fc00:c::1")
+            self.net.add_node("T", addr="fc00:f::1")
             ...
 
     topo = Diamond(paths=3, seed=7)
@@ -37,47 +37,3 @@ class Topo:
 
     def build(self, **params) -> None:
         """Override: declare nodes, links and config for this topology."""
-
-    # -- builder delegates, so build() bodies read declaratively ---------------
-    def add_node(self, *args, **kwargs):
-        return self.net.add_node(*args, **kwargs)
-
-    def add_link(self, *args, **kwargs):
-        return self.net.add_link(*args, **kwargs)
-
-    def netem(self, *args, **kwargs):
-        return self.net.netem(*args, **kwargs)
-
-    def cpu(self, *args, **kwargs):
-        return self.net.cpu(*args, **kwargs)
-
-    def config(self, *args, **kwargs):
-        return self.net.config(*args, **kwargs)
-
-    def attach(self, *args, **kwargs):
-        return self.net.attach(*args, **kwargs)
-
-    def load(self, *args, **kwargs):
-        return self.net.load(*args, **kwargs)
-
-    def trafgen(self, *args, **kwargs):
-        return self.net.trafgen(*args, **kwargs)
-
-    def sink(self, *args, **kwargs):
-        return self.net.sink(*args, **kwargs)
-
-    def tcp(self, *args, **kwargs):
-        return self.net.tcp(*args, **kwargs)
-
-    def run(self, *args, **kwargs):
-        return self.net.run(*args, **kwargs)
-
-    def node(self, name):
-        return self.net.node(name)
-
-    def __getitem__(self, name):
-        return self.net.node(name)
-
-    @property
-    def scheduler(self):
-        return self.net.scheduler

@@ -25,7 +25,7 @@ class NetDev:
     ``wire`` is where a transmitted batch goes, after any qdisc: the
     attached :class:`repro.sim.link.Link` endpoint's ``send_batch``, or
     else ``tx_buffer.extend`` (which is what the direct-datapath
-    microbenchmarks and unit tests read).  A pcap tx tap re-points it.
+    microbenchmarks and unit tests read).
     Ingress has no device frame: a link delivers its batch straight to
     the owning node's :meth:`~repro.net.node.Node.receive_batch`, which
     accounts the rx counters here.

@@ -292,9 +292,8 @@ class Node:
         :meth:`_transmit` parks egress on each device's ``pending`` list;
         the outermost dispatch hands each list over at batch end, straight
         to the device's ``wire`` when it has no qdisc, so links see whole
-        batches in input order.  The node's own dispatches enter as
-        ``_input_batch``, past any wrapper of ``receive_batch`` (a pcap rx
-        tap): ``arrival=False`` for a batch stamped already (a CPU
+        batches in input order.  The node's own dispatches enter here
+        too: ``arrival=False`` for a batch stamped already (a CPU
         completion), with ``decrement=False`` for a local one (a send).
         """
         counters = self.counters
@@ -421,16 +420,12 @@ class Node:
                         out_dev.pending = []
                     raise
         if cpu is not None:
-            cpu.submit_batch(pkts, partial(self._input_batch, arrival=False))
-
-    # The node's own dispatches enter here, past any instance-level wrapper
-    # of receive_batch.
-    _input_batch = receive_batch
+            cpu.submit_batch(pkts, partial(self.receive_batch, arrival=False))
 
     def send_batch(self, pkts: list[Packet]) -> None:
         """Batch egress for locally originated packets (generators, daemons):
         the dispatch pass without the rx stamp and the hop-limit decrement."""
-        self._input_batch(pkts, None, False, False)
+        self.receive_batch(pkts, None, False, False)
 
     def _lookup_route(self, table: FibTable, dst: bytes) -> "Route | None":
         """Flow-table-memoised route lookup in ``table``.

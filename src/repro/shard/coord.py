@@ -32,16 +32,15 @@ from __future__ import annotations
 import multiprocessing
 from dataclasses import asdict
 
-from ..lab.network import RunResult
 from ..telemetry.metrics import MetricsRegistry
 from .merge import classify_samples, merge_samples, merge_telemetry, merge_trace_records
 from .partition import ShardingError, lookahead_matrix, partition
 from .worker import worker_main
 
 
-class ShardRunResult(RunResult):
-    """A :class:`~repro.lab.network.RunResult` (total events executed,
-    proxy drain/delivery events included) carrying the sharded run's
+class ShardRunResult(int):
+    """The executed-event count (total over the workers, proxy
+    drain/delivery events included) carrying the sharded run's
     shape: ``shards``, ``rounds``, the node ``assignment``, and each
     worker's busy-time ``busy_s`` (the per-shard wall clock spent
     executing, which is what the scaling benchmark's capacity metric
@@ -207,7 +206,7 @@ def _merge_into_parent(net, assignment, baseline, baseline_dict, base_links, sta
         session.samples = states[0]["ticks"]
         # Events published after the last tick re-enter the parent
         # session so the user's close() emits them like an in-process
-        # run would (ordering is canonical under merge_telemetry).
+        # run would.
         from ..ctrl.events import CtrlEvent
 
         trailing = sorted(

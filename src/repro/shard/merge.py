@@ -21,9 +21,9 @@ snapshots.  The rules, applied per ``(name, labels)`` sample key:
 The telemetry merge applies the same per-key rules to every periodic
 ``sample`` record (tick by tick, using the same fork baseline), unions
 the per-tick ``event``/``perf`` records sorted by ``(t, line)``, and
-re-emits canonical JSONL.  Passing a single stream through
-:func:`merge_telemetry` is the identity on values — which is how the
-determinism gate canonicalises the unsharded export for byte comparison.
+re-emits them as JSONL.  An unsharded sampler emits each tick's records
+in that same ``(t, line)`` order, so the merged export is the unsharded
+run's, line for line.
 """
 
 from __future__ import annotations
@@ -80,7 +80,7 @@ def classify_samples(samples) -> dict:
 
 
 def merge_telemetry(streams, *, baseline, kinds, owner) -> list[str]:
-    """Merge per-worker telemetry JSONL streams into one canonical stream.
+    """Merge per-worker telemetry JSONL streams into one stream.
 
     ``streams`` is one list of JSONL lines per worker; ``baseline`` the
     parent's pre-fork ``as_dict()`` snapshot; ``kinds`` a

@@ -3,7 +3,6 @@
 from .cpu import CostModel, CpuQueue, CpuStats
 from .link import Link, LinkEndpoint
 from .netem import NetemQdisc
-from .pcap import PcapWriter, read_pcap, tap_device
 from .scheduler import NS_PER_MS, NS_PER_SEC, NS_PER_US, Scheduler
 from .stats import FlowMeter, mbps
 from .tcp import TcpReceiver, TcpSender, make_connection
@@ -20,7 +19,6 @@ __all__ = [
     "NS_PER_SEC",
     "NS_PER_US",
     "NetemQdisc",
-    "PcapWriter",
     "Scheduler",
     "Srv6UdpFlood",
     "TcpReceiver",
@@ -31,6 +29,4 @@ __all__ = [
     "batch_udp",
     "make_connection",
     "mbps",
-    "read_pcap",
-    "tap_device",
 ]

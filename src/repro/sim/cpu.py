@@ -48,12 +48,15 @@ class CostModel:
 
     def cost_ns(self, pkt: Packet, node) -> int:
         kind = self.classifier(pkt, node) if self.classifier else "forward"
-        return {
+        costs = {
             "forward": self.forward_ns,
             "decap": self.decap_ns,
             "bpf_jit": self.bpf_jit_ns,
             "bpf_interp": self.bpf_interp_ns,
-        }.get(kind, self.forward_ns)
+        }
+        if kind not in costs:
+            raise ValueError(f"no cost for processing class {kind!r} (known: {', '.join(costs)})")
+        return costs[kind]
 
 
 class CpuQueue:

@@ -72,31 +72,24 @@ class TelemetrySession:
         """Emit buffered events + drained rings + one registry snapshot.
 
         Returns the number of JSONL lines offered to the sink.  The
-        ``perf`` and ``event`` records are merged by ``(time_ns, order)``
-        where order preserves arrival: bus events were published in
-        simulated-time order, and each ring drains oldest-first, so the
-        merged stream is globally time-ordered and deterministic.
+        ``perf`` and ``event`` records are emitted in ``(time_ns, line)``
+        order, the order :func:`repro.shard.merge.merge_telemetry` gives
+        the workers' records: a sharded run's export is then this one's,
+        line for line, even where records share an instant.
         """
         if self.closed:
             return 0
         rings = self.rings()
-        entries: list[tuple[int, int, dict]] = []
-        order = 0
+        entries: list[tuple[int, str]] = []
         for event in self._pending_events:
-            entries.append(
-                (
-                    event.time_ns,
-                    order,
-                    {
-                        "type": "event",
-                        "t": event.time_ns,
-                        "node": event.node,
-                        "kind": event.kind,
-                        "detail": event.detail,
-                    },
-                )
-            )
-            order += 1
+            record = {
+                "type": "event",
+                "t": event.time_ns,
+                "node": event.node,
+                "kind": event.kind,
+                "detail": event.detail,
+            }
+            entries.append((event.time_ns, encode(record)))
         self._pending_events.clear()
         ring_dropped = 0
         for name, pmap in rings.items():
@@ -104,24 +97,20 @@ class TelemetrySession:
                 ring = pmap.ring(cpu)
                 ring_dropped += ring.dropped
                 for record in ring.drain_records():
-                    entries.append(
-                        (
-                            record.time_ns,
-                            order,
-                            {
-                                "type": "perf",
-                                "t": record.time_ns,
-                                "ring": name,
-                                "cpu": cpu,
-                                "data": record.data.hex(),
-                            },
-                        )
+                    line = encode(
+                        {
+                            "type": "perf",
+                            "t": record.time_ns,
+                            "ring": name,
+                            "cpu": cpu,
+                            "data": record.data.hex(),
+                        }
                     )
-                    order += 1
-        entries.sort(key=lambda entry: (entry[0], entry[1]))
+                    entries.append((record.time_ns, line))
+        entries.sort()
         emit = self.sink.emit
-        for _, _, record in entries:
-            emit(encode(record))
+        for _, line in entries:
+            emit(line)
         snapshot = {
             "type": "sample",
             "t": self.net.scheduler.now_ns,

@@ -3,12 +3,9 @@
 Each scenario is built identically, run unsharded and sharded, and
 compared on every observable surface: delivered packets and their
 sampled delays, the full metrics snapshot, per-node counters, link
-stats, control-bus totals, and the canonical telemetry export.  The
-telemetry comparison canonicalises the unsharded stream through the
-same merge code path (a single-stream merge is the identity on values;
-it only re-sorts same-tick records into the canonical ``(t, line)``
-order) and then requires equality with the sharded session's sink,
-line for line.
+stats, control-bus totals, and the telemetry export: the unsharded
+session's sink and the sharded one's must agree line for line, as each
+sampler wrote it.
 """
 
 from __future__ import annotations
@@ -20,7 +17,6 @@ import pytest
 from repro.lab import Network
 from repro.lab.setups import SETUP2_IGP_COSTS, Setup2Topo
 from repro.shard import ShardingError
-from repro.shard.merge import classify_samples, merge_telemetry
 from repro.sim.scheduler import NS_PER_MS
 from repro.telemetry.sink import RingSink
 
@@ -91,21 +87,13 @@ SQUARE_UNTIL = 200 * NS_PER_MS
 SETUP2_UNTIL = 60 * NS_PER_MS
 
 
-def observe(net: Network, canonical: bool) -> dict:
+def observe(net: Network) -> dict:
     """Every surface the determinism contract covers, as comparables."""
     session = net._telemetry
     session.close()
-    lines = session.sink.lines()
-    if canonical:
-        lines = merge_telemetry(
-            [lines],
-            baseline={},
-            kinds=classify_samples(net.metrics.collect()),
-            owner=lambda _name: 0,
-        )
     return {
         "metrics": net.metrics.as_dict(),
-        "telemetry": lines,
+        "telemetry": session.sink.lines(),
         "nodes": {name: asdict(node.counters) for name, node in net.nodes.items()},
         "links": [
             (asdict(link.a_to_b.stats), asdict(link.b_to_a.stats))
@@ -124,7 +112,7 @@ def observe(net: Network, canonical: bool) -> dict:
 def run_scenario(build, until_ns: int, shards: int) -> dict:
     net = build()
     result = net.run(until_ns=until_ns, shards=shards)
-    observed = observe(net, canonical=(shards == 1))
+    observed = observe(net)
     observed["now_ns"] = net.scheduler.now_ns
     if shards > 1:
         assert result.shards == shards
@@ -163,7 +151,7 @@ def test_setup2_is_byte_identical(shards):
 def run_traced(shards: int) -> dict:
     net = build_square_traced()
     net.run(until_ns=SQUARE_UNTIL, shards=shards)
-    observed = observe(net, canonical=(shards == 1))
+    observed = observe(net)
     observed["now_ns"] = net.scheduler.now_ns
     tracer = net._tracer
     observed["trace"] = tracer.jsonl_lines()
@@ -192,6 +180,35 @@ def test_traced_square_trace_stream_is_byte_identical(shards):
     assert candidate["trace_chrome"] == reference["trace_chrome"]
     assert candidate["trace_started"] == reference["trace_started"]
     assert candidate["exemplars"] == reference["exemplars"]
+
+
+def test_same_instant_telemetry_records_keep_one_order():
+    """Records that share an instant leave the sampler in the order the
+    shard merge gives them, ``(t, line)``, not in arrival order: at
+    t = 2 002 536 ns, B's ``lsa-originated`` and C's ``adjacency-up``
+    reach the unsharded bus in the opposite order."""
+
+    def build() -> Network:
+        net = Network(seed=7)
+        for name in ("A", "B", "C", "D"):
+            net.add_node(name, addr=f"fc00:{name.lower()}::1")
+        for a, b in (("A", "B"), ("B", "D"), ("A", "C"), ("C", "D")):
+            net.add_link(a, b, rate_bps=1e9, delay_ns=2_000_000)
+        net.ctrl(hello_interval_ns=10 * NS_PER_MS)
+        net.trace(sample=1)
+        net.sink("D")
+        net.trafgen("A", dst="fc00:d::1", rate_bps=20e6, payload_size=400).start(at_ns=0)
+        net.telemetry(interval_ms=10, sink=RingSink(capacity=None))
+        return net
+
+    sinks = []
+    for shards in (1, 2):
+        net = build()
+        net.run(until_ns=SQUARE_UNTIL, shards=shards)
+        net._telemetry.close()
+        sinks.append(net._telemetry.sink.lines())
+    assert any('"t":2002536' in line for line in sinks[0])
+    assert sinks[1] == sinks[0]
 
 
 def test_sharded_run_is_terminal_and_validated():

@@ -1,5 +1,7 @@
 """netem qdisc model and the CPU cost model."""
 
+import pytest
+
 from repro.net import NetDev, Node, make_udp_packet
 from repro.sim import CostModel, CpuQueue, NetemQdisc, Scheduler
 from repro.sim.scheduler import NS_PER_MS, NS_PER_SEC
@@ -143,6 +145,13 @@ def test_cost_model_classifier():
     cost = model.cost_ns(make_udp_packet("fc00::1", "fc00::2", 1, 2, b""), None)
     assert cost == 999
     assert len(calls) == 1
+
+
+def test_cost_model_refuses_an_unknown_class():
+    """A class the model has no cost for is an error, not plain forwarding."""
+    model = CostModel(classifier=lambda pkt, node: "bpf_interpreter")
+    with pytest.raises(ValueError, match="bpf_interpreter"):
+        model.cost_ns(make_udp_packet("fc00::1", "fc00::2", 1, 2, b""), None)
 
 
 def test_cpu_utilisation():

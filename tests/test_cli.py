@@ -163,3 +163,22 @@ def test_main_setup2_builds(capsys):
     text = capsys.readouterr().out
     for name in ("S1", "A", "R", "M", "S2"):
         assert re.search(rf"^{name}\s+addrs=", text, re.MULTILINE)
+
+
+def test_interact_reads_commands_from_a_stream():
+    """Piped stdin: no prompt on a non-TTY stream, and ``exit`` ends the read."""
+    net = build_network("square", seed=7, with_ctrl=True, frr=True)
+    out = io.StringIO()
+    NetCli(net, out=out).interact(io.StringIO("run 10\nnodes\nexit\nrun 1000\n"))
+    text = out.getvalue()
+    assert net.now_ns == 10 * NS_PER_MS
+    assert "ran to 10.000 ms" in text
+    assert NetCli.PROMPT not in text
+
+
+def test_help_lists_every_command():
+    out = io.StringIO()
+    NetCli(build_network("square", seed=1, with_ctrl=False, frr=False), out=out).dispatch("help")
+    listed = {line.split()[0] for line in out.getvalue().splitlines()}
+    commands = {name.removeprefix("cmd_") for name in dir(NetCli) if name.startswith("cmd_")}
+    assert commands <= listed, sorted(commands - listed)

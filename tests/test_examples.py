@@ -72,6 +72,8 @@ def test_hybrid_access_runs(capsys):
     assert since0 > 0 and abs(since0 - since1) <= 1
     assert "summary: disaster" in out
     assert "compensating link" in out
+    # The CPE runs with the Turris CPU model attached: its busy share prints.
+    assert "CPE CPU busy" in out
 
 
 def test_frr_reroute_runs(capsys):
@@ -89,6 +91,28 @@ def test_frr_reroute_runs(capsys):
     assert "0 left unprotected" in out
 
 
+def test_telemetry_export_runs(capsys, tmp_path, monkeypatch):
+    """The telemetry export: a failure's FRR events in a time-ordered JSONL."""
+    monkeypatch.chdir(tmp_path)
+    load("telemetry_export").main()
+    out = capsys.readouterr().out
+    assert "wrote telemetry.jsonl:" in out and " sample" in out
+    assert "frr-fired on A: 1" in out
+    lines = (tmp_path / "telemetry.jsonl").read_text().splitlines()
+    assert any('"frr-fired"' in line for line in lines)
+
+
+def test_trace_export_runs(capsys, tmp_path, monkeypatch):
+    """The trace export, and its byte-identity under two shards."""
+    monkeypatch.chdir(tmp_path)
+    load("trace_export").main()
+    out = capsys.readouterr().out
+    assert "spans sum to each delay" in out
+    assert "byte-identical" in out
+    assert (tmp_path / "trace.jsonl").stat().st_size > 0
+    assert (tmp_path / "trace.chrome.json").stat().st_size > 0
+
+
 # Keep this in sync with the per-example tests above: the quickstart
 # commands in README.md point at these scripts, so every script must have
 # an executing smoke test here — docs can't rot silently.
@@ -99,6 +123,8 @@ EXERCISED = {
     "delay_monitoring",
     "hybrid_access",
     "frr_reroute",
+    "telemetry_export",
+    "trace_export",
 }
 
 

@@ -21,10 +21,10 @@ from repro.net import (
 SEG = "fc00:e::100"
 
 
-def fresh_lab(**node_kwargs):
+def fresh_lab():
     """A one-router network built through the declarative builder."""
     net = Network()
-    net.add_node("R", addr="fc00:e::1", devices=("eth0", "eth1"), **node_kwargs)
+    net.add_node("R", addr="fc00:e::1", devices=("eth0", "eth1"))
     net.config("R", "route add fc00:2::/64 via fc00:2::1 dev eth1")
     return net
 
@@ -202,7 +202,8 @@ def test_seg6local_route_with_exhausted_segments_drops():
 def test_cpu_queue_overflow_drops_but_recovers():
     from repro.sim import CostModel
 
-    net = fresh_lab(cpu=CostModel(forward_ns=1_000_000), cpu_queue_limit=5)
+    net = fresh_lab()
+    net.cpu("R", CostModel(forward_ns=1_000_000), queue_limit=5)
     node = net["R"]
     for _ in range(20):
         node.receive(make_udp_packet("fc00:1::1", "fc00:2::2", 1, 2, b"x"), node.devices["eth0"])
@@ -239,7 +240,7 @@ def test_monitoring_survives_lossy_path():
     net.netem("R", "eth1", loss=0.2, seed=3)
     flow = net.trafgen("S1", dst="fc00:2::2", rate_bps=5e6, payload_size=100)
     flow.start(duration_ns=NS_PER_SEC // 10)
-    with net.run(until_ns=NS_PER_SEC // 2):
-        samples = handles.collector.samples
-        assert 0 < len(samples) < flow.stats.sent
-        assert all(s.delay_ns >= 0 for s in samples)
+    net.run(until_ns=NS_PER_SEC // 2)
+    samples = handles.collector.samples
+    assert 0 < len(samples) < flow.stats.sent
+    assert all(s.delay_ns >= 0 for s in samples)

@@ -21,9 +21,9 @@ def test_setup1_plain_forwarding():
     meter = net.sink("S2")
     flow = net.trafgen("S1", dst="fc00:2::2", rate_bps=100e6, payload_size=64)
     flow.start(duration_ns=NS_PER_SEC // 10)
-    with net.run(until_ns=NS_PER_SEC // 2):
-        assert meter.packets == flow.stats.sent
-        assert setup.r.counters.forwarded == flow.stats.sent
+    net.run(until_ns=NS_PER_SEC // 2)
+    assert meter.packets == flow.stats.sent
+    assert setup.r.counters.forwarded == flow.stats.sent
 
 
 def test_setup1_end_bpf_chain_through_des():
@@ -41,9 +41,9 @@ def test_setup1_end_bpf_chain_through_des():
     # S1 must route the first segment toward R.
     net.config("S1", f"route add {setup.FUNC_SEGMENT}/128 via fc00:1::ff dev eth0")
     flood.start(duration_ns=NS_PER_SEC // 10)
-    with net.run(until_ns=NS_PER_SEC // 2):
-        assert meter.packets == flood.stats.sent
-        assert setup.r.counters.seg6local_processed == flood.stats.sent
+    net.run(until_ns=NS_PER_SEC // 2)
+    assert meter.packets == flood.stats.sent
+    assert setup.r.counters.seg6local_processed == flood.stats.sent
 
 
 def test_setup1_tag_increment_visible_at_sink():

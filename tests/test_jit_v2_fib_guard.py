@@ -8,7 +8,7 @@ mutate the FIB, and the packets still queued behind it must then see
 the new table — exactly as they would had each been resolved in a
 batch of its own.
 
-``Node._input_batch`` compares the main table's generation with the one
+``Node.receive_batch`` compares the main table's generation with the one
 the held route was looked up at before every packet, and looks the
 route up again when it moved.  Without that check the batch keeps
 executing the replaced route's program (every mark stays 1) — the

@@ -32,7 +32,6 @@ DOCS = ("docs/API.md", "README.md")
 # Unreached on purpose, one reason each: "module:Qualname" -> reason.
 # A copy under tests/ would only move these, not remove them.
 ALLOWED = {
-    "repro.sim.pcap:read_pcap": "reads back what write_pcap writes; the pcap tests' oracle",
     "repro.net.checksum:verify_l4": "the L4 checksum oracle every rewrite is checked against",
     "repro.net.packet:Packet.udp_payload": "how tests read a delivered packet's UDP payload",
     "repro.ebpf.insn:encode_program": "the kernel's bytecode format; corpus goldens compare by it",

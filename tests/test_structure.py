@@ -470,7 +470,7 @@ ROWS = [
         (Ident("_run_group", "group_flushes", "grouped_packets", "bpf_group", part=True),),
         SRC_BENCH,
         "no seg6local group with its lookahead scan, flush protocol and counters: one "
-        "per-packet rule in Node._input_batch (docs/ARCHITECTURE.md, the batch loop)",
+        "per-packet rule in Node.receive_batch (docs/ARCHITECTURE.md, the batch loop)",
         "30",
         ("self._run_group(batch)\n", "stats.group_flushes += 1\n"),
     ),
@@ -685,6 +685,79 @@ ROWS = [
         passes="SRC = '''\n.map counts array 4 8 1\nexit\n'''\n",
         allow=(("tests/ebpf/test_easm.py", "test_asm_errors"),),  # the parser refuses each one
         at="tests/ebpf/test_easm.py",
+    ),
+    Row(
+        "pcap-tap",
+        (
+            Import("repro.sim.pcap"),
+            Ident("PcapWriter", "PcapCapture", "read_pcap", "tap_device", "_pcaps"),
+            Def("pcap"),
+            Call(".pcap"),
+        ),
+        ("src/", "tests/", "benchmarks/*.py", "examples/"),
+        "a node's traffic is read through net.trace() records and the metrics registry; no "
+        "capture wraps Node.receive_batch on the instance (docs/API.md, repro.trace)",
+        "51",
+        (
+            "from repro.sim.pcap import PcapWriter\n",
+            "tap_device(dev, writer, 'rx')\n",
+            "def pcap(self, node, dev=None):\n    pass\n",
+            "capture = net.pcap('R', 'eth0')\n",
+        ),
+        passes="path = tmp_path / 'tx.pcap'\nsink = FileSink(path)\n",
+    ),
+    Row(
+        "input-batch-alias",
+        (Ident("_input_batch"),),
+        ("src/", "tests/", "benchmarks/*.py"),
+        "a node's own dispatches (a send, a CPU completion) enter Node.receive_batch like a "
+        "link's delivery: no alias to bypass a wrapper (docs/ARCHITECTURE.md, the batch loop)",
+        "51",
+        ("_input_batch = receive_batch\n", "self._input_batch(pkts, None, False, False)\n"),
+        passes="self.receive_batch(pkts, None, False, False)\n",
+    ),
+    Row(
+        "topo-delegates",
+        (
+            Def("add_node", "add_link", "netem", "cpu", "config", "attach", "load", "trafgen",
+                "sink", "tcp", "run", "node", "__getitem__", "scheduler"),
+            Call("self.add_node", "self.add_link", "self.netem", "self.cpu", "self.config",
+                 "self.attach", "self.load", "self.trafgen", "self.sink", "self.tcp", "self.run"),
+        ),  # fmt: skip
+        ("src/repro/lab/topo.py", "src/repro/lab/setups.py"),
+        "a Topo builds through its Network: build() bodies write self.net.add_node(...), "
+        "with no second spelling of each builder call (docs/API.md, repro.lab)",
+        "51",
+        (
+            "class Topo:\n    def add_node(self, *args, **kwargs):\n"
+            "        return self.net.add_node(*args, **kwargs)\n",
+            "def build(self):\n    self.add_node('R', addr='fc00:e::1')\n",
+        ),
+        passes="def build(self):\n    self.net.add_node('R', addr='fc00:e::1')\n",
+    ),
+    Row(
+        "run-result",
+        (Ident("RunResult"), Code(ast.With, r"^with [^\n]*\.run\(", "run")),
+        ("src/", "tests/", "benchmarks/*.py", "examples/"),
+        "net.run returns the executed-event count as an int: no context manager that does "
+        "nothing (docs/API.md, repro.lab)",
+        "51",
+        ("from repro.lab import RunResult\n", "with net.run(until_ns=10) as executed:\n    pass\n"),
+        passes="executed = net.run(until_ns=10)\nresult = ShardRunResult(executed, shards=2)\n",
+    ),
+    Row(
+        "one-cpu-door",
+        (Ident("cpu_queue_limit", "cpe_cpu"), Code(ast.Call, r"\badd_node\(.*\bcpu=", "add_node")),
+        ("src/", "tests/", "benchmarks/*.py", "examples/"),
+        "a CPU cost model is attached one way, net.cpu(node, model, queue_limit=), as "
+        "net.netem attaches a qdisc (docs/API.md, repro.lab)",
+        "51",
+        (
+            "net.add_node('M', addr=M_ADDR, cpu=CostModel())\n",
+            "def build_setup2(link0, cpe_cpu=None):\n    pass\n",
+            "net.add_node('M', cpu=model, cpu_queue_limit=5)\n",
+        ),
+        passes="net.add_node('M', addr=M_ADDR)\nnet.cpu('M', CostModel(), queue_limit=5)\n",
     ),
 ]
 
